@@ -1,15 +1,11 @@
 /**
  * @file
- * Micro-benchmarks for the deep-learning kernels: matmul (streaming and
- * cache-blocked), LSTM forward in training / inference / reference
+ * Micro-benchmarks for the deep-learning kernels: matmul (scalar and
+ * vector tier), LSTM forward in training / inference / reference
  * mode, LSTM train step fused vs reference, head forward.  Not a paper
  * figure — establishes the substrate's throughput envelope and feeds
  * the perf-regression gate (tools/bench_compare against the checked-in
  * bench/baselines/BENCH_ml.json).
- *
- * All entries run single-threaded (ScopedThreadOverride(1)) so medians
- * are comparable across machines with different core counts; the
- * parallel story is covered by micro_parallel_scaling.
  *
  * The summary block records two kinds of before/after pairs: live
  * fused-vs-reference speedups measured in this run (the reference path
@@ -24,7 +20,6 @@
 
 #include "bench/microbench.hh"
 #include "common/rng.hh"
-#include "common/threadpool.hh"
 #include "ml/loss.hh"
 #include "ml/lstm.hh"
 #include "ml/sequential.hh"
@@ -58,25 +53,17 @@ randomSequence(std::size_t steps, std::size_t batch, std::size_t cols,
 }
 
 Result
-benchMatmul(std::size_t n, unsigned block,
-            ml::KernelTier tier = ml::KernelTier::Scalar)
+benchMatmul(std::size_t n, ml::KernelTier tier = ml::KernelTier::Scalar)
 {
     Rng rng(1);
     const ml::Matrix a = randomMatrix(n, n, rng);
     const ml::Matrix b = randomMatrix(n, n, rng);
-    const auto saved = ml::matrixParallelConfig();
-    auto config = saved;
-    config.gemmBlock = block;
-    ml::setMatrixParallelConfig(config);
     const ml::ScopedKernelTier tier_pin(tier);
     ml::Matrix out;
-    auto result = bench::micro::measure(
+    return bench::micro::measure(
         "matmul_" + std::to_string(n) +
-            (block ? "_blocked" + std::to_string(block) : "") +
             (tier == ml::KernelTier::Vector ? "_vector" : ""),
         [&] { a.matmulInto(b, out); });
-    ml::setMatrixParallelConfig(saved);
-    return result;
 }
 
 /** Batch transcendental throughput: one tanh sweep over n doubles. */
@@ -162,21 +149,16 @@ benchHeadForward()
 int
 main()
 {
-    // Single-threaded medians: machine-comparable, and the shapes here
-    // are below the parallel grain anyway.
-    ScopedThreadOverride serial(1);
-
     std::vector<bench::micro::Result> results;
-    results.push_back(benchMatmul(64, 0));
-    results.push_back(benchMatmul(128, 0));
-    results.push_back(benchMatmul(384, 0));
-    results.push_back(benchMatmul(384, 64));
+    results.push_back(benchMatmul(64));
+    results.push_back(benchMatmul(128));
+    results.push_back(benchMatmul(384));
 
     // Vector-tier rows are always emitted so the regression gate can
     // compare against the baseline on any machine: when AVX2 is
     // unavailable (or -DADRIAS_SIMD=OFF), the tier falls back to the
     // scalar kernels and the rows simply mirror their scalar twins.
-    results.push_back(benchMatmul(384, 0, ml::KernelTier::Vector));
+    results.push_back(benchMatmul(384, ml::KernelTier::Vector));
     results.push_back(
         benchTanhBatch(8192, ml::KernelTier::Scalar));
     results.push_back(

@@ -1,13 +1,12 @@
 /**
  * @file
  * Parallel-scaling microbenchmark (DESIGN.md §9): measures serial vs
- * multi-threaded wall time for the two hot paths the ThreadPool
- * accelerates — the GEMM family inside model training, and the
- * multi-seed scenario sweep — and emits a machine-readable JSON
- * report for CI artifacts.
+ * multi-threaded wall time for the multi-seed scenario sweep — the
+ * ThreadPool's job: independent scenario runs — and emits a
+ * machine-readable JSON report for CI artifacts.
  *
- * Each configuration also cross-checks bitwise equality against the
- * serial result, so the report doubles as an equivalence smoke test.
+ * Each configuration also cross-checks its results against the serial
+ * run, so the report doubles as an equivalence smoke test.
  *
  * Each configuration reports the steady-state MEDIAN over several
  * iterations after dropping warm-up runs (pool spin-up, cold caches);
@@ -27,9 +26,7 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "common/rng.hh"
 #include "common/threadpool.hh"
-#include "ml/matrix.hh"
 
 namespace
 {
@@ -41,15 +38,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-ml::Matrix
-randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
-{
-    ml::Matrix m(rows, cols);
-    for (double &value : m.raw())
-        value = rng.uniform(-1.0, 1.0);
-    return m;
 }
 
 struct Measurement
@@ -107,40 +95,6 @@ probeThreadCounts()
     std::sort(counts.begin(), counts.end());
     counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
     return counts;
-}
-
-/** Dense GEMM chain at training-relevant shape (>= 256x256). */
-std::vector<Measurement>
-benchGemm()
-{
-    Rng rng(2023);
-    const ml::Matrix a = randomMatrix(rng, 384, 384);
-    const ml::Matrix b = randomMatrix(rng, 384, 384);
-    constexpr int kIters = 8;
-
-    std::vector<Measurement> measurements;
-    ml::Matrix reference;
-    for (unsigned threads : probeThreadCounts()) {
-        ScopedThreadOverride override_(threads);
-        Measurement m;
-        m.threads = threads;
-        m.iterations = benchIters();
-        m.warmup = benchWarmup();
-        ml::Matrix last;
-        m.seconds = medianSeconds(
-            [&] {
-                for (int i = 0; i < kIters; ++i) {
-                    last = a.matmul(b);
-                    last = last.transposedMatmul(a);
-                }
-            },
-            m.iterations, m.warmup);
-        if (threads == 1)
-            reference = last;
-        m.identical = last.raw() == reference.raw();
-        measurements.push_back(m);
-    }
-    return measurements;
 }
 
 /** Multi-seed scenario sweep through the parallel driver. */
@@ -232,9 +186,7 @@ main(int argc, char **argv)
     std::cout << "hardware threads: "
               << std::thread::hardware_concurrency() << "\n";
 
-    const auto gemm = benchGemm();
     const auto sweep = benchSweep();
-    printTable("gemm 384x384 chain", gemm);
     printTable("scenario sweep (4 seeds)", sweep);
 
     const std::string path =
@@ -242,15 +194,11 @@ main(int argc, char **argv)
     std::ofstream out(path, std::ios::binary);
     out << "{\n  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
-    appendJson(out, "gemm", gemm);
-    out << ",\n";
     appendJson(out, "sweep", sweep);
     out << "\n}\n";
     std::cout << "\nJSON written to " << path << "\n";
 
     bool all_identical = true;
-    for (const auto &m : gemm)
-        all_identical = all_identical && m.identical;
     for (const auto &m : sweep)
         all_identical = all_identical && m.identical;
     if (!all_identical) {

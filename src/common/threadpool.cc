@@ -4,9 +4,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
+
+#include "common/error.hh"
 
 namespace adrias
 {
@@ -114,7 +115,7 @@ ThreadPool::workerLoop() ADRIAS_NO_THREAD_SAFETY_ANALYSIS
             available.wait(mutex,
                            [&] { return stopping || !queue.empty(); });
             // Drain queued work even when stopping: a destructor must
-            // never strand a task someone holds a future for.
+            // never strand a chunk whose parallelFor is still waiting.
             if (queue.empty())
                 return;
             task = std::move(queue.front());
@@ -122,39 +123,6 @@ ThreadPool::workerLoop() ADRIAS_NO_THREAD_SAFETY_ANALYSIS
         }
         task();
     }
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    if (!task)
-        throw std::invalid_argument("ThreadPool::submit: empty task");
-    if (onWorkerThread())
-        throw std::logic_error(
-            "ThreadPool::submit from a worker thread: waiting on the "
-            "future would deadlock; use parallelFor (runs inline when "
-            "nested)");
-
-    auto packaged = std::make_shared<std::packaged_task<void()>>(
-        std::move(task));
-    std::future<void> result = packaged->get_future();
-    if (workers.empty()) {
-        (*packaged)(); // serial pool: run inline
-        return result;
-    }
-    std::size_t depth = 0;
-    {
-        MutexLock lock(mutex);
-        if (stopping)
-            throw std::logic_error(
-                "ThreadPool::submit on a stopping pool");
-        queue.push_back([packaged] { (*packaged)(); });
-        depth = queue.size();
-    }
-    available.notify_one();
-    if (Observer *watcher = observer())
-        watcher->onEnqueue(depth);
-    return result;
 }
 
 std::size_t
@@ -252,12 +220,11 @@ ThreadPool::parallelForEach(std::size_t total,
 unsigned
 ThreadPool::configuredThreads()
 {
-    const char *env = std::getenv("ADRIAS_THREADS");
-    if (env && *env) {
-        const unsigned long parsed = std::strtoul(env, nullptr, 10);
+    if (const char *env = std::getenv("ADRIAS_THREADS")) {
+        const std::size_t parsed = parseSize(env).valueOr(0);
         if (parsed >= 1)
             return static_cast<unsigned>(
-                std::min<unsigned long>(parsed, kMaxThreads));
+                std::min<std::size_t>(parsed, kMaxThreads));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1u : std::min(hw, kMaxThreads);

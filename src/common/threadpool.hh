@@ -3,6 +3,13 @@
  * Shared work-scheduling layer: a fixed-size thread pool with a
  * deterministically partitioned parallelFor.
  *
+ * The pool is the single place the library runs work in parallel,
+ * and it only ever gets coarse, independent units: the items of a
+ * scenario sweep (scenario/runner.cc) and the per-benchmark signature
+ * runs (scenario/signature.cc).  The ML kernels and model batching
+ * are plain serial loops — their shapes are far too small to split
+ * (DESIGN.md §9).
+ *
  * Determinism contract (DESIGN.md §9): the partition of a range into
  * chunks is a pure function of the range length — never of the thread
  * count, pool load or timing.  Each chunk writes only its own slots,
@@ -17,11 +24,9 @@
  * never observed mid-flight.
  *
  * Nesting: a parallelFor issued from inside a worker thread executes
- * inline (serially, in chunk order) on that worker — the scenario
- * sweep parallelizes across seeds and the matrix kernels inside each
- * seed automatically degrade to their serial form.  Raw submit() from
- * a worker thread is rejected (std::logic_error): blocking on the
- * returned future from inside the pool is a deadlock by construction.
+ * inline (serially, in chunk order) on that worker, so a pool item
+ * that reaches another parallelFor never blocks waiting on its own
+ * pool.
  */
 
 #ifndef ADRIAS_COMMON_THREADPOOL_HH
@@ -31,7 +36,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -52,8 +56,8 @@ class ThreadPool
      * every pool reports queue depth and chunk execution through it.
      * Callbacks run on worker threads (or inline on the caller for
      * serial pools) and must not touch the pool: they fire outside the
-     * pool's own lock, and calling back into submit/parallelFor from
-     * one would deadlock or recurse.
+     * pool's own lock, and calling back into parallelFor from one
+     * would deadlock or recurse.
      */
     class Observer
     {
@@ -98,14 +102,6 @@ class ThreadPool
     unsigned threadCount() const { return configured; }
 
     /**
-     * Enqueue one task; the future carries its exception, if any.
-     *
-     * Serial pools run the task inline before returning.  Calling from
-     * a worker thread throws std::logic_error (see file comment).
-     */
-    std::future<void> submit(std::function<void()> task);
-
-    /**
      * Run `body(begin, end)` over a deterministic partition of
      * [0, total); see chunkCount() for the partition rule.  A no-op
      * for total == 0.  Blocks until every chunk finished; rethrows the
@@ -139,7 +135,12 @@ class ThreadPool
      */
     static ThreadPool &global();
 
-    /** ADRIAS_THREADS parse (clamped to [1, kMaxThreads]). */
+    /**
+     * ADRIAS_THREADS parse: a plain decimal integer, clamped to
+     * [1, kMaxThreads].  Unset, empty, "0" and anything parseSize
+     * rejects (negative, trailing garbage) fall back to hardware
+     * concurrency.
+     */
     static unsigned configuredThreads();
 
     /** Upper bound on both chunk and thread counts. */

@@ -79,7 +79,6 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
     const std::size_t batch = sequence.front().rows();
     const std::size_t steps = sequence.size();
     const std::size_t gate_width = 4 * hidden;
-    const std::size_t grain = matrixParallelConfig().elementGrain;
 
     refCaches.clear();
     const bool keep_caches = !isInference;
@@ -93,9 +92,8 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
 
     // All x_t * Wx products in one batched GEMM over the stacked
     // sequence: every GEMM output row depends only on its own input
-    // row, so stacking steps is bitwise-neutral (the same row-locality
-    // argument as the parallel partition, DESIGN.md §9) and one
-    // (steps*batch x input) product amortizes per-call dispatch that
+    // row, so stacking steps is bitwise-neutral and one
+    // (steps*batch x input) product amortizes per-call overhead that
     // dominates small batches.
     wsXall.resizeForOverwrite(steps * batch, inputSize());
     {
@@ -161,17 +159,10 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
         // Vector tier (DESIGN.md §16): the inference-only gate loop
         // has no cache writes, so it maps straight onto the 4-wide
         // AVX2 gate kernel.  Tolerance-equivalent to the scalar loop
-        // below (FMA + vector transcendentals; ctest -L simd), and
-        // thread-invariant for the same row-partition reason.
+        // below (FMA + vector transcendentals; ctest -L simd).
         if (!keep_caches &&
             effectiveKernelTier() == KernelTier::Vector) {
-            kernels::runRows(
-                batch, batch * gate_width, grain,
-                [za, zb, bias, cbuf, hbuf,
-                 hidden](std::size_t begin, std::size_t end) {
-                    simd::lstmGateRows(za, zb, bias, cbuf, hbuf,
-                                       begin, end, hidden);
-                });
+            simd::lstmGateRows(za, zb, bias, cbuf, hbuf, 0, batch, hidden);
             continue;
         }
 
@@ -180,53 +171,46 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
         // scalar op sequence is exactly the reference formulation:
         // z = (zx + zh) + bias; gates through sigmoid/tanh;
         // c = (f*c_prev) + (i*g); h = o * tanh(c).
-        kernels::runRows(
-            batch, batch * gate_width, grain,
-            [za, zb, bias, cbuf, hbuf, gatebuf, cellbuf, tcbuf, hidden,
-             gate_width](std::size_t begin, std::size_t end) {
-                // All buffers are distinct allocations (workspaces,
-                // caches, output); __restrict lets the c loop
-                // vectorize without runtime alias checks.
-                const double *__restrict biasr = bias;
-                for (std::size_t r = begin; r < end; ++r) {
-                    const double *__restrict zar = za + r * gate_width;
-                    const double *__restrict zbr = zb + r * gate_width;
-                    double *__restrict crow = cbuf + r * hidden;
-                    double *__restrict hrow = hbuf + r * hidden;
-                    for (std::size_t c = 0; c < hidden; ++c) {
-                        const double zi = (zar[c] + zbr[c]) + biasr[c];
-                        const double zf = (zar[hidden + c] +
-                                           zbr[hidden + c]) +
-                                          biasr[hidden + c];
-                        const double zg = (zar[2 * hidden + c] +
-                                           zbr[2 * hidden + c]) +
-                                          biasr[2 * hidden + c];
-                        const double zo = (zar[3 * hidden + c] +
-                                           zbr[3 * hidden + c]) +
-                                          biasr[3 * hidden + c];
-                        const double gi = fastmath::sigmoid(zi);
-                        const double gf = fastmath::sigmoid(zf);
-                        const double gg = fastmath::tanh(zg);
-                        const double go = fastmath::sigmoid(zo);
-                        const double fc = gf * crow[c];
-                        const double ig = gi * gg;
-                        const double cell = fc + ig;
-                        const double tc = fastmath::tanh(cell);
-                        crow[c] = cell;
-                        hrow[c] = go * tc;
-                        if (gatebuf) {
-                            double *__restrict grow =
-                                gatebuf + r * gate_width;
-                            grow[c] = gi;
-                            grow[hidden + c] = gf;
-                            grow[2 * hidden + c] = gg;
-                            grow[3 * hidden + c] = go;
-                            cellbuf[r * hidden + c] = cell;
-                            tcbuf[r * hidden + c] = tc;
-                        }
-                    }
+        // All buffers are distinct allocations (workspaces, caches,
+        // output); __restrict lets the c loop vectorize without
+        // runtime alias checks.
+        const double *__restrict biasr = bias;
+        for (std::size_t r = 0; r < batch; ++r) {
+            const double *__restrict zar = za + r * gate_width;
+            const double *__restrict zbr = zb + r * gate_width;
+            double *__restrict crow = cbuf + r * hidden;
+            double *__restrict hrow = hbuf + r * hidden;
+            for (std::size_t c = 0; c < hidden; ++c) {
+                const double zi = (zar[c] + zbr[c]) + biasr[c];
+                const double zf =
+                    (zar[hidden + c] + zbr[hidden + c]) + biasr[hidden + c];
+                const double zg = (zar[2 * hidden + c] +
+                                   zbr[2 * hidden + c]) +
+                                  biasr[2 * hidden + c];
+                const double zo = (zar[3 * hidden + c] +
+                                   zbr[3 * hidden + c]) +
+                                  biasr[3 * hidden + c];
+                const double gi = fastmath::sigmoid(zi);
+                const double gf = fastmath::sigmoid(zf);
+                const double gg = fastmath::tanh(zg);
+                const double go = fastmath::sigmoid(zo);
+                const double fc = gf * crow[c];
+                const double ig = gi * gg;
+                const double cell = fc + ig;
+                const double tc = fastmath::tanh(cell);
+                crow[c] = cell;
+                hrow[c] = go * tc;
+                if (gatebuf) {
+                    double *__restrict grow = gatebuf + r * gate_width;
+                    grow[c] = gi;
+                    grow[hidden + c] = gf;
+                    grow[2 * hidden + c] = gg;
+                    grow[3 * hidden + c] = go;
+                    cellbuf[r * hidden + c] = cell;
+                    tcbuf[r * hidden + c] = tc;
                 }
-            });
+            }
+        }
     }
     return outputs;
 }
@@ -238,7 +222,6 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden)
     const std::size_t steps = caches.size();
     const std::size_t batch = caches.front().input.rows();
     const std::size_t gate_width = 4 * hidden;
-    const std::size_t grain = matrixParallelConfig().elementGrain;
 
     std::vector<Matrix> grad_inputs(steps);
     wsDhNext.resize(batch, hidden);
@@ -266,45 +249,39 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden)
         // Fused element-wise pass: writes the packed dz block directly
         // (no hconcat) and the next-step dc in place.  Per element the
         // op order matches the reference hadamard/map chain exactly.
-        kernels::runRows(
-            batch, batch * gate_width, grain,
-            [ghbuf, gatebuf, tcbuf, cprevbuf, dhbuf, dcbuf, dzbuf,
-             hidden, gate_width](std::size_t begin, std::size_t end) {
-                for (std::size_t r = begin; r < end; ++r) {
-                    const double *__restrict grow =
-                        gatebuf + r * gate_width;
-                    const double *__restrict tcrow = tcbuf + r * hidden;
-                    const double *__restrict ghrow = ghbuf + r * hidden;
-                    const double *__restrict dhrow = dhbuf + r * hidden;
-                    const double *__restrict cprow =
-                        cprevbuf ? cprevbuf + r * hidden : nullptr;
-                    double *__restrict dcrow = dcbuf + r * hidden;
-                    double *__restrict dzrow = dzbuf + r * gate_width;
-                    for (std::size_t c = 0; c < hidden; ++c) {
-                        const double gi = grow[c];
-                        const double gf = grow[hidden + c];
-                        const double gg = grow[2 * hidden + c];
-                        const double go = grow[3 * hidden + c];
-                        const double tc = tcrow[c];
-                        const double dh = ghrow[c] + dhrow[c];
-                        // h = o * tanh(c)
-                        const double d_o = dh * tc;
-                        const double dc =
-                            ((dh * go) * (1.0 - tc * tc)) + dcrow[c];
-                        // c = f*c_prev + i*g
-                        const double c_prev = cprow ? cprow[c] : 0.0;
-                        const double d_f = dc * c_prev;
-                        const double d_i = dc * gg;
-                        const double d_g = dc * gi;
-                        dcrow[c] = dc * gf;
-                        // through the gate non-linearities
-                        dzrow[c] = d_i * (gi * (1.0 - gi));
-                        dzrow[hidden + c] = d_f * (gf * (1.0 - gf));
-                        dzrow[2 * hidden + c] = d_g * (1.0 - gg * gg);
-                        dzrow[3 * hidden + c] = d_o * (go * (1.0 - go));
-                    }
-                }
-            });
+        for (std::size_t r = 0; r < batch; ++r) {
+            const double *__restrict grow = gatebuf + r * gate_width;
+            const double *__restrict tcrow = tcbuf + r * hidden;
+            const double *__restrict ghrow = ghbuf + r * hidden;
+            const double *__restrict dhrow = dhbuf + r * hidden;
+            const double *__restrict cprow =
+                cprevbuf ? cprevbuf + r * hidden : nullptr;
+            double *__restrict dcrow = dcbuf + r * hidden;
+            double *__restrict dzrow = dzbuf + r * gate_width;
+            for (std::size_t c = 0; c < hidden; ++c) {
+                const double gi = grow[c];
+                const double gf = grow[hidden + c];
+                const double gg = grow[2 * hidden + c];
+                const double go = grow[3 * hidden + c];
+                const double tc = tcrow[c];
+                const double dh = ghrow[c] + dhrow[c];
+                // h = o * tanh(c)
+                const double d_o = dh * tc;
+                const double dc =
+                    ((dh * go) * (1.0 - tc * tc)) + dcrow[c];
+                // c = f*c_prev + i*g
+                const double c_prev = cprow ? cprow[c] : 0.0;
+                const double d_f = dc * c_prev;
+                const double d_i = dc * gg;
+                const double d_g = dc * gi;
+                dcrow[c] = dc * gf;
+                // through the gate non-linearities
+                dzrow[c] = d_i * (gi * (1.0 - gi));
+                dzrow[hidden + c] = d_f * (gf * (1.0 - gf));
+                dzrow[2 * hidden + c] = d_g * (1.0 - gg * gg);
+                dzrow[3 * hidden + c] = d_o * (go * (1.0 - go));
+            }
+        }
 
         // Parameter gradients stay compute-then-accumulate: each
         // product lands in a zeroed staging buffer and is added in one

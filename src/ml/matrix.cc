@@ -10,25 +10,6 @@
 namespace adrias::ml
 {
 
-namespace
-{
-
-MatrixParallelConfig g_parallel{};
-
-} // namespace
-
-MatrixParallelConfig
-matrixParallelConfig()
-{
-    return g_parallel;
-}
-
-void
-setMatrixParallelConfig(MatrixParallelConfig config)
-{
-    g_parallel = config;
-}
-
 Matrix::Matrix(std::size_t rows_, std::size_t cols_)
     : nRows(rows_), nCols(cols_), data(rows_ * cols_, 0.0)
 {
@@ -119,132 +100,76 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     out.resize(nRows, other.nCols);
     const std::size_t inner = nCols;
     const std::size_t width = other.nCols;
-    const std::size_t block = g_parallel.gemmBlock;
-    // Partitioned over output rows: each row accumulates over k in
-    // fixed index order, so the result never depends on the partition.
-    // i-k-j loop order keeps the inner loop contiguous in both inputs.
+    // Each output row accumulates over k in fixed index order; i-k-j
+    // loop order keeps the inner loop contiguous in both inputs.
     if (effectiveKernelTier() == KernelTier::Vector) {
         // Vector tier (DESIGN.md §16): register-blocked AVX2 FMA rows.
         // Same per-element increasing-k order, but FMA contraction and
         // the dropped exact-zero skip make it tolerance-equivalent to
-        // the scalar kernels below, not bitwise (ctest -L simd).  Row
-        // partitioning is unchanged, so the vector result itself is
-        // thread-invariant.
-        kernels::runRows(
-            nRows, nRows * inner * width, g_parallel.gemmGrain,
-            [this, &other, &out, inner, width](std::size_t begin,
-                                               std::size_t end) {
-                simd::gemmRows(data.data(), other.data.data(),
-                               out.data.data(), begin, end, inner,
-                               width);
-            });
+        // the scalar kernel below, not bitwise (ctest -L simd).
+        simd::gemmRows(data.data(), other.data.data(), out.data.data(),
+                       0, nRows, inner, width);
         return;
     }
-    if (block > 0 && (inner > block || width > block)) {
-        // Cache-blocked variant: tiles over j and k reorder only which
-        // (k, j) pairs are visited together; for any fixed output
-        // element the k tiles and the k indices inside each tile both
-        // increase, so the accumulation order — and hence the result —
-        // is bitwise identical to the streaming loop (DESIGN.md §11).
-        kernels::runRows(
-            nRows, nRows * inner * width, g_parallel.gemmGrain,
-            [this, &other, &out, inner, width,
-             block](std::size_t begin, std::size_t end) {
-                // checkNoAlias guarantees the operands are distinct
-                // objects, so __restrict is sound and lets the j loop
-                // vectorize without runtime alias checks.
-                const double *__restrict rhs_data = other.data.data();
-                double *__restrict out_data = out.data.data();
-                for (std::size_t i = begin; i < end; ++i) {
-                    double *out_row = &out_data[i * width];
-                    const double *lhs_row = &data[i * inner];
-                    for (std::size_t jb = 0; jb < width; jb += block) {
-                        const std::size_t jend =
-                            std::min(jb + block, width);
-                        for (std::size_t kb = 0; kb < inner;
-                             kb += block) {
-                            const std::size_t kend =
-                                std::min(kb + block, inner);
-                            for (std::size_t k = kb; k < kend; ++k) {
-                                const double lhs = lhs_row[k];
-                                // Exact-zero sparsity skip.
-                                // NOLINTNEXTLINE(float-equal)
-                                if (lhs == 0.0)
-                                    continue;
-                                const double *rhs_row =
-                                    &rhs_data[k * width];
-                                for (std::size_t j = jb; j < jend; ++j)
-                                    out_row[j] += lhs * rhs_row[j];
-                            }
-                        }
-                    }
-                }
-            });
-        return;
-    }
-    kernels::runRows(
-        nRows, nRows * inner * width, g_parallel.gemmGrain,
-        [this, &other, &out, inner, width](std::size_t begin,
-                                           std::size_t end) {
-            // checkNoAlias guarantees distinct objects (see above).
-            const double *__restrict lhs_data = data.data();
-            const double *__restrict rhs_data = other.data.data();
-            double *__restrict out_data = out.data.data();
-            for (std::size_t i = begin; i < end; ++i) {
-                const double *lhs_row = &lhs_data[i * inner];
-                double *out_row = &out_data[i * width];
-                // k unrolled by four with the adds parenthesized in k
-                // order: ((((out + l0*r0) + l1*r1) + l2*r2) + l3*r3)
-                // is the exact scalar op sequence of four single-k
-                // iterations, so the result stays bitwise identical
-                // while the destination row round-trips through
-                // registers a quarter as often.  Any exact-zero lhs in
-                // the group falls back to the single-k form so the
-                // sparsity skip stays element-exact.
-                std::size_t k = 0;
-                for (; k + 3 < inner; k += 4) {
-                    const double l0 = lhs_row[k];
-                    const double l1 = lhs_row[k + 1];
-                    const double l2 = lhs_row[k + 2];
-                    const double l3 = lhs_row[k + 3];
-                    const double *r0 = &rhs_data[k * width];
-                    const double *r1 = r0 + width;
-                    const double *r2 = r1 + width;
-                    const double *r3 = r2 + width;
-                    // Exact-zero sparsity skips; a tolerance would
-                    // change results.
-                    const bool dense4 =
-                        l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
-                        l2 != 0.0 && l3 != 0.0;   // NOLINT(float-equal)
-                    if (dense4) {
-                        for (std::size_t j = 0; j < width; ++j)
-                            out_row[j] = ((((out_row[j] + l0 * r0[j]) +
-                                            l1 * r1[j]) +
-                                           l2 * r2[j]) +
-                                          l3 * r3[j]);
-                        continue;
-                    }
-                    for (std::size_t kk = k; kk < k + 4; ++kk) {
-                        const double lhs = lhs_row[kk];
-                        // NOLINTNEXTLINE(float-equal)
-                        if (lhs == 0.0)
-                            continue;
-                        const double *rhs_row = &rhs_data[kk * width];
-                        for (std::size_t j = 0; j < width; ++j)
-                            out_row[j] += lhs * rhs_row[j];
-                    }
-                }
-                for (; k < inner; ++k) {
-                    const double lhs = lhs_row[k];
-                    // NOLINTNEXTLINE(float-equal)
-                    if (lhs == 0.0)
-                        continue;
-                    const double *rhs_row = &rhs_data[k * width];
-                    for (std::size_t j = 0; j < width; ++j)
-                        out_row[j] += lhs * rhs_row[j];
-                }
+    // checkNoAlias guarantees the operands are distinct objects, so
+    // __restrict is sound and lets the j loop vectorize without
+    // runtime alias checks.
+    const double *__restrict lhs_data = data.data();
+    const double *__restrict rhs_data = other.data.data();
+    double *__restrict out_data = out.data.data();
+    for (std::size_t i = 0; i < nRows; ++i) {
+        const double *lhs_row = &lhs_data[i * inner];
+        double *out_row = &out_data[i * width];
+        // k unrolled by four with the adds parenthesized in k order:
+        // ((((out + l0*r0) + l1*r1) + l2*r2) + l3*r3) is the exact
+        // scalar op sequence of four single-k iterations, so the result
+        // stays bitwise identical while the destination row
+        // round-trips through registers a quarter as often.  Any
+        // exact-zero lhs in the group falls back to the single-k form
+        // so the sparsity skip stays element-exact.
+        std::size_t k = 0;
+        for (; k + 3 < inner; k += 4) {
+            const double l0 = lhs_row[k];
+            const double l1 = lhs_row[k + 1];
+            const double l2 = lhs_row[k + 2];
+            const double l3 = lhs_row[k + 3];
+            const double *r0 = &rhs_data[k * width];
+            const double *r1 = r0 + width;
+            const double *r2 = r1 + width;
+            const double *r3 = r2 + width;
+            // Exact-zero sparsity skips; a tolerance would change
+            // results.
+            const bool dense4 =
+                l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
+                l2 != 0.0 && l3 != 0.0;   // NOLINT(float-equal)
+            if (dense4) {
+                for (std::size_t j = 0; j < width; ++j)
+                    out_row[j] =
+                        ((((out_row[j] + l0 * r0[j]) + l1 * r1[j]) +
+                          l2 * r2[j]) +
+                         l3 * r3[j]);
+                continue;
             }
-        });
+            for (std::size_t kk = k; kk < k + 4; ++kk) {
+                const double lhs = lhs_row[kk];
+                // NOLINTNEXTLINE(float-equal)
+                if (lhs == 0.0)
+                    continue;
+                const double *rhs_row = &rhs_data[kk * width];
+                for (std::size_t j = 0; j < width; ++j)
+                    out_row[j] += lhs * rhs_row[j];
+            }
+        }
+        for (; k < inner; ++k) {
+            const double lhs = lhs_row[k];
+            // NOLINTNEXTLINE(float-equal)
+            if (lhs == 0.0)
+                continue;
+            const double *rhs_row = &rhs_data[k * width];
+            for (std::size_t j = 0; j < width; ++j)
+                out_row[j] += lhs * rhs_row[j];
+        }
+    }
 }
 
 Matrix
@@ -269,69 +194,26 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     const std::size_t inner = nRows;
     const std::size_t width = other.nCols;
     const std::size_t stride = nCols;
-    const std::size_t block = g_parallel.gemmBlock;
-    // Partitioned over output rows i (columns of this).  Every
-    // out(i, j) accumulates over k in increasing order — the same
-    // per-element order as a k-outer loop — so per-sample gradient
-    // contributions (k indexes the sample in backward passes) are
-    // summed in fixed index order regardless of thread count.
-    if (block > 0 && (inner > block || width > block)) {
-        // Blocked variant: same tiling argument as matmulInto — per
-        // output element the k order stays globally increasing.
-        kernels::runRows(
-            nCols, inner * nCols * width, g_parallel.gemmGrain,
-            [this, &other, &out, inner, width, stride,
-             block](std::size_t begin, std::size_t end) {
-                // checkNoAlias guarantees distinct objects.
-                const double *__restrict rhs_data = other.data.data();
-                double *__restrict out_data = out.data.data();
-                for (std::size_t i = begin; i < end; ++i) {
-                    double *out_row = &out_data[i * width];
-                    for (std::size_t jb = 0; jb < width; jb += block) {
-                        const std::size_t jend =
-                            std::min(jb + block, width);
-                        for (std::size_t kb = 0; kb < inner;
-                             kb += block) {
-                            const std::size_t kend =
-                                std::min(kb + block, inner);
-                            for (std::size_t k = kb; k < kend; ++k) {
-                                const double lhs = data[k * stride + i];
-                                // Exact-zero sparsity skip.
-                                // NOLINTNEXTLINE(float-equal)
-                                if (lhs == 0.0)
-                                    continue;
-                                const double *rhs_row =
-                                    &rhs_data[k * width];
-                                for (std::size_t j = jb; j < jend; ++j)
-                                    out_row[j] += lhs * rhs_row[j];
-                            }
-                        }
-                    }
-                }
-            });
-        return;
+    // Looped over output rows i (columns of this).  Every out(i, j)
+    // accumulates over k in increasing order — the same per-element
+    // order as a k-outer loop — so per-sample gradient contributions
+    // (k indexes the sample in backward passes) are summed in fixed
+    // index order.  checkNoAlias guarantees distinct objects.
+    const double *__restrict rhs_data = other.data.data();
+    double *__restrict out_data = out.data.data();
+    for (std::size_t i = 0; i < nCols; ++i) {
+        double *out_row = &out_data[i * width];
+        for (std::size_t k = 0; k < inner; ++k) {
+            const double lhs = data[k * stride + i];
+            // Exact-zero sparsity skip.
+            // NOLINTNEXTLINE(float-equal)
+            if (lhs == 0.0)
+                continue;
+            const double *rhs_row = &rhs_data[k * width];
+            for (std::size_t j = 0; j < width; ++j)
+                out_row[j] += lhs * rhs_row[j];
+        }
     }
-    kernels::runRows(
-        nCols, inner * nCols * width, g_parallel.gemmGrain,
-        [this, &other, &out, inner, width, stride](std::size_t begin,
-                                                   std::size_t end) {
-            // checkNoAlias guarantees distinct objects.
-            const double *__restrict rhs_data = other.data.data();
-            double *__restrict out_data = out.data.data();
-            for (std::size_t i = begin; i < end; ++i) {
-                double *out_row = &out_data[i * width];
-                for (std::size_t k = 0; k < inner; ++k) {
-                    const double lhs = data[k * stride + i];
-                    // Exact-zero sparsity skip.
-                    // NOLINTNEXTLINE(float-equal)
-                    if (lhs == 0.0)
-                        continue;
-                    const double *rhs_row = &rhs_data[k * width];
-                    for (std::size_t j = 0; j < width; ++j)
-                        out_row[j] += lhs * rhs_row[j];
-                }
-            }
-        });
 }
 
 Matrix
@@ -357,38 +239,28 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     out.resizeForOverwrite(nRows, other.nRows);
     const std::size_t inner = nCols;
     const std::size_t width = other.nRows;
-    kernels::runRows(
-        nRows, nRows * inner * width, g_parallel.gemmGrain,
-        [this, &other, &out, inner, width](std::size_t begin,
-                                           std::size_t end) {
-            const double *__restrict lhs_data = data.data();
-            const double *__restrict rhs_data = other.data.data();
-            double *__restrict out_data = out.data.data();
-            for (std::size_t i = begin; i < end; ++i) {
-                const double *lhs_row = &lhs_data[i * inner];
-                for (std::size_t j = 0; j < width; ++j) {
-                    const double *rhs_row = &rhs_data[j * inner];
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < inner; ++k)
-                        acc += lhs_row[k] * rhs_row[k];
-                    out_data[i * width + j] = acc;
-                }
-            }
-        });
+    const double *__restrict lhs_data = data.data();
+    const double *__restrict rhs_data = other.data.data();
+    double *__restrict out_data = out.data.data();
+    for (std::size_t i = 0; i < nRows; ++i) {
+        const double *lhs_row = &lhs_data[i * inner];
+        for (std::size_t j = 0; j < width; ++j) {
+            const double *rhs_row = &rhs_data[j * inner];
+            double acc = 0.0;
+            for (std::size_t k = 0; k < inner; ++k)
+                acc += lhs_row[k] * rhs_row[k];
+            out_data[i * width + j] = acc;
+        }
+    }
 }
 
 Matrix
 Matrix::transposed() const
 {
     Matrix out(nCols, nRows);
-    // Partitioned over output rows (source columns).
-    kernels::runRows(
-        nCols, data.size(), g_parallel.elementGrain,
-        [this, &out](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c)
-                for (std::size_t r = 0; r < nRows; ++r)
-                    out.data[c * nRows + r] = data[r * nCols + c];
-        });
+    for (std::size_t c = 0; c < nCols; ++c)
+        for (std::size_t r = 0; r < nRows; ++r)
+            out.data[c * nRows + r] = data[r * nCols + c];
     return out;
 }
 
@@ -397,11 +269,8 @@ Matrix::operator+(const Matrix &other) const
 {
     checkSameShape(other, "operator+");
     Matrix out = *this;
-    kernels::runRows(data.size(), data.size(), g_parallel.elementGrain,
-                     [&out, &other](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             out.data[i] += other.data[i];
-                     });
+    for (std::size_t i = 0; i < data.size(); ++i)
+        out.data[i] += other.data[i];
     return out;
 }
 
@@ -410,11 +279,8 @@ Matrix::operator-(const Matrix &other) const
 {
     checkSameShape(other, "operator-");
     Matrix out = *this;
-    kernels::runRows(data.size(), data.size(), g_parallel.elementGrain,
-                     [&out, &other](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             out.data[i] -= other.data[i];
-                     });
+    for (std::size_t i = 0; i < data.size(); ++i)
+        out.data[i] -= other.data[i];
     return out;
 }
 
@@ -423,11 +289,8 @@ Matrix::hadamard(const Matrix &other) const
 {
     checkSameShape(other, "hadamard");
     Matrix out = *this;
-    kernels::runRows(data.size(), data.size(), g_parallel.elementGrain,
-                     [&out, &other](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             out.data[i] *= other.data[i];
-                     });
+    for (std::size_t i = 0; i < data.size(); ++i)
+        out.data[i] *= other.data[i];
     return out;
 }
 
@@ -445,29 +308,23 @@ Matrix::operator+=(const Matrix &other)
     checkSameShape(other, "operator+=");
     if (this == &other) {
         // Self-add: x + x rounds exactly (a power-of-two scale), and
-        // the __restrict kernel below must not see aliased operands.
+        // the __restrict loop below must not see aliased operands.
         for (double &x : data)
             x += x;
         return *this;
     }
-    kernels::runRows(data.size(), data.size(), g_parallel.elementGrain,
-                     [this, &other](std::size_t begin, std::size_t end) {
-                         double *__restrict dst = data.data();
-                         const double *__restrict src = other.data.data();
-                         for (std::size_t i = begin; i < end; ++i)
-                             dst[i] += src[i];
-                     });
+    double *__restrict dst = data.data();
+    const double *__restrict src = other.data.data();
+    for (std::size_t i = 0; i < data.size(); ++i)
+        dst[i] += src[i];
     return *this;
 }
 
 Matrix &
 Matrix::operator*=(double scalar)
 {
-    kernels::runRows(data.size(), data.size(), g_parallel.elementGrain,
-                     [this, scalar](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             data[i] *= scalar;
-                     });
+    for (double &x : data)
+        x *= scalar;
     return *this;
 }
 
@@ -477,13 +334,9 @@ Matrix::addRowBroadcast(const Matrix &rowVec) const
     if (rowVec.nRows != 1 || rowVec.nCols != nCols)
         panic("Matrix::addRowBroadcast shape mismatch");
     Matrix out = *this;
-    kernels::runRows(
-        nRows, data.size(), g_parallel.elementGrain,
-        [&out, &rowVec, this](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r)
-                for (std::size_t c = 0; c < nCols; ++c)
-                    out.data[r * nCols + c] += rowVec.data[c];
-        });
+    for (std::size_t r = 0; r < nRows; ++r)
+        for (std::size_t c = 0; c < nCols; ++c)
+            out.data[r * nCols + c] += rowVec.data[c];
     return out;
 }
 
@@ -498,34 +351,25 @@ Matrix::addRowBroadcastInPlace(const Matrix &rowVec)
             x += x;
         return;
     }
-    kernels::runRows(
-        nRows, data.size(), g_parallel.elementGrain,
-        [this, &rowVec](std::size_t begin, std::size_t end) {
-            double *__restrict dst = data.data();
-            const double *__restrict row = rowVec.data.data();
-            for (std::size_t r = begin; r < end; ++r)
-                for (std::size_t c = 0; c < nCols; ++c)
-                    dst[r * nCols + c] += row[c];
-        });
+    double *__restrict dst = data.data();
+    const double *__restrict row = rowVec.data.data();
+    for (std::size_t r = 0; r < nRows; ++r)
+        for (std::size_t c = 0; c < nCols; ++c)
+            dst[r * nCols + c] += row[c];
 }
 
 Matrix
 Matrix::sumRows() const
 {
     Matrix out(1, nCols);
-    // Partitioned over columns; each column accumulates its rows in
-    // increasing row order, exactly as the serial loop nest does.
-    // Kept separate from sumRowsAddTo: accumulating straight into the
+    // Each column accumulates its rows in increasing row order.  Kept
+    // separate from sumRowsAddTo: accumulating straight into the
     // zeroed output skips the local-acc epilogue addition, and adding
     // that extra 0.0 + acc step would flip the sign of negative-zero
     // columns relative to this kernel's historical results.
-    kernels::runRows(
-        nCols, data.size(), g_parallel.elementGrain,
-        [this, &out](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c)
-                for (std::size_t r = 0; r < nRows; ++r)
-                    out.data[c] += data[r * nCols + c];
-        });
+    for (std::size_t c = 0; c < nCols; ++c)
+        for (std::size_t r = 0; r < nRows; ++r)
+            out.data[c] += data[r * nCols + c];
     return out;
 }
 
@@ -541,22 +385,17 @@ Matrix::sumRowsAddTo(Matrix &dst) const
     // order, then add once into dst.  That is the exact scalar op
     // sequence of `dst += this->sumRows()`, so both spellings are
     // bitwise interchangeable.
-    kernels::runRows(
-        nCols, data.size(), g_parallel.elementGrain,
-        [this, &dst](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c) {
-                double acc = 0.0;
-                for (std::size_t r = 0; r < nRows; ++r)
-                    acc += data[r * nCols + c];
-                dst.data[c] += acc;
-            }
-        });
+    for (std::size_t c = 0; c < nCols; ++c) {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < nRows; ++r)
+            acc += data[r * nCols + c];
+        dst.data[c] += acc;
+    }
 }
 
 Matrix
 Matrix::map(const std::function<double(double)> &fn) const
 {
-    // Deliberately serial: fn may be stateful (see header).
     Matrix out = *this;
     for (double &x : out.data)
         x = fn(x);

@@ -24,76 +24,9 @@
 #include <vector>
 
 #include "common/invariant.hh"
-#include "common/threadpool.hh"
 
 namespace adrias::ml
 {
-
-/**
- * Work thresholds above which the Matrix kernels fan out onto the
- * global ThreadPool (DESIGN.md §9).  Below a threshold the same kernel
- * runs over the full range on the caller, so results are bitwise
- * identical either way; the thresholds only trade dispatch overhead
- * against parallelism.
- */
-struct MatrixParallelConfig
-{
-    /** Multiply-add count above which the matmul family goes parallel. */
-    std::size_t gemmGrain = 64 * 1024;
-
-    /** Element count above which element-wise kernels go parallel. */
-    std::size_t elementGrain = 256 * 1024;
-
-    /**
-     * Tile edge for the cache-blocked GEMM path (matmul and
-     * transposedMatmul); 0 keeps the streaming i-k-j loop.  Blocking
-     * regroups the loop nest but leaves every output element's
-     * k-accumulation order untouched, so blocked and unblocked results
-     * are bitwise identical (DESIGN.md §11); the knob only trades loop
-     * overhead against cache reuse on shapes wider than the tile.
-     */
-    std::size_t gemmBlock = 0;
-};
-
-/** @return the active kernel-parallelism thresholds. */
-MatrixParallelConfig matrixParallelConfig();
-
-/**
- * Replace the kernel-parallelism thresholds (tests/benches force tiny
- * shapes onto the parallel path with {0, 0}).  Not synchronized: call
- * only from single-threaded setup code.
- */
-void setMatrixParallelConfig(MatrixParallelConfig config);
-
-namespace kernels
-{
-
-/**
- * Run `kernel(begin, end)` over [0, rows) — on the global ThreadPool
- * when `total_work` clears `grain`, inline on the caller otherwise.
- *
- * Templated on the kernel so the serial branch (small shapes — the
- * inference hot case) calls the body directly with no std::function
- * construction or indirect call; only the parallel branch pays the
- * type-erasure cost, where it is amortized over pool dispatch anyway.
- * Chunk boundaries come from ThreadPool's fixed partition rule and
- * depend only on `rows`, never on the thread count, so serial and
- * parallel execution stay bitwise identical (DESIGN.md §9).
- */
-template <typename Kernel>
-inline void
-runRows(std::size_t rows, std::size_t total_work, std::size_t grain,
-        Kernel &&kernel)
-{
-    if (rows == 0)
-        return;
-    if (rows > 1 && total_work >= grain)
-        ThreadPool::global().parallelFor(rows, kernel);
-    else
-        kernel(0, rows);
-}
-
-} // namespace kernels
 
 /** Row-major dense matrix of doubles. */
 class Matrix
@@ -231,9 +164,9 @@ class Matrix
     void sumRowsAddTo(Matrix &dst) const;
 
     /**
-     * Apply a scalar function to every element (returns a copy).
-     * Always serial: `fn` may be stateful (e.g. draw from an Rng), so
-     * it is never offloaded to the pool.
+     * Apply a scalar function to every element (returns a copy), in
+     * storage order, so a stateful `fn` (e.g. one drawing from an Rng)
+     * sees the elements in a fixed sequence.
      */
     Matrix map(const std::function<double(double)> &fn) const;
 

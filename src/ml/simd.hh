@@ -60,8 +60,7 @@ KernelTier kernelTier();
 
 /**
  * Replace the requested tier.  Not synchronized: call only from
- * single-threaded setup code (same contract as
- * setMatrixParallelConfig).
+ * single-threaded setup code.
  */
 void setKernelTier(KernelTier tier);
 
@@ -105,16 +104,6 @@ class ScopedKernelTier
     KernelTier saved;
 };
 
-/**
- * Waiver for the determinism-hazard analyzer (tools/analyze): marks a
- * parallelFor region whose floating-point accumulation belongs to the
- * vector kernel tier, where equivalence is tolerance-checked (ctest
- * -L simd) rather than bitwise.  Expands to nothing — it exists so
- * the analyzer (and readers) can see the reasoning at the site,
- * analogous to ADRIAS_NOT_CHECKPOINTED / ADRIAS_LOCK_FREE.
- */
-#define ADRIAS_VECTOR_TIER_OK(reason)
-
 namespace simd
 {
 
@@ -136,9 +125,8 @@ void tanhBatch(const double *x, double *out, std::size_t n);
  * (16-wide FMA accumulators) with each output element's
  * k-accumulation in increasing k order — the same per-element order
  * as the scalar kernel, differing only by FMA contraction and the
- * dropped exact-zero sparsity skip.  Callers partition [0, rows)
- * through kernels::runRows, so chunking composes with the ThreadPool
- * exactly as the scalar kernel does.  Only call on the vector tier.
+ * dropped exact-zero sparsity skip.  Matrix::matmulInto calls it
+ * once over [0, rows).  Only call on the vector tier.
  */
 void gemmRows(const double *lhs, const double *rhs, double *out,
               std::size_t begin, std::size_t end, std::size_t inner,

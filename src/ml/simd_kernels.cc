@@ -223,8 +223,8 @@ tanhBatchAvx2(const double *x, double *out, std::size_t n)
  *
  * Every output lane is a single FMA chain in increasing k order no
  * matter which path computes it, so results are bitwise identical
- * across the 4-row/1-row split — and therefore invariant to how
- * kernels::runRows partitions rows across threads.
+ * across the 4-row/1-row split: a row computed inside a batch equals
+ * the same row computed alone.
  */
 ADRIAS_AVX2 void
 gemmRowsAvx2(const double *__restrict lhs,

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "common/threadpool.hh"
 
 namespace adrias::models
 {
@@ -40,18 +39,16 @@ stackSequences(const std::vector<const std::vector<ml::Matrix> *> &sequences)
         }
     }
 
-    // Each timestep fills its own pre-sized slot, so the assembly can
-    // fan out across the pool without affecting the result.
-    std::vector<ml::Matrix> batched(steps);
-    ThreadPool::global().parallelForEach(steps, [&](std::size_t t) {
-        ml::Matrix step(sequences.size(), width);
+    std::vector<ml::Matrix> batched;
+    batched.reserve(steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+        ml::Matrix &step = batched.emplace_back(sequences.size(), width);
         for (std::size_t b = 0; b < sequences.size(); ++b) {
             const auto &sequence = *sequences[b];
             for (std::size_t c = 0; c < width; ++c)
                 step.at(b, c) = sequence[t].at(0, c);
         }
-        batched[t] = std::move(step);
-    });
+    }
     return batched;
 }
 

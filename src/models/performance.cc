@@ -10,7 +10,6 @@
 
 #include "common/io/durable_file.hh"
 #include "common/logging.hh"
-#include "common/threadpool.hh"
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
 #include "ml/simd.hh"
@@ -227,26 +226,19 @@ PerformanceModel::fitLoop(
                 std::min(order.size(), begin + config.batchSize);
             const std::size_t rows = end - begin;
 
-            // Per-sample scaling of both branches runs concurrently
-            // into fixed slots (consumed in index order below); the
-            // scalar columns are assembled serially — they are cheap.
             std::vector<std::vector<ml::Matrix>> scaled_h(rows),
                 scaled_k(rows);
             std::vector<const std::vector<ml::Matrix> *> h_ptrs, k_ptrs;
             ml::Matrix mode_col(rows, 1);
             ml::Matrix future_rows(rows, futureWidth());
             ml::Matrix target(rows, 1);
-            ThreadPool::global().parallelForEach(
-                rows, [&](std::size_t row) {
-                    const auto &sample = samples[order[begin + row]];
-                    scaled_h[row] =
-                        counterScaler.transformSequence(sample.history);
-                    scaled_k[row] = counterScaler.transformSequence(
-                        sample.signature);
-                });
             for (std::size_t i = begin; i < end; ++i) {
                 const auto &sample = samples[order[i]];
                 const std::size_t row = i - begin;
+                scaled_h[row] =
+                    counterScaler.transformSequence(sample.history);
+                scaled_k[row] =
+                    counterScaler.transformSequence(sample.signature);
                 mode_col.at(row, 0) =
                     sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
                 if (futureWidth() > 0) {
@@ -297,16 +289,13 @@ PerformanceModel::fitLoop(
         std::vector<const std::vector<ml::Matrix> *> h_ptrs, k_ptrs;
         ml::Matrix mode_col(rows, 1);
         ml::Matrix future_rows(rows, futureWidth());
-        ThreadPool::global().parallelForEach(rows, [&](std::size_t row) {
-            const auto &sample = samples[begin + row];
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto &sample = samples[i];
+            const std::size_t row = i - begin;
             scaled_h[row] =
                 counterScaler.transformSequence(sample.history);
             scaled_k[row] =
                 counterScaler.transformSequence(sample.signature);
-        });
-        for (std::size_t i = begin; i < end; ++i) {
-            const auto &sample = samples[i];
-            const std::size_t row = i - begin;
             mode_col.at(row, 0) =
                 sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
             if (futureWidth() > 0) {
@@ -456,20 +445,12 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
         k_slot[b] = kit->second;
     }
 
-    // Per-sequence scaling of both branches fans out across the pool
-    // into fixed slots; the cheap scalar columns stay serial.
     std::vector<std::vector<ml::Matrix>> scaled_h(dist_h.size());
     std::vector<std::vector<ml::Matrix>> scaled_k(dist_k.size());
-    ThreadPool::global().parallelForEach(
-        dist_h.size() + dist_k.size(), [&](std::size_t i) {
-            if (i < dist_h.size())
-                scaled_h[i] =
-                    counterScaler.transformSequence(*dist_h[i]);
-            else
-                scaled_k[i - dist_h.size()] =
-                    counterScaler.transformSequence(
-                        *dist_k[i - dist_h.size()]);
-        });
+    for (std::size_t i = 0; i < dist_h.size(); ++i)
+        scaled_h[i] = counterScaler.transformSequence(*dist_h[i]);
+    for (std::size_t i = 0; i < dist_k.size(); ++i)
+        scaled_k[i] = counterScaler.transformSequence(*dist_k[i]);
 
     ml::Matrix mode_col(rows, 1);
     ml::Matrix future_rows(rows, futureWidth());

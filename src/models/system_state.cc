@@ -8,7 +8,6 @@
 
 #include "common/io/durable_file.hh"
 #include "common/logging.hh"
-#include "common/threadpool.hh"
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
 #include "ml/serialize.hh"
@@ -109,17 +108,12 @@ SystemStateModel::train(
             const std::size_t end =
                 std::min(order.size(), begin + config.batchSize);
 
-            // Per-sample feature scaling is independent work: each
-            // sample fills its own slot, concurrently, and the slots
-            // are consumed in fixed index order below.
             std::vector<const std::vector<ml::Matrix> *> batch_seqs;
             std::vector<const ml::Matrix *> batch_targets;
             std::vector<std::vector<ml::Matrix>> scaled_seqs(end - begin);
-            ThreadPool::global().parallelForEach(
-                end - begin, [&](std::size_t s) {
-                    scaled_seqs[s] = inputScaler.transformSequence(
-                        samples[order[begin + s]].history);
-                });
+            for (std::size_t s = 0; s < end - begin; ++s)
+                scaled_seqs[s] = inputScaler.transformSequence(
+                    samples[order[begin + s]].history);
             for (std::size_t i = begin; i < end; ++i)
                 batch_targets.push_back(&samples[order[i]].target);
             for (const auto &seq : scaled_seqs)
@@ -156,11 +150,9 @@ SystemStateModel::train(
             std::min(samples.size(), begin + config.batchSize);
         std::vector<std::vector<ml::Matrix>> scaled(end - begin);
         std::vector<const std::vector<ml::Matrix> *> ptrs;
-        ThreadPool::global().parallelForEach(
-            end - begin, [&](std::size_t s) {
-                scaled[s] = inputScaler.transformSequence(
-                    samples[begin + s].history);
-            });
+        for (std::size_t s = 0; s < end - begin; ++s)
+            scaled[s] = inputScaler.transformSequence(
+                samples[begin + s].history);
         for (const auto &seq : scaled)
             ptrs.push_back(&seq);
         forwardBatch(stackSequences(ptrs));
@@ -260,14 +252,9 @@ SystemStateModel::predictBatch(
         slot[b] = it->second;
     }
 
-    // Per-sequence feature scaling is independent work: each distinct
-    // sequence fills its own slot concurrently and the slots are
-    // consumed in index order.
     std::vector<std::vector<ml::Matrix>> scaled(distinct.size());
-    ThreadPool::global().parallelForEach(
-        distinct.size(), [&](std::size_t d) {
-            scaled[d] = inputScaler.transformSequence(*distinct[d]);
-        });
+    for (std::size_t d = 0; d < distinct.size(); ++d)
+        scaled[d] = inputScaler.transformSequence(*distinct[d]);
     std::vector<const std::vector<ml::Matrix> *> ptrs;
     ptrs.reserve(scaled.size());
     for (const auto &seq : scaled)

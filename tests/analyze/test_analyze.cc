@@ -146,8 +146,7 @@ TEST(DeterminismHazard, BadFixtureFlagsAllFourHazards)
     EXPECT_TRUE(anyMentions(details, "'index'"));
     EXPECT_TRUE(anyMentions(details, "'edges'"));
     EXPECT_TRUE(anyMentions(details, "'total'"));
-    // The ADRIAS_VECTOR_TIER_OK waiver placed outside the parallelFor
-    // argument list does not suppress the accumulation finding.
+    // The same accumulation through parallelForEach.
     EXPECT_TRUE(anyMentions(details, "'energy'"));
 }
 
@@ -156,37 +155,6 @@ TEST(DeterminismHazard, GoodFixtureIsClean)
     const auto findings = analyzeFiles({fixture("good_determinism.cc")});
     EXPECT_TRUE(findings.empty())
         << adrias::analyze::formatFinding(findings.front());
-}
-
-TEST(DeterminismHazard, VectorTierWaiverIsRegionScoped)
-{
-    const std::string accumulation = R"(
-namespace adrias::demo
-{
-double sum(ThreadPool &pool, const std::vector<double> &xs)
-{
-    double acc = 0.0;
-    pool.parallelFor(xs.size(),
-                     [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             acc += xs[i];
-                     });
-    return acc;
-}
-} // namespace adrias::demo
-)";
-    const auto flagged = analyzeFiles({{"demo.cc", accumulation}});
-    ASSERT_EQ(flagged.size(), 1u);
-    EXPECT_EQ(flagged.front().pass, "determinism-hazard");
-
-    // The waiver inside the parallelFor argument list suppresses it.
-    std::string waived = accumulation;
-    const std::string marker = "for (std::size_t i = begin;";
-    waived.replace(waived.find(marker), marker.size(),
-                   "ADRIAS_VECTOR_TIER_OK(\"simd suite covers this\");\n"
-                   "                         " +
-                       marker);
-    EXPECT_TRUE(analyzeFiles({{"demo.cc", waived}}).empty());
 }
 
 TEST(Suppressions, NolintWithThePassIdSuppresses)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the shared work-scheduling layer (DESIGN.md §9):
- * exception propagation, drain-on-shutdown, the fixed deterministic
+ * exception propagation, shutdown, the fixed deterministic
  * partition rule, nested-call semantics and the global-pool override.
  */
 
@@ -79,23 +79,6 @@ TEST(ThreadPoolTest, SerialAndParallelVisitOrdersUseTheSameChunks)
         EXPECT_EQ(seen[c], ThreadPool::chunkBounds(130, c));
 }
 
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        [] { throw std::runtime_error("boom from task"); });
-    EXPECT_THROW(
-        {
-            try {
-                future.get();
-            } catch (const std::runtime_error &error) {
-                EXPECT_STREQ(error.what(), "boom from task");
-                throw;
-            }
-        },
-        std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForRethrowsLowestChunkException)
 {
     ThreadPool pool(4);
@@ -130,24 +113,24 @@ TEST(ThreadPoolTest, AllChunksStillRunWhenOneThrows)
     EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolTest, ShutdownWithQueuedWorkDrainsWithoutDeadlock)
+TEST(ThreadPoolTest, ShutdownRightAfterParallelForJoinsWithoutDeadlock)
 {
-    std::atomic<int> completed{0};
-    std::vector<std::future<void>> futures;
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i) {
-            futures.push_back(pool.submit([&completed] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
+    // Destroy a multi-worker pool the moment its parallelFor returns,
+    // while workers are still waking from the last chunks: the
+    // destructor must stop and join them all, every time.
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<int> completed{0};
+        {
+            ThreadPool pool(4);
+            pool.parallelForEach(64, [&completed](std::size_t i) {
+                if (i % 16 == 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200));
                 ++completed;
-            }));
+            });
         }
-        // Destructor runs here with most of the queue still pending.
+        ASSERT_EQ(completed.load(), 64) << "round " << round;
     }
-    EXPECT_EQ(completed.load(), 32);
-    for (auto &future : futures)
-        EXPECT_NO_THROW(future.get());
 }
 
 TEST(ThreadPoolTest, SerialPoolRunsEverythingOnTheCaller)
@@ -155,11 +138,9 @@ TEST(ThreadPoolTest, SerialPoolRunsEverythingOnTheCaller)
     ThreadPool pool(1);
     EXPECT_EQ(pool.threadCount(), 1u);
     const auto caller = std::this_thread::get_id();
-    std::thread::id seen_submit, seen_for;
-    pool.submit([&] { seen_submit = std::this_thread::get_id(); }).get();
+    std::thread::id seen_for;
     pool.parallelForEach(
         3, [&](std::size_t) { seen_for = std::this_thread::get_id(); });
-    EXPECT_EQ(seen_submit, caller);
     EXPECT_EQ(seen_for, caller);
 }
 
@@ -180,20 +161,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineOnTheWorker)
     });
     EXPECT_EQ(outer_on_worker.load(), 8);
     EXPECT_EQ(inner_hits.load(), 8 * 4);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorkerThreadIsRejected)
-{
-    ThreadPool pool(2);
-    std::atomic<int> rejected{0};
-    pool.parallelForEach(4, [&](std::size_t) {
-        try {
-            pool.submit([] {});
-        } catch (const std::logic_error &) {
-            ++rejected;
-        }
-    });
-    EXPECT_EQ(rejected.load(), 4);
 }
 
 TEST(ThreadPoolTest, ScopedOverrideSwapsTheGlobalPool)
@@ -220,11 +187,19 @@ TEST(ThreadPoolTest, ConfiguredThreadsParsesTheEnvironmentKnob)
     EXPECT_EQ(ThreadPool::configuredThreads(), 3u);
     ::setenv("ADRIAS_THREADS", "1", 1);
     EXPECT_EQ(ThreadPool::configuredThreads(), 1u);
-    // 0 and garbage fall back to hardware concurrency (>= 1).
+    ::setenv("ADRIAS_THREADS", "100000", 1);
+    EXPECT_EQ(ThreadPool::configuredThreads(), ThreadPool::kMaxThreads);
+    // 0 and anything the strict parser rejects fall back to hardware
+    // concurrency (>= 1): a negative count must not wrap around to
+    // the thread cap, and trailing garbage must not be read as its
+    // numeric prefix ("4abc" and "3x" cannot both match the fallback).
     ::setenv("ADRIAS_THREADS", "0", 1);
-    EXPECT_GE(ThreadPool::configuredThreads(), 1u);
-    ::setenv("ADRIAS_THREADS", "not-a-number", 1);
-    EXPECT_GE(ThreadPool::configuredThreads(), 1u);
+    const unsigned fallback = ThreadPool::configuredThreads();
+    EXPECT_GE(fallback, 1u);
+    for (const char *rejected : {"not-a-number", "-1", "4abc", "3x"}) {
+        ::setenv("ADRIAS_THREADS", rejected, 1);
+        EXPECT_EQ(ThreadPool::configuredThreads(), fallback) << rejected;
+    }
 
     if (saved)
         ::setenv("ADRIAS_THREADS", saved_value.c_str(), 1);

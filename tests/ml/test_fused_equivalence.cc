@@ -4,20 +4,17 @@
  * the fused hot path must produce results bitwise identical to the
  * retained reference formulation — forward outputs, backward
  * gradients, and weights after whole training loops — over ragged
- * shapes and at every thread count, and the inference fast-path must
- * match training-mode outputs exactly while skipping the caches.
+ * shapes, and the inference fast-path must match training-mode
+ * outputs exactly while skipping the caches.
  */
 
-#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "common/threadpool.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
 #include "ml/simd.hh"
@@ -26,30 +23,21 @@ namespace
 {
 
 using adrias::Rng;
-using adrias::ScopedThreadOverride;
 using adrias::ml::Lstm;
 using adrias::ml::lstmFusedKernels;
 using adrias::ml::Matrix;
-using adrias::ml::MatrixParallelConfig;
-using adrias::ml::matrixParallelConfig;
 using adrias::ml::Param;
 using adrias::ml::setLstmFusedKernels;
-using adrias::ml::setMatrixParallelConfig;
 
-/**
- * Saves and restores the global kernel knobs, and forces every kernel
- * onto the parallel path so thread-count sweeps mean something.
- */
+/** Saves and restores the global kernel knobs. */
 class FusedEquivalenceTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        savedConfig = matrixParallelConfig();
         savedFused = lstmFusedKernels();
         savedTier = adrias::ml::kernelTier();
-        setMatrixParallelConfig({0, 0});
         // This suite IS the bitwise scalar contract — it must hold
         // even when the whole test run is launched under
         // ADRIAS_KERNEL_TIER=vector (the vector tier's tolerance
@@ -60,12 +48,10 @@ class FusedEquivalenceTest : public ::testing::Test
     void
     TearDown() override
     {
-        setMatrixParallelConfig(savedConfig);
         setLstmFusedKernels(savedFused);
         adrias::ml::setKernelTier(savedTier);
     }
 
-    MatrixParallelConfig savedConfig;
     bool savedFused = true;
     adrias::ml::KernelTier savedTier = adrias::ml::KernelTier::Scalar;
 };
@@ -113,13 +99,6 @@ expectIdentical(const std::vector<Matrix> &expected,
         expectIdentical(expected[i], actual[i], what);
 }
 
-std::vector<unsigned>
-threadCounts()
-{
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    return {1u, 2u, 7u, hw};
-}
-
 /** Ragged sweep: degenerate, small, and training-realistic shapes. */
 struct LstmShape
 {
@@ -146,25 +125,14 @@ TEST_F(FusedEquivalenceTest, ForwardOutputsBitwiseEqual)
         const auto sequence =
             randomSequence(rng, shape.steps, shape.batch, shape.input);
 
-        std::vector<Matrix> reference;
-        {
-            ScopedThreadOverride serial(1);
-            setLstmFusedKernels(false);
-            Lstm lstm = makeLstm(shape, 7001);
-            reference = lstm.forwardSequence(sequence);
-        }
-
-        for (unsigned threads : threadCounts()) {
-            ScopedThreadOverride override_(threads);
-            for (bool fused : {true, false}) {
-                setLstmFusedKernels(fused);
-                Lstm lstm = makeLstm(shape, 7001);
-                expectIdentical(reference,
-                                lstm.forwardSequence(sequence),
-                                fused ? "fused forward"
-                                      : "reference forward");
-            }
-        }
+        // The global switch is read at forward time.
+        setLstmFusedKernels(false);
+        Lstm reference = makeLstm(shape, 7001);
+        const auto expected = reference.forwardSequence(sequence);
+        setLstmFusedKernels(true);
+        Lstm fused = makeLstm(shape, 7001);
+        expectIdentical(expected, fused.forwardSequence(sequence),
+                        "fused forward");
     }
 }
 
@@ -177,34 +145,22 @@ TEST_F(FusedEquivalenceTest, BackwardGradientsBitwiseEqual)
         const auto grad_hidden =
             randomSequence(rng, shape.steps, shape.batch, shape.hidden);
 
-        std::vector<Matrix> ref_inputs;
-        std::vector<Matrix> ref_grads;
-        {
-            ScopedThreadOverride serial(1);
-            setLstmFusedKernels(false);
-            Lstm lstm = makeLstm(shape, 7002);
-            lstm.forwardSequence(sequence);
-            ref_inputs = lstm.backwardSequence(grad_hidden);
-            for (Param *param : lstm.params())
-                ref_grads.push_back(param->grad);
-        }
+        setLstmFusedKernels(false);
+        Lstm reference = makeLstm(shape, 7002);
+        reference.forwardSequence(sequence);
+        const auto ref_inputs = reference.backwardSequence(grad_hidden);
 
-        for (unsigned threads : threadCounts()) {
-            ScopedThreadOverride override_(threads);
-            for (bool fused : {true, false}) {
-                setLstmFusedKernels(fused);
-                Lstm lstm = makeLstm(shape, 7002);
-                lstm.forwardSequence(sequence);
-                expectIdentical(ref_inputs,
-                                lstm.backwardSequence(grad_hidden),
-                                "grad inputs");
-                const auto params = lstm.params();
-                ASSERT_EQ(params.size(), ref_grads.size());
-                for (std::size_t i = 0; i < params.size(); ++i)
-                    expectIdentical(ref_grads[i], params[i]->grad,
-                                    "param grad");
-            }
-        }
+        setLstmFusedKernels(true);
+        Lstm fused = makeLstm(shape, 7002);
+        fused.forwardSequence(sequence);
+        expectIdentical(ref_inputs, fused.backwardSequence(grad_hidden),
+                        "grad inputs");
+        const auto ref_params = reference.params();
+        const auto params = fused.params();
+        ASSERT_EQ(params.size(), ref_params.size());
+        for (std::size_t i = 0; i < params.size(); ++i)
+            expectIdentical(ref_params[i]->grad, params[i]->grad,
+                            "param grad");
     }
 }
 
@@ -216,8 +172,7 @@ TEST_F(FusedEquivalenceTest, TrainedWeightsBitwiseEqual)
     constexpr int kSteps = 8;
     constexpr double kLr = 0.05;
 
-    auto train = [&](bool fused, unsigned threads) {
-        ScopedThreadOverride override_(threads);
+    auto train = [&](bool fused) {
         setLstmFusedKernels(fused);
         Rng data_rng(0x7EA1);
         Lstm lstm = makeLstm(shape, 7003);
@@ -243,16 +198,11 @@ TEST_F(FusedEquivalenceTest, TrainedWeightsBitwiseEqual)
         return weights;
     };
 
-    const auto reference = train(false, 1);
-    for (unsigned threads : threadCounts()) {
-        for (bool fused : {true, false}) {
-            const auto weights = train(fused, threads);
-            ASSERT_EQ(reference.size(), weights.size());
-            for (std::size_t i = 0; i < weights.size(); ++i)
-                expectIdentical(reference[i], weights[i],
-                                "trained weight");
-        }
-    }
+    const auto reference = train(false);
+    const auto weights = train(true);
+    ASSERT_EQ(reference.size(), weights.size());
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        expectIdentical(reference[i], weights[i], "trained weight");
 }
 
 TEST_F(FusedEquivalenceTest, InferenceFastPathMatchesTrainingOutputs)
@@ -288,72 +238,6 @@ TEST_F(FusedEquivalenceTest, BackwardAfterInferenceForwardPanics)
         lstm.forwardSequence(sequence);
         // No caches were built, so BPTT has nothing to consume.
         EXPECT_THROW(lstm.backwardSequence(grad), std::logic_error);
-    }
-}
-
-TEST_F(FusedEquivalenceTest, BlockedGemmBitwiseIdentical)
-{
-    // Cache-blocked tiling must not change any output bit: per output
-    // element the k-accumulation order is unchanged (DESIGN.md §11).
-    Rng rng(0xB10C);
-    const std::size_t dims[][3] = {
-        {40, 33, 29}, {7, 64, 7}, {64, 64, 64}, {1, 100, 3},
-    };
-    for (const auto &d : dims) {
-        const Matrix a = randomMatrix(rng, d[0], d[1]);
-        const Matrix b = randomMatrix(rng, d[1], d[2]);
-        const Matrix at = randomMatrix(rng, d[1], d[0]);
-
-        setMatrixParallelConfig({0, 0, 0});
-        Matrix ref_mm, ref_tm;
-        {
-            ScopedThreadOverride serial(1);
-            ref_mm = a.matmul(b);
-            ref_tm = at.transposedMatmul(b);
-        }
-        for (std::size_t block : {4u, 16u, 256u}) {
-            setMatrixParallelConfig({0, 0, block});
-            for (unsigned threads : threadCounts()) {
-                ScopedThreadOverride override_(threads);
-                expectIdentical(ref_mm, a.matmul(b), "blocked matmul");
-                expectIdentical(ref_tm, at.transposedMatmul(b),
-                                "blocked transposedMatmul");
-            }
-        }
-    }
-}
-
-TEST_F(FusedEquivalenceTest, FusedLstmUnderBlockedGemm)
-{
-    // The full fused layer with tiling enabled still matches the
-    // unblocked reference bit for bit.
-    const LstmShape shape{5, 6, 11, 17};
-    Rng rng(0xB10C2);
-    const auto sequence =
-        randomSequence(rng, shape.steps, shape.batch, shape.input);
-    const auto grad_hidden =
-        randomSequence(rng, shape.steps, shape.batch, shape.hidden);
-
-    setLstmFusedKernels(false);
-    setMatrixParallelConfig({0, 0, 0});
-    Lstm reference = makeLstm(shape, 7006);
-    const auto ref_out = reference.forwardSequence(sequence);
-    const auto ref_grad = reference.backwardSequence(grad_hidden);
-
-    setLstmFusedKernels(true);
-    setMatrixParallelConfig({0, 0, 8});
-    for (unsigned threads : threadCounts()) {
-        ScopedThreadOverride override_(threads);
-        Lstm fused = makeLstm(shape, 7006);
-        expectIdentical(ref_out, fused.forwardSequence(sequence),
-                        "fused+blocked forward");
-        expectIdentical(ref_grad, fused.backwardSequence(grad_hidden),
-                        "fused+blocked backward");
-        const auto ref_params = reference.params();
-        const auto fused_params = fused.params();
-        for (std::size_t i = 0; i < fused_params.size(); ++i)
-            expectIdentical(ref_params[i]->grad, fused_params[i]->grad,
-                            "fused+blocked param grad");
     }
 }
 

@@ -1,13 +1,71 @@
 /** @file Unit tests for ml/matrix. */
 
+#include <cstddef>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "ml/matrix.hh"
+#include "ml/simd.hh"
 
 namespace adrias::ml
 {
 namespace
 {
+
+/** Uniform values in [-3, 3) with ~10% exact zeros, so the GEMM
+ *  kernels' exact-zero skip is exercised. */
+Matrix
+randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
+{
+    Matrix m(rows, cols);
+    for (double &value : m.raw())
+        value = rng.bernoulli(0.1) ? 0.0 : rng.uniform(-3.0, 3.0);
+    return m;
+}
+
+/**
+ * Textbook a * b: each element sums lhs*rhs from 0.0 in increasing k,
+ * skipping exact-zero lhs — the per-element op sequence the kernels
+ * promise, so comparisons against it are bitwise.
+ */
+Matrix
+naiveMatmul(const Matrix &a, const Matrix &b)
+{
+    Matrix out(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < a.cols(); ++k)
+                // NOLINTNEXTLINE(float-equal)
+                if (a.at(i, k) != 0.0)
+                    acc += a.at(i, k) * b.at(k, j);
+            out.at(i, j) = acc;
+        }
+    return out;
+}
+
+/** Column sums from 0.0 in increasing row order. */
+Matrix
+naiveSumRows(const Matrix &a)
+{
+    Matrix out(1, a.cols());
+    for (std::size_t c = 0; c < a.cols(); ++c)
+        for (std::size_t r = 0; r < a.rows(); ++r)
+            out.at(0, c) += a.at(r, c);
+    return out;
+}
+
+void
+expectIdentical(const Matrix &expected, const Matrix &actual,
+                const char *op)
+{
+    ASSERT_EQ(expected.rows(), actual.rows()) << op;
+    ASSERT_EQ(expected.cols(), actual.cols()) << op;
+    // Bitwise, not approximate: the contract is exact equality.
+    ASSERT_EQ(expected.raw(), actual.raw()) << op;
+}
 
 TEST(Matrix, DefaultIsEmpty)
 {
@@ -303,6 +361,107 @@ TEST(Matrix, ResizeZeroFillsAndReusesStorage)
     k.resizeForOverwrite(2, 2);
     EXPECT_DOUBLE_EQ(k.at(0, 0), 1.0);
     EXPECT_DOUBLE_EQ(k.at(1, 1), 4.0);
+}
+
+TEST(Matrix, GemmFamilyMatchesNaiveLoopsBitwise)
+{
+    struct Shape
+    {
+        std::size_t m, k, n;
+    };
+    // Square, tall, wide, ragged (k not a multiple of the 4-way
+    // unroll), single row/col, and empty extents.
+    const Shape shapes[] = {
+        {8, 8, 8},  {17, 5, 23}, {1, 64, 1}, {64, 1, 3}, {3, 1, 64},
+        {1, 1, 1},  {31, 33, 2}, {2, 33, 31},
+        {0, 5, 7},  {5, 0, 7},   {5, 7, 0},
+    };
+    // The bitwise contract is the scalar tier's (the vector GEMM is
+    // tolerance-checked in test_simd_equivalence.cc).
+    const ScopedKernelTier scalar(KernelTier::Scalar);
+    Rng rng(0xAD51A5);
+    for (const Shape &shape : shapes) {
+        const Matrix a = randomMatrix(rng, shape.m, shape.k);
+        const Matrix b = randomMatrix(rng, shape.k, shape.n);
+        const Matrix at = randomMatrix(rng, shape.k, shape.m);
+        const Matrix bt = randomMatrix(rng, shape.n, shape.k);
+        const Matrix a_t = a.transposed();
+        ASSERT_EQ(a_t.rows(), shape.k);
+        ASSERT_EQ(a_t.cols(), shape.m);
+        for (std::size_t r = 0; r < shape.m; ++r)
+            for (std::size_t c = 0; c < shape.k; ++c)
+                ASSERT_EQ(a_t.at(c, r), a.at(r, c));
+
+        expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul");
+        expectIdentical(naiveMatmul(at.transposed(), b),
+                        at.transposedMatmul(b), "transposedMatmul");
+        // matmulTransposed is a plain dot product (no zero skip).
+        Matrix expected_mt(shape.m, shape.n);
+        for (std::size_t i = 0; i < shape.m; ++i)
+            for (std::size_t j = 0; j < shape.n; ++j) {
+                double acc = 0.0;
+                for (std::size_t k = 0; k < shape.k; ++k)
+                    acc += a.at(i, k) * bt.at(j, k);
+                expected_mt.at(i, j) = acc;
+            }
+        expectIdentical(expected_mt, a.matmulTransposed(bt),
+                        "matmulTransposed");
+    }
+}
+
+TEST(Matrix, ElementwiseKernelsMatchNaiveLoopsBitwise)
+{
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {1, 257}, {257, 1}, {13, 37}, {64, 64}, {0, 5}, {5, 0},
+    };
+    Rng rng(0xBEEF01);
+    for (const auto &[rows, cols] : shapes) {
+        const Matrix a = randomMatrix(rng, rows, cols);
+        const Matrix b = randomMatrix(rng, rows, cols);
+        const Matrix bias = randomMatrix(rng, 1, cols);
+
+        Matrix add(rows, cols), sub(rows, cols), had(rows, cols),
+            scale(rows, cols), broadcast(rows, cols);
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c) {
+                add.at(r, c) = a.at(r, c) + b.at(r, c);
+                sub.at(r, c) = a.at(r, c) - b.at(r, c);
+                had.at(r, c) = a.at(r, c) * b.at(r, c);
+                scale.at(r, c) = a.at(r, c) * 1.7;
+                broadcast.at(r, c) = a.at(r, c) + bias.at(0, c);
+            }
+        expectIdentical(add, a + b, "operator+");
+        expectIdentical(sub, a - b, "operator-");
+        expectIdentical(had, a.hadamard(b), "hadamard");
+        Matrix acc = a;
+        acc += b;
+        expectIdentical(add, acc, "operator+=");
+        Matrix scaled = a;
+        scaled *= 1.7;
+        expectIdentical(scale, scaled, "operator*=");
+        if (rows > 0)
+            expectIdentical(broadcast, a.addRowBroadcast(bias),
+                            "addRowBroadcast");
+        expectIdentical(naiveSumRows(a), a.sumRows(), "sumRows");
+    }
+}
+
+TEST(Matrix, RandomizedShapesSweep)
+{
+    // Broad fuzz across shapes; every repetition compares the scalar
+    // kernels against the textbook loops.
+    const ScopedKernelTier scalar(KernelTier::Scalar);
+    Rng rng(0xF00D42);
+    for (int repetition = 0; repetition < 25; ++repetition) {
+        const auto m = static_cast<std::size_t>(rng.uniformInt(1, 40));
+        const auto k = static_cast<std::size_t>(rng.uniformInt(1, 40));
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 40));
+        const Matrix a = randomMatrix(rng, m, k);
+        const Matrix b = randomMatrix(rng, k, n);
+        expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul fuzz");
+        expectIdentical(naiveSumRows(a + a), (a + a).sumRows(),
+                        "sumRows fuzz");
+    }
 }
 
 } // namespace

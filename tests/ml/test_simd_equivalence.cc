@@ -4,26 +4,23 @@
  * (DESIGN.md §16, ctest -L simd): the AVX2 GEMM, fused-LSTM gate loop
  * and batch activations must match the bitwise scalar oracle within a
  * small ulp budget — never bitwise, because FMA contraction
- * legitimately changes last-ulp rounding — at thread counts 1/2/7/hw.
- * The vector tier must additionally be thread-invariant against
- * itself (row-local partitioning makes vector-vs-vector bitwise), and
- * the dispatch layer must degrade gracefully when the tier is
- * unavailable.  On hosts without AVX2 (or -DADRIAS_SIMD=OFF builds)
- * the vector tier IS the scalar path, every comparison is exact, and
- * this whole suite doubles as the graceful-fallback proof.
+ * legitimately changes last-ulp rounding.  The vector kernels must
+ * additionally be row-local against themselves (a row computed inside
+ * a batch is bitwise the same row computed alone), and the dispatch
+ * layer must degrade gracefully when the tier is unavailable.  On
+ * hosts without AVX2 (or -DADRIAS_SIMD=OFF builds) the vector tier IS
+ * the scalar path, every comparison is exact, and this whole suite
+ * doubles as the graceful-fallback proof.
  */
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/float_compare.hh"
 #include "common/rng.hh"
-#include "common/threadpool.hh"
 #include "ml/activation.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
@@ -33,19 +30,15 @@ namespace
 {
 
 using adrias::Rng;
-using adrias::ScopedThreadOverride;
 using adrias::UlpStats;
 using adrias::ml::KernelTier;
 using adrias::ml::kernelTier;
 using adrias::ml::kernelTierName;
 using adrias::ml::Lstm;
 using adrias::ml::Matrix;
-using adrias::ml::MatrixParallelConfig;
-using adrias::ml::matrixParallelConfig;
 using adrias::ml::parseKernelTier;
 using adrias::ml::ScopedKernelTier;
 using adrias::ml::setKernelTier;
-using adrias::ml::setMatrixParallelConfig;
 using adrias::ml::Sigmoid;
 using adrias::ml::Tanh;
 using adrias::ml::vectorTierAvailable;
@@ -65,29 +58,17 @@ class SimdEquivalenceTest : public ::testing::Test
     void
     SetUp() override
     {
-        savedConfig = matrixParallelConfig();
         savedTier = kernelTier();
-        // Zero grains force the parallel path so thread sweeps bite.
-        setMatrixParallelConfig({0, 0});
     }
 
     void
     TearDown() override
     {
-        setMatrixParallelConfig(savedConfig);
         setKernelTier(savedTier);
     }
 
-    MatrixParallelConfig savedConfig;
     KernelTier savedTier = KernelTier::Scalar;
 };
-
-std::vector<unsigned>
-threadCounts()
-{
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    return {1u, 2u, 7u, hw};
-}
 
 Matrix
 randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
@@ -214,7 +195,7 @@ TEST(SimdDispatch, ScalarTierUnaffectedByRequest)
 // GEMM.
 // ---------------------------------------------------------------------
 
-TEST_F(SimdEquivalenceTest, GemmWithinUlpsAcrossShapesAndThreads)
+TEST_F(SimdEquivalenceTest, GemmWithinUlpsAcrossShapes)
 {
     Rng rng(0x51DD);
     const std::size_t dims[][3] = {
@@ -226,49 +207,27 @@ TEST_F(SimdEquivalenceTest, GemmWithinUlpsAcrossShapesAndThreads)
         const Matrix b = randomMatrix(rng, d[1], d[2]);
         Matrix ref;
         {
-            ScopedThreadOverride serial(1);
             const ScopedKernelTier scalar(KernelTier::Scalar);
             ref = a.matmul(b);
         }
-        for (unsigned threads : threadCounts()) {
-            ScopedThreadOverride override_(threads);
-            const ScopedKernelTier vec(KernelTier::Vector);
-            expectWithinUlps(ref, a.matmul(b), "vector matmul");
-        }
+        const ScopedKernelTier vec(KernelTier::Vector);
+        expectWithinUlps(ref, a.matmul(b), "vector matmul");
     }
 }
 
-TEST_F(SimdEquivalenceTest, VectorGemmThreadInvariant)
+TEST_F(SimdEquivalenceTest, VectorGemmRowsMatchRowsComputedAlone)
 {
-    // Vector-vs-vector across thread counts is bitwise: partitioning
-    // is row-local, so each output element's op sequence is fixed.
+    // Vector-vs-vector is bitwise across the kernel's 4-row/1-row
+    // split: 41 rows run ten 4-row blocks plus one 1-row remainder,
+    // and each must equal the same row multiplied on its own.
     Rng rng(0x51DE);
     const Matrix a = randomMatrix(rng, 41, 23);
     const Matrix b = randomMatrix(rng, 23, 57);
     const ScopedKernelTier vec(KernelTier::Vector);
-    Matrix ref;
-    {
-        ScopedThreadOverride serial(1);
-        ref = a.matmul(b);
-    }
-    for (unsigned threads : threadCounts()) {
-        ScopedThreadOverride override_(threads);
-        expectBitwise(ref, a.matmul(b), "vector matmul thread sweep");
-    }
-}
-
-TEST_F(SimdEquivalenceTest, VectorGemmIgnoresGemmBlockKnob)
-{
-    // The vector kernel register-blocks internally; the cache-block
-    // knob must not change its results (it takes the same path).
-    Rng rng(0x51DF);
-    const Matrix a = randomMatrix(rng, 19, 31);
-    const Matrix b = randomMatrix(rng, 31, 22);
-    const ScopedKernelTier vec(KernelTier::Vector);
-    setMatrixParallelConfig({0, 0, 0});
-    const Matrix unblocked = a.matmul(b);
-    setMatrixParallelConfig({0, 0, 8});
-    expectBitwise(unblocked, a.matmul(b), "vector matmul vs block knob");
+    const Matrix batch = a.matmul(b);
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        expectBitwise(batch.row(r), a.row(r).matmul(b),
+                      "vector matmul row alone");
 }
 
 // ---------------------------------------------------------------------
@@ -292,7 +251,7 @@ makeLstm(const LstmShape &shape, unsigned seed)
     return Lstm(shape.input, shape.hidden, rng);
 }
 
-TEST_F(SimdEquivalenceTest, LstmForwardWithinUlpsAcrossThreads)
+TEST_F(SimdEquivalenceTest, LstmForwardWithinUlps)
 {
     Rng rng(0x51E0);
     for (const auto &shape : kShapes) {
@@ -300,49 +259,44 @@ TEST_F(SimdEquivalenceTest, LstmForwardWithinUlpsAcrossThreads)
             randomSequence(rng, shape.steps, shape.batch, shape.input);
         std::vector<Matrix> ref;
         {
-            ScopedThreadOverride serial(1);
             const ScopedKernelTier scalar(KernelTier::Scalar);
             Lstm lstm = makeLstm(shape, 8001);
             lstm.setInference(true);
             ref = lstm.forwardSequence(sequence);
         }
-        for (unsigned threads : threadCounts()) {
-            ScopedThreadOverride override_(threads);
-            const ScopedKernelTier vec(KernelTier::Vector);
-            Lstm lstm = makeLstm(shape, 8001);
-            lstm.setInference(true);
-            const auto got = lstm.forwardSequence(sequence);
-            ASSERT_EQ(ref.size(), got.size());
-            for (std::size_t t = 0; t < ref.size(); ++t)
-                expectWithinUlps(ref[t], got[t],
-                                 "vector LSTM inference forward");
-        }
+        const ScopedKernelTier vec(KernelTier::Vector);
+        Lstm lstm = makeLstm(shape, 8001);
+        lstm.setInference(true);
+        const auto got = lstm.forwardSequence(sequence);
+        ASSERT_EQ(ref.size(), got.size());
+        for (std::size_t t = 0; t < ref.size(); ++t)
+            expectWithinUlps(ref[t], got[t],
+                             "vector LSTM inference forward");
     }
 }
 
-TEST_F(SimdEquivalenceTest, VectorLstmForwardThreadInvariant)
+TEST_F(SimdEquivalenceTest, VectorLstmRowsMatchRowsComputedAlone)
 {
+    // The vector GEMMs and gate rows are row-local, so each sequence
+    // of a batch forwards bitwise the same as when it runs alone.
     const LstmShape shape{6, 32, 7, 24};
     Rng rng(0x51E1);
     const auto sequence =
         randomSequence(rng, shape.steps, shape.batch, shape.input);
     const ScopedKernelTier vec(KernelTier::Vector);
-    std::vector<Matrix> ref;
-    {
-        ScopedThreadOverride serial(1);
-        Lstm lstm = makeLstm(shape, 8002);
-        lstm.setInference(true);
-        ref = lstm.forwardSequence(sequence);
-    }
-    for (unsigned threads : threadCounts()) {
-        ScopedThreadOverride override_(threads);
-        Lstm lstm = makeLstm(shape, 8002);
-        lstm.setInference(true);
-        const auto got = lstm.forwardSequence(sequence);
-        ASSERT_EQ(ref.size(), got.size());
-        for (std::size_t t = 0; t < ref.size(); ++t)
-            expectBitwise(ref[t], got[t],
-                          "vector LSTM forward thread sweep");
+    Lstm lstm = makeLstm(shape, 8002);
+    lstm.setInference(true);
+    const auto batch = lstm.forwardSequence(sequence);
+    ASSERT_EQ(batch.size(), shape.steps);
+    for (std::size_t r = 0; r < shape.batch; ++r) {
+        std::vector<Matrix> alone;
+        for (const Matrix &step : sequence)
+            alone.push_back(step.row(r));
+        const auto got = lstm.forwardSequence(alone);
+        ASSERT_EQ(got.size(), shape.steps);
+        for (std::size_t t = 0; t < shape.steps; ++t)
+            expectBitwise(batch[t].row(r), got[t],
+                          "vector LSTM forward row alone");
     }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "testbed/testbed.hh"
 #include "workloads/spec.hh"
 
@@ -64,11 +67,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Property 2: slowdown is monotone in trasher count for every
 // interference kind, in both modes.
+//
+// gtest names each case after the parameter's raw bytes, so the struct
+// must have no padding: padding holds whatever the stack held, and the
+// case names would change from one run to the next.
 struct MonotoneCase
 {
     IBenchKind kind;
     MemoryMode mode;
+    std::uint8_t zeroTail[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<MonotoneCase>);
 
 class SlowdownMonotoneTest
     : public ::testing::TestWithParam<MonotoneCase>
@@ -77,7 +86,8 @@ class SlowdownMonotoneTest
 
 TEST_P(SlowdownMonotoneTest, MoreTrashersNeverHelp)
 {
-    const auto [kind, mode] = GetParam();
+    const IBenchKind kind = GetParam().kind;
+    const MemoryMode mode = GetParam().mode;
     const auto &app = sparkBenchmark("sort");
     double prev = 0.0;
     for (int n : {0, 1, 2, 4, 8, 16, 32}) {

@@ -40,18 +40,13 @@ meanLatency(ThreadPool &pool, const std::vector<double> &samples)
     return total / static_cast<double>(samples.size());
 }
 
-/** Waiver OUTSIDE the parallelFor argument list does not count: the
- *  accumulation into 'energy' must still be flagged. */
+/** The same accumulation through parallelForEach: must be flagged. */
 double
 totalEnergy(ThreadPool &pool, const std::vector<double> &samples)
 {
-    ADRIAS_VECTOR_TIER_OK("misplaced: not inside the chunk region");
     double energy = 0.0;
-    pool.parallelFor(samples.size(),
-                     [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                             energy += samples[i];
-                     });
+    pool.parallelForEach(samples.size(),
+                         [&](std::size_t i) { energy += samples[i]; });
     return energy;
 }
 

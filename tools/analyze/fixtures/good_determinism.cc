@@ -54,21 +54,4 @@ meanLatency(ThreadPool &pool, const std::vector<double> &samples)
     return total / static_cast<double>(samples.size());
 }
 
-/** Vector-tier waiver inside the region: must NOT be flagged.  The
- *  macro asserts the kernel's relaxed-determinism contract is covered
- *  by `ctest -L simd` instead of the bitwise contract. */
-double
-vectorNorm(ThreadPool &pool, const std::vector<double> &samples)
-{
-    double acc = 0.0;
-    pool.parallelFor(samples.size(),
-                     [&](std::size_t begin, std::size_t end) {
-                         ADRIAS_VECTOR_TIER_OK(
-                             "fma reassociation checked by simd suite");
-                         for (std::size_t i = begin; i < end; ++i)
-                             acc += samples[i] * samples[i];
-                     });
-    return acc;
-}
-
 } // namespace adrias::fixture

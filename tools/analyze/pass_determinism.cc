@@ -16,13 +16,7 @@
  *      addition.  The blessed pattern — per-chunk partial slots
  *      (`partials[chunk] += ...`) combined in chunk index order after
  *      the join — is recognized and not flagged, as are accumulators
- *      declared inside the region (chunk-local).  A region carrying an
- *      ADRIAS_VECTOR_TIER_OK(reason) waiver (ml/simd.hh) is skipped:
- *      the marker asserts the kernel belongs to the vector tier, whose
- *      relaxed-determinism contract is enforced by the tolerance-based
- *      equivalence suite (`ctest -L simd`) instead of bitwise
- *      reproduction.  The waiver is region-scoped — placing it outside
- *      the parallelFor argument list does not suppress the finding.
+ *      declared inside the region (chunk-local).
  *
  * The pass works on the indexed bodies (inline methods plus
  * out-of-line definitions), so member containers declared in the
@@ -371,13 +365,6 @@ checkFloatAccumulation(const BodyRef &ref,
         }
         const std::string region = body.substr(open, close - open);
         search = close + 1;
-
-        // Vector-tier waiver: the author asserts this region's
-        // numerics are covered by the simd equivalence suite rather
-        // than the bitwise contract.  Must appear inside the call's
-        // argument list to count.
-        if (region.find("ADRIAS_VECTOR_TIER_OK") != std::string::npos)
-            continue;
 
         // `ident +=` inside the region, target not subscripted.
         for (std::size_t i = 0; i + 1 < region.size(); ++i) {
