@@ -45,7 +45,9 @@ evaluate(scenario::ClusterPolicy &policy, std::size_t nodes,
     config.spawnMaxSec = 10; // congested stream: a single node drowns
     config.seed = 7100;
     config.maxConcurrent = 20;
-    scenario::ClusterScenarioRunner runner(nodes, config);
+    config.topology = "pairs-" + std::to_string(nodes);
+    scenario::ClusterScenarioRunner runner(
+        testbed::topologyByName(config.topology), config);
     const auto result = runner.run(policy);
 
     Report report;

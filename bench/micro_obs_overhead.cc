@@ -36,7 +36,7 @@ runOnce(std::uint64_t seed)
     // Long enough that a timed rep is tens of milliseconds; otherwise
     // the overhead percentages just measure scheduler noise.
     config.durationSec = bench::envInt("ADRIAS_BENCH_DURATION", 20000);
-    scenario::ScenarioRunner runner(config, testbed::TestbedParams{});
+    scenario::ScenarioRunner runner(config);
     const auto begin = std::chrono::steady_clock::now();
     const auto result = runner.run(policy);
     const auto end = std::chrono::steady_clock::now();

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "core/adrias.hh"
 
@@ -69,18 +70,22 @@ main(int argc, char **argv)
     config.spawnMaxSec = 9; // heavy stream: one node cannot keep up
     config.seed = 2024;
     config.maxConcurrent = 20;
+    // K independent ThymesisFlow borrower/lender pairs.
+    config.topology = "pairs-" + std::to_string(nodes);
 
     std::cout << "Replaying one arrival stream on a " << nodes
               << "-node cluster under three policies...\n\n";
 
     {
         scenario::RandomClusterPolicy random(5);
-        scenario::ClusterScenarioRunner runner(nodes, config);
+        scenario::ClusterScenarioRunner runner(
+            testbed::topologyByName(config.topology), config);
         report("random             ", runner.run(random));
     }
     {
         scenario::LeastLoadedLocalPolicy least_loaded;
-        scenario::ClusterScenarioRunner runner(nodes, config);
+        scenario::ClusterScenarioRunner runner(
+            testbed::topologyByName(config.topology), config);
         report("least-loaded-local ", runner.run(least_loaded));
     }
     {
@@ -90,7 +95,8 @@ main(int argc, char **argv)
         core::AdriasClusterOrchestrator adrias(stack.predictor(),
                                                stack.signatures(),
                                                adrias_config);
-        scenario::ClusterScenarioRunner runner(nodes, config);
+        scenario::ClusterScenarioRunner runner(
+            testbed::topologyByName(config.topology), config);
         report("adrias-cluster     ", runner.run(adrias));
     }
 

@@ -13,7 +13,7 @@ AdriasStack::AdriasStack(BuildOptions options)
         fatal("AdriasStack: need at least one scenario");
 
     // 1. Design-time signatures for every catalogued application.
-    scenario::collectAllSignatures(store, options.testbed, options.seed);
+    scenario::collectAllSignatures(store, {}, options.seed);
 
     // 2. Interference-aware trace collection: random placement across
     //    a spread of arrival intensities (paper §V-B1), one scenario
@@ -28,7 +28,7 @@ AdriasStack::AdriasStack(BuildOptions options)
         sweep[i].config.seed = options.seed + i;
         sweep[i].policySeed = options.seed + 1000 + i;
     }
-    collected = scenario::runScenarioSweep(sweep, options.testbed);
+    collected = scenario::runScenarioSweep(sweep);
 
     // 3. Datasets and model training ({120, Ŝ} stacked configuration).
     const auto state_samples =

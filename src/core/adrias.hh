@@ -56,9 +56,6 @@ class AdriasStack
 
         /** Model hyper-parameters. */
         models::ModelConfig model{};
-
-        /** Testbed calibration. */
-        testbed::TestbedParams testbed{};
     };
 
     /**

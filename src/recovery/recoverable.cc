@@ -42,13 +42,11 @@ parseJournalTick(const std::string &filename)
 } // namespace
 
 RecoverableScenario::RecoverableScenario(scenario::ScenarioConfig config_,
-                                         testbed::TestbedParams params,
                                          RecoveryConfig recovery_)
     : config(config_), recovery(std::move(recovery_)),
       manager(CheckpointConfig{recovery.dir, recovery.checkpointEverySec,
                                recovery.keepSnapshots}),
-      engineState(std::make_unique<scenario::ScenarioEngine>(config_,
-                                                             params))
+      engineState(std::make_unique<scenario::ScenarioEngine>(config_))
 {
     manager.attach(*engineState);
 }

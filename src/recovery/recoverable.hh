@@ -73,7 +73,6 @@ class RecoverableScenario
 {
   public:
     RecoverableScenario(scenario::ScenarioConfig config,
-                        testbed::TestbedParams params,
                         RecoveryConfig recovery);
 
     /**

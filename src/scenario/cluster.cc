@@ -7,7 +7,6 @@
 namespace adrias::scenario
 {
 
-using workloads::IBenchKind;
 using workloads::WorkloadInstance;
 using workloads::WorkloadSpec;
 
@@ -59,24 +58,9 @@ routeOnRack(ClusterPlacement placement, const WorkloadSpec &spec,
     return placement;
 }
 
-ClusterScenarioRunner::ClusterScenarioRunner(std::size_t nodes,
-                                             ScenarioConfig config_,
-                                             testbed::TestbedParams params)
-    : nodeCount(nodes), config(config_), testbedParams(params)
-{
-    if (nodes == 0)
-        fatal("ClusterScenarioRunner: need at least one node");
-    if (config.durationSec <= 0)
-        fatal("ClusterScenarioRunner: duration must be positive");
-    if (config.spawnMinSec <= 0 ||
-        config.spawnMaxSec < config.spawnMinSec)
-        fatal("ClusterScenarioRunner: invalid spawn interval");
-}
-
 ClusterScenarioRunner::ClusterScenarioRunner(testbed::Topology topology,
                                              ScenarioConfig config_)
-    : nodeCount(topology.nodeCount()), config(config_),
-      rackTopology(std::move(topology))
+    : topo(std::move(topology)), config(config_)
 {
     if (config.durationSec <= 0)
         fatal("ClusterScenarioRunner: duration must be positive");
@@ -88,150 +72,7 @@ ClusterScenarioRunner::ClusterScenarioRunner(testbed::Topology topology,
 ClusterResult
 ClusterScenarioRunner::run(ClusterPolicy &policy)
 {
-    return rackTopology.has_value() ? runRack(policy)
-                                    : runLegacy(policy);
-}
-
-ClusterResult
-ClusterScenarioRunner::runLegacy(ClusterPolicy &policy)
-{
-    Rng rng(config.seed);
-
-    struct Node
-    {
-        std::unique_ptr<testbed::Testbed> bed;
-        std::unique_ptr<telemetry::Watcher> watcher;
-        std::vector<std::unique_ptr<WorkloadInstance>> running;
-    };
-    std::vector<Node> nodes(nodeCount);
-    ClusterResult result;
-    result.nodes.resize(nodeCount);
-    for (auto &node : nodes) {
-        node.bed = std::make_unique<testbed::Testbed>(testbedParams,
-                                                      rng.nextU64());
-        node.bed->setNoise(config.counterNoise);
-        node.watcher = std::make_unique<telemetry::Watcher>(
-            ScenarioRunner::kWindowSec * 4);
-    }
-
-    DeploymentId next_id = 1;
-    SimTime next_arrival =
-        rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
-
-    const auto &sparks = workloads::sparkBenchmarks();
-    const auto &lcs = workloads::latencyCriticalBenchmarks();
-    const IBenchKind ibench_kinds[] = {IBenchKind::Cpu, IBenchKind::L2,
-                                       IBenchKind::L3, IBenchKind::MemBw};
-
-    for (SimTime now = 0; now < config.durationSec; ++now) {
-        // --- arrivals ----------------------------------------------------
-        while (now >= next_arrival) {
-            next_arrival +=
-                rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
-
-            const double draw = rng.uniform();
-            const WorkloadSpec *spec = nullptr;
-            bool is_ibench = false;
-            if (draw < config.ibenchFraction) {
-                spec = &workloads::ibenchSpec(
-                    ibench_kinds[rng.uniformInt(0, 3)]);
-                is_ibench = true;
-            } else if (draw <
-                       config.ibenchFraction + config.lcFraction) {
-                spec = &lcs[static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(lcs.size()) - 1))];
-            } else {
-                spec = &sparks[static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(sparks.size()) - 1))];
-            }
-
-            ClusterPlacement placement;
-            if (is_ibench) {
-                // Background interference lands anywhere, either mode.
-                placement.node = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(nodeCount) - 1));
-                placement.mode = rng.bernoulli(0.5) ? MemoryMode::Remote
-                                                    : MemoryMode::Local;
-            } else {
-                std::vector<NodeView> views(nodeCount);
-                for (std::size_t n = 0; n < nodeCount; ++n) {
-                    views[n].watcher = nodes[n].watcher.get();
-                    views[n].running = nodes[n].running.size();
-                }
-                placement = policy.place(*spec, views, now);
-                if (placement.node >= nodeCount)
-                    panic("ClusterPolicy returned an invalid node");
-            }
-
-            Node &target = nodes[placement.node];
-            if (target.running.size() >= config.maxConcurrent)
-                continue; // node full: drop
-            target.running.push_back(std::make_unique<WorkloadInstance>(
-                next_id++, *spec, placement.mode, now, rng.nextU64()));
-        }
-
-        // --- one second everywhere ----------------------------------------
-        for (std::size_t n = 0; n < nodeCount; ++n) {
-            Node &node = nodes[n];
-            ScenarioResult &node_result = result.nodes[n];
-
-            std::vector<testbed::LoadDescriptor> loads;
-            loads.reserve(node.running.size());
-            for (const auto &instance : node.running)
-                loads.push_back(instance->load());
-            const testbed::TickResult tick = node.bed->tick(loads);
-
-            node.watcher->record(tick.counters, now);
-            node_result.trace.push_back(tick.counters);
-            node_result.concurrency.push_back(
-                static_cast<int>(node.running.size()));
-            node_result.totalRemoteTrafficGB += tick.remoteTrafficGBps;
-            result.totalRemoteTrafficGB += tick.remoteTrafficGBps;
-
-            for (std::size_t i = 0; i < node.running.size(); ++i)
-                node.running[i]->advance(tick.outcomes[i], now + 1);
-
-            for (std::size_t i = node.running.size(); i-- > 0;) {
-                if (!node.running[i]->finished())
-                    continue;
-                const WorkloadInstance &done = *node.running[i];
-                DeploymentRecord record;
-                record.id = done.id();
-                record.name = done.spec().name;
-                record.cls = done.spec().cls;
-                record.mode = done.mode();
-                record.arrival = done.arrivalTime();
-                record.completion = now + 1;
-                record.execTimeSec = done.executionTimeSec();
-                if (record.cls == WorkloadClass::LatencyCritical) {
-                    record.p99Ms = done.tailLatencyMs(0.99);
-                    record.p999Ms = done.tailLatencyMs(0.999);
-                    record.meanLatencyMs = done.meanLatencyMs();
-                }
-                record.meanSlowdown = done.meanSlowdown();
-                record.remoteTrafficGB = done.remoteTrafficGB();
-                record.migrations = done.migrationCount();
-                record.historyWindow =
-                    historyWindowAt(node_result.trace, record.arrival);
-                record.executionWindow = telemetry::binSpan(
-                    node_result.trace,
-                    static_cast<std::size_t>(record.arrival),
-                    node_result.trace.size(),
-                    ScenarioRunner::kWindowBins);
-                policy.onCompletion(n, record);
-                node_result.records.push_back(std::move(record));
-                node.running.erase(node.running.begin() +
-                                   static_cast<std::ptrdiff_t>(i));
-            }
-        }
-    }
-    return result;
-}
-
-ClusterResult
-ClusterScenarioRunner::runRack(ClusterPolicy &policy)
-{
-    const testbed::Topology &topo = *rackTopology;
+    const std::size_t node_count = topo.nodeCount();
     Rng rng(config.seed);
     testbed::RackTestbed rack(topo, rng.nextU64());
     rack.setNoise(config.counterNoise);
@@ -249,11 +90,11 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
         std::unique_ptr<telemetry::Watcher> watcher;
         std::vector<RunningApp> running;
     };
-    std::vector<Node> nodes(nodeCount);
+    std::vector<Node> nodes(node_count);
     ClusterResult result;
-    result.nodes.resize(nodeCount);
+    result.nodes.resize(node_count);
     result.topologyName = topo.name();
-    for (std::size_t n = 0; n < nodeCount; ++n) {
+    for (std::size_t n = 0; n < node_count; ++n) {
         nodes[n].watcher = std::make_unique<telemetry::Watcher>(
             ScenarioRunner::kWindowSec * 4);
         nodes[n].watcher->configureLinks(topo.linksFrom(n).size());
@@ -285,11 +126,6 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
     SimTime next_arrival =
         rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
 
-    const auto &sparks = workloads::sparkBenchmarks();
-    const auto &lcs = workloads::latencyCriticalBenchmarks();
-    const IBenchKind ibench_kinds[] = {IBenchKind::Cpu, IBenchKind::L2,
-                                       IBenchKind::L3, IBenchKind::MemBw};
-
     for (SimTime now = 0; now < config.durationSec; ++now) {
         // --- per-link fault state for this tick -------------------------
         for (std::size_t l = 0; l < topo.linkCount(); ++l) {
@@ -305,40 +141,27 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
             next_arrival +=
                 rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
 
-            const double draw = rng.uniform();
-            const WorkloadSpec *spec = nullptr;
-            bool is_ibench = false;
-            if (draw < config.ibenchFraction) {
-                spec = &workloads::ibenchSpec(
-                    ibench_kinds[rng.uniformInt(0, 3)]);
-                is_ibench = true;
-            } else if (draw <
-                       config.ibenchFraction + config.lcFraction) {
-                spec = &lcs[static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(lcs.size()) - 1))];
-            } else {
-                spec = &sparks[static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(sparks.size()) - 1))];
-            }
+            const ArrivalDraw arrival = drawArrival(config, rng);
+            const WorkloadSpec *spec = arrival.spec;
 
             ClusterPlacement placement;
-            if (is_ibench) {
+            if (arrival.isIBench) {
                 // Background interference lands anywhere, either mode;
                 // remote trashers still need a real route.
                 placement.node = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(nodeCount) - 1));
+                    0, static_cast<std::int64_t>(node_count) - 1));
                 placement.mode = rng.bernoulli(0.5) ? MemoryMode::Remote
                                                     : MemoryMode::Local;
                 placement = routeOnRack(placement, *spec, makeRackView());
             } else {
-                std::vector<NodeView> views(nodeCount);
-                for (std::size_t n = 0; n < nodeCount; ++n) {
+                std::vector<NodeView> views(node_count);
+                for (std::size_t n = 0; n < node_count; ++n) {
                     views[n].watcher = nodes[n].watcher.get();
                     views[n].running = nodes[n].running.size();
                 }
                 placement = policy.placeRack(*spec, views,
                                              makeRackView(), now);
-                if (placement.node >= nodeCount)
+                if (placement.node >= node_count)
                     panic("ClusterPolicy returned an invalid node");
                 if (placement.mode == MemoryMode::Remote) {
                     if (placement.link >= topo.linkCount())
@@ -381,7 +204,7 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
         // --- one shared rack second --------------------------------------
         std::vector<testbed::LoadDescriptor> loads;
         std::vector<std::pair<std::size_t, std::size_t>> owner;
-        for (std::size_t n = 0; n < nodeCount; ++n) {
+        for (std::size_t n = 0; n < node_count; ++n) {
             for (std::size_t i = 0; i < nodes[n].running.size(); ++i) {
                 const RunningApp &app = nodes[n].running[i];
                 testbed::LoadDescriptor load = app.instance->load();
@@ -399,7 +222,7 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
                 .running[owner[k].second]
                 .instance->advance(tick.outcomes[k], now + 1);
 
-        for (std::size_t n = 0; n < nodeCount; ++n) {
+        for (std::size_t n = 0; n < node_count; ++n) {
             Node &node = nodes[n];
             ScenarioResult &node_result = result.nodes[n];
 
@@ -423,30 +246,8 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
                 if (!node.running[i].instance->finished())
                     continue;
                 const RunningApp &finished = node.running[i];
-                const WorkloadInstance &done = *finished.instance;
-                DeploymentRecord record;
-                record.id = done.id();
-                record.name = done.spec().name;
-                record.cls = done.spec().cls;
-                record.mode = done.mode();
-                record.arrival = done.arrivalTime();
-                record.completion = now + 1;
-                record.execTimeSec = done.executionTimeSec();
-                if (record.cls == WorkloadClass::LatencyCritical) {
-                    record.p99Ms = done.tailLatencyMs(0.99);
-                    record.p999Ms = done.tailLatencyMs(0.999);
-                    record.meanLatencyMs = done.meanLatencyMs();
-                }
-                record.meanSlowdown = done.meanSlowdown();
-                record.remoteTrafficGB = done.remoteTrafficGB();
-                record.migrations = done.migrationCount();
-                record.historyWindow =
-                    historyWindowAt(node_result.trace, record.arrival);
-                record.executionWindow = telemetry::binSpan(
-                    node_result.trace,
-                    static_cast<std::size_t>(record.arrival),
-                    node_result.trace.size(),
-                    ScenarioRunner::kWindowBins);
+                DeploymentRecord record = completionRecord(
+                    *finished.instance, now, node_result.trace);
                 if (finished.reservedGb > 0.0)
                     rack.release(finished.server, finished.reservedGb);
                 policy.onCompletion(n, record);
@@ -460,7 +261,7 @@ ClusterScenarioRunner::runRack(ClusterPolicy &policy)
     result.linkTotals.reserve(topo.linkCount());
     for (std::size_t l = 0; l < topo.linkCount(); ++l)
         result.linkTotals.push_back(rack.linkTotals(l));
-    for (std::size_t n = 0; n < nodeCount; ++n) {
+    for (std::size_t n = 0; n < node_count; ++n) {
         result.nodes[n].watcherHealth = nodes[n].watcher->health();
         result.nodes[n].faultSummary = injector.stats();
     }

@@ -6,21 +6,18 @@
  * each arriving application, accounting for cluster-level efficiency
  * on iso-QoS predictions.
  *
- * Two cluster models coexist:
- *  - the legacy model (node-count constructor): each node is an
- *    independent ThymesisFlow borrower/lender pair with no cross-node
- *    lending — exactly the historical behaviour, preserved bit for bit;
- *  - the rack model (Topology constructor): one RackTestbed shared by
- *    all nodes, where a remote placement is a (node, server, link)
- *    triple, servers account allocated capacity, and per-link fault
- *    injection targets links by name.
+ * The cluster is a rack: one RackTestbed shared by all nodes, where a
+ * remote placement is a (node, server, link) triple, servers account
+ * allocated capacity, and per-link fault injection targets links by
+ * name.  K independent ThymesisFlow borrower/lender pairs with no
+ * cross-node lending are the "pairs-K" topology
+ * (Topology::independentPairs).
  */
 
 #ifndef ADRIAS_SCENARIO_CLUSTER_HH
 #define ADRIAS_SCENARIO_CLUSTER_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "scenario/placement.hh"
@@ -32,19 +29,19 @@ namespace adrias::scenario
 {
 
 /**
- * A placement decision.  The legacy model uses (node, mode) only; on a
- * rack a Remote decision additionally names the memory server lending
- * the range and the link carrying the traffic.
+ * A placement decision: a node and a memory mode; a Remote decision
+ * also names the memory server lending the range and the link carrying
+ * the traffic.
  */
 struct ClusterPlacement
 {
     std::size_t node = 0;
     MemoryMode mode = MemoryMode::Local;
 
-    /** Lending memory server (rack model, mode == Remote). */
+    /** Lending memory server (mode == Remote). */
     std::size_t server = 0;
 
-    /** Link carrying the remote traffic (rack model, mode == Remote). */
+    /** Link carrying the remote traffic (mode == Remote). */
     std::size_t link = 0;
 };
 
@@ -206,10 +203,10 @@ struct ClusterResult
     /** Total channel traffic across all nodes, GB. */
     double totalRemoteTrafficGB = 0.0;
 
-    /** Rack the scenario ran on ("" for the legacy model). */
+    /** Rack the scenario ran on. */
     std::string topologyName;
 
-    /** Per-link cumulative byte accounting (rack model only). */
+    /** Per-link cumulative byte accounting, indexed like links. */
     std::vector<testbed::LinkTotals> linkTotals;
 
     /** Arrivals dropped because no node could admit them. */
@@ -232,20 +229,9 @@ class ClusterScenarioRunner
 {
   public:
     /**
-     * Legacy model: `nodes` independent borrower/lender pairs.
-     *
-     * @param nodes cluster size (>= 1).
-     * @param config arrival/scenario knobs (shared stream).
-     * @param params per-node testbed calibration.
-     */
-    ClusterScenarioRunner(std::size_t nodes, ScenarioConfig config,
-                          testbed::TestbedParams params = {});
-
-    /**
-     * Rack model: one shared RackTestbed over a validated topology.
-     * Remote placements allocate the app's footprint on the lending
-     * server for its lifetime; fault windows naming a link derate that
-     * link only.
+     * One shared RackTestbed over a validated topology.  Remote
+     * placements allocate the app's footprint on the lending server for
+     * its lifetime; fault windows naming a link derate that link only.
      */
     ClusterScenarioRunner(testbed::Topology topology,
                           ScenarioConfig config);
@@ -254,13 +240,8 @@ class ClusterScenarioRunner
     ClusterResult run(ClusterPolicy &policy);
 
   private:
-    std::size_t nodeCount;
+    testbed::Topology topo;
     ScenarioConfig config;
-    testbed::TestbedParams testbedParams;
-    std::optional<testbed::Topology> rackTopology;
-
-    ClusterResult runLegacy(ClusterPolicy &policy);
-    ClusterResult runRack(ClusterPolicy &policy);
 };
 
 } // namespace adrias::scenario

@@ -10,38 +10,11 @@
 namespace adrias::scenario
 {
 
-using workloads::IBenchKind;
 using workloads::WorkloadInstance;
 using workloads::WorkloadSpec;
 
 namespace
 {
-
-/**
- * Testbed calibration for the configured topology.  "paper-pair" keeps
- * the caller's params untouched (the default path stays bit-identical
- * to the historical engine); any other single-node topology calibrates
- * the testbed from its node params and first link's profile.
- */
-testbed::TestbedParams
-resolveEngineParams(const ScenarioConfig &config,
-                    testbed::TestbedParams params)
-{
-    if (config.topology == "paper-pair")
-        return params;
-    const testbed::Topology topo = testbed::topologyByName(config.topology);
-    if (topo.nodeCount() != 1)
-        fatal("ScenarioEngine: topology '" + config.topology + "' has " +
-              std::to_string(topo.nodeCount()) +
-              " compute nodes; the single-node engine needs exactly one "
-              "(drive multi-node racks through ClusterScenarioRunner)");
-    if (topo.linkCount() == 0)
-        fatal("ScenarioEngine: topology '" + config.topology +
-              "' has no links");
-    testbed::TestbedParams resolved = topo.node(0).local;
-    resolved.withLinkProfile(topo.link(0).profile);
-    return resolved;
-}
 
 void
 saveMatrixSequence(io::BinaryWriter &out,
@@ -139,11 +112,9 @@ loadRecord(io::BinaryReader &in)
 
 } // namespace
 
-ScenarioEngine::ScenarioEngine(ScenarioConfig config_,
-                               testbed::TestbedParams params)
-    : config(std::move(config_)),
-      testbedParams(resolveEngineParams(config, params)),
-      rng(config.seed), bed(testbedParams, rng.nextU64()),
+ScenarioEngine::ScenarioEngine(ScenarioConfig config_)
+    : config(std::move(config_)), rng(config.seed),
+      bed(testbed::topologyByName(config.topology), rng.nextU64()),
       watcherState(kWindowSec * 4), injector(config.faults)
 {
     if (config.durationSec <= 0)
@@ -169,11 +140,6 @@ ScenarioEngine::queueReplayDecision(const PlacementDecision &decision)
 void
 ScenarioEngine::admitArrivals(PlacementPolicy &policy)
 {
-    const auto &sparks = workloads::sparkBenchmarks();
-    const auto &lcs = workloads::latencyCriticalBenchmarks();
-    const IBenchKind ibench_kinds[] = {IBenchKind::Cpu, IBenchKind::L2,
-                                       IBenchKind::L3, IBenchKind::MemBw};
-
     while (now_ >= nextArrival) {
         nextArrival +=
             rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
@@ -187,25 +153,13 @@ ScenarioEngine::admitArrivals(PlacementPolicy &policy)
             continue; // testbed full: drop, as the prototype would
         }
 
-        const double draw = rng.uniform();
-        const WorkloadSpec *spec = nullptr;
-        bool is_ibench = false;
-        if (draw < config.ibenchFraction) {
-            spec = &workloads::ibenchSpec(
-                ibench_kinds[rng.uniformInt(0, 3)]);
-            is_ibench = true;
-        } else if (draw < config.ibenchFraction + config.lcFraction) {
-            spec = &lcs[static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(lcs.size()) - 1))];
-        } else {
-            spec = &sparks[static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(sparks.size()) - 1))];
-        }
+        const ArrivalDraw arrival = drawArrival(config, rng);
+        const WorkloadSpec *spec = arrival.spec;
 
         // Trashers model background interference and are always
         // placed randomly; applications go through the policy.
         MemoryMode mode;
-        if (is_ibench) {
+        if (arrival.isIBench) {
             mode = rng.bernoulli(0.5) ? MemoryMode::Remote
                                       : MemoryMode::Local;
         } else {
@@ -260,28 +214,8 @@ ScenarioEngine::harvestCompletions(PlacementPolicy &policy)
     for (std::size_t i = running.size(); i-- > 0;) {
         if (!running[i]->finished())
             continue;
-        const WorkloadInstance &done = *running[i];
-        DeploymentRecord record;
-        record.id = done.id();
-        record.name = done.spec().name;
-        record.cls = done.spec().cls;
-        record.mode = done.mode();
-        record.arrival = done.arrivalTime();
-        record.completion = now_ + 1;
-        record.execTimeSec = done.executionTimeSec();
-        if (record.cls == WorkloadClass::LatencyCritical) {
-            record.p99Ms = done.tailLatencyMs(0.99);
-            record.p999Ms = done.tailLatencyMs(0.999);
-            record.meanLatencyMs = done.meanLatencyMs();
-        }
-        record.meanSlowdown = done.meanSlowdown();
-        record.remoteTrafficGB = done.remoteTrafficGB();
-        record.migrations = done.migrationCount();
-        record.historyWindow = historyWindowAt(result.trace,
-                                               record.arrival);
-        record.executionWindow = telemetry::binSpan(
-            result.trace, static_cast<std::size_t>(record.arrival),
-            result.trace.size(), kWindowBins);
+        DeploymentRecord record =
+            completionRecord(*running[i], now_, result.trace);
         policy.onCompletion(record);
 #if ADRIAS_OBS_ENABLED
         if (obs::enabled()) {

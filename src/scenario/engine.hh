@@ -86,11 +86,11 @@ class ScenarioEngine : public io::Checkpointable
 {
   public:
     /**
-     * @param config scenario knobs (validated like ScenarioRunner).
-     * @param params testbed calibration.
+     * @param config scenario knobs (validated like ScenarioRunner); the
+     *        machine is topologyByName(config.topology), which must be
+     *        one node behind one link.
      */
-    explicit ScenarioEngine(ScenarioConfig config,
-                            testbed::TestbedParams params = {});
+    explicit ScenarioEngine(ScenarioConfig config);
 
     /** @return true once the configured duration has elapsed. */
     bool finished() const { return now_ >= config.durationSec; }
@@ -164,8 +164,6 @@ class ScenarioEngine : public io::Checkpointable
     ScenarioConfig config ADRIAS_NOT_CHECKPOINTED(
         "construction-time configuration; restoreState validates the "
         "snapshot against it");
-    testbed::TestbedParams testbedParams ADRIAS_NOT_CHECKPOINTED(
-        "construction-time calibration, re-supplied on restore");
 
     // Evolving state, in the exact construction order of the
     // historical ScenarioRunner::run() preamble (the Testbed seed is

@@ -41,9 +41,55 @@ historyWindowAt(const std::vector<testbed::CounterSample> &trace,
                               ScenarioRunner::kWindowBins);
 }
 
-ScenarioRunner::ScenarioRunner(ScenarioConfig config_,
-                               testbed::TestbedParams params)
-    : config(config_), testbedParams(params)
+ArrivalDraw
+drawArrival(const ScenarioConfig &config, Rng &rng)
+{
+    const auto &sparks = workloads::sparkBenchmarks();
+    const auto &lcs = workloads::latencyCriticalBenchmarks();
+    const IBenchKind ibench_kinds[] = {IBenchKind::Cpu, IBenchKind::L2,
+                                       IBenchKind::L3, IBenchKind::MemBw};
+
+    const double draw = rng.uniform();
+    if (draw < config.ibenchFraction)
+        return {&workloads::ibenchSpec(ibench_kinds[rng.uniformInt(0, 3)]),
+                true};
+    if (draw < config.ibenchFraction + config.lcFraction)
+        return {&lcs[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(lcs.size()) - 1))],
+                false};
+    return {&sparks[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(sparks.size()) - 1))],
+            false};
+}
+
+DeploymentRecord
+completionRecord(const WorkloadInstance &done, SimTime now,
+                 const std::vector<testbed::CounterSample> &trace)
+{
+    DeploymentRecord record;
+    record.id = done.id();
+    record.name = done.spec().name;
+    record.cls = done.spec().cls;
+    record.mode = done.mode();
+    record.arrival = done.arrivalTime();
+    record.completion = now + 1;
+    record.execTimeSec = done.executionTimeSec();
+    if (record.cls == WorkloadClass::LatencyCritical) {
+        record.p99Ms = done.tailLatencyMs(0.99);
+        record.p999Ms = done.tailLatencyMs(0.999);
+        record.meanLatencyMs = done.meanLatencyMs();
+    }
+    record.meanSlowdown = done.meanSlowdown();
+    record.remoteTrafficGB = done.remoteTrafficGB();
+    record.migrations = done.migrationCount();
+    record.historyWindow = historyWindowAt(trace, record.arrival);
+    record.executionWindow = telemetry::binSpan(
+        trace, static_cast<std::size_t>(record.arrival), trace.size(),
+        ScenarioRunner::kWindowBins);
+    return record;
+}
+
+ScenarioRunner::ScenarioRunner(ScenarioConfig config_) : config(config_)
 {
     if (config.durationSec <= 0)
         fatal("ScenarioRunner: duration must be positive");
@@ -67,7 +113,7 @@ ScenarioRunner::run(PlacementPolicy &policy, RuntimePolicy *runtime)
     // The tick loop lives in ScenarioEngine (checkpointable for the
     // crash-recovery layer); driving it to completion here reproduces
     // the historical monolithic loop byte for byte.
-    ScenarioEngine engine(config, testbedParams);
+    ScenarioEngine engine(config);
     while (!engine.finished())
         engine.stepTick(policy, runtime);
     return engine.finish();
@@ -76,7 +122,6 @@ ScenarioRunner::run(PlacementPolicy &policy, RuntimePolicy *runtime)
 std::vector<ScenarioResult>
 runScenarioSweep(
     const std::vector<ScenarioConfig> &configs,
-    testbed::TestbedParams params,
     const std::function<std::unique_ptr<PlacementPolicy>(std::size_t)>
         &makePolicy)
 {
@@ -100,22 +145,21 @@ runScenarioSweep(
             // simulations land on separate about:tracing rows.
             obs::ScopedLane lane(static_cast<int>(i) + 1);
 #endif
-            ScenarioRunner runner(configs[i], params);
+            ScenarioRunner runner(configs[i]);
             results[i] = runner.run(*policies[i]);
         });
     return results;
 }
 
 std::vector<ScenarioResult>
-runScenarioSweep(const std::vector<SweepItem> &items,
-                 testbed::TestbedParams params)
+runScenarioSweep(const std::vector<SweepItem> &items)
 {
     std::vector<ScenarioConfig> configs;
     configs.reserve(items.size());
     for (const SweepItem &item : items)
         configs.push_back(item.config);
     return runScenarioSweep(
-        configs, params, [&items](std::size_t i) {
+        configs, [&items](std::size_t i) {
             return std::make_unique<RandomPlacement>(
                 items[i].policySeed);
         });

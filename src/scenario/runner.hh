@@ -60,10 +60,9 @@ struct ScenarioConfig
 
     /**
      * Named rack topology (testbed::topologyByName) the scenario runs
-     * on.  The default "paper-pair" reproduces the two-node prototype
-     * bit for bit.  The single-node engine accepts any 1×N topology
-     * (its testbed calibration then comes from the topology's node and
-     * first link); multi-node topologies are driven by
+     * on — the only way to name the machine.  The default "paper-pair"
+     * is the two-node prototype.  The single-node engine accepts any
+     * one-node, one-link topology; multi-node topologies are driven by
      * ClusterScenarioRunner.
      */
     std::string topology = "paper-pair";
@@ -145,16 +144,38 @@ std::vector<ml::Matrix>
 historyWindowAt(const std::vector<testbed::CounterSample> &trace,
                 SimTime arrival);
 
+/** One arrival's application, drawn from a scenario's class mix. */
+struct ArrivalDraw
+{
+    const workloads::WorkloadSpec *spec = nullptr;
+
+    /** iBench trashers bypass the placement policy. */
+    bool isIBench = false;
+};
+
+/**
+ * Draw the next arrival's application: one uniform picks the class
+ * (iBench / LC / Spark by the config's fractions), one uniformInt the
+ * benchmark within it.  Every run mode draws through here, so the RNG
+ * call order is the same everywhere.
+ */
+ArrivalDraw drawArrival(const ScenarioConfig &config, Rng &rng);
+
+/**
+ * Completion record of an instance that finished during tick `now`,
+ * with its history and execution windows cut from `trace` (the
+ * telemetry of the node it ran on).
+ */
+DeploymentRecord
+completionRecord(const workloads::WorkloadInstance &done, SimTime now,
+                 const std::vector<testbed::CounterSample> &trace);
+
 /** Drives one scenario tick by tick. */
 class ScenarioRunner
 {
   public:
-    /**
-     * @param config scenario knobs.
-     * @param params testbed calibration.
-     */
-    explicit ScenarioRunner(ScenarioConfig config,
-                            testbed::TestbedParams params = {});
+    /** @param config scenario knobs, machine included. */
+    explicit ScenarioRunner(ScenarioConfig config);
 
     /**
      * Execute the scenario to completion.
@@ -177,7 +198,6 @@ class ScenarioRunner
 
   private:
     ScenarioConfig config;
-    testbed::TestbedParams testbedParams;
 };
 
 /** One entry of a multi-seed sweep. */
@@ -200,21 +220,18 @@ struct SweepItem
  * regardless of ADRIAS_THREADS.
  *
  * @param configs per-item scenario knobs.
- * @param params shared testbed calibration.
  * @param makePolicy called once per item index, in order, to build
  *        that item's placement policy (must not share mutable state
  *        across items).
  */
 std::vector<ScenarioResult> runScenarioSweep(
     const std::vector<ScenarioConfig> &configs,
-    testbed::TestbedParams params,
     const std::function<std::unique_ptr<PlacementPolicy>(std::size_t)>
         &makePolicy);
 
 /** RandomPlacement convenience overload over SweepItems. */
 std::vector<ScenarioResult>
-runScenarioSweep(const std::vector<SweepItem> &items,
-                 testbed::TestbedParams params = {});
+runScenarioSweep(const std::vector<SweepItem> &items);
 
 } // namespace adrias::scenario
 

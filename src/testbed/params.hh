@@ -1,28 +1,21 @@
 /**
  * @file
- * Calibration constants of the simulated ThymesisFlow testbed.
+ * Calibration constants of one simulated compute node.
  *
- * Values mirror the prototype of paper §III and the characterization of
- * §IV: two AC922 POWER9 nodes, 64 logical cores, 2x10 MB LLC, DDR4 that
- * sustains ~120 Gbps, and an OpenCAPI/FPGA channel whose *effective*
- * data throughput caps near 2.5 Gbps (R1) with a 350→900 cycle latency
- * step under saturation (R2).
+ * Values mirror the borrower node of the paper's prototype (§III, §IV):
+ * an AC922 POWER9 with 64 logical cores, 2x10 MB LLC and DDR4 that
+ * sustains ~120 Gbps.  The remote channel is not part of a node: every
+ * link carries its own LinkProfile (link_profiles.hh), and the paper's
+ * OpenCAPI/FPGA channel is kThymesisFlowProfile.
  */
 
 #ifndef ADRIAS_TESTBED_PARAMS_HH
 #define ADRIAS_TESTBED_PARAMS_HH
 
-#include "testbed/link_profiles.hh"
-
 namespace adrias::testbed
 {
 
-/**
- * Tunable hardware model; defaults reproduce the paper's testbed.  The
- * channel-side defaults are the ThymesisFlow entry of the shared link
- * profile table (link_profiles.hh) — the single source of truth for
- * link latency/bandwidth tiers.
- */
+/** Tunable node hardware model; defaults reproduce the paper's node. */
 struct TestbedParams
 {
     /** Logical cores on the borrower node. */
@@ -34,33 +27,8 @@ struct TestbedParams
     /** Sustained local DRAM bandwidth, GB/s (~120 Gbps). */
     double localBwGBps = 15.0;
 
-    /**
-     * Effective ThymesisFlow data throughput cap, GB/s (~2.5 Gbps,
-     * observation R1: three orders of magnitude under DDR4).
-     */
-    double remoteBwGBps = kThymesisFlowProfile.bandwidthGBps;
-
     /** Local DRAM load-to-use latency, ns (paper: ~80 ns). */
     double localLatencyNs = 80.0;
-
-    /** Remote (cross-FPGA) latency, ns (paper: ~900 ns). */
-    double remoteLatencyNs = kThymesisFlowProfile.latencyNs;
-
-    /** Channel latency in cycles at low load (R2 steady state). */
-    double channelLatencyBaseCycles =
-        kThymesisFlowProfile.latencyBaseCycles;
-
-    /** Channel latency plateau under back-pressure (R2). */
-    double channelLatencySatCycles = kThymesisFlowProfile.latencySatCycles;
-
-    /**
-     * Channel demand pressure (total demand / capacity) where the
-     * back-pressure latency ramp begins.
-     */
-    double channelRampStart = kThymesisFlowProfile.rampStart;
-
-    /** Pressure at which latency reaches the saturation plateau. */
-    double channelRampEnd = kThymesisFlowProfile.rampEnd;
 
     /**
      * Mild local-latency inflation exponent under local bandwidth
@@ -70,30 +38,6 @@ struct TestbedParams
 
     /** Fraction of memory traffic that is loads (rest: stores). */
     double loadStoreSplit = 0.72;
-
-    /** Flit size on the OpenCAPI link, bytes. */
-    double flitBytes = kThymesisFlowProfile.flitBytes;
-
-    /** @return latency throttle for remote latency-bound demand. */
-    double
-    remoteLatencyThrottle() const
-    {
-        return localLatencyNs / remoteLatencyNs;
-    }
-
-    /** Replace every channel-side field with the given link tier. */
-    TestbedParams &
-    withLinkProfile(const LinkProfile &profile)
-    {
-        remoteBwGBps = profile.bandwidthGBps;
-        remoteLatencyNs = profile.latencyNs;
-        channelLatencyBaseCycles = profile.latencyBaseCycles;
-        channelLatencySatCycles = profile.latencySatCycles;
-        channelRampStart = profile.rampStart;
-        channelRampEnd = profile.rampEnd;
-        flitBytes = profile.flitBytes;
-        return *this;
-    }
 };
 
 } // namespace adrias::testbed

@@ -6,10 +6,34 @@
 
 #include "common/invariant.hh"
 #include "common/logging.hh"
-#include "testbed/testbed.hh"
+#include "obs/obs.hh"
 
 namespace adrias::testbed
 {
+
+namespace
+{
+
+/** Salt deriving the link-noise stream from the rack seed. */
+constexpr std::uint64_t kLinkNoiseSalt = 0x6c696e6b2d6e6f69ULL;
+
+} // namespace
+
+double
+llcEffectiveHitRate(double base_hit_rate, double footprint_mb,
+                    double total_footprint_mb, double capacity_mb)
+{
+    if (capacity_mb <= 0.0)
+        fatal("llcEffectiveHitRate: non-positive capacity");
+    if (footprint_mb < 0.0 || total_footprint_mb < footprint_mb)
+        panic("llcEffectiveHitRate: inconsistent footprints");
+    if (total_footprint_mb <= capacity_mb)
+        return base_hit_rate;
+    // Under capacity pressure each app keeps a proportional share of
+    // its hot set resident; misses grow with the evicted fraction.
+    const double resident_fraction = capacity_mb / total_footprint_mb;
+    return base_hit_rate * resident_fraction;
+}
 
 void
 checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
@@ -140,13 +164,14 @@ checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
 }
 
 RackTestbed::RackTestbed(Topology topology, std::uint64_t seed)
-    : topo(std::move(topology)), rng(seed)
+    : topo(std::move(topology)), rng(seed), linkRng(seed ^ kLinkNoiseSalt)
 {
     topo.validate();
     linkBwScale.assign(topo.linkCount(), 1.0);
     linkLatencyScale.assign(topo.linkCount(), 1.0);
     allocated.assign(topo.serverCount(), 0.0);
     totals.assign(topo.linkCount(), LinkTotals{});
+    linkBackpressured.assign(topo.linkCount(), 0);
     for (std::size_t n = 0; n < topo.nodeCount(); ++n) {
         const TestbedParams &params = topo.node(n).local;
         if (params.localBwGBps <= 0.0)
@@ -154,6 +179,10 @@ RackTestbed::RackTestbed(Topology topology, std::uint64_t seed)
         if (params.llcCapacityMb <= 0.0)
             fatal("RackTestbed: node LLC capacity must be positive");
     }
+    for (std::size_t l = 0; l < topo.linkCount(); ++l)
+        if (topo.link(l).profile.bandwidthGBps <= 0.0)
+            fatal("RackTestbed: link '" + topo.link(l).name +
+                  "' bandwidth must be positive");
 }
 
 void
@@ -244,280 +273,290 @@ RackTestbed::linkTotals(std::size_t link) const
     return totals[link];
 }
 
-double
-RackTestbed::noisy(double value)
-{
-    if (noiseSigma <= 0.0)
-        return value;
-    return std::max(0.0, value * (1.0 + rng.gaussian(0.0, noiseSigma)));
-}
-
 RackTickResult
 RackTestbed::tick(const std::vector<LoadDescriptor> &loads)
 {
+    RackTickResult result;
+    resolve(loads, result, true);
+    return result;
+}
+
+void
+RackTestbed::resolve(const std::vector<LoadDescriptor> &loads,
+                     RackTickResult &result, bool link_counters)
+{
+#if ADRIAS_OBS_ENABLED
+    obs::WallSpan tick_span("tick", "testbed");
+#endif
+    const std::size_t n_loads = loads.size();
     const std::size_t n_nodes = topo.nodeCount();
     const std::size_t n_links = topo.linkCount();
     const std::size_t n_servers = topo.serverCount();
 
-    RackTickResult result;
-    result.outcomes.resize(loads.size());
-    result.nodes.resize(n_nodes);
-    result.links.resize(n_links);
-    result.servers.resize(n_servers);
+    result.outcomes.resize(n_loads); // every field is written below
+    result.nodes.assign(n_nodes, NodeTickStats{});
+    result.links.assign(n_links, LinkTickStats{});
+    result.servers.assign(n_servers, ServerTickStats{});
 
-    // --- Validate placements (scheduler bugs are programming errors). ---
-    for (const LoadDescriptor &load : loads) {
-        if (load.node >= n_nodes)
-            panic("RackTestbed::tick: load " + std::to_string(load.id) +
-                  " placed on unknown node");
-        if (load.mode == MemoryMode::Remote) {
-            if (load.link >= n_links || load.server >= n_servers)
-                panic("RackTestbed::tick: load " + std::to_string(load.id) +
-                      " carries an out-of-range placement triple");
-            const LinkDesc &link = topo.link(load.link);
-            if (link.node != load.node || link.server != load.server)
-                panic("RackTestbed::tick: load " + std::to_string(load.id) +
-                      " routed over link '" + link.name +
-                      "' that does not connect its placement");
-        }
-    }
+    // Every aggregate below sums in input order and multiplies shares
+    // in a fixed order, so a 1×1 topology performs exactly the
+    // arithmetic of the paper's single-channel model.
+    RackTickScratch &s = scratch;
+    s.loadDemand.resize(n_loads);
+    s.nodes.assign(n_nodes, {});
+    s.links.assign(n_links, {});
+    s.serverShare.resize(n_servers);
 
-    // --- Pass 1: per-node CPU and LLC pressure. -------------------------
-    std::vector<double> total_cpu(n_nodes, 0.0);
-    std::vector<double> total_footprint(n_nodes, 0.0);
-    for (const LoadDescriptor &load : loads) {
-        total_cpu[load.node] += load.cpuCores;
-        total_footprint[load.node] += load.cacheFootprintMb;
-    }
-    std::vector<double> cpu_factor(n_nodes, 1.0);
-    for (std::size_t n = 0; n < n_nodes; ++n) {
-        const double cores = topo.node(n).local.cores;
-        cpu_factor[n] =
-            total_cpu[n] <= cores ? 1.0 : cores / total_cpu[n];
-        result.nodes[n].cpuFactor = cpu_factor[n];
-    }
-
-    std::vector<double> hit_rate(loads.size(), 0.0);
-    std::vector<double> miss_scale(loads.size(), 1.0);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        const LoadDescriptor &load = loads[i];
-        const double h = llcEffectiveHitRate(
-            load.baseHitRate, load.cacheFootprintMb,
-            total_footprint[load.node], topo.node(load.node).local.llcCapacityMb);
-        hit_rate[i] = h;
-        const double base_miss = std::max(1e-6, 1.0 - load.baseHitRate);
-        miss_scale[i] = std::max(1.0, (1.0 - h) / base_miss);
-    }
-
-    // --- Pass 2: per-link back-pressure (R2 per tier) and shares. -------
-    //
     // A remote deployment's issueable traffic throttles its
-    // latency-bound slice by its node's local latency over its *link's*
-    // latency; the offered demand at base latency sets each link's
-    // pressure independently, then one fixed-point iteration
-    // re-throttles at the ramped latency — exactly the single-channel
-    // model, evaluated per link.
+    // latency-bound slice by its node's local latency over its link's
+    // latency (dependent loads cannot be overlapped across the link).
+    // The offered demand at base latency sets each link's pressure,
+    // then one fixed-point iteration re-throttles the latency-bound
+    // slice at the ramped latency, which is how the FPGAs'
+    // back-pressure physically slows issue rates.
+    for (std::size_t l = 0; l < n_links; ++l) {
+        const LinkDesc &link = topo.link(l);
+        s.links[l].throttleRatio = topo.node(link.node).local.localLatencyNs /
+                                   link.profile.latencyNs;
+    }
     auto remote_demand_at = [&](const LoadDescriptor &load,
                                 double lat_scale) {
         const double lat_fraction =
             std::clamp(load.latencyBoundFraction, 0.0, 1.0);
-        const double throttle_ratio =
-            topo.node(load.node).local.localLatencyNs /
-            topo.link(load.link).profile.latencyNs;
         const double throttle =
             (1.0 - lat_fraction) +
-            lat_fraction * throttle_ratio / lat_scale;
+            lat_fraction * s.links[load.link].throttleRatio / lat_scale;
         return load.memDemandGBps * throttle;
     };
 
-    std::vector<double> link_offered_base(n_links, 0.0);
-    for (const LoadDescriptor &load : loads)
-        if (load.mode == MemoryMode::Remote)
-            link_offered_base[load.link] += remote_demand_at(load, 1.0);
-
-    std::vector<double> link_cap(n_links, 0.0);
-    std::vector<double> link_lat_scale(n_links, 1.0);
-    for (std::size_t l = 0; l < n_links; ++l) {
-        const LinkProfile &profile = topo.link(l).profile;
-        link_cap[l] = profile.bandwidthGBps * linkBwScale[l];
-        result.links[l].pressure = link_offered_base[l] / link_cap[l];
-        result.links[l].latencyCycles =
-            linkLatencyCycles(profile, result.links[l].pressure) *
-            linkLatencyScale[l];
-        link_lat_scale[l] =
-            result.links[l].latencyCycles / profile.latencyBaseCycles;
+    // --- Pass 1: validate placements (scheduler bugs are programming
+    //             errors); per-node CPU and LLC pressure; per-link
+    //             offered demand at base latency. ------------------------
+    for (const LoadDescriptor &load : loads) {
+        if (load.node >= n_nodes)
+            panic("RackTestbed::tick: load " + std::to_string(load.id) +
+                  " placed on unknown node");
+        s.nodes[load.node].cpu += load.cpuCores;
+        s.nodes[load.node].footprint += load.cacheFootprintMb;
+        if (load.mode != MemoryMode::Remote)
+            continue;
+        if (load.link >= n_links || load.server >= n_servers)
+            panic("RackTestbed::tick: load " + std::to_string(load.id) +
+                  " carries an out-of-range placement triple");
+        const LinkDesc &link = topo.link(load.link);
+        if (link.node != load.node || link.server != load.server)
+            panic("RackTestbed::tick: load " + std::to_string(load.id) +
+                  " routed over link '" + link.name +
+                  "' that does not connect its placement");
+        s.links[load.link].baseOffered += remote_demand_at(load, 1.0);
+    }
+    for (std::size_t n = 0; n < n_nodes; ++n) {
+        const double cores = topo.node(n).local.cores;
+        const double cpu = s.nodes[n].cpu;
+        result.nodes[n].cpuFactor = cpu <= cores ? 1.0 : cores / cpu;
     }
 
-    std::vector<double> demand(loads.size(), 0.0);
-    std::vector<double> link_demand(n_links, 0.0);
-    std::vector<double> node_local_demand(n_nodes, 0.0);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
+    // Link back-pressure (R2 per tier).  An injected link fault shrinks
+    // the effective capacity and inflates the back-pressure latency.
+    for (std::size_t l = 0; l < n_links; ++l) {
+        const LinkProfile &profile = topo.link(l).profile;
+        LinkTickStats &link = result.links[l];
+        RackTickScratch::Link &scratch_link = s.links[l];
+        scratch_link.cap = profile.bandwidthGBps * linkBwScale[l];
+        link.pressure = scratch_link.baseOffered / scratch_link.cap;
+        link.latencyCycles =
+            linkLatencyCycles(profile, link.pressure) * linkLatencyScale[l];
+        scratch_link.latScale =
+            link.latencyCycles / profile.latencyBaseCycles;
+    }
+
+    // --- Pass 2: LLC contention and back-pressured demand. --------------
+    for (std::size_t i = 0; i < n_loads; ++i) {
         const LoadDescriptor &load = loads[i];
+        LoadOutcome &outcome = result.outcomes[i];
+        outcome.id = load.id;
+        outcome.hitRate = llcEffectiveHitRate(
+            load.baseHitRate, load.cacheFootprintMb,
+            s.nodes[load.node].footprint,
+            topo.node(load.node).local.llcCapacityMb);
+        const double base_miss = std::max(1e-6, 1.0 - load.baseHitRate);
+        outcome.missScale =
+            std::max(1.0, (1.0 - outcome.hitRate) / base_miss);
+
         if (load.mode == MemoryMode::Remote) {
-            demand[i] = remote_demand_at(load, link_lat_scale[load.link]);
-            link_demand[load.link] += demand[i];
+            s.loadDemand[i] =
+                remote_demand_at(load, s.links[load.link].latScale);
+            result.links[load.link].offeredGBps += s.loadDemand[i];
         } else {
-            demand[i] = load.memDemandGBps;
-            node_local_demand[load.node] += demand[i];
+            s.loadDemand[i] = load.memDemandGBps;
+            s.nodes[load.node].localDemand += s.loadDemand[i];
         }
     }
 
-    std::vector<double> link_share(n_links, 1.0);
-    for (std::size_t l = 0; l < n_links; ++l)
-        if (link_demand[l] > link_cap[l])
-            link_share[l] = link_cap[l] / link_demand[l];
-
-    // --- Pass 3: per-server DRAM bandwidth sharing. ---------------------
-    std::vector<double> server_in(n_servers, 0.0);
-    for (std::size_t l = 0; l < n_links; ++l)
-        server_in[topo.link(l).server] += link_demand[l] * link_share[l];
-    std::vector<double> server_share(n_servers, 1.0);
-    for (std::size_t s = 0; s < n_servers; ++s) {
-        const double bw = topo.server(s).bandwidthGBps;
-        if (server_in[s] > bw)
-            server_share[s] = bw / server_in[s];
-        result.servers[s].demandGBps = server_in[s];
-        result.servers[s].allocatedGb = allocated[s];
+    // --- Pass 3: link shares, then per-server DRAM bandwidth sharing. --
+    for (std::size_t l = 0; l < n_links; ++l) {
+        const double offered = result.links[l].offeredGBps;
+        const double cap = s.links[l].cap;
+        s.links[l].share = offered <= cap ? 1.0 : cap / offered;
+        result.servers[topo.link(l).server].demandGBps +=
+            offered * s.links[l].share;
+    }
+    for (std::size_t v = 0; v < n_servers; ++v) {
+        const double in = result.servers[v].demandGBps;
+        const double bw = topo.server(v).bandwidthGBps;
+        s.serverShare[v] = in <= bw ? 1.0 : bw / in;
+        result.servers[v].allocatedGb = allocated[v];
     }
 
     // --- Pass 4: per-node local pool (R3: remote terminates locally). ---
-    std::vector<double> node_remote_term(n_nodes, 0.0);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        const LoadDescriptor &load = loads[i];
-        if (load.mode == MemoryMode::Remote)
-            node_remote_term[load.node] += demand[i] *
-                                           link_share[load.link] *
-                                           server_share[load.server];
+    // Every deployment on one link shares that link's and its server's
+    // share, so the terminating remote traffic is summed per link.
+    for (std::size_t l = 0; l < n_links; ++l) {
+        const LinkDesc &link = topo.link(l);
+        s.nodes[link.node].remoteTerm += result.links[l].offeredGBps *
+                                         s.links[l].share *
+                                         s.serverShare[link.server];
     }
-    std::vector<double> local_share(n_nodes, 1.0);
-    std::vector<double> local_latency_ns(n_nodes, 0.0);
     for (std::size_t n = 0; n < n_nodes; ++n) {
         const TestbedParams &params = topo.node(n).local;
-        const double total =
-            node_local_demand[n] + node_remote_term[n];
-        if (total > params.localBwGBps)
-            local_share[n] = params.localBwGBps / total;
+        RackTickScratch::Node &pool = s.nodes[n];
+        const double total = pool.localDemand + pool.remoteTerm;
+        pool.localShare = total <= params.localBwGBps
+                              ? 1.0
+                              : params.localBwGBps / total;
         const double util = std::min(1.0, total / params.localBwGBps);
-        local_latency_ns[n] =
+        pool.localLatencyNs =
             params.localLatencyNs *
             (1.0 + params.localLatencyInflation * util * util);
     }
 
+    // What one remote deployment on each link gets: link × server ×
+    // local share (in that order: an unconstrained server's exact 1
+    // drops out) at the link's ramped latency.
+    for (std::size_t l = 0; l < n_links; ++l) {
+        const LinkDesc &link = topo.link(l);
+        RackTickScratch::Link &scratch_link = s.links[l];
+        scratch_link.deployShare = scratch_link.share *
+                                   s.serverShare[link.server] *
+                                   s.nodes[link.node].localShare;
+        scratch_link.latencyNs =
+            link.profile.latencyNs * scratch_link.latScale;
+    }
+
     // --- Pass 5: per-deployment outcomes. -------------------------------
-    std::vector<double> link_node_flits(n_links, 0.0);
-    std::vector<double> node_llc_loads(n_nodes, 0.0);
-    std::vector<double> node_llc_misses(n_nodes, 0.0);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
+    for (std::size_t i = 0; i < n_loads; ++i) {
         const LoadDescriptor &load = loads[i];
         LoadOutcome &outcome = result.outcomes[i];
-        outcome.id = load.id;
-        outcome.hitRate = hit_rate[i];
-        outcome.missScale = miss_scale[i];
+        NodeTickStats &node = result.nodes[load.node];
+        RackTickScratch::Node &pool = s.nodes[load.node];
 
-        const bool remote = load.mode == MemoryMode::Remote;
         double achieved = 0.0;
-        if (remote) {
-            achieved = demand[i] * link_share[load.link] *
-                       server_share[load.server] * local_share[load.node];
-            outcome.latencyNs = topo.link(load.link).profile.latencyNs *
-                                link_lat_scale[load.link];
+        if (load.mode == MemoryMode::Remote) {
+            achieved = s.loadDemand[i] * s.links[load.link].deployShare;
+            outcome.latencyNs = s.links[load.link].latencyNs;
             result.links[load.link].achievedGBps += achieved;
-            result.links[load.link].flitsM +=
-                achieved /
-                (topo.link(load.link).profile.flitBytes * 1e-9) / 1e6;
             result.servers[load.server].achievedGBps += achieved;
-            result.nodes[load.node].remoteTrafficGBps += achieved;
+            node.remoteTrafficGBps += achieved;
         } else {
-            achieved = demand[i] * local_share[load.node];
-            outcome.latencyNs = local_latency_ns[load.node];
+            achieved = s.loadDemand[i] * pool.localShare;
+            outcome.latencyNs = pool.localLatencyNs;
+            pool.localAchieved += achieved;
         }
         outcome.achievedGBps = achieved;
-        result.nodes[load.node].localTrafficGBps += achieved;
 
+        // Memory-phase dilation: the app needed memDemand of useful
+        // traffic per unit time (times missScale extra bytes under LLC
+        // contention) but only achieves `achieved`.  Latency throttling
+        // is already folded into demand, so no extra multiplier.
         double mem_slowdown = 1.0;
         if (load.memDemandGBps > 1e-9) {
-            mem_slowdown = miss_scale[i] * load.memDemandGBps /
+            mem_slowdown = outcome.missScale * load.memDemandGBps /
                            std::max(achieved, 1e-9);
         }
         const double mu = std::clamp(load.cpuFraction, 0.0, 1.0);
         outcome.slowdown =
-            mu / cpu_factor[load.node] + (1.0 - mu) * mem_slowdown;
+            mu / node.cpuFactor + (1.0 - mu) * mem_slowdown;
         outcome.slowdown = std::max(1.0, outcome.slowdown);
 
+        // 64 B cache lines: GB/s -> million events/s.
         const double accesses = load.llcAccessGBps * 1e9 / 64.0 / 1e6;
-        node_llc_loads[load.node] += accesses;
-        node_llc_misses[load.node] += accesses * (1.0 - hit_rate[i]);
-        if (remote)
-            link_node_flits[load.link] += achieved;
+        pool.llcLoads += accesses;
+        pool.llcMisses += accesses * (1.0 - outcome.hitRate);
     }
+    for (std::size_t n = 0; n < n_nodes; ++n)
+        result.nodes[n].localTrafficGBps =
+            s.nodes[n].localAchieved + result.nodes[n].remoteTrafficGBps;
 
     // --- Pass 6: link queue accounting and cumulative totals. -----------
     for (std::size_t l = 0; l < n_links; ++l) {
-        LinkTickStats &stats = result.links[l];
-        stats.offeredGBps = link_demand[l];
-        stats.queuedGBps =
-            std::max(0.0, stats.offeredGBps - stats.achievedGBps);
-        totals[l].offeredGb += stats.offeredGBps;
-        totals[l].deliveredGb += stats.achievedGBps;
-        totals[l].queuedGb += stats.queuedGBps;
-        if (stats.pressure > topo.link(l).profile.rampStart)
+        LinkTickStats &link = result.links[l];
+        link.queuedGBps =
+            std::max(0.0, link.offeredGBps - link.achievedGBps);
+        link.flitsM = link.achievedGBps /
+                      (topo.link(l).profile.flitBytes * 1e-9) / 1e6;
+        totals[l].offeredGb += link.offeredGBps;
+        totals[l].deliveredGb += link.achievedGBps;
+        totals[l].queuedGb += link.queuedGBps;
+        if (link.pressure > topo.link(l).profile.rampStart)
             ++totals[l].saturatedTicks;
     }
 
-    // --- Pass 7: performance counters (deterministic noise order:
-    //             nodes ascending, then links ascending). ----------------
+    // --- Pass 7: performance counters (Watcher events). -----------------
+    // Unit conventions: cache events in millions of events/s; memory
+    // counters in GB/s; flits in millions/s.  Node counters draw their
+    // noise nodes ascending from `rng`, link counters links ascending
+    // from `linkRng`.
     for (std::size_t n = 0; n < n_nodes; ++n) {
         NodeTickStats &node = result.nodes[n];
         const TestbedParams &params = topo.node(n).local;
+        const std::vector<std::size_t> &links = topo.linksFrom(n);
         const double mem_total = node.localTrafficGBps;
 
-        // Node-level flits and channel latency aggregate the node's
-        // links, weighted by what each link carried for this node.
         double flits_m = 0.0;
-        double lat_weight = 0.0;
-        double lat_sum = 0.0;
-        for (std::size_t l : topo.linksFrom(n)) {
-            const double carried = link_node_flits[l];
-            flits_m += carried /
-                       (topo.link(l).profile.flitBytes * 1e-9) / 1e6;
-            lat_sum += result.links[l].latencyCycles * carried;
-            lat_weight += carried;
+        double carried = 0.0;
+        for (std::size_t l : links) {
+            flits_m += result.links[l].flitsM;
+            carried += result.links[l].achievedGBps;
         }
-        double channel_lat = params.channelLatencyBaseCycles;
-        if (lat_weight > 0.0) {
-            channel_lat = lat_sum / lat_weight;
-        } else if (!topo.linksFrom(n).empty()) {
-            channel_lat =
-                result.links[topo.linksFrom(n).front()].latencyCycles;
+        // Channel latency: the node's links weighted by what each
+        // carried (one link's weight is c/c == 1 exactly); an idle node
+        // reports its first link's latency, a node without links 0.
+        double channel_lat = 0.0;
+        if (carried > 0.0) {
+            for (std::size_t l : links)
+                channel_lat += result.links[l].latencyCycles *
+                               (result.links[l].achievedGBps / carried);
+        } else if (!links.empty()) {
+            channel_lat = result.links[links.front()].latencyCycles;
         }
 
         CounterSample &counters = node.counters;
         counters[static_cast<std::size_t>(PerfEvent::LlcLoads)] =
-            noisy(node_llc_loads[n]);
+            noisy(rng, s.nodes[n].llcLoads);
         counters[static_cast<std::size_t>(PerfEvent::LlcMisses)] =
-            noisy(node_llc_misses[n]);
+            noisy(rng, s.nodes[n].llcMisses);
         counters[static_cast<std::size_t>(PerfEvent::MemLoads)] =
-            noisy(mem_total * params.loadStoreSplit);
+            noisy(rng, mem_total * params.loadStoreSplit);
         counters[static_cast<std::size_t>(PerfEvent::MemStores)] =
-            noisy(mem_total * (1.0 - params.loadStoreSplit));
+            noisy(rng, mem_total * (1.0 - params.loadStoreSplit));
         counters[static_cast<std::size_t>(PerfEvent::RemoteTx)] =
-            noisy(flits_m * 0.45);
+            noisy(rng, flits_m * 0.45);
         counters[static_cast<std::size_t>(PerfEvent::RemoteRx)] =
-            noisy(flits_m * 0.55);
+            noisy(rng, flits_m * 0.55);
         counters[static_cast<std::size_t>(PerfEvent::ChannelLat)] =
-            noisy(channel_lat);
+            noisy(rng, channel_lat);
     }
-    for (std::size_t l = 0; l < n_links; ++l) {
-        LinkTickStats &stats = result.links[l];
-        LinkCounterSample &counters = stats.counters;
+    for (std::size_t l = 0; link_counters && l < n_links; ++l) {
+        LinkTickStats &link = result.links[l];
+        LinkCounterSample &counters = link.counters;
         counters[static_cast<std::size_t>(LinkEvent::LinkTx)] =
-            noisy(stats.flitsM * 0.45);
+            noisy(linkRng, link.flitsM * 0.45);
         counters[static_cast<std::size_t>(LinkEvent::LinkRx)] =
-            noisy(stats.flitsM * 0.55);
+            noisy(linkRng, link.flitsM * 0.55);
         counters[static_cast<std::size_t>(LinkEvent::LinkLat)] =
-            noisy(stats.latencyCycles);
+            noisy(linkRng, link.latencyCycles);
         counters[static_cast<std::size_t>(LinkEvent::LinkQueued)] =
-            noisy(stats.queuedGBps);
+            noisy(linkRng, link.queuedGBps);
     }
 
     ++tickCount;
@@ -527,23 +566,78 @@ RackTestbed::tick(const std::vector<LoadDescriptor> &loads)
     if (invariant::kEnabled)
         checkRackTickInvariants(loads, result, topo, linkBwScale);
 
-    return result;
+#if ADRIAS_OBS_ENABLED
+    if (obs::enabled())
+        observe(result);
+#endif
+}
+
+double
+RackTestbed::noisy(Rng &stream, double value) const
+{
+    if (noiseSigma <= 0.0)
+        return value;
+    return std::max(0.0, value * (1.0 + stream.gaussian(0.0, noiseSigma)));
+}
+
+void
+RackTestbed::observe(const RackTickResult &result)
+{
+#if ADRIAS_OBS_ENABLED
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    // The registry hands out stable references; cache them so the
+    // per-tick cost is atomic bumps, not name lookups.
+    static obs::Counter &ticks = reg.counter("testbed.ticks");
+    static obs::Gauge &pressure = reg.gauge("testbed.channel_pressure");
+    static obs::Histogram &latency =
+        reg.histogram("testbed.channel_latency_cycles");
+    ticks.add();
+
+    // The gauge holds the most pressured link; the histogram sees
+    // every link's latency.  A link enters its back-pressure ramp when
+    // its pressure crosses its profile's rampStart (observation R2).
+    double peak = 0.0;
+    for (std::size_t l = 0; l < result.links.size(); ++l) {
+        const LinkTickStats &link = result.links[l];
+        peak = std::max(peak, link.pressure);
+        latency.observe(link.latencyCycles);
+        const double ramp_start = topo.link(l).profile.rampStart;
+        const bool pressured = link.pressure > ramp_start;
+        if (pressured == (linkBackpressured[l] != 0))
+            continue;
+        linkBackpressured[l] = pressured ? 1 : 0;
+        reg.counter("testbed.backpressure_transitions").add();
+        if (obs::Tracer::global().enabled()) {
+            obs::Tracer::global().simInstant(
+                pressured ? "backpressure_on" : "backpressure_off",
+                "testbed", static_cast<SimTime>(tickCount),
+                {obs::arg("link", topo.link(l).name),
+                 obs::arg("pressure", link.pressure),
+                 obs::arg("ramp_start", ramp_start)});
+        }
+    }
+    pressure.set(peak);
+#else
+    (void)result;
+#endif
 }
 
 void
 RackTestbed::saveState(io::BinaryWriter &out) const
 {
     rng.saveState(out);
+    linkRng.saveState(out);
     out.writeF64(noiseSigma);
     out.writeF64Vector(linkBwScale);
     out.writeF64Vector(linkLatencyScale);
     out.writeF64Vector(allocated);
     out.writeU64(totals.size());
-    for (const LinkTotals &t : totals) {
-        out.writeF64(t.offeredGb);
-        out.writeF64(t.deliveredGb);
-        out.writeF64(t.queuedGb);
-        out.writeI64(t.saturatedTicks);
+    for (std::size_t l = 0; l < totals.size(); ++l) {
+        out.writeF64(totals[l].offeredGb);
+        out.writeF64(totals[l].deliveredGb);
+        out.writeF64(totals[l].queuedGb);
+        out.writeI64(totals[l].saturatedTicks);
+        out.writeBool(linkBackpressured[l] != 0);
     }
     out.writeI64(tickCount);
 }
@@ -552,6 +646,7 @@ Result<void>
 RackTestbed::restoreState(io::BinaryReader &in)
 {
     rng.restoreState(in);
+    linkRng.restoreState(in);
     noiseSigma = in.readF64();
     linkBwScale = in.readF64Vector();
     linkLatencyScale = in.readF64Vector();
@@ -562,11 +657,13 @@ RackTestbed::restoreState(io::BinaryReader &in)
                          "RackTestbed: snapshot link-total count does not "
                          "match the topology");
     totals.assign(n_totals, LinkTotals{});
-    for (LinkTotals &t : totals) {
-        t.offeredGb = in.readF64();
-        t.deliveredGb = in.readF64();
-        t.queuedGb = in.readF64();
-        t.saturatedTicks = in.readI64();
+    linkBackpressured.assign(n_totals, 0);
+    for (std::size_t l = 0; l < n_totals; ++l) {
+        totals[l].offeredGb = in.readF64();
+        totals[l].deliveredGb = in.readF64();
+        totals[l].queuedGb = in.readF64();
+        totals[l].saturatedTicks = in.readI64();
+        linkBackpressured[l] = in.readBool() ? 1 : 0;
     }
     tickCount = in.readI64();
     if (!in.ok())

@@ -1,16 +1,19 @@
 /**
  * @file
  * The rack-scale M×N testbed: many compute nodes borrowing memory from
- * many servers over heterogeneous links.
+ * many servers over heterogeneous links — the one contention resolver
+ * of the reproduction.
  *
- * RackTestbed generalizes the two-node Testbed contention model
- * (testbed.cc) along the topology axis while keeping every submodel
- * identical: per-node CPU and LLC contention, per-link back-pressure
+ * RackTestbed::tick() resolves one second of shared-resource
+ * contention: per-node CPU and LLC contention, per-link back-pressure
  * (the R2 latency ramp, evaluated against each link's own profile),
  * per-server DRAM bandwidth sharing, and the R3 rule that remote
  * traffic also terminates in the borrower's local memory controllers.
  * A deployment's share therefore composes multiplicatively:
- * linkShare × serverShare × localShare.
+ * linkShare × serverShare × localShare.  The paper's two-node machine
+ * is the 1×1 "paper-pair" topology; Testbed (testbed.hh) is a thin view
+ * over it, and every aggregate is evaluated so that a single link
+ * reproduces the original single-channel arithmetic bit for bit.
  *
  * Per-link conservation holds by construction every tick:
  * offered = achieved + queued, with achieved never exceeding the
@@ -36,6 +39,22 @@
 
 namespace adrias::testbed
 {
+
+/**
+ * LLC capacity-contention submodel.
+ *
+ * Proportional occupancy: when the sum of hot footprints exceeds
+ * capacity, every app keeps capacity/total of its working set resident
+ * and its hit rate degrades linearly with the evicted fraction.
+ *
+ * @param base_hit_rate hit rate with a fully resident working set.
+ * @param footprint_mb this app's hot working set.
+ * @param total_footprint_mb sum over co-located apps.
+ * @param capacity_mb LLC capacity.
+ * @return effective hit rate in [0, base_hit_rate].
+ */
+double llcEffectiveHitRate(double base_hit_rate, double footprint_mb,
+                           double total_footprint_mb, double capacity_mb);
 
 /** One link's queueing/contention state for one resolved tick. */
 struct LinkTickStats
@@ -87,7 +106,7 @@ struct NodeTickStats
     /** Achieved remote traffic issued by this node, GB/s. */
     double remoteTrafficGBps = 0.0;
 
-    /** The node's Watcher counter sample (legacy 7-event schema). */
+    /** The node's Watcher counter sample (the paper's 7 events). */
     CounterSample counters{};
 };
 
@@ -140,6 +159,50 @@ void checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
                              const RackTickResult &result,
                              const Topology &topo,
                              const std::vector<double> &link_bw_scale = {});
+
+/**
+ * Working storage of RackTestbed::tick(), kept between ticks so a tick
+ * allocates only its result.  Every field is rewritten before it is
+ * read, so it carries no state from one tick to the next.
+ */
+struct RackTickScratch
+{
+    /** Per-node accumulators and pool state. */
+    struct Node
+    {
+        double cpu = 0.0;
+        double footprint = 0.0;
+        double localDemand = 0.0;
+        double remoteTerm = 0.0;
+        double localShare = 1.0;
+        double localLatencyNs = 0.0;
+        double localAchieved = 0.0;
+        double llcLoads = 0.0;
+        double llcMisses = 0.0;
+    };
+
+    /** Per-link throttle, capacity, latency and shares. */
+    struct Link
+    {
+        double throttleRatio = 1.0;
+        double baseOffered = 0.0;
+        double cap = 0.0;
+        double latScale = 1.0;
+        double share = 1.0;
+
+        /** Combined link × server × local share of a deployment. */
+        double deployShare = 1.0;
+
+        /** Ramped load-to-use latency, ns. */
+        double latencyNs = 0.0;
+    };
+
+    /** Back-pressured demand of each deployment, GB/s. */
+    std::vector<double> loadDemand;
+    std::vector<Node> nodes;
+    std::vector<Link> links;
+    std::vector<double> serverShare;
+};
 
 /** The simulated rack. */
 class RackTestbed
@@ -195,7 +258,8 @@ class RackTestbed
      *
      * Remote deployments must carry a valid (node, server, link)
      * placement triple whose link actually connects that node to that
-     * server; local deployments only need a valid node.
+     * server; local deployments only need a valid node.  While
+     * observability is armed the tick reports the testbed.* metrics.
      */
     RackTickResult tick(const std::vector<LoadDescriptor> &loads);
 
@@ -203,10 +267,10 @@ class RackTestbed
     const LinkTotals &linkTotals(std::size_t link) const;
 
     /**
-     * Serialize the evolving state: noise RNG position, noise sigma,
-     * per-link fault scales, per-server allocations, cumulative link
-     * totals and the tick count.  The Topology is configuration and
-     * stays out of the payload.
+     * Serialize the evolving state: both noise RNG positions, noise
+     * sigma, per-link fault scales, per-server allocations, cumulative
+     * link totals, per-link back-pressure state and the tick count.  The
+     * Topology is configuration and stays out of the payload.
      */
     void saveState(io::BinaryWriter &out) const;
 
@@ -217,7 +281,16 @@ class RackTestbed
     Topology topo ADRIAS_NOT_CHECKPOINTED(
         "rack description is configuration; the restoring process "
         "rebuilds it from the topology name (see saveState doc)");
+
+    /** Node counter noise (nodes ascending, 7 draws each per tick). */
     Rng rng;
+
+    /**
+     * Link counter noise: a stream of its own, so adding links to a
+     * topology never shifts the noise its nodes' counters see.
+     */
+    Rng linkRng;
+
     double noiseSigma = 0.01;
 
     /** Per-link fault derating, indexed like Topology links. */
@@ -230,11 +303,36 @@ class RackTestbed
     /** Cumulative per-link byte accounting. */
     std::vector<LinkTotals> totals;
 
+    /**
+     * Whether each link sat inside its back-pressure ramp last tick
+     * (observability: transition events), indexed like Topology links.
+     */
+    std::vector<std::uint8_t> linkBackpressured;
+
     /** Ticks resolved so far. */
     std::int64_t tickCount = 0;
 
-    /** Apply multiplicative measurement noise to a counter value. */
-    double noisy(double value);
+    /** Per-tick working storage (see RackTickScratch). */
+    RackTickScratch scratch ADRIAS_NOT_CHECKPOINTED(
+        "per-tick working storage; fully rewritten by every tick");
+
+    /** Apply multiplicative measurement noise drawn from `stream`. */
+    double noisy(Rng &stream, double value) const;
+
+    /** Publish the tick's testbed.* metrics and trace instants
+     *  (called only while observability is armed). */
+    void observe(const RackTickResult &result);
+
+    friend class Testbed;
+
+    /**
+     * tick() into caller-owned storage, reusing its capacity.  The
+     * two-node Testbed view reports no link telemetry, so it skips the
+     * per-link Watcher counters (and their noise draws) with
+     * `link_counters` false; they are then left zero.
+     */
+    void resolve(const std::vector<LoadDescriptor> &loads,
+                 RackTickResult &result, bool link_counters);
 };
 
 } // namespace adrias::testbed

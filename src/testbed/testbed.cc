@@ -1,400 +1,52 @@
 #include "testbed/testbed.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
+#include <utility>
 
-#include "common/invariant.hh"
 #include "common/logging.hh"
-#include "obs/obs.hh"
 
 namespace adrias::testbed
 {
 
-void
-checkTickInvariants(const std::vector<LoadDescriptor> &loads,
-                    const TickResult &result, const TestbedParams &params,
-                    double channel_bw_scale)
+namespace
 {
-    // Resolved shares can land exactly on a cap; allow rounding slack.
-    constexpr double kRelTol = 1.0 + 1e-9;
-    constexpr double kAbsTol = 1e-9;
 
-    ADRIAS_INVARIANT(result.outcomes.size() == loads.size(),
-                     "outcomes=" + std::to_string(result.outcomes.size()) +
-                         " loads=" + std::to_string(loads.size()));
-
-    // Per-channel sums are re-derived from the outcomes — the reported
-    // aggregates are *checked against* them below, never trusted, so a
-    // contention bug on one channel cannot hide behind slack (or a
-    // compensating error) on the other.
-    double remote_achieved = 0.0;
-    double local_achieved = 0.0;
-    double resident_llc_mb = 0.0;
-    for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-        const LoadOutcome &outcome = result.outcomes[i];
-        const LoadDescriptor &load = loads[i];
-        ADRIAS_INVARIANT_FINITE(outcome.achievedGBps);
-        ADRIAS_INVARIANT_GE(outcome.achievedGBps, 0.0);
-        ADRIAS_INVARIANT_FINITE(outcome.latencyNs);
-        ADRIAS_INVARIANT_GE(outcome.latencyNs, 0.0);
-        ADRIAS_INVARIANT_FINITE(outcome.slowdown);
-        ADRIAS_INVARIANT_GE(outcome.slowdown, 1.0);
-        ADRIAS_INVARIANT_GE(outcome.hitRate, 0.0);
-        ADRIAS_INVARIANT_LE(outcome.hitRate,
-                            load.baseHitRate * kRelTol + kAbsTol);
-        // No deployment achieves more than its own unimpeded demand
-        // (every throttle and share is <= 1).
-        ADRIAS_INVARIANT_LE(outcome.achievedGBps,
-                            load.memDemandGBps * kRelTol + kAbsTol);
-        if (load.mode == MemoryMode::Remote)
-            remote_achieved += outcome.achievedGBps;
-        else
-            local_achieved += outcome.achievedGBps;
-        // h = base * residentFraction under the proportional-occupancy
-        // model, so h/base recovers this app's resident share.
-        if (load.baseHitRate > 0.0) {
-            resident_llc_mb += load.cacheFootprintMb * outcome.hitRate /
-                               load.baseHitRate;
-        }
-    }
-
-    // Achieved remote throughput within the (fault-derated) channel
-    // cap, and the reported aggregate consistent with the per-app sum.
-    ADRIAS_INVARIANT_LE(remote_achieved, params.remoteBwGBps *
-                                                 channel_bw_scale *
-                                                 kRelTol +
-                                             kAbsTol);
-    ADRIAS_INVARIANT_LE(std::fabs(result.remoteTrafficGBps -
-                                  remote_achieved),
-                        kAbsTol + 1e-9 * remote_achieved);
-
-    // Achieved local traffic (remote terminates locally too, R3)
-    // within the local pool cap and consistent with the per-app sums.
-    const double local_total = local_achieved + remote_achieved;
-    ADRIAS_INVARIANT_GE(result.localTrafficGBps, 0.0);
-    ADRIAS_INVARIANT_LE(std::fabs(result.localTrafficGBps - local_total),
-                        kAbsTol + 1e-9 * local_total);
-    ADRIAS_INVARIANT_LE(local_total,
-                        params.localBwGBps * kRelTol + kAbsTol);
-
-    // Resident LLC occupancy shares sum to at most one capacity.
-    ADRIAS_INVARIANT_LE(resident_llc_mb,
-                        params.llcCapacityMb * kRelTol + kAbsTol);
-
-    // Channel state: pressure non-negative, back-pressure latency
-    // never below its unloaded base.
-    ADRIAS_INVARIANT_FINITE(result.channelPressure);
-    ADRIAS_INVARIANT_GE(result.channelPressure, 0.0);
-    ADRIAS_INVARIANT_FINITE(result.channelLatencyCycles);
-    ADRIAS_INVARIANT_GE(result.channelLatencyCycles * kRelTol,
-                        params.channelLatencyBaseCycles);
-
-    // Counters the Watcher will sample: finite and non-negative.
-    for (double value : result.counters) {
-        ADRIAS_INVARIANT_FINITE(value);
-        ADRIAS_INVARIANT_GE(value, 0.0);
-    }
+/** Reject topologies that are not one node behind one channel. */
+Topology
+singleChannel(Topology topo)
+{
+    if (topo.nodeCount() != 1 || topo.linkCount() != 1)
+        fatal("Testbed: topology '" + topo.name() + "' has " +
+              std::to_string(topo.nodeCount()) + " compute nodes and " +
+              std::to_string(topo.linkCount()) +
+              " links; the two-node testbed needs exactly one of each "
+              "(drive multi-node racks through ClusterScenarioRunner)");
+    return topo;
 }
 
-double
-llcEffectiveHitRate(double base_hit_rate, double footprint_mb,
-                    double total_footprint_mb, double capacity_mb)
-{
-    if (capacity_mb <= 0.0)
-        fatal("llcEffectiveHitRate: non-positive capacity");
-    if (footprint_mb < 0.0 || total_footprint_mb < footprint_mb)
-        panic("llcEffectiveHitRate: inconsistent footprints");
-    if (total_footprint_mb <= capacity_mb)
-        return base_hit_rate;
-    // Under capacity pressure each app keeps a proportional share of
-    // its hot set resident; misses grow with the evicted fraction.
-    const double resident_fraction = capacity_mb / total_footprint_mb;
-    return base_hit_rate * resident_fraction;
-}
-
-double
-channelLatencyCycles(const TestbedParams &params, double pressure)
-{
-    if (pressure < 0.0)
-        panic("channelLatencyCycles: negative pressure");
-    const double base = params.channelLatencyBaseCycles;
-    const double sat = params.channelLatencySatCycles;
-    if (pressure <= params.channelRampStart)
-        return base;
-    if (pressure >= params.channelRampEnd)
-        return sat;
-    const double frac = (pressure - params.channelRampStart) /
-                        (params.channelRampEnd - params.channelRampStart);
-    return base + frac * (sat - base);
-}
+} // namespace
 
 Testbed::Testbed(TestbedParams params, std::uint64_t seed)
-    : parameters(params), rng(seed)
+    : Testbed(Topology::paperPair(params), seed)
 {
-    if (parameters.remoteBwGBps <= 0.0 || parameters.localBwGBps <= 0.0)
-        fatal("Testbed: bandwidth capacities must be positive");
-    if (parameters.llcCapacityMb <= 0.0)
-        fatal("Testbed: LLC capacity must be positive");
 }
 
-void
-Testbed::setChannelFault(double bw_scale, double latency_scale)
+Testbed::Testbed(Topology topo, std::uint64_t seed)
+    : rack(singleChannel(std::move(topo)), seed)
 {
-    if (bw_scale <= 0.0 || bw_scale > 1.0)
-        fatal("Testbed::setChannelFault: bw scale must be in (0, 1]");
-    if (latency_scale < 1.0)
-        fatal("Testbed::setChannelFault: latency scale must be >= 1");
-    channelBwScale = bw_scale;
-    channelLatencyScale = latency_scale;
-}
-
-void
-Testbed::saveState(io::BinaryWriter &out) const
-{
-    rng.saveState(out);
-    out.writeF64(noiseSigma);
-    out.writeF64(channelBwScale);
-    out.writeF64(channelLatencyScale);
-    out.writeI64(obsTickCount);
-    out.writeBool(obsBackpressured);
-}
-
-Result<void>
-Testbed::restoreState(io::BinaryReader &in)
-{
-    rng.restoreState(in);
-    noiseSigma = in.readF64();
-    channelBwScale = in.readF64();
-    channelLatencyScale = in.readF64();
-    obsTickCount = in.readI64();
-    obsBackpressured = in.readBool();
-    if (!in.ok())
-        return makeError(ErrorCode::Truncated,
-                         "Testbed: truncated snapshot section");
-    if (!(channelBwScale > 0.0 && channelBwScale <= 1.0) ||
-        channelLatencyScale < 1.0)
-        return makeError(ErrorCode::BadNumber,
-                         "Testbed: snapshot carries invalid channel fault "
-                         "scales");
-    return {};
-}
-
-double
-Testbed::noisy(double value)
-{
-    if (noiseSigma <= 0.0)
-        return value;
-    return std::max(0.0, value * (1.0 + rng.gaussian(0.0, noiseSigma)));
 }
 
 TickResult
 Testbed::tick(const std::vector<LoadDescriptor> &loads)
 {
-#if ADRIAS_OBS_ENABLED
-    obs::WallSpan tick_span("tick", "testbed");
-#endif
+    rack.resolve(loads, resolved, false);
     TickResult result;
-    result.outcomes.resize(loads.size());
-
-    // --- Pass 1: aggregate pressure on every shared resource. -----------
-    double total_cpu = 0.0;
-    double total_footprint = 0.0;
-    for (const LoadDescriptor &load : loads) {
-        total_cpu += load.cpuCores;
-        total_footprint += load.cacheFootprintMb;
-    }
-    const double cpu_factor =
-        total_cpu <= parameters.cores ? 1.0 : parameters.cores / total_cpu;
-
-    // --- Pass 2: LLC contention -> per-app miss scaling and offered
-    //             traffic demand per memory pool. ------------------------
-    //
-    // A deployment's issueable traffic is memDemand with its
-    // latency-bound slice throttled by the local/remote latency ratio
-    // (dependent loads cannot be overlapped across the channel).  The
-    // offered demand at *base* remote latency determines the channel
-    // back-pressure (R2); one fixed-point iteration then re-throttles
-    // the latency-bound slice at the saturated latency, which is how
-    // the FPGAs' back-pressure physically slows issue rates.
-    const double remote_throttle = parameters.remoteLatencyThrottle();
-    std::vector<double> miss_scale(loads.size(), 1.0);
-    std::vector<double> hit_rate(loads.size(), 0.0);
-
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        const LoadDescriptor &load = loads[i];
-        const double h = llcEffectiveHitRate(
-            load.baseHitRate, load.cacheFootprintMb, total_footprint,
-            parameters.llcCapacityMb);
-        hit_rate[i] = h;
-        const double base_miss = std::max(1e-6, 1.0 - load.baseHitRate);
-        miss_scale[i] = std::max(1.0, (1.0 - h) / base_miss);
-    }
-
-    auto remote_demand_at = [&](const LoadDescriptor &load,
-                                double lat_scale) {
-        const double lat_fraction =
-            std::clamp(load.latencyBoundFraction, 0.0, 1.0);
-        const double throttle = (1.0 - lat_fraction) +
-                                lat_fraction * remote_throttle / lat_scale;
-        return load.memDemandGBps * throttle;
-    };
-
-    // Offered (base-latency) remote demand -> channel pressure.  An
-    // injected channel fault shrinks the effective capacity and
-    // inflates the back-pressure latency.
-    const double remote_bw = parameters.remoteBwGBps * channelBwScale;
-    double offered_remote = 0.0;
-    for (const LoadDescriptor &load : loads)
-        if (load.mode == MemoryMode::Remote)
-            offered_remote += remote_demand_at(load, 1.0);
-    result.channelPressure = offered_remote / remote_bw;
-    result.channelLatencyCycles =
-        channelLatencyCycles(parameters, result.channelPressure) *
-        channelLatencyScale;
-    const double channel_lat_scale =
-        result.channelLatencyCycles / parameters.channelLatencyBaseCycles;
-    const double remote_latency_ns =
-        parameters.remoteLatencyNs * channel_lat_scale;
-
-    // Back-pressured demand and pool shares.
-    std::vector<double> demand(loads.size(), 0.0);
-    double local_demand = 0.0;
-    double remote_demand = 0.0;
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        const LoadDescriptor &load = loads[i];
-        demand[i] = load.mode == MemoryMode::Remote
-                        ? remote_demand_at(load, channel_lat_scale)
-                        : load.memDemandGBps;
-        if (load.mode == MemoryMode::Remote)
-            remote_demand += demand[i];
-        else
-            local_demand += demand[i];
-    }
-    const double remote_share =
-        remote_demand <= remote_bw ? 1.0 : remote_bw / remote_demand;
-    const double remote_achieved_total = remote_demand * remote_share;
-
-    // Remote traffic terminates in the borrower's memory controllers
-    // too (observation R3), so it contributes to local pressure.
-    const double local_total_demand = local_demand + remote_achieved_total;
-    const double local_share =
-        local_total_demand <= parameters.localBwGBps
-            ? 1.0
-            : parameters.localBwGBps / local_total_demand;
-
-    const double local_util =
-        std::min(1.0, local_total_demand / parameters.localBwGBps);
-    const double local_latency_ns =
-        parameters.localLatencyNs *
-        (1.0 + parameters.localLatencyInflation * local_util * local_util);
-
-    // --- Pass 3: per-app slowdown. --------------------------------------
-    double local_achieved = 0.0;
-    double remote_achieved = 0.0;
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        const LoadDescriptor &load = loads[i];
-        LoadOutcome &outcome = result.outcomes[i];
-        outcome.id = load.id;
-        outcome.hitRate = hit_rate[i];
-        outcome.missScale = miss_scale[i];
-
-        const bool remote = load.mode == MemoryMode::Remote;
-        const double share = remote ? remote_share * local_share
-                                    : local_share;
-        const double achieved = demand[i] * share;
-        outcome.achievedGBps = achieved;
-        outcome.latencyNs = remote ? remote_latency_ns : local_latency_ns;
-        if (remote)
-            remote_achieved += achieved;
-        else
-            local_achieved += achieved;
-
-        // Memory-phase dilation: the app needed memDemand of useful
-        // traffic per unit time (times missScale extra bytes under LLC
-        // contention) but only achieves `achieved`.  Latency throttling
-        // is already folded into demand, so no extra multiplier.
-        double mem_slowdown = 1.0;
-        if (load.memDemandGBps > 1e-9) {
-            mem_slowdown = miss_scale[i] * load.memDemandGBps /
-                           std::max(achieved, 1e-9);
-        }
-
-        const double mu = std::clamp(load.cpuFraction, 0.0, 1.0);
-        outcome.slowdown = mu / cpu_factor + (1.0 - mu) * mem_slowdown;
-        outcome.slowdown = std::max(1.0, outcome.slowdown);
-    }
-
-    result.remoteTrafficGBps = remote_achieved;
-    result.localTrafficGBps = local_achieved + remote_achieved;
-
-    // --- Pass 5: performance counters (Watcher events). -----------------
-    // Unit conventions: cache events in millions of events/s assuming
-    // 64 B lines; memory counters in GB/s; flits in millions/s.
-    double llc_loads = 0.0;
-    double llc_misses = 0.0;
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        // 64 B cache lines: GB/s -> million events/s.
-        const double accesses = loads[i].llcAccessGBps * 1e9 / 64.0 / 1e6;
-        llc_loads += accesses;
-        llc_misses += accesses * (1.0 - hit_rate[i]);
-    }
-    const double mem_total = result.localTrafficGBps;
-    const double flits_m =
-        remote_achieved / (parameters.flitBytes * 1e-9) / 1e6;
-
-    CounterSample &counters = result.counters;
-    counters[static_cast<std::size_t>(PerfEvent::LlcLoads)] =
-        noisy(llc_loads);
-    counters[static_cast<std::size_t>(PerfEvent::LlcMisses)] =
-        noisy(llc_misses);
-    counters[static_cast<std::size_t>(PerfEvent::MemLoads)] =
-        noisy(mem_total * parameters.loadStoreSplit);
-    counters[static_cast<std::size_t>(PerfEvent::MemStores)] =
-        noisy(mem_total * (1.0 - parameters.loadStoreSplit));
-    counters[static_cast<std::size_t>(PerfEvent::RemoteTx)] =
-        noisy(flits_m * 0.45);
-    counters[static_cast<std::size_t>(PerfEvent::RemoteRx)] =
-        noisy(flits_m * 0.55);
-    counters[static_cast<std::size_t>(PerfEvent::ChannelLat)] =
-        noisy(result.channelLatencyCycles);
-
-    // Conservation laws hold for every resolved tick (compiled out of
-    // Release builds; the constant-false branch folds away).
-    if (invariant::kEnabled)
-        checkTickInvariants(loads, result, parameters, channelBwScale);
-
-#if ADRIAS_OBS_ENABLED
-    ++obsTickCount;
-    if (obs::enabled()) {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        // The registry hands out stable references; cache them so the
-        // per-tick cost is atomic bumps, not name lookups.
-        static obs::Counter &ticks = reg.counter("testbed.ticks");
-        static obs::Gauge &pressure =
-            reg.gauge("testbed.channel_pressure");
-        static obs::Histogram &latency =
-            reg.histogram("testbed.channel_latency_cycles");
-        ticks.add();
-        pressure.set(result.channelPressure);
-        latency.observe(result.channelLatencyCycles);
-        // Back-pressure transitions: the channel enters its latency
-        // ramp when pressure crosses rampStart (observation R2).
-        const bool pressured =
-            result.channelPressure > parameters.channelRampStart;
-        if (pressured != obsBackpressured) {
-            obsBackpressured = pressured;
-            reg.counter("testbed.backpressure_transitions").add();
-            if (obs::Tracer::global().enabled()) {
-                obs::Tracer::global().simInstant(
-                    pressured ? "backpressure_on" : "backpressure_off",
-                    "testbed", static_cast<SimTime>(obsTickCount),
-                    {obs::arg("pressure", result.channelPressure),
-                     obs::arg("ramp_start", parameters.channelRampStart)});
-            }
-        }
-    }
-#endif
+    result.outcomes = std::move(resolved.outcomes);
+    result.counters = resolved.nodes[0].counters;
+    result.remoteTrafficGBps = resolved.nodes[0].remoteTrafficGBps;
+    result.localTrafficGBps = resolved.nodes[0].localTrafficGBps;
+    result.channelPressure = resolved.links[0].pressure;
+    result.channelLatencyCycles = resolved.links[0].latencyCycles;
     return result;
 }
 

@@ -2,12 +2,14 @@
  * @file
  * The simulated two-node ThymesisFlow machine.
  *
- * Testbed::tick() is the heart of the reproduction: given the loads
- * active during one second, it resolves the shared-resource contention
+ * Testbed is the paper's prototype seen through the one contention
+ * resolver: a thin view over a RackTestbed on a one-node, one-link
+ * topology (by default Topology::paperPair()).  Given the loads active
+ * during one second, tick() resolves the shared-resource contention
  * (CPU, LLC capacity, local DRAM bandwidth, remote channel bandwidth
- * and latency) and returns both per-app slowdowns and the performance
- * counters the Watcher samples.  The model is deliberately stateless
- * per tick so every piece is unit-testable.
+ * and latency) and returns per-app slowdowns plus the performance
+ * counters the Watcher samples, in the single-channel shape the
+ * scenario layer consumes.
  */
 
 #ifndef ADRIAS_TESTBED_TESTBED_HH
@@ -18,10 +20,11 @@
 #include "common/error.hh"
 #include "common/io/binary.hh"
 #include "common/io/checkpoint_annotations.hh"
-#include "common/rng.hh"
 #include "testbed/counters.hh"
 #include "testbed/load.hh"
 #include "testbed/params.hh"
+#include "testbed/rack.hh"
+#include "testbed/topology.hh"
 
 namespace adrias::testbed
 {
@@ -48,67 +51,24 @@ struct TickResult
     double channelLatencyCycles = 350.0;
 };
 
-/**
- * LLC capacity-contention submodel.
- *
- * Proportional occupancy: when the sum of hot footprints exceeds
- * capacity, every app keeps capacity/total of its working set resident
- * and its hit rate degrades linearly with the evicted fraction.
- *
- * @param base_hit_rate hit rate with a fully resident working set.
- * @param footprint_mb this app's hot working set.
- * @param total_footprint_mb sum over co-located apps.
- * @param capacity_mb LLC capacity.
- * @return effective hit rate in [0, base_hit_rate].
- */
-double llcEffectiveHitRate(double base_hit_rate, double footprint_mb,
-                           double total_footprint_mb, double capacity_mb);
-
-/**
- * Channel back-pressure latency (observation R2): constant at low
- * pressure, linear ramp between rampStart and rampEnd, plateau above.
- *
- * @param pressure total channel demand divided by capacity.
- */
-double channelLatencyCycles(const TestbedParams &params, double pressure);
-
-/**
- * Assert the physical conservation laws of one resolved tick
- * (ADRIAS_INVARIANT; see common/invariant.hh):
- *
- *  - per-app achieved bandwidth, latency and counters are finite and
- *    non-negative; slowdowns are >= 1; hit rates stay within
- *    [0, baseHitRate];
- *  - total achieved remote throughput does not exceed the (possibly
- *    fault-derated) channel capacity;
- *  - total achieved local traffic does not exceed the local pool cap;
- *  - resident LLC occupancy shares sum to at most the LLC capacity;
- *  - channel pressure is non-negative and the back-pressure latency
- *    never drops below its base value.
- *
- * Called automatically at the end of Testbed::tick() in builds with
- * ADRIAS_INVARIANTS=ON; exposed so tests can feed it deliberately
- * corrupted results and prove each check fires.
- *
- * @param loads the tick's input deployments.
- * @param result the resolved tick under test.
- * @param params hardware calibration in use.
- * @param channel_bw_scale fault derating applied to the channel.
- */
-void checkTickInvariants(const std::vector<LoadDescriptor> &loads,
-                         const TickResult &result,
-                         const TestbedParams &params,
-                         double channel_bw_scale = 1.0);
-
-/** The simulated machine. */
+/** The simulated machine: one node, one channel. */
 class Testbed
 {
   public:
     /**
-     * @param params hardware calibration.
+     * The paper's prototype, Topology::paperPair(params).
+     *
+     * @param params node calibration.
      * @param seed RNG seed for counter measurement noise.
      */
     explicit Testbed(TestbedParams params = {}, std::uint64_t seed = 1);
+
+    /**
+     * @param topo a one-node, one-link topology (fatal otherwise:
+     *        multi-node racks run through RackTestbed).
+     * @param seed RNG seed for counter measurement noise.
+     */
+    explicit Testbed(Topology topo, std::uint64_t seed = 1);
 
     /**
      * Resolve one second of execution.
@@ -118,59 +78,59 @@ class Testbed
      */
     TickResult tick(const std::vector<LoadDescriptor> &loads);
 
-    /** @return calibration in use. */
-    const TestbedParams &params() const { return parameters; }
+    /** @return node calibration in use. */
+    const TestbedParams &
+    params() const
+    {
+        return rack.topology().node(0).local;
+    }
+
+    /** @return the channel's link profile. */
+    const LinkProfile &
+    link() const
+    {
+        return rack.topology().link(0).profile;
+    }
 
     /**
      * Relative counter noise amplitude (0 disables measurement noise;
      * default 1%).
      */
-    void setNoise(double relative_sigma) { noiseSigma = relative_sigma; }
+    void setNoise(double relative_sigma) { rack.setNoise(relative_sigma); }
 
     /**
      * Degrade the remote channel (fault injection): scale its
      * effective bandwidth by `bw_scale` in (0, 1] and its back-pressure
      * latency by `latency_scale` >= 1.  Persists until changed.
      */
-    void setChannelFault(double bw_scale, double latency_scale);
-
-    /** Restore the healthy channel. */
-    void clearChannelFault() { setChannelFault(1.0, 1.0); }
-
-    /** @return true while a channel fault is applied. */
-    bool
-    channelFaulted() const
+    void
+    setChannelFault(double bw_scale, double latency_scale)
     {
-        return channelBwScale < 1.0 || channelLatencyScale > 1.0;
+        rack.setLinkFault(0, bw_scale, latency_scale);
     }
 
-    /**
-     * Serialize the evolving state: noise RNG position, noise sigma,
-     * channel fault scales and observability bookkeeping.  Calibration
-     * (TestbedParams) is configuration and stays out of the payload.
-     */
-    void saveState(io::BinaryWriter &out) const;
+    /** Restore the healthy channel. */
+    void clearChannelFault() { rack.clearLinkFaults(); }
+
+    /** @return true while a channel fault is applied. */
+    bool channelFaulted() const { return rack.anyLinkFaulted(); }
+
+    /** Serialize the evolving state (RackTestbed::saveState). */
+    void saveState(io::BinaryWriter &out) const { rack.saveState(out); }
 
     /** Restore a payload written by saveState(). */
-    [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
+    [[nodiscard]] Result<void>
+    restoreState(io::BinaryReader &in)
+    {
+        return rack.restoreState(in);
+    }
 
   private:
-    TestbedParams parameters ADRIAS_NOT_CHECKPOINTED(
-        "calibration configuration; stays out of the payload (see "
-        "saveState doc)");
-    Rng rng;
-    double noiseSigma = 0.01;
-    double channelBwScale = 1.0;
-    double channelLatencyScale = 1.0;
+    RackTestbed rack;
 
-    /** Ticks resolved so far (observability: instant timestamps). */
-    std::int64_t obsTickCount = 0;
-
-    /** Last tick's back-pressure state (observability: transitions). */
-    bool obsBackpressured = false;
-
-    /** Apply multiplicative measurement noise to a counter value. */
-    double noisy(double value);
+    /** The last resolved rack tick (storage reused across ticks). */
+    RackTickResult resolved ADRIAS_NOT_CHECKPOINTED(
+        "per-tick working storage; fully rewritten by every tick");
 };
 
 } // namespace adrias::testbed

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <set>
+#include <string_view>
 #include <utility>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace adrias::testbed
@@ -59,6 +61,8 @@ Topology::addLink(std::size_t node, std::size_t server,
 Topology &
 Topology::validate()
 {
+    if (validated)
+        return *this; // every mutator clears the flag
     if (nodes.empty())
         fatal("Topology '" + topologyName + "': no compute nodes");
 
@@ -122,28 +126,11 @@ Topology::requireValidated(const char *what) const
               " called before validate()");
 }
 
-const ComputeNodeDesc &
-Topology::node(std::size_t i) const
+void
+Topology::outOfRange(const char *what) const
 {
-    if (i >= nodes.size())
-        fatal("Topology '" + topologyName + "': node index out of range");
-    return nodes[i];
-}
-
-const MemoryServerDesc &
-Topology::server(std::size_t i) const
-{
-    if (i >= servers.size())
-        fatal("Topology '" + topologyName + "': server index out of range");
-    return servers[i];
-}
-
-const LinkDesc &
-Topology::link(std::size_t i) const
-{
-    if (i >= links.size())
-        fatal("Topology '" + topologyName + "': link index out of range");
-    return links[i];
+    fatal("Topology '" + topologyName + "': " + what +
+          " index out of range");
 }
 
 const std::vector<std::size_t> &
@@ -200,13 +187,6 @@ Topology::totalCapacityGb() const
     return total;
 }
 
-bool
-Topology::isPaperPair() const
-{
-    return nodes.size() == 1 && servers.size() == 1 && links.size() == 1 &&
-           std::string(links[0].profile.name) == kThymesisFlowProfile.name;
-}
-
 Topology
 Topology::paperPair(TestbedParams params)
 {
@@ -214,7 +194,8 @@ Topology::paperPair(TestbedParams params)
     topo.addNode({"n0", params});
     topo.addServer({"s0", 256.0, params.localBwGBps, {}});
     topo.addLink(0, 0, kThymesisFlowProfile);
-    return topo.validate();
+    topo.validate();
+    return topo;
 }
 
 Topology
@@ -232,7 +213,8 @@ Topology::symmetric(std::size_t nodeCount, std::size_t serverCount,
     for (std::size_t n = 0; n < nodeCount; ++n)
         for (std::size_t s = 0; s < serverCount; ++s)
             topo.addLink(n, s, profile);
-    return topo.validate();
+    topo.validate();
+    return topo;
 }
 
 Topology
@@ -245,7 +227,8 @@ Topology::independentPairs(std::size_t pairs, TestbedParams params)
             {"s" + std::to_string(i), 256.0, params.localBwGBps, {}});
         topo.addLink(i, i, kThymesisFlowProfile);
     }
-    return topo.validate();
+    topo.validate();
+    return topo;
 }
 
 Topology
@@ -270,7 +253,8 @@ Topology::asymmetric4x4()
     topo.addLink(2, 1, kRdmaProfile);
     topo.addLink(2, 2, kCxlProfile);
     topo.addLink(3, 2, kRdmaProfile);
-    return topo.validate();
+    topo.validate();
+    return topo;
 }
 
 Topology
@@ -284,21 +268,14 @@ topologyByName(const std::string &name)
         return Topology::asymmetric4x4();
     const std::string pairsPrefix = "pairs-";
     if (name.rfind(pairsPrefix, 0) == 0) {
-        const std::string count = name.substr(pairsPrefix.size());
-        if (!count.empty() &&
-            count.find_first_not_of("0123456789") == std::string::npos) {
-            const std::size_t pairs = std::stoul(count);
-            if (pairs > 0)
-                return Topology::independentPairs(pairs);
-        }
+        // A count that is malformed or out of range is an unknown name
+        // like any other, not a programming error.
+        const Result<std::size_t> pairs =
+            parseSize(std::string_view(name).substr(pairsPrefix.size()));
+        if (pairs && pairs.value() > 0)
+            return Topology::independentPairs(pairs.value());
     }
     fatal("topologyByName: unknown topology '" + name + "'");
-}
-
-std::vector<std::string>
-knownTopologyNames()
-{
-    return {"paper-pair", "rack-2x2-cxl", "rack-4x4-mixed"};
 }
 
 } // namespace adrias::testbed

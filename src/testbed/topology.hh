@@ -10,8 +10,8 @@
  * exposes an allocatable capacity; each link connects one compute node
  * to one memory server with a named latency/bandwidth tier
  * (link_profiles.hh).  The paper's two-node testbed is the registered
- * "paper-pair" topology, and the equivalence guarantee (DESIGN.md §14)
- * pins its behaviour to the legacy single-channel model bit for bit.
+ * "paper-pair" topology: one node, one server, one ThymesisFlow link
+ * (DESIGN.md §14).
  */
 
 #ifndef ADRIAS_TESTBED_TOPOLOGY_HH
@@ -76,10 +76,8 @@ struct ComputeNodeDesc
     /** Unique name, e.g. "n0". */
     std::string name;
 
-    /**
-     * Node-local calibration (cores, LLC, local DRAM).  The channel
-     * fields are ignored in rack mode — links carry their own profile.
-     */
+    /** Node-local calibration (cores, LLC, local DRAM); links carry
+     *  their own profile. */
     TestbedParams local{};
 };
 
@@ -134,6 +132,7 @@ class Topology
      * link endpoints in range, no duplicate (node, server) links, no
      * overlapping owned address ranges, non-negative capacities.
      * Fatal on violation; returns *this so factories can chain it.
+     * Validating an already validated topology returns at once.
      */
     Topology &validate();
 
@@ -143,9 +142,30 @@ class Topology
     std::size_t serverCount() const { return servers.size(); }
     std::size_t linkCount() const { return links.size(); }
 
-    const ComputeNodeDesc &node(std::size_t i) const;
-    const MemoryServerDesc &server(std::size_t i) const;
-    const LinkDesc &link(std::size_t i) const;
+    // Inline: the contention resolver calls these per deployment.
+    const ComputeNodeDesc &
+    node(std::size_t i) const
+    {
+        if (i >= nodes.size())
+            outOfRange("node");
+        return nodes[i];
+    }
+
+    const MemoryServerDesc &
+    server(std::size_t i) const
+    {
+        if (i >= servers.size())
+            outOfRange("server");
+        return servers[i];
+    }
+
+    const LinkDesc &
+    link(std::size_t i) const
+    {
+        if (i >= links.size())
+            outOfRange("link");
+        return links[i];
+    }
 
     /** Indices of the links leaving one compute node, ascending. */
     const std::vector<std::size_t> &linksFrom(std::size_t node) const;
@@ -165,12 +185,6 @@ class Topology
     /** Total allocatable remote capacity across servers, GB. */
     double totalCapacityGb() const;
 
-    /**
-     * @return true when this is exactly the paper's two-node prototype:
-     * one compute node, one memory server, one ThymesisFlow link.
-     */
-    bool isPaperPair() const;
-
     // --- named factories ----------------------------------------------
 
     /** The paper's testbed: 1 node, 1 server, 1 ThymesisFlow link. */
@@ -186,8 +200,8 @@ class Topology
                               TestbedParams node_params = {});
 
     /**
-     * N independent paper pairs (the pre-rack cluster model): node i is
-     * linked only to server i over a ThymesisFlow link.
+     * N independent paper pairs (the N-node cluster of paper §VII):
+     * node i is linked only to server i over a ThymesisFlow link.
      */
     static Topology independentPairs(std::size_t pairs,
                                      TestbedParams params = {});
@@ -216,19 +230,21 @@ class Topology
     bool validated = false;
 
     void requireValidated(const char *what) const;
+
+    /** Fatal on an out-of-range element index. */
+    [[noreturn]] void outOfRange(const char *what) const;
 };
 
 /**
  * Resolve a registered topology by name: "paper-pair",
  * "rack-2x2-cxl" (2×2, all-CXL), "rack-4x4-mixed" (the asymmetric
- * conformance rack) or "pairs-<n>" (n independent paper pairs).
+ * conformance rack) or "pairs-<n>" (n >= 1 independent paper pairs).
+ * Every scenario resolves its machine through this function.
  *
- * @throws std::runtime_error on an unknown name.
+ * @throws std::runtime_error on an unknown name (including a pairs
+ *         count that is malformed, zero or out of range).
  */
 Topology topologyByName(const std::string &name);
-
-/** @return the names topologyByName accepts (fixed registry only). */
-std::vector<std::string> knownTopologyNames();
 
 } // namespace adrias::testbed
 

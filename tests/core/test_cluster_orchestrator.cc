@@ -143,7 +143,8 @@ TEST_F(ClusterOrchestratorTest, EndToEndComparableToLeastLoaded)
 
     auto be_median_and_offloads =
         [&](scenario::ClusterPolicy &policy) {
-            ClusterScenarioRunner runner(3, evalConfig(1801));
+            ClusterScenarioRunner runner(
+                testbed::Topology::independentPairs(3), evalConfig(1801));
             const auto result = runner.run(policy);
             std::vector<double> times;
             std::size_t offloads = 0;

@@ -4,10 +4,12 @@
  *
  * Strategy: run a healthy tick through the real testbed (no
  * violations), then corrupt one field at a time and feed the corrupted
- * TickResult to checkTickInvariants() with a recording handler
+ * RackTickResult to checkRackTickInvariants() with a recording handler
  * installed.  Each corruption must produce at least one violation whose
- * text names the corrupted quantity.  The watcher's timestamp
- * monotonicity check is exercised the same way.
+ * text names the corrupted quantity.  Two inputs cover the checker: the
+ * paper's two-node machine (the 1x1 "paper-pair" topology) and a 2x2
+ * CXL rack.  The watcher's timestamp monotonicity check is exercised
+ * the same way.
  *
  * In builds with -DADRIAS_INVARIANTS=OFF (plain Release) the checks
  * compile out; the firing tests GTEST_SKIP there, and a dedicated test
@@ -24,7 +26,6 @@
 #include "common/invariant.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/rack.hh"
-#include "testbed/testbed.hh"
 #include "testbed/topology.hh"
 
 namespace
@@ -36,7 +37,6 @@ using adrias::invariant::Violation;
 using adrias::testbed::LoadDescriptor;
 using adrias::testbed::RackTickResult;
 using adrias::testbed::TestbedParams;
-using adrias::testbed::TickResult;
 using adrias::testbed::Topology;
 
 /** Violations captured by the recording handler (plain function ptr). */
@@ -100,15 +100,10 @@ healthyLoads()
     return {local, remote};
 }
 
-/** Resolve the healthy tick with noise disabled. */
-TickResult
-healthyTick(const std::vector<LoadDescriptor> &loads)
-{
-    adrias::testbed::Testbed testbed;
-    testbed.setNoise(0.0);
-    return testbed.tick(loads);
-}
-
+/**
+ * Paper-pair tick invariant firing: the two-node machine's healthy
+ * tick, corrupted one quantity at a time, through the rack checker.
+ */
 class TickInvariantTest : public ::testing::Test
 {
   protected:
@@ -119,27 +114,37 @@ class TickInvariantTest : public ::testing::Test
             GTEST_SKIP() << "invariants compiled out (ADRIAS_INVARIANTS"
                             "=OFF)";
         loads = healthyLoads();
-        result = healthyTick(loads);
+        adrias::testbed::RackTestbed rack(topo, 1);
+        rack.setNoise(0.0);
+        result = rack.tick(loads);
     }
 
+    void
+    check(const std::vector<double> &link_bw_scale = {})
+    {
+        adrias::testbed::checkRackTickInvariants(loads, result, topo,
+                                                 link_bw_scale);
+    }
+
+    Topology topo = Topology::paperPair();
     std::vector<LoadDescriptor> loads;
-    TickResult result;
+    RackTickResult result;
     TestbedParams params;
 };
 
 TEST_F(TickInvariantTest, HealthyTickIsViolationFree)
 {
     RecordingHandler handler;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_EQ(handler.count(), 0u);
 
     // A faulted channel derates the cap; the scaled check must still
     // accept the testbed's own (re-resolved) output.
-    adrias::testbed::Testbed faulted;
+    adrias::testbed::RackTestbed faulted(topo, 1);
     faulted.setNoise(0.0);
-    faulted.setChannelFault(0.5, 2.0);
-    const TickResult derated = faulted.tick(loads);
-    adrias::testbed::checkTickInvariants(loads, derated, params, 0.5);
+    faulted.setLinkFault(0, 0.5, 2.0);
+    result = faulted.tick(loads);
+    check({0.5});
     EXPECT_EQ(handler.count(), 0u);
 }
 
@@ -147,7 +152,7 @@ TEST_F(TickInvariantTest, OutcomeCountMismatchFires)
 {
     RecordingHandler handler;
     result.outcomes.pop_back();
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("outcomes"));
 }
@@ -156,7 +161,7 @@ TEST_F(TickInvariantTest, NegativeAchievedBandwidthFires)
 {
     RecordingHandler handler;
     result.outcomes[0].achievedGBps = -1.0;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("achievedGBps"));
 }
@@ -165,7 +170,7 @@ TEST_F(TickInvariantTest, NonFiniteLatencyFires)
 {
     RecordingHandler handler;
     result.outcomes[0].latencyNs = std::nan("");
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("latencyNs"));
 }
@@ -174,7 +179,7 @@ TEST_F(TickInvariantTest, SubUnitySlowdownFires)
 {
     RecordingHandler handler;
     result.outcomes[0].slowdown = 0.5;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("slowdown"));
 }
@@ -183,7 +188,7 @@ TEST_F(TickInvariantTest, HitRateAboveBaseFires)
 {
     RecordingHandler handler;
     result.outcomes[0].hitRate = loads[0].baseHitRate * 2.0;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("hitRate"));
 }
@@ -191,8 +196,9 @@ TEST_F(TickInvariantTest, HitRateAboveBaseFires)
 TEST_F(TickInvariantTest, RemoteThroughputAboveChannelCapFires)
 {
     RecordingHandler handler;
-    result.remoteTrafficGBps = params.remoteBwGBps * 2.0;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    result.nodes[0].remoteTrafficGBps =
+        topo.link(0).profile.bandwidthGBps * 2.0;
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("remoteTrafficGBps"));
 }
@@ -201,16 +207,16 @@ TEST_F(TickInvariantTest, PerAppRemoteSumAboveDeratedCapFires)
 {
     RecordingHandler handler;
     // Healthy against the full cap, violating once derated to 10%.
-    adrias::testbed::checkTickInvariants(loads, result, params, 0.1);
+    check({0.1});
     EXPECT_GE(handler.count(), 1u);
-    EXPECT_TRUE(handler.anyMentions("remote"));
+    EXPECT_TRUE(handler.anyMentions("link_achieved"));
 }
 
 TEST_F(TickInvariantTest, LocalTrafficAbovePoolCapFires)
 {
     RecordingHandler handler;
-    result.localTrafficGBps = params.localBwGBps * 2.0;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    result.nodes[0].localTrafficGBps = params.localBwGBps * 2.0;
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("localTrafficGBps"));
 }
@@ -222,34 +228,35 @@ TEST_F(TickInvariantTest, LlcOccupancyAboveCapacityFires)
     // proportional-occupancy model could never produce this.
     loads[0].cacheFootprintMb = params.llcCapacityMb * 10.0;
     result.outcomes[0].hitRate = loads[0].baseHitRate;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
-    EXPECT_TRUE(handler.anyMentions("resident_llc_mb"));
+    EXPECT_TRUE(handler.anyMentions("node_llc_mb"));
 }
 
 TEST_F(TickInvariantTest, NegativeChannelPressureFires)
 {
     RecordingHandler handler;
-    result.channelPressure = -0.1;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    result.links[0].pressure = -0.1;
+    check();
     EXPECT_GE(handler.count(), 1u);
-    EXPECT_TRUE(handler.anyMentions("channelPressure"));
+    EXPECT_TRUE(handler.anyMentions("pressure"));
 }
 
 TEST_F(TickInvariantTest, ChannelLatencyBelowBaseFires)
 {
     RecordingHandler handler;
-    result.channelLatencyCycles = params.channelLatencyBaseCycles / 2.0;
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    result.links[0].latencyCycles =
+        topo.link(0).profile.latencyBaseCycles / 2.0;
+    check();
     EXPECT_GE(handler.count(), 1u);
-    EXPECT_TRUE(handler.anyMentions("channelLatencyCycles"));
+    EXPECT_TRUE(handler.anyMentions("latencyCycles"));
 }
 
 TEST_F(TickInvariantTest, NonFiniteCounterFires)
 {
     RecordingHandler handler;
-    result.counters[0] = std::nan("");
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    result.nodes[0].counters[0] = std::nan("");
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("value"));
 }
@@ -263,7 +270,7 @@ TEST_F(TickInvariantTest, CompensatingCrossChannelErrorFires)
     const double delta = 0.2;
     result.outcomes[0].achievedGBps -= delta; // local app
     result.outcomes[1].achievedGBps += delta; // remote app
-    adrias::testbed::checkTickInvariants(loads, result, params);
+    check();
     EXPECT_GE(handler.count(), 1u);
     EXPECT_TRUE(handler.anyMentions("remoteTrafficGBps"));
 }

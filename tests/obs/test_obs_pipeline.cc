@@ -4,7 +4,8 @@
  * Watcher → GuardedPredictor → Orchestrator pipeline with obs armed
  * and assert the trace carries events from every instrumented layer
  * (testbed, watcher, predictor, orchestrator, threadpool, scenario)
- * and that the layer counters moved.  With ADRIAS_OBS=OFF the same
+ * and that the layer counters moved; a rack cluster run must report its
+ * testbed ticks the same way.  With ADRIAS_OBS=OFF the same
  * pipeline must leave the trace and every counter untouched.
  */
 
@@ -17,7 +18,9 @@
 #include "core/orchestrator.hh"
 #include "models/guard.hh"
 #include "obs/obs.hh"
+#include "scenario/cluster.hh"
 #include "scenario/runner.hh"
+#include "testbed/topology.hh"
 
 namespace
 {
@@ -145,6 +148,37 @@ TEST(ObsPipeline, DisarmedRunRecordsNothing)
                   .counter("orchestrator.decisions")
                   .get(),
               0u);
+}
+
+TEST(ObsPipeline, RackClusterRunReportsTestbedTicks)
+{
+    // A cluster run resolves through the same instrumented resolver as
+    // the paper pair: one testbed tick per simulated second, and every
+    // link's latency lands in the channel histogram.
+    obs::resetAll();
+    obs::setEnabled(true);
+
+    scenario::ScenarioConfig config;
+    config.durationSec = 90;
+    config.spawnMaxSec = 15;
+    config.seed = 5;
+    config.topology = "rack-2x2-cxl";
+    const testbed::Topology topo = testbed::topologyByName(config.topology);
+    scenario::ClusterScenarioRunner runner(topo, config);
+    scenario::RandomClusterPolicy policy(3);
+    const scenario::ClusterResult result = runner.run(policy);
+    obs::setEnabled(false);
+    ASSERT_EQ(result.nodes.size(), 2u);
+
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    EXPECT_EQ(reg.counter("testbed.ticks").get(),
+              static_cast<std::uint64_t>(config.durationSec));
+    EXPECT_EQ(reg.histogram("testbed.channel_latency_cycles")
+                  .snapshot()
+                  .count,
+              static_cast<std::size_t>(config.durationSec) *
+                  topo.linkCount());
+    obs::resetAll();
 }
 
 #else // !ADRIAS_OBS_ENABLED

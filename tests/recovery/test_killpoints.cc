@@ -133,8 +133,7 @@ baselineDigest()
 void
 runUntilCrash(const std::string &dir, const fault::CrashPlan &plan)
 {
-    RecoverableScenario victim(scenarioConfig(), {},
-                               recoveryConfig(dir));
+    RecoverableScenario victim(scenarioConfig(), recoveryConfig(dir));
     scenario::RandomPlacement policy(kPolicySeed);
     victim.attachSection(policy);
     fault::CrashInjector injector(plan);
@@ -154,8 +153,7 @@ std::string
 recoverAndFinish(const std::string &dir,
                  RecoveryReport *reportOut = nullptr)
 {
-    RecoverableScenario revived(scenarioConfig(), {},
-                                recoveryConfig(dir));
+    RecoverableScenario revived(scenarioConfig(), recoveryConfig(dir));
     scenario::RandomPlacement policy(kPolicySeed);
     revived.attachSection(policy);
 
@@ -173,8 +171,7 @@ TEST(KillPoints, UninterruptedRecoverableRunMatchesPlainRunner)
     // The checkpoint/journal machinery itself must not perturb the
     // simulation: no crash, just overhead.
     const std::string dir = freshDir("adrias_kp_uninterrupted");
-    RecoverableScenario scenario(scenarioConfig(), {},
-                                 recoveryConfig(dir));
+    RecoverableScenario scenario(scenarioConfig(), recoveryConfig(dir));
     scenario::RandomPlacement policy(kPolicySeed);
     scenario.attachSection(policy);
     ASSERT_TRUE(scenario.start().ok());
@@ -331,8 +328,7 @@ TEST(KillPoints, SecondCrashDuringRecoveredRunStillConverges)
     runUntilCrash(dir, {fault::CrashSite::BetweenTicks, 90});
 
     {
-        RecoverableScenario second(scenarioConfig(), {},
-                                   recoveryConfig(dir));
+        RecoverableScenario second(scenarioConfig(), recoveryConfig(dir));
         scenario::RandomPlacement policy(kPolicySeed);
         second.attachSection(policy);
         fault::CrashInjector injector(

@@ -21,18 +21,25 @@ shortConfig(std::uint64_t seed = 3, SimTime duration = 900)
     return config;
 }
 
+/** The K-node cluster: K independent ThymesisFlow pairs. */
+ClusterScenarioRunner
+pairsRunner(std::size_t pairs, ScenarioConfig config)
+{
+    return ClusterScenarioRunner(testbed::Topology::independentPairs(pairs),
+                                 config);
+}
+
 TEST(ClusterRunner, ValidatesConfig)
 {
-    EXPECT_THROW(ClusterScenarioRunner(0, shortConfig()),
-                 std::runtime_error);
+    EXPECT_THROW(pairsRunner(0, shortConfig()), std::runtime_error);
     ScenarioConfig bad = shortConfig();
     bad.durationSec = 0;
-    EXPECT_THROW(ClusterScenarioRunner(2, bad), std::runtime_error);
+    EXPECT_THROW(pairsRunner(2, bad), std::runtime_error);
 }
 
 TEST(ClusterRunner, PerNodeTracesCoverEveryTick)
 {
-    ClusterScenarioRunner runner(3, shortConfig());
+    ClusterScenarioRunner runner = pairsRunner(3, shortConfig());
     RandomClusterPolicy policy(5);
     const ClusterResult result = runner.run(policy);
     ASSERT_EQ(result.nodes.size(), 3u);
@@ -45,15 +52,15 @@ TEST(ClusterRunner, PerNodeTracesCoverEveryTick)
 TEST(ClusterRunner, DeterministicForSameSeed)
 {
     RandomClusterPolicy policy_a(5), policy_b(5);
-    const auto a = ClusterScenarioRunner(2, shortConfig(9)).run(policy_a);
-    const auto b = ClusterScenarioRunner(2, shortConfig(9)).run(policy_b);
+    const auto a = pairsRunner(2, shortConfig(9)).run(policy_a);
+    const auto b = pairsRunner(2, shortConfig(9)).run(policy_b);
     EXPECT_DOUBLE_EQ(a.totalRemoteTrafficGB, b.totalRemoteTrafficGB);
     EXPECT_EQ(a.allRecords().size(), b.allRecords().size());
 }
 
 TEST(ClusterRunner, AllRecordsAggregatesNodes)
 {
-    ClusterScenarioRunner runner(2, shortConfig(11));
+    ClusterScenarioRunner runner = pairsRunner(2, shortConfig(11));
     RandomClusterPolicy policy(5);
     const ClusterResult result = runner.run(policy);
     std::size_t total = 0;
@@ -65,7 +72,7 @@ TEST(ClusterRunner, AllRecordsAggregatesNodes)
 
 TEST(ClusterRunner, RandomPolicySpreadsAcrossNodes)
 {
-    ClusterScenarioRunner runner(4, shortConfig(13, 1500));
+    ClusterScenarioRunner runner = pairsRunner(4, shortConfig(13, 1500));
     RandomClusterPolicy policy(5);
     const ClusterResult result = runner.run(policy);
     std::size_t nodes_used = 0;
@@ -84,7 +91,7 @@ TEST(ClusterRunner, MoreNodesRaiseThroughput)
     congested.maxConcurrent = 12;
 
     auto completed = [&](std::size_t nodes) {
-        ClusterScenarioRunner runner(nodes, congested);
+        ClusterScenarioRunner runner = pairsRunner(nodes, congested);
         LeastLoadedLocalPolicy policy;
         return runner.run(policy).allRecords().size();
     };
@@ -95,7 +102,7 @@ TEST(ClusterRunner, MoreNodesRaiseThroughput)
 
 TEST(ClusterRunner, LeastLoadedBalances)
 {
-    ClusterScenarioRunner runner(3, shortConfig(19, 1500));
+    ClusterScenarioRunner runner = pairsRunner(3, shortConfig(19, 1500));
     LeastLoadedLocalPolicy policy;
     const ClusterResult result = runner.run(policy);
     std::vector<std::size_t> counts;
@@ -110,7 +117,7 @@ TEST(ClusterRunner, LeastLoadedBalances)
 
 TEST(ClusterRunner, LeastLoadedLocalNeverOffloads)
 {
-    ClusterScenarioRunner runner(2, shortConfig(23));
+    ClusterScenarioRunner runner = pairsRunner(2, shortConfig(23));
     LeastLoadedLocalPolicy policy;
     const ClusterResult result = runner.run(policy);
     for (const auto &entry : result.allRecords()) {
@@ -135,18 +142,9 @@ class BadPolicy : public ClusterPolicy
 
 TEST(ClusterRunner, InvalidNodeFromPolicyPanics)
 {
-    ClusterScenarioRunner runner(2, shortConfig(29));
+    ClusterScenarioRunner runner = pairsRunner(2, shortConfig(29));
     BadPolicy policy;
     EXPECT_THROW(runner.run(policy), std::logic_error);
-}
-
-TEST(ClusterRunner, LegacyRunsLeaveRackFieldsEmpty)
-{
-    ClusterScenarioRunner runner(2, shortConfig(31));
-    RandomClusterPolicy policy(5);
-    const ClusterResult result = runner.run(policy);
-    EXPECT_TRUE(result.topologyName.empty());
-    EXPECT_TRUE(result.linkTotals.empty());
 }
 
 // ---------------------------------------------------------------------

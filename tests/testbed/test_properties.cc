@@ -132,7 +132,7 @@ TEST_P(ConservationTest, AchievedWithinCapacities)
     }
     const TickResult tick = bed.tick(loads);
     EXPECT_LE(tick.remoteTrafficGBps,
-              bed.params().remoteBwGBps + 1e-9);
+              bed.link().bandwidthGBps + 1e-9);
     EXPECT_LE(tick.localTrafficGBps, bed.params().localBwGBps + 1e-9);
 
     // Per-app achieved traffic never exceeds its unimpeded demand.
@@ -163,9 +163,9 @@ TEST(ChannelLatencyBounds, AlwaysWithinModelRange)
         }
         const TickResult tick = bed.tick(loads);
         EXPECT_GE(tick.channelLatencyCycles,
-                  bed.params().channelLatencyBaseCycles - 1e-9);
+                  bed.link().latencyBaseCycles - 1e-9);
         EXPECT_LE(tick.channelLatencyCycles,
-                  bed.params().channelLatencySatCycles + 1e-9);
+                  bed.link().latencySatCycles + 1e-9);
     }
 }
 

@@ -53,27 +53,24 @@ TEST(LlcModel, InputValidation)
 
 TEST(ChannelLatency, SteadyBelowRampStart)
 {
-    TestbedParams params;
-    EXPECT_DOUBLE_EQ(channelLatencyCycles(params, 0.0), 350.0);
-    EXPECT_DOUBLE_EQ(channelLatencyCycles(params, 1.0), 350.0);
-    EXPECT_DOUBLE_EQ(channelLatencyCycles(params, params.channelRampStart),
-                     350.0);
+    const LinkProfile &link = kThymesisFlowProfile;
+    EXPECT_DOUBLE_EQ(linkLatencyCycles(link, 0.0), 350.0);
+    EXPECT_DOUBLE_EQ(linkLatencyCycles(link, 1.0), 350.0);
+    EXPECT_DOUBLE_EQ(linkLatencyCycles(link, link.rampStart), 350.0);
 }
 
 TEST(ChannelLatency, PlateauAboveRampEnd)
 {
-    TestbedParams params;
-    EXPECT_DOUBLE_EQ(channelLatencyCycles(params, params.channelRampEnd),
-                     900.0);
-    EXPECT_DOUBLE_EQ(channelLatencyCycles(params, 10.0), 900.0);
+    const LinkProfile &link = kThymesisFlowProfile;
+    EXPECT_DOUBLE_EQ(linkLatencyCycles(link, link.rampEnd), 900.0);
+    EXPECT_DOUBLE_EQ(linkLatencyCycles(link, 10.0), 900.0);
 }
 
 TEST(ChannelLatency, MonotoneRampBetween)
 {
-    TestbedParams params;
     double prev = 0.0;
     for (double p = 0.0; p < 4.0; p += 0.1) {
-        const double lat = channelLatencyCycles(params, p);
+        const double lat = linkLatencyCycles(kThymesisFlowProfile, p);
         EXPECT_GE(lat, prev);
         prev = lat;
     }
@@ -81,18 +78,25 @@ TEST(ChannelLatency, MonotoneRampBetween)
 
 TEST(ChannelLatency, NegativePressurePanics)
 {
-    TestbedParams params;
-    EXPECT_THROW(channelLatencyCycles(params, -0.1), std::logic_error);
+    EXPECT_THROW(linkLatencyCycles(kThymesisFlowProfile, -0.1),
+                 std::logic_error);
 }
 
 TEST(Testbed, RejectsBadParams)
 {
-    TestbedParams bad;
-    bad.remoteBwGBps = 0.0;
+    LinkProfile dead = kThymesisFlowProfile;
+    dead.bandwidthGBps = 0.0;
+    Topology bad("dead-pair");
+    bad.addNode({"n0", {}});
+    bad.addServer({"s0", 256.0, 15.0, {}});
+    bad.addLink(0, 0, dead);
     EXPECT_THROW(Testbed{bad}, std::runtime_error);
     TestbedParams bad2;
     bad2.llcCapacityMb = -1.0;
     EXPECT_THROW(Testbed{bad2}, std::runtime_error);
+    // The two-node view needs exactly one node behind one link.
+    EXPECT_THROW(Testbed{Topology::independentPairs(2)},
+                 std::runtime_error);
 }
 
 TEST(Testbed, EmptyTickIsQuiet)
@@ -147,9 +151,9 @@ TEST(Testbed, RemoteTrafficBoundedByChannelCap)
                             .toLoad(i, MemoryMode::Remote));
     const TickResult result = testbed.tick(loads);
     EXPECT_LE(result.remoteTrafficGBps,
-              testbed.params().remoteBwGBps + 1e-9);
+              testbed.link().bandwidthGBps + 1e-9);
     EXPECT_GT(result.remoteTrafficGBps,
-              0.9 * testbed.params().remoteBwGBps);
+              0.9 * testbed.link().bandwidthGBps);
 }
 
 TEST(Testbed, ChannelFaultDeratesBandwidthAndLatency)
@@ -168,7 +172,7 @@ TEST(Testbed, ChannelFaultDeratesBandwidthAndLatency)
     const TickResult degraded = testbed.tick(loads);
     // Achieved traffic tracks the derated cap...
     EXPECT_LE(degraded.remoteTrafficGBps,
-              0.25 * testbed.params().remoteBwGBps + 1e-9);
+              0.25 * testbed.link().bandwidthGBps + 1e-9);
     // ...and latency reflects both the scale and the extra pressure.
     EXPECT_GT(degraded.channelLatencyCycles,
               healthy.channelLatencyCycles);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testbed/testbed.hh"
 #include "testbed/topology.hh"
 
 namespace adrias::testbed
@@ -22,15 +23,19 @@ TEST(TopologyModel, PaperPairFactoryShape)
 
 TEST(TopologyModel, PaperPairDetection)
 {
-    EXPECT_TRUE(Topology::paperPair().isPaperPair());
-    EXPECT_FALSE(Topology::symmetric(2, 2, kCxlProfile).isPaperPair());
-    // One pair over a CXL link is not the paper's prototype.
+    // The two-node Testbed view accepts exactly the paper-pair shape —
+    // one node behind one link, whatever its tier — and nothing wider.
+    EXPECT_NO_THROW(Testbed{Topology::paperPair()});
     Topology cxl_pair("cxl-pair");
     cxl_pair.addNode({"n0", {}});
     cxl_pair.addServer({"s0", 256.0, 15.0, {}});
     cxl_pair.addLink(0, 0, kCxlProfile);
     cxl_pair.validate();
-    EXPECT_FALSE(cxl_pair.isPaperPair());
+    EXPECT_EQ(std::string(Testbed(cxl_pair).link().name), "cxl");
+    EXPECT_THROW(Testbed{Topology::symmetric(2, 2, kCxlProfile)},
+                 std::runtime_error);
+    EXPECT_THROW(Testbed{Topology::symmetric(1, 2, kCxlProfile)},
+                 std::runtime_error);
 }
 
 TEST(TopologyModel, SymmetricFactoryShape)
@@ -211,16 +216,21 @@ TEST(TopologyModel, Asymmetric4x4Shape)
 
 TEST(TopologyModel, TopologyByNameRegistry)
 {
-    EXPECT_TRUE(topologyByName("paper-pair").isPaperPair());
+    const Topology paper = topologyByName("paper-pair");
+    EXPECT_EQ(paper.name(), "paper-pair");
+    EXPECT_EQ(paper.linkCount(), 1u);
     EXPECT_EQ(topologyByName("rack-2x2-cxl").linkCount(), 4u);
     EXPECT_EQ(topologyByName("rack-4x4-mixed").linkCount(), 9u);
     EXPECT_EQ(topologyByName("pairs-5").nodeCount(), 5u);
     EXPECT_THROW(topologyByName("no-such-rack"), std::runtime_error);
     EXPECT_THROW(topologyByName("pairs-"), std::runtime_error);
     EXPECT_THROW(topologyByName("pairs-0"), std::runtime_error);
-
-    for (const std::string &name : knownTopologyNames())
-        EXPECT_GE(topologyByName(name).nodeCount(), 1u) << name;
+    EXPECT_THROW(topologyByName("pairs--3"), std::runtime_error);
+    EXPECT_THROW(topologyByName("pairs-3x"), std::runtime_error);
+    // A count beyond size_t is bad input (runtime_error), not a
+    // programming error (std::out_of_range is a logic_error).
+    EXPECT_THROW(topologyByName("pairs-99999999999999999999"),
+                 std::runtime_error);
 }
 
 TEST(TopologyModel, AddressRangePrimitives)
