@@ -36,24 +36,33 @@ AdriasClusterOrchestrator::predictAll(
     const std::vector<scenario::NodeView> &nodes) const
 {
     const auto &signature = signatures->get(spec.name);
+    // Every window is stored before any query takes its address, so
+    // the borrowed PerfQuery pointers stay valid for the batch call.
+    std::vector<std::vector<ml::Matrix>> histories(nodes.size());
     std::vector<Candidate> candidates;
+    std::vector<models::PredictorBase::PerfQuery> queries;
     candidates.reserve(nodes.size() * 2);
+    queries.reserve(nodes.size() * 2);
     for (std::size_t n = 0; n < nodes.size(); ++n) {
         if (nodes[n].watcher->sampleCount() == 0)
             continue;
-        const auto history = nodes[n].watcher->binnedWindow(
+        histories[n] = nodes[n].watcher->binnedWindow(
             scenario::ScenarioRunner::kWindowSec,
             scenario::ScenarioRunner::kWindowBins);
         for (MemoryMode mode : {MemoryMode::Local, MemoryMode::Remote}) {
-            Candidate candidate;
-            candidate.node = n;
-            candidate.mode = mode;
-            candidate.running = nodes[n].running;
-            candidate.predicted = predictor->predictPerformance(
-                spec.cls, history, signature, mode);
-            candidates.push_back(candidate);
+            candidates.push_back({n, mode, 0.0, nodes[n].running});
+            queries.push_back({&histories[n], &signature, mode});
         }
     }
+    if (queries.empty())
+        return candidates;
+
+    // One fused query per decision: the shared signature is encoded
+    // once and each node's window once, whatever the node count.
+    const std::vector<double> predicted =
+        predictor->predictPerformanceBatch(spec.cls, queries);
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+        candidates[i].predicted = predicted[i];
     return candidates;
 }
 

@@ -70,6 +70,10 @@ class AdriasClusterOrchestrator : public scenario::ClusterPolicy
         std::size_t running = 0;
     };
 
+    /**
+     * One predictPerformanceBatch() over every (warm node × mode) row,
+     * node order, Local before Remote; cold nodes contribute no rows.
+     */
     std::vector<Candidate>
     predictAll(const workloads::WorkloadSpec &spec,
                const std::vector<scenario::NodeView> &nodes) const;

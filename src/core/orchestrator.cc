@@ -165,10 +165,14 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
     MemoryMode mode = MemoryMode::Local;
     try {
         if (spec.cls == WorkloadClass::BestEffort) {
-            const double t_local = predictor->predictPerformance(
-                spec.cls, history, signature, MemoryMode::Local);
-            const double t_remote = predictor->predictPerformance(
-                spec.cls, history, signature, MemoryMode::Remote);
+            // Both hypotheticals share S, Ŝ and k: one fused query
+            // runs them through the LSTMs once and only the head at
+            // b2 (the same pointer dedupe the daemon relies on).
+            const std::vector<double> t = predictor->predictPerformanceBatch(
+                spec.cls, {{&history, &signature, MemoryMode::Local},
+                           {&history, &signature, MemoryMode::Remote}});
+            const double t_local = t[0];
+            const double t_remote = t[1];
             mode = decideBestEffort(t_local, t_remote, policy.beta);
 #if ADRIAS_OBS_ENABLED
             obs_t_local = t_local;

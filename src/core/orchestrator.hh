@@ -9,6 +9,11 @@
  *
  * Applications without a stored signature are bootstrapped on remote
  * memory and their signature is captured from their execution window.
+ *
+ * Each decision asks the Predictor one question: a BE decision is one
+ * predictPerformanceBatch() over {Local, Remote} sharing one history
+ * window and one signature (so S, Ŝ and k are encoded once), an LC
+ * decision one single-row remote query.
  */
 
 #ifndef ADRIAS_CORE_ORCHESTRATOR_HH

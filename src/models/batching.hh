@@ -10,6 +10,7 @@
 #ifndef ADRIAS_MODELS_BATCHING_HH
 #define ADRIAS_MODELS_BATCHING_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <vector>
@@ -32,6 +33,22 @@ stackSequences(const std::vector<const std::vector<ml::Matrix> *> &sequences);
 
 /** Stack (1 x F) row vectors into a (B x F) matrix. */
 ml::Matrix stackRows(const std::vector<const ml::Matrix *> &rows);
+
+/**
+ * Call fn(begin, end) over [0, n) in consecutive chunks of at most
+ * `rows` rows.  Whole-dataset inference passes (evaluate(), the Ŝ
+ * pre-resolution before training) chunk at the model's training batch
+ * size: LSTM workspaces keep the storage of the largest batch they
+ * have seen (DESIGN.md §11.2), so a pass never grows them beyond what
+ * training already sized.
+ */
+template <typename Fn>
+void
+forEachChunk(std::size_t n, std::size_t rows, Fn &&fn)
+{
+    for (std::size_t begin = 0; begin < n; begin += rows)
+        fn(begin, std::min(n, begin + rows));
+}
 
 /** BatchAssembler tuning. */
 struct BatchAssemblerConfig

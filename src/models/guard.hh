@@ -109,6 +109,12 @@ class GuardedPredictor : public PredictorBase
      * batch.  Any gate failure fails the entire batch — per-request
      * deadlines are the serving layer's job (it sizes batches so the
      * inference budget fits every member's deadline).
+     *
+     * The inline orchestrators follow the same rule: a BE decision
+     * asks one {Local, Remote} batch, so it is ONE admission — calls
+     * advance by 2, the crash-window salt (callCounter) by 1, and a
+     * crash window costs the decision one fallback rather than up to
+     * two coin flips.  An LC decision keeps its one single-row call.
      */
     std::vector<double>
     predictPerformanceBatch(WorkloadClass cls,

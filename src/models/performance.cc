@@ -90,23 +90,38 @@ PerformanceModel::params()
     return all;
 }
 
-ml::Matrix
-PerformanceModel::resolveFuture(const scenario::PerformanceSample &sample,
-                                const SystemStateModel *system) const
+std::vector<ml::Matrix>
+PerformanceModel::resolveFutures(
+    const std::vector<scenario::PerformanceSample> &samples,
+    const SystemStateModel *system) const
 {
+    std::vector<ml::Matrix> futures(samples.size());
     switch (future) {
       case FutureKind::None:
-        return ml::Matrix();
+        break;
       case FutureKind::ActualWindow:
-        return sample.futureWindow;
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            futures[i] = samples[i].futureWindow;
+        break;
       case FutureKind::ActualExec:
-        return sample.futureExec;
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            futures[i] = samples[i].futureExec;
+        break;
       case FutureKind::Predicted:
         if (!system || !system->trained())
             fatal("FutureKind::Predicted needs a trained system model");
-        return system->predict(sample.history);
+        forEachChunk(samples.size(), config.batchSize,
+                     [&](std::size_t begin, std::size_t end) {
+            std::vector<const std::vector<ml::Matrix> *> histories;
+            histories.reserve(end - begin);
+            for (std::size_t i = begin; i < end; ++i)
+                histories.push_back(&samples[i].history);
+            std::vector<ml::Matrix> chunk = system->predictBatch(histories);
+            std::move(chunk.begin(), chunk.end(), futures.begin() + begin);
+        });
+        break;
     }
-    panic("unknown FutureKind");
+    return futures;
 }
 
 ml::Matrix
@@ -198,11 +213,8 @@ PerformanceModel::fitLoop(
     const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
 
     // Pre-resolve the future vectors once (the Predicted variant runs
-    // the system model per sample).
-    std::vector<ml::Matrix> futures(samples.size());
-    if (futureWidth() > 0)
-        for (std::size_t i = 0; i < samples.size(); ++i)
-            futures[i] = resolveFuture(samples[i], system);
+    // batched system-model forwards over the whole set).
+    const std::vector<ml::Matrix> futures = resolveFutures(samples, system);
 
     auto parameters = params();
     ml::Adam optimizer(parameters, learning_rate);
@@ -383,27 +395,8 @@ PerformanceModel::predict(const std::vector<ml::Matrix> &history,
                           const std::vector<ml::Matrix> &signature,
                           MemoryMode mode, const ml::Matrix &future_vec) const
 {
-    if (!isTrained)
-        fatal("PerformanceModel::predict before train()");
-    if (history.empty() || signature.empty())
-        fatal("PerformanceModel::predict needs history and signature");
-    if (futureWidth() > 0 && future_vec.empty())
-        fatal("PerformanceModel::predict: this model needs a future "
-              "vector");
-
-    const auto h = counterScaler.transformSequence(history);
-    const auto k = counterScaler.transformSequence(signature);
-    ml::Matrix mode_col(1, 1);
-    mode_col.at(0, 0) = mode == MemoryMode::Remote ? 1.0 : 0.0;
-    ml::Matrix future_rows(1, futureWidth());
-    if (futureWidth() > 0) {
-        const ml::Matrix scaled = counterScaler.transform(future_vec);
-        for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-            future_rows.at(0, e) = scaled.at(0, e);
-    }
-    const ml::Matrix out = forwardBatch(h, k, mode_col, future_rows);
-    return decodeTarget(targetScaler.inverseTransformScalar(out.at(0, 0),
-                                                            0));
+    return predictBatch({{&history, &signature, mode, &future_vec}})
+        .front();
 }
 
 std::vector<double>
@@ -517,10 +510,23 @@ PerformanceModel::evaluate(
     std::vector<double> actual_remote, pred_remote;
     std::map<std::string, std::vector<double>> errors_per_app;
 
-    for (const auto &sample : samples) {
-        const ml::Matrix future_vec = resolveFuture(sample, system);
-        const double prediction = predict(sample.history, sample.signature,
-                                          sample.mode, future_vec);
+    const std::vector<ml::Matrix> futures = resolveFutures(samples, system);
+    std::vector<double> predictions;
+    predictions.reserve(samples.size());
+    forEachChunk(samples.size(), config.batchSize,
+                 [&](std::size_t begin, std::size_t end) {
+        std::vector<Query> rows;
+        rows.reserve(end - begin);
+        for (std::size_t i = begin; i < end; ++i)
+            rows.push_back({&samples[i].history, &samples[i].signature,
+                            samples[i].mode, &futures[i]});
+        const std::vector<double> chunk = predictBatch(rows);
+        predictions.insert(predictions.end(), chunk.begin(), chunk.end());
+    });
+
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const auto &sample = samples[i];
+        const double prediction = predictions[i];
         eval.actual.push_back(sample.target);
         eval.predicted.push_back(prediction);
         errors_per_app[sample.name].push_back(

@@ -93,7 +93,8 @@ class PerformanceModel
              const SystemStateModel *system, std::size_t epochs);
 
     /**
-     * Predict the performance metric for a hypothetical deployment.
+     * Predict the performance metric for a hypothetical deployment: a
+     * one-row predictBatch() call, so the model has a single forward.
      *
      * @param history binned Watcher window S.
      * @param signature application signature k.
@@ -118,17 +119,21 @@ class PerformanceModel
     };
 
     /**
-     * Fused batch variant of predict(): one forward pass over B
-     * stacked queries.  Rows are independent through the encoders and
-     * the head, so element i is bitwise identical to the corresponding
-     * single-row predict() call.
+     * Fused forward over B stacked queries.  Each distinct history and
+     * signature pointer is encoded once; rows are independent through
+     * the encoders and the head, so element i is bitwise identical to
+     * a one-row call on query i.
      *
      * @return one prediction per query, input order.
      */
     std::vector<double>
     predictBatch(const std::vector<Query> &queries) const;
 
-    /** Evaluate on held-out samples (Ŝ resolved per this model's kind). */
+    /**
+     * Evaluate on held-out samples (Ŝ resolved per this model's kind).
+     * Predictions come from predictBatch() over chunks of
+     * training-batch-size samples, bitwise equal to per-row calls.
+     */
     PerformanceEvaluation
     evaluate(const std::vector<scenario::PerformanceSample> &samples,
              const SystemStateModel *system = nullptr) const;
@@ -157,10 +162,6 @@ class PerformanceModel
     /** Stream-based core of load(). */
     void loadFromStream(std::istream &in);
 
-    /** Resolve the Ŝ input for one sample given this model's kind. */
-    ml::Matrix resolveFuture(const scenario::PerformanceSample &sample,
-                             const SystemStateModel *system) const;
-
   private:
     FutureKind future;
     ModelConfig config;
@@ -175,6 +176,15 @@ class PerformanceModel
     bool isTrained = false;
 
     std::size_t futureWidth() const;
+
+    /**
+     * Resolve the Ŝ input of every sample given this model's kind
+     * (empty matrices for FutureKind::None; batched system-state
+     * forwards for FutureKind::Predicted).
+     */
+    std::vector<ml::Matrix>
+    resolveFutures(const std::vector<scenario::PerformanceSample> &samples,
+                   const SystemStateModel *system) const;
 
     /** Raw-target <-> regression-space transforms (log when enabled). */
     double encodeTarget(double target) const;

@@ -81,29 +81,8 @@ Predictor::predictPerformance(WorkloadClass cls,
                               const std::vector<ml::Matrix> &signature,
                               MemoryMode mode) const
 {
-    if (!isTrained)
-        fatal("Predictor::predictPerformance before train()");
-#if ADRIAS_OBS_ENABLED
-    obs::WallSpan infer_span("infer_performance", "predictor");
-    if (obs::enabled()) {
-        static obs::Counter &inferences =
-            obs::MetricsRegistry::global().counter(
-                "predictor.inferences");
-        inferences.add();
-    }
-#endif
-    const ml::Matrix future = system->predict(history);
-    switch (cls) {
-      case WorkloadClass::BestEffort:
-        return bestEffort->predict(history, signature, mode, future);
-      case WorkloadClass::LatencyCritical:
-        if (!lcTrained)
-            fatal("Predictor: LC model was not trained");
-        return lc->predict(history, signature, mode, future);
-      case WorkloadClass::Interference:
-        fatal("Predictor: no performance model for trashers");
-    }
-    panic("unknown WorkloadClass");
+    return predictPerformanceBatch(cls, {{&history, &signature, mode}})
+        .front();
 }
 
 std::vector<double>

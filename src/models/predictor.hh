@@ -54,9 +54,11 @@ class PredictorBase
     };
 
     /**
-     * Batched predictPerformance over same-class queries.  The base
-     * implementation loops over the single-row entry point, so every
-     * PredictorBase (stubs included) serves batches; Predictor
+     * Batched predictPerformance over same-class queries: what every
+     * placement decision issues (the inline orchestrators ask one
+     * batched question per decision, the daemon one per batch).  The
+     * base implementation loops over the single-row entry point, so
+     * every PredictorBase (stubs included) serves batches; Predictor
      * overrides it with the fused single-forward fast-path and
      * GuardedPredictor with a one-admission batch gate.  Row i always
      * equals the corresponding single-row call.
@@ -101,7 +103,8 @@ class Predictor : public PredictorBase
     predictSystemState(const telemetry::Watcher &watcher) const override;
 
     /**
-     * Predict an application's performance under a hypothetical mode.
+     * Predict an application's performance under a hypothetical mode:
+     * a one-row predictPerformanceBatch() call.
      *
      * @param cls BestEffort (returns execution time, s) or
      *        LatencyCritical (returns p99, ms).
@@ -116,9 +119,12 @@ class Predictor : public PredictorBase
                        MemoryMode mode) const override;
 
     /**
-     * Fused serving fast-path: one batched system-state forward for
-     * all histories, then one batched performance forward — two
-     * network evaluations per batch instead of two per query.
+     * Fused fast-path: one batched system-state forward for all
+     * histories, then one batched performance forward — two network
+     * evaluations per batch instead of two per query.  Both forwards
+     * dedupe sequence pointers, so a BE decision's {Local, Remote}
+     * pair runs S and k through their LSTMs once and only the head at
+     * b2.
      */
     std::vector<double>
     predictPerformanceBatch(WorkloadClass cls,

@@ -213,13 +213,7 @@ SystemStateModel::load(const std::string &path)
 ml::Matrix
 SystemStateModel::predict(const std::vector<ml::Matrix> &history) const
 {
-    if (!isTrained)
-        fatal("SystemStateModel::predict before train()");
-    if (history.empty())
-        fatal("SystemStateModel::predict on empty history");
-    const auto scaled = inputScaler.transformSequence(history);
-    const ml::Matrix out = forwardBatch(scaled);
-    return targetScaler.inverseTransform(out);
+    return std::move(predictBatch({&history}).front());
 }
 
 std::vector<ml::Matrix>
@@ -282,15 +276,23 @@ SystemStateModel::evaluate(
     std::vector<std::vector<double>> actual(kNumPerfEvents);
     std::vector<std::vector<double>> predicted(kNumPerfEvents);
     SystemStateEvaluation eval;
-    for (const auto &sample : samples) {
-        const ml::Matrix out = predict(sample.history);
-        for (std::size_t e = 0; e < kNumPerfEvents; ++e) {
-            actual[e].push_back(sample.target.at(0, e));
-            predicted[e].push_back(out.at(0, e));
-            eval.actual.push_back(sample.target.at(0, e));
-            eval.predicted.push_back(out.at(0, e));
+    forEachChunk(samples.size(), config.batchSize,
+                 [&](std::size_t begin, std::size_t end) {
+        std::vector<const std::vector<ml::Matrix> *> histories;
+        histories.reserve(end - begin);
+        for (std::size_t i = begin; i < end; ++i)
+            histories.push_back(&samples[i].history);
+        const std::vector<ml::Matrix> outs = predictBatch(histories);
+        for (std::size_t i = begin; i < end; ++i) {
+            const ml::Matrix &out = outs[i - begin];
+            for (std::size_t e = 0; e < kNumPerfEvents; ++e) {
+                actual[e].push_back(samples[i].target.at(0, e));
+                predicted[e].push_back(out.at(0, e));
+                eval.actual.push_back(samples[i].target.at(0, e));
+                eval.predicted.push_back(out.at(0, e));
+            }
         }
-    }
+    });
     double total = 0.0;
     for (std::size_t e = 0; e < kNumPerfEvents; ++e) {
         const double r2 = stats::r2Score(actual[e], predicted[e]);

@@ -51,7 +51,8 @@ class SystemStateModel
     double train(const std::vector<scenario::SystemStateSample> &samples);
 
     /**
-     * Predict the horizon mean for one history window.
+     * Predict the horizon mean for one history window: a one-row
+     * predictBatch() call, so the model has a single forward.
      *
      * @param history binned window (kWindowBins steps of 1 x events).
      * @return (1 x events) prediction in counter units.
@@ -59,10 +60,10 @@ class SystemStateModel
     ml::Matrix predict(const std::vector<ml::Matrix> &history) const;
 
     /**
-     * Fused batch variant of predict(): one forward pass over B
-     * stacked histories.  Rows are independent through the whole
-     * network, so row i of the result is bitwise identical to
-     * predict(*histories[i]).
+     * Fused forward over B stacked histories; each distinct history
+     * pointer is scaled and forwarded once.  Rows are independent
+     * through the whole network, so row i of the result is bitwise
+     * identical to a one-row call on histories[i].
      *
      * @param histories one binned window per batch row (borrowed; all
      *        the same length).
@@ -72,7 +73,10 @@ class SystemStateModel
     predictBatch(const std::vector<const std::vector<ml::Matrix> *>
                      &histories) const;
 
-    /** Evaluate R² per event on held-out samples. */
+    /**
+     * Evaluate R² per event on held-out samples, predicting through
+     * predictBatch() over chunks of training-batch-size samples.
+     */
     SystemStateEvaluation
     evaluate(const std::vector<scenario::SystemStateSample> &samples) const;
 

@@ -4,6 +4,7 @@
 
 #include "core/adrias.hh"
 #include "core/schedulers.hh"
+#include "counting_predictor.hh"
 #include "testbed/topology.hh"
 
 namespace adrias::core
@@ -51,6 +52,59 @@ class ClusterOrchestratorTest : public ::testing::Test
 };
 
 AdriasStack *ClusterOrchestratorTest::stack = nullptr;
+
+TEST(ClusterCallShape, OneBatchPerDecisionTwoRowsPerWarmNode)
+{
+    // Node 1 is cold; nodes 0 and 2 carry different telemetry.
+    testbed::Testbed idle_bed, busy_bed;
+    idle_bed.setNoise(0.0);
+    busy_bed.setNoise(0.0);
+    const std::vector<testbed::LoadDescriptor> loads{
+        workloads::ibenchSpec(workloads::IBenchKind::MemBw)
+            .toLoad(0, MemoryMode::Remote)};
+    telemetry::Watcher w0(200), w1(200), w2(200);
+    for (int t = 0; t < 150; ++t) {
+        w0.record(idle_bed.tick({}).counters);
+        w2.record(busy_bed.tick(loads).counters);
+    }
+    std::vector<scenario::NodeView> nodes{{&w0, 3}, {&w1, 0}, {&w2, 1}};
+
+    CountingPredictor predictor;
+    scenario::SignatureStore store;
+    const auto &be = workloads::sparkBenchmark("sort");
+    const auto &lc = workloads::redisSpec();
+    store.put(be.name, decisionWindow(w0));
+    store.put(lc.name, decisionWindow(w2));
+    AdriasClusterOrchestrator orchestrator(predictor, store, {});
+
+    const std::vector<MemoryMode> modes{MemoryMode::Local,
+                                        MemoryMode::Remote,
+                                        MemoryMode::Local,
+                                        MemoryMode::Remote};
+    std::size_t decisions = 0;
+    for (const workloads::WorkloadSpec *spec : {&be, &lc, &be}) {
+        orchestrator.place(*spec, nodes, 150);
+        ++decisions;
+        ASSERT_EQ(predictor.batches.size(), decisions);
+        const CountingPredictor::BatchCall &call = predictor.batches.back();
+        EXPECT_EQ(call.cls, spec->cls);
+        EXPECT_EQ(call.modes, modes);
+        EXPECT_EQ(call.historySlot,
+                  (std::vector<std::size_t>{0, 0, 1, 1}));
+        ASSERT_EQ(call.histories.size(), 2u);
+        EXPECT_TRUE(sameWindow(call.histories[0], decisionWindow(w0)));
+        EXPECT_TRUE(sameWindow(call.histories[1], decisionWindow(w2)));
+        ASSERT_EQ(call.signatures.size(), 1u);
+        EXPECT_EQ(call.signatures[0], &store.get(spec->name));
+    }
+    EXPECT_EQ(predictor.singleCalls, 0u);
+
+    // An all-cold cluster is a rule decision: no query at all.
+    telemetry::Watcher c0(16), c1(16);
+    std::vector<scenario::NodeView> cold{{&c0, 2}, {&c1, 1}};
+    EXPECT_EQ(orchestrator.place(be, cold, 0).mode, MemoryMode::Local);
+    EXPECT_EQ(predictor.batches.size(), decisions);
+}
 
 TEST_F(ClusterOrchestratorTest, RequiresTrainedPredictorAndSaneBeta)
 {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/adrias.hh"
+#include "counting_predictor.hh"
+#include "ml/simd.hh"
 
 namespace adrias::core
 {
@@ -52,6 +54,38 @@ class OrchestratorTest : public ::testing::Test
 
 AdriasStack *OrchestratorTest::stack = nullptr;
 
+/** Quiet warm telemetry: 150 noise-free idle ticks. */
+void
+warmUp(telemetry::Watcher &watcher)
+{
+    testbed::Testbed bed;
+    bed.setNoise(0.0);
+    for (int i = 0; i < 150; ++i)
+        watcher.record(bed.tick({}).counters);
+}
+
+/**
+ * Local-only policy keeping every warm decision-time Watcher window
+ * of a best-effort arrival, with the arriving app's name.
+ */
+class WindowRecorder : public scenario::PlacementPolicy
+{
+  public:
+    std::string name() const override { return "window-recorder"; }
+
+    MemoryMode
+    place(const workloads::WorkloadSpec &spec,
+          const telemetry::Watcher &watcher, SimTime) override
+    {
+        if (spec.cls == WorkloadClass::BestEffort &&
+            watcher.sampleCount() > 0)
+            windows.push_back({spec.name, decisionWindow(watcher)});
+        return MemoryMode::Local;
+    }
+
+    std::vector<std::pair<std::string, std::vector<ml::Matrix>>> windows;
+};
+
 TEST(Schedulers, RoundRobinAlternates)
 {
     RoundRobinScheduler rr;
@@ -75,6 +109,90 @@ TEST(Schedulers, AllLocalAndAllRemoteAreConstant)
         EXPECT_EQ(all_local.place(spec, watcher, i), MemoryMode::Local);
         EXPECT_EQ(all_remote.place(spec, watcher, i),
                   MemoryMode::Remote);
+    }
+}
+
+TEST(OrchestratorCallShape, BestEffortDecisionIsOneFusedPairQuery)
+{
+    // The BE rule compares two hypotheticals sharing S, Ŝ and k, so a
+    // decision asks ONE batched question whose two rows point at the
+    // same history and the same stored signature.
+    CountingPredictor predictor;
+    telemetry::Watcher watcher(200);
+    warmUp(watcher);
+    const auto &spec = workloads::sparkBenchmark("sort");
+    scenario::SignatureStore store;
+    store.put(spec.name, decisionWindow(watcher));
+    AdriasOrchestrator orchestrator(predictor, store, {});
+
+    // β = 0.8: local iff 100 < 0.8 · 90, so the stub's rows say Remote.
+    EXPECT_EQ(orchestrator.place(spec, watcher, 150), MemoryMode::Remote);
+    EXPECT_EQ(predictor.singleCalls, 0u);
+    ASSERT_EQ(predictor.batches.size(), 1u);
+    const CountingPredictor::BatchCall &call = predictor.batches[0];
+    EXPECT_EQ(call.cls, WorkloadClass::BestEffort);
+    EXPECT_EQ(call.modes, (std::vector<MemoryMode>{MemoryMode::Local,
+                                                   MemoryMode::Remote}));
+    EXPECT_EQ(call.historySlot, (std::vector<std::size_t>{0, 0}));
+    ASSERT_EQ(call.histories.size(), 1u);
+    EXPECT_TRUE(sameWindow(call.histories[0], decisionWindow(watcher)));
+    ASSERT_EQ(call.signatures.size(), 1u);
+    EXPECT_EQ(call.signatures[0], &store.get(spec.name));
+}
+
+TEST(OrchestratorCallShape, LatencyCriticalDecisionIsOneSingleRowQuery)
+{
+    CountingPredictor predictor;
+    telemetry::Watcher watcher(200);
+    warmUp(watcher);
+    const auto &spec = workloads::redisSpec();
+    scenario::SignatureStore store;
+    store.put(spec.name, decisionWindow(watcher));
+    AdriasConfig config;
+    config.defaultQosP99Ms = 1e9;
+    AdriasOrchestrator orchestrator(predictor, store, config);
+
+    EXPECT_EQ(orchestrator.place(spec, watcher, 150), MemoryMode::Remote);
+    EXPECT_EQ(predictor.singleCalls, 1u);
+    EXPECT_TRUE(predictor.batches.empty());
+}
+
+TEST_F(OrchestratorTest, FusedPairMatchesSingleRowCallsBitwise)
+{
+    // Every forward op is row-independent (DESIGN.md §9), so the fused
+    // {Local, Remote} query a BE decision issues must equal two
+    // single-row calls exactly, on real decision-time windows and on
+    // both kernel tiers.
+    WindowRecorder recorder;
+    ScenarioRunner runner(evalConfig(904));
+    runner.run(recorder);
+    ASSERT_GE(recorder.windows.size(), 20u);
+
+    const models::Predictor &predictor = stack->predictor();
+    for (ml::KernelTier tier : {ml::KernelTier::Scalar,
+                                ml::KernelTier::Vector}) {
+        SCOPED_TRACE(ml::kernelTierName(tier));
+        const ml::ScopedKernelTier pin(tier);
+        std::size_t compared = 0;
+        for (const auto &[name, window] : recorder.windows) {
+            if (!stack->signatures().has(name))
+                continue;
+            const auto &signature = stack->signatures().get(name);
+            const std::vector<double> fused =
+                predictor.predictPerformanceBatch(
+                    WorkloadClass::BestEffort,
+                    {{&window, &signature, MemoryMode::Local},
+                     {&window, &signature, MemoryMode::Remote}});
+            ASSERT_EQ(fused.size(), 2u);
+            EXPECT_EQ(fused[0], predictor.predictPerformance(
+                                    WorkloadClass::BestEffort, window,
+                                    signature, MemoryMode::Local));
+            EXPECT_EQ(fused[1], predictor.predictPerformance(
+                                    WorkloadClass::BestEffort, window,
+                                    signature, MemoryMode::Remote));
+            ++compared;
+        }
+        EXPECT_GE(compared, 20u);
     }
 }
 

@@ -302,6 +302,55 @@ TEST_F(ChaosTest, BatchGateFailsWholeBatchOnDeadline)
                                             MemoryMode::Local));
 }
 
+TEST_F(ChaosTest, BestEffortDecisionIsOneGuardAdmission)
+{
+    // A BE decision asks ONE {Local, Remote} batch, so under the guard
+    // it is one admission — the daemon's one-gate-per-batch rule:
+    // calls advance by 2 (one per row), the crash-window salt by 1,
+    // and a crash window costs the decision one coin flip and at most
+    // one fallback.
+    FaultSchedule schedule;
+    schedule.seed = 99;
+    schedule.add({FaultKind::PredictorCrash, 0, 1000, 1.0, 0.5, ""});
+
+    // Crash decisions are stateless hashes of (seed, tick, salt): find
+    // a tick where salt 0 survives and salt 1 crashes.  Two single-row
+    // calls would crash on their second flip there.
+    fault::FaultInjector probe(schedule);
+    SimTime tick = -1;
+    for (SimTime t = 0; t < 1000 && tick < 0; ++t)
+        if (!probe.predictorCrashAt(t, 0) && probe.predictorCrashAt(t, 1))
+            tick = t;
+    ASSERT_GE(tick, 0);
+
+    StubPredictor stub;
+    fault::FaultInjector injector(schedule);
+    models::GuardedPredictor guard(stub, {}, &injector);
+    AdriasOrchestrator orchestrator(guard, *signatures, {});
+    telemetry::Watcher watcher(200);
+    testbed::Testbed bed;
+    bed.setNoise(0.0);
+    for (int i = 0; i < 150; ++i)
+        watcher.record(bed.tick({}).counters);
+    const auto &spec = workloads::sparkBenchmark("sort");
+
+    // Salt 0: the whole decision is served by one admission.
+    orchestrator.place(spec, watcher, tick);
+    EXPECT_EQ(guard.stats().calls, 2u);
+    EXPECT_EQ(guard.stats().served, 2u);
+    EXPECT_EQ(guard.stats().injectedCrashes, 0u);
+    EXPECT_EQ(orchestrator.stats().fallbackPlacements, 0u);
+
+    // Salt 1: one crash, one failure, one fallback.
+    orchestrator.place(spec, watcher, tick);
+    EXPECT_EQ(guard.stats().calls, 4u);
+    EXPECT_EQ(guard.stats().served, 2u);
+    EXPECT_EQ(guard.stats().injectedCrashes, 1u);
+    EXPECT_EQ(guard.stats().failures, 1u);
+    EXPECT_EQ(orchestrator.stats().fallbackPlacements, 1u);
+    EXPECT_EQ(orchestrator.stats().predictionFailures, 1u);
+}
+
 TEST_F(ChaosTest, GuardRejectsInvalidInputsWithoutChargingBreaker)
 {
     StubPredictor stub;
