@@ -128,26 +128,6 @@ FaultInjector::magnitudeAt(FaultKind kind, SimTime now) const
 }
 
 LinkState
-FaultInjector::linkStateAt(SimTime now)
-{
-    // Single-channel view: the paper pair's one channel stands in for
-    // every link, so window link names are ignored here and the
-    // historical firing/magnitude selection is preserved verbatim.
-    LinkState state;
-    if (firesAt(FaultKind::LinkDegrade, now))
-        state.bwScale = magnitudeAt(FaultKind::LinkDegrade, now);
-    if (firesAt(FaultKind::LinkFlap, now)) {
-        // A flap tick: nearly no payload gets through and the channel
-        // sits at its back-pressure plateau (~900/350 cycles).
-        state.bwScale = std::min(state.bwScale, 0.02);
-        state.latencyScale = 2.6;
-    }
-    if (state.faulted())
-        ++counters.linkFaultTicks;
-    return state;
-}
-
-LinkState
 FaultInjector::linkStateAt(SimTime now, const std::string &link)
 {
     LinkState state;
@@ -164,6 +144,8 @@ FaultInjector::linkStateAt(SimTime now, const std::string &link)
         } else if (window.kind == FaultKind::LinkFlap &&
                    roll(FaultKind::LinkFlap, now, salt) <
                        window.probability) {
+            // A flap tick: nearly no payload gets through and the link
+            // sits at its back-pressure plateau (~900/350 cycles).
             state.bwScale = std::min(state.bwScale, 0.02);
             state.latencyScale = std::max(state.latencyScale, 2.6);
         }

@@ -84,10 +84,7 @@ struct FaultWindow
 
     /**
      * Link the window targets, by topology link name (LinkDegrade /
-     * LinkFlap only).  Empty targets every link.  The single-channel
-     * linkStateAt(now) overload ignores names entirely (its one
-     * channel stands in for every link), so legacy schedules keep
-     * their exact historical behaviour.
+     * LinkFlap only).  Empty targets every link.
      */
     std::string link;
 };
@@ -112,13 +109,13 @@ struct FaultSchedule
     }
 };
 
-/** Remote-channel state the testbed should apply this tick. */
+/** One link's state the testbed should apply this tick. */
 struct LinkState
 {
-    /** Multiplier on the channel's effective bandwidth, (0, 1]. */
+    /** Multiplier on the link's effective bandwidth, (0, 1]. */
     double bwScale = 1.0;
 
-    /** Multiplier on the channel's back-pressure latency, >= 1. */
+    /** Multiplier on the link's back-pressure latency, >= 1. */
     double latencyScale = 1.0;
 
     /** @return true when the link deviates from healthy. */
@@ -188,19 +185,12 @@ class FaultInjector
     double magnitudeAt(FaultKind kind, SimTime now) const;
 
     /**
-     * Channel state to apply this tick (degrade + flap combined).
-     * Single-channel view: the paper pair's one channel stands in for
-     * every link, so window link names are ignored and legacy
-     * schedules keep their exact historical behaviour.
-     */
-    LinkState linkStateAt(SimTime now);
-
-    /**
-     * Per-link state for rack topologies: windows targeting `link` by
-     * name apply alongside untargeted (empty-name) windows.  Firing
-     * coins are salted by the link name, so two links covered by one
-     * window flap independently while staying a pure function of
-     * (seed, kind, tick, link).
+     * State to apply to one link this tick (degrade + flap combined):
+     * windows targeting `link` by name apply alongside untargeted
+     * (empty-name) windows, and the strongest firing window wins.
+     * Firing coins are salted by the link name, so two links covered
+     * by one window flap independently while staying a pure function
+     * of (seed, kind, tick, link).
      */
     LinkState linkStateAt(SimTime now, const std::string &link);
 

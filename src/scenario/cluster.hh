@@ -224,7 +224,10 @@ struct ClusterResult
     std::vector<NodeRecord> allRecords() const;
 };
 
-/** Drives one arrival stream across a cluster of simulated nodes. */
+/**
+ * Drives one arrival stream across a cluster of simulated nodes: a
+ * ScenarioEngine on the topology, stepped to the end.
+ */
 class ClusterScenarioRunner
 {
   public:
@@ -232,6 +235,7 @@ class ClusterScenarioRunner
      * One shared RackTestbed over a validated topology.  Remote
      * placements allocate the app's footprint on the lending server for
      * its lifetime; fault windows naming a link derate that link only.
+     * The config is checked with validateScenarioConfig.
      */
     ClusterScenarioRunner(testbed::Topology topology,
                           ScenarioConfig config);

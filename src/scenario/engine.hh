@@ -1,16 +1,32 @@
 /**
  * @file
- * Stepwise scenario execution engine — the checkpointable core of
- * ScenarioRunner.
+ * Stepwise scenario execution engine — the one tick loop of the
+ * reproduction.
  *
- * ScenarioRunner::run() drives a whole scenario in one call; recovery
- * needs the same loop sliced into single ticks with every piece of
- * evolving state (RNG streams, testbed noise, watcher history, running
- * instances, partial results) held as members so it can be snapshotted
- * between ticks and restored bit-exactly after a crash.  The engine
- * reproduces the runner's historical tick loop verbatim — same RNG call
- * order, same observability — so a run driven through stepTick() is
- * byte-identical to the monolithic loop it replaced.
+ * The engine runs one arrival stream on the M compute nodes of any
+ * Topology: the paper's two-node machine is the one-node "paper-pair"
+ * rack, a cluster is a wider one.  It drives a RackTestbed directly and
+ * keeps, per node, a Watcher, the running deployments with their
+ * (server, link, reserved GB) routes and a ScenarioResult.
+ * ScenarioRunner::run() and ClusterScenarioRunner::run() only
+ * construct an engine, step it to the end and finish it.  Recovery
+ * needs the loop sliced into single ticks with every piece of evolving
+ * state (RNG streams, testbed noise, watcher histories, running
+ * instances, reservations, partial results) held as members, so it can
+ * be snapshotted between ticks and restored bit-exactly after a crash.
+ *
+ * One tick, on every topology:
+ *   1. link fault state, per link by name, from the fault injector;
+ *   2. arrivals: dropped before any draw when every node is at
+ *      maxConcurrent; trashers land on a random node (drawn only when
+ *      there is more than one) in a random mode, routed with
+ *      routeOnRack; applications go through ClusterPolicy::placeRack,
+ *      and a full chosen node drops them after placement;
+ *   3. one shared rack second of contention;
+ *   4. per node, counter samples through the fault injector into the
+ *      node's Watcher;
+ *   5. progress, the optional L2 runtime hook (one-node runs) and
+ *      completions, which release remote reservations.
  *
  * Placement decisions flow through an optional DecisionSink *before*
  * they are applied (write-ahead): the recovery layer appends them to a
@@ -19,6 +35,8 @@
  * RNG streams advancing identically) and cross-checks each re-derived
  * decision against the queued journal entry; any divergence is a
  * determinism bug and panics rather than silently forking the run.
+ * The journal records the memory mode only, which is the whole
+ * decision on one node.
  */
 
 #ifndef ADRIAS_SCENARIO_ENGINE_HH
@@ -35,10 +53,12 @@
 #include "common/io/checkpointable.hh"
 #include "common/rng.hh"
 #include "fault/fault.hh"
+#include "scenario/cluster.hh"
 #include "scenario/runner.hh"
 #include "scenario/runtime.hh"
 #include "telemetry/watcher.hh"
-#include "testbed/testbed.hh"
+#include "testbed/rack.hh"
+#include "testbed/topology.hh"
 #include "workloads/workload.hh"
 
 namespace adrias::scenario
@@ -86,11 +106,17 @@ class ScenarioEngine : public io::Checkpointable
 {
   public:
     /**
-     * @param config scenario knobs (validated like ScenarioRunner); the
-     *        machine is topologyByName(config.topology), which must be
-     *        one node behind one link.
+     * @param config scenario knobs (validateScenarioConfig); the rack
+     *        is topologyByName(config.topology).
      */
     explicit ScenarioEngine(ScenarioConfig config);
+
+    /**
+     * @param topology the rack to run on (config.topology is not
+     *        consulted).
+     * @param config scenario knobs (validateScenarioConfig).
+     */
+    ScenarioEngine(testbed::Topology topology, ScenarioConfig config);
 
     /** @return true once the configured duration has elapsed. */
     bool finished() const { return now_ >= config.durationSec; }
@@ -99,8 +125,19 @@ class ScenarioEngine : public io::Checkpointable
     SimTime now() const { return now_; }
 
     /**
-     * Execute exactly one simulated second: arrivals, contention,
-     * telemetry, progress and completions.
+     * Execute exactly one simulated second on the whole rack: link
+     * faults, arrivals placed by `policy`, contention, telemetry,
+     * progress and completions.
+     *
+     * @pre !finished()
+     */
+    void stepTick(ClusterPolicy &policy);
+
+    /**
+     * One simulated second of a one-node rack: `policy` picks the
+     * memory mode on node 0, remote placements ride link 0, and the
+     * optional `runtime` sees every tick.  Fatal on a multi-node
+     * topology.
      *
      * @pre !finished()
      */
@@ -108,19 +145,23 @@ class ScenarioEngine : public io::Checkpointable
                   RuntimePolicy *runtime = nullptr);
 
     /**
-     * Finalize and move the result out (fault summary and watcher
-     * health are stamped here, as the monolithic runner did at loop
-     * exit).
+     * Finalize a one-node run and move node 0's result out (fault
+     * summary and watcher health are stamped here).  Fatal on a
+     * multi-node topology.
      *
      * @pre finished()
      */
     ScenarioResult finish();
 
-    /** Live telemetry (for policies queried outside stepTick). */
-    const telemetry::Watcher &watcher() const { return watcherState; }
+    /**
+     * Finalize and move the whole rack's result out.
+     *
+     * @pre finished()
+     */
+    ClusterResult finishCluster();
 
-    /** Number of currently running deployments. */
-    std::size_t runningCount() const { return running.size(); }
+    /** Number of currently running deployments, over all nodes. */
+    std::size_t runningCount() const;
 
     /** Attach/detach the write-ahead decision observer. */
     void setDecisionSink(DecisionSink *sink) { decisionSink = sink; }
@@ -142,10 +183,13 @@ class ScenarioEngine : public io::Checkpointable
     }
 
     /**
-     * Serialize all evolving state.  Must not be called while replay
-     * decisions are pending (the queue belongs to the previous journal
-     * epoch); the CheckpointManager defers checkpoints until the queue
-     * drains.
+     * Serialize all evolving state: the tick cursor and RNG, the rack,
+     * the injector tallies, per node the Watcher, partial result and
+     * running deployments with their reservations, the rack traffic
+     * total and the drop and fallback tallies.  Must not be called
+     * while replay decisions are pending (the queue belongs to the
+     * previous journal epoch); the CheckpointManager defers
+     * checkpoints until the queue drains.
      */
     void saveState(io::BinaryWriter &out) const override;
 
@@ -161,20 +205,37 @@ class ScenarioEngine : public io::Checkpointable
         ScenarioRunner::kWindowBins;
 
   private:
+    /** A running deployment and the remote capacity it holds. */
+    struct RunningApp
+    {
+        std::unique_ptr<workloads::WorkloadInstance> instance;
+        std::size_t server = 0;
+        std::size_t link = 0;
+        double reservedGb = 0.0;
+    };
+
+    /** One compute node's telemetry, deployments and result. */
+    struct Node
+    {
+        std::unique_ptr<telemetry::Watcher> watcher;
+        std::vector<RunningApp> running;
+        ScenarioResult result;
+    };
+
     ScenarioConfig config ADRIAS_NOT_CHECKPOINTED(
         "construction-time configuration; restoreState validates the "
         "snapshot against it");
 
-    // Evolving state, in the exact construction order of the
-    // historical ScenarioRunner::run() preamble (the Testbed seed is
+    // Evolving state, in construction order (the rack's noise seed is
     // the scenario Rng's first draw).
     Rng rng;
-    testbed::Testbed bed;
-    telemetry::Watcher watcherState;
+    testbed::RackTestbed bed;
     fault::FaultInjector injector;
 
-    ScenarioResult result;
-    std::vector<std::unique_ptr<workloads::WorkloadInstance>> running;
+    std::vector<Node> nodes;
+    double totalRemoteTrafficGB = 0.0;
+    std::size_t droppedArrivals = 0;
+    std::size_t remoteFallbacks = 0;
     DeploymentId nextId = 1;
     SimTime nextArrival = 0;
     SimTime now_ = 0;
@@ -184,11 +245,30 @@ class ScenarioEngine : public io::Checkpointable
     std::deque<PlacementDecision> replayQueue ADRIAS_NOT_CHECKPOINTED(
         "transient replay scaffolding; saveState panics mid-replay");
 
-    /** Deploy arrivals scheduled at or before now_. */
-    void admitArrivals(PlacementPolicy &policy);
+    /** The tick shared by both stepTick overloads. */
+    void step(ClusterPolicy &policy, RuntimePolicy *runtime);
 
-    /** Harvest finished instances into completion records. */
-    void harvestCompletions(PlacementPolicy &policy);
+    /** Set every link's fault derating for this tick. */
+    void applyLinkFaults();
+
+    /** Live rack state for routing and placeRack. */
+    RackView rackView() const;
+
+    /** Deploy arrivals scheduled at or before now_. */
+    void admitArrivals(ClusterPolicy &policy);
+
+    /** Journal a policy decision, or check it against the replay. */
+    void recordDecision(const PlacementDecision &decision);
+
+    /** Count one dropped arrival. */
+    void dropArrival();
+
+    /** Feed one node's counter sample through the fault injector. */
+    void observeNode(std::size_t node,
+                     const testbed::NodeTickStats &stats);
+
+    /** Harvest one node's finished instances into records. */
+    void harvestCompletions(std::size_t node, ClusterPolicy &policy);
 };
 
 } // namespace adrias::scenario

@@ -89,14 +89,20 @@ completionRecord(const WorkloadInstance &done, SimTime now,
     return record;
 }
 
-ScenarioRunner::ScenarioRunner(ScenarioConfig config_) : config(config_)
+void
+validateScenarioConfig(const ScenarioConfig &config)
 {
     if (config.durationSec <= 0)
-        fatal("ScenarioRunner: duration must be positive");
+        fatal("ScenarioConfig: duration must be positive");
     if (config.spawnMinSec <= 0 || config.spawnMaxSec < config.spawnMinSec)
-        fatal("ScenarioRunner: invalid spawn interval");
+        fatal("ScenarioConfig: invalid spawn interval");
     if (config.ibenchFraction + config.lcFraction > 1.0)
-        fatal("ScenarioRunner: arrival fractions exceed 1");
+        fatal("ScenarioConfig: arrival fractions exceed 1");
+}
+
+ScenarioRunner::ScenarioRunner(ScenarioConfig config_) : config(config_)
+{
+    validateScenarioConfig(config);
 }
 
 ScenarioResult
@@ -110,9 +116,6 @@ ScenarioRunner::run(PlacementPolicy &policy, RuntimePolicy *runtime)
                   static_cast<std::int64_t>(config.durationSec)),
          obs::arg("policy", policy.name())});
 #endif
-    // The tick loop lives in ScenarioEngine (checkpointable for the
-    // crash-recovery layer); driving it to completion here reproduces
-    // the historical monolithic loop byte for byte.
     ScenarioEngine engine(config);
     while (!engine.finished())
         engine.stepTick(policy, runtime);

@@ -61,12 +61,19 @@ struct ScenarioConfig
     /**
      * Named rack topology (testbed::topologyByName) the scenario runs
      * on — the only way to name the machine.  The default "paper-pair"
-     * is the two-node prototype.  The single-node engine accepts any
-     * one-node, one-link topology; multi-node topologies are driven by
-     * ClusterScenarioRunner.
+     * is the two-node prototype.  A PlacementPolicy runs on one-node
+     * topologies; multi-node ones are placed by a ClusterPolicy.
      */
     std::string topology = "paper-pair";
 };
+
+/**
+ * Reject a config no run mode can execute (fatal): a non-positive
+ * duration, an empty or inverted spawn interval, or arrival fractions
+ * summing past 1.  ScenarioRunner, ClusterScenarioRunner and
+ * ScenarioEngine all check through here.
+ */
+void validateScenarioConfig(const ScenarioConfig &config);
 
 /** Everything a finished scenario produced. */
 struct ScenarioResult

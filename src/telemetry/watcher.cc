@@ -13,8 +13,7 @@ namespace adrias::telemetry
 using testbed::CounterSample;
 using testbed::kNumPerfEvents;
 
-Watcher::Watcher(std::size_t capacity_seconds)
-    : history(capacity_seconds), linkHistory(capacity_seconds)
+Watcher::Watcher(std::size_t capacity_seconds) : history(capacity_seconds)
 {
 }
 
@@ -173,89 +172,10 @@ Watcher::clear()
 {
     MutexLock lock(mu);
     history.clear();
-    linkHistory.clear();
     state = WatcherHealth{};
     lastGood = CounterSample{};
     haveGood = false;
     lastStamp = kNoStamp;
-}
-
-void
-Watcher::configureLinks(std::size_t links)
-{
-    MutexLock lock(mu);
-    linkWidth = links;
-    linkHistory.clear();
-}
-
-std::size_t
-Watcher::linkCount() const
-{
-    MutexLock lock(mu);
-    return linkWidth;
-}
-
-void
-Watcher::recordLinks(
-    const std::vector<testbed::LinkCounterSample> &samples)
-{
-    MutexLock lock(mu);
-    if (linkWidth == 0)
-        panic("Watcher::recordLinks before configureLinks");
-    if (samples.size() != linkWidth)
-        panic("Watcher::recordLinks: got " +
-              std::to_string(samples.size()) + " link samples for " +
-              std::to_string(linkWidth) + " configured links");
-    std::vector<double> row;
-    row.reserve(linkWidth * testbed::kNumLinkEvents);
-    for (const testbed::LinkCounterSample &sample : samples)
-        for (double event : sample)
-            row.push_back(event);
-    linkHistory.push(row);
-}
-
-std::size_t
-Watcher::linkSampleCount() const
-{
-    MutexLock lock(mu);
-    return linkHistory.size();
-}
-
-std::vector<testbed::LinkCounterSample>
-Watcher::latestLinks() const
-{
-    MutexLock lock(mu);
-    if (linkHistory.empty())
-        panic("Watcher::latestLinks with no link samples");
-    const std::vector<double> &row = linkHistory.newest();
-    std::vector<testbed::LinkCounterSample> samples(linkWidth);
-    for (std::size_t l = 0; l < linkWidth; ++l)
-        for (std::size_t e = 0; e < testbed::kNumLinkEvents; ++e)
-            samples[l][e] = row[l * testbed::kNumLinkEvents + e];
-    return samples;
-}
-
-testbed::LinkCounterSample
-Watcher::meanLinkOverTrailing(std::size_t link,
-                              std::size_t window_seconds) const
-{
-    MutexLock lock(mu);
-    if (link >= linkWidth)
-        panic("Watcher::meanLinkOverTrailing: link index out of range");
-    if (linkHistory.empty())
-        fatal("Watcher::meanLinkOverTrailing with no link samples");
-    const std::size_t have =
-        std::min(linkHistory.size(), window_seconds);
-    testbed::LinkCounterSample mean{};
-    for (std::size_t i = linkHistory.size() - have;
-         i < linkHistory.size(); ++i) {
-        const std::vector<double> &row = linkHistory.at(i);
-        for (std::size_t e = 0; e < testbed::kNumLinkEvents; ++e)
-            mean[e] += row[link * testbed::kNumLinkEvents + e];
-    }
-    for (double &v : mean)
-        v /= static_cast<double>(have);
-    return mean;
 }
 
 void
@@ -277,13 +197,6 @@ Watcher::saveState(io::BinaryWriter &out) const
         out.writeF64(event);
     out.writeBool(haveGood);
     out.writeI64(lastStamp);
-
-    // Per-link schema, appended last so the paper-pair fields keep
-    // their historical offsets (linkWidth is 0 when unconfigured).
-    out.writeU64(linkWidth);
-    out.writeU64(linkHistory.size());
-    for (std::size_t i = 0; i < linkHistory.size(); ++i)
-        out.writeF64Vector(linkHistory.at(i));
 }
 
 Result<void>
@@ -319,22 +232,6 @@ Watcher::restoreState(io::BinaryReader &in)
         event = in.readF64();
     haveGood = in.readBool();
     lastStamp = in.readI64();
-    linkWidth = in.readU64();
-    const std::uint64_t linkRows = in.readU64();
-    if (linkRows > linkHistory.capacity())
-        return makeError(ErrorCode::BadNumber,
-                         "Watcher snapshot holds more link rows than "
-                         "its capacity");
-    linkHistory.clear();
-    for (std::uint64_t i = 0; i < linkRows && in.ok(); ++i) {
-        std::vector<double> row = in.readF64Vector();
-        if (in.ok() &&
-            row.size() != linkWidth * testbed::kNumLinkEvents)
-            return makeError(ErrorCode::Geometry,
-                             "Watcher snapshot link row does not match "
-                             "its declared link count");
-        linkHistory.push(row);
-    }
     if (!in.ok())
         return makeError(ErrorCode::Truncated,
                          "Watcher: truncated snapshot section");

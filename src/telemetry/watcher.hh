@@ -131,43 +131,6 @@ class Watcher
     /** Most recent sample (snapshot). @pre sampleCount() > 0. */
     testbed::CounterSample latest() const ADRIAS_EXCLUDES(mu);
 
-    // --- Per-link samples (rack topologies) ----------------------------
-
-    /**
-     * Declare how many links this Watcher's node fans out over.  Must
-     * be called before recordLinks(); resets any link history.  The
-     * default of zero links keeps the paper-pair sample schema (and
-     * checkpoint payload) untouched.
-     */
-    void configureLinks(std::size_t links) ADRIAS_EXCLUDES(mu);
-
-    /** Links declared via configureLinks(). */
-    std::size_t linkCount() const ADRIAS_EXCLUDES(mu);
-
-    /**
-     * Record one tick's per-link counter samples (one LinkCounterSample
-     * per configured link, in topology link order).  Stored alongside
-     * the node sample history with the same retention.
-     */
-    void recordLinks(const std::vector<testbed::LinkCounterSample> &samples)
-        ADRIAS_EXCLUDES(mu);
-
-    /** Per-link sample rows retained so far. */
-    std::size_t linkSampleCount() const ADRIAS_EXCLUDES(mu);
-
-    /** Newest per-link samples. @pre linkSampleCount() > 0. */
-    std::vector<testbed::LinkCounterSample> latestLinks() const
-        ADRIAS_EXCLUDES(mu);
-
-    /**
-     * Mean of one link's events over the trailing `window_seconds`
-     * (capped at the retained history). @pre link < linkCount().
-     */
-    testbed::LinkCounterSample
-    meanLinkOverTrailing(std::size_t link,
-                         std::size_t window_seconds) const
-        ADRIAS_EXCLUDES(mu);
-
     /** Drop all history, health tallies and the timestamp watermark. */
     void clear() ADRIAS_EXCLUDES(mu);
 
@@ -190,12 +153,6 @@ class Watcher
 
     RingBuffer<testbed::CounterSample> history ADRIAS_GUARDED_BY(mu);
     WatcherHealth state ADRIAS_GUARDED_BY(mu);
-
-    /** Links per tick row in linkHistory (0 = schema disabled). */
-    std::size_t linkWidth ADRIAS_GUARDED_BY(mu) = 0;
-
-    /** Flattened per-tick rows: linkWidth x kNumLinkEvents doubles. */
-    RingBuffer<std::vector<double>> linkHistory ADRIAS_GUARDED_BY(mu);
 
     /** Last good value seen per event (repair source). */
     testbed::CounterSample lastGood ADRIAS_GUARDED_BY(mu) {};

@@ -38,32 +38,4 @@ allPerfEvents()
     return events;
 }
 
-std::string
-linkEventName(LinkEvent event)
-{
-    switch (event) {
-      case LinkEvent::LinkTx:
-        return "LNK_tx";
-      case LinkEvent::LinkRx:
-        return "LNK_rx";
-      case LinkEvent::LinkLat:
-        return "LNK_lat";
-      case LinkEvent::LinkQueued:
-        return "LNK_q";
-    }
-    panic("unknown LinkEvent");
-}
-
-const std::vector<LinkEvent> &
-allLinkEvents()
-{
-    static const std::vector<LinkEvent> events{
-        LinkEvent::LinkTx,
-        LinkEvent::LinkRx,
-        LinkEvent::LinkLat,
-        LinkEvent::LinkQueued,
-    };
-    return events;
-}
-
 } // namespace adrias::testbed

@@ -39,32 +39,6 @@ std::string perfEventName(PerfEvent event);
 /** @return all events in index order. */
 const std::vector<PerfEvent> &allPerfEvents();
 
-/**
- * Per-link monitored events (rack mode).  One LinkCounterSample per
- * link per tick rides next to the node's CounterSample in the Watcher,
- * so link-level congestion is observable without widening the model's
- * per-node input schema.
- */
-enum class LinkEvent : std::size_t
-{
-    LinkTx = 0,      ///< LNK_tx: flits transmitted, millions/s
-    LinkRx = 1,      ///< LNK_rx: flits received, millions/s
-    LinkLat = 2,     ///< LNK_lat: link latency (cycles)
-    LinkQueued = 3,  ///< LNK_q: demand queued behind the link, GB/s
-};
-
-/** Number of monitored per-link events. */
-inline constexpr std::size_t kNumLinkEvents = 4;
-
-/** One tick's worth of per-link events. */
-using LinkCounterSample = std::array<double, kNumLinkEvents>;
-
-/** @return the canonical short name of a link event (e.g. "LNK_tx"). */
-std::string linkEventName(LinkEvent event);
-
-/** @return all link events in index order. */
-const std::vector<LinkEvent> &allLinkEvents();
-
 } // namespace adrias::testbed
 
 #endif // ADRIAS_TESTBED_COUNTERS_HH

@@ -11,14 +11,6 @@
 namespace adrias::testbed
 {
 
-namespace
-{
-
-/** Salt deriving the link-noise stream from the rack seed. */
-constexpr std::uint64_t kLinkNoiseSalt = 0x6c696e6b2d6e6f69ULL;
-
-} // namespace
-
 double
 llcEffectiveHitRate(double base_hit_rate, double footprint_mb,
                     double total_footprint_mb, double capacity_mb)
@@ -118,10 +110,6 @@ checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
         ADRIAS_INVARIANT_FINITE(stats.latencyCycles);
         ADRIAS_INVARIANT_GE(stats.latencyCycles * kRelTol,
                             topo.link(l).profile.latencyBaseCycles);
-        for (double value : stats.counters) {
-            ADRIAS_INVARIANT_FINITE(value);
-            ADRIAS_INVARIANT_GE(value, 0.0);
-        }
     }
 
     for (std::size_t s = 0; s < topo.serverCount(); ++s) {
@@ -164,7 +152,7 @@ checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
 }
 
 RackTestbed::RackTestbed(Topology topology, std::uint64_t seed)
-    : topo(std::move(topology)), rng(seed), linkRng(seed ^ kLinkNoiseSalt)
+    : topo(std::move(topology)), rng(seed)
 {
     topo.validate();
     linkBwScale.assign(topo.linkCount(), 1.0);
@@ -273,21 +261,13 @@ RackTestbed::linkTotals(std::size_t link) const
     return totals[link];
 }
 
-RackTickResult
+const RackTickResult &
 RackTestbed::tick(const std::vector<LoadDescriptor> &loads)
-{
-    RackTickResult result;
-    resolve(loads, result, true);
-    return result;
-}
-
-void
-RackTestbed::resolve(const std::vector<LoadDescriptor> &loads,
-                     RackTickResult &result, bool link_counters)
 {
 #if ADRIAS_OBS_ENABLED
     obs::WallSpan tick_span("tick", "testbed");
 #endif
+    RackTickResult &result = resolved;
     const std::size_t n_loads = loads.size();
     const std::size_t n_nodes = topo.nodeCount();
     const std::size_t n_links = topo.linkCount();
@@ -504,8 +484,7 @@ RackTestbed::resolve(const std::vector<LoadDescriptor> &loads,
     // --- Pass 7: performance counters (Watcher events). -----------------
     // Unit conventions: cache events in millions of events/s; memory
     // counters in GB/s; flits in millions/s.  Node counters draw their
-    // noise nodes ascending from `rng`, link counters links ascending
-    // from `linkRng`.
+    // noise nodes ascending.
     for (std::size_t n = 0; n < n_nodes; ++n) {
         NodeTickStats &node = result.nodes[n];
         const TestbedParams &params = topo.node(n).local;
@@ -532,31 +511,19 @@ RackTestbed::resolve(const std::vector<LoadDescriptor> &loads,
 
         CounterSample &counters = node.counters;
         counters[static_cast<std::size_t>(PerfEvent::LlcLoads)] =
-            noisy(rng, s.nodes[n].llcLoads);
+            noisy(s.nodes[n].llcLoads);
         counters[static_cast<std::size_t>(PerfEvent::LlcMisses)] =
-            noisy(rng, s.nodes[n].llcMisses);
+            noisy(s.nodes[n].llcMisses);
         counters[static_cast<std::size_t>(PerfEvent::MemLoads)] =
-            noisy(rng, mem_total * params.loadStoreSplit);
+            noisy(mem_total * params.loadStoreSplit);
         counters[static_cast<std::size_t>(PerfEvent::MemStores)] =
-            noisy(rng, mem_total * (1.0 - params.loadStoreSplit));
+            noisy(mem_total * (1.0 - params.loadStoreSplit));
         counters[static_cast<std::size_t>(PerfEvent::RemoteTx)] =
-            noisy(rng, flits_m * 0.45);
+            noisy(flits_m * 0.45);
         counters[static_cast<std::size_t>(PerfEvent::RemoteRx)] =
-            noisy(rng, flits_m * 0.55);
+            noisy(flits_m * 0.55);
         counters[static_cast<std::size_t>(PerfEvent::ChannelLat)] =
-            noisy(rng, channel_lat);
-    }
-    for (std::size_t l = 0; link_counters && l < n_links; ++l) {
-        LinkTickStats &link = result.links[l];
-        LinkCounterSample &counters = link.counters;
-        counters[static_cast<std::size_t>(LinkEvent::LinkTx)] =
-            noisy(linkRng, link.flitsM * 0.45);
-        counters[static_cast<std::size_t>(LinkEvent::LinkRx)] =
-            noisy(linkRng, link.flitsM * 0.55);
-        counters[static_cast<std::size_t>(LinkEvent::LinkLat)] =
-            noisy(linkRng, link.latencyCycles);
-        counters[static_cast<std::size_t>(LinkEvent::LinkQueued)] =
-            noisy(linkRng, link.queuedGBps);
+            noisy(channel_lat);
     }
 
     ++tickCount;
@@ -570,14 +537,15 @@ RackTestbed::resolve(const std::vector<LoadDescriptor> &loads,
     if (obs::enabled())
         observe(result);
 #endif
+    return result;
 }
 
 double
-RackTestbed::noisy(Rng &stream, double value) const
+RackTestbed::noisy(double value)
 {
     if (noiseSigma <= 0.0)
         return value;
-    return std::max(0.0, value * (1.0 + stream.gaussian(0.0, noiseSigma)));
+    return std::max(0.0, value * (1.0 + rng.gaussian(0.0, noiseSigma)));
 }
 
 void
@@ -626,7 +594,6 @@ void
 RackTestbed::saveState(io::BinaryWriter &out) const
 {
     rng.saveState(out);
-    linkRng.saveState(out);
     out.writeF64(noiseSigma);
     out.writeF64Vector(linkBwScale);
     out.writeF64Vector(linkLatencyScale);
@@ -646,7 +613,6 @@ Result<void>
 RackTestbed::restoreState(io::BinaryReader &in)
 {
     rng.restoreState(in);
-    linkRng.restoreState(in);
     noiseSigma = in.readF64();
     linkBwScale = in.readF64Vector();
     linkLatencyScale = in.readF64Vector();

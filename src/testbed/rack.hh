@@ -76,9 +76,6 @@ struct LinkTickStats
 
     /** Flits moved this tick, millions. */
     double flitsM = 0.0;
-
-    /** Watcher sample for this link (noisy counters). */
-    LinkCounterSample counters{};
 };
 
 /** One memory server's load for one resolved tick. */
@@ -161,8 +158,8 @@ void checkRackTickInvariants(const std::vector<LoadDescriptor> &loads,
                              const std::vector<double> &link_bw_scale = {});
 
 /**
- * Working storage of RackTestbed::tick(), kept between ticks so a tick
- * allocates only its result.  Every field is rewritten before it is
+ * Working storage of RackTestbed::tick(), kept between ticks so a
+ * steady-state tick allocates nothing.  Every field is rewritten before it is
  * read, so it carries no state from one tick to the next.
  */
 struct RackTickScratch
@@ -237,6 +234,16 @@ class RackTestbed
     /** @return true while any link fault is applied. */
     bool anyLinkFaulted() const;
 
+    /** Bandwidth scale setLinkFault last applied to a link. */
+    double linkBwFault(std::size_t link) const { return linkBwScale.at(link); }
+
+    /** Latency scale setLinkFault last applied to a link. */
+    double
+    linkLatencyFault(std::size_t link) const
+    {
+        return linkLatencyScale.at(link);
+    }
+
     /**
      * Reserve `gb` of a server's capacity for a deployment.
      *
@@ -260,14 +267,17 @@ class RackTestbed
      * placement triple whose link actually connects that node to that
      * server; local deployments only need a valid node.  While
      * observability is armed the tick reports the testbed.* metrics.
+     *
+     * @return the resolved tick, held by the rack (its storage is
+     *         reused) until the next tick.
      */
-    RackTickResult tick(const std::vector<LoadDescriptor> &loads);
+    const RackTickResult &tick(const std::vector<LoadDescriptor> &loads);
 
     /** Cumulative byte accounting of one link. */
     const LinkTotals &linkTotals(std::size_t link) const;
 
     /**
-     * Serialize the evolving state: both noise RNG positions, noise
+     * Serialize the evolving state: the noise RNG position, noise
      * sigma, per-link fault scales, per-server allocations, cumulative
      * link totals, per-link back-pressure state and the tick count.  The
      * Topology is configuration and stays out of the payload.
@@ -284,12 +294,6 @@ class RackTestbed
 
     /** Node counter noise (nodes ascending, 7 draws each per tick). */
     Rng rng;
-
-    /**
-     * Link counter noise: a stream of its own, so adding links to a
-     * topology never shifts the noise its nodes' counters see.
-     */
-    Rng linkRng;
 
     double noiseSigma = 0.01;
 
@@ -316,23 +320,16 @@ class RackTestbed
     RackTickScratch scratch ADRIAS_NOT_CHECKPOINTED(
         "per-tick working storage; fully rewritten by every tick");
 
-    /** Apply multiplicative measurement noise drawn from `stream`. */
-    double noisy(Rng &stream, double value) const;
+    /** The last resolved tick (storage reused across ticks). */
+    RackTickResult resolved ADRIAS_NOT_CHECKPOINTED(
+        "per-tick output; fully rewritten by every tick");
+
+    /** Apply multiplicative measurement noise. */
+    double noisy(double value);
 
     /** Publish the tick's testbed.* metrics and trace instants
      *  (called only while observability is armed). */
     void observe(const RackTickResult &result);
-
-    friend class Testbed;
-
-    /**
-     * tick() into caller-owned storage, reusing its capacity.  The
-     * two-node Testbed view reports no link telemetry, so it skips the
-     * per-link Watcher counters (and their noise draws) with
-     * `link_counters` false; they are then left zero.
-     */
-    void resolve(const std::vector<LoadDescriptor> &loads,
-                 RackTickResult &result, bool link_counters);
 };
 
 } // namespace adrias::testbed

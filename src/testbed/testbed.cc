@@ -37,17 +37,22 @@ Testbed::Testbed(Topology topo, std::uint64_t seed)
 }
 
 TickResult
-Testbed::tick(const std::vector<LoadDescriptor> &loads)
+singleChannelView(const RackTickResult &resolved)
 {
-    rack.resolve(loads, resolved, false);
     TickResult result;
-    result.outcomes = std::move(resolved.outcomes);
+    result.outcomes = resolved.outcomes;
     result.counters = resolved.nodes[0].counters;
     result.remoteTrafficGBps = resolved.nodes[0].remoteTrafficGBps;
     result.localTrafficGBps = resolved.nodes[0].localTrafficGBps;
     result.channelPressure = resolved.links[0].pressure;
     result.channelLatencyCycles = resolved.links[0].latencyCycles;
     return result;
+}
+
+TickResult
+Testbed::tick(const std::vector<LoadDescriptor> &loads)
+{
+    return singleChannelView(rack.tick(loads));
 }
 
 } // namespace adrias::testbed

@@ -19,7 +19,6 @@
 
 #include "common/error.hh"
 #include "common/io/binary.hh"
-#include "common/io/checkpoint_annotations.hh"
 #include "testbed/counters.hh"
 #include "testbed/load.hh"
 #include "testbed/params.hh"
@@ -50,6 +49,12 @@ struct TickResult
     /** Channel latency this tick, cycles. */
     double channelLatencyCycles = 350.0;
 };
+
+/**
+ * The single-channel view of a resolved rack tick: every outcome, node
+ * 0's counters and traffic, link 0's pressure and latency.
+ */
+TickResult singleChannelView(const RackTickResult &resolved);
 
 /** The simulated machine: one node, one channel. */
 class Testbed
@@ -127,10 +132,6 @@ class Testbed
 
   private:
     RackTestbed rack;
-
-    /** The last resolved rack tick (storage reused across ticks). */
-    RackTickResult resolved ADRIAS_NOT_CHECKPOINTED(
-        "per-tick working storage; fully rewritten by every tick");
 };
 
 } // namespace adrias::testbed

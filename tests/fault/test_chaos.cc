@@ -502,9 +502,11 @@ TEST_F(ChaosTest, NamedWindowTargetsOnlyThatLink)
     EXPECT_FALSE(injector.linkStateAt(50, "n0-s1").faulted());
     EXPECT_FALSE(injector.linkStateAt(200, "n0-s0").faulted());
 
-    // The single-channel overload ignores names: the paper pair's one
-    // channel stands in for every link (legacy behaviour).
-    EXPECT_DOUBLE_EQ(injector.linkStateAt(50).bwScale, 0.3);
+    // The paper pair's one channel is a link like any other: a window
+    // naming it derates it, a window naming another link does not.
+    const std::string channel = testbed::Topology::paperPair().link(0).name;
+    EXPECT_EQ(channel, "n0-s0");
+    EXPECT_DOUBLE_EQ(injector.linkStateAt(50, channel).bwScale, 0.3);
 
     // An untargeted window keeps applying to every link.
     schedule.add({FaultKind::LinkDegrade, 0, 100, 0.5, 1.0, ""});

@@ -31,7 +31,7 @@ TEST(FaultInjector, EmptyScheduleNeverFires)
             EXPECT_FALSE(
                 injector.firesAt(static_cast<FaultKind>(k), t));
         }
-        const LinkState link = injector.linkStateAt(t);
+        const LinkState link = injector.linkStateAt(t, "n0-s0");
         EXPECT_FALSE(link.faulted());
     }
     EXPECT_EQ(injector.stats().total(), 0u);
@@ -50,10 +50,10 @@ TEST(FaultInjector, WindowBoundsAreHonored)
 
     EXPECT_DOUBLE_EQ(injector.magnitudeAt(FaultKind::LinkDegrade, 150),
                      0.5);
-    const LinkState faulted = injector.linkStateAt(150);
+    const LinkState faulted = injector.linkStateAt(150, "n0-s0");
     EXPECT_DOUBLE_EQ(faulted.bwScale, 0.5);
     EXPECT_TRUE(faulted.faulted());
-    const LinkState healthy = injector.linkStateAt(250);
+    const LinkState healthy = injector.linkStateAt(250, "n0-s0");
     EXPECT_FALSE(healthy.faulted());
 }
 

@@ -35,6 +35,10 @@ TEST(ClusterRunner, ValidatesConfig)
     ScenarioConfig bad = shortConfig();
     bad.durationSec = 0;
     EXPECT_THROW(pairsRunner(2, bad), std::runtime_error);
+    ScenarioConfig bad_mix = shortConfig();
+    bad_mix.ibenchFraction = 0.8;
+    bad_mix.lcFraction = 0.4;
+    EXPECT_THROW(pairsRunner(2, bad_mix), std::runtime_error);
 }
 
 TEST(ClusterRunner, PerNodeTracesCoverEveryTick)

@@ -54,7 +54,7 @@ mixedLoads(double remote_demand)
 TEST(PaperEquivalenceNoise, IdleLinksNeverPerturbNodeCounters)
 {
     // One node with a second ThymesisFlow link that carries nothing:
-    // its link counters draw their own noise stream, and the weighted
+    // links draw no counter noise, and the weighted
     // channel latency and flit sums reduce exactly to the single link's,
     // so node 0 reads bitwise what the paper pair reads.
     Topology wide("paper-pair-plus-idle-link");

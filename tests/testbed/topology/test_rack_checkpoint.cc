@@ -1,9 +1,9 @@
 /**
  * @file
- * Checkpoint round-trip tests on asymmetric rack topologies: RackTestbed
- * state (noise RNG, link faults, allocations, link totals), the
- * Watcher's per-link sample schema, and the scenario engine's topology
- * stamp.
+ * Checkpoint round-trip tests on rack topologies: RackTestbed state
+ * (noise RNG, link faults, allocations, link totals), the Watcher's
+ * schema, the scenario engine's topology stamp, and a rack run resumed
+ * from a mid-run engine snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "common/io/binary.hh"
+#include "core/schedulers.hh"
 #include "scenario/engine.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
+#include "topology_under_test.hh"
 
 namespace adrias::testbed
 {
@@ -71,8 +73,7 @@ expectIdenticalTicks(const RackTickResult &a, const RackTickResult &b)
             EXPECT_EQ(a.nodes[n].counters[e], b.nodes[n].counters[e]);
     ASSERT_EQ(a.links.size(), b.links.size());
     for (std::size_t l = 0; l < a.links.size(); ++l)
-        for (std::size_t e = 0; e < kNumLinkEvents; ++e)
-            EXPECT_EQ(a.links[l].counters[e], b.links[l].counters[e]);
+        EXPECT_EQ(a.links[l].latencyCycles, b.links[l].latencyCycles);
 }
 
 TEST(RackCheckpoint, RoundTripOnAsymmetricRackReproducesTicks)
@@ -149,42 +150,10 @@ TEST(RackCheckpoint, TruncatedSnapshotIsRejected)
     }
 }
 
-TEST(RackCheckpoint, WatcherLinkSchemaRoundTrips)
-{
-    telemetry::Watcher watcher(32);
-    watcher.configureLinks(3);
-    for (int t = 0; t < 5; ++t) {
-        testbed::CounterSample node{};
-        node[0] = 10.0 + t;
-        watcher.record(node, t);
-        std::vector<LinkCounterSample> row(3);
-        for (std::size_t l = 0; l < 3; ++l)
-            for (std::size_t e = 0; e < kNumLinkEvents; ++e)
-                row[l][e] = 100.0 * t + 10.0 * l + e;
-        watcher.recordLinks(row);
-    }
-
-    io::BinaryWriter out;
-    watcher.saveState(out);
-    telemetry::Watcher restored(32);
-    io::BinaryReader in(out.data());
-    ASSERT_TRUE(restored.restoreState(in).ok());
-
-    EXPECT_EQ(restored.linkCount(), 3u);
-    ASSERT_EQ(restored.linkSampleCount(), 5u);
-    const auto latest = restored.latestLinks();
-    ASSERT_EQ(latest.size(), 3u);
-    for (std::size_t l = 0; l < 3; ++l)
-        for (std::size_t e = 0; e < kNumLinkEvents; ++e)
-            EXPECT_EQ(latest[l][e], 400.0 + 10.0 * l + e);
-    for (std::size_t e = 0; e < kNumLinkEvents; ++e) {
-        EXPECT_EQ(restored.meanLinkOverTrailing(1, 5)[e],
-                  watcher.meanLinkOverTrailing(1, 5)[e]);
-    }
-}
-
 TEST(RackCheckpoint, WatcherWithoutLinksKeepsLegacySchema)
 {
+    // Rack runs keep one node-sample Watcher per node: the payload is
+    // the paper-pair schema, whatever the topology.
     telemetry::Watcher watcher(16);
     testbed::CounterSample sample{};
     sample[1] = 3.0;
@@ -195,9 +164,8 @@ TEST(RackCheckpoint, WatcherWithoutLinksKeepsLegacySchema)
     telemetry::Watcher restored(16);
     io::BinaryReader in(out.data());
     ASSERT_TRUE(restored.restoreState(in).ok());
-    EXPECT_EQ(restored.linkCount(), 0u);
-    EXPECT_EQ(restored.linkSampleCount(), 0u);
     EXPECT_EQ(restored.sampleCount(), 1u);
+    EXPECT_EQ(restored.latest()[1], 3.0);
 }
 
 TEST(RackCheckpoint, EngineSnapshotCarriesTopologyStamp)
@@ -231,16 +199,103 @@ TEST(RackCheckpoint, EngineSnapshotCarriesTopologyStamp)
     EXPECT_EQ(status.error().code, ErrorCode::Geometry);
 }
 
-TEST(RackCheckpoint, EngineRejectsMultiNodeTopology)
+TEST(RackCheckpoint, EngineRejectsUnknownTopologyAndPlacementPolicyOnRack)
 {
+    // A multi-node rack runs under a ClusterPolicy; a PlacementPolicy
+    // only knows how to place on one node.
     scenario::ScenarioConfig config;
     config.topology = "rack-2x2-cxl";
-    EXPECT_THROW(scenario::ScenarioEngine engine(config),
-                 std::runtime_error);
+    scenario::ScenarioEngine engine(config);
+    scenario::RandomPlacement policy(5);
+    EXPECT_THROW(engine.stepTick(policy), std::runtime_error);
+
     scenario::ScenarioConfig unknown;
     unknown.topology = "no-such-rack";
     EXPECT_THROW(scenario::ScenarioEngine engine(unknown),
                  std::runtime_error);
+}
+
+void
+expectBitwiseEqualRecords(const scenario::DeploymentRecord &a,
+                          const scenario::DeploymentRecord &b)
+{
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.arrival, b.arrival);
+    EXPECT_EQ(a.completion, b.completion);
+    EXPECT_EQ(a.execTimeSec, b.execTimeSec);
+    EXPECT_EQ(a.p99Ms, b.p99Ms);
+    EXPECT_EQ(a.meanSlowdown, b.meanSlowdown);
+    EXPECT_EQ(a.remoteTrafficGB, b.remoteTrafficGB);
+    ASSERT_EQ(a.historyWindow.size(), b.historyWindow.size());
+    for (std::size_t i = 0; i < a.historyWindow.size(); ++i)
+        EXPECT_EQ(a.historyWindow[i].raw(), b.historyWindow[i].raw());
+    ASSERT_EQ(a.executionWindow.size(), b.executionWindow.size());
+    for (std::size_t i = 0; i < a.executionWindow.size(); ++i)
+        EXPECT_EQ(a.executionWindow[i].raw(), b.executionWindow[i].raw());
+}
+
+TEST(RackCheckpoint, EngineSnapshotResumesRackRunBitwise)
+{
+    // Snapshot a congested rack run mid-way, restore it into a fresh
+    // engine and finish there: the result must be the uninterrupted
+    // run's, bit for bit.
+    const Topology topo = topologyByName(topologyUnderTest());
+    scenario::ScenarioConfig config;
+    config.durationSec = 400;
+    config.spawnMinSec = 1;
+    config.spawnMaxSec = 4;
+    config.maxConcurrent = 6;
+    config.seed = 909;
+
+    core::LeastLoadedRemotePolicy policy;
+    const scenario::ClusterResult expected =
+        scenario::ClusterScenarioRunner(topo, config).run(policy);
+
+    scenario::ScenarioEngine first(topo, config);
+    while (first.now() < 170)
+        first.stepTick(policy);
+    io::BinaryWriter out;
+    first.saveState(out);
+
+    scenario::ScenarioEngine resumed(topo, config);
+    io::BinaryReader in(out.data());
+    ASSERT_TRUE(resumed.restoreState(in).ok());
+    EXPECT_EQ(resumed.now(), 170);
+    while (!resumed.finished())
+        resumed.stepTick(policy);
+    const scenario::ClusterResult actual = resumed.finishCluster();
+
+    EXPECT_GT(expected.droppedArrivals, 0u);
+    EXPECT_EQ(actual.topologyName, expected.topologyName);
+    EXPECT_EQ(actual.droppedArrivals, expected.droppedArrivals);
+    EXPECT_EQ(actual.remoteFallbacks, expected.remoteFallbacks);
+    EXPECT_EQ(actual.totalRemoteTrafficGB, expected.totalRemoteTrafficGB);
+    ASSERT_EQ(actual.linkTotals.size(), expected.linkTotals.size());
+    for (std::size_t l = 0; l < actual.linkTotals.size(); ++l) {
+        EXPECT_EQ(actual.linkTotals[l].offeredGb,
+                  expected.linkTotals[l].offeredGb);
+        EXPECT_EQ(actual.linkTotals[l].deliveredGb,
+                  expected.linkTotals[l].deliveredGb);
+        EXPECT_EQ(actual.linkTotals[l].queuedGb,
+                  expected.linkTotals[l].queuedGb);
+        EXPECT_EQ(actual.linkTotals[l].saturatedTicks,
+                  expected.linkTotals[l].saturatedTicks);
+    }
+    ASSERT_EQ(actual.nodes.size(), expected.nodes.size());
+    for (std::size_t n = 0; n < actual.nodes.size(); ++n) {
+        const scenario::ScenarioResult &a = actual.nodes[n];
+        const scenario::ScenarioResult &b = expected.nodes[n];
+        EXPECT_EQ(a.trace, b.trace) << "node " << n;
+        EXPECT_EQ(a.concurrency, b.concurrency) << "node " << n;
+        EXPECT_EQ(a.totalRemoteTrafficGB, b.totalRemoteTrafficGB);
+        EXPECT_EQ(a.watcherHealth.samplesAccepted,
+                  b.watcherHealth.samplesAccepted);
+        ASSERT_EQ(a.records.size(), b.records.size()) << "node " << n;
+        for (std::size_t r = 0; r < a.records.size(); ++r)
+            expectBitwiseEqualRecords(a.records[r], b.records[r]);
+    }
 }
 
 } // namespace

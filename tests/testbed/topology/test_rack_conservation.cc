@@ -300,21 +300,6 @@ TEST(RackConservation, PerProfileLatencyRamps)
     }
 }
 
-TEST(RackConservation, NoiseFreeLinkCountersMatchStats)
-{
-    RackTestbed rack(cxlPair(), 7);
-    rack.setNoise(0.0);
-    const auto result = rack.tick({remoteLoad(0, 0, 0, 10.0)});
-    const LinkTickStats &link = result.links[0];
-    const auto at = [&](LinkEvent e) {
-        return link.counters[static_cast<std::size_t>(e)];
-    };
-    EXPECT_DOUBLE_EQ(at(LinkEvent::LinkLat), link.latencyCycles);
-    EXPECT_DOUBLE_EQ(at(LinkEvent::LinkQueued), link.queuedGBps);
-    EXPECT_NEAR(at(LinkEvent::LinkTx) + at(LinkEvent::LinkRx),
-                link.flitsM, 1e-9);
-}
-
 TEST(RackConservation, CorruptedTickTripsInvariants)
 {
     if (!invariant::kEnabled)

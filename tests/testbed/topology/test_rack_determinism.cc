@@ -9,25 +9,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "scenario/cluster.hh"
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
+#include "topology_under_test.hh"
 
 namespace adrias::testbed
 {
 namespace
 {
-
-std::string
-topologyUnderTest()
-{
-    const char *env = std::getenv("ADRIAS_TOPOLOGY");
-    return env != nullptr && *env != '\0' ? env : "rack-2x2-cxl";
-}
 
 /** A deterministic per-node load mix on whatever rack is under test. */
 std::vector<LoadDescriptor>
@@ -73,8 +66,7 @@ expectBitwiseEqualTicks(const RackTickResult &a, const RackTickResult &b)
     for (std::size_t l = 0; l < a.links.size(); ++l) {
         EXPECT_EQ(a.links[l].offeredGBps, b.links[l].offeredGBps);
         EXPECT_EQ(a.links[l].queuedGBps, b.links[l].queuedGBps);
-        for (std::size_t e = 0; e < kNumLinkEvents; ++e)
-            EXPECT_EQ(a.links[l].counters[e], b.links[l].counters[e]);
+        EXPECT_EQ(a.links[l].latencyCycles, b.links[l].latencyCycles);
     }
 }
 
