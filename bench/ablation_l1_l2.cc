@@ -28,7 +28,7 @@ struct Cell
 };
 
 Cell
-evaluate(scenario::PlacementPolicy &placement, bool with_migrator,
+evaluate(scenario::ClusterPolicy &placement, bool with_migrator,
          std::size_t repeats)
 {
     Cell cell;
@@ -68,7 +68,7 @@ main()
 
     TextTable table({"L1 placement", "L2 runtime", "BE median (s)",
                      "BE p95 (s)", "migrations"});
-    auto add_rows = [&](scenario::PlacementPolicy &policy) {
+    auto add_rows = [&](scenario::ClusterPolicy &policy) {
         for (bool with_migrator : {false, true}) {
             const Cell cell =
                 evaluate(policy, with_migrator, repeats);

@@ -3,8 +3,8 @@
  * Extension (§VII) — cluster-level Adrias: per-node Watchers feeding
  * the shared Predictor, centralized (node, mode) decisions with
  * iso-QoS tie-breaking.  No paper figure exists for this; the paper
- * describes the design and we measure it: Adrias-cluster vs random and
- * least-loaded-local baselines across cluster sizes.
+ * describes the design and we measure it: Adrias vs random and
+ * all-local (least-loaded node) baselines across cluster sizes.
  *
  * A second section runs the same arrival stream on shared M×N rack
  * topologies (per-link contention, capacity-backed remote placement)
@@ -182,14 +182,13 @@ main()
     TextTable table({"config", "nodes", "completed", "BE median (s)",
                      "BE p95 (s)", "offloads", "traffic (GB)"});
     for (std::size_t nodes : {2, 4}) {
-        scenario::RandomClusterPolicy random(5);
-        scenario::LeastLoadedLocalPolicy least_loaded;
+        scenario::RandomPlacement random(5);
+        core::AllLocalScheduler least_loaded;
         core::AdriasConfig config;
         config.beta = 0.8;
         config.defaultQosP99Ms = 5.0;
-        core::AdriasClusterOrchestrator adrias(stack.predictor(),
-                                               stack.signatures(),
-                                               config);
+        core::AdriasOrchestrator adrias(stack.predictor(),
+                                        stack.signatures(), config);
         for (auto *policy :
              std::initializer_list<scenario::ClusterPolicy *>{
                  &random, &least_loaded, &adrias}) {
@@ -204,7 +203,7 @@ main()
         }
     }
     std::cout << table.toString();
-    std::cout << "\nShape check: adrias-cluster matches least-loaded's "
+    std::cout << "\nShape check: adrias matches all-local's "
                  "medians while completing comparable work and using "
                  "remote memory; random trails both.\n";
 
@@ -212,14 +211,13 @@ main()
                           "BE p95 (s)", "offloads", "dropped",
                           "fallbacks", "link GB"});
     for (const char *topo : {"rack-2x2-cxl", "rack-4x4-mixed"}) {
-        scenario::RandomClusterPolicy random(5);
+        scenario::RandomPlacement random(5);
         core::LeastLoadedRemotePolicy least_remote;
         core::AdriasConfig config;
         config.beta = 0.8;
         config.defaultQosP99Ms = 5.0;
-        core::AdriasClusterOrchestrator adrias(stack.predictor(),
-                                               stack.signatures(),
-                                               config);
+        core::AdriasOrchestrator adrias(stack.predictor(),
+                                        stack.signatures(), config);
         for (auto *policy :
              std::initializer_list<scenario::ClusterPolicy *>{
                  &random, &least_remote, &adrias}) {

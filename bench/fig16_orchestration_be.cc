@@ -32,7 +32,7 @@ struct PolicyOutcome
 };
 
 PolicyOutcome
-evaluate(scenario::PlacementPolicy &policy, std::size_t repeats)
+evaluate(scenario::ClusterPolicy &policy, std::size_t repeats)
 {
     PolicyOutcome outcome;
     outcome.name = policy.name();

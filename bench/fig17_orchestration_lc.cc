@@ -80,7 +80,7 @@ main(int argc, char **argv)
                          "QoS2 viol/off", "QoS3 viol/off",
                          "QoS4 viol/off"});
 
-        auto eval_policy = [&](scenario::PlacementPolicy &policy,
+        auto eval_policy = [&](scenario::ClusterPolicy &policy,
                                bool adrias_qos, double qos_value) {
             LcOutcome outcome;
             for (std::size_t i = 0; i < repeats; ++i) {

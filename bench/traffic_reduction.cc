@@ -25,7 +25,7 @@ struct TrafficOutcome
 };
 
 TrafficOutcome
-evaluate(scenario::PlacementPolicy &policy, std::size_t repeats)
+evaluate(scenario::ClusterPolicy &policy, std::size_t repeats)
 {
     TrafficOutcome outcome;
     for (std::size_t i = 0; i < repeats; ++i) {

@@ -4,7 +4,8 @@
  * arrival stream hits a cluster of disaggregated-memory nodes; the
  * centralized Adrias orchestrator consults every node's Watcher and
  * picks (node, memory mode) per application, breaking iso-QoS ties by
- * node load.  Compared against random and least-loaded baselines.
+ * node load.  Compared against random and all-local (least-loaded
+ * node) baselines.
  *
  * Usage:  ./build/examples/cluster_orchestration [nodes] [duration]
  */
@@ -77,31 +78,30 @@ main(int argc, char **argv)
               << "-node cluster under three policies...\n\n";
 
     {
-        scenario::RandomClusterPolicy random(5);
+        scenario::RandomPlacement random(5);
         scenario::ClusterScenarioRunner runner(
             testbed::topologyByName(config.topology), config);
-        report("random             ", runner.run(random));
+        report("random      ", runner.run(random));
     }
     {
-        scenario::LeastLoadedLocalPolicy least_loaded;
+        core::AllLocalScheduler all_local;
         scenario::ClusterScenarioRunner runner(
             testbed::topologyByName(config.topology), config);
-        report("least-loaded-local ", runner.run(least_loaded));
+        report("all-local   ", runner.run(all_local));
     }
     {
         core::AdriasConfig adrias_config;
         adrias_config.beta = 0.8;
         adrias_config.defaultQosP99Ms = 5.0;
-        core::AdriasClusterOrchestrator adrias(stack.predictor(),
-                                               stack.signatures(),
-                                               adrias_config);
+        core::AdriasOrchestrator adrias(stack.predictor(),
+                                        stack.signatures(), adrias_config);
         scenario::ClusterScenarioRunner runner(
             testbed::topologyByName(config.topology), config);
-        report("adrias-cluster     ", runner.run(adrias));
+        report("adrias-b0.8 ", runner.run(adrias));
     }
 
-    std::cout << "\nExpected: adrias-cluster completes as much work as "
-                 "least-loaded while exploiting remote memory, and "
+    std::cout << "\nExpected: adrias completes as much work as "
+                 "all-local while exploiting remote memory, and "
                  "clearly beats random placement.\n";
     return 0;
 }

@@ -30,7 +30,7 @@ struct PolicyReport
 };
 
 PolicyReport
-runPolicy(scenario::PlacementPolicy &policy, SimTime duration)
+runPolicy(scenario::ClusterPolicy &policy, SimTime duration)
 {
     scenario::ScenarioConfig config;
     config.durationSec = duration;
@@ -85,7 +85,7 @@ main(int argc, char **argv)
     reports.push_back(runPolicy(rr, duration));
     core::AllLocalScheduler all_local;
     reports.push_back(runPolicy(all_local, duration));
-    core::AllRemoteScheduler all_remote;
+    core::LeastLoadedRemotePolicy all_remote;
     reports.push_back(runPolicy(all_remote, duration));
     for (double beta : {0.8, 0.7}) {
         core::AdriasConfig config;

@@ -14,7 +14,6 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "common/types.hh"
-#include "core/cluster_orchestrator.hh"
 #include "core/orchestrator.hh"
 #include "core/runtime_migrator.hh"
 #include "core/schedulers.hh"
@@ -22,6 +21,7 @@
 #include "fault/fault.hh"
 #include "models/guard.hh"
 #include "models/predictor.hh"
+#include "scenario/cluster.hh"
 #include "scenario/dataset.hh"
 #include "scenario/runner.hh"
 #include "scenario/signature.hh"

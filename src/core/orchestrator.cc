@@ -1,6 +1,6 @@
 #include "core/orchestrator.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -24,10 +24,11 @@ namespace
  */
 void
 recordPlacement(const workloads::WorkloadSpec &spec, SimTime now,
-                MemoryMode mode, const char *path, double t_local,
-                double beta, double t_remote, double p99_remote,
-                double qos)
+                const scenario::ClusterPlacement &placement,
+                const char *path, double t_local, double beta,
+                double t_remote, double p99_remote, double qos)
 {
+    const MemoryMode mode = placement.mode;
     if (!obs::enabled())
         return;
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
@@ -42,6 +43,7 @@ recordPlacement(const workloads::WorkloadSpec &spec, SimTime now,
     obs::Tracer::global().simInstant(
         "place", "orchestrator", now,
         {obs::arg("app", spec.name), obs::arg("class", toString(spec.cls)),
+         obs::arg("node", static_cast<std::int64_t>(placement.node)),
          obs::arg("decision", toString(mode)), obs::arg("path", path),
          obs::arg("t_local", t_local), obs::arg("beta", beta),
          obs::arg("t_remote", t_remote),
@@ -115,14 +117,103 @@ AdriasOrchestrator::stats() const
     return merged;
 }
 
-MemoryMode
-AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
-                          const telemetry::Watcher &watcher, SimTime now)
+std::vector<AdriasOrchestrator::Candidate>
+AdriasOrchestrator::predictAll(
+    const workloads::WorkloadSpec &spec,
+    const std::vector<scenario::NodeView> &nodes) const
 {
+    const auto &signature = signatures->get(spec.name);
+    // Every window is stored before any query takes its address, so
+    // the borrowed PerfQuery pointers stay valid for the batch call.
+    std::vector<std::vector<ml::Matrix>> histories(nodes.size());
+    std::vector<Candidate> candidates;
+    std::vector<models::PredictorBase::PerfQuery> queries;
+    candidates.reserve(nodes.size() * 2);
+    queries.reserve(nodes.size() * 2);
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+        if (nodes[n].watcher->sampleCount() == 0)
+            continue;
+        histories[n] = nodes[n].watcher->binnedWindow(
+            scenario::ScenarioRunner::kWindowSec,
+            scenario::ScenarioRunner::kWindowBins);
+        for (MemoryMode mode : {MemoryMode::Local, MemoryMode::Remote}) {
+            candidates.push_back({n, mode, 0.0, nodes[n].running});
+            queries.push_back({&histories[n], &signature, mode});
+        }
+    }
+
+    // One fused query per decision: the shared signature is encoded
+    // once and each node's window once, whatever the node count.
+    const std::vector<double> predicted =
+        predictor->predictPerformanceBatch(spec.cls, queries);
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+        candidates[i].predicted = predicted[i];
+    return candidates;
+}
+
+std::size_t
+AdriasOrchestrator::choose(const workloads::WorkloadSpec &spec,
+                           const std::vector<Candidate> &candidates) const
+{
+    // Is `c` a clear win over `best`, or an iso-QoS tie on a less
+    // loaded node (cluster-level efficiency, §VII)?
+    auto beats = [](const Candidate &c, const Candidate &best) {
+        return c.predicted < best.predicted * (1.0 - kIsoMargin) ||
+               (c.predicted <= best.predicted * (1.0 + kIsoMargin) &&
+                c.running < best.running);
+    };
+    constexpr std::size_t kNone = SIZE_MAX;
+
+    if (spec.cls == WorkloadClass::BestEffort) {
+        // Per node, apply the β rule; across nodes, prefer the best
+        // predicted time.
+        std::size_t best = kNone;
+        for (std::size_t i = 0; i < candidates.size(); i += 2) {
+            const std::size_t chosen =
+                decideBestEffort(candidates[i].predicted,
+                                 candidates[i + 1].predicted,
+                                 policy.beta) == MemoryMode::Local
+                    ? i
+                    : i + 1;
+            if (best == kNone || beats(candidates[chosen], candidates[best]))
+                best = chosen;
+        }
+        return best;
+    }
+
+    // Latency-critical: prefer a remote placement that meets QoS (most
+    // headroom, least-loaded on iso-QoS); otherwise the safest local.
+    const double qos = qosFor(spec.name);
+    std::size_t best_remote = kNone;
+    std::size_t best_local = kNone;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const Candidate &candidate = candidates[i];
+        if (candidate.mode == MemoryMode::Remote) {
+            if (decideLatencyCritical(candidate.predicted, qos) !=
+                MemoryMode::Remote)
+                continue;
+            if (best_remote == kNone ||
+                beats(candidate, candidates[best_remote]))
+                best_remote = i;
+        } else if (best_local == kNone ||
+                   candidate.predicted < candidates[best_local].predicted) {
+            best_local = i;
+        }
+    }
+    return best_remote != kNone ? best_remote : best_local;
+}
+
+scenario::ClusterPlacement
+AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
+                          const std::vector<scenario::NodeView> &nodes,
+                          SimTime now)
+{
+    if (nodes.empty())
+        fatal("AdriasOrchestrator: empty cluster");
 #if ADRIAS_OBS_ENABLED
     obs::WallSpan place_span("place", "orchestrator");
-    // Comparison operands for the decision instant; NaN marks an
-    // operand this decision path never computed.
+    // Comparison operands for the decision instant, those of the chosen
+    // node; NaN marks an operand this decision path never computed.
     constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
     double obs_t_local = kUnset;
     double obs_t_remote = kUnset;
@@ -132,63 +223,72 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
 #endif
     if (guard != nullptr)
         guard->beginDecision(now);
-    lastWatcherHealth = watcher.health();
+    lastWatcherHealth = {};
+    for (const scenario::NodeView &node : nodes) {
+        const telemetry::WatcherHealth health = node.watcher->health();
+        lastWatcherHealth.samplesAccepted += health.samplesAccepted;
+        lastWatcherHealth.samplesRepaired += health.samplesRepaired;
+        lastWatcherHealth.eventsRepaired += health.eventsRepaired;
+        lastWatcherHealth.samplesDropped += health.samplesDropped;
+        lastWatcherHealth.stalenessSec =
+            std::max(lastWatcherHealth.stalenessSec, health.stalenessSec);
+        lastWatcherHealth.maxStalenessSec = std::max(
+            lastWatcherHealth.maxStalenessSec, health.maxStalenessSec);
+    }
+    const std::size_t least_loaded = scenario::leastLoadedNode(nodes);
 
     // Unknown application: bootstrap on remote memory and capture its
     // signature from this run (paper §V-C).
     if (!signatures->has(spec.name)) {
         ++decisionStats.bootstrapPlacements;
         ++decisionStats.remotePlacements;
+        const scenario::ClusterPlacement placement{least_loaded,
+                                                   MemoryMode::Remote};
 #if ADRIAS_OBS_ENABLED
-        recordPlacement(spec, now, MemoryMode::Remote, "bootstrap",
-                        kUnset, policy.beta, kUnset, kUnset, kUnset);
-#endif
-        return MemoryMode::Remote;
-    }
-
-    // Cold telemetry (scenario warm-up): fall back to the conventional
-    // placement until a history window exists.
-    if (watcher.sampleCount() == 0) {
-        ++decisionStats.localPlacements;
-#if ADRIAS_OBS_ENABLED
-        recordPlacement(spec, now, MemoryMode::Local, "cold", kUnset,
+        recordPlacement(spec, now, placement, "bootstrap", kUnset,
                         policy.beta, kUnset, kUnset, kUnset);
 #endif
-        return MemoryMode::Local;
+        return placement;
     }
 
-    const auto history = watcher.binnedWindow(
-        scenario::ScenarioRunner::kWindowSec,
-        scenario::ScenarioRunner::kWindowBins);
-    const auto &signature = signatures->get(spec.name);
-
-    MemoryMode mode = MemoryMode::Local;
-    try {
-        if (spec.cls == WorkloadClass::BestEffort) {
-            // Both hypotheticals share S, Ŝ and k: one fused query
-            // runs them through the LSTMs once and only the head at
-            // b2 (the same pointer dedupe the daemon relies on).
-            const std::vector<double> t = predictor->predictPerformanceBatch(
-                spec.cls, {{&history, &signature, MemoryMode::Local},
-                           {&history, &signature, MemoryMode::Remote}});
-            const double t_local = t[0];
-            const double t_remote = t[1];
-            mode = decideBestEffort(t_local, t_remote, policy.beta);
+    // Cold telemetry everywhere (scenario warm-up): fall back to the
+    // conventional placement until a history window exists.
+    const bool all_cold =
+        std::none_of(nodes.begin(), nodes.end(),
+                     [](const scenario::NodeView &node) {
+                         return node.watcher->sampleCount() > 0;
+                     });
+    if (all_cold) {
+        ++decisionStats.localPlacements;
+        const scenario::ClusterPlacement placement{least_loaded,
+                                                   MemoryMode::Local};
 #if ADRIAS_OBS_ENABLED
+        recordPlacement(spec, now, placement, "cold", kUnset,
+                        policy.beta, kUnset, kUnset, kUnset);
+#endif
+        return placement;
+    }
+
+    if (spec.cls == WorkloadClass::Interference)
+        panic("AdriasOrchestrator asked to place a trasher");
+
+    scenario::ClusterPlacement placement;
+    try {
+        const std::vector<Candidate> candidates = predictAll(spec, nodes);
+        const std::size_t chosen = choose(spec, candidates);
+        placement = {candidates[chosen].node, candidates[chosen].mode};
+#if ADRIAS_OBS_ENABLED
+        // Rows come in (Local, Remote) pairs per warm node.
+        const double t_local = candidates[chosen & ~std::size_t{1}].predicted;
+        const double t_remote = candidates[chosen | 1].predicted;
+        if (spec.cls == WorkloadClass::BestEffort) {
             obs_t_local = t_local;
             obs_t_remote = t_remote;
-#endif
-        } else if (spec.cls == WorkloadClass::LatencyCritical) {
-            const double p99_remote = predictor->predictPerformance(
-                spec.cls, history, signature, MemoryMode::Remote);
-            mode = decideLatencyCritical(p99_remote, qosFor(spec.name));
-#if ADRIAS_OBS_ENABLED
-            obs_p99_remote = p99_remote;
-            obs_qos = qosFor(spec.name);
-#endif
         } else {
-            panic("AdriasOrchestrator asked to place a trasher");
+            obs_p99_remote = t_remote;
+            obs_qos = qosFor(spec.name);
         }
+#endif
     } catch (const models::PredictionUnavailable &err) {
         // Degraded mode: the prediction path is sick (breaker open,
         // deadline blown, crash window, invalid inputs).  Keep placing
@@ -196,21 +296,65 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
         ++decisionStats.predictionFailures;
         logWarn(std::string("AdriasOrchestrator degraded: ") +
                 err.what());
-        mode = fallbackPlacement(spec);
+        placement = {least_loaded, fallbackPlacement(spec)};
 #if ADRIAS_OBS_ENABLED
         obs_path = "fallback";
 #endif
     }
 
-    if (mode == MemoryMode::Remote)
+    if (placement.mode == MemoryMode::Remote)
         ++decisionStats.remotePlacements;
     else
         ++decisionStats.localPlacements;
 #if ADRIAS_OBS_ENABLED
-    recordPlacement(spec, now, mode, obs_path, obs_t_local, policy.beta,
-                    obs_t_remote, obs_p99_remote, obs_qos);
+    recordPlacement(spec, now, placement, obs_path, obs_t_local,
+                    policy.beta, obs_t_remote, obs_p99_remote, obs_qos);
 #endif
-    return mode;
+    return placement;
+}
+
+MemoryMode
+AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
+                          const telemetry::Watcher &watcher, SimTime now)
+{
+    return place(spec, std::vector<scenario::NodeView>{{&watcher, 0}}, now)
+        .mode;
+}
+
+scenario::ClusterPlacement
+AdriasOrchestrator::placeRack(const workloads::WorkloadSpec &spec,
+                              const std::vector<scenario::NodeView> &nodes,
+                              const scenario::RackView &rack, SimTime now)
+{
+    const scenario::ClusterPlacement chosen = place(spec, nodes, now);
+    if (chosen.mode != MemoryMode::Remote)
+        return chosen;
+    scenario::ClusterPlacement routed =
+        scenario::routeOnRack(chosen, spec, rack);
+    if (routed.mode == MemoryMode::Remote)
+        return routed;
+
+    // The predicted-best node cannot reach disaggregated memory any
+    // more.  Keeping the mode matters more than keeping the node for a
+    // remote-preferring decision, so retry the surviving nodes from
+    // least loaded upward before degrading to the local pool.
+    std::vector<std::size_t> order;
+    order.reserve(nodes.size());
+    for (std::size_t n = 0; n < nodes.size(); ++n)
+        if (n != chosen.node)
+            order.push_back(n);
+    std::stable_sort(order.begin(), order.end(),
+                     [&nodes](std::size_t a, std::size_t b) {
+                         return nodes[a].running < nodes[b].running;
+                     });
+    for (std::size_t n : order) {
+        scenario::ClusterPlacement alt = chosen;
+        alt.node = n;
+        alt = scenario::routeOnRack(alt, spec, rack);
+        if (alt.mode == MemoryMode::Remote)
+            return alt;
+    }
+    return routed;
 }
 
 void

@@ -1,19 +1,24 @@
 /**
  * @file
- * The Adrias Orchestrator (paper §V-C): the interference-aware
- * placement policy that queries the Predictor and applies the paper's
- * decision rules —
+ * The Adrias Orchestrator (paper §V-C, centralised per §VII): the
+ * interference-aware placement policy that queries the Predictor and
+ * applies the paper's decision rules —
  *
  *   BE:  local  iff  t̂_local < β · t̂_remote
  *   LC:  remote iff  p̂99_remote ≤ QoS
  *
- * Applications without a stored signature are bootstrapped on remote
- * memory and their signature is captured from their execution window.
+ * One class places on every topology.  Each node keeps its own
+ * Watcher; a decision asks the Predictor one question, a
+ * predictPerformanceBatch() over every warm node × {Local, Remote}
+ * sharing one signature (so Ŝ and k are encoded once, and each node's
+ * window once).  Per node the β / QoS rule picks the mode; across
+ * nodes the best prediction wins and near-ties (kIsoMargin) go to the
+ * least-loaded node.  On the paper's one-node rack this is exactly the
+ * two-node prototype's rule.
  *
- * Each decision asks the Predictor one question: a BE decision is one
- * predictPerformanceBatch() over {Local, Remote} sharing one history
- * window and one signature (so S, Ŝ and k are encoded once), an LC
- * decision one single-row remote query.
+ * Applications without a stored signature are bootstrapped on remote
+ * memory (least-loaded node) and their signature is captured from
+ * their execution window; with no warm node the decision is local.
  */
 
 #ifndef ADRIAS_CORE_ORCHESTRATOR_HH
@@ -21,6 +26,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/io/checkpoint_annotations.hh"
 #include "models/guard.hh"
@@ -73,12 +79,17 @@ struct OrchestratorStats
     std::size_t breakerTrips = 0;
     std::size_t breakerRecoveries = 0;
 
-    /** Merged from the Watcher seen at the last decision. */
+    /** Merged from the Watchers seen at the last decision, summed
+     *  over nodes. */
     std::size_t samplesRepaired = 0;
     std::size_t samplesDropped = 0;
 };
 
-/** Interference-aware memory orchestrator. */
+/**
+ * Interference-aware memory orchestrator.  Its decision is the
+ * ClusterPolicy place(); the one-node place(spec, watcher, now) of the
+ * base façade (placement.hh) runs the same decision on a single node.
+ */
 class AdriasOrchestrator : public scenario::PlacementPolicy
 {
   public:
@@ -103,9 +114,27 @@ class AdriasOrchestrator : public scenario::PlacementPolicy
 
     std::string name() const override;
 
+    /** Pick the (node, mode) pair with the best predicted outcome. */
+    scenario::ClusterPlacement
+    place(const workloads::WorkloadSpec &spec,
+          const std::vector<scenario::NodeView> &nodes,
+          SimTime now) override;
+
+    /** The same decision on one node: only the mode is returned. */
     MemoryMode place(const workloads::WorkloadSpec &spec,
                      const telemetry::Watcher &watcher,
                      SimTime now) override;
+
+    /**
+     * Rack-aware placement: the predicted-best (node, mode) is routed
+     * onto the rack; when the chosen node has no surviving remote
+     * route (dead links, drained servers), other nodes are tried in
+     * load order before the decision degrades to local memory.
+     */
+    scenario::ClusterPlacement
+    placeRack(const workloads::WorkloadSpec &spec,
+              const std::vector<scenario::NodeView> &nodes,
+              const scenario::RackView &rack, SimTime now) override;
 
     void onCompletion(const scenario::DeploymentRecord &record) override;
 
@@ -123,10 +152,16 @@ class AdriasOrchestrator : public scenario::PlacementPolicy
     double qosFor(const std::string &name) const;
 
     /**
+     * Relative prediction margin below which two candidates are
+     * considered iso-QoS and the tie is broken by node load.
+     */
+    static constexpr double kIsoMargin = 0.05;
+
+    /**
      * The paper's BE decision rule (§V-C): local iff
-     * t̂_local < β · t̂_remote.  Shared by the single-node place(),
-     * the cluster orchestrator and the DecisionService so batched and
-     * inline decisions can never diverge on the rule itself.
+     * t̂_local < β · t̂_remote.  Shared by place() and the
+     * DecisionService so batched and inline decisions can never
+     * diverge on the rule itself.
      */
     static MemoryMode
     decideBestEffort(double t_local, double t_remote, double beta)
@@ -162,7 +197,32 @@ class AdriasOrchestrator : public scenario::PlacementPolicy
     AdriasConfig policy ADRIAS_NOT_CHECKPOINTED(
         "construction-time configuration, re-supplied on restore");
     OrchestratorStats decisionStats;
+
+    /** Health of the Watchers seen at the last decision: counts summed
+     *  over nodes, staleness the worst node's. */
     telemetry::WatcherHealth lastWatcherHealth;
+
+    /** Predicted performance of one app on one (node, mode). */
+    struct Candidate
+    {
+        std::size_t node = 0;
+        MemoryMode mode = MemoryMode::Local;
+        double predicted = 0.0;
+        std::size_t running = 0;
+    };
+
+    /**
+     * One predictPerformanceBatch() over every (warm node × mode) row,
+     * node order, Local before Remote; cold nodes contribute no rows.
+     */
+    std::vector<Candidate>
+    predictAll(const workloads::WorkloadSpec &spec,
+               const std::vector<scenario::NodeView> &nodes) const;
+
+    /** Apply the β / QoS rules across the (non-empty) candidates.
+     *  @return the index of the chosen candidate. */
+    std::size_t choose(const workloads::WorkloadSpec &spec,
+                       const std::vector<Candidate> &candidates) const;
 
     /** Heuristic placement used when predictions are unavailable. */
     MemoryMode fallbackPlacement(const workloads::WorkloadSpec &spec);

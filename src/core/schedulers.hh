@@ -1,32 +1,32 @@
 /**
  * @file
  * Baseline scheduling policies the paper compares Adrias against
- * (§VI-B): Random, Round-Robin and All-Local (plus All-Remote as a
- * stress baseline).
+ * (§VI-B): Random (scenario::RandomPlacement), Round-Robin and
+ * All-Local, plus the all-remote stress baseline.  Each places on the
+ * least-loaded node, which is node 0 on the paper's one-node rack.
  */
 
 #ifndef ADRIAS_CORE_SCHEDULERS_HH
 #define ADRIAS_CORE_SCHEDULERS_HH
 
-#include "common/rng.hh"
-#include "scenario/cluster.hh"
 #include "scenario/placement.hh"
 
 namespace adrias::core
 {
 
 /** Alternates local/remote placements deterministically. */
-class RoundRobinScheduler : public scenario::PlacementPolicy
+class RoundRobinScheduler : public scenario::ClusterPolicy
 {
   public:
     std::string name() const override { return "round-robin"; }
 
-    MemoryMode
-    place(const workloads::WorkloadSpec &, const telemetry::Watcher &,
-          SimTime) override
+    scenario::ClusterPlacement
+    place(const workloads::WorkloadSpec &,
+          const std::vector<scenario::NodeView> &nodes, SimTime) override
     {
         nextRemote = !nextRemote;
-        return nextRemote ? MemoryMode::Remote : MemoryMode::Local;
+        return {scenario::leastLoadedNode(nodes),
+                nextRemote ? MemoryMode::Remote : MemoryMode::Local};
     }
 
   private:
@@ -34,37 +34,24 @@ class RoundRobinScheduler : public scenario::PlacementPolicy
 };
 
 /** Places everything on local DRAM (the conventional deployment). */
-class AllLocalScheduler : public scenario::PlacementPolicy
+class AllLocalScheduler : public scenario::ClusterPolicy
 {
   public:
     std::string name() const override { return "all-local"; }
 
-    MemoryMode
-    place(const workloads::WorkloadSpec &, const telemetry::Watcher &,
-          SimTime) override
+    scenario::ClusterPlacement
+    place(const workloads::WorkloadSpec &,
+          const std::vector<scenario::NodeView> &nodes, SimTime) override
     {
-        return MemoryMode::Local;
-    }
-};
-
-/** Places everything on disaggregated memory. */
-class AllRemoteScheduler : public scenario::PlacementPolicy
-{
-  public:
-    std::string name() const override { return "all-remote"; }
-
-    MemoryMode
-    place(const workloads::WorkloadSpec &, const telemetry::Watcher &,
-          SimTime) override
-    {
-        return MemoryMode::Remote;
+        return {scenario::leastLoadedNode(nodes), MemoryMode::Local};
     }
 };
 
 /**
- * Rack baseline: every app prefers disaggregated memory on the
- * least-loaded node; the default placeRack() routing demotes it to
- * local only when no healthy link reaches a server with room.
+ * Places everything on disaggregated memory: every app prefers remote
+ * memory on the least-loaded node, and the default placeRack() routing
+ * demotes it to local only when no healthy link reaches a server with
+ * room.
  */
 class LeastLoadedRemotePolicy : public scenario::ClusterPolicy
 {
@@ -75,16 +62,7 @@ class LeastLoadedRemotePolicy : public scenario::ClusterPolicy
     place(const workloads::WorkloadSpec &,
           const std::vector<scenario::NodeView> &nodes, SimTime) override
     {
-        scenario::ClusterPlacement placement;
-        placement.mode = MemoryMode::Remote;
-        std::size_t best = SIZE_MAX;
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-            if (nodes[n].running < best) {
-                best = nodes[n].running;
-                placement.node = n;
-            }
-        }
-        return placement;
+        return {scenario::leastLoadedNode(nodes), MemoryMode::Remote};
     }
 };
 

@@ -110,11 +110,11 @@ class GuardedPredictor : public PredictorBase
      * deadlines are the serving layer's job (it sizes batches so the
      * inference budget fits every member's deadline).
      *
-     * The inline orchestrators follow the same rule: a BE decision
-     * asks one {Local, Remote} batch, so it is ONE admission — calls
-     * advance by 2, the crash-window salt (callCounter) by 1, and a
-     * crash window costs the decision one fallback rather than up to
-     * two coin flips.  An LC decision keeps its one single-row call.
+     * The inline orchestrator follows the same rule: a decision asks
+     * one batch over every warm node × {Local, Remote}, so it is ONE
+     * admission — on the paper pair calls advance by 2, the
+     * crash-window salt (callCounter) by 1, and a crash window costs
+     * the decision one fallback rather than up to two coin flips.
      */
     std::vector<double>
     predictPerformanceBatch(WorkloadClass cls,

@@ -55,7 +55,7 @@ class PredictorBase
 
     /**
      * Batched predictPerformance over same-class queries: what every
-     * placement decision issues (the inline orchestrators ask one
+     * placement decision issues (the inline orchestrator asks one
      * batched question per decision, the daemon one per batch).  The
      * base implementation loops over the single-row entry point, so
      * every PredictorBase (stubs included) serves batches; Predictor

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
+#include "testbed/topology.hh"
 
 namespace adrias::recovery
 {
@@ -96,6 +97,18 @@ RecoverableScenario::start()
         panic("RecoverableScenario::start called twice");
     started = true;
 
+    // The journal records the memory mode only, which is the whole
+    // decision on one node but not on a rack: replaying it there would
+    // "verify" decisions without checking node, server or link.
+    const testbed::Topology topo = testbed::topologyByName(config.topology);
+    if (topo.nodeCount() != 1)
+        return makeError(ErrorCode::Geometry,
+                         "RecoverableScenario: topology '" + topo.name() +
+                             "' has " + std::to_string(topo.nodeCount()) +
+                             " nodes, but the decision journal records "
+                             "one node's memory mode only; crash "
+                             "recovery runs on one-node topologies");
+
     std::error_code ec;
     std::filesystem::create_directories(recovery.dir, ec);
     manager.removeOrphanTempFiles();
@@ -155,7 +168,7 @@ RecoverableScenario::start()
 }
 
 scenario::ScenarioResult
-RecoverableScenario::run(scenario::PlacementPolicy &policy,
+RecoverableScenario::run(scenario::ClusterPolicy &policy,
                          scenario::RuntimePolicy *runtime)
 {
     if (!journal.isOpen())

@@ -91,7 +91,9 @@ class RecoverableScenario
      *
      * @return the recovery report, or an error when the on-disk state
      *         is unusable (every snapshot structurally valid but
-     *         unrestorable, unreadable journal, ...).
+     *         unrestorable, unreadable journal, ...) or the topology
+     *         has more than one node (the journal records the memory
+     *         mode only, which is the whole decision on one node).
      */
     [[nodiscard]] Result<RecoveryReport> start();
 
@@ -104,7 +106,7 @@ class RecoverableScenario
      *         RecoverableScenario over the same directory resumes it.
      */
     scenario::ScenarioResult
-    run(scenario::PlacementPolicy &policy,
+    run(scenario::ClusterPolicy &policy,
         scenario::RuntimePolicy *runtime = nullptr);
 
     /** The underlying engine (tests observe now()/pendingReplay()). */

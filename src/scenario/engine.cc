@@ -111,48 +111,6 @@ loadRecord(io::BinaryReader &in)
     return record;
 }
 
-/**
- * A PlacementPolicy seen as a ClusterPolicy on a one-node rack: node 0,
- * the policy's memory mode, link 0.
- */
-class SingleNodePolicy final : public ClusterPolicy
-{
-  public:
-    explicit SingleNodePolicy(PlacementPolicy &policy_) : policy(policy_)
-    {
-    }
-
-    std::string name() const override { return policy.name(); }
-
-    ClusterPlacement
-    place(const WorkloadSpec &spec, const std::vector<NodeView> &nodes,
-          SimTime now) override
-    {
-        ClusterPlacement placement;
-        placement.mode = policy.place(spec, *nodes.front().watcher, now);
-        return placement;
-    }
-
-    ClusterPlacement
-    placeRack(const WorkloadSpec &spec, const std::vector<NodeView> &nodes,
-              const RackView &rack, SimTime now) override
-    {
-        ClusterPlacement placement = place(spec, nodes, now);
-        if (placement.mode == MemoryMode::Remote)
-            placement.server = rack.topology->link(0).server;
-        return placement;
-    }
-
-    void
-    onCompletion(std::size_t, const DeploymentRecord &record) override
-    {
-        policy.onCompletion(record);
-    }
-
-  private:
-    PlacementPolicy &policy;
-};
-
 } // namespace
 
 ScenarioEngine::ScenarioEngine(ScenarioConfig config_)
@@ -411,29 +369,16 @@ ScenarioEngine::harvestCompletions(std::size_t n, ClusterPolicy &policy)
 }
 
 void
-ScenarioEngine::stepTick(ClusterPolicy &policy)
-{
-    step(policy, nullptr);
-}
-
-void
-ScenarioEngine::stepTick(PlacementPolicy &policy, RuntimePolicy *runtime)
-{
-    if (nodes.size() != 1)
-        fatal("ScenarioEngine: a PlacementPolicy places on one node, but "
-              "topology '" +
-              bed.topology().name() + "' has " +
-              std::to_string(nodes.size()) +
-              " (drive it with a ClusterPolicy)");
-    SingleNodePolicy adapter(policy);
-    step(adapter, runtime);
-}
-
-void
-ScenarioEngine::step(ClusterPolicy &policy, RuntimePolicy *runtime)
+ScenarioEngine::stepTick(ClusterPolicy &policy, RuntimePolicy *runtime)
 {
     if (finished())
         panic("ScenarioEngine::stepTick past the configured duration");
+
+    if (runtime != nullptr && nodes.size() != 1)
+        fatal("ScenarioEngine: the L2 runtime hook sees one node, but "
+              "topology '" +
+              bed.topology().name() + "' has " +
+              std::to_string(nodes.size()));
 
     // Injected link faults derate each link before anything is placed
     // or resolved this tick.

@@ -127,22 +127,12 @@ class ScenarioEngine : public io::Checkpointable
     /**
      * Execute exactly one simulated second on the whole rack: link
      * faults, arrivals placed by `policy`, contention, telemetry,
-     * progress and completions.
+     * progress and completions.  The optional L2 `runtime` sees every
+     * tick of a one-node rack (fatal on a multi-node topology).
      *
      * @pre !finished()
      */
-    void stepTick(ClusterPolicy &policy);
-
-    /**
-     * One simulated second of a one-node rack: `policy` picks the
-     * memory mode on node 0, remote placements ride link 0, and the
-     * optional `runtime` sees every tick.  Fatal on a multi-node
-     * topology.
-     *
-     * @pre !finished()
-     */
-    void stepTick(PlacementPolicy &policy,
-                  RuntimePolicy *runtime = nullptr);
+    void stepTick(ClusterPolicy &policy, RuntimePolicy *runtime = nullptr);
 
     /**
      * Finalize a one-node run and move node 0's result out (fault
@@ -244,9 +234,6 @@ class ScenarioEngine : public io::Checkpointable
         "runtime observer wiring, re-attached after restore") = nullptr;
     std::deque<PlacementDecision> replayQueue ADRIAS_NOT_CHECKPOINTED(
         "transient replay scaffolding; saveState panics mid-replay");
-
-    /** The tick shared by both stepTick overloads. */
-    void step(ClusterPolicy &policy, RuntimePolicy *runtime);
 
     /** Set every link's fault derating for this tick. */
     void applyLinkFaults();

@@ -106,7 +106,7 @@ ScenarioRunner::ScenarioRunner(ScenarioConfig config_) : config(config_)
 }
 
 ScenarioResult
-ScenarioRunner::run(PlacementPolicy &policy, RuntimePolicy *runtime)
+ScenarioRunner::run(ClusterPolicy &policy, RuntimePolicy *runtime)
 {
 #if ADRIAS_OBS_ENABLED
     obs::WallSpan run_span(
@@ -125,12 +125,12 @@ ScenarioRunner::run(PlacementPolicy &policy, RuntimePolicy *runtime)
 std::vector<ScenarioResult>
 runScenarioSweep(
     const std::vector<ScenarioConfig> &configs,
-    const std::function<std::unique_ptr<PlacementPolicy>(std::size_t)>
+    const std::function<std::unique_ptr<ClusterPolicy>(std::size_t)>
         &makePolicy)
 {
     // Policies first, serially and in order: a factory drawing from a
     // shared Rng must consume it identically at every thread count.
-    std::vector<std::unique_ptr<PlacementPolicy>> policies;
+    std::vector<std::unique_ptr<ClusterPolicy>> policies;
     policies.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         policies.push_back(makePolicy(i));

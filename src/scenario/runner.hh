@@ -61,8 +61,8 @@ struct ScenarioConfig
     /**
      * Named rack topology (testbed::topologyByName) the scenario runs
      * on — the only way to name the machine.  The default "paper-pair"
-     * is the two-node prototype.  A PlacementPolicy runs on one-node
-     * topologies; multi-node ones are placed by a ClusterPolicy.
+     * is the two-node prototype, a one-node rack; a ClusterPolicy
+     * places on every topology.
      */
     std::string topology = "paper-pair";
 };
@@ -101,21 +101,31 @@ struct ScenarioResult
     recordsOfClass(WorkloadClass cls) const;
 };
 
-/** A random placement hook used for trace collection (paper: apps are
- *  deployed "randomly on local or remote memory").  Checkpointable so
- *  a crash-recovered run re-derives the exact same placements. */
-class RandomPlacement : public PlacementPolicy, public io::Checkpointable
+/**
+ * A random placement hook used for trace collection (paper: apps are
+ * deployed "randomly on local or remote memory").  The node is drawn
+ * only when there is more than one — the engine's trasher rule — so a
+ * one-node run consumes one draw per decision.  Checkpointable so a
+ * crash-recovered run re-derives the exact same placements.
+ */
+class RandomPlacement : public ClusterPolicy, public io::Checkpointable
 {
   public:
     explicit RandomPlacement(std::uint64_t seed = 99) : rng(seed) {}
 
     std::string name() const override { return "random"; }
 
-    MemoryMode
-    place(const workloads::WorkloadSpec &, const telemetry::Watcher &,
-          SimTime) override
+    ClusterPlacement
+    place(const workloads::WorkloadSpec &,
+          const std::vector<NodeView> &nodes, SimTime) override
     {
-        return rng.bernoulli(0.5) ? MemoryMode::Remote : MemoryMode::Local;
+        ClusterPlacement placement;
+        if (nodes.size() > 1)
+            placement.node = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(nodes.size()) - 1));
+        placement.mode = rng.bernoulli(0.5) ? MemoryMode::Remote
+                                            : MemoryMode::Local;
+        return placement;
     }
 
     std::string checkpointTag() const override
@@ -185,7 +195,8 @@ class ScenarioRunner
     explicit ScenarioRunner(ScenarioConfig config);
 
     /**
-     * Execute the scenario to completion.
+     * Execute the scenario to completion on a one-node topology
+     * (ClusterScenarioRunner returns every node of a wider rack).
      *
      * @param policy decides local/remote for BE and LC arrivals
      *        (iBench trashers are always placed randomly, as in the
@@ -194,7 +205,7 @@ class ScenarioRunner
      *        (may migrate running instances between pools).
      * @return the full trace and all completion records.
      */
-    ScenarioResult run(PlacementPolicy &policy,
+    ScenarioResult run(ClusterPolicy &policy,
                        RuntimePolicy *runtime = nullptr);
 
     /** History window length r and horizon z, seconds (paper: 120). */
@@ -233,7 +244,7 @@ struct SweepItem
  */
 std::vector<ScenarioResult> runScenarioSweep(
     const std::vector<ScenarioConfig> &configs,
-    const std::function<std::unique_ptr<PlacementPolicy>(std::size_t)>
+    const std::function<std::unique_ptr<ClusterPolicy>(std::size_t)>
         &makePolicy);
 
 /** RandomPlacement convenience overload over SweepItems. */

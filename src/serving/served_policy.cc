@@ -39,12 +39,16 @@ ServedPlacementPolicy::refreshEpoch(const telemetry::Watcher &watcher,
     nextEpochAt = now + knobs.epochTicks;
 }
 
-MemoryMode
+scenario::ClusterPlacement
 ServedPlacementPolicy::place(const workloads::WorkloadSpec &spec,
-                             const telemetry::Watcher &watcher,
+                             const std::vector<scenario::NodeView> &nodes,
                              SimTime now)
 {
-    refreshEpoch(watcher, now);
+    if (nodes.size() != 1)
+        fatal("ServedPlacementPolicy: the daemon places on one node, but "
+              "the rack has " +
+              std::to_string(nodes.size()));
+    refreshEpoch(*nodes.front().watcher, now);
 
     PlacementRequest request;
     request.id = nextId++;
@@ -62,14 +66,14 @@ ServedPlacementPolicy::place(const workloads::WorkloadSpec &spec,
     const std::vector<PlacementDecision> decisions = service->drain(now);
     for (const PlacementDecision &decision : decisions) {
         if (decision.id == request.id)
-            return decision.mode;
+            return {0, decision.mode};
     }
     panic("ServedPlacementPolicy: drained without our decision");
 }
 
 void
 ServedPlacementPolicy::onCompletion(
-    const scenario::DeploymentRecord &record)
+    std::size_t, const scenario::DeploymentRecord &record)
 {
     if (record.cls == WorkloadClass::Interference)
         return;

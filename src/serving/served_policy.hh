@@ -1,6 +1,6 @@
 /**
  * @file
- * Scenario adapter for the DecisionService: a PlacementPolicy whose
+ * Scenario adapter for the DecisionService: a placement policy whose
  * answers come from the batched serving path instead of the inline
  * AdriasOrchestrator.  Lets every existing scenario/testbed harness
  * exercise the daemon end-to-end, and lets the golden tests compare
@@ -30,13 +30,14 @@ struct ServedPolicyConfig
 };
 
 /**
- * Synchronous façade over the DecisionService for the scenario runner:
+ * Synchronous façade over the DecisionService for the scenario engine:
  * place() submits one request on its deterministic shard and drains the
  * service for the answer the same tick, so scenarios observe the same
  * request/decide cycle a live deployment would — epochs, batching and
- * stats included.
+ * stats included.  The daemon decides the memory mode on a one-node
+ * rack; place() is fatal on a wider one.
  */
-class ServedPlacementPolicy : public scenario::PlacementPolicy
+class ServedPlacementPolicy : public scenario::ClusterPolicy
 {
   public:
     /**
@@ -51,11 +52,13 @@ class ServedPlacementPolicy : public scenario::PlacementPolicy
 
     std::string name() const override { return "adrias-served"; }
 
-    MemoryMode place(const workloads::WorkloadSpec &spec,
-                     const telemetry::Watcher &watcher,
-                     SimTime now) override;
+    scenario::ClusterPlacement
+    place(const workloads::WorkloadSpec &spec,
+          const std::vector<scenario::NodeView> &nodes,
+          SimTime now) override;
 
-    void onCompletion(const scenario::DeploymentRecord &record) override;
+    void onCompletion(std::size_t node,
+                      const scenario::DeploymentRecord &record) override;
 
   private:
     /** Refresh the service's epoch snapshot when the cadence is due. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Training-free PredictorBase stub that records the shape of every
- * query an orchestrator issues: how many single-row calls, and for
+ * query the orchestrator issues: how many single-row calls, and for
  * each batched call its rows (mode, which distinct history and
  * signature each row points at, and a copy of every distinct window).
  */
@@ -111,7 +111,7 @@ sameWindow(const std::vector<ml::Matrix> &a,
     return true;
 }
 
-/** @return the decision-time window the orchestrators query with. */
+/** @return the decision-time window the orchestrator queries with. */
 inline std::vector<ml::Matrix>
 decisionWindow(const telemetry::Watcher &watcher)
 {

@@ -228,7 +228,7 @@ TEST(ClusterDecisionRules, PicksBestNodeAndBreaksIsoTiesByLoad)
 
     AdriasConfig config;
     config.beta = 0.8;
-    AdriasClusterOrchestrator orchestrator(stub, signatures, config);
+    AdriasOrchestrator orchestrator(stub, signatures, config);
     const auto &sort = workloads::sparkBenchmark("sort");
 
     // Node 1 clearly faster: chosen regardless of load.
@@ -268,7 +268,7 @@ TEST(ClusterDecisionRules, LcPrefersQosMeetingRemote)
 
     AdriasConfig config;
     config.defaultQosP99Ms = 2.0;
-    AdriasClusterOrchestrator orchestrator(stub, signatures, config);
+    AdriasOrchestrator orchestrator(stub, signatures, config);
     std::vector<scenario::NodeView> nodes{{&w0, 3}, {&w1, 3}};
 
     // Only node 1's remote meets QoS.

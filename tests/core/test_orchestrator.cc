@@ -1,42 +1,53 @@
-/** @file Tests for the Adrias orchestrator and baseline schedulers. */
+/**
+ * @file
+ * Tests for the Adrias orchestrator — on the paper's one-node rack and
+ * on wider racks (§VII) — and for the baseline schedulers.
+ */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
 
 #include "core/adrias.hh"
 #include "counting_predictor.hh"
 #include "ml/simd.hh"
+#include "testbed/topology.hh"
 
 namespace adrias::core
 {
 namespace
 {
 
+using scenario::ClusterScenarioRunner;
+using scenario::NodeView;
 using scenario::ScenarioConfig;
 using scenario::ScenarioRunner;
 
-/** One trained stack shared across the suite (training is the cost). */
-class OrchestratorTest : public ::testing::Test
+/** A trained stack per seed, built once per process (training is the
+ *  cost) and shared by the one-node and the rack suites. */
+AdriasStack &
+trainedStack(std::uint64_t seed)
 {
-  protected:
-    static void
-    SetUpTestSuite()
-    {
+    static std::map<std::uint64_t, std::unique_ptr<AdriasStack>> stacks;
+    std::unique_ptr<AdriasStack> &slot = stacks[seed];
+    if (!slot) {
         AdriasStack::BuildOptions options;
         options.scenarios = 3;
         options.scenarioDurationSec = 1500;
-        options.seed = 700;
+        options.seed = seed;
         options.model.epochs = 18;
         options.model.hidden = 16;
         options.model.headWidth = 24;
-        stack = new AdriasStack(options);
+        slot = std::make_unique<AdriasStack>(options);
     }
+    return *slot;
+}
 
-    static void
-    TearDownTestSuite()
-    {
-        delete stack;
-        stack = nullptr;
-    }
+class OrchestratorTest : public ::testing::Test
+{
+  protected:
+    static void SetUpTestSuite() { stack = &trainedStack(700); }
 
     static ScenarioConfig
     evalConfig(std::uint64_t seed)
@@ -54,6 +65,22 @@ class OrchestratorTest : public ::testing::Test
 
 AdriasStack *OrchestratorTest::stack = nullptr;
 
+/** Rack cases: their own stack, under a congested arrival stream. */
+class ClusterOrchestratorTest : public OrchestratorTest
+{
+  protected:
+    static void SetUpTestSuite() { stack = &trainedStack(1700); }
+
+    static ScenarioConfig
+    evalConfig(std::uint64_t seed)
+    {
+        ScenarioConfig config = OrchestratorTest::evalConfig(seed);
+        config.spawnMinSec = 3;
+        config.spawnMaxSec = 12;
+        return config;
+    }
+};
+
 /** Quiet warm telemetry: 150 noise-free idle ticks. */
 void
 warmUp(telemetry::Watcher &watcher)
@@ -66,49 +93,65 @@ warmUp(telemetry::Watcher &watcher)
 
 /**
  * Local-only policy keeping every warm decision-time Watcher window
- * of a best-effort arrival, with the arriving app's name.
+ * of a BE or LC arrival, with the arriving app's name and class.
  */
-class WindowRecorder : public scenario::PlacementPolicy
+class WindowRecorder : public scenario::ClusterPolicy
 {
   public:
+    struct Window
+    {
+        std::string name;
+        WorkloadClass cls;
+        std::vector<ml::Matrix> history;
+    };
+
     std::string name() const override { return "window-recorder"; }
 
-    MemoryMode
+    scenario::ClusterPlacement
     place(const workloads::WorkloadSpec &spec,
-          const telemetry::Watcher &watcher, SimTime) override
+          const std::vector<NodeView> &nodes, SimTime) override
     {
-        if (spec.cls == WorkloadClass::BestEffort &&
-            watcher.sampleCount() > 0)
-            windows.push_back({spec.name, decisionWindow(watcher)});
-        return MemoryMode::Local;
+        if (nodes[0].watcher->sampleCount() > 0)
+            windows.push_back(
+                {spec.name, spec.cls, decisionWindow(*nodes[0].watcher)});
+        return {0, MemoryMode::Local};
     }
 
-    std::vector<std::pair<std::string, std::vector<ml::Matrix>>> windows;
+    std::vector<Window> windows;
 };
 
 TEST(Schedulers, RoundRobinAlternates)
 {
     RoundRobinScheduler rr;
-    telemetry::Watcher watcher(4);
+    telemetry::Watcher w0(4), w1(4);
+    const std::vector<NodeView> nodes{{&w0, 3}, {&w1, 1}};
     const auto &spec = workloads::sparkBenchmark("sort");
-    const MemoryMode first = rr.place(spec, watcher, 0);
-    const MemoryMode second = rr.place(spec, watcher, 1);
-    const MemoryMode third = rr.place(spec, watcher, 2);
-    EXPECT_NE(first, second);
-    EXPECT_EQ(first, third);
+    const auto first = rr.place(spec, nodes, 0);
+    const auto second = rr.place(spec, nodes, 1);
+    const auto third = rr.place(spec, nodes, 2);
+    EXPECT_NE(first.mode, second.mode);
+    EXPECT_EQ(first.mode, third.mode);
+    for (const auto &placement : {first, second, third})
+        EXPECT_EQ(placement.node, 1u); // least loaded
     EXPECT_EQ(rr.name(), "round-robin");
 }
 
 TEST(Schedulers, AllLocalAndAllRemoteAreConstant)
 {
     AllLocalScheduler all_local;
-    AllRemoteScheduler all_remote;
-    telemetry::Watcher watcher(4);
+    LeastLoadedRemotePolicy all_remote;
+    telemetry::Watcher w0(4), w1(4), w2(4);
+    std::vector<NodeView> nodes{{&w0, 2}, {&w1, 4}, {&w2, 2}};
     const auto &spec = workloads::redisSpec();
     for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(all_local.place(spec, watcher, i), MemoryMode::Local);
-        EXPECT_EQ(all_remote.place(spec, watcher, i),
-                  MemoryMode::Remote);
+        nodes[1].running = static_cast<std::size_t>(i);
+        const std::size_t least = i < 2 ? 1u : 0u; // ties: lowest id
+        const auto local = all_local.place(spec, nodes, i);
+        const auto remote = all_remote.place(spec, nodes, i);
+        EXPECT_EQ(local.mode, MemoryMode::Local);
+        EXPECT_EQ(remote.mode, MemoryMode::Remote);
+        EXPECT_EQ(local.node, least);
+        EXPECT_EQ(remote.node, least);
     }
 }
 
@@ -140,8 +183,11 @@ TEST(OrchestratorCallShape, BestEffortDecisionIsOneFusedPairQuery)
     EXPECT_EQ(call.signatures[0], &store.get(spec.name));
 }
 
-TEST(OrchestratorCallShape, LatencyCriticalDecisionIsOneSingleRowQuery)
+TEST(OrchestratorCallShape,
+     LatencyCriticalDecisionIsOneBatchTwoRowsPerWarmNode)
 {
+    // An LC decision asks the same one batch as a BE decision: two
+    // rows per warm node, sharing its history and the signature.
     CountingPredictor predictor;
     telemetry::Watcher watcher(200);
     warmUp(watcher);
@@ -153,16 +199,24 @@ TEST(OrchestratorCallShape, LatencyCriticalDecisionIsOneSingleRowQuery)
     AdriasOrchestrator orchestrator(predictor, store, config);
 
     EXPECT_EQ(orchestrator.place(spec, watcher, 150), MemoryMode::Remote);
-    EXPECT_EQ(predictor.singleCalls, 1u);
-    EXPECT_TRUE(predictor.batches.empty());
+    EXPECT_EQ(predictor.singleCalls, 0u);
+    ASSERT_EQ(predictor.batches.size(), 1u);
+    const CountingPredictor::BatchCall &call = predictor.batches[0];
+    EXPECT_EQ(call.cls, WorkloadClass::LatencyCritical);
+    EXPECT_EQ(call.modes, (std::vector<MemoryMode>{MemoryMode::Local,
+                                                   MemoryMode::Remote}));
+    EXPECT_EQ(call.historySlot, (std::vector<std::size_t>{0, 0}));
+    ASSERT_EQ(call.signatures.size(), 1u);
+    EXPECT_EQ(call.signatures[0], &store.get(spec.name));
 }
 
 TEST_F(OrchestratorTest, FusedPairMatchesSingleRowCallsBitwise)
 {
     // Every forward op is row-independent (DESIGN.md §9), so the fused
-    // {Local, Remote} query a BE decision issues must equal two
-    // single-row calls exactly, on real decision-time windows and on
-    // both kernel tiers.
+    // {Local, Remote} query a decision issues must equal two
+    // single-row calls exactly — the BE rows and the LC remote row the
+    // QoS rule reads — on real decision-time windows and on both
+    // kernel tiers.
     WindowRecorder recorder;
     ScenarioRunner runner(evalConfig(904));
     runner.run(recorder);
@@ -173,26 +227,31 @@ TEST_F(OrchestratorTest, FusedPairMatchesSingleRowCallsBitwise)
                                 ml::KernelTier::Vector}) {
         SCOPED_TRACE(ml::kernelTierName(tier));
         const ml::ScopedKernelTier pin(tier);
-        std::size_t compared = 0;
-        for (const auto &[name, window] : recorder.windows) {
+        std::size_t compared_be = 0;
+        std::size_t compared_lc = 0;
+        for (const auto &[name, cls, window] : recorder.windows) {
             if (!stack->signatures().has(name))
                 continue;
             const auto &signature = stack->signatures().get(name);
             const std::vector<double> fused =
                 predictor.predictPerformanceBatch(
-                    WorkloadClass::BestEffort,
-                    {{&window, &signature, MemoryMode::Local},
-                     {&window, &signature, MemoryMode::Remote}});
+                    cls, {{&window, &signature, MemoryMode::Local},
+                          {&window, &signature, MemoryMode::Remote}});
             ASSERT_EQ(fused.size(), 2u);
-            EXPECT_EQ(fused[0], predictor.predictPerformance(
-                                    WorkloadClass::BestEffort, window,
-                                    signature, MemoryMode::Local));
-            EXPECT_EQ(fused[1], predictor.predictPerformance(
-                                    WorkloadClass::BestEffort, window,
-                                    signature, MemoryMode::Remote));
-            ++compared;
+            EXPECT_EQ(fused[1],
+                      predictor.predictPerformance(cls, window, signature,
+                                                   MemoryMode::Remote));
+            if (cls == WorkloadClass::LatencyCritical) {
+                ++compared_lc;
+                continue;
+            }
+            EXPECT_EQ(fused[0],
+                      predictor.predictPerformance(cls, window, signature,
+                                                   MemoryMode::Local));
+            ++compared_be;
         }
-        EXPECT_GE(compared, 20u);
+        EXPECT_GE(compared_be, 20u);
+        EXPECT_GE(compared_lc, 3u);
     }
 }
 
@@ -358,7 +417,7 @@ TEST_F(OrchestratorTest, EndToEndBeatsNaiveSchedulersOnMedian)
 {
     // The headline claim (Fig. 16): Adrias' BE execution-time
     // distribution dominates Random/Round-Robin.
-    auto median_be = [&](scenario::PlacementPolicy &policy,
+    auto median_be = [&](scenario::ClusterPolicy &policy,
                          std::uint64_t seed) {
         ScenarioRunner runner(evalConfig(seed));
         const auto result = runner.run(policy);
@@ -380,6 +439,322 @@ TEST_F(OrchestratorTest, EndToEndBeatsNaiveSchedulersOnMedian)
     const double rr_median = median_be(rr, 903);
     EXPECT_LT(adrias_median, random_median * 1.05);
     EXPECT_LT(adrias_median, rr_median * 1.05);
+}
+
+// ---------------------------------------------------------------------
+// The same orchestrator on wider racks (§VII): one batched query over
+// every warm node, (node, mode) choice with iso-QoS load tie-breaks,
+// and rack-aware routing with retries.
+// ---------------------------------------------------------------------
+
+TEST(ClusterCallShape, OneBatchPerDecisionTwoRowsPerWarmNode)
+{
+    // Node 1 is cold; nodes 0 and 2 carry different telemetry.
+    testbed::Testbed idle_bed, busy_bed;
+    idle_bed.setNoise(0.0);
+    busy_bed.setNoise(0.0);
+    const std::vector<testbed::LoadDescriptor> loads{
+        workloads::ibenchSpec(workloads::IBenchKind::MemBw)
+            .toLoad(0, MemoryMode::Remote)};
+    telemetry::Watcher w0(200), w1(200), w2(200);
+    for (int t = 0; t < 150; ++t) {
+        w0.record(idle_bed.tick({}).counters);
+        w2.record(busy_bed.tick(loads).counters);
+    }
+    std::vector<NodeView> nodes{{&w0, 3}, {&w1, 0}, {&w2, 1}};
+
+    CountingPredictor predictor;
+    scenario::SignatureStore store;
+    const auto &be = workloads::sparkBenchmark("sort");
+    const auto &lc = workloads::redisSpec();
+    store.put(be.name, decisionWindow(w0));
+    store.put(lc.name, decisionWindow(w2));
+    AdriasOrchestrator orchestrator(predictor, store, {});
+
+    const std::vector<MemoryMode> modes{MemoryMode::Local,
+                                        MemoryMode::Remote,
+                                        MemoryMode::Local,
+                                        MemoryMode::Remote};
+    std::size_t decisions = 0;
+    for (const workloads::WorkloadSpec *spec : {&be, &lc, &be}) {
+        orchestrator.place(*spec, nodes, 150);
+        ++decisions;
+        ASSERT_EQ(predictor.batches.size(), decisions);
+        const CountingPredictor::BatchCall &call = predictor.batches.back();
+        EXPECT_EQ(call.cls, spec->cls);
+        EXPECT_EQ(call.modes, modes);
+        EXPECT_EQ(call.historySlot,
+                  (std::vector<std::size_t>{0, 0, 1, 1}));
+        ASSERT_EQ(call.histories.size(), 2u);
+        EXPECT_TRUE(sameWindow(call.histories[0], decisionWindow(w0)));
+        EXPECT_TRUE(sameWindow(call.histories[1], decisionWindow(w2)));
+        ASSERT_EQ(call.signatures.size(), 1u);
+        EXPECT_EQ(call.signatures[0], &store.get(spec->name));
+    }
+    EXPECT_EQ(predictor.singleCalls, 0u);
+
+    // An all-cold cluster is a rule decision: no query at all.
+    telemetry::Watcher c0(16), c1(16);
+    std::vector<NodeView> cold{{&c0, 2}, {&c1, 1}};
+    EXPECT_EQ(orchestrator.place(be, cold, 0).mode, MemoryMode::Local);
+    EXPECT_EQ(predictor.batches.size(), decisions);
+}
+
+TEST_F(ClusterOrchestratorTest, UnknownAppBootstrapsOnLeastLoaded)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 5}, {&w1, 2}};
+    workloads::WorkloadSpec novel = workloads::sparkBenchmark("sort");
+    novel.name = "never-seen";
+    const auto placement =
+        orchestrator.place(novel, nodes, 0);
+    EXPECT_EQ(placement.node, 1u);
+    EXPECT_EQ(placement.mode, MemoryMode::Remote);
+}
+
+TEST_F(ClusterOrchestratorTest, ColdClusterFallsBackToLeastLoadedLocal)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 4}, {&w1, 1}};
+    const auto placement = orchestrator.place(
+        workloads::sparkBenchmark("sort"), nodes, 0);
+    EXPECT_EQ(placement.node, 1u);
+    EXPECT_EQ(placement.mode, MemoryMode::Local);
+}
+
+TEST_F(ClusterOrchestratorTest, PrefersQuietNodeForBestEffort)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+
+    // Node 0: heavily congested telemetry; node 1: idle telemetry.
+    testbed::Testbed busy_bed, idle_bed;
+    busy_bed.setNoise(0.0);
+    idle_bed.setNoise(0.0);
+    telemetry::Watcher busy(200), idle(200);
+    std::vector<testbed::LoadDescriptor> heavy_loads;
+    for (int i = 0; i < 12; ++i)
+        heavy_loads.push_back(
+            workloads::ibenchSpec(workloads::IBenchKind::MemBw)
+                .toLoad(static_cast<DeploymentId>(i),
+                        MemoryMode::Remote));
+    for (int t = 0; t < 150; ++t) {
+        busy.record(busy_bed.tick(heavy_loads).counters);
+        idle.record(idle_bed.tick({}).counters);
+    }
+
+    std::vector<NodeView> nodes{{&busy, 12}, {&idle, 12}};
+    const auto placement = orchestrator.place(
+        workloads::sparkBenchmark("lr"), nodes, 200);
+    EXPECT_EQ(placement.node, 1u);
+}
+
+TEST_F(ClusterOrchestratorTest, EndToEndComparableToLeastLoaded)
+{
+    // On a rack the orchestrator must not lose to the load-balancing
+    // baseline on median BE performance while actually using remote
+    // memory.
+    AdriasConfig config;
+    config.beta = 0.8;
+    config.defaultQosP99Ms = 5.0;
+    AdriasOrchestrator adrias(stack->predictor(), stack->signatures(),
+                              config);
+    AllLocalScheduler baseline;
+
+    auto be_median_and_offloads =
+        [&](scenario::ClusterPolicy &policy) {
+            ClusterScenarioRunner runner(
+                testbed::Topology::independentPairs(3), evalConfig(1801));
+            const auto result = runner.run(policy);
+            std::vector<double> times;
+            std::size_t offloads = 0;
+            for (const auto &entry : result.allRecords()) {
+                if (entry.record->cls != WorkloadClass::BestEffort)
+                    continue;
+                times.push_back(entry.record->execTimeSec);
+                offloads += entry.record->mode == MemoryMode::Remote;
+            }
+            return std::pair<double, std::size_t>(
+                stats::quantile(times, 0.5), offloads);
+        };
+
+    const auto [adrias_median, adrias_offloads] =
+        be_median_and_offloads(adrias);
+    const auto [baseline_median, baseline_offloads] =
+        be_median_and_offloads(baseline);
+    (void)baseline_offloads;
+    EXPECT_LT(adrias_median, baseline_median * 1.25);
+    EXPECT_GT(adrias_offloads, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Rack-aware placement (placeRack) across 1×1, 2×2, 4×4 and degenerate
+// topologies.
+// ---------------------------------------------------------------------
+
+/** A rack view over `topo` with every server fully available and every
+ *  link healthy; tests then poke individual entries. */
+scenario::RackView
+fullView(const testbed::Topology &topo)
+{
+    scenario::RackView view;
+    view.topology = &topo;
+    view.servers.resize(topo.serverCount());
+    for (std::size_t s = 0; s < topo.serverCount(); ++s) {
+        view.servers[s].capacityGb = topo.server(s).capacityGb;
+        view.servers[s].availableGb = topo.server(s).capacityGb;
+    }
+    view.links.resize(topo.linkCount());
+    for (std::size_t l = 0; l < topo.linkCount(); ++l) {
+        view.links[l].node = topo.link(l).node;
+        view.links[l].server = topo.link(l).server;
+    }
+    return view;
+}
+
+/** An app the signature store has never seen: the orchestrator's
+ *  bootstrap path deterministically prefers Remote on the least-loaded
+ *  node, giving placeRack a Remote decision to route. */
+workloads::WorkloadSpec
+novelSpec(double footprint_gb = 4.0)
+{
+    workloads::WorkloadSpec spec = workloads::sparkBenchmark("sort");
+    spec.name = "never-seen-rack";
+    spec.memoryFootprintGb = footprint_gb;
+    return spec;
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackRoutesPaperPairSingleLink)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::paperPair();
+    telemetry::Watcher w0(16);
+    std::vector<NodeView> nodes{{&w0, 0}};
+    const auto placement = orchestrator.placeRack(
+        novelSpec(), nodes, fullView(topo), 0);
+    EXPECT_EQ(placement.node, 0u);
+    EXPECT_EQ(placement.mode, MemoryMode::Remote);
+    EXPECT_EQ(placement.server, 0u);
+    EXPECT_EQ(placement.link, 0u);
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackPrefersRoomiestServer)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::symmetric(
+        2, 2, testbed::kCxlProfile, 128.0);
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 1}, {&w1, 5}};
+
+    scenario::RackView view = fullView(topo);
+    view.servers[0].availableGb = 10.0;
+    view.servers[1].availableGb = 90.0;
+    const auto placement =
+        orchestrator.placeRack(novelSpec(), nodes, view, 0);
+    EXPECT_EQ(placement.node, 0u); // least loaded
+    EXPECT_EQ(placement.mode, MemoryMode::Remote);
+    EXPECT_EQ(placement.server, 1u);
+    EXPECT_EQ(placement.link,
+              static_cast<std::size_t>(topo.linkBetween(0, 1)));
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackRetriesSurvivingNodesInLoadOrder)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::symmetric(
+        3, 2, testbed::kCxlProfile, 128.0);
+    telemetry::Watcher w0(16), w1(16), w2(16);
+    // Node 0 is predicted-best (least loaded) but loses both links;
+    // node 2 is the least-loaded survivor and must win over node 1.
+    std::vector<NodeView> nodes{{&w0, 0}, {&w1, 6}, {&w2, 2}};
+
+    scenario::RackView view = fullView(topo);
+    for (std::size_t l : topo.linksFrom(0))
+        view.links[l].bwScale = 0.01;
+    const auto placement =
+        orchestrator.placeRack(novelSpec(), nodes, view, 0);
+    EXPECT_EQ(placement.mode, MemoryMode::Remote);
+    EXPECT_EQ(placement.node, 2u);
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackDegradesToLocalWhenRackExhausted)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::symmetric(
+        2, 2, testbed::kCxlProfile, 128.0);
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 1}, {&w1, 3}};
+
+    // Every server drained below the footprint: no node has a route.
+    scenario::RackView view = fullView(topo);
+    view.servers[0].availableGb = 0.5;
+    view.servers[1].availableGb = 0.5;
+    const auto placement =
+        orchestrator.placeRack(novelSpec(4.0), nodes, view, 0);
+    EXPECT_EQ(placement.mode, MemoryMode::Local);
+    EXPECT_EQ(placement.node, 0u); // keeps the predicted-best node
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackAvoidsDrainedServerOn4x4)
+{
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::asymmetric4x4();
+    telemetry::Watcher w0(16), w1(16), w2(16), w3(16);
+    // Node 0 reaches all four servers, including the drained s3.
+    std::vector<NodeView> nodes{
+        {&w0, 0}, {&w1, 4}, {&w2, 4}, {&w3, 4}};
+    const auto placement = orchestrator.placeRack(
+        novelSpec(), nodes, fullView(topo), 0);
+    EXPECT_EQ(placement.node, 0u);
+    EXPECT_EQ(placement.mode, MemoryMode::Remote);
+    EXPECT_NE(placement.server, 3u); // zero-capacity server never lends
+    EXPECT_EQ(placement.server, 0u); // s0 has the most available room
+}
+
+TEST_F(ClusterOrchestratorTest, PlaceRackLocalDecisionSkipsRouting)
+{
+    // A known app against cold telemetry falls back to least-loaded
+    // *local*; placeRack must pass that decision through untouched.
+    AdriasOrchestrator orchestrator(stack->predictor(),
+                                    stack->signatures(), {});
+    const testbed::Topology topo = testbed::Topology::symmetric(
+        2, 2, testbed::kCxlProfile, 128.0);
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 4}, {&w1, 1}};
+    const auto placement = orchestrator.placeRack(
+        workloads::sparkBenchmark("sort"), nodes, fullView(topo), 0);
+    EXPECT_EQ(placement.mode, MemoryMode::Local);
+    EXPECT_EQ(placement.node, 1u);
+}
+
+TEST_F(ClusterOrchestratorTest, DefaultPolicyRoutingDemotesWithoutRetry)
+{
+    // The base-class placeRack (LeastLoadedRemotePolicy) routes on the
+    // chosen node only: when that node's links die it demotes to Local
+    // instead of retrying other nodes — the orchestrator's retry is a
+    // genuine improvement over the baseline.
+    LeastLoadedRemotePolicy baseline;
+    const testbed::Topology topo = testbed::Topology::symmetric(
+        2, 2, testbed::kCxlProfile, 128.0);
+    telemetry::Watcher w0(16), w1(16);
+    std::vector<NodeView> nodes{{&w0, 0}, {&w1, 5}};
+
+    scenario::RackView view = fullView(topo);
+    for (std::size_t l : topo.linksFrom(0))
+        view.links[l].bwScale = 0.01;
+    const auto placement = baseline.placeRack(
+        workloads::sparkBenchmark("sort"), nodes, view, 0);
+    EXPECT_EQ(placement.mode, MemoryMode::Local);
+    EXPECT_EQ(placement.node, 0u);
 }
 
 } // namespace

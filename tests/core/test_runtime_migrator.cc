@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adrias.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::core
 {
@@ -200,6 +201,21 @@ TEST(ThresholdMigrator, RecordsCarryMigrationCounts)
         migrated_records += record.migrations > 0;
     EXPECT_EQ(migrated_records > 0,
               migrator.migrationsTriggered() > 0);
+}
+
+TEST(ThresholdMigrator, HookIsRefusedOnMultiNodeRack)
+{
+    // The L2 hook sees node 0's channel only, so a rack run refuses it
+    // before the first tick changes anything.
+    ScenarioConfig config;
+    config.topology = "rack-2x2-cxl";
+    scenario::ScenarioEngine engine(config);
+    RandomPlacement policy(5);
+    ThresholdMigrator migrator;
+    EXPECT_THROW(engine.stepTick(policy, &migrator), std::runtime_error);
+    EXPECT_EQ(engine.now(), 0);
+    engine.stepTick(policy);
+    EXPECT_EQ(engine.now(), 1);
 }
 
 } // namespace

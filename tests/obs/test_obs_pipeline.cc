@@ -5,8 +5,9 @@
  * and assert the trace carries events from every instrumented layer
  * (testbed, watcher, predictor, orchestrator, threadpool, scenario)
  * and that the layer counters moved; a rack cluster run must report its
- * testbed ticks the same way.  With ADRIAS_OBS=OFF the same
- * pipeline must leave the trace and every counter untouched.
+ * testbed ticks and orchestrator decisions the same way.  With
+ * ADRIAS_OBS=OFF the same pipeline must leave the trace and every
+ * counter untouched.
  */
 
 #include <set>
@@ -19,6 +20,7 @@
 #include "models/guard.hh"
 #include "obs/obs.hh"
 #include "scenario/cluster.hh"
+#include "scenario/engine.hh"
 #include "scenario/runner.hh"
 #include "testbed/topology.hh"
 
@@ -165,7 +167,7 @@ TEST(ObsPipeline, RackClusterRunReportsTestbedTicks)
     config.topology = "rack-2x2-cxl";
     const testbed::Topology topo = testbed::topologyByName(config.topology);
     scenario::ClusterScenarioRunner runner(topo, config);
-    scenario::RandomClusterPolicy policy(3);
+    scenario::RandomPlacement policy(3);
     const scenario::ClusterResult result = runner.run(policy);
     obs::setEnabled(false);
     ASSERT_EQ(result.nodes.size(), 2u);
@@ -178,6 +180,75 @@ TEST(ObsPipeline, RackClusterRunReportsTestbedTicks)
                   .count,
               static_cast<std::size_t>(config.durationSec) *
                   topo.linkCount());
+    obs::resetAll();
+}
+
+/** Counts the policy decisions the engine applied. */
+class DecisionCounter : public scenario::DecisionSink
+{
+  public:
+    void onDecision(const scenario::PlacementDecision &) override
+    {
+        ++count;
+    }
+
+    std::uint64_t count = 0;
+};
+
+TEST(ObsPipeline, RackRunCountsEveryOrchestratorDecision)
+{
+    // Rack decisions count under the same orchestrator metrics as the
+    // paper pair's, and each place instant names the chosen node.
+    obs::resetAll();
+    obs::setEnabled(true);
+    obs::Tracer::global().setEnabled(true);
+
+    FakePredictor inner;
+    models::GuardedPredictor guard(inner);
+    scenario::SignatureStore signatures;
+    core::AdriasOrchestrator orchestrator(guard, signatures, {});
+    scenario::ScenarioConfig config;
+    config.durationSec = 600;
+    config.spawnMaxSec = 15;
+    config.seed = 5;
+    config.topology = "rack-2x2-cxl";
+    scenario::ScenarioEngine engine(config);
+    DecisionCounter placed;
+    engine.setDecisionSink(&placed);
+    while (!engine.finished())
+        engine.stepTick(orchestrator);
+    const scenario::ClusterResult result = engine.finishCluster();
+    obs::Tracer::global().setEnabled(false);
+    obs::setEnabled(false);
+
+    // Nothing dropped, so every decision was applied: one per
+    // non-trasher arrival.
+    ASSERT_EQ(result.droppedArrivals, 0u);
+    ASSERT_GT(placed.count, 0u);
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    EXPECT_EQ(reg.counter("orchestrator.decisions").get(), placed.count);
+    EXPECT_EQ(reg.counter("orchestrator.local_placements").get() +
+                  reg.counter("orchestrator.remote_placements").get(),
+              placed.count);
+    EXPECT_EQ(reg.counter("orchestrator.path.bootstrap").get() +
+                  reg.counter("orchestrator.path.cold").get() +
+                  reg.counter("orchestrator.path.model").get() +
+                  reg.counter("orchestrator.path.fallback").get(),
+              placed.count);
+    EXPECT_GT(reg.counter("orchestrator.path.model").get(), 0u);
+
+    std::set<std::string> nodes_named;
+    std::uint64_t instants = 0;
+    for (const obs::TraceEvent &event : obs::Tracer::global().snapshot()) {
+        if (event.name != "place" || event.phase != 'i')
+            continue;
+        ++instants;
+        for (const obs::TraceArg &a : event.args)
+            if (a.key == "node")
+                nodes_named.insert(a.json);
+    }
+    EXPECT_EQ(instants, placed.count);
+    EXPECT_EQ(nodes_named, (std::set<std::string>{"0", "1"}));
     obs::resetAll();
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/io/binary.hh"
+#include "core/schedulers.hh"
 #include "fault/crash.hh"
 #include "recovery/recoverable.hh"
 #include "scenario/runner.hh"
@@ -344,6 +345,27 @@ TEST(KillPoints, SecondCrashDuringRecoveredRunStillConverges)
     EXPECT_TRUE(report.restored);
     EXPECT_EQ(report.snapshotTick, 180);
     EXPECT_EQ(recovered, baselineDigest());
+}
+
+TEST(RecoverableScenario, RefusesMultiNodeTopologyAtStart)
+{
+    // The journal records one node's memory mode; replaying it on a
+    // rack would "verify" decisions without their node, server or
+    // link, so start() refuses before touching the directory.
+    const std::string dir = freshDir("adrias_kp_rack");
+    scenario::ScenarioConfig config = scenarioConfig();
+    config.topology = "rack-2x2-cxl";
+    RecoverableScenario rack(config, recoveryConfig(dir));
+    const Result<RecoveryReport> started = rack.start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_EQ(started.error().code, ErrorCode::Geometry);
+    EXPECT_NE(started.error().message.find("'rack-2x2-cxl' has 2 nodes"),
+              std::string::npos)
+        << started.error().message;
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+    core::LeastLoadedRemotePolicy policy;
+    EXPECT_THROW((void)rack.run(policy), std::logic_error);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/schedulers.hh"
 #include "scenario/cluster.hh"
 #include "testbed/topology.hh"
 
@@ -44,7 +45,7 @@ TEST(ClusterRunner, ValidatesConfig)
 TEST(ClusterRunner, PerNodeTracesCoverEveryTick)
 {
     ClusterScenarioRunner runner = pairsRunner(3, shortConfig());
-    RandomClusterPolicy policy(5);
+    RandomPlacement policy(5);
     const ClusterResult result = runner.run(policy);
     ASSERT_EQ(result.nodes.size(), 3u);
     for (const auto &node : result.nodes) {
@@ -55,7 +56,7 @@ TEST(ClusterRunner, PerNodeTracesCoverEveryTick)
 
 TEST(ClusterRunner, DeterministicForSameSeed)
 {
-    RandomClusterPolicy policy_a(5), policy_b(5);
+    RandomPlacement policy_a(5), policy_b(5);
     const auto a = pairsRunner(2, shortConfig(9)).run(policy_a);
     const auto b = pairsRunner(2, shortConfig(9)).run(policy_b);
     EXPECT_DOUBLE_EQ(a.totalRemoteTrafficGB, b.totalRemoteTrafficGB);
@@ -65,7 +66,7 @@ TEST(ClusterRunner, DeterministicForSameSeed)
 TEST(ClusterRunner, AllRecordsAggregatesNodes)
 {
     ClusterScenarioRunner runner = pairsRunner(2, shortConfig(11));
-    RandomClusterPolicy policy(5);
+    RandomPlacement policy(5);
     const ClusterResult result = runner.run(policy);
     std::size_t total = 0;
     for (const auto &node : result.nodes)
@@ -77,7 +78,7 @@ TEST(ClusterRunner, AllRecordsAggregatesNodes)
 TEST(ClusterRunner, RandomPolicySpreadsAcrossNodes)
 {
     ClusterScenarioRunner runner = pairsRunner(4, shortConfig(13, 1500));
-    RandomClusterPolicy policy(5);
+    RandomPlacement policy(5);
     const ClusterResult result = runner.run(policy);
     std::size_t nodes_used = 0;
     for (const auto &node : result.nodes)
@@ -96,7 +97,7 @@ TEST(ClusterRunner, MoreNodesRaiseThroughput)
 
     auto completed = [&](std::size_t nodes) {
         ClusterScenarioRunner runner = pairsRunner(nodes, congested);
-        LeastLoadedLocalPolicy policy;
+        core::AllLocalScheduler policy;
         return runner.run(policy).allRecords().size();
     };
     const std::size_t one = completed(1);
@@ -107,7 +108,7 @@ TEST(ClusterRunner, MoreNodesRaiseThroughput)
 TEST(ClusterRunner, LeastLoadedBalances)
 {
     ClusterScenarioRunner runner = pairsRunner(3, shortConfig(19, 1500));
-    LeastLoadedLocalPolicy policy;
+    core::AllLocalScheduler policy;
     const ClusterResult result = runner.run(policy);
     std::vector<std::size_t> counts;
     for (const auto &node : result.nodes)
@@ -122,7 +123,7 @@ TEST(ClusterRunner, LeastLoadedBalances)
 TEST(ClusterRunner, LeastLoadedLocalNeverOffloads)
 {
     ClusterScenarioRunner runner = pairsRunner(2, shortConfig(23));
-    LeastLoadedLocalPolicy policy;
+    core::AllLocalScheduler policy;
     const ClusterResult result = runner.run(policy);
     for (const auto &entry : result.allRecords()) {
         if (entry.record->cls == WorkloadClass::Interference)
@@ -283,7 +284,7 @@ TEST(RackClusterRunner, TracksTopologyNameAndLinkTotals)
     const testbed::Topology topo =
         testbed::topologyByName("rack-2x2-cxl");
     ClusterScenarioRunner runner(topo, shortConfig(37));
-    RandomClusterPolicy policy(5);
+    RandomPlacement policy(5);
     const ClusterResult result = runner.run(policy);
 
     EXPECT_EQ(result.topologyName, "rack-2x2-cxl");
@@ -312,7 +313,7 @@ TEST(RackClusterRunner, TinyConcurrencyCapDropsArrivals)
     congested.maxConcurrent = 1;
     ClusterScenarioRunner runner(
         testbed::topologyByName("rack-2x2-cxl"), congested);
-    RandomClusterPolicy policy(5);
+    RandomPlacement policy(5);
     const ClusterResult result = runner.run(policy);
     EXPECT_GT(result.droppedArrivals, 0u);
 }

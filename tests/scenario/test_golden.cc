@@ -127,7 +127,7 @@ renderCluster()
 
         scenario::ClusterScenarioRunner runner(
             testbed::topologyByName(name), config);
-        scenario::RandomClusterPolicy policy(31);
+        scenario::RandomPlacement policy(31);
         const scenario::ClusterResult result = runner.run(policy);
 
         out << "topology " << result.topologyName << "\n";

@@ -199,16 +199,8 @@ TEST(RackCheckpoint, EngineSnapshotCarriesTopologyStamp)
     EXPECT_EQ(status.error().code, ErrorCode::Geometry);
 }
 
-TEST(RackCheckpoint, EngineRejectsUnknownTopologyAndPlacementPolicyOnRack)
+TEST(RackCheckpoint, EngineRejectsUnknownTopology)
 {
-    // A multi-node rack runs under a ClusterPolicy; a PlacementPolicy
-    // only knows how to place on one node.
-    scenario::ScenarioConfig config;
-    config.topology = "rack-2x2-cxl";
-    scenario::ScenarioEngine engine(config);
-    scenario::RandomPlacement policy(5);
-    EXPECT_THROW(engine.stepTick(policy), std::runtime_error);
-
     scenario::ScenarioConfig unknown;
     unknown.topology = "no-such-rack";
     EXPECT_THROW(scenario::ScenarioEngine engine(unknown),

@@ -114,7 +114,7 @@ TEST(RackDeterminism, ClusterRackRunsAreBitwiseIdentical)
 
     auto run_once = [&]() {
         scenario::ClusterScenarioRunner runner(topo, config);
-        scenario::RandomClusterPolicy policy(31);
+        scenario::RandomPlacement policy(31);
         return runner.run(policy);
     };
     const scenario::ClusterResult a = run_once();
@@ -161,7 +161,7 @@ TEST(RackDeterminism, LinkConservationHoldsOverEnvTopologyRun)
     config.seed = 77;
 
     scenario::ClusterScenarioRunner runner(topo, config);
-    scenario::RandomClusterPolicy policy(5);
+    scenario::RandomPlacement policy(5);
     const scenario::ClusterResult result = runner.run(policy);
     ASSERT_EQ(result.linkTotals.size(), topo.linkCount());
     for (std::size_t l = 0; l < topo.linkCount(); ++l) {
