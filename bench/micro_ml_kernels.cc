@@ -20,6 +20,7 @@
 
 #include "bench/microbench.hh"
 #include "common/rng.hh"
+#include "ml/fastmath.hh"
 #include "ml/loss.hh"
 #include "ml/lstm.hh"
 #include "ml/sequential.hh"
@@ -75,11 +76,21 @@ benchTanhBatch(std::size_t n, ml::KernelTier tier)
     std::vector<double> out(n);
     for (double &v : x)
         v = rng.gaussian() * 4.0;
-    const ml::ScopedKernelTier tier_pin(tier);
+    // The simd:: entry points are vector-only: the scalar row (and the
+    // vector row on a host without the tier) sweeps fastmath::tanh.
+    const bool vector =
+        tier == ml::KernelTier::Vector && ml::vectorTierAvailable();
     return bench::micro::measure(
         "tanh_batch_" + std::to_string(n) +
             (tier == ml::KernelTier::Vector ? "_vector" : ""),
-        [&] { ml::simd::tanhBatch(x.data(), out.data(), n); });
+        [&] {
+            if (vector) {
+                ml::simd::tanhBatch(x.data(), out.data(), n);
+                return;
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                out[i] = ml::fastmath::tanh(x[i]);
+        });
 }
 
 /** LSTM forward at the Predictor's shape; mode selects the path. */

@@ -4,7 +4,7 @@
  * decisions/sec and wall-clock p99 decision latency of the
  * DecisionService at ≥1000 concurrent placement requests, batched
  * (b32, the fused inference fast-path) versus inline (b1, one forward
- * per query).  Feeds the perf-regression gate (tools/bench_compare
+ * per request).  Feeds the perf-regression gate (tools/bench_compare
  * against bench/baselines/BENCH_serving.json).
  *
  * Scale knobs: ADRIAS_BENCH_REQUESTS (default 1024 — the "≥1000
@@ -99,28 +99,25 @@ main()
     const std::vector<serving::PlacementRequest> trace =
         buildTrace(stack.signatures(), requests);
 
-    const auto makeService =
-        [&](std::size_t batch_size, bool pad,
-            ml::KernelTier tier = ml::KernelTier::Scalar) {
-            serving::DecisionServiceConfig config;
-            config.shards = kShards;
-            config.queueCapacity = requests;
-            config.batchSize = batch_size;
-            config.padBatches = pad;
-            config.kernelTier = tier;
-            auto service = std::make_unique<serving::DecisionService>(
-                stack.predictor(), stack.signatures(),
-                core::AdriasConfig{}, config);
-            serving::EpochSnapshot snapshot;
-            snapshot.shardWindows.assign(kShards, window);
-            service->beginEpoch(std::move(snapshot));
-            return service;
-        };
+    const auto makeService = [&](std::size_t batch_size) {
+        serving::DecisionServiceConfig config;
+        config.shards = kShards;
+        config.queueCapacity = requests;
+        config.batchSize = batch_size;
+        auto service = std::make_unique<serving::DecisionService>(
+            stack.predictor(), stack.signatures(),
+            core::AdriasConfig{}, config);
+        serving::EpochSnapshot snapshot;
+        snapshot.shardWindows.assign(kShards, window);
+        service->beginEpoch(std::move(snapshot));
+        return service;
+    };
 
     const auto serveAll =
-        [&](std::size_t batch_size, bool pad,
+        [&](std::size_t batch_size,
             ml::KernelTier tier = ml::KernelTier::Scalar) {
-            const auto service = makeService(batch_size, pad, tier);
+            const ml::ScopedKernelTier tier_pin(tier);
+            const auto service = makeService(batch_size);
             for (const auto &request : trace)
                 if (!service->submit(request))
                     fatal("micro_serving: unexpected back-pressure");
@@ -137,17 +134,17 @@ main()
 
     std::vector<bench::micro::Result> results;
     results.push_back(bench::micro::measure(
-        "serve_decisions_b32", [&] { serveAll(32, true); }, iters,
+        "serve_decisions_b32", [&] { serveAll(32); }, iters,
         warmup));
     results.push_back(bench::micro::measure(
-        "serve_decisions_inline", [&] { serveAll(1, false); }, iters,
+        "serve_decisions_inline", [&] { serveAll(1); }, iters,
         warmup));
-    // Vector tier pinned per service (DecisionServiceConfig.kernelTier)
-    // — always emitted so the regression gate finds the row; without
-    // AVX2 the tier degrades to scalar and the row mirrors b32.
+    // Vector tier pinned around the whole serve — always emitted so the
+    // regression gate finds the row; without AVX2 the tier degrades to
+    // scalar and the row mirrors b32.
     results.push_back(bench::micro::measure(
         "serve_decisions_b32_vector",
-        [&] { serveAll(32, true, ml::KernelTier::Vector); }, iters,
+        [&] { serveAll(32, ml::KernelTier::Vector); }, iters,
         warmup));
 
     // Wall-clock per-decision latency under b32: feed the daemon in
@@ -155,7 +152,8 @@ main()
     // time of the drain that decided it.
     {
         using Clock = std::chrono::steady_clock;
-        const auto service = makeService(32, true);
+        const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
+        const auto service = makeService(32);
         std::vector<double> latencies_ns;
         latencies_ns.reserve(trace.size());
         for (std::size_t begin = 0; begin < trace.size(); begin += 32) {

@@ -2,36 +2,9 @@
 
 #include "common/logging.hh"
 #include "ml/fastmath.hh"
-#include "ml/simd.hh"
 
 namespace adrias::ml
 {
-
-namespace
-{
-
-/**
- * Inference-only batch activation: on the vector tier, run the AVX2
- * batch kernel in place over a copy of the input (tolerance-equivalent
- * to the scalar map; ctest -L simd); otherwise the scalar map keeps
- * the bitwise-deterministic default.  Training forwards never route
- * through here — their outputs feed cached backward passes that must
- * stay on the scalar oracle.
- */
-Matrix
-inferenceBatch(const Matrix &input,
-               void (*batch)(const double *, double *, std::size_t),
-               double (*scalar)(double))
-{
-    if (effectiveKernelTier() != KernelTier::Vector)
-        return input.map(scalar);
-    Matrix out = input;
-    auto &data = out.raw();
-    batch(data.data(), data.data(), data.size());
-    return out;
-}
-
-} // namespace
 
 double
 sigmoidScalar(double x)
@@ -64,50 +37,6 @@ ReLU::backward(const Matrix &grad_output)
     for (std::size_t i = 0; i < g.size(); ++i)
         if (in[i] <= 0.0)
             g[i] = 0.0;
-    return grad;
-}
-
-Matrix
-Tanh::forward(const Matrix &input)
-{
-    if (isInference)
-        return inferenceBatch(input, simd::tanhBatch, tanhScalar);
-    lastOutput = input.map(tanhScalar);
-    return lastOutput;
-}
-
-Matrix
-Tanh::backward(const Matrix &grad_output)
-{
-    if (isInference)
-        panic("Tanh::backward in inference mode");
-    Matrix grad = grad_output;
-    const auto &out = lastOutput.raw();
-    auto &g = grad.raw();
-    for (std::size_t i = 0; i < g.size(); ++i)
-        g[i] *= 1.0 - out[i] * out[i];
-    return grad;
-}
-
-Matrix
-Sigmoid::forward(const Matrix &input)
-{
-    if (isInference)
-        return inferenceBatch(input, simd::sigmoidBatch, sigmoidScalar);
-    lastOutput = input.map(sigmoidScalar);
-    return lastOutput;
-}
-
-Matrix
-Sigmoid::backward(const Matrix &grad_output)
-{
-    if (isInference)
-        panic("Sigmoid::backward in inference mode");
-    Matrix grad = grad_output;
-    const auto &out = lastOutput.raw();
-    auto &g = grad.raw();
-    for (std::size_t i = 0; i < g.size(); ++i)
-        g[i] *= out[i] * (1.0 - out[i]);
     return grad;
 }
 

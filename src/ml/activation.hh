@@ -1,6 +1,6 @@
 /**
  * @file
- * Element-wise activation layers (ReLU, Tanh, Sigmoid).
+ * The ReLU activation layer and the scalar sigmoid/tanh helpers.
  */
 
 #ifndef ADRIAS_ML_ACTIVATION_HH
@@ -22,33 +22,11 @@ class ReLU : public Layer
     Matrix lastInput;
 };
 
-/** Hyperbolic tangent activation. */
-class Tanh : public Layer
-{
-  public:
-    Matrix forward(const Matrix &input) override;
-    Matrix backward(const Matrix &grad_output) override;
-
-  private:
-    Matrix lastOutput;
-};
-
-/** Logistic sigmoid activation. */
-class Sigmoid : public Layer
-{
-  public:
-    Matrix forward(const Matrix &input) override;
-    Matrix backward(const Matrix &grad_output) override;
-
-  private:
-    Matrix lastOutput;
-};
-
 /**
- * Scalar sigmoid/tanh helpers used by the LSTM cell and activation
- * layers.  Both delegate to ml/fastmath.hh — every nonlinearity in the
- * model must evaluate through the same scalar functions so the fused
- * and reference kernel paths stay bitwise interchangeable.
+ * Scalar sigmoid/tanh helpers used by the reference LSTM cell.  Both
+ * delegate to ml/fastmath.hh — every nonlinearity in the model must
+ * evaluate through the same scalar functions so the fused and
+ * reference kernel paths stay bitwise interchangeable.
  */
 double sigmoidScalar(double x);
 double tanhScalar(double x);

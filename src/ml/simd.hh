@@ -20,13 +20,23 @@
  * compiled in (cmake -DADRIAS_SIMD=ON, the default), (b) the CPU
  * reports AVX2+FMA at runtime, and (c) a caller asked for it — via
  * setKernelTier(), ScopedKernelTier, or the ADRIAS_KERNEL_TIER=vector
- * environment knob.  When any of these fail, effectiveKernelTier()
- * degrades to Scalar and every kernel runs the default path, so the
- * tree builds and runs unchanged on non-AVX2 hosts.
+ * environment knob.  effectiveKernelTier() folds the three, demoting
+ * Vector to Scalar when (a) or (b) fails, so the tree builds and runs
+ * unchanged on non-AVX2 hosts.
+ *
+ * One layer picks a kernel: effectiveKernelTier() is read only by the
+ * two kernels that have a vector twin, Matrix::matmulInto and the
+ * inference gate loop of Lstm::forwardFused.  Nothing above src/ml
+ * chooses a tier per call; a caller that wants one computation on a
+ * specific tier pins it with ScopedKernelTier, and training pins
+ * Scalar in SystemStateModel::train and PerformanceModel::fitLoop.
+ * The simd:: entry points below are AVX2 bodies only — there is no
+ * scalar copy behind them — so call them only when
+ * vectorTierAvailable() holds; on a build without the vector tier
+ * they panic.
  *
  * Raw intrinsics (`immintrin.h`, `_mm256_*`) are confined to
- * src/ml/simd* by the `raw-intrinsics` lint rule; generic code calls
- * the batch entry points below.
+ * src/ml/simd* by the `raw-intrinsics` lint rule.
  *
  * Specials contract: the vector transcendentals agree with the scalar
  * ones *exactly* on NaN, ±0, ±inf, denormals and the −708 underflow
@@ -67,8 +77,8 @@ void setKernelTier(KernelTier tier);
 /**
  * The tier the kernels will actually run: the requested tier demoted
  * to Scalar when the vector tier is compiled out or the CPU lacks
- * AVX2/FMA.  This is the only predicate the kernel dispatch sites
- * consult.
+ * AVX2/FMA.  Read only at the two kernel dispatch sites (matrix.cc,
+ * lstm.cc); the `kernel-tier` lint rule keeps it there.
  */
 KernelTier effectiveKernelTier();
 
@@ -83,8 +93,8 @@ const char *kernelTierName(KernelTier tier);
 
 /**
  * RAII tier override — the hook benches, equivalence tests and the
- * tier-pinned serving/training paths use to run one computation on a
- * specific tier.  Same single-threaded-setup contract as
+ * two training entry points use to run one computation on a specific
+ * tier.  Same single-threaded-setup contract as
  * setKernelTier().
  */
 class ScopedKernelTier
@@ -108,11 +118,9 @@ namespace simd
 {
 
 /**
- * Batch transcendentals over n doubles (out may alias x).  On the
- * vector tier these run the AVX2 polynomial kernels; otherwise they
- * evaluate the scalar fastmath functions element by element, so the
- * scalar tier's results are bitwise unchanged by routing through the
- * batch entry points.
+ * AVX2 batch transcendentals over n doubles (out may alias x): the
+ * 4-lane polynomial kernels, with the scalar fastmath functions on the
+ * n % 4 tail.  Requires vectorTierAvailable().
  */
 void expNegBatch(const double *x, double *out, std::size_t n);
 void sigmoidBatch(const double *x, double *out, std::size_t n);
@@ -121,12 +129,12 @@ void tanhBatch(const double *x, double *out, std::size_t n);
 /**
  * Vector-tier GEMM rows: out[i] = lhs[i] * rhs for i in [begin, end),
  * where lhs is (rows x inner), rhs (inner x width), out (rows x
- * width) and the out rows are pre-zeroed.  Register-blocked over j
+ * width); the out rows are overwritten.  Register-blocked over j
  * (16-wide FMA accumulators) with each output element's
  * k-accumulation in increasing k order — the same per-element order
  * as the scalar kernel, differing only by FMA contraction and the
  * dropped exact-zero sparsity skip.  Matrix::matmulInto calls it
- * once over [0, rows).  Only call on the vector tier.
+ * once over [0, rows).  Requires vectorTierAvailable().
  */
 void gemmRows(const double *lhs, const double *rhs, double *out,
               std::size_t begin, std::size_t end, std::size_t inner,
@@ -140,7 +148,7 @@ void gemmRows(const double *lhs, const double *rhs, double *out,
  * Lstm::forwardFused (4-wide over the hidden index, scalar fastmath
  * tail).  Layouts match the fused workspaces: za/zb are
  * (rows x 4*hidden) row-major, cell/hidden_out (rows x hidden).
- * Only call on the vector tier.
+ * Requires vectorTierAvailable().
  */
 void lstmGateRows(const double *za, const double *zb,
                   const double *bias, double *cell, double *hidden_out,

@@ -2,7 +2,12 @@
  * @file
  * Vector-tier kernel bodies (DESIGN.md §16): AVX2+FMA batch
  * transcendentals, the register-blocked GEMM row kernel and the fused
- * LSTM gate row kernel, plus their portable scalar fallbacks.
+ * LSTM gate row kernel.  These are the vector tier's only bodies: the
+ * scalar tier lives in matrix.cc / lstm.cc / fastmath.hh, and the two
+ * dispatch sites there check the effective tier before calling in, so
+ * no scalar copy is kept here.  Under -DADRIAS_SIMD=OFF (or on
+ * a non-x86 compiler) the entry points panic: the tier then never
+ * reports Vector, so no library path can reach them.
  *
  * This is the only translation unit (with simd.hh/simd.cc) allowed to
  * touch raw intrinsics — enforced by the `raw-intrinsics` lint rule.
@@ -10,8 +15,9 @@
  * __attribute__((target("avx2,fma"))) instead of TU-wide -mavx2: the
  * rest of this file (and the whole tree) compiles for the baseline
  * ISA, so a non-AVX2 host never fetches an AVX2 instruction — the
- * runtime __builtin_cpu_supports check picks the scalar fallback
- * before any target("avx2") function is entered.
+ * runtime __builtin_cpu_supports check behind vectorTierAvailable()
+ * keeps the effective tier at Scalar there, and no target("avx2")
+ * function is ever entered.
  *
  * Math notes: the vector transcendentals run the *same* reduction and
  * polynomial as ml/fastmath.hh (exp(x) = 2^n·exp(r), two-part ln 2,
@@ -30,6 +36,7 @@
 
 #include "ml/simd.hh"
 
+#include "common/logging.hh"
 #include "ml/fastmath.hh"
 
 #if !defined(ADRIAS_SIMD_ENABLED)
@@ -50,10 +57,10 @@
 namespace adrias::ml
 {
 
+#if ADRIAS_SIMD_X86
+
 namespace
 {
-
-#if ADRIAS_SIMD_X86
 
 #define ADRIAS_AVX2 __attribute__((target("avx2,fma")))
 
@@ -430,133 +437,43 @@ lstmGateRowsAvx2(const double *__restrict za,
     }
 }
 
-/** One cpuid check, cached; the compile-time gate already held. */
-bool
-detectAvx2()
-{
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("fma");
-}
+} // namespace
 
 #endif // ADRIAS_SIMD_X86
 
 bool
-haveAvx2()
+vectorTierAvailable()
 {
 #if ADRIAS_SIMD_X86
-    static const bool have = detectAvx2();
+    static const bool have = __builtin_cpu_supports("avx2") &&
+                             __builtin_cpu_supports("fma");
     return have;
 #else
     return false;
 #endif
 }
 
-// Portable fallbacks: element-by-element through the scalar fastmath
-// functions (bitwise equal to the scalar tier) and plain loops for
-// the structured kernels.  These only run when a caller invokes a
-// batch entry point while the vector tier is unavailable — the
-// dispatch sites in matrix.cc / lstm.cc / activation.cc consult
-// effectiveKernelTier() first and take the default scalar kernels
-// instead.
-
-void
-gemmRowsPortable(const double *lhs, const double *rhs, double *out,
-                 std::size_t begin, std::size_t end, std::size_t inner,
-                 std::size_t width)
-{
-    for (std::size_t i = begin; i < end; ++i) {
-        const double *lhs_row = lhs + i * inner;
-        double *out_row = out + i * width;
-        for (std::size_t k = 0; k < inner; ++k) {
-            const double l = lhs_row[k];
-            const double *rhs_row = rhs + k * width;
-            for (std::size_t j = 0; j < width; ++j)
-                out_row[j] += l * rhs_row[j];
-        }
-    }
-}
-
-void
-lstmGateRowsPortable(const double *za, const double *zb,
-                     const double *bias, double *cell,
-                     double *hidden_out, std::size_t begin,
-                     std::size_t end, std::size_t hidden)
-{
-    const std::size_t gate_width = 4 * hidden;
-    for (std::size_t r = begin; r < end; ++r) {
-        const double *zar = za + r * gate_width;
-        const double *zbr = zb + r * gate_width;
-        double *crow = cell + r * hidden;
-        double *hrow = hidden_out + r * hidden;
-        for (std::size_t c = 0; c < hidden; ++c) {
-            const double zi = (zar[c] + zbr[c]) + bias[c];
-            const double zf =
-                (zar[hidden + c] + zbr[hidden + c]) + bias[hidden + c];
-            const double zg = (zar[2 * hidden + c] +
-                               zbr[2 * hidden + c]) +
-                              bias[2 * hidden + c];
-            const double zo = (zar[3 * hidden + c] +
-                               zbr[3 * hidden + c]) +
-                              bias[3 * hidden + c];
-            const double gi = fastmath::sigmoid(zi);
-            const double gf = fastmath::sigmoid(zf);
-            const double gg = fastmath::tanh(zg);
-            const double go = fastmath::sigmoid(zo);
-            const double cv = gf * crow[c] + gi * gg;
-            crow[c] = cv;
-            hrow[c] = go * fastmath::tanh(cv);
-        }
-    }
-}
-
-} // namespace
-
-bool
-vectorTierAvailable()
-{
-    return haveAvx2();
-}
-
 namespace simd
 {
+
+#if ADRIAS_SIMD_X86
 
 void
 expNegBatch(const double *x, double *out, std::size_t n)
 {
-#if ADRIAS_SIMD_X86
-    if (haveAvx2() && effectiveKernelTier() == KernelTier::Vector) {
-        expNegBatchAvx2(x, out, n);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = fastmath::expNeg(x[i]);
+    expNegBatchAvx2(x, out, n);
 }
 
 void
 sigmoidBatch(const double *x, double *out, std::size_t n)
 {
-#if ADRIAS_SIMD_X86
-    if (haveAvx2() && effectiveKernelTier() == KernelTier::Vector) {
-        sigmoidBatchAvx2(x, out, n);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = fastmath::sigmoid(x[i]);
+    sigmoidBatchAvx2(x, out, n);
 }
 
 void
 tanhBatch(const double *x, double *out, std::size_t n)
 {
-#if ADRIAS_SIMD_X86
-    if (haveAvx2() && effectiveKernelTier() == KernelTier::Vector) {
-        tanhBatchAvx2(x, out, n);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = fastmath::tanh(x[i]);
+    tanhBatchAvx2(x, out, n);
 }
 
 void
@@ -564,13 +481,7 @@ gemmRows(const double *lhs, const double *rhs, double *out,
          std::size_t begin, std::size_t end, std::size_t inner,
          std::size_t width)
 {
-#if ADRIAS_SIMD_X86
-    if (haveAvx2()) {
-        gemmRowsAvx2(lhs, rhs, out, begin, end, inner, width);
-        return;
-    }
-#endif
-    gemmRowsPortable(lhs, rhs, out, begin, end, inner, width);
+    gemmRowsAvx2(lhs, rhs, out, begin, end, inner, width);
 }
 
 void
@@ -578,16 +489,44 @@ lstmGateRows(const double *za, const double *zb, const double *bias,
              double *cell, double *hidden_out, std::size_t begin,
              std::size_t end, std::size_t hidden)
 {
-#if ADRIAS_SIMD_X86
-    if (haveAvx2()) {
-        lstmGateRowsAvx2(za, zb, bias, cell, hidden_out, begin, end,
-                         hidden);
-        return;
-    }
-#endif
-    lstmGateRowsPortable(za, zb, bias, cell, hidden_out, begin, end,
-                         hidden);
+    lstmGateRowsAvx2(za, zb, bias, cell, hidden_out, begin, end, hidden);
 }
+
+#else // !ADRIAS_SIMD_X86: the effective tier is always Scalar.
+
+void
+expNegBatch(const double *, double *, std::size_t)
+{
+    panic("simd::expNegBatch: vector tier not compiled in");
+}
+
+void
+sigmoidBatch(const double *, double *, std::size_t)
+{
+    panic("simd::sigmoidBatch: vector tier not compiled in");
+}
+
+void
+tanhBatch(const double *, double *, std::size_t)
+{
+    panic("simd::tanhBatch: vector tier not compiled in");
+}
+
+void
+gemmRows(const double *, const double *, double *, std::size_t,
+         std::size_t, std::size_t, std::size_t)
+{
+    panic("simd::gemmRows: vector tier not compiled in");
+}
+
+void
+lstmGateRows(const double *, const double *, const double *, double *,
+             double *, std::size_t, std::size_t, std::size_t)
+{
+    panic("simd::lstmGateRows: vector tier not compiled in");
+}
+
+#endif // ADRIAS_SIMD_X86
 
 } // namespace simd
 

@@ -171,42 +171,8 @@ GuardedPredictor::predictPerformance(
     WorkloadClass cls, const std::vector<ml::Matrix> &history,
     const std::vector<ml::Matrix> &signature, MemoryMode mode) const
 {
-#if ADRIAS_OBS_ENABLED
-    obs::WallSpan predict_span("predict_performance", "predictor");
-#endif
-    const std::uint64_t salt = callCounter++;
-    admitCall(salt);
-
-    // Input validation is not a model failure: reject without charging
-    // the breaker.
-    if (history.empty() || signature.empty() ||
-        !sequenceFinite(history) || !sequenceFinite(signature)) {
-        ++tallies.invalidInputs;
-        throw PredictionUnavailable(
-            "GuardedPredictor: invalid model inputs");
-    }
-
-    double prediction = 0.0;
-    try {
-        prediction =
-            wrapped->predictPerformance(cls, history, signature, mode);
-    } catch (const std::exception &err) {
-        fail(std::string("performance model threw: ") + err.what(),
-             true);
-    }
-    if (!std::isfinite(prediction) || prediction < 0.0)
-        fail("performance prediction is not finite", true);
-    ++tallies.served;
-    breakerGate.recordSuccess(decisionTime);
-    obsBreakerSync();
-#if ADRIAS_OBS_ENABLED
-    if (obs::enabled()) {
-        static obs::Counter &served_c =
-            obs::MetricsRegistry::global().counter("predictor.served");
-        served_c.add();
-    }
-#endif
-    return prediction;
+    return predictPerformanceBatch(cls, {{&history, &signature, mode}})
+        .front();
 }
 
 std::vector<double>
@@ -222,7 +188,7 @@ GuardedPredictor::predictPerformanceBatch(
     admitCall(salt, queries.size());
 
     // Input validation is not a model failure: reject without charging
-    // the breaker (same rule as the single-row path).
+    // the breaker.
     for (const PerfQuery &query : queries) {
         if (query.history == nullptr || query.history->empty() ||
             query.signature == nullptr || query.signature->empty() ||

@@ -93,6 +93,7 @@ class GuardedPredictor : public PredictorBase
     ml::Matrix
     predictSystemState(const telemetry::Watcher &watcher) const override;
 
+    /** A one-row predictPerformanceBatch() call: one admission. */
     double
     predictPerformance(WorkloadClass cls,
                        const std::vector<ml::Matrix> &history,

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "ml/simd.hh"
 #include "obs/obs.hh"
 #include "scenario/runner.hh"
 
@@ -45,11 +44,8 @@ Predictor::train(
     const std::vector<scenario::PerformanceSample> &be_samples,
     const std::vector<scenario::PerformanceSample> &lc_samples)
 {
-    // Training always runs the bitwise-deterministic scalar tier, even
-    // under ADRIAS_KERNEL_TIER=vector: trained weights feed checkpoints
-    // and golden scenarios, so they must not drift with the inference
-    // tier (DESIGN.md §16).
-    const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
+    // Each model's training entry point pins the scalar tier itself
+    // (DESIGN.md §16).
     system->train(state_samples);
     bestEffort->train(be_samples, system.get());
     if (lc_samples.size() >= 4) {

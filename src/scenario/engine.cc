@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
+#include "scenario/signature.hh"
 #include "testbed/testbed.hh"
 #include "testbed/topology.hh"
 
@@ -16,41 +17,6 @@ using workloads::WorkloadSpec;
 
 namespace
 {
-
-void
-saveMatrixSequence(io::BinaryWriter &out,
-                   const std::vector<ml::Matrix> &sequence)
-{
-    out.writeU64(sequence.size());
-    for (const ml::Matrix &step : sequence) {
-        out.writeU64(step.rows());
-        out.writeU64(step.cols());
-        out.writeF64Vector(step.raw());
-    }
-}
-
-[[nodiscard]] Result<std::vector<ml::Matrix>>
-loadMatrixSequence(io::BinaryReader &in)
-{
-    std::vector<ml::Matrix> sequence;
-    const std::uint64_t steps = in.readU64();
-    for (std::uint64_t s = 0; s < steps && in.ok(); ++s) {
-        const std::uint64_t rows = in.readU64();
-        const std::uint64_t cols = in.readU64();
-        std::vector<double> values = in.readF64Vector();
-        if (!in.ok())
-            break;
-        if (values.size() != rows * cols)
-            return makeError(ErrorCode::Geometry,
-                             "matrix data size does not match its "
-                             "declared shape");
-        sequence.emplace_back(rows, cols, std::move(values));
-    }
-    if (!in.ok())
-        return makeError(ErrorCode::Truncated,
-                         "truncated matrix sequence");
-    return sequence;
-}
 
 void
 saveRecord(io::BinaryWriter &out, const DeploymentRecord &record)
@@ -592,6 +558,10 @@ ScenarioEngine::restoreState(io::BinaryReader &in)
             return makeError(ErrorCode::Geometry,
                              "ScenarioEngine: snapshot trace length does "
                              "not match its tick cursor");
+        if (in.ok() && result.concurrency.size() != result.trace.size())
+            return makeError(ErrorCode::Geometry,
+                             "ScenarioEngine: snapshot concurrency length "
+                             "does not match its trace length");
     }
     totalRemoteTrafficGB = in.readF64();
     droppedArrivals = in.readU64();

@@ -51,17 +51,47 @@ SignatureStore::names() const
 }
 
 void
+saveMatrixSequence(io::BinaryWriter &out,
+                   const std::vector<ml::Matrix> &sequence)
+{
+    out.writeU64(sequence.size());
+    for (const ml::Matrix &step : sequence) {
+        out.writeU64(step.rows());
+        out.writeU64(step.cols());
+        out.writeF64Vector(step.raw());
+    }
+}
+
+Result<std::vector<ml::Matrix>>
+loadMatrixSequence(io::BinaryReader &in)
+{
+    std::vector<ml::Matrix> sequence;
+    const std::uint64_t steps = in.readU64();
+    for (std::uint64_t s = 0; s < steps && in.ok(); ++s) {
+        const std::uint64_t rows = in.readU64();
+        const std::uint64_t cols = in.readU64();
+        std::vector<double> values = in.readF64Vector();
+        if (!in.ok())
+            break;
+        if (values.size() != rows * cols)
+            return makeError(ErrorCode::Geometry,
+                             "matrix data size does not match its "
+                             "declared shape");
+        sequence.emplace_back(rows, cols, std::move(values));
+    }
+    if (!in.ok())
+        return makeError(ErrorCode::Truncated,
+                         "truncated matrix sequence");
+    return sequence;
+}
+
+void
 SignatureStore::saveState(io::BinaryWriter &out) const
 {
     out.writeU64(signatures.size());
     for (const auto &[name, signature] : signatures) {
         out.writeString(name);
-        out.writeU64(signature.size());
-        for (const ml::Matrix &step : signature) {
-            out.writeU64(step.rows());
-            out.writeU64(step.cols());
-            out.writeF64Vector(step.raw());
-        }
+        saveMatrixSequence(out, signature);
     }
 }
 
@@ -72,21 +102,10 @@ SignatureStore::restoreState(io::BinaryReader &in)
     const std::uint64_t count = in.readU64();
     for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
         const std::string name = in.readString();
-        const std::uint64_t steps = in.readU64();
-        std::vector<ml::Matrix> signature;
-        for (std::uint64_t s = 0; s < steps && in.ok(); ++s) {
-            const std::uint64_t rows = in.readU64();
-            const std::uint64_t cols = in.readU64();
-            std::vector<double> values = in.readF64Vector();
-            if (!in.ok())
-                break;
-            if (values.size() != rows * cols)
-                return makeError(ErrorCode::Geometry,
-                                 "SignatureStore: matrix data size does "
-                                 "not match its declared shape");
-            signature.emplace_back(rows, cols, std::move(values));
-        }
-        restored.emplace(name, std::move(signature));
+        Result<std::vector<ml::Matrix>> signature = loadMatrixSequence(in);
+        if (!signature)
+            return signature.error();
+        restored.emplace(name, std::move(signature.value()));
     }
     if (!in.ok())
         return makeError(ErrorCode::Truncated,

@@ -54,6 +54,22 @@ class SignatureStore
 };
 
 /**
+ * Binary codec for one matrix sequence (a signature or a history
+ * window), shared by SignatureStore and the scenario engine's
+ * snapshots: a u64 step count, then per step u64 rows, u64 cols and
+ * the row-major values as an f64 vector.
+ */
+void saveMatrixSequence(io::BinaryWriter &out,
+                        const std::vector<ml::Matrix> &sequence);
+
+/**
+ * Read a saveMatrixSequence() payload.  Geometry error when a step's
+ * data does not match its declared shape, Truncated on short input.
+ */
+[[nodiscard]] Result<std::vector<ml::Matrix>>
+loadMatrixSequence(io::BinaryReader &in);
+
+/**
  * Profile one application in isolation on remote memory and return its
  * signature: the run's counter trace binned into kWindowBins steps.
  *

@@ -1,6 +1,5 @@
 #include "serving/decision_service.hh"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -221,13 +220,6 @@ void
 DecisionService::decideBatch(SimTime now,
                              std::vector<PlacementDecision> &out)
 {
-    // Pin the configured kernel tier for everything this batch infers
-    // (DESIGN.md §16).  Safe on the single consumer thread: the tier
-    // knob is only read by the kernel dispatch sites this call runs.
-    std::optional<ml::ScopedKernelTier> tier_pin;
-    if (knobs.kernelTier)
-        tier_pin.emplace(*knobs.kernelTier);
-
     const bool flushed_full = assembler.pending() >= knobs.batchSize;
     const std::vector<std::size_t> seqs = assembler.take();
 
@@ -284,48 +276,21 @@ DecisionService::decideBatch(SimTime now,
         }
     }
 
-    // Fused inference in batchSize-wide chunks, padded by repeating
-    // the last row so the b32 fast-path always runs at its tuned
-    // width; padded outputs are dropped.  One guard admission per
-    // chunk; any failure degrades the WHOLE batch to the heuristic —
+    // One fused inference call per class.  One guard admission per
+    // call; any failure degrades the WHOLE batch to the heuristic —
     // the partially predicted values are discarded so batch members
     // are never decided from mixed healthy/sick inference.
-    const auto predictChunked =
-        [this](WorkloadClass cls,
-               const std::vector<models::PredictorBase::PerfQuery> &rows) {
-            std::vector<double> predictions;
-            predictions.reserve(rows.size());
-            for (std::size_t begin = 0; begin < rows.size();
-                 begin += knobs.batchSize) {
-                const std::size_t end =
-                    std::min(rows.size(), begin + knobs.batchSize);
-                std::vector<models::PredictorBase::PerfQuery> chunk(
-                    rows.begin() + static_cast<std::ptrdiff_t>(begin),
-                    rows.begin() + static_cast<std::ptrdiff_t>(end));
-                if (knobs.padBatches) {
-                    while (chunk.size() < knobs.batchSize) {
-                        chunk.push_back(chunk.back());
-                        ++tallies.paddedRows;
-                    }
-                }
-                const std::vector<double> chunk_out =
-                    predictor->predictPerformanceBatch(cls, chunk);
-                for (std::size_t i = 0; i < end - begin; ++i)
-                    predictions.push_back(chunk_out[i]);
-            }
-            return predictions;
-        };
-
     if (guardGate != nullptr)
         guardGate->beginDecision(now);
     bool degraded = false;
     std::vector<double> be_pred, lc_pred;
     try {
         if (!be_rows.empty())
-            be_pred = predictChunked(WorkloadClass::BestEffort, be_rows);
+            be_pred = predictor->predictPerformanceBatch(
+                WorkloadClass::BestEffort, be_rows);
         if (!lc_rows.empty())
-            lc_pred =
-                predictChunked(WorkloadClass::LatencyCritical, lc_rows);
+            lc_pred = predictor->predictPerformanceBatch(
+                WorkloadClass::LatencyCritical, lc_rows);
     } catch (const models::PredictionUnavailable &err) {
         logWarn(std::string("DecisionService degraded: ") + err.what());
         degraded = true;

@@ -4,9 +4,9 @@
  * orchestrator (DESIGN.md §15).  Sharded Watcher feeds submit
  * placement requests through bounded lock-free SPSC queues; the
  * service drains them in deterministic shard order, groups them with a
- * size-or-deadline BatchAssembler, and answers whole batches through
- * the fused b32 inference fast-path — every decision in a batch reads
- * one consistent epoch snapshot of system state.
+ * size-or-deadline BatchAssembler, and answers whole batches with one
+ * fused inference call per workload class — every decision in a batch
+ * reads one consistent epoch snapshot of system state.
  *
  * Threading model: each shard has exactly ONE producer (its feed
  * thread) calling submit(); ONE consumer thread (or the caller, in
@@ -17,9 +17,9 @@
  * Determinism rule: for a fixed (arrival trace, shard count, config),
  * batch composition and decisions are identical across runs and
  * thread counts.  Everything order-sensitive — queue drain order,
- * batch membership, padding, rule evaluation — is a pure function of
- * the trace; the thread pool only accelerates the already-deterministic
- * fused forward passes.
+ * batch membership, rule evaluation — is a pure function of the trace;
+ * the thread pool only accelerates the already-deterministic fused
+ * forward passes.
  */
 
 #ifndef ADRIAS_SERVING_DECISION_SERVICE_HH
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/io/checkpoint_annotations.hh"
@@ -37,7 +36,6 @@
 #include "core/orchestrator.hh"
 #include "models/batching.hh"
 #include "models/guard.hh"
-#include "ml/simd.hh"
 #include "serving/request.hh"
 #include "stats/percentile.hh"
 #include "telemetry/sharded.hh"
@@ -54,28 +52,12 @@ struct DecisionServiceConfig
     /** Per-shard queue capacity; a full queue back-pressures. */
     std::size_t queueCapacity = 1024;
 
-    /** Inference batch width (the fused b32 fast-path). */
+    /**
+     * Requests per batch (b32 by default).  Each class's model rows in
+     * a batch go to the predictor as one fused call at their natural
+     * width.
+     */
     std::size_t batchSize = 32;
-
-    /**
-     * Pad model-row groups up to a batchSize multiple by repeating the
-     * last row, so the fused forward always runs at its tuned width;
-     * padded outputs are discarded.
-     */
-    bool padBatches = true;
-
-    /**
-     * Kernel tier the batched inference runs on (DESIGN.md §16).
-     * nullopt inherits the process-wide tier (the ADRIAS_KERNEL_TIER
-     * knob); an explicit value pins every decideBatch dispatch to that
-     * tier, demoted to Scalar when the vector tier is unavailable.
-     * The vector tier changes last-ulp rounding, so decisions near a
-     * rule threshold may legitimately differ from the scalar tier.
-     * Served-vs-inline and batch-vs-single equivalence still hold
-     * within either tier: the vector kernels are row-local, so batch
-     * width never leaks into a row's result.
-     */
-    std::optional<ml::KernelTier> kernelTier;
 };
 
 /** Serving tallies (see stats()). */
@@ -87,6 +69,8 @@ struct DecisionServiceStats
     std::uint64_t batches = 0;
     std::uint64_t fullBatchFlushes = 0;
     std::uint64_t deadlineFlushes = 0;
+    /** Always 0: batches are never padded.  Kept because the
+     *  checkpoint payload and the benchmark's reports still carry it. */
     std::uint64_t paddedRows = 0;
     std::uint64_t modelDecisions = 0;
     std::uint64_t bootstrapDecisions = 0;

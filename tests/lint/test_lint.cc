@@ -47,7 +47,7 @@ linesOf(const std::vector<Finding> &findings, const std::string &rule)
 TEST(LintRules, EveryRuleHasMetadata)
 {
     const auto &rules = adrias::lint::rules();
-    ASSERT_EQ(rules.size(), 9u);
+    ASSERT_EQ(rules.size(), 10u);
     std::vector<std::string> ids;
     for (const auto &rule : rules) {
         EXPECT_FALSE(rule.description.empty()) << rule.id;
@@ -56,7 +56,8 @@ TEST(LintRules, EveryRuleHasMetadata)
     for (const char *expected :
          {"raw-rand", "wall-clock", "unordered-container",
           "nodiscard-result", "float-equal", "iostream-include",
-          "raw-ofstream", "raw-thread", "raw-intrinsics"}) {
+          "raw-ofstream", "raw-thread", "raw-intrinsics",
+          "kernel-tier"}) {
         EXPECT_NE(std::find(ids.begin(), ids.end(), expected),
                   ids.end())
             << expected;
@@ -180,6 +181,49 @@ TEST(LintScopes, RawIntrinsicsEnforcedInTestsAndBench)
                                  "tools/bad_intrinsics.cc"),
                         "raw-intrinsics")
                     .empty());
+}
+
+TEST(LintRules, KernelTierFixture)
+{
+    const auto findings = lintFile(fixture("bad_kernel_tier.cc"),
+                                   "src/serving/bad_kernel_tier.cc");
+    // The pin (8), the set (9) and the tier read (10); the non-call
+    // mention on line 13 is not a dispatch, and the
+    // NOLINTNEXTLINE(kernel-tier) on line 15 suppresses line 16.
+    EXPECT_EQ(linesOf(findings, "kernel-tier"),
+              (std::vector<std::size_t>{8, 9, 10}));
+}
+
+TEST(LintScopes, KernelTierDispatchAndTrainingSitesAreExempt)
+{
+    const std::string bad = fixture("bad_kernel_tier.cc");
+    // ml/simd* owns the knob: nothing is flagged there.
+    for (const char *label :
+         {"src/ml/simd.hh", "src/ml/simd.cc", "src/ml/simd_kernels.cc"})
+        EXPECT_TRUE(linesOf(lintFile(bad, label), "kernel-tier").empty())
+            << label;
+    // The two dispatch sites may read the tier but not pin it.
+    for (const char *label : {"src/ml/matrix.cc", "src/ml/lstm.cc"})
+        EXPECT_EQ(linesOf(lintFile(bad, label), "kernel-tier"),
+                  (std::vector<std::size_t>{8, 9}))
+            << label;
+    // The two training entry points may pin but not read it.
+    for (const char *label :
+         {"src/models/system_state.cc", "src/models/performance.cc"})
+        EXPECT_EQ(linesOf(lintFile(bad, label), "kernel-tier"),
+                  (std::vector<std::size_t>{10}))
+            << label;
+}
+
+TEST(LintScopes, KernelTierNotEnforcedOutsideSrc)
+{
+    // Tests and benches pin tiers to compare them.
+    for (const char *label :
+         {"tests/ml/bad_kernel_tier.cc", "bench/bad_kernel_tier.cc"})
+        EXPECT_TRUE(linesOf(lintFile(fixture("bad_kernel_tier.cc"), label),
+                            "kernel-tier")
+                        .empty())
+            << label;
 }
 
 TEST(LintScopes, ThreadPoolImplementationIsExempt)

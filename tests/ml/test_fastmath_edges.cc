@@ -1,11 +1,13 @@
 /**
  * @file
- * Edge-domain regression tests for the fastmath transcendentals on
- * BOTH kernel tiers (DESIGN.md §16): NaN, signed zeros, infinities,
- * denormals and the −708 underflow cutoff.  The specials contract
- * says the vector tier must agree with the scalar tier bit for bit on
- * every special (NaN-ness for NaN — payloads may differ); only finite
- * interior values are allowed to drift, and then only within ulps.
+ * Edge-domain regression tests for the fastmath transcendentals and
+ * their AVX2 batch twins (DESIGN.md §16): NaN, signed zeros,
+ * infinities, denormals and the −708 underflow cutoff.  The specials
+ * contract says the vector kernels must agree with the scalar
+ * functions bit for bit on every special (NaN-ness for NaN — payloads
+ * may differ); only finite interior values are allowed to drift, and
+ * then only within ulps.  The simd:: entry points are vector-only, so
+ * the tests that call them skip where the vector tier is unavailable.
  */
 
 #include <cmath>
@@ -59,12 +61,14 @@ specialInputs()
     };
 }
 
-/** Run one batch entry point on one input under a given tier. */
+/** Skip message for the tests that call the vector-only simd:: API. */
+constexpr const char *kNoVectorTier =
+    "vector tier unavailable on this build or host";
+
+/** Run one batch entry point on one input (the scalar tail path). */
 double
-batchOne(void (*batch)(const double *, double *, std::size_t),
-         KernelTier tier, double x)
+batchOne(void (*batch)(const double *, double *, std::size_t), double x)
 {
-    const ScopedKernelTier pin(tier);
     double out = 0.0;
     batch(&x, &out, 1);
     return out;
@@ -75,10 +79,8 @@ batchOne(void (*batch)(const double *, double *, std::size_t),
  * value actually travels the AVX2 lane path, not the scalar tail.
  */
 double
-batchLane(void (*batch)(const double *, double *, std::size_t),
-          KernelTier tier, double x)
+batchLane(void (*batch)(const double *, double *, std::size_t), double x)
 {
-    const ScopedKernelTier pin(tier);
     const double in[4] = {x, x, x, x};
     double out[4] = {};
     batch(in, out, 4);
@@ -98,11 +100,7 @@ expectSpecialAgreement(
     double (*scalar)(double), double x)
 {
     const double ref = scalar(x);
-    for (const double got :
-         {batchOne(batch, KernelTier::Vector, x),
-          batchLane(batch, KernelTier::Vector, x),
-          batchOne(batch, KernelTier::Scalar, x),
-          batchLane(batch, KernelTier::Scalar, x)}) {
+    for (const double got : {batchOne(batch, x), batchLane(batch, x)}) {
         if (std::isnan(ref)) {
             EXPECT_TRUE(std::isnan(got))
                 << name << "(" << x << "): expected NaN, got " << got;
@@ -175,12 +173,12 @@ TEST(FastmathEdges, ScalarTanhSpecials)
 // ---------------------------------------------------------------------
 // Scalar/vector agreement on every special, through the batch entry
 // points (both the 1-element scalar tail and the 4-wide lane path).
-// These pass identically on hosts without AVX2 — the vector tier then
-// IS the scalar fallback, and agreement is trivially exact.
 // ---------------------------------------------------------------------
 
 TEST(FastmathEdges, VectorExpNegAgreesOnSpecials)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     for (const double x : specialInputs())
         expectSpecialAgreement("expNeg", simd::expNegBatch,
                                fastmath::expNeg, x);
@@ -188,6 +186,8 @@ TEST(FastmathEdges, VectorExpNegAgreesOnSpecials)
 
 TEST(FastmathEdges, VectorSigmoidAgreesOnSpecials)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     for (const double x : specialInputs())
         expectSpecialAgreement("sigmoid", simd::sigmoidBatch,
                                fastmath::sigmoid, x);
@@ -195,6 +195,8 @@ TEST(FastmathEdges, VectorSigmoidAgreesOnSpecials)
 
 TEST(FastmathEdges, VectorTanhAgreesOnSpecials)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     for (const double x : specialInputs())
         expectSpecialAgreement("tanh", simd::tanhBatch,
                                fastmath::tanh, x);
@@ -210,6 +212,8 @@ TEST(FastmathEdges, VectorTanhAgreesOnSpecials)
 
 TEST(FastmathEdges, VectorInteriorWithinUlps)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     struct Case
     {
         const char *name;
@@ -228,10 +232,7 @@ TEST(FastmathEdges, VectorInteriorWithinUlps)
         for (double x = c.lo; x <= c.hi; x += step)
             xs.push_back(x);
         std::vector<double> got(xs.size());
-        {
-            const ScopedKernelTier pin(KernelTier::Vector);
-            c.batch(xs.data(), got.data(), xs.size());
-        }
+        c.batch(xs.data(), got.data(), xs.size());
         UlpStats stats;
         for (std::size_t i = 0; i < xs.size(); ++i)
             stats.add(c.scalar(xs[i]), got[i]);
@@ -243,6 +244,8 @@ TEST(FastmathEdges, VectorInteriorWithinUlps)
 
 TEST(FastmathEdges, VectorExpNegNearCutoffOutputs)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     // Inputs near the cutoff produce outputs within a few binades of
     // the smallest normal (the −708 guard fires before the output
     // range goes denormal); both tiers must stay finite, non-negative
@@ -253,10 +256,7 @@ TEST(FastmathEdges, VectorExpNegNearCutoffOutputs)
     for (double x = -700.0; x >= -707.9; x -= 0.1)
         xs.push_back(x);
     std::vector<double> got(xs.size());
-    {
-        const ScopedKernelTier pin(KernelTier::Vector);
-        simd::expNegBatch(xs.data(), got.data(), xs.size());
-    }
+    simd::expNegBatch(xs.data(), got.data(), xs.size());
     UlpStats stats;
     for (std::size_t i = 0; i < xs.size(); ++i) {
         EXPECT_GE(got[i], 0.0);
@@ -270,19 +270,17 @@ TEST(FastmathEdges, VectorExpNegNearCutoffOutputs)
 // Out-of-place and in-place (aliased) batch calls must agree.
 TEST(FastmathEdges, BatchAliasingIsSafe)
 {
+    if (!vectorTierAvailable())
+        GTEST_SKIP() << kNoVectorTier;
     std::vector<double> xs;
     for (double x = -10.0; x <= 10.0; x += 0.37)
         xs.push_back(x);
-    for (const KernelTier tier :
-         {KernelTier::Scalar, KernelTier::Vector}) {
-        const ScopedKernelTier pin(tier);
-        std::vector<double> out(xs.size());
-        simd::tanhBatch(xs.data(), out.data(), xs.size());
-        std::vector<double> inplace = xs;
-        simd::tanhBatch(inplace.data(), inplace.data(), inplace.size());
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            EXPECT_TRUE(sameBits(out[i], inplace[i]));
-    }
+    std::vector<double> out(xs.size());
+    simd::tanhBatch(xs.data(), out.data(), xs.size());
+    std::vector<double> inplace = xs;
+    simd::tanhBatch(inplace.data(), inplace.data(), inplace.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        EXPECT_TRUE(sameBits(out[i], inplace[i]));
 }
 
 } // namespace

@@ -99,38 +99,6 @@ TEST(ReLU, BackwardMasksNegatives)
     EXPECT_DOUBLE_EQ(gin.at(0, 2), 0.0);
 }
 
-TEST(TanhLayer, GradientMatchesNumerical)
-{
-    Rng rng(5);
-    Tanh layer;
-    Matrix input = randomMatrix(3, 4, rng);
-    Matrix target = randomMatrix(3, 4, rng);
-
-    Matrix grad_pred;
-    mseLoss(layer.forward(input), target, &grad_pred);
-    const Matrix grad_input = layer.backward(grad_pred);
-    const double err = testutil::maxGradientError(
-        input, grad_input,
-        [&] { return mseLoss(layer.forward(input), target); });
-    EXPECT_LT(err, 1e-5);
-}
-
-TEST(SigmoidLayer, GradientMatchesNumerical)
-{
-    Rng rng(6);
-    Sigmoid layer;
-    Matrix input = randomMatrix(3, 4, rng);
-    Matrix target = randomMatrix(3, 4, rng);
-
-    Matrix grad_pred;
-    mseLoss(layer.forward(input), target, &grad_pred);
-    const Matrix grad_input = layer.backward(grad_pred);
-    const double err = testutil::maxGradientError(
-        input, grad_input,
-        [&] { return mseLoss(layer.forward(input), target); });
-    EXPECT_LT(err, 1e-5);
-}
-
 TEST(SigmoidScalar, StableAtExtremes)
 {
     EXPECT_NEAR(sigmoidScalar(0.0), 0.5, 1e-12);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tolerance-based equivalence suite for the vector kernel tier
- * (DESIGN.md §16, ctest -L simd): the AVX2 GEMM, fused-LSTM gate loop
- * and batch activations must match the bitwise scalar oracle within a
- * small ulp budget — never bitwise, because FMA contraction
- * legitimately changes last-ulp rounding.  The vector kernels must
+ * (DESIGN.md §16, ctest -L simd): the AVX2 GEMM and fused-LSTM gate
+ * loop must match the bitwise scalar oracle within a small ulp budget
+ * — never bitwise, because FMA contraction legitimately changes
+ * last-ulp rounding.  The vector kernels must
  * additionally be row-local against themselves (a row computed inside
  * a batch is bitwise the same row computed alone), and the dispatch
  * layer must degrade gracefully when the tier is unavailable.  On
@@ -21,7 +21,6 @@
 
 #include "common/float_compare.hh"
 #include "common/rng.hh"
-#include "ml/activation.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
 #include "ml/simd.hh"
@@ -39,8 +38,6 @@ using adrias::ml::Matrix;
 using adrias::ml::parseKernelTier;
 using adrias::ml::ScopedKernelTier;
 using adrias::ml::setKernelTier;
-using adrias::ml::Sigmoid;
-using adrias::ml::Tanh;
 using adrias::ml::vectorTierAvailable;
 
 /** Ulp budget for vector-vs-scalar on composite kernels.  Individual
@@ -329,53 +326,6 @@ TEST_F(SimdEquivalenceTest, TrainingForwardStaysOnScalarGateKernel)
     for (std::size_t t = 0; t < got.size(); ++t)
         expectWithinUlps(ref_grads[t], got[t],
                          "training grads under vector tier");
-}
-
-// ---------------------------------------------------------------------
-// Activation layers.
-// ---------------------------------------------------------------------
-
-TEST_F(SimdEquivalenceTest, ActivationLayersWithinUlps)
-{
-    Rng rng(0x51E3);
-    const Matrix input = randomMatrix(rng, 32, 24);
-
-    Tanh tanh_layer;
-    tanh_layer.setInference(true);
-    Sigmoid sigmoid_layer;
-    sigmoid_layer.setInference(true);
-
-    Matrix tanh_ref, sigmoid_ref;
-    {
-        const ScopedKernelTier scalar(KernelTier::Scalar);
-        tanh_ref = tanh_layer.forward(input);
-        sigmoid_ref = sigmoid_layer.forward(input);
-    }
-    const ScopedKernelTier vec(KernelTier::Vector);
-    expectWithinUlps(tanh_ref, tanh_layer.forward(input),
-                     "Tanh inference forward");
-    expectWithinUlps(sigmoid_ref, sigmoid_layer.forward(input),
-                     "Sigmoid inference forward");
-}
-
-TEST_F(SimdEquivalenceTest, TrainingActivationsBitwiseOnVectorTier)
-{
-    // Training-mode activation forwards never route through the batch
-    // kernels: cached outputs must stay on the scalar oracle even when
-    // the process-wide tier is Vector.
-    Rng rng(0x51E4);
-    const Matrix input = randomMatrix(rng, 8, 12);
-
-    Matrix ref;
-    {
-        const ScopedKernelTier scalar(KernelTier::Scalar);
-        Tanh layer;
-        ref = layer.forward(input);
-    }
-    const ScopedKernelTier vec(KernelTier::Vector);
-    Tanh layer;
-    expectBitwise(ref, layer.forward(input),
-                  "training Tanh forward under vector tier");
 }
 
 } // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/io/binary.hh"
+#include "scenario/engine.hh"
 #include "scenario/runner.hh"
 
 namespace adrias::scenario
@@ -155,6 +159,54 @@ TEST(ScenarioRunner, RecordsOfClassFilters)
     const auto lc = result.recordsOfClass(WorkloadClass::LatencyCritical);
     const auto ib = result.recordsOfClass(WorkloadClass::Interference);
     EXPECT_EQ(be.size() + lc.size() + ib.size(), result.records.size());
+}
+
+TEST(ScenarioEngineSnapshot, RejectsConcurrencyLongerThanTrace)
+{
+    // A well-formed 30-tick snapshot, except that node 0's concurrency
+    // vector carries one entry more than its trace.
+    const ScenarioConfig config = shortConfig(9, 60);
+    constexpr std::size_t kTicks = 30;
+
+    // The vector as saved is the first kTicks entries of a full run's.
+    ScenarioEngine full(config);
+    RandomPlacement full_policy(5);
+    while (!full.finished())
+        full.stepTick(full_policy);
+    const ScenarioResult result = full.finish();
+    const std::vector<int> saved(result.concurrency.begin(),
+                                 result.concurrency.begin() + kTicks);
+
+    ScenarioEngine engine(config);
+    RandomPlacement policy(5);
+    while (engine.now() < static_cast<SimTime>(kTicks))
+        engine.stepTick(policy);
+    io::BinaryWriter out;
+    engine.saveState(out);
+
+    io::BinaryWriter saved_bytes;
+    saved_bytes.writeI32Vector(saved);
+    std::vector<int> longer = saved;
+    longer.push_back(longer.back());
+    io::BinaryWriter longer_bytes;
+    longer_bytes.writeI32Vector(longer);
+
+    std::string snapshot = out.data();
+    const std::size_t at = snapshot.find(saved_bytes.data());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(at, snapshot.rfind(saved_bytes.data()));
+    snapshot.replace(at, saved_bytes.data().size(), longer_bytes.data());
+
+    ScenarioEngine restored(config);
+    io::BinaryReader in(snapshot);
+    const Result<void> status = restored.restoreState(in);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, ErrorCode::Geometry);
+
+    // The unmodified snapshot restores.
+    ScenarioEngine intact(config);
+    io::BinaryReader in_intact(out.data());
+    EXPECT_TRUE(intact.restoreState(in_intact).ok());
 }
 
 TEST(HistoryWindowAt, EarlyArrivalYieldsEmpty)

@@ -3,8 +3,8 @@
  * DecisionService behavioral tests against a stub predictor: the four
  * decision paths (model / bootstrap / cold / fallback) pinned to the
  * paper's rules, back-pressure accounting, size-vs-deadline flushes
- * with the exclusive boundary, batch padding, drain-on-shutdown and a
- * checkpoint/restore round trip that resumes to identical decisions.
+ * with the exclusive boundary, one model call per class per batch,
+ * drain-on-shutdown and a checkpoint/restore round trip that resumes to identical decisions.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io/binary.hh"
@@ -32,8 +33,8 @@ class StubPredictor : public models::PredictorBase
     bool isTrained = true;
     bool throwOnPredict = false;
 
-    /** Widths of every batched call, in call order. */
-    mutable std::vector<std::size_t> batchWidths;
+    /** (class, width) of every batched call, in call order. */
+    mutable std::vector<std::pair<WorkloadClass, std::size_t>> batchCalls;
 
     ml::Matrix
     predictSystemState(const telemetry::Watcher &) const override
@@ -59,7 +60,7 @@ class StubPredictor : public models::PredictorBase
         WorkloadClass cls,
         const std::vector<PerfQuery> &queries) const override
     {
-        batchWidths.push_back(queries.size());
+        batchCalls.emplace_back(cls, queries.size());
         return PredictorBase::predictPerformanceBatch(cls, queries);
     }
 
@@ -312,33 +313,35 @@ TEST_F(DecisionServiceTest, PredictionFailureDegradesWholeBatch)
     EXPECT_EQ(service.stats().fallbackDecisions, 2u);
 }
 
-TEST_F(DecisionServiceTest, PadsModelChunksToBatchWidth)
+TEST_F(DecisionServiceTest, OneModelCallPerClassPerBatch)
 {
     DecisionServiceConfig config;
     config.shards = 1;
-    config.batchSize = 4;
+    config.batchSize = 32;
     DecisionService service = makeService({}, config);
     service.beginEpoch(warmSnapshot(1));
-    // One BE request = two model rows; padded up to the b4 width.
-    ASSERT_TRUE(service.submit(makeRequest(
-        0, "known-be", WorkloadClass::BestEffort, 1, 0, 100)));
+    // One full b32 batch, interleaved: 20 BE requests (two model rows
+    // each, 40 rows — wider than the batch) and 12 LC requests.
+    for (DeploymentId id = 0; id < 32; ++id) {
+        const bool be = id % 8 < 5;
+        ASSERT_TRUE(service.submit(makeRequest(
+            id, be ? "known-be" : "known-lc",
+            be ? WorkloadClass::BestEffort
+               : WorkloadClass::LatencyCritical,
+            1, 0, 100)));
+    }
     const auto decisions = service.drain(0);
-    ASSERT_EQ(decisions.size(), 1u);
-    ASSERT_EQ(stub.batchWidths.size(), 1u);
-    EXPECT_EQ(stub.batchWidths[0], 4u);
-    EXPECT_EQ(service.stats().paddedRows, 2u);
+    ASSERT_EQ(decisions.size(), 32u);
+    for (const PlacementDecision &decision : decisions)
+        EXPECT_EQ(decision.path, DecisionPath::Model);
+    EXPECT_EQ(service.stats().batches, 1u);
 
-    // With padding disabled the chunk runs at its natural width.
-    stub.batchWidths.clear();
-    config.padBatches = false;
-    DecisionService bare = makeService({}, config);
-    bare.beginEpoch(warmSnapshot(1));
-    ASSERT_TRUE(bare.submit(makeRequest(
-        0, "known-be", WorkloadClass::BestEffort, 1, 0, 100)));
-    (void)bare.drain(0);
-    ASSERT_EQ(stub.batchWidths.size(), 1u);
-    EXPECT_EQ(stub.batchWidths[0], 2u);
-    EXPECT_EQ(bare.stats().paddedRows, 0u);
+    // Each class is one call at its natural width: no chunks, no pads.
+    const std::vector<std::pair<WorkloadClass, std::size_t>> expected{
+        {WorkloadClass::BestEffort, 40u},
+        {WorkloadClass::LatencyCritical, 12u}};
+    EXPECT_EQ(stub.batchCalls, expected);
+    EXPECT_EQ(service.stats().paddedRows, 0u);
 }
 
 TEST_F(DecisionServiceTest, DrainDecidesEverythingInFlight)

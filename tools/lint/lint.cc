@@ -6,6 +6,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "lint/source.hh"
 
@@ -84,6 +85,29 @@ inIntrinsicsScope(const std::string &label)
         return false; // the one sanctioned SIMD portability layer
     return startsWith(label, "src/") || startsWith(label, "tests/") ||
            startsWith(label, "bench/");
+}
+
+bool
+inKernelTierScope(const std::string &label)
+{
+    return startsWith(label, "src/");
+}
+
+/** The two kernels with a vector twin read the effective tier. */
+bool
+mayReadKernelTier(const std::string &label)
+{
+    return startsWith(label, "src/ml/simd") ||
+           label == "src/ml/matrix.cc" || label == "src/ml/lstm.cc";
+}
+
+/** Only the training entry points pin a tier (to Scalar). */
+bool
+mayPinKernelTier(const std::string &label)
+{
+    return startsWith(label, "src/ml/simd") ||
+           label == "src/models/system_state.cc" ||
+           label == "src/models/performance.cc";
 }
 
 // --------------------------------------------------------------------------
@@ -639,6 +663,45 @@ checkRawIntrinsics(const std::string &label,
     }
 }
 
+void
+checkKernelTier(const std::string &label,
+                const Suppressions &nolint,
+                const std::vector<std::string> &stripped,
+                std::vector<Finding> &findings)
+{
+    const bool may_read = mayReadKernelTier(label);
+    const bool may_pin = mayPinKernelTier(label);
+    for (std::size_t i = 0; i < stripped.size(); ++i) {
+        const std::string &line = stripped[i];
+        for (const auto &[id, col] : identifiersIn(line)) {
+            std::string detail;
+            if (id == "effectiveKernelTier" && !may_read) {
+                // Calls only: a bare mention is not a dispatch.
+                if (nextNonSpace(line, col + id.size()) != '(')
+                    continue;
+                detail = "'effectiveKernelTier()': only the kernels "
+                         "with a vector twin (ml/matrix.cc, ml/lstm.cc) "
+                         "pick a kernel";
+            } else if ((id == "ScopedKernelTier" ||
+                        id == "setKernelTier") &&
+                       !may_pin) {
+                detail = "'" + id +
+                         "': only the training entry points "
+                         "(models/system_state.cc, "
+                         "models/performance.cc) pin a kernel tier; "
+                         "src/ml picks the kernel";
+            } else {
+                continue;
+            }
+            if (!nolint.suppressed(i, "kernel-tier")) {
+                findings.push_back(
+                    {label, i + 1, "kernel-tier", std::move(detail)});
+                break;
+            }
+        }
+    }
+}
+
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -671,6 +734,11 @@ rules()
         {"raw-intrinsics",
          "no immintrin.h/__m256/_mm256_* outside src/ml/simd* (src, "
          "tests, bench); SIMD goes through the portability layer"},
+        {"kernel-tier",
+         "in src, effectiveKernelTier() is called only in "
+         "ml/{matrix,lstm}.cc and ml/simd*, and "
+         "ScopedKernelTier/setKernelTier appear only in ml/simd* and "
+         "the two model training entry points"},
     };
     return kRules;
 }
@@ -702,6 +770,8 @@ lintContent(const std::string &label, const std::string &content)
         checkRawThread(label, nolint, stripped, findings);
     if (inIntrinsicsScope(label))
         checkRawIntrinsics(label, nolint, stripped, findings);
+    if (inKernelTierScope(label))
+        checkKernelTier(label, nolint, stripped, findings);
 
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding &a, const Finding &b) {

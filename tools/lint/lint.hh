@@ -29,6 +29,14 @@
  *                        <future> includes) in src/ outside
  *                        common/threadpool.* — all parallelism goes
  *                        through the deterministic ThreadPool.
+ *   raw-intrinsics       no immintrin.h / __m256 / _mm256_* outside
+ *                        src/ml/simd* (src, tests, bench).
+ *   kernel-tier          in src/, effectiveKernelTier() is called only
+ *                        in ml/{matrix,lstm}.cc and ml/simd*, and
+ *                        ScopedKernelTier / setKernelTier appear only
+ *                        in ml/simd* and the two model training entry
+ *                        points (models/{system_state,performance}.cc)
+ *                        — src/ml alone picks the kernel.
  *
  * nodiscard-result covers src/ headers and, in .cc files, file-local
  * (static or anonymous-namespace) function declarations — local
