@@ -7,13 +7,10 @@
  * the perf-regression gate (tools/bench_compare against the checked-in
  * bench/baselines/BENCH_ml.json).
  *
- * The summary block records two kinds of before/after pairs: live
- * fused-vs-reference speedups measured in this run (the reference path
- * keeps the original matrix-algebra formulation but shares the
- * upgraded GEMM/transcendental substrate), and *_vs_prepr entries
- * whose before_ns is pinned to the medians recorded at the
- * pre-optimization commit on the recording machine (DESIGN.md §11) —
- * the honest end-to-end record for the perf acceptance bars.
+ * The summary block records before/after pairs measured in this run
+ * only: fused-vs-reference speedups (the reference path keeps the
+ * original matrix-algebra formulation but shares the GEMM and
+ * transcendental substrate) and vector-vs-scalar tier speedups.
  */
 
 #include <vector>
@@ -65,6 +62,33 @@ benchMatmul(std::size_t n, ml::KernelTier tier = ml::KernelTier::Scalar)
         "matmul_" + std::to_string(n) +
             (tier == ml::KernelTier::Vector ? "_vector" : ""),
         [&] { a.matmulInto(b, out); });
+}
+
+/**
+ * The two backward GEMMs at the Predictor's LSTM training shape (b32,
+ * H = 24, packed gate width 4H = 96): dz * W^T (the input and
+ * recurrent gradients) and X^T * dz (the weight gradients).
+ */
+Result
+benchGemmDzWt()
+{
+    Rng rng(6);
+    const ml::Matrix dz = randomMatrix(32, 96, rng);
+    const ml::Matrix w = randomMatrix(24, 96, rng);
+    ml::Matrix out;
+    return bench::micro::measure("gemm_dz_wt_b32_h24",
+                                 [&] { dz.matmulTransposedInto(w, out); });
+}
+
+Result
+benchGemmXtDz()
+{
+    Rng rng(7);
+    const ml::Matrix x = randomMatrix(32, 24, rng);
+    const ml::Matrix dz = randomMatrix(32, 96, rng);
+    ml::Matrix out;
+    return bench::micro::measure("gemm_xt_dz_b32_h24",
+                                 [&] { x.transposedMatmulInto(dz, out); });
 }
 
 /** Batch transcendental throughput: one tanh sweep over n doubles. */
@@ -142,6 +166,23 @@ benchLstmTrainStep(const std::string &name, bool fused)
     return result;
 }
 
+/** Backward pass alone over one cached b32 forward (fused kernels). */
+Result
+benchLstmBackward()
+{
+    Rng rng(3);
+    constexpr std::size_t kHidden = 24;
+    constexpr std::size_t kBatch = 32;
+    ml::Lstm lstm(7, kHidden, rng);
+    const auto seq = randomSequence(12, kBatch, 7, rng);
+    const auto grads = randomSequence(12, kBatch, kHidden, rng);
+    lstm.forwardSequence(seq);
+    // Parameter gradients accumulate across repetitions; the step
+    // caches stay valid, so every repetition runs the same backward.
+    return bench::micro::measure("lstm_backward_h24_b32",
+                                 [&] { lstm.backwardSequence(grads); });
+}
+
 Result
 benchHeadForward()
 {
@@ -193,6 +234,9 @@ main()
         benchLstmTrainStep("lstm_train_step_h24_b32", true));
     results.push_back(
         benchLstmTrainStep("lstm_train_step_reference_h24_b32", false));
+    results.push_back(benchLstmBackward());
+    results.push_back(benchGemmDzWt());
+    results.push_back(benchGemmXtDz());
 
     results.push_back(benchHeadForward());
 
@@ -228,20 +272,6 @@ main()
         {"tanh_batch_8192_vector_vs_scalar", median("tanh_batch_8192"),
          median("tanh_batch_8192_vector")},
     };
-
-    // End-to-end before/after vs the pre-optimization commit: before_ns
-    // is the median recorded on the recording machine before any of
-    // the GEMM / fastmath / fusion work landed (DESIGN.md §11).  Only
-    // meaningful when the after side runs on the same machine; the
-    // regression gate uses the benchmarks block, not these.
-    summary.push_back({"lstm_forward_inference_b32_vs_prepr", 1450966.0,
-                       median("lstm_forward_infer_h24_b32")});
-    summary.push_back({"lstm_forward_inference_b1_vs_prepr", 45108.0,
-                       median("lstm_forward_infer_h24_b1")});
-    summary.push_back({"lstm_train_step_b32_vs_prepr", 2910104.0,
-                       median("lstm_train_step_h24_b32")});
-    summary.push_back({"matmul_384_vs_prepr", 50177152.5,
-                       median("matmul_384")});
 
     bench::micro::printResults("ml_kernels", results, summary);
     const std::string path = bench::micro::jsonPath("BENCH_ml.json");

@@ -10,6 +10,71 @@
 namespace adrias::ml
 {
 
+namespace
+{
+
+/**
+ * out_row[j] += lhs[k * lhs_stride] * rhs[k * width + j] over k in
+ * increasing order, skipping exact-zero lhs: the scalar row body of
+ * matmulInto (lhs_stride 1, a row of the lhs) and transposedMatmulInto
+ * (lhs_stride = its column count, a column of the lhs).
+ *
+ * k is unrolled by four with the adds parenthesized in k order:
+ * ((((out + l0*r0) + l1*r1) + l2*r2) + l3*r3) is the exact scalar op
+ * sequence of four single-k iterations, so the result stays bitwise
+ * identical while the destination row round-trips through registers a
+ * quarter as often.  Any exact-zero lhs in the group falls back to the
+ * single-k form so the sparsity skip stays element-exact.
+ */
+inline void
+accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
+              const double *__restrict rhs, std::size_t inner,
+              std::size_t width, double *__restrict out_row)
+{
+    std::size_t k = 0;
+    for (; k + 3 < inner; k += 4) {
+        const double l0 = lhs[k * lhs_stride];
+        const double l1 = lhs[(k + 1) * lhs_stride];
+        const double l2 = lhs[(k + 2) * lhs_stride];
+        const double l3 = lhs[(k + 3) * lhs_stride];
+        const double *r0 = &rhs[k * width];
+        const double *r1 = r0 + width;
+        const double *r2 = r1 + width;
+        const double *r3 = r2 + width;
+        // Exact-zero sparsity skips; a tolerance would change results.
+        const bool dense4 =
+            l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
+            l2 != 0.0 && l3 != 0.0;   // NOLINT(float-equal)
+        if (dense4) {
+            for (std::size_t j = 0; j < width; ++j)
+                out_row[j] = ((((out_row[j] + l0 * r0[j]) + l1 * r1[j]) +
+                               l2 * r2[j]) +
+                              l3 * r3[j]);
+            continue;
+        }
+        for (std::size_t kk = k; kk < k + 4; ++kk) {
+            const double l = lhs[kk * lhs_stride];
+            // NOLINTNEXTLINE(float-equal)
+            if (l == 0.0)
+                continue;
+            const double *rhs_row = &rhs[kk * width];
+            for (std::size_t j = 0; j < width; ++j)
+                out_row[j] += l * rhs_row[j];
+        }
+    }
+    for (; k < inner; ++k) {
+        const double l = lhs[k * lhs_stride];
+        // NOLINTNEXTLINE(float-equal)
+        if (l == 0.0)
+            continue;
+        const double *rhs_row = &rhs[k * width];
+        for (std::size_t j = 0; j < width; ++j)
+            out_row[j] += l * rhs_row[j];
+    }
+}
+
+} // namespace
+
 Matrix::Matrix(std::size_t rows_, std::size_t cols_)
     : nRows(rows_), nCols(cols_), data(rows_ * cols_, 0.0)
 {
@@ -112,64 +177,11 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
         return;
     }
     // checkNoAlias guarantees the operands are distinct objects, so
-    // __restrict is sound and lets the j loop vectorize without
-    // runtime alias checks.
-    const double *__restrict lhs_data = data.data();
-    const double *__restrict rhs_data = other.data.data();
-    double *__restrict out_data = out.data.data();
-    for (std::size_t i = 0; i < nRows; ++i) {
-        const double *lhs_row = &lhs_data[i * inner];
-        double *out_row = &out_data[i * width];
-        // k unrolled by four with the adds parenthesized in k order:
-        // ((((out + l0*r0) + l1*r1) + l2*r2) + l3*r3) is the exact
-        // scalar op sequence of four single-k iterations, so the result
-        // stays bitwise identical while the destination row
-        // round-trips through registers a quarter as often.  Any
-        // exact-zero lhs in the group falls back to the single-k form
-        // so the sparsity skip stays element-exact.
-        std::size_t k = 0;
-        for (; k + 3 < inner; k += 4) {
-            const double l0 = lhs_row[k];
-            const double l1 = lhs_row[k + 1];
-            const double l2 = lhs_row[k + 2];
-            const double l3 = lhs_row[k + 3];
-            const double *r0 = &rhs_data[k * width];
-            const double *r1 = r0 + width;
-            const double *r2 = r1 + width;
-            const double *r3 = r2 + width;
-            // Exact-zero sparsity skips; a tolerance would change
-            // results.
-            const bool dense4 =
-                l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
-                l2 != 0.0 && l3 != 0.0;   // NOLINT(float-equal)
-            if (dense4) {
-                for (std::size_t j = 0; j < width; ++j)
-                    out_row[j] =
-                        ((((out_row[j] + l0 * r0[j]) + l1 * r1[j]) +
-                          l2 * r2[j]) +
-                         l3 * r3[j]);
-                continue;
-            }
-            for (std::size_t kk = k; kk < k + 4; ++kk) {
-                const double lhs = lhs_row[kk];
-                // NOLINTNEXTLINE(float-equal)
-                if (lhs == 0.0)
-                    continue;
-                const double *rhs_row = &rhs_data[kk * width];
-                for (std::size_t j = 0; j < width; ++j)
-                    out_row[j] += lhs * rhs_row[j];
-            }
-        }
-        for (; k < inner; ++k) {
-            const double lhs = lhs_row[k];
-            // NOLINTNEXTLINE(float-equal)
-            if (lhs == 0.0)
-                continue;
-            const double *rhs_row = &rhs_data[k * width];
-            for (std::size_t j = 0; j < width; ++j)
-                out_row[j] += lhs * rhs_row[j];
-        }
-    }
+    // the __restrict in accumulateRow is sound and lets the j loop
+    // vectorize without runtime alias checks.
+    for (std::size_t i = 0; i < nRows; ++i)
+        accumulateRow(data.data() + i * inner, 1, other.data.data(), inner,
+                      width, out.data.data() + i * width);
 }
 
 Matrix
@@ -193,27 +205,14 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     out.resize(nCols, other.nCols);
     const std::size_t inner = nRows;
     const std::size_t width = other.nCols;
-    const std::size_t stride = nCols;
     // Looped over output rows i (columns of this).  Every out(i, j)
     // accumulates over k in increasing order — the same per-element
     // order as a k-outer loop — so per-sample gradient contributions
     // (k indexes the sample in backward passes) are summed in fixed
-    // index order.  checkNoAlias guarantees distinct objects.
-    const double *__restrict rhs_data = other.data.data();
-    double *__restrict out_data = out.data.data();
-    for (std::size_t i = 0; i < nCols; ++i) {
-        double *out_row = &out_data[i * width];
-        for (std::size_t k = 0; k < inner; ++k) {
-            const double lhs = data[k * stride + i];
-            // Exact-zero sparsity skip.
-            // NOLINTNEXTLINE(float-equal)
-            if (lhs == 0.0)
-                continue;
-            const double *rhs_row = &rhs_data[k * width];
-            for (std::size_t j = 0; j < width; ++j)
-                out_row[j] += lhs * rhs_row[j];
-        }
-    }
+    // index order.
+    for (std::size_t i = 0; i < nCols; ++i)
+        accumulateRow(data.data() + i, nCols, other.data.data(), inner,
+                      width, out.data.data() + i * width);
 }
 
 Matrix
@@ -244,12 +243,41 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     double *__restrict out_data = out.data.data();
     for (std::size_t i = 0; i < nRows; ++i) {
         const double *lhs_row = &lhs_data[i * inner];
-        for (std::size_t j = 0; j < width; ++j) {
+        double *out_row = &out_data[i * width];
+        // Four output columns per pass, one accumulator each.  Every
+        // element still starts at +0.0 and adds lhs*rhs over k in
+        // increasing order with no zero skip, so it is bitwise the
+        // single-column dot product; the four add chains are
+        // independent, so they overlap instead of each add waiting on
+        // the one before it.
+        std::size_t j = 0;
+        for (; j + 3 < width; j += 4) {
+            const double *r0 = &rhs_data[j * inner];
+            const double *r1 = r0 + inner;
+            const double *r2 = r1 + inner;
+            const double *r3 = r2 + inner;
+            double acc0 = 0.0;
+            double acc1 = 0.0;
+            double acc2 = 0.0;
+            double acc3 = 0.0;
+            for (std::size_t k = 0; k < inner; ++k) {
+                const double lhs = lhs_row[k];
+                acc0 += lhs * r0[k];
+                acc1 += lhs * r1[k];
+                acc2 += lhs * r2[k];
+                acc3 += lhs * r3[k];
+            }
+            out_row[j] = acc0;
+            out_row[j + 1] = acc1;
+            out_row[j + 2] = acc2;
+            out_row[j + 3] = acc3;
+        }
+        for (; j < width; ++j) {
             const double *rhs_row = &rhs_data[j * inner];
             double acc = 0.0;
             for (std::size_t k = 0; k < inner; ++k)
                 acc += lhs_row[k] * rhs_row[k];
-            out_data[i * width + j] = acc;
+            out_row[j] = acc;
         }
     }
 }

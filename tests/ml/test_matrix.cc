@@ -1,6 +1,9 @@
 /** @file Unit tests for ml/matrix. */
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -46,6 +49,22 @@ naiveMatmul(const Matrix &a, const Matrix &b)
     return out;
 }
 
+/** Textbook a * b^T: a plain dot product from +0.0 in increasing k,
+ *  with no zero skip. */
+Matrix
+naiveMatmulTransposed(const Matrix &a, const Matrix &b)
+{
+    Matrix out(a.rows(), b.rows());
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < b.rows(); ++j) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < a.cols(); ++k)
+                acc += a.at(i, k) * b.at(j, k);
+            out.at(i, j) = acc;
+        }
+    return out;
+}
+
 /** Column sums from 0.0 in increasing row order. */
 Matrix
 naiveSumRows(const Matrix &a)
@@ -57,14 +76,19 @@ naiveSumRows(const Matrix &a)
     return out;
 }
 
+/** Bitwise, not approximate: the contract is exact equality, so NaN
+ *  payloads and the sign of zero count too. */
 void
 expectIdentical(const Matrix &expected, const Matrix &actual,
                 const char *op)
 {
     ASSERT_EQ(expected.rows(), actual.rows()) << op;
     ASSERT_EQ(expected.cols(), actual.cols()) << op;
-    // Bitwise, not approximate: the contract is exact equality.
-    ASSERT_EQ(expected.raw(), actual.raw()) << op;
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(expected.raw()[i]),
+                  std::bit_cast<std::uint64_t>(actual.raw()[i]))
+            << op << " element " << i << ": expected "
+            << expected.raw()[i] << ", got " << actual.raw()[i];
 }
 
 TEST(Matrix, DefaultIsEmpty)
@@ -395,17 +419,8 @@ TEST(Matrix, GemmFamilyMatchesNaiveLoopsBitwise)
         expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul");
         expectIdentical(naiveMatmul(at.transposed(), b),
                         at.transposedMatmul(b), "transposedMatmul");
-        // matmulTransposed is a plain dot product (no zero skip).
-        Matrix expected_mt(shape.m, shape.n);
-        for (std::size_t i = 0; i < shape.m; ++i)
-            for (std::size_t j = 0; j < shape.n; ++j) {
-                double acc = 0.0;
-                for (std::size_t k = 0; k < shape.k; ++k)
-                    acc += a.at(i, k) * bt.at(j, k);
-                expected_mt.at(i, j) = acc;
-            }
-        expectIdentical(expected_mt, a.matmulTransposed(bt),
-                        "matmulTransposed");
+        expectIdentical(naiveMatmulTransposed(a, bt),
+                        a.matmulTransposed(bt), "matmulTransposed");
     }
 }
 
@@ -458,9 +473,63 @@ TEST(Matrix, RandomizedShapesSweep)
         const auto n = static_cast<std::size_t>(rng.uniformInt(1, 40));
         const Matrix a = randomMatrix(rng, m, k);
         const Matrix b = randomMatrix(rng, k, n);
+        const Matrix at = randomMatrix(rng, k, m);
+        const Matrix bt = randomMatrix(rng, n, k);
         expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul fuzz");
+        expectIdentical(naiveMatmul(at.transposed(), b),
+                        at.transposedMatmul(b), "transposedMatmul fuzz");
+        expectIdentical(naiveMatmulTransposed(a, bt),
+                        a.matmulTransposed(bt), "matmulTransposed fuzz");
         expectIdentical(naiveSumRows(a + a), (a + a).sumRows(),
                         "sumRows fuzz");
+    }
+}
+
+TEST(Matrix, GemmFamilySpecialValuesMatchNaiveLoopsBitwise)
+{
+    // ±0.0, ±inf and NaN at every k of a group of four and of the
+    // scalar k remainder, meeting every special on the other operand,
+    // with inner sizes and widths ≡ 0, 1, 2, 3 (mod 4).  A zero lhs
+    // facing an inf or NaN rhs is where the exact-zero skip (matmul,
+    // transposedMatmul) and the no-skip dot product (matmulTransposed)
+    // differ, so each kernel must match its own textbook loop bit for
+    // bit.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double specials[] = {0.0, -0.0, inf, -inf, nan};
+    const ScopedKernelTier scalar(KernelTier::Scalar);
+    Rng rng(0x5BEC1A);
+    constexpr std::size_t kRows = 3;
+    for (std::size_t inner : {4, 5, 6, 7, 9}) {
+        for (std::size_t width : {4, 5, 6, 7}) {
+            for (std::size_t pos = 0; pos < inner; ++pos) {
+                for (double lhs_special : specials) {
+                    for (double rhs_special : specials) {
+                        Matrix a = randomMatrix(rng, kRows, inner);
+                        Matrix b = randomMatrix(rng, inner, width);
+                        Matrix at = randomMatrix(rng, inner, kRows);
+                        Matrix bt = randomMatrix(rng, width, inner);
+                        // Every lhs row carries the special at k = pos;
+                        // the rhs carries one at k = pos in column
+                        // pos % width.
+                        for (std::size_t r = 0; r < kRows; ++r) {
+                            a.at(r, pos) = lhs_special;
+                            at.at(pos, r) = lhs_special;
+                        }
+                        b.at(pos, pos % width) = rhs_special;
+                        bt.at(pos % width, pos) = rhs_special;
+                        expectIdentical(naiveMatmul(a, b), a.matmul(b),
+                                        "matmul specials");
+                        expectIdentical(naiveMatmul(at.transposed(), b),
+                                        at.transposedMatmul(b),
+                                        "transposedMatmul specials");
+                        expectIdentical(naiveMatmulTransposed(a, bt),
+                                        a.matmulTransposed(bt),
+                                        "matmulTransposed specials");
+                    }
+                }
+            }
+        }
     }
 }
 

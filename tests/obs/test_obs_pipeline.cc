@@ -11,6 +11,7 @@
  */
 
 #include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -132,6 +133,47 @@ TEST(ObsPipeline, TraceCarriesEventsFromEveryLayer)
         break;
     }
     EXPECT_TRUE(saw_operands) << "no placement instant recorded";
+
+    obs::resetAll();
+}
+
+TEST(ObsPipeline, SubMillisecondChunksShowNonZeroP50)
+{
+    obs::resetAll();
+    obs::setEnabled(true);
+
+    // Single-item calls run as one inline chunk; each spins ~20 µs on
+    // the tracer's clock, far below a millisecond.
+    constexpr double kSpinSeconds = 20e-6;
+    for (int call = 0; call < 16; ++call)
+        ThreadPool::global().parallelFor(1, [&](std::size_t, std::size_t) {
+            const double start = obs::Tracer::global().wallNow();
+            while (obs::Tracer::global().wallNow() - start < kSpinSeconds) {
+            }
+        });
+    obs::setEnabled(false);
+
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const obs::HistogramSnapshot snap =
+        reg.histogram("threadpool.chunk_us").snapshot();
+    EXPECT_EQ(snap.count, 16u);
+    EXPECT_GE(snap.p50, 20.0) << "chunk durations must be microseconds";
+
+    // The metrics table prints four decimals: in seconds this chunk
+    // would read 0.0000.  Columns: metric kind count value p50 ...
+    std::istringstream table(reg.summaryTable());
+    std::string line;
+    std::string p50_cell;
+    while (std::getline(table, line)) {
+        std::istringstream cells(line);
+        std::string name, kind, count, mean;
+        cells >> name >> kind >> count >> mean >> p50_cell;
+        if (name == "threadpool.chunk_us")
+            break;
+        p50_cell.clear();
+    }
+    ASSERT_FALSE(p50_cell.empty()) << "no threadpool.chunk_us row";
+    EXPECT_GT(std::stod(p50_cell), 0.0) << "p50 cell: " << p50_cell;
 
     obs::resetAll();
 }
