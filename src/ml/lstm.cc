@@ -17,6 +17,101 @@ namespace
 
 bool g_fusedKernels = true;
 
+/** One element of the fused gate pass: the gates, c_t and tanh(c_t). */
+struct GateCell
+{
+    double gi, gf, gg, go, cell, tanhCell;
+};
+
+/**
+ * Gates and cell update of hidden unit c of one row.  Per element the
+ * scalar op sequence is exactly the reference formulation:
+ * z = (zx + zh) + bias; gates through sigmoid/tanh;
+ * c = (f*c_prev) + (i*g).  The two gate loops below share this one
+ * copy of the math.
+ */
+[[gnu::always_inline]] inline GateCell
+gateCell(const double *__restrict za, const double *__restrict zb,
+         const double *__restrict bias, std::size_t hidden, std::size_t c,
+         double c_prev)
+{
+    const double zi = (za[c] + zb[c]) + bias[c];
+    const double zf = (za[hidden + c] + zb[hidden + c]) + bias[hidden + c];
+    const double zg =
+        (za[2 * hidden + c] + zb[2 * hidden + c]) + bias[2 * hidden + c];
+    const double zo =
+        (za[3 * hidden + c] + zb[3 * hidden + c]) + bias[3 * hidden + c];
+    const double gi = fastmath::sigmoid(zi);
+    const double gf = fastmath::sigmoid(zf);
+    const double gg = fastmath::tanh(zg);
+    const double go = fastmath::sigmoid(zo);
+    const double cell = (gf * c_prev) + (gi * gg);
+    return {gi, gf, gg, go, cell, fastmath::tanh(cell)};
+}
+
+/**
+ * Inference gate loop over `batch` rows: the cell state updates in
+ * place and h = o * tanh(c) lands in hidden_out.  za / zb are the
+ * (batch x 4*hidden) x*Wx and h*Wh products, cell / hidden_out
+ * (batch x hidden).  No cache store and no branch the compiler cannot
+ * if-convert, so both clones vectorize over c.
+ */
+ADRIAS_SCALAR_CLONES void
+gateRowsInference(const double *__restrict za, const double *__restrict zb,
+                  const double *__restrict bias, double *__restrict cell,
+                  double *__restrict hidden_out, std::size_t batch,
+                  std::size_t hidden)
+{
+    const std::size_t gate_width = 4 * hidden;
+    for (std::size_t r = 0; r < batch; ++r) {
+        const double *zar = za + r * gate_width;
+        const double *zbr = zb + r * gate_width;
+        double *crow = cell + r * hidden;
+        double *hrow = hidden_out + r * hidden;
+        for (std::size_t c = 0; c < hidden; ++c) {
+            const GateCell g = gateCell(zar, zbr, bias, hidden, c, crow[c]);
+            crow[c] = g.cell;
+            hrow[c] = g.go * g.tanhCell;
+        }
+    }
+}
+
+/**
+ * Training gate loop: gateRowsInference plus the caches backward
+ * consumes — the four gates (batch x 4*hidden, the z layout), c_t and
+ * tanh(c_t) (batch x hidden each).
+ */
+ADRIAS_SCALAR_CLONES void
+gateRowsTraining(const double *__restrict za, const double *__restrict zb,
+                 const double *__restrict bias, double *__restrict cell,
+                 double *__restrict hidden_out, double *__restrict gates,
+                 double *__restrict cell_cache,
+                 double *__restrict tanh_cache, std::size_t batch,
+                 std::size_t hidden)
+{
+    const std::size_t gate_width = 4 * hidden;
+    for (std::size_t r = 0; r < batch; ++r) {
+        const double *zar = za + r * gate_width;
+        const double *zbr = zb + r * gate_width;
+        double *crow = cell + r * hidden;
+        double *hrow = hidden_out + r * hidden;
+        double *grow = gates + r * gate_width;
+        double *ccrow = cell_cache + r * hidden;
+        double *tcrow = tanh_cache + r * hidden;
+        for (std::size_t c = 0; c < hidden; ++c) {
+            const GateCell g = gateCell(zar, zbr, bias, hidden, c, crow[c]);
+            crow[c] = g.cell;
+            hrow[c] = g.go * g.tanhCell;
+            grow[c] = g.gi;
+            grow[hidden + c] = g.gf;
+            grow[2 * hidden + c] = g.gg;
+            grow[3 * hidden + c] = g.go;
+            ccrow[c] = g.cell;
+            tcrow[c] = g.tanhCell;
+        }
+    }
+}
+
 } // namespace
 
 bool
@@ -152,64 +247,24 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
         const double *zb = wsZh.raw().data();
         double *cbuf = wsC.raw().data();
         double *hbuf = h_out.raw().data();
-        double *gatebuf = cache ? cache->gates.raw().data() : nullptr;
-        double *cellbuf = cache ? cache->cell.raw().data() : nullptr;
-        double *tcbuf = cache ? cache->tanhCell.raw().data() : nullptr;
-
-        // Vector tier (DESIGN.md §16): the inference-only gate loop
-        // has no cache writes, so it maps straight onto the 4-wide
-        // AVX2 gate kernel.  Tolerance-equivalent to the scalar loop
-        // below (FMA + vector transcendentals; ctest -L simd).
-        if (!keep_caches &&
-            effectiveKernelTier() == KernelTier::Vector) {
-            simd::lstmGateRows(za, zb, bias, cbuf, hbuf, 0, batch, hidden);
-            continue;
-        }
 
         // One fused pass replaces colRange+map per gate, two hadamard
-        // chains, and the cell/tanh temporaries.  Per element the
-        // scalar op sequence is exactly the reference formulation:
-        // z = (zx + zh) + bias; gates through sigmoid/tanh;
-        // c = (f*c_prev) + (i*g); h = o * tanh(c).
-        // All buffers are distinct allocations (workspaces, caches,
-        // output); __restrict lets the c loop vectorize without
-        // runtime alias checks.
-        const double *__restrict biasr = bias;
-        for (std::size_t r = 0; r < batch; ++r) {
-            const double *__restrict zar = za + r * gate_width;
-            const double *__restrict zbr = zb + r * gate_width;
-            double *__restrict crow = cbuf + r * hidden;
-            double *__restrict hrow = hbuf + r * hidden;
-            for (std::size_t c = 0; c < hidden; ++c) {
-                const double zi = (zar[c] + zbr[c]) + biasr[c];
-                const double zf =
-                    (zar[hidden + c] + zbr[hidden + c]) + biasr[hidden + c];
-                const double zg = (zar[2 * hidden + c] +
-                                   zbr[2 * hidden + c]) +
-                                  biasr[2 * hidden + c];
-                const double zo = (zar[3 * hidden + c] +
-                                   zbr[3 * hidden + c]) +
-                                  biasr[3 * hidden + c];
-                const double gi = fastmath::sigmoid(zi);
-                const double gf = fastmath::sigmoid(zf);
-                const double gg = fastmath::tanh(zg);
-                const double go = fastmath::sigmoid(zo);
-                const double fc = gf * crow[c];
-                const double ig = gi * gg;
-                const double cell = fc + ig;
-                const double tc = fastmath::tanh(cell);
-                crow[c] = cell;
-                hrow[c] = go * tc;
-                if (gatebuf) {
-                    double *__restrict grow = gatebuf + r * gate_width;
-                    grow[c] = gi;
-                    grow[hidden + c] = gf;
-                    grow[2 * hidden + c] = gg;
-                    grow[3 * hidden + c] = go;
-                    cellbuf[r * hidden + c] = cell;
-                    tcbuf[r * hidden + c] = tc;
-                }
-            }
+        // chains, and the cell/tanh temporaries (gateCell).  All
+        // buffers are distinct allocations (workspaces, caches,
+        // output), so the kernels' __restrict parameters hold.
+        if (cache) {
+            gateRowsTraining(za, zb, bias, cbuf, hbuf,
+                             cache->gates.raw().data(),
+                             cache->cell.raw().data(),
+                             cache->tanhCell.raw().data(), batch, hidden);
+        } else if (effectiveKernelTier() == KernelTier::Vector) {
+            // Vector tier (DESIGN.md §16): the same inference loop on
+            // the 4-wide AVX2+FMA gate kernel.  Tolerance-equivalent to
+            // the scalar loop (FMA + vector transcendentals;
+            // ctest -L simd).
+            simd::lstmGateRows(za, zb, bias, cbuf, hbuf, 0, batch, hidden);
+        } else {
+            gateRowsInference(za, zb, bias, cbuf, hbuf, batch, hidden);
         }
     }
     return outputs;

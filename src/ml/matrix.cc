@@ -26,7 +26,7 @@ namespace
  * quarter as often.  Any exact-zero lhs in the group falls back to the
  * single-k form so the sparsity skip stays element-exact.
  */
-inline void
+[[gnu::always_inline]] inline void
 accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
               const double *__restrict rhs, std::size_t inner,
               std::size_t width, double *__restrict out_row)
@@ -70,6 +70,72 @@ accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
         const double *rhs_row = &rhs[k * width];
         for (std::size_t j = 0; j < width; ++j)
             out_row[j] += l * rhs_row[j];
+    }
+}
+
+/**
+ * accumulateRow over `rows` output rows: lhs row i starts at
+ * lhs + i * lhs_row_stride and steps lhs_k_stride per k.  One call per
+ * GEMM, so the clone dispatch is paid once, not per row.
+ */
+ADRIAS_SCALAR_CLONES void
+accumulateRows(const double *__restrict lhs, std::size_t lhs_row_stride,
+               std::size_t lhs_k_stride, const double *__restrict rhs,
+               std::size_t rows, std::size_t inner, std::size_t width,
+               double *__restrict out)
+{
+    for (std::size_t i = 0; i < rows; ++i)
+        accumulateRow(lhs + i * lhs_row_stride, lhs_k_stride, rhs, inner,
+                      width, out + i * width);
+}
+
+/**
+ * out = lhs * rhs^T for lhs (rows x inner) and rhs (width x inner):
+ * every element is its own dot product, written once.
+ */
+ADRIAS_SCALAR_CLONES void
+dotRows(const double *__restrict lhs, const double *__restrict rhs,
+        std::size_t rows, std::size_t inner, std::size_t width,
+        double *__restrict out)
+{
+    for (std::size_t i = 0; i < rows; ++i) {
+        const double *lhs_row = &lhs[i * inner];
+        double *out_row = &out[i * width];
+        // Four output columns per pass, one accumulator each.  Every
+        // element still starts at +0.0 and adds lhs*rhs over k in
+        // increasing order with no zero skip, so it is bitwise the
+        // single-column dot product; the four add chains are
+        // independent, so they overlap instead of each add waiting on
+        // the one before it.
+        std::size_t j = 0;
+        for (; j + 3 < width; j += 4) {
+            const double *r0 = &rhs[j * inner];
+            const double *r1 = r0 + inner;
+            const double *r2 = r1 + inner;
+            const double *r3 = r2 + inner;
+            double acc0 = 0.0;
+            double acc1 = 0.0;
+            double acc2 = 0.0;
+            double acc3 = 0.0;
+            for (std::size_t k = 0; k < inner; ++k) {
+                const double l = lhs_row[k];
+                acc0 += l * r0[k];
+                acc1 += l * r1[k];
+                acc2 += l * r2[k];
+                acc3 += l * r3[k];
+            }
+            out_row[j] = acc0;
+            out_row[j + 1] = acc1;
+            out_row[j + 2] = acc2;
+            out_row[j + 3] = acc3;
+        }
+        for (; j < width; ++j) {
+            const double *rhs_row = &rhs[j * inner];
+            double acc = 0.0;
+            for (std::size_t k = 0; k < inner; ++k)
+                acc += lhs_row[k] * rhs_row[k];
+            out_row[j] = acc;
+        }
     }
 }
 
@@ -177,11 +243,10 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
         return;
     }
     // checkNoAlias guarantees the operands are distinct objects, so
-    // the __restrict in accumulateRow is sound and lets the j loop
+    // the __restrict in accumulateRows is sound and lets the j loop
     // vectorize without runtime alias checks.
-    for (std::size_t i = 0; i < nRows; ++i)
-        accumulateRow(data.data() + i * inner, 1, other.data.data(), inner,
-                      width, out.data.data() + i * width);
+    accumulateRows(data.data(), inner, 1, other.data.data(), nRows, inner,
+                   width, out.data.data());
 }
 
 Matrix
@@ -210,9 +275,8 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     // order as a k-outer loop — so per-sample gradient contributions
     // (k indexes the sample in backward passes) are summed in fixed
     // index order.
-    for (std::size_t i = 0; i < nCols; ++i)
-        accumulateRow(data.data() + i, nCols, other.data.data(), inner,
-                      width, out.data.data() + i * width);
+    accumulateRows(data.data(), 1, nCols, other.data.data(), nCols, inner,
+                   width, out.data.data());
 }
 
 Matrix
@@ -236,50 +300,8 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     // Every element is a local dot product written exactly once, so
     // stale destination contents can never leak into the result.
     out.resizeForOverwrite(nRows, other.nRows);
-    const std::size_t inner = nCols;
-    const std::size_t width = other.nRows;
-    const double *__restrict lhs_data = data.data();
-    const double *__restrict rhs_data = other.data.data();
-    double *__restrict out_data = out.data.data();
-    for (std::size_t i = 0; i < nRows; ++i) {
-        const double *lhs_row = &lhs_data[i * inner];
-        double *out_row = &out_data[i * width];
-        // Four output columns per pass, one accumulator each.  Every
-        // element still starts at +0.0 and adds lhs*rhs over k in
-        // increasing order with no zero skip, so it is bitwise the
-        // single-column dot product; the four add chains are
-        // independent, so they overlap instead of each add waiting on
-        // the one before it.
-        std::size_t j = 0;
-        for (; j + 3 < width; j += 4) {
-            const double *r0 = &rhs_data[j * inner];
-            const double *r1 = r0 + inner;
-            const double *r2 = r1 + inner;
-            const double *r3 = r2 + inner;
-            double acc0 = 0.0;
-            double acc1 = 0.0;
-            double acc2 = 0.0;
-            double acc3 = 0.0;
-            for (std::size_t k = 0; k < inner; ++k) {
-                const double lhs = lhs_row[k];
-                acc0 += lhs * r0[k];
-                acc1 += lhs * r1[k];
-                acc2 += lhs * r2[k];
-                acc3 += lhs * r3[k];
-            }
-            out_row[j] = acc0;
-            out_row[j + 1] = acc1;
-            out_row[j + 2] = acc2;
-            out_row[j + 3] = acc3;
-        }
-        for (; j < width; ++j) {
-            const double *rhs_row = &rhs_data[j * inner];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < inner; ++k)
-                acc += lhs_row[k] * rhs_row[k];
-            out_row[j] = acc;
-        }
-    }
+    dotRows(data.data(), other.data.data(), nRows, nCols, other.nRows,
+            out.data.data());
 }
 
 Matrix

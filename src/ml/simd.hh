@@ -8,6 +8,11 @@
  *    kernels in matrix.cc / lstm.cc / fastmath.hh.  Golden tests,
  *    checkpoints and training all stand on this tier; its results are
  *    reproducible bit for bit across machines and thread counts.
+ *    Its hot loops are built twice from one source
+ *    (ADRIAS_SCALAR_CLONES below): a baseline body and an AVX2 body
+ *    without FMA, one of which the loader's ifunc resolver binds for
+ *    the whole process.  Both run the same IEEE operations in the same
+ *    order, so they return the same bits (DESIGN.md §11.1).
  *
  *  - KernelTier::Vector: AVX2+FMA batch kernels (simd_kernels.cc)
  *    for the transcendentals, the GEMM and the fused LSTM gate loop.
@@ -50,6 +55,39 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+
+#if !defined(ADRIAS_SIMD_ENABLED)
+#define ADRIAS_SIMD_ENABLED 1
+#endif
+
+/** 1 when the AVX2 code paths are compiled: -DADRIAS_SIMD=ON, x86-64,
+ *  GCC or Clang. */
+#if ADRIAS_SIMD_ENABLED && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define ADRIAS_SIMD_X86 1
+#else
+#define ADRIAS_SIMD_X86 0
+#endif
+
+/**
+ * Marks a scalar-tier kernel (a whole loop nest, so the indirect call
+ * is paid once per kernel call, not per row) to be compiled twice from
+ * the same source: the baseline ISA and AVX2 *without* FMA, chosen at
+ * load time by an ifunc resolver.  The AVX2 body may only widen the
+ * loops to 4 lanes: with no FMA there is nothing to contract a mul+add
+ * into, and the translation units that use it build with
+ * -ffp-contract=off and without -ffast-math, so no operation is fused
+ * or reassociated and both bodies return the same bits.  The
+ * `isa-clones` lint rule keeps the clone list at "avx2" and "default".
+ * Without the AVX2 paths (-DADRIAS_SIMD=OFF, non-x86) only the
+ * baseline body is built.
+ */
+#if ADRIAS_SIMD_X86
+#define ADRIAS_SCALAR_CLONES \
+    __attribute__((target_clones("avx2", "default")))
+#else
+#define ADRIAS_SCALAR_CLONES
+#endif
 
 namespace adrias::ml
 {

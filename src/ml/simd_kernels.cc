@@ -39,17 +39,6 @@
 #include "common/logging.hh"
 #include "ml/fastmath.hh"
 
-#if !defined(ADRIAS_SIMD_ENABLED)
-#define ADRIAS_SIMD_ENABLED 1
-#endif
-
-#if ADRIAS_SIMD_ENABLED && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ADRIAS_SIMD_X86 1
-#else
-#define ADRIAS_SIMD_X86 0
-#endif
-
 #if ADRIAS_SIMD_X86
 #include <immintrin.h>
 #endif

@@ -75,8 +75,9 @@ completionRecord(const WorkloadInstance &done, SimTime now,
     record.completion = now + 1;
     record.execTimeSec = done.executionTimeSec();
     if (record.cls == WorkloadClass::LatencyCritical) {
-        record.p99Ms = done.tailLatencyMs(0.99);
-        record.p999Ms = done.tailLatencyMs(0.999);
+        const std::vector<double> tail = done.tailLatenciesMs({0.99, 0.999});
+        record.p99Ms = tail[0];
+        record.p999Ms = tail[1];
         record.meanLatencyMs = done.meanLatencyMs();
     }
     record.meanSlowdown = done.meanSlowdown();

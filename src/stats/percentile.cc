@@ -9,32 +9,76 @@
 namespace adrias::stats
 {
 
-double
-quantile(std::vector<double> values, double q)
+std::vector<double>
+quantiles(std::vector<double> values, std::initializer_list<double> qs)
 {
     // Validate q before the empty-sample early-out so a caller bug is
     // reported even when there happens to be no data yet.  The NaN
     // check must be explicit: NaN compares false against both bounds,
     // and would otherwise flow into the floor/size_t cast below —
     // undefined behaviour, not merely a wrong answer.
-    if (!(q >= 0.0 && q <= 1.0))
-        fatal("quantile: q must lie in [0, 1]");
-    if (values.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    std::sort(values.begin(), values.end());
-    if (values.size() == 1)
-        return values.front();
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(pos));
-    const auto hi = static_cast<std::size_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
+    double prev = 0.0;
+    for (double q : qs) {
+        if (!(q >= 0.0 && q <= 1.0))
+            fatal("quantile: q must lie in [0, 1]");
+        if (q < prev)
+            fatal("quantiles: q values must be ascending");
+        prev = q;
+    }
+    std::vector<double> out;
+    out.reserve(qs.size());
+    if (values.empty()) {
+        out.assign(qs.size(), std::numeric_limits<double>::quiet_NaN());
+        return out;
+    }
+    if (values.size() == 1) {
+        out.assign(qs.size(), values.front());
+        return out;
+    }
+    // Selection instead of a sort: values[lo] is the lo-th order
+    // statistic after nth_element, and the (lo+1)-th is the smallest
+    // element above it.  Each later q selects only among the elements
+    // above the previous lo, since the qs are ascending.
+    const auto first = values.begin();
+    std::size_t from = 0;
+    for (double q : qs) {
+        const double pos = q * static_cast<double>(values.size() - 1);
+        const auto lo = static_cast<std::size_t>(std::floor(pos));
+        const auto hi = static_cast<std::size_t>(std::ceil(pos));
+        const double frac = pos - static_cast<double>(lo);
+        if (lo >= from) {
+            std::nth_element(first + static_cast<std::ptrdiff_t>(from),
+                             first + static_cast<std::ptrdiff_t>(lo),
+                             values.end());
+            from = lo + 1;
+        }
+        const double at_lo = values[lo];
+        const double at_hi =
+            hi == lo ? at_lo
+                     : *std::min_element(
+                           first + static_cast<std::ptrdiff_t>(lo + 1),
+                           values.end());
+        out.push_back(at_lo + frac * (at_hi - at_lo));
+    }
+    return out;
+}
+
+double
+quantile(std::vector<double> values, double q)
+{
+    return quantiles(std::move(values), {q}).front();
 }
 
 double
 PercentileTracker::quantile(double q) const
 {
     return stats::quantile(samples, q);
+}
+
+std::vector<double>
+PercentileTracker::quantiles(std::initializer_list<double> qs) const
+{
+    return stats::quantiles(samples, qs);
 }
 
 double

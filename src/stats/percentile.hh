@@ -12,6 +12,7 @@
 #define ADRIAS_STATS_PERCENTILE_HH
 
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 #include "common/rng.hh"
@@ -23,13 +24,31 @@ namespace adrias::stats
  * Compute the q-quantile of a sample by linear interpolation
  * (type-7, the numpy/R default).
  *
- * @param values sample (copied and sorted internally).
+ * O(n): the two order statistics the interpolation needs are found by
+ * selection (std::nth_element, then the minimum above it), not by a
+ * sort.  The result is bitwise the one a full sort gives, with one
+ * caveat: elements that compare equal but differ in bits — +0.0 and
+ * -0.0 — may land in either order, so a sample holding both zeros can
+ * return the other zero's sign.  NaN elements have no defined order,
+ * with a sort or without.
+ *
+ * @param values sample (copied and partially reordered internally).
  * @param q quantile in [0, 1]; e.g. 0.99 for the 99th percentile.
  *        Anything outside the closed interval — including NaN — is a
  *        caller bug and throws (fatal), even for an empty sample.
  * @return interpolated quantile; NaN for an empty sample.
  */
 double quantile(std::vector<double> values, double q);
+
+/**
+ * quantile() at each of `qs` from one copy of the sample: each q
+ * selects only among the elements above the previous one's position.
+ *
+ * @param qs quantiles in [0, 1], ascending; anything else is fatal.
+ * @return one result per q, in order; NaN each for an empty sample.
+ */
+std::vector<double> quantiles(std::vector<double> values,
+                              std::initializer_list<double> qs);
 
 /** Exact percentile tracker that retains all observations. */
 class PercentileTracker
@@ -40,6 +59,9 @@ class PercentileTracker
 
     /** @return the q-quantile of everything recorded so far. */
     double quantile(double q) const;
+
+    /** @return stats::quantiles() of everything recorded so far. */
+    std::vector<double> quantiles(std::initializer_list<double> qs) const;
 
     /** @return number of recorded observations. */
     std::size_t count() const { return samples.size(); }

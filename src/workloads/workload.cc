@@ -266,6 +266,13 @@ WorkloadInstance::tailLatencyMs(double q) const
     return latencies.quantile(q);
 }
 
+std::vector<double>
+WorkloadInstance::tailLatenciesMs(std::initializer_list<double> qs) const
+{
+    MutexLock lock(mu);
+    return latencies.quantiles(qs);
+}
+
 double
 WorkloadInstance::meanLatencyMs() const
 {

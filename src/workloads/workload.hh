@@ -105,6 +105,11 @@ class WorkloadInstance
     /** LC: tail latency of all sampled requests so far, ms. */
     double tailLatencyMs(double q) const ADRIAS_EXCLUDES(mu);
 
+    /** LC: tailLatencyMs at each of the ascending `qs`, from one copy
+     *  of the samples. */
+    std::vector<double> tailLatenciesMs(std::initializer_list<double> qs) const
+        ADRIAS_EXCLUDES(mu);
+
     /** LC: mean request latency, ms. */
     double meanLatencyMs() const ADRIAS_EXCLUDES(mu);
 

@@ -25,7 +25,13 @@ slurp(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path = ::testing::TempDir() + "adrias_csv_test.csv";
+    // One file per test: ctest runs every discovered test in its own
+    // process, in parallel under -j, so a shared name lets one test's
+    // TearDown delete or overwrite another's file mid-test.
+    std::string path =
+        ::testing::TempDir() + "adrias_csv_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path.c_str()); }
 };

@@ -47,7 +47,7 @@ linesOf(const std::vector<Finding> &findings, const std::string &rule)
 TEST(LintRules, EveryRuleHasMetadata)
 {
     const auto &rules = adrias::lint::rules();
-    ASSERT_EQ(rules.size(), 10u);
+    ASSERT_EQ(rules.size(), 11u);
     std::vector<std::string> ids;
     for (const auto &rule : rules) {
         EXPECT_FALSE(rule.description.empty()) << rule.id;
@@ -57,7 +57,7 @@ TEST(LintRules, EveryRuleHasMetadata)
          {"raw-rand", "wall-clock", "unordered-container",
           "nodiscard-result", "float-equal", "iostream-include",
           "raw-ofstream", "raw-thread", "raw-intrinsics",
-          "kernel-tier"}) {
+          "kernel-tier", "isa-clones"}) {
         EXPECT_NE(std::find(ids.begin(), ids.end(), expected),
                   ids.end())
             << expected;
@@ -224,6 +224,37 @@ TEST(LintScopes, KernelTierNotEnforcedOutsideSrc)
                             "kernel-tier")
                         .empty())
             << label;
+}
+
+TEST(LintRules, IsaClonesFixture)
+{
+    // Outside src/ml every attribute and pragma spelling is flagged
+    // (5, 12-15); the variable named target (17) is not an attribute,
+    // and the NOLINTNEXTLINE(isa-clones) on line 18 waives line 19.
+    EXPECT_EQ(linesOf(lintFile(fixture("bad_isa_clones.cc"),
+                               "src/core/bad_isa_clones.cc"),
+                      "isa-clones"),
+              (std::vector<std::size_t>{5, 12, 13, 14, 15}));
+}
+
+TEST(LintScopes, IsaClonesScalarKernelsNameOnlyAvx2AndDefault)
+{
+    const std::string bad = fixture("bad_isa_clones.cc");
+    // The scalar-tier kernels and the rest of ml/simd* may clone for
+    // "avx2" and "default", but not for fma (12, 15) or an arch (13).
+    for (const char *label : {"src/ml/matrix.cc", "src/ml/lstm.cc",
+                              "src/ml/simd.hh", "src/ml/simd.cc"})
+        EXPECT_EQ(linesOf(lintFile(bad, label), "isa-clones"),
+                  (std::vector<std::size_t>{12, 13, 15}))
+            << label;
+    // The vector tier's bodies target avx2+fma on purpose.
+    EXPECT_TRUE(
+        linesOf(lintFile(bad, "src/ml/simd_kernels.cc"), "isa-clones")
+            .empty());
+    // Tests and benches are out of scope.
+    EXPECT_TRUE(
+        linesOf(lintFile(bad, "tests/ml/bad_isa_clones.cc"), "isa-clones")
+            .empty());
 }
 
 TEST(LintScopes, ThreadPoolImplementationIsExempt)

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hh"
 #include "stats/percentile.hh"
@@ -131,6 +136,101 @@ TEST(Quantile, RejectsOutOfRangeQ)
 {
     EXPECT_THROW(quantile({1.0}, -0.1), std::runtime_error);
     EXPECT_THROW(quantile({1.0}, 1.1), std::runtime_error);
+}
+
+/** Type-7 by a full sort: the oracle the selection must match. */
+double
+sortedQuantile(std::vector<double> values, double q)
+{
+    if (values.empty())
+        return std::numeric_limits<double>::quiet_NaN();
+    std::sort(values.begin(), values.end());
+    if (values.size() == 1)
+        return values.front();
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(pos));
+    const auto hi = static_cast<std::size_t>(std::ceil(pos));
+    const double frac = pos - static_cast<double>(lo);
+    return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(Quantile, SelectionMatchesSortOracleBitwise)
+{
+    Rng rng(2026);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 64; ++n)
+        sizes.push_back(n);
+    for (std::size_t n : {100, 127, 128, 999, 1000, 1001, 4096, 7000, 8999,
+                          9000})
+        sizes.push_back(n);
+    for (int i = 0; i < 16; ++i)
+        sizes.push_back(static_cast<std::size_t>(rng.uniformInt(65, 9000)));
+
+    for (std::size_t n : sizes) {
+        // 0: latency-like lognormal; 1: few distinct values (ties
+        // everywhere); 2: ties plus ±inf and +0 (no signed-zero ties).
+        for (int shape = 0; shape < 3; ++shape) {
+            std::vector<double> values(n);
+            for (double &v : values) {
+                if (shape == 0) {
+                    v = std::exp(rng.gaussian(1.0, 0.8));
+                } else {
+                    v = static_cast<double>(rng.uniformInt(-3, 3)) * 0.5;
+                    if (shape == 2 && rng.uniform() < 0.05)
+                        v = rng.uniform() < 0.5
+                                ? std::numeric_limits<double>::infinity()
+                                : -std::numeric_limits<double>::infinity();
+                }
+            }
+            std::vector<double> qs{0.0, 0.5, 0.99, 0.999, 1.0, rng.uniform(),
+                                   rng.uniform()};
+            const std::string what =
+                "n=" + std::to_string(n) + " shape=" + std::to_string(shape);
+            for (double q : qs) {
+                ASSERT_EQ(bitsOf(quantile(values, q)),
+                          bitsOf(sortedQuantile(values, q)))
+                    << what << " q=" << q;
+            }
+            std::sort(qs.begin(), qs.end());
+            const std::vector<double> all = quantiles(
+                values, {qs[0], qs[1], qs[2], qs[3], qs[4], qs[5], qs[6]});
+            for (std::size_t i = 0; i < qs.size(); ++i) {
+                ASSERT_EQ(bitsOf(all[i]),
+                          bitsOf(sortedQuantile(values, qs[i])))
+                    << what << " batched q=" << qs[i];
+            }
+        }
+    }
+}
+
+TEST(Quantile, BatchedQuantilesValidateLikeQuantile)
+{
+    const std::vector<double> sample{1.0, 2.0, 3.0};
+    EXPECT_THROW(quantiles(sample, {0.999, 0.99}), std::runtime_error);
+    EXPECT_THROW(quantiles(sample, {0.5, std::nan("")}), std::runtime_error);
+    EXPECT_THROW(quantiles({}, {0.5, 1.5}), std::runtime_error);
+    const std::vector<double> empty = quantiles({}, {0.99, 0.999});
+    ASSERT_EQ(empty.size(), 2u);
+    EXPECT_TRUE(std::isnan(empty[0]) && std::isnan(empty[1]));
+    // A repeated q is ascending and selects nothing new.
+    EXPECT_EQ(quantiles(sample, {0.5, 0.5}), (std::vector<double>{2.0, 2.0}));
+}
+
+TEST(PercentileTracker, QuantilesMatchQuantile)
+{
+    PercentileTracker t;
+    Rng rng(77);
+    for (int i = 0; i < 7000; ++i)
+        t.add(rng.uniform(0.5, 40.0));
+    const std::vector<double> tail = t.quantiles({0.99, 0.999});
+    EXPECT_EQ(bitsOf(tail[0]), bitsOf(t.quantile(0.99)));
+    EXPECT_EQ(bitsOf(tail[1]), bitsOf(t.quantile(0.999)));
 }
 
 TEST(PercentileTracker, TracksCountMeanQuantile)

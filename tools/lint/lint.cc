@@ -101,6 +101,27 @@ mayReadKernelTier(const std::string &label)
            label == "src/ml/matrix.cc" || label == "src/ml/lstm.cc";
 }
 
+bool
+inIsaClonesScope(const std::string &label)
+{
+    return startsWith(label, "src/");
+}
+
+/** The scalar-tier kernels (clones) and the vector tier (targets). */
+bool
+mayUseIsaAttributes(const std::string &label)
+{
+    return startsWith(label, "src/ml/simd") ||
+           label == "src/ml/matrix.cc" || label == "src/ml/lstm.cc";
+}
+
+/** Only the vector tier's own bodies may ask for FMA and the like. */
+bool
+mayNameAnyIsa(const std::string &label)
+{
+    return label == "src/ml/simd_kernels.cc";
+}
+
 /** Only the training entry points pin a tier (to Scalar). */
 bool
 mayPinKernelTier(const std::string &label)
@@ -702,6 +723,104 @@ checkKernelTier(const std::string &label,
     }
 }
 
+/**
+ * The string literals inside the parenthesized argument list that
+ * opens at raw_lines[line][col] (continuing onto later lines until the
+ * parentheses balance), e.g. {"avx2", "default"}.
+ */
+std::vector<std::string>
+attributeStrings(const std::vector<std::string> &raw_lines,
+                 std::size_t line, std::size_t col)
+{
+    std::vector<std::string> strings;
+    int depth = 0;
+    for (std::size_t l = line; l < raw_lines.size(); ++l) {
+        const std::string &text = raw_lines[l];
+        for (std::size_t i = l == line ? col : 0; i < text.size(); ++i) {
+            const char c = text[i];
+            if (c == '"') {
+                std::string value;
+                for (++i; i < text.size() && text[i] != '"'; ++i)
+                    value += text[i];
+                strings.push_back(value);
+            } else if (c == '(') {
+                ++depth;
+            } else if (c == ')' && --depth == 0) {
+                return strings;
+            }
+        }
+    }
+    return strings;
+}
+
+/** The first name in `literals` other than "avx2" / "default", or "". */
+std::string
+forbiddenIsa(const std::vector<std::string> &literals)
+{
+    for (const std::string &literal : literals) {
+        std::stringstream items(literal);
+        std::string item;
+        while (std::getline(items, item, ',')) {
+            item = trimmed(item);
+            if (item != "avx2" && item != "default")
+                return item;
+        }
+    }
+    return "";
+}
+
+void
+checkIsaClones(const std::string &label, const Suppressions &nolint,
+               const std::vector<std::string> &raw,
+               const std::vector<std::string> &stripped,
+               std::vector<Finding> &findings)
+{
+    static const std::set<std::string> kIsaAttributes = {
+        "target", "__target__", "target_clones", "__target_clones__"};
+    const bool may_use = mayUseIsaAttributes(label);
+    const bool any_isa = mayNameAnyIsa(label);
+    for (std::size_t i = 0; i < stripped.size(); ++i) {
+        const std::string &line = stripped[i];
+        for (const auto &[id, col] : identifiersIn(line)) {
+            if (!kIsaAttributes.count(id))
+                continue;
+            const std::size_t open = line.find_first_not_of(
+                " \t", col + id.size());
+            if (open == std::string::npos || line[open] != '(')
+                continue;
+            // Only attribute and pragma spellings: a variable or call
+            // named `target(...)` is not an ISA request.
+            const std::string before = line.substr(0, col);
+            if (before.find("__attribute__") == std::string::npos &&
+                before.find("gnu::") == std::string::npos &&
+                trimmed(line).rfind("#pragma", 0) != 0)
+                continue;
+            std::string detail;
+            if (!may_use) {
+                detail = "'" + id +
+                         "': per-function ISA selection lives only in "
+                         "the scalar-tier kernels (ml/matrix.cc, "
+                         "ml/lstm.cc) and the vector tier (ml/simd*)";
+            } else if (!any_isa) {
+                const std::string isa =
+                    forbiddenIsa(attributeStrings(raw, i, open));
+                if (!isa.empty())
+                    detail = "'" + id + "' names \"" + isa +
+                             "\": scalar-tier clones may only be "
+                             "\"avx2\" and \"default\"; FMA or an "
+                             "arch= target would let the compiler "
+                             "contract mul+add and break bitwise "
+                             "results";
+            }
+            if (!detail.empty() && !nolint.suppressed(i, "isa-clones")) {
+                findings.push_back(
+                    {label, i + 1, "isa-clones", std::move(detail)});
+                break;
+            }
+        }
+    }
+}
+
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -739,6 +858,10 @@ rules()
          "ml/{matrix,lstm}.cc and ml/simd*, and "
          "ScopedKernelTier/setKernelTier appear only in ml/simd* and "
          "the two model training entry points"},
+        {"isa-clones",
+         "in src, target/target_clones attributes appear only in "
+         "ml/{matrix,lstm}.cc and ml/simd*, and outside "
+         "ml/simd_kernels.cc name only \"avx2\" and \"default\""},
     };
     return kRules;
 }
@@ -772,6 +895,8 @@ lintContent(const std::string &label, const std::string &content)
         checkRawIntrinsics(label, nolint, stripped, findings);
     if (inKernelTierScope(label))
         checkKernelTier(label, nolint, stripped, findings);
+    if (inIsaClonesScope(label))
+        checkIsaClones(label, nolint, raw, stripped, findings);
 
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding &a, const Finding &b) {

@@ -37,6 +37,13 @@
  *                        in ml/simd* and the two model training entry
  *                        points (models/{system_state,performance}.cc)
  *                        — src/ml alone picks the kernel.
+ *   isa-clones           in src/, target(...) / target_clones(...)
+ *                        attributes (and #pragma ... target) appear
+ *                        only in ml/{matrix,lstm}.cc and ml/simd*;
+ *                        outside ml/simd_kernels.cc they name only
+ *                        "avx2" and "default", so no clone of a
+ *                        bitwise scalar kernel can contract mul+add
+ *                        into FMA.
  *
  * nodiscard-result covers src/ headers and, in .cc files, file-local
  * (static or anonymous-namespace) function declarations — local
