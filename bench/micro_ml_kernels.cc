@@ -1,7 +1,7 @@
 /**
  * @file
- * Micro-benchmarks for the deep-learning kernels: matmul (scalar and
- * vector tier), LSTM forward in training / inference / reference
+ * Micro-benchmarks for the deep-learning kernels: matmul, the two
+ * backward GEMMs, LSTM forward in training / inference / reference
  * mode, LSTM train step fused vs reference, head forward.  Not a paper
  * figure — establishes the substrate's throughput envelope and feeds
  * the perf-regression gate (tools/bench_compare against the checked-in
@@ -10,18 +10,16 @@
  * The summary block records before/after pairs measured in this run
  * only: fused-vs-reference speedups (the reference path keeps the
  * original matrix-algebra formulation but shares the GEMM and
- * transcendental substrate) and vector-vs-scalar tier speedups.
+ * transcendental substrate).
  */
 
 #include <vector>
 
 #include "bench/microbench.hh"
 #include "common/rng.hh"
-#include "ml/fastmath.hh"
 #include "ml/loss.hh"
 #include "ml/lstm.hh"
 #include "ml/sequential.hh"
-#include "ml/simd.hh"
 
 namespace
 {
@@ -51,17 +49,14 @@ randomSequence(std::size_t steps, std::size_t batch, std::size_t cols,
 }
 
 Result
-benchMatmul(std::size_t n, ml::KernelTier tier = ml::KernelTier::Scalar)
+benchMatmul(std::size_t n)
 {
     Rng rng(1);
     const ml::Matrix a = randomMatrix(n, n, rng);
     const ml::Matrix b = randomMatrix(n, n, rng);
-    const ml::ScopedKernelTier tier_pin(tier);
     ml::Matrix out;
-    return bench::micro::measure(
-        "matmul_" + std::to_string(n) +
-            (tier == ml::KernelTier::Vector ? "_vector" : ""),
-        [&] { a.matmulInto(b, out); });
+    return bench::micro::measure("matmul_" + std::to_string(n),
+                                 [&] { a.matmulInto(b, out); });
 }
 
 /**
@@ -91,37 +86,10 @@ benchGemmXtDz()
                                  [&] { x.transposedMatmulInto(dz, out); });
 }
 
-/** Batch transcendental throughput: one tanh sweep over n doubles. */
-Result
-benchTanhBatch(std::size_t n, ml::KernelTier tier)
-{
-    Rng rng(5);
-    std::vector<double> x(n);
-    std::vector<double> out(n);
-    for (double &v : x)
-        v = rng.gaussian() * 4.0;
-    // The simd:: entry points are vector-only: the scalar row (and the
-    // vector row on a host without the tier) sweeps fastmath::tanh.
-    const bool vector =
-        tier == ml::KernelTier::Vector && ml::vectorTierAvailable();
-    return bench::micro::measure(
-        "tanh_batch_" + std::to_string(n) +
-            (tier == ml::KernelTier::Vector ? "_vector" : ""),
-        [&] {
-            if (vector) {
-                ml::simd::tanhBatch(x.data(), out.data(), n);
-                return;
-            }
-            for (std::size_t i = 0; i < n; ++i)
-                out[i] = ml::fastmath::tanh(x[i]);
-        });
-}
-
 /** LSTM forward at the Predictor's shape; mode selects the path. */
 Result
 benchLstmForward(const std::string &name, std::size_t batch, bool fused,
-                 bool inference,
-                 ml::KernelTier tier = ml::KernelTier::Scalar)
+                 bool inference)
 {
     Rng rng(2);
     constexpr std::size_t kHidden = 24;
@@ -133,7 +101,6 @@ benchLstmForward(const std::string &name, std::size_t batch, bool fused,
     const bool saved_fused = ml::lstmFusedKernels();
     ml::setLstmFusedKernels(fused);
     lstm.setInference(inference);
-    const ml::ScopedKernelTier tier_pin(tier);
     auto result = bench::micro::measure(
         name, [&] { lstm.forwardSequence(seq); });
     ml::setLstmFusedKernels(saved_fused);
@@ -206,23 +173,10 @@ main()
     results.push_back(benchMatmul(128));
     results.push_back(benchMatmul(384));
 
-    // Vector-tier rows are always emitted so the regression gate can
-    // compare against the baseline on any machine: when AVX2 is
-    // unavailable (or -DADRIAS_SIMD=OFF), the tier falls back to the
-    // scalar kernels and the rows simply mirror their scalar twins.
-    results.push_back(benchMatmul(384, ml::KernelTier::Vector));
-    results.push_back(
-        benchTanhBatch(8192, ml::KernelTier::Scalar));
-    results.push_back(
-        benchTanhBatch(8192, ml::KernelTier::Vector));
-
     results.push_back(benchLstmForward("lstm_forward_train_h24_b32", 32,
                                        true, false));
     results.push_back(benchLstmForward("lstm_forward_infer_h24_b32", 32,
                                        true, true));
-    results.push_back(
-        benchLstmForward("lstm_forward_infer_h24_b32_vector", 32, true,
-                         true, ml::KernelTier::Vector));
     results.push_back(benchLstmForward("lstm_forward_reference_h24_b32",
                                        32, false, false));
     results.push_back(
@@ -261,16 +215,6 @@ main()
         {"lstm_train_step_b32",
          median("lstm_train_step_reference_h24_b32"),
          median("lstm_train_step_h24_b32")},
-        // Vector tier vs the fused scalar path on the same build and
-        // run — the perf acceptance bars for the SIMD tier (DESIGN.md
-        // §16).  On machines without AVX2 these report ~1.0×.
-        {"matmul_384_vector_vs_scalar", median("matmul_384"),
-         median("matmul_384_vector")},
-        {"lstm_forward_infer_b32_vector_vs_scalar",
-         median("lstm_forward_infer_h24_b32"),
-         median("lstm_forward_infer_h24_b32_vector")},
-        {"tanh_batch_8192_vector_vs_scalar", median("tanh_batch_8192"),
-         median("tanh_batch_8192_vector")},
     };
 
     bench::micro::printResults("ml_kernels", results, summary);

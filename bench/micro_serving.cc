@@ -21,7 +21,6 @@
 #include "bench/microbench.hh"
 #include "common/logging.hh"
 #include "core/adrias.hh"
-#include "ml/simd.hh"
 #include "serving/decision_service.hh"
 #include "stats/percentile.hh"
 #include "telemetry/watcher.hh"
@@ -113,18 +112,15 @@ main()
         return service;
     };
 
-    const auto serveAll =
-        [&](std::size_t batch_size,
-            ml::KernelTier tier = ml::KernelTier::Scalar) {
-            const ml::ScopedKernelTier tier_pin(tier);
-            const auto service = makeService(batch_size);
-            for (const auto &request : trace)
-                if (!service->submit(request))
-                    fatal("micro_serving: unexpected back-pressure");
-            const auto decisions = service->drain(0);
-            if (decisions.size() != trace.size())
-                fatal("micro_serving: lost decisions");
-        };
+    const auto serveAll = [&](std::size_t batch_size) {
+        const auto service = makeService(batch_size);
+        for (const auto &request : trace)
+            if (!service->submit(request))
+                fatal("micro_serving: unexpected back-pressure");
+        const auto decisions = service->drain(0);
+        if (decisions.size() != trace.size())
+            fatal("micro_serving: lost decisions");
+    };
 
     // This bench moves thousands of LSTM forwards per iteration, so a
     // smaller default sample than the harness-wide 30 keeps the smoke
@@ -139,20 +135,12 @@ main()
     results.push_back(bench::micro::measure(
         "serve_decisions_inline", [&] { serveAll(1); }, iters,
         warmup));
-    // Vector tier pinned around the whole serve — always emitted so the
-    // regression gate finds the row; without AVX2 the tier degrades to
-    // scalar and the row mirrors b32.
-    results.push_back(bench::micro::measure(
-        "serve_decisions_b32_vector",
-        [&] { serveAll(32, ml::KernelTier::Vector); }, iters,
-        warmup));
 
     // Wall-clock per-decision latency under b32: feed the daemon in
     // batch-sized waves and charge every decision in a wave the wall
     // time of the drain that decided it.
     {
         using Clock = std::chrono::steady_clock;
-        const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
         const auto service = makeService(32);
         std::vector<double> latencies_ns;
         latencies_ns.reserve(trace.size());
@@ -186,26 +174,20 @@ main()
 
     const double batched_ns = results[0].medianNs;
     const double inline_ns = results[1].medianNs;
-    const double vector_ns = results[2].medianNs;
     std::vector<bench::micro::Speedup> summary;
     summary.push_back({"batched_vs_inline", inline_ns, batched_ns});
-    summary.push_back({"b32_vector_vs_scalar", batched_ns, vector_ns});
 
     bench::micro::printResults("serving", results, summary);
     const double batched_dps =
         static_cast<double>(requests) / (batched_ns * 1e-9);
     const double inline_dps =
         static_cast<double>(requests) / (inline_ns * 1e-9);
-    const double vector_dps =
-        static_cast<double>(requests) / (vector_ns * 1e-9);
     std::printf("  %-36s %12.0f decisions/s\n", "throughput_b32",
                 batched_dps);
     std::printf("  %-36s %12.0f decisions/s\n", "throughput_inline",
                 inline_dps);
-    std::printf("  %-36s %12.0f decisions/s\n", "throughput_b32_vector",
-                vector_dps);
     std::printf("  %-36s %12.2f ms\n", "decision_p99_b32",
-                results[3].medianNs * 1e-6);
+                results[2].medianNs * 1e-6);
 
     bench::micro::writeJson(bench::micro::jsonPath("BENCH_serving.json"),
                             "serving", results, summary);

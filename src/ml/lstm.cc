@@ -257,12 +257,6 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
                              cache->gates.raw().data(),
                              cache->cell.raw().data(),
                              cache->tanhCell.raw().data(), batch, hidden);
-        } else if (effectiveKernelTier() == KernelTier::Vector) {
-            // Vector tier (DESIGN.md §16): the same inference loop on
-            // the 4-wide AVX2+FMA gate kernel.  Tolerance-equivalent to
-            // the scalar loop (FMA + vector transcendentals;
-            // ctest -L simd).
-            simd::lstmGateRows(za, zb, bias, cbuf, hbuf, 0, batch, hidden);
         } else {
             gateRowsInference(za, zb, bias, cbuf, hbuf, batch, hidden);
         }

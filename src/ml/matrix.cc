@@ -233,15 +233,6 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     const std::size_t width = other.nCols;
     // Each output row accumulates over k in fixed index order; i-k-j
     // loop order keeps the inner loop contiguous in both inputs.
-    if (effectiveKernelTier() == KernelTier::Vector) {
-        // Vector tier (DESIGN.md §16): register-blocked AVX2 FMA rows.
-        // Same per-element increasing-k order, but FMA contraction and
-        // the dropped exact-zero skip make it tolerance-equivalent to
-        // the scalar kernel below, not bitwise (ctest -L simd).
-        simd::gemmRows(data.data(), other.data.data(), out.data.data(),
-                       0, nRows, inner, width);
-        return;
-    }
     // checkNoAlias guarantees the operands are distinct objects, so
     // the __restrict in accumulateRows is sound and lets the j loop
     // vectorize without runtime alias checks.

@@ -12,7 +12,6 @@
 #include "common/logging.hh"
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
-#include "ml/simd.hh"
 #include "models/batching.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
@@ -207,11 +206,6 @@ PerformanceModel::fitLoop(
     const SystemStateModel *system, std::size_t epochs,
     double learning_rate)
 {
-    // Training (and the future vectors it consumes) stays on the
-    // scalar tier regardless of the process-wide kernel tier: fitted
-    // weights feed checkpoints and goldens (DESIGN.md §16).
-    const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
-
     // Pre-resolve the future vectors once (the Predicted variant runs
     // batched system-model forwards over the whole set).
     const std::vector<ml::Matrix> futures = resolveFutures(samples, system);

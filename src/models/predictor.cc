@@ -44,8 +44,6 @@ Predictor::train(
     const std::vector<scenario::PerformanceSample> &be_samples,
     const std::vector<scenario::PerformanceSample> &lc_samples)
 {
-    // Each model's training entry point pins the scalar tier itself
-    // (DESIGN.md §16).
     system->train(state_samples);
     bestEffort->train(be_samples, system.get());
     if (lc_samples.size() >= 4) {

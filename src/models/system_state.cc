@@ -11,7 +11,6 @@
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
 #include "ml/serialize.hh"
-#include "ml/simd.hh"
 #include "models/batching.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
@@ -69,11 +68,6 @@ SystemStateModel::train(
 {
     if (samples.size() < 4)
         fatal("SystemStateModel::train: too few samples");
-
-    // Training stays on the scalar tier regardless of the process-wide
-    // kernel tier: the fitted weights feed checkpoints and goldens, so
-    // they must not drift with the inference tier (DESIGN.md §16).
-    const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
 
     // Fit scalers on the training inputs/targets only.
     std::vector<std::vector<ml::Matrix>> sequences;

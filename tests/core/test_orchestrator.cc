@@ -11,7 +11,6 @@
 
 #include "core/adrias.hh"
 #include "counting_predictor.hh"
-#include "ml/simd.hh"
 #include "testbed/topology.hh"
 
 namespace adrias::core
@@ -215,44 +214,37 @@ TEST_F(OrchestratorTest, FusedPairMatchesSingleRowCallsBitwise)
     // Every forward op is row-independent (DESIGN.md §9), so the fused
     // {Local, Remote} query a decision issues must equal two
     // single-row calls exactly — the BE rows and the LC remote row the
-    // QoS rule reads — on real decision-time windows and on both
-    // kernel tiers.
+    // QoS rule reads — on real decision-time windows.
     WindowRecorder recorder;
     ScenarioRunner runner(evalConfig(904));
     runner.run(recorder);
     ASSERT_GE(recorder.windows.size(), 20u);
 
     const models::Predictor &predictor = stack->predictor();
-    for (ml::KernelTier tier : {ml::KernelTier::Scalar,
-                                ml::KernelTier::Vector}) {
-        SCOPED_TRACE(ml::kernelTierName(tier));
-        const ml::ScopedKernelTier pin(tier);
-        std::size_t compared_be = 0;
-        std::size_t compared_lc = 0;
-        for (const auto &[name, cls, window] : recorder.windows) {
-            if (!stack->signatures().has(name))
-                continue;
-            const auto &signature = stack->signatures().get(name);
-            const std::vector<double> fused =
-                predictor.predictPerformanceBatch(
-                    cls, {{&window, &signature, MemoryMode::Local},
-                          {&window, &signature, MemoryMode::Remote}});
-            ASSERT_EQ(fused.size(), 2u);
-            EXPECT_EQ(fused[1],
-                      predictor.predictPerformance(cls, window, signature,
-                                                   MemoryMode::Remote));
-            if (cls == WorkloadClass::LatencyCritical) {
-                ++compared_lc;
-                continue;
-            }
-            EXPECT_EQ(fused[0],
-                      predictor.predictPerformance(cls, window, signature,
-                                                   MemoryMode::Local));
-            ++compared_be;
+    std::size_t compared_be = 0;
+    std::size_t compared_lc = 0;
+    for (const auto &[name, cls, window] : recorder.windows) {
+        if (!stack->signatures().has(name))
+            continue;
+        const auto &signature = stack->signatures().get(name);
+        const std::vector<double> fused = predictor.predictPerformanceBatch(
+            cls, {{&window, &signature, MemoryMode::Local},
+                  {&window, &signature, MemoryMode::Remote}});
+        ASSERT_EQ(fused.size(), 2u);
+        EXPECT_EQ(fused[1],
+                  predictor.predictPerformance(cls, window, signature,
+                                               MemoryMode::Remote));
+        if (cls == WorkloadClass::LatencyCritical) {
+            ++compared_lc;
+            continue;
         }
-        EXPECT_GE(compared_be, 20u);
-        EXPECT_GE(compared_lc, 3u);
+        EXPECT_EQ(fused[0],
+                  predictor.predictPerformance(cls, window, signature,
+                                               MemoryMode::Local));
+        ++compared_be;
     }
+    EXPECT_GE(compared_be, 20u);
+    EXPECT_GE(compared_lc, 3u);
 }
 
 TEST_F(OrchestratorTest, RequiresTrainedPredictor)

@@ -47,7 +47,7 @@ linesOf(const std::vector<Finding> &findings, const std::string &rule)
 TEST(LintRules, EveryRuleHasMetadata)
 {
     const auto &rules = adrias::lint::rules();
-    ASSERT_EQ(rules.size(), 11u);
+    ASSERT_EQ(rules.size(), 10u);
     std::vector<std::string> ids;
     for (const auto &rule : rules) {
         EXPECT_FALSE(rule.description.empty()) << rule.id;
@@ -57,7 +57,7 @@ TEST(LintRules, EveryRuleHasMetadata)
          {"raw-rand", "wall-clock", "unordered-container",
           "nodiscard-result", "float-equal", "iostream-include",
           "raw-ofstream", "raw-thread", "raw-intrinsics",
-          "kernel-tier", "isa-clones"}) {
+          "isa-clones"}) {
         EXPECT_NE(std::find(ids.begin(), ids.end(), expected),
                   ids.end())
             << expected;
@@ -150,15 +150,16 @@ TEST(LintRules, RawIntrinsicsFixture)
         EXPECT_NE(f.line, 12u);
 }
 
-TEST(LintScopes, SimdPortabilityLayerIsExempt)
+TEST(LintScopes, SimdFilesAreNotExempt)
 {
-    // src/ml/simd* is the one sanctioned home for raw intrinsics.
+    // No file may hold raw intrinsics, src/ml/simd* included.
     for (const char *label :
          {"src/ml/simd_kernels.cc", "src/ml/simd.hh",
           "src/ml/simd.cc"}) {
         const auto findings =
             lintFile(fixture("bad_intrinsics.cc"), label);
-        EXPECT_TRUE(linesOf(findings, "raw-intrinsics").empty())
+        EXPECT_EQ(linesOf(findings, "raw-intrinsics"),
+                  (std::vector<std::size_t>{3, 8, 9, 10}))
             << label;
     }
 }
@@ -166,7 +167,7 @@ TEST(LintScopes, SimdPortabilityLayerIsExempt)
 TEST(LintScopes, RawIntrinsicsEnforcedInTestsAndBench)
 {
     // Unlike raw-thread, the intrinsics rule covers tests and bench
-    // too — vector code in suites must also go through the layer.
+    // too.
     for (const char *label :
          {"tests/ml/bad_intrinsics.cc", "bench/bad_intrinsics.cc",
           "src/serving/bad_intrinsics.cc"}) {
@@ -183,49 +184,6 @@ TEST(LintScopes, RawIntrinsicsEnforcedInTestsAndBench)
                     .empty());
 }
 
-TEST(LintRules, KernelTierFixture)
-{
-    const auto findings = lintFile(fixture("bad_kernel_tier.cc"),
-                                   "src/serving/bad_kernel_tier.cc");
-    // The pin (8), the set (9) and the tier read (10); the non-call
-    // mention on line 13 is not a dispatch, and the
-    // NOLINTNEXTLINE(kernel-tier) on line 15 suppresses line 16.
-    EXPECT_EQ(linesOf(findings, "kernel-tier"),
-              (std::vector<std::size_t>{8, 9, 10}));
-}
-
-TEST(LintScopes, KernelTierDispatchAndTrainingSitesAreExempt)
-{
-    const std::string bad = fixture("bad_kernel_tier.cc");
-    // ml/simd* owns the knob: nothing is flagged there.
-    for (const char *label :
-         {"src/ml/simd.hh", "src/ml/simd.cc", "src/ml/simd_kernels.cc"})
-        EXPECT_TRUE(linesOf(lintFile(bad, label), "kernel-tier").empty())
-            << label;
-    // The two dispatch sites may read the tier but not pin it.
-    for (const char *label : {"src/ml/matrix.cc", "src/ml/lstm.cc"})
-        EXPECT_EQ(linesOf(lintFile(bad, label), "kernel-tier"),
-                  (std::vector<std::size_t>{8, 9}))
-            << label;
-    // The two training entry points may pin but not read it.
-    for (const char *label :
-         {"src/models/system_state.cc", "src/models/performance.cc"})
-        EXPECT_EQ(linesOf(lintFile(bad, label), "kernel-tier"),
-                  (std::vector<std::size_t>{10}))
-            << label;
-}
-
-TEST(LintScopes, KernelTierNotEnforcedOutsideSrc)
-{
-    // Tests and benches pin tiers to compare them.
-    for (const char *label :
-         {"tests/ml/bad_kernel_tier.cc", "bench/bad_kernel_tier.cc"})
-        EXPECT_TRUE(linesOf(lintFile(fixture("bad_kernel_tier.cc"), label),
-                            "kernel-tier")
-                        .empty())
-            << label;
-}
-
 TEST(LintRules, IsaClonesFixture)
 {
     // Outside src/ml every attribute and pragma spelling is flagged
@@ -240,17 +198,18 @@ TEST(LintRules, IsaClonesFixture)
 TEST(LintScopes, IsaClonesScalarKernelsNameOnlyAvx2AndDefault)
 {
     const std::string bad = fixture("bad_isa_clones.cc");
-    // The scalar-tier kernels and the rest of ml/simd* may clone for
-    // "avx2" and "default", but not for fma (12, 15) or an arch (13).
-    for (const char *label : {"src/ml/matrix.cc", "src/ml/lstm.cc",
-                              "src/ml/simd.hh", "src/ml/simd.cc"})
+    // The cloned kernels and ml/simd.hh may clone for "avx2" and
+    // "default", but not for fma (12, 15) or an arch (13).
+    for (const char *label :
+         {"src/ml/matrix.cc", "src/ml/lstm.cc", "src/ml/simd.hh"})
         EXPECT_EQ(linesOf(lintFile(bad, label), "isa-clones"),
                   (std::vector<std::size_t>{12, 13, 15}))
             << label;
-    // The vector tier's bodies target avx2+fma on purpose.
-    EXPECT_TRUE(
-        linesOf(lintFile(bad, "src/ml/simd_kernels.cc"), "isa-clones")
-            .empty());
+    // Every other ml/simd* file is flagged like the rest of src.
+    for (const char *label : {"src/ml/simd_kernels.cc", "src/ml/simd.cc"})
+        EXPECT_EQ(linesOf(lintFile(bad, label), "isa-clones"),
+                  (std::vector<std::size_t>{5, 12, 13, 14, 15}))
+            << label;
     // Tests and benches are out of scope.
     EXPECT_TRUE(
         linesOf(lintFile(bad, "tests/ml/bad_isa_clones.cc"), "isa-clones")

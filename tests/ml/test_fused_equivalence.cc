@@ -17,7 +17,6 @@
 #include "common/rng.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
-#include "ml/simd.hh"
 
 namespace
 {
@@ -29,7 +28,7 @@ using adrias::ml::Matrix;
 using adrias::ml::Param;
 using adrias::ml::setLstmFusedKernels;
 
-/** Saves and restores the global kernel knobs. */
+/** Saves and restores the global fused-kernel knob. */
 class FusedEquivalenceTest : public ::testing::Test
 {
   protected:
@@ -37,23 +36,15 @@ class FusedEquivalenceTest : public ::testing::Test
     SetUp() override
     {
         savedFused = lstmFusedKernels();
-        savedTier = adrias::ml::kernelTier();
-        // This suite IS the bitwise scalar contract — it must hold
-        // even when the whole test run is launched under
-        // ADRIAS_KERNEL_TIER=vector (the vector tier's tolerance
-        // contract is ctest -L simd, not this file).
-        adrias::ml::setKernelTier(adrias::ml::KernelTier::Scalar);
     }
 
     void
     TearDown() override
     {
         setLstmFusedKernels(savedFused);
-        adrias::ml::setKernelTier(savedTier);
     }
 
     bool savedFused = true;
-    adrias::ml::KernelTier savedTier = adrias::ml::KernelTier::Scalar;
 };
 
 Matrix

@@ -26,7 +26,6 @@
 #include "common/rng.hh"
 #include "ml/fastmath.hh"
 #include "ml/lstm.hh"
-#include "ml/simd.hh"
 
 namespace adrias::ml
 {
@@ -183,8 +182,6 @@ const std::size_t kBatch[] = {1, 2, 32};
 
 TEST(GateLoopSpecials, ForwardMatchesElementOracleBitwise)
 {
-    // The vector tier would take the inference GEMMs and gate loop.
-    ScopedKernelTier scalar(KernelTier::Scalar);
     const bool was_fused = lstmFusedKernels();
     setLstmFusedKernels(true);
     for (std::size_t hidden : kHidden) {
@@ -216,7 +213,6 @@ TEST(GateLoopSpecials, TrainingCachesMatchReferenceGradientsBitwise)
     // Backward reads only what the training gate loop cached (gates,
     // c_t, tanh c_t), so gradients equal to the reference path's prove
     // the cache stores bit for bit.
-    ScopedKernelTier scalar(KernelTier::Scalar);
     const bool was_fused = lstmFusedKernels();
     for (std::size_t hidden : kHidden) {
         for (std::size_t batch : kBatch) {

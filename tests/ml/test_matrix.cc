@@ -10,7 +10,6 @@
 
 #include "common/rng.hh"
 #include "ml/matrix.hh"
-#include "ml/simd.hh"
 
 namespace adrias::ml
 {
@@ -400,9 +399,6 @@ TEST(Matrix, GemmFamilyMatchesNaiveLoopsBitwise)
         {1, 1, 1},  {31, 33, 2}, {2, 33, 31},
         {0, 5, 7},  {5, 0, 7},   {5, 7, 0},
     };
-    // The bitwise contract is the scalar tier's (the vector GEMM is
-    // tolerance-checked in test_simd_equivalence.cc).
-    const ScopedKernelTier scalar(KernelTier::Scalar);
     Rng rng(0xAD51A5);
     for (const Shape &shape : shapes) {
         const Matrix a = randomMatrix(rng, shape.m, shape.k);
@@ -465,7 +461,6 @@ TEST(Matrix, RandomizedShapesSweep)
 {
     // Broad fuzz across shapes; every repetition compares the scalar
     // kernels against the textbook loops.
-    const ScopedKernelTier scalar(KernelTier::Scalar);
     Rng rng(0xF00D42);
     for (int repetition = 0; repetition < 25; ++repetition) {
         const auto m = static_cast<std::size_t>(rng.uniformInt(1, 40));
@@ -497,7 +492,6 @@ TEST(Matrix, GemmFamilySpecialValuesMatchNaiveLoopsBitwise)
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double specials[] = {0.0, -0.0, inf, -inf, nan};
-    const ScopedKernelTier scalar(KernelTier::Scalar);
     Rng rng(0x5BEC1A);
     constexpr std::size_t kRows = 3;
     for (std::size_t inner : {4, 5, 6, 7, 9}) {

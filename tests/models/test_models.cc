@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/threadpool.hh"
-#include "ml/simd.hh"
 #include "models/batching.hh"
 #include "models/performance.hh"
 #include "models/predictor.hh"
@@ -299,54 +298,45 @@ TEST_F(ModelsTest, BatchedEvaluateMatchesPerRowLoop)
     // evaluate() predicts through chunked predictBatch() calls, and
     // the Predicted-kind Ŝ through batched system forwards.  Rows are
     // independent (DESIGN.md §9), so every number must equal a
-    // one-row-at-a-time loop exactly, on both kernel tiers.
+    // one-row-at-a-time loop exactly.
     PerformanceModel model(FutureKind::Predicted, *config);
     model.train(*beTrain, trainedState);
-    for (ml::KernelTier tier : {ml::KernelTier::Scalar,
-                                ml::KernelTier::Vector}) {
-        SCOPED_TRACE(ml::kernelTierName(tier));
-        const ml::ScopedKernelTier pin(tier);
-
-        const PerformanceEvaluation eval =
-            model.evaluate(*beTest, trainedState);
-        std::vector<double> actual, predicted;
-        for (const PerformanceSample &sample : *beTest) {
-            const ml::Matrix future =
-                trainedState->predictBatch({&sample.history}).front();
-            predicted.push_back(
-                model
-                    .predictBatch({{&sample.history, &sample.signature,
-                                    sample.mode, &future}})
-                    .front());
-            actual.push_back(sample.target);
-        }
-        EXPECT_EQ(eval.predicted, predicted);
-        EXPECT_EQ(eval.r2, stats::r2Score(actual, predicted));
-        EXPECT_EQ(eval.mae, stats::meanAbsoluteError(actual, predicted));
-
-        const SystemStateEvaluation state_eval =
-            trainedState->evaluate(*stateTest);
-        std::vector<std::vector<double>> state_actual(
-            testbed::kNumPerfEvents),
-            state_predicted(testbed::kNumPerfEvents);
-        for (const SystemStateSample &sample : *stateTest) {
-            const ml::Matrix out =
-                trainedState->predictBatch({&sample.history}).front();
-            for (std::size_t e = 0; e < testbed::kNumPerfEvents; ++e) {
-                state_actual[e].push_back(sample.target.at(0, e));
-                state_predicted[e].push_back(out.at(0, e));
-            }
-        }
-        double r2_total = 0.0;
-        for (std::size_t e = 0; e < testbed::kNumPerfEvents; ++e) {
-            const double r2 =
-                stats::r2Score(state_actual[e], state_predicted[e]);
-            EXPECT_EQ(state_eval.r2PerEvent[e], r2);
-            r2_total += r2;
-        }
-        EXPECT_EQ(state_eval.r2Average,
-                  r2_total / static_cast<double>(testbed::kNumPerfEvents));
+    const PerformanceEvaluation eval = model.evaluate(*beTest, trainedState);
+    std::vector<double> actual, predicted;
+    for (const PerformanceSample &sample : *beTest) {
+        const ml::Matrix future =
+            trainedState->predictBatch({&sample.history}).front();
+        predicted.push_back(
+            model
+                .predictBatch({{&sample.history, &sample.signature,
+                                sample.mode, &future}})
+                .front());
+        actual.push_back(sample.target);
     }
+    EXPECT_EQ(eval.predicted, predicted);
+    EXPECT_EQ(eval.r2, stats::r2Score(actual, predicted));
+    EXPECT_EQ(eval.mae, stats::meanAbsoluteError(actual, predicted));
+
+    const SystemStateEvaluation state_eval =
+        trainedState->evaluate(*stateTest);
+    std::vector<std::vector<double>> state_actual(testbed::kNumPerfEvents),
+        state_predicted(testbed::kNumPerfEvents);
+    for (const SystemStateSample &sample : *stateTest) {
+        const ml::Matrix out =
+            trainedState->predictBatch({&sample.history}).front();
+        for (std::size_t e = 0; e < testbed::kNumPerfEvents; ++e) {
+            state_actual[e].push_back(sample.target.at(0, e));
+            state_predicted[e].push_back(out.at(0, e));
+        }
+    }
+    double r2_total = 0.0;
+    for (std::size_t e = 0; e < testbed::kNumPerfEvents; ++e) {
+        const double r2 = stats::r2Score(state_actual[e], state_predicted[e]);
+        EXPECT_EQ(state_eval.r2PerEvent[e], r2);
+        r2_total += r2;
+    }
+    EXPECT_EQ(state_eval.r2Average,
+              r2_total / static_cast<double>(testbed::kNumPerfEvents));
     // Both test sets span several evaluation chunks, so the chunk
     // seams are covered too.
     EXPECT_GT(beTest->size(), config->batchSize);

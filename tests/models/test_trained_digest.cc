@@ -8,9 +8,8 @@
  * RandomPlacement), and the fused-vs-reference equivalence tests share
  * the same GEMM kernels on both sides, so this is the one check that a
  * kernel rewrite leaves every trained weight bitwise unchanged.
- * Training pins the scalar tier itself (DESIGN.md §16), so the digest
- * must also hold under ADRIAS_KERNEL_TIER=vector and in an
- * -DADRIAS_SIMD=OFF build; the `ml` label runs it in both CI legs.
+ * The digest must hold on both clones of the scalar kernels (DESIGN.md
+ * §11.1), so CI also runs it in a -DADRIAS_SIMD=OFF build.
  *
  * Regenerate intentionally with:
  *     ADRIAS_UPDATE_GOLDEN=1 ./test_trained_digest

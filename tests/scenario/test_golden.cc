@@ -29,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include "ml/lstm.hh"
-#include "ml/simd.hh"
 #include "models/system_state.hh"
 #include "scenario/cluster.hh"
 #include "scenario/dataset.hh"
@@ -251,12 +250,6 @@ TEST(GoldenTest, TinyScenarioMatchesGoldenWithFusedKernelsDisabled)
     buffer << in.rdbuf();
     EXPECT_EQ(actual, buffer.str())
         << "reference (unfused) kernels diverged from the golden";
-
-    // The fused-vs-reference bitwise contract is defined on the scalar
-    // kernel tier (the vector tier is tolerance-checked by `ctest -L
-    // simd` instead), so pin it for the predict comparison below even
-    // when the suite runs under ADRIAS_KERNEL_TIER=vector.
-    const ml::ScopedKernelTier scalar_pin(ml::KernelTier::Scalar);
 
     // The scenario itself never runs the LSTM, so also pin a real
     // train + predict round trip: reference path now, fused path next.

@@ -81,24 +81,8 @@ inRawThreadScope(const std::string &label)
 bool
 inIntrinsicsScope(const std::string &label)
 {
-    if (startsWith(label, "src/ml/simd"))
-        return false; // the one sanctioned SIMD portability layer
     return startsWith(label, "src/") || startsWith(label, "tests/") ||
            startsWith(label, "bench/");
-}
-
-bool
-inKernelTierScope(const std::string &label)
-{
-    return startsWith(label, "src/");
-}
-
-/** The two kernels with a vector twin read the effective tier. */
-bool
-mayReadKernelTier(const std::string &label)
-{
-    return startsWith(label, "src/ml/simd") ||
-           label == "src/ml/matrix.cc" || label == "src/ml/lstm.cc";
 }
 
 bool
@@ -107,28 +91,12 @@ inIsaClonesScope(const std::string &label)
     return startsWith(label, "src/");
 }
 
-/** The scalar-tier kernels (clones) and the vector tier (targets). */
+/** The cloned scalar kernels and the macro that clones them. */
 bool
 mayUseIsaAttributes(const std::string &label)
 {
-    return startsWith(label, "src/ml/simd") ||
-           label == "src/ml/matrix.cc" || label == "src/ml/lstm.cc";
-}
-
-/** Only the vector tier's own bodies may ask for FMA and the like. */
-bool
-mayNameAnyIsa(const std::string &label)
-{
-    return label == "src/ml/simd_kernels.cc";
-}
-
-/** Only the training entry points pin a tier (to Scalar). */
-bool
-mayPinKernelTier(const std::string &label)
-{
-    return startsWith(label, "src/ml/simd") ||
-           label == "src/models/system_state.cc" ||
-           label == "src/models/performance.cc";
+    return label == "src/ml/simd.hh" || label == "src/ml/matrix.cc" ||
+           label == "src/ml/lstm.cc";
 }
 
 // --------------------------------------------------------------------------
@@ -655,16 +623,16 @@ checkRawIntrinsics(const std::string &label,
             !nolint.suppressed(i, "raw-intrinsics")) {
             findings.push_back(
                 {label, i + 1, "raw-intrinsics",
-                 "intrinsics header: raw SIMD lives only under the "
-                 "src/ml/simd portability layer; call the batch "
-                 "kernels in ml/simd.hh instead"});
+                 "intrinsics header: the kernels are plain C++ that "
+                 "the compiler widens (ADRIAS_SCALAR_CLONES in "
+                 "ml/simd.hh)"});
             continue;
         }
         for (const auto &[id, col] : identifiersIn(line)) {
             (void)col;
-            // _mm_/_mm256_/_mm512_ intrinsics and the __m128/__m256/
-            // __m512 vector types (but not __m-prefixed identifiers
-            // like __might_be_anything).
+            // _mm-prefixed intrinsics of any width and the __m<N>
+            // vector types (but not __m-prefixed identifiers like
+            // __might_be_anything).
             const bool intrinsic = id.rfind("_mm", 0) == 0;
             const bool vecType =
                 id.rfind("__m", 0) == 0 && id.size() > 3 &&
@@ -674,49 +642,10 @@ checkRawIntrinsics(const std::string &label,
                 findings.push_back(
                     {label, i + 1, "raw-intrinsics",
                      "'" + id +
-                         "': raw SIMD lives only under the src/ml/simd "
-                         "portability layer (scalar fallback + runtime "
-                         "dispatch); call the batch kernels in "
-                         "ml/simd.hh instead"});
-                break;
-            }
-        }
-    }
-}
-
-void
-checkKernelTier(const std::string &label,
-                const Suppressions &nolint,
-                const std::vector<std::string> &stripped,
-                std::vector<Finding> &findings)
-{
-    const bool may_read = mayReadKernelTier(label);
-    const bool may_pin = mayPinKernelTier(label);
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-        const std::string &line = stripped[i];
-        for (const auto &[id, col] : identifiersIn(line)) {
-            std::string detail;
-            if (id == "effectiveKernelTier" && !may_read) {
-                // Calls only: a bare mention is not a dispatch.
-                if (nextNonSpace(line, col + id.size()) != '(')
-                    continue;
-                detail = "'effectiveKernelTier()': only the kernels "
-                         "with a vector twin (ml/matrix.cc, ml/lstm.cc) "
-                         "pick a kernel";
-            } else if ((id == "ScopedKernelTier" ||
-                        id == "setKernelTier") &&
-                       !may_pin) {
-                detail = "'" + id +
-                         "': only the training entry points "
-                         "(models/system_state.cc, "
-                         "models/performance.cc) pin a kernel tier; "
-                         "src/ml picks the kernel";
-            } else {
-                continue;
-            }
-            if (!nolint.suppressed(i, "kernel-tier")) {
-                findings.push_back(
-                    {label, i + 1, "kernel-tier", std::move(detail)});
+                         "': the kernels are plain C++ that the "
+                         "compiler widens (ADRIAS_SCALAR_CLONES in "
+                         "ml/simd.hh), never hand-written "
+                         "intrinsics"});
                 break;
             }
         }
@@ -778,7 +707,6 @@ checkIsaClones(const std::string &label, const Suppressions &nolint,
     static const std::set<std::string> kIsaAttributes = {
         "target", "__target__", "target_clones", "__target_clones__"};
     const bool may_use = mayUseIsaAttributes(label);
-    const bool any_isa = mayNameAnyIsa(label);
     for (std::size_t i = 0; i < stripped.size(); ++i) {
         const std::string &line = stripped[i];
         for (const auto &[id, col] : identifiersIn(line)) {
@@ -799,14 +727,14 @@ checkIsaClones(const std::string &label, const Suppressions &nolint,
             if (!may_use) {
                 detail = "'" + id +
                          "': per-function ISA selection lives only in "
-                         "the scalar-tier kernels (ml/matrix.cc, "
-                         "ml/lstm.cc) and the vector tier (ml/simd*)";
-            } else if (!any_isa) {
+                         "the cloned kernels (ml/matrix.cc, "
+                         "ml/lstm.cc) and ml/simd.hh";
+            } else {
                 const std::string isa =
                     forbiddenIsa(attributeStrings(raw, i, open));
                 if (!isa.empty())
                     detail = "'" + id + "' names \"" + isa +
-                             "\": scalar-tier clones may only be "
+                             "\": kernel clones may only be "
                              "\"avx2\" and \"default\"; FMA or an "
                              "arch= target would let the compiler "
                              "contract mul+add and break bitwise "
@@ -851,17 +779,12 @@ rules()
          "common/threadpool.*; parallelism goes through the "
          "deterministic ThreadPool"},
         {"raw-intrinsics",
-         "no immintrin.h/__m256/_mm256_* outside src/ml/simd* (src, "
-         "tests, bench); SIMD goes through the portability layer"},
-        {"kernel-tier",
-         "in src, effectiveKernelTier() is called only in "
-         "ml/{matrix,lstm}.cc and ml/simd*, and "
-         "ScopedKernelTier/setKernelTier appear only in ml/simd* and "
-         "the two model training entry points"},
+         "no intrinsics header and no _mm*/__m<N> identifiers in src, "
+         "tests or bench; the compiler widens the kernels"},
         {"isa-clones",
          "in src, target/target_clones attributes appear only in "
-         "ml/{matrix,lstm}.cc and ml/simd*, and outside "
-         "ml/simd_kernels.cc name only \"avx2\" and \"default\""},
+         "ml/{matrix,lstm}.cc and ml/simd.hh, and name only \"avx2\" "
+         "and \"default\""},
     };
     return kRules;
 }
@@ -893,8 +816,6 @@ lintContent(const std::string &label, const std::string &content)
         checkRawThread(label, nolint, stripped, findings);
     if (inIntrinsicsScope(label))
         checkRawIntrinsics(label, nolint, stripped, findings);
-    if (inKernelTierScope(label))
-        checkKernelTier(label, nolint, stripped, findings);
     if (inIsaClonesScope(label))
         checkIsaClones(label, nolint, raw, stripped, findings);
 

@@ -29,21 +29,16 @@
  *                        <future> includes) in src/ outside
  *                        common/threadpool.* — all parallelism goes
  *                        through the deterministic ThreadPool.
- *   raw-intrinsics       no immintrin.h / __m256 / _mm256_* outside
- *                        src/ml/simd* (src, tests, bench).
- *   kernel-tier          in src/, effectiveKernelTier() is called only
- *                        in ml/{matrix,lstm}.cc and ml/simd*, and
- *                        ScopedKernelTier / setKernelTier appear only
- *                        in ml/simd* and the two model training entry
- *                        points (models/{system_state,performance}.cc)
- *                        — src/ml alone picks the kernel.
+ *   raw-intrinsics       no intrinsics header (*intrin.h) and no
+ *                        _mm* / __m<N> identifiers anywhere in src,
+ *                        tests or bench: the kernels are plain C++
+ *                        that the compiler widens.
  *   isa-clones           in src/, target(...) / target_clones(...)
  *                        attributes (and #pragma ... target) appear
- *                        only in ml/{matrix,lstm}.cc and ml/simd*;
- *                        outside ml/simd_kernels.cc they name only
- *                        "avx2" and "default", so no clone of a
- *                        bitwise scalar kernel can contract mul+add
- *                        into FMA.
+ *                        only in ml/{matrix,lstm}.cc and ml/simd.hh,
+ *                        and name only "avx2" and "default", so no
+ *                        clone of a bitwise kernel can contract
+ *                        mul+add into FMA.
  *
  * nodiscard-result covers src/ headers and, in .cc files, file-local
  * (static or anonymous-namespace) function declarations — local
