@@ -1,8 +1,5 @@
 #include "common/csv.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/io/durable_file.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -132,33 +129,6 @@ parseCsvLine(const std::string &line)
                          "parseCsvLine: unterminated quoted cell");
     cells.push_back(std::move(cell));
     return cells;
-}
-
-Result<std::vector<std::vector<std::string>>>
-readCsvFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return makeError(ErrorCode::Io,
-                         "readCsvFile: cannot open '" + path + "'");
-    std::vector<std::vector<std::string>> rows;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        Result<std::vector<std::string>> cells = parseCsvLine(line);
-        if (!cells.ok())
-            return makeError(cells.error().code,
-                             cells.error().message + " (line " +
-                                 std::to_string(line_no) + " of '" +
-                                 path + "')");
-        rows.push_back(std::move(cells.value()));
-    }
-    return rows;
 }
 
 } // namespace adrias

@@ -81,16 +81,6 @@ class CsvWriter
 [[nodiscard]] Result<std::vector<std::string>>
 parseCsvLine(const std::string &line);
 
-/**
- * Read a whole CSV file into rows of cells.
- *
- * @return ErrorCode::Io when the file cannot be opened, or the first
- *         row's syntax error (message carries the 1-based line
- *         number).  Empty lines are skipped.
- */
-[[nodiscard]] Result<std::vector<std::vector<std::string>>>
-readCsvFile(const std::string &path);
-
 } // namespace adrias
 
 #endif // ADRIAS_COMMON_CSV_HH

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "ml/serialize.hh"
@@ -13,6 +15,7 @@
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
 #include "models/batching.hh"
+#include "obs/obs.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
 
@@ -206,6 +209,9 @@ PerformanceModel::fitLoop(
     const SystemStateModel *system, std::size_t epochs,
     double learning_rate)
 {
+    // The weights (and, from train(), the scalers) change below.
+    signatureMemo.clear();
+
     // Pre-resolve the future vectors once (the Predicted variant runs
     // batched system-model forwards over the whole set).
     const std::vector<ml::Matrix> futures = resolveFutures(samples, system);
@@ -360,6 +366,7 @@ PerformanceModel::loadFromStream(std::istream &in)
               kind + "')");
     if ((log_flag != 0) != config.logTarget)
         fatal("PerformanceModel::load: logTarget mismatch");
+    signatureMemo.clear();
     ml::loadParams(in, params());
     ml::loadStateTensors(in, head->stateTensors());
     ml::loadScaler(in, counterScaler);
@@ -393,6 +400,109 @@ PerformanceModel::predict(const std::vector<ml::Matrix> &history,
         .front();
 }
 
+namespace
+{
+
+/** A signature's memo key: its steps' doubles, flattened. */
+std::vector<double>
+flattenSignature(const std::vector<ml::Matrix> &signature)
+{
+    std::vector<double> raw;
+    raw.reserve(signature.size() * signature.front().size());
+    for (const ml::Matrix &step : signature)
+        raw.insert(raw.end(), step.raw().begin(), step.raw().end());
+    return raw;
+}
+
+std::size_t
+hashBits(const std::vector<double> &raw)
+{
+    return std::hash<std::string_view>{}(
+        std::string_view(reinterpret_cast<const char *>(raw.data()),
+                         raw.size() * sizeof(double)));
+}
+
+/** Bitwise equality: +0.0 and -0.0 differ, equal NaN payloads match. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+} // namespace
+
+ml::Matrix
+PerformanceModel::encodeSignatures(
+    const std::vector<const std::vector<ml::Matrix> *> &signatures) const
+{
+    // The key is the signature's contents, never its address: store
+    // entries are replaced in place and evaluate() passes a copy per
+    // sample.  A hit is confirmed bitwise against the stored copy.
+    // Only the misses are scaled and encoded, at their natural width;
+    // row independence (DESIGN.md §9) makes a memoized row bitwise
+    // equal to a recomputed one.
+    const std::size_t H = config.hidden;
+    ml::Matrix codes(signatures.size(), H);
+    const auto codeRow = [&codes, H](std::size_t i) {
+        return codes.raw().begin() + static_cast<std::ptrdiff_t>(i * H);
+    };
+    std::vector<std::vector<double>> raw(signatures.size());
+    std::vector<std::size_t> hash(signatures.size());
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < signatures.size(); ++i) {
+        raw[i] = flattenSignature(*signatures[i]);
+        hash[i] = hashBits(raw[i]);
+        const SignatureCode *cached = nullptr;
+        const auto [first, last] = signatureMemo.equal_range(hash[i]);
+        for (auto it = first; it != last && cached == nullptr; ++it)
+            if (it->second.steps == signatures[i]->size() &&
+                sameBits(it->second.raw, raw[i]))
+                cached = &it->second;
+        if (cached == nullptr)
+            misses.push_back(i);
+        else
+            std::copy(cached->code.begin(), cached->code.end(), codeRow(i));
+    }
+
+#if ADRIAS_OBS_ENABLED
+    if (obs::enabled()) {
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+        static obs::Counter &hits_c =
+            reg.counter("predictor.signature_memo.hits");
+        static obs::Counter &misses_c =
+            reg.counter("predictor.signature_memo.misses");
+        hits_c.add(signatures.size() - misses.size());
+        misses_c.add(misses.size());
+    }
+#endif
+    if (misses.empty())
+        return codes;
+
+    std::vector<std::vector<ml::Matrix>> scaled(misses.size());
+    std::vector<const std::vector<ml::Matrix> *> ptrs;
+    ptrs.reserve(misses.size());
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+        scaled[m] = counterScaler.transformSequence(*signatures[misses[m]]);
+        ptrs.push_back(&scaled[m]);
+    }
+    const auto k2 = signatureLstm2->forwardSequence(
+        signatureLstm1->forwardSequence(stackSequences(ptrs)));
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+        const std::size_t i = misses[m];
+        const auto row = k2.back().raw().begin() +
+                         static_cast<std::ptrdiff_t>(m * H);
+        std::copy(row, row + static_cast<std::ptrdiff_t>(H), codeRow(i));
+        if (signatureMemo.size() >= kSignatureMemoCap)
+            signatureMemo.clear();
+        signatureMemo.emplace(
+            hash[i],
+            SignatureCode{signatures[i]->size(), std::move(raw[i]),
+                          {row, row + static_cast<std::ptrdiff_t>(H)}});
+    }
+    return codes;
+}
+
 std::vector<double>
 PerformanceModel::predictBatch(const std::vector<Query> &queries) const
 {
@@ -409,8 +519,9 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
     // sequences per branch.  Each distinct sequence is scaled and
     // forwarded once; the head input then gathers branch outputs per
     // row.  Every branch op is row-independent (DESIGN.md §9), so the
-    // gather is bitwise identical to stacking one row per query —
-    // width-1 calls can never share this work across requests.
+    // gather is bitwise identical to stacking one row per query.  The
+    // signature branch also reuses earlier calls' work through the
+    // memo (encodeSignatures); the history branch starts afresh.
     std::vector<const std::vector<ml::Matrix> *> dist_h, dist_k;
     std::vector<std::size_t> h_slot(rows), k_slot(rows);
     std::unordered_map<const void *, std::size_t> h_seen, k_seen;
@@ -433,11 +544,8 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
     }
 
     std::vector<std::vector<ml::Matrix>> scaled_h(dist_h.size());
-    std::vector<std::vector<ml::Matrix>> scaled_k(dist_k.size());
     for (std::size_t i = 0; i < dist_h.size(); ++i)
         scaled_h[i] = counterScaler.transformSequence(*dist_h[i]);
-    for (std::size_t i = 0; i < dist_k.size(); ++i)
-        scaled_k[i] = counterScaler.transformSequence(*dist_k[i]);
 
     ml::Matrix mode_col(rows, 1);
     ml::Matrix future_rows(rows, futureWidth());
@@ -456,27 +564,22 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
         }
     }
 
-    std::vector<const std::vector<ml::Matrix> *> h_ptrs, k_ptrs;
+    std::vector<const std::vector<ml::Matrix> *> h_ptrs;
     h_ptrs.reserve(scaled_h.size());
-    k_ptrs.reserve(scaled_k.size());
     for (const auto &seq : scaled_h)
         h_ptrs.push_back(&seq);
-    for (const auto &seq : scaled_k)
-        k_ptrs.push_back(&seq);
 
     const auto h2 = historyLstm2->forwardSequence(
         historyLstm1->forwardSequence(stackSequences(h_ptrs)));
-    const auto k2 = signatureLstm2->forwardSequence(
-        signatureLstm1->forwardSequence(stackSequences(k_ptrs)));
     const ml::Matrix &h_last = h2.back();
-    const ml::Matrix &k_last = k2.back();
+    const ml::Matrix k_codes = encodeSignatures(dist_k);
 
     const std::size_t H = config.hidden;
     ml::Matrix hidden(rows, 2 * H + 1 + futureWidth());
     for (std::size_t b = 0; b < rows; ++b) {
         for (std::size_t j = 0; j < H; ++j) {
             hidden.at(b, j) = h_last.at(h_slot[b], j);
-            hidden.at(b, H + j) = k_last.at(k_slot[b], j);
+            hidden.at(b, H + j) = k_codes.at(k_slot[b], j);
         }
         hidden.at(b, 2 * H) = mode_col.at(b, 0);
         for (std::size_t e = 0; e < futureWidth(); ++e)

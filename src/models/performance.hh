@@ -15,8 +15,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/io/checkpoint_annotations.hh"
 #include "common/rng.hh"
 #include "ml/lstm.hh"
 #include "ml/scaler.hh"
@@ -120,9 +122,15 @@ class PerformanceModel
 
     /**
      * Fused forward over B stacked queries.  Each distinct history and
-     * signature pointer is encoded once; rows are independent through
-     * the encoders and the head, so element i is bitwise identical to
-     * a one-row call on query i.
+     * signature pointer is encoded once, and a signature whose
+     * contents were encoded by an earlier call is not encoded at all:
+     * its row comes from the signature memo (DESIGN.md §15.2).  Rows
+     * are independent through the encoders and the head, so element i
+     * is bitwise identical to a one-row call on query i on a cold
+     * model.
+     *
+     * Not synchronized: like the LSTM workspaces (DESIGN.md §11.2),
+     * the memo assumes one caller at a time per model.
      *
      * @return one prediction per query, input order.
      */
@@ -141,7 +149,14 @@ class PerformanceModel
     FutureKind futureKind() const { return future; }
     bool trained() const { return isTrained; }
 
-    /** All trainable parameters (for persistence). */
+    /** Signature encodings the memo holds right now. */
+    std::size_t memoizedSignatures() const { return signatureMemo.size(); }
+
+    /**
+     * All trainable parameters (for persistence).  Writing weights
+     * through these pointers bypasses the signature memo; only
+     * train(), fineTune() and load() invalidate it.
+     */
     std::vector<ml::Param *> params();
 
     /**
@@ -175,6 +190,27 @@ class PerformanceModel
     ml::StandardScaler targetScaler;
     bool isTrained = false;
 
+    /** One memoized signature-branch output. */
+    struct SignatureCode
+    {
+        std::size_t steps = 0;   ///< signature length, part of the key
+        std::vector<double> raw; ///< the steps' doubles, the key
+        std::vector<double> code; ///< its k_last row (hidden wide)
+    };
+
+    /** Entries kept before the memo starts over. */
+    static constexpr std::size_t kSignatureMemoCap = 256;
+
+    /**
+     * predictBatch()'s signature-branch outputs, keyed by a hash of
+     * the raw signature doubles; a hit is confirmed bitwise against
+     * the stored copy, so a replaced store entry can never match.
+     * Cleared by fitLoop() and loadFromStream().
+     */
+    mutable std::unordered_multimap<std::size_t, SignatureCode>
+        signatureMemo ADRIAS_NOT_CHECKPOINTED(
+            "derived state: a restored model re-encodes on first use");
+
     std::size_t futureWidth() const;
 
     /**
@@ -203,6 +239,15 @@ class PerformanceModel
 
     void backwardBatch(const ml::Matrix &grad_output,
                        std::size_t batch_rows) const;
+
+    /**
+     * predictBatch()'s signature branch: one k_last row per distinct
+     * signature (input order), from the memo or, for the misses, from
+     * one encoder forward.
+     */
+    ml::Matrix encodeSignatures(
+        const std::vector<const std::vector<ml::Matrix> *> &signatures)
+        const;
 };
 
 } // namespace adrias::models

@@ -1,10 +1,12 @@
 #include "serving/decision_service.hh"
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
 #include "scenario/runner.hh"
+#include "stats/percentile.hh"
 
 namespace adrias::serving
 {
@@ -157,7 +159,7 @@ DecisionService::stats() const
 double
 DecisionService::p99LatencyTicks() const
 {
-    return latencyTracker.quantile(0.99);
+    return stats::quantileOfCounts(latencyCounts, 0.99);
 }
 
 double
@@ -212,7 +214,12 @@ DecisionService::recordDecision(const PlacementRequest &request,
     }
     if (decision.missedDeadline)
         ++tallies.missedDeadlines;
-    latencyTracker.add(static_cast<double>(decision.latencyTicks));
+    if (decision.latencyTicks < 0)
+        fatal("DecisionService: request decided before its submission");
+    const auto ticks = static_cast<std::size_t>(decision.latencyTicks);
+    if (ticks >= latencyCounts.size())
+        latencyCounts.resize(ticks + 1, 0);
+    ++latencyCounts[ticks];
     out.push_back(std::move(decision));
 }
 
@@ -336,11 +343,22 @@ DecisionService::checkpointTag() const
     return "decision-service";
 }
 
+namespace
+{
+
+/** Leads every payload.  The layout before it kept every latency
+ *  sample as a double; such a payload fails this check instead of
+ *  being misread. */
+constexpr std::string_view kPayloadFormat = "decision-service-v2";
+
+} // namespace
+
 void
 DecisionService::saveState(io::BinaryWriter &out) const
 {
     // Quiescent-only (see header): producers stopped, so the queue
     // snapshots are exact and no request can race the payload.
+    out.writeString(kPayloadFormat);
     out.writeU64(nextSeq);
     out.writeU64(headSeq);
     out.writeU64(batchCounter);
@@ -361,7 +379,9 @@ DecisionService::saveState(io::BinaryWriter &out) const
     out.writeU64(tallies.missedDeadlines);
     out.writeU64(tallies.epochs);
 
-    out.writeF64Vector(latencyTracker.values());
+    out.writeU64(latencyCounts.size());
+    for (std::uint64_t count : latencyCounts)
+        out.writeU64(count);
 
     const auto writeRequest = [&out](const PlacementRequest &request) {
         out.writeU64(request.id);
@@ -403,6 +423,11 @@ DecisionService::saveState(io::BinaryWriter &out) const
 Result<void>
 DecisionService::restoreState(io::BinaryReader &in)
 {
+    if (in.readString() != kPayloadFormat)
+        return makeError(ErrorCode::BadHeader,
+                         "DecisionService: payload is not " +
+                             std::string(kPayloadFormat) +
+                             " (written by an older build?)");
     nextSeq = in.readU64();
     headSeq = in.readU64();
     batchCounter = in.readU64();
@@ -423,9 +448,13 @@ DecisionService::restoreState(io::BinaryReader &in)
     tallies.missedDeadlines = in.readU64();
     tallies.epochs = in.readU64();
 
-    latencyTracker.clear();
-    for (double sample : in.readF64Vector())
-        latencyTracker.add(sample);
+    const std::uint64_t latency_values = in.readU64();
+    if (!in.ok() || latency_values > in.remaining() / 8)
+        return makeError(ErrorCode::Truncated,
+                         "DecisionService: truncated latency counts");
+    latencyCounts.assign(static_cast<std::size_t>(latency_values), 0);
+    for (std::uint64_t &count : latencyCounts)
+        count = in.readU64();
 
     const auto readRequest = [&in]() {
         PlacementRequest request;

@@ -37,7 +37,6 @@
 #include "models/batching.hh"
 #include "models/guard.hh"
 #include "serving/request.hh"
-#include "stats/percentile.hh"
 #include "telemetry/sharded.hh"
 
 namespace adrias::serving
@@ -155,14 +154,11 @@ class DecisionService : public io::Checkpointable
     /** Tallies; includes the producer-side submit/reject counters. */
     DecisionServiceStats stats() const;
 
-    /** p99 of decision latency in ticks (NaN before any decision). */
+    /**
+     * p99 of decision latency in ticks (NaN before any decision):
+     * bitwise stats::quantile() over every decision's latencyTicks.
+     */
     double p99LatencyTicks() const;
-
-    /** Decision-latency samples, chronological (ticks). */
-    const stats::PercentileTracker &latency() const
-    {
-        return latencyTracker;
-    }
 
     const DecisionServiceConfig &config() const { return knobs; }
     const core::AdriasConfig &policyConfig() const { return policy; }
@@ -217,7 +213,10 @@ class DecisionService : public io::Checkpointable
     std::uint64_t batchCounter = 0;
     EpochSnapshot snapshot;
     DecisionServiceStats tallies;
-    stats::PercentileTracker latencyTracker;
+
+    /** Decisions per latency (index = latencyTicks): memory grows with
+     *  the longest latency, not with the number of decisions. */
+    std::vector<std::uint64_t> latencyCounts;
 
     /** Producer-side counters (atomic: one writer per shard races
      *  only against the stats() reader, never another writer of the

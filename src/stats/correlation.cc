@@ -67,10 +67,4 @@ fractionalRanks(const std::vector<double> &values)
     return ranks;
 }
 
-double
-spearman(const std::vector<double> &x, const std::vector<double> &y)
-{
-    return pearson(fractionalRanks(x), fractionalRanks(y));
-}
-
 } // namespace adrias::stats

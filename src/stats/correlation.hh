@@ -2,7 +2,7 @@
  * @file
  * Correlation coefficients for the metric-affinity analysis (Fig. 6):
  * Pearson's r between low-level system metrics and application
- * performance, plus Spearman's rank correlation as a robustness check.
+ * performance, plus fractional ranks for rank-based variants.
  */
 
 #ifndef ADRIAS_STATS_CORRELATION_HH
@@ -20,14 +20,6 @@ namespace adrias::stats
  * @pre x.size() == y.size() and size >= 2.
  */
 double pearson(const std::vector<double> &x, const std::vector<double> &y);
-
-/**
- * Spearman's rank correlation (Pearson on fractional ranks, with ties
- * receiving their average rank).
- *
- * @pre x.size() == y.size() and size >= 2.
- */
-double spearman(const std::vector<double> &x, const std::vector<double> &y);
 
 /**
  * Fractional ranks of a sample (average rank for ties), 1-based.

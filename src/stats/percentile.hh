@@ -12,6 +12,7 @@
 #define ADRIAS_STATS_PERCENTILE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <vector>
 
@@ -49,6 +50,20 @@ double quantile(std::vector<double> values, double q);
  */
 std::vector<double> quantiles(std::vector<double> values,
                               std::initializer_list<double> qs);
+
+/**
+ * quantile() of a sample of non-negative integers held as counts per
+ * value (counts[v] observations of v): O(largest value) memory rather
+ * than O(observations).  The interpolation is quantile()'s, step for
+ * step, so the result is bitwise the one quantile() gives over the
+ * expanded sample (as doubles, while values and the count stay below
+ * 2^53).
+ *
+ * @param q quantile in [0, 1]; anything else is fatal.
+ * @return interpolated quantile; NaN when every count is zero.
+ */
+double quantileOfCounts(const std::vector<std::uint64_t> &counts,
+                        double q);
 
 /** Exact percentile tracker that retains all observations. */
 class PercentileTracker

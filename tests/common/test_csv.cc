@@ -120,40 +120,5 @@ TEST(ParseCsvLine, RejectsMalformedQuoting)
     EXPECT_EQ(midcell.error().code, ErrorCode::BadSyntax);
 }
 
-TEST_F(CsvTest, ReadCsvFileRoundTripsWriter)
-{
-    {
-        CsvWriter w(path);
-        w.writeRow({"a,b", "say \"hi\""});
-        w.writeRow({"1", "2"});
-        w.close();
-    }
-    const auto rows = readCsvFile(path);
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows.value().size(), 2u);
-    EXPECT_EQ(rows.value()[0],
-              (std::vector<std::string>{"a,b", "say \"hi\""}));
-    EXPECT_EQ(rows.value()[1], (std::vector<std::string>{"1", "2"}));
-}
-
-TEST_F(CsvTest, ReadCsvFileReportsLineOfSyntaxError)
-{
-    {
-        std::ofstream out(path);
-        out << "fine,row\n\"unterminated\n";
-    }
-    const auto rows = readCsvFile(path);
-    ASSERT_FALSE(rows.ok());
-    EXPECT_EQ(rows.error().code, ErrorCode::BadSyntax);
-    EXPECT_NE(rows.error().message.find("line 2"), std::string::npos);
-}
-
-TEST(ReadCsvFile, MissingFileIsIoError)
-{
-    const auto rows = readCsvFile("/no/such/file.csv");
-    ASSERT_FALSE(rows.ok());
-    EXPECT_EQ(rows.error().code, ErrorCode::Io);
-}
-
 } // namespace
 } // namespace adrias

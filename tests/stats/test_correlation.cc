@@ -82,23 +82,5 @@ TEST(FractionalRanks, TiesShareAverageRank)
     EXPECT_DOUBLE_EQ(r[3], 4.0);
 }
 
-TEST(Spearman, MonotoneNonlinearRelationIsOne)
-{
-    std::vector<double> x, y;
-    for (int i = 1; i <= 50; ++i) {
-        x.push_back(i);
-        y.push_back(std::exp(0.1 * i)); // monotone but nonlinear
-    }
-    EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-    EXPECT_LT(pearson(x, y), 1.0);
-}
-
-TEST(Spearman, AntitoneIsMinusOne)
-{
-    std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-    std::vector<double> y{100.0, 10.0, 1.0, 0.1};
-    EXPECT_NEAR(spearman(x, y), -1.0, 1e-12);
-}
-
 } // namespace
 } // namespace adrias::stats
