@@ -52,6 +52,19 @@ stackSequences(const std::vector<const std::vector<ml::Matrix> *> &sequences)
     return batched;
 }
 
+std::vector<ml::Matrix>
+stackScaled(const ml::StandardScaler &scaler,
+            const std::vector<const std::vector<ml::Matrix> *> &sequences)
+{
+    std::vector<std::vector<ml::Matrix>> scaled(sequences.size());
+    std::vector<const std::vector<ml::Matrix> *> ptrs(sequences.size());
+    for (std::size_t b = 0; b < sequences.size(); ++b) {
+        scaled[b] = scaler.transformSequence(*sequences[b]);
+        ptrs[b] = &scaled[b];
+    }
+    return stackSequences(ptrs);
+}
+
 BatchAssembler::BatchAssembler(BatchAssemblerConfig config)
     : knobs(config)
 {

@@ -17,6 +17,7 @@
 
 #include "common/types.hh"
 #include "ml/matrix.hh"
+#include "ml/scaler.hh"
 
 namespace adrias::models
 {
@@ -30,6 +31,11 @@ namespace adrias::models
  */
 std::vector<ml::Matrix>
 stackSequences(const std::vector<const std::vector<ml::Matrix> *> &sequences);
+
+/** stackSequences() over each sequence standardized by `scaler`. */
+std::vector<ml::Matrix>
+stackScaled(const ml::StandardScaler &scaler,
+            const std::vector<const std::vector<ml::Matrix> *> &sequences);
 
 /** Stack (1 x F) row vectors into a (B x F) matrix. */
 ml::Matrix stackRows(const std::vector<const ml::Matrix *> &rows);

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <sstream>
-#include <string_view>
-#include <unordered_map>
 
 #include "ml/serialize.hh"
 
@@ -15,7 +12,6 @@
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
 #include "models/batching.hh"
-#include "obs/obs.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
 
@@ -41,7 +37,9 @@ toString(FutureKind kind)
 }
 
 PerformanceModel::PerformanceModel(FutureKind future_, ModelConfig config_)
-    : future(future_), config(config_), rng(config_.seed)
+    : future(future_), config(config_), rng(config_.seed),
+      signatureMemo("predictor.signature_memo", config_.hidden),
+      historyMemo("predictor.history_memo", config_.hidden)
 {
     historyLstm1 =
         std::make_unique<ml::Lstm>(kNumPerfEvents, config.hidden, rng);
@@ -211,6 +209,7 @@ PerformanceModel::fitLoop(
 {
     // The weights (and, from train(), the scalers) change below.
     signatureMemo.clear();
+    historyMemo.clear();
 
     // Pre-resolve the future vectors once (the Predicted variant runs
     // batched system-model forwards over the whole set).
@@ -238,19 +237,16 @@ PerformanceModel::fitLoop(
                 std::min(order.size(), begin + config.batchSize);
             const std::size_t rows = end - begin;
 
-            std::vector<std::vector<ml::Matrix>> scaled_h(rows),
-                scaled_k(rows);
-            std::vector<const std::vector<ml::Matrix> *> h_ptrs, k_ptrs;
+            std::vector<const std::vector<ml::Matrix> *> histories,
+                signatures;
             ml::Matrix mode_col(rows, 1);
             ml::Matrix future_rows(rows, futureWidth());
             ml::Matrix target(rows, 1);
             for (std::size_t i = begin; i < end; ++i) {
                 const auto &sample = samples[order[i]];
                 const std::size_t row = i - begin;
-                scaled_h[row] =
-                    counterScaler.transformSequence(sample.history);
-                scaled_k[row] =
-                    counterScaler.transformSequence(sample.signature);
+                histories.push_back(&sample.history);
+                signatures.push_back(&sample.signature);
                 mode_col.at(row, 0) =
                     sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
                 if (futureWidth() > 0) {
@@ -262,16 +258,12 @@ PerformanceModel::fitLoop(
                 target.at(row, 0) = targetScaler.transformScalar(
                     encodeTarget(sample.target), 0);
             }
-            for (const auto &seq : scaled_h)
-                h_ptrs.push_back(&seq);
-            for (const auto &seq : scaled_k)
-                k_ptrs.push_back(&seq);
 
             optimizer.zeroGrad();
             const ml::Matrix prediction =
-                forwardBatch(stackSequences(h_ptrs),
-                             stackSequences(k_ptrs), mode_col,
-                             future_rows);
+                forwardBatch(stackScaled(counterScaler, histories),
+                             stackScaled(counterScaler, signatures),
+                             mode_col, future_rows);
             ml::Matrix grad;
             epoch_loss += ml::mseLoss(prediction, target, &grad);
             ++batches;
@@ -296,18 +288,14 @@ PerformanceModel::fitLoop(
         const std::size_t end =
             std::min(samples.size(), begin + config.batchSize);
         const std::size_t rows = end - begin;
-        std::vector<std::vector<ml::Matrix>> scaled_h(rows),
-            scaled_k(rows);
-        std::vector<const std::vector<ml::Matrix> *> h_ptrs, k_ptrs;
+        std::vector<const std::vector<ml::Matrix> *> histories, signatures;
         ml::Matrix mode_col(rows, 1);
         ml::Matrix future_rows(rows, futureWidth());
         for (std::size_t i = begin; i < end; ++i) {
             const auto &sample = samples[i];
             const std::size_t row = i - begin;
-            scaled_h[row] =
-                counterScaler.transformSequence(sample.history);
-            scaled_k[row] =
-                counterScaler.transformSequence(sample.signature);
+            histories.push_back(&sample.history);
+            signatures.push_back(&sample.signature);
             mode_col.at(row, 0) =
                 sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
             if (futureWidth() > 0) {
@@ -317,12 +305,9 @@ PerformanceModel::fitLoop(
                     future_rows.at(row, e) = scaled_future.at(0, e);
             }
         }
-        for (const auto &seq : scaled_h)
-            h_ptrs.push_back(&seq);
-        for (const auto &seq : scaled_k)
-            k_ptrs.push_back(&seq);
-        forwardBatch(stackSequences(h_ptrs), stackSequences(k_ptrs),
-                     mode_col, future_rows);
+        forwardBatch(stackScaled(counterScaler, histories),
+                     stackScaled(counterScaler, signatures), mode_col,
+                     future_rows);
     }
     head->endStatsEstimation();
 
@@ -367,6 +352,7 @@ PerformanceModel::loadFromStream(std::istream &in)
     if ((log_flag != 0) != config.logTarget)
         fatal("PerformanceModel::load: logTarget mismatch");
     signatureMemo.clear();
+    historyMemo.clear();
     ml::loadParams(in, params());
     ml::loadStateTensors(in, head->stateTensors());
     ml::loadScaler(in, counterScaler);
@@ -400,109 +386,6 @@ PerformanceModel::predict(const std::vector<ml::Matrix> &history,
         .front();
 }
 
-namespace
-{
-
-/** A signature's memo key: its steps' doubles, flattened. */
-std::vector<double>
-flattenSignature(const std::vector<ml::Matrix> &signature)
-{
-    std::vector<double> raw;
-    raw.reserve(signature.size() * signature.front().size());
-    for (const ml::Matrix &step : signature)
-        raw.insert(raw.end(), step.raw().begin(), step.raw().end());
-    return raw;
-}
-
-std::size_t
-hashBits(const std::vector<double> &raw)
-{
-    return std::hash<std::string_view>{}(
-        std::string_view(reinterpret_cast<const char *>(raw.data()),
-                         raw.size() * sizeof(double)));
-}
-
-/** Bitwise equality: +0.0 and -0.0 differ, equal NaN payloads match. */
-bool
-sameBits(const std::vector<double> &a, const std::vector<double> &b)
-{
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-} // namespace
-
-ml::Matrix
-PerformanceModel::encodeSignatures(
-    const std::vector<const std::vector<ml::Matrix> *> &signatures) const
-{
-    // The key is the signature's contents, never its address: store
-    // entries are replaced in place and evaluate() passes a copy per
-    // sample.  A hit is confirmed bitwise against the stored copy.
-    // Only the misses are scaled and encoded, at their natural width;
-    // row independence (DESIGN.md §9) makes a memoized row bitwise
-    // equal to a recomputed one.
-    const std::size_t H = config.hidden;
-    ml::Matrix codes(signatures.size(), H);
-    const auto codeRow = [&codes, H](std::size_t i) {
-        return codes.raw().begin() + static_cast<std::ptrdiff_t>(i * H);
-    };
-    std::vector<std::vector<double>> raw(signatures.size());
-    std::vector<std::size_t> hash(signatures.size());
-    std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < signatures.size(); ++i) {
-        raw[i] = flattenSignature(*signatures[i]);
-        hash[i] = hashBits(raw[i]);
-        const SignatureCode *cached = nullptr;
-        const auto [first, last] = signatureMemo.equal_range(hash[i]);
-        for (auto it = first; it != last && cached == nullptr; ++it)
-            if (it->second.steps == signatures[i]->size() &&
-                sameBits(it->second.raw, raw[i]))
-                cached = &it->second;
-        if (cached == nullptr)
-            misses.push_back(i);
-        else
-            std::copy(cached->code.begin(), cached->code.end(), codeRow(i));
-    }
-
-#if ADRIAS_OBS_ENABLED
-    if (obs::enabled()) {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        static obs::Counter &hits_c =
-            reg.counter("predictor.signature_memo.hits");
-        static obs::Counter &misses_c =
-            reg.counter("predictor.signature_memo.misses");
-        hits_c.add(signatures.size() - misses.size());
-        misses_c.add(misses.size());
-    }
-#endif
-    if (misses.empty())
-        return codes;
-
-    std::vector<std::vector<ml::Matrix>> scaled(misses.size());
-    std::vector<const std::vector<ml::Matrix> *> ptrs;
-    ptrs.reserve(misses.size());
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-        scaled[m] = counterScaler.transformSequence(*signatures[misses[m]]);
-        ptrs.push_back(&scaled[m]);
-    }
-    const auto k2 = signatureLstm2->forwardSequence(
-        signatureLstm1->forwardSequence(stackSequences(ptrs)));
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-        const std::size_t i = misses[m];
-        const auto row = k2.back().raw().begin() +
-                         static_cast<std::ptrdiff_t>(m * H);
-        std::copy(row, row + static_cast<std::ptrdiff_t>(H), codeRow(i));
-        if (signatureMemo.size() >= kSignatureMemoCap)
-            signatureMemo.clear();
-        signatureMemo.emplace(
-            hash[i],
-            SignatureCode{signatures[i]->size(), std::move(raw[i]),
-                          {row, row + static_cast<std::ptrdiff_t>(H)}});
-    }
-    return codes;
-}
-
 std::vector<double>
 PerformanceModel::predictBatch(const std::vector<Query> &queries) const
 {
@@ -512,78 +395,59 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
         fatal("PerformanceModel::predictBatch on empty batch");
 
     const std::size_t rows = queries.size();
-
-    // Dedupe each LSTM branch by sequence pointer: under epoch
-    // snapshots the history is per-shard and the signature per-app, so
-    // a serving batch usually holds only a handful of distinct
-    // sequences per branch.  Each distinct sequence is scaled and
-    // forwarded once; the head input then gathers branch outputs per
-    // row.  Every branch op is row-independent (DESIGN.md §9), so the
-    // gather is bitwise identical to stacking one row per query.  The
-    // signature branch also reuses earlier calls' work through the
-    // memo (encodeSignatures); the history branch starts afresh.
-    std::vector<const std::vector<ml::Matrix> *> dist_h, dist_k;
-    std::vector<std::size_t> h_slot(rows), k_slot(rows);
-    std::unordered_map<const void *, std::size_t> h_seen, k_seen;
+    std::vector<const std::vector<ml::Matrix> *> histories(rows),
+        signatures(rows);
     for (std::size_t b = 0; b < rows; ++b) {
         const Query &query = queries[b];
         if (query.history == nullptr || query.history->empty() ||
             query.signature == nullptr || query.signature->empty())
             fatal("PerformanceModel::predictBatch needs history and "
                   "signature");
-        const auto [hit, h_new] =
-            h_seen.emplace(query.history, dist_h.size());
-        if (h_new)
-            dist_h.push_back(query.history);
-        h_slot[b] = hit->second;
-        const auto [kit, k_new] =
-            k_seen.emplace(query.signature, dist_k.size());
-        if (k_new)
-            dist_k.push_back(query.signature);
-        k_slot[b] = kit->second;
+        if (futureWidth() > 0 &&
+            (query.future == nullptr || query.future->empty()))
+            fatal("PerformanceModel::predictBatch: this model needs a "
+                  "future vector");
+        histories[b] = query.history;
+        signatures[b] = query.signature;
     }
 
-    std::vector<std::vector<ml::Matrix>> scaled_h(dist_h.size());
-    for (std::size_t i = 0; i < dist_h.size(); ++i)
-        scaled_h[i] = counterScaler.transformSequence(*dist_h[i]);
-
-    ml::Matrix mode_col(rows, 1);
-    ml::Matrix future_rows(rows, futureWidth());
-    for (std::size_t b = 0; b < rows; ++b) {
-        const Query &query = queries[b];
-        mode_col.at(b, 0) =
-            query.mode == MemoryMode::Remote ? 1.0 : 0.0;
-        if (futureWidth() > 0) {
-            if (query.future == nullptr || query.future->empty())
-                fatal("PerformanceModel::predictBatch: this model "
-                      "needs a future vector");
-            const ml::Matrix scaled =
-                counterScaler.transform(*query.future);
-            for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-                future_rows.at(b, e) = scaled.at(0, e);
-        }
-    }
-
-    std::vector<const std::vector<ml::Matrix> *> h_ptrs;
-    h_ptrs.reserve(scaled_h.size());
-    for (const auto &seq : scaled_h)
-        h_ptrs.push_back(&seq);
-
-    const auto h2 = historyLstm2->forwardSequence(
-        historyLstm1->forwardSequence(stackSequences(h_ptrs)));
-    const ml::Matrix &h_last = h2.back();
-    const ml::Matrix k_codes = encodeSignatures(dist_k);
+    // Each branch encodes only what its memo has not seen: under epoch
+    // snapshots the history is per-shard and the signature per-app, so
+    // a serving batch holds a handful of distinct sequences per branch
+    // and consecutive batches share them.  The misses are scaled and
+    // forwarded together; every branch op is row-independent
+    // (DESIGN.md §9), so the gathered rows are bitwise identical to
+    // stacking one row per query.
+    const auto encoder = [this](ml::Lstm &layer1, ml::Lstm &layer2) {
+        return [this, &layer1, &layer2](
+                   const std::vector<const std::vector<ml::Matrix> *>
+                       &misses) {
+            auto last = layer2.forwardSequence(layer1.forwardSequence(
+                stackScaled(counterScaler, misses)));
+            return std::move(last.back());
+        };
+    };
+    const ml::Matrix h_last = historyMemo.rows(
+        histories, encoder(*historyLstm1, *historyLstm2));
+    const ml::Matrix k_last = signatureMemo.rows(
+        signatures, encoder(*signatureLstm1, *signatureLstm2));
 
     const std::size_t H = config.hidden;
     ml::Matrix hidden(rows, 2 * H + 1 + futureWidth());
     for (std::size_t b = 0; b < rows; ++b) {
+        const Query &query = queries[b];
         for (std::size_t j = 0; j < H; ++j) {
-            hidden.at(b, j) = h_last.at(h_slot[b], j);
-            hidden.at(b, H + j) = k_codes.at(k_slot[b], j);
+            hidden.at(b, j) = h_last.at(b, j);
+            hidden.at(b, H + j) = k_last.at(b, j);
         }
-        hidden.at(b, 2 * H) = mode_col.at(b, 0);
-        for (std::size_t e = 0; e < futureWidth(); ++e)
-            hidden.at(b, 2 * H + 1 + e) = future_rows.at(b, e);
+        hidden.at(b, 2 * H) =
+            query.mode == MemoryMode::Remote ? 1.0 : 0.0;
+        if (futureWidth() > 0) {
+            const ml::Matrix scaled =
+                counterScaler.transform(*query.future);
+            for (std::size_t e = 0; e < kNumPerfEvents; ++e)
+                hidden.at(b, 2 * H + 1 + e) = scaled.at(0, e);
+        }
     }
 
     const ml::Matrix out = head->forward(hidden);

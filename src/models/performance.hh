@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/io/checkpoint_annotations.hh"
@@ -24,6 +23,7 @@
 #include "ml/scaler.hh"
 #include "ml/sequential.hh"
 #include "models/config.hh"
+#include "models/encoding_memo.hh"
 #include "models/system_state.hh"
 #include "scenario/dataset.hh"
 
@@ -122,15 +122,14 @@ class PerformanceModel
 
     /**
      * Fused forward over B stacked queries.  Each distinct history and
-     * signature pointer is encoded once, and a signature whose
-     * contents were encoded by an earlier call is not encoded at all:
-     * its row comes from the signature memo (DESIGN.md §15.2).  Rows
-     * are independent through the encoders and the head, so element i
-     * is bitwise identical to a one-row call on query i on a cold
-     * model.
+     * signature is encoded once, and one whose contents an earlier
+     * call encoded is not encoded at all: its row comes from the
+     * history or signature memo (DESIGN.md §15.2).  Rows are
+     * independent through the encoders and the head, so element i is
+     * bitwise identical to a one-row call on query i on a cold model.
      *
      * Not synchronized: like the LSTM workspaces (DESIGN.md §11.2),
-     * the memo assumes one caller at a time per model.
+     * the memos assume one caller at a time per model.
      *
      * @return one prediction per query, input order.
      */
@@ -149,13 +148,18 @@ class PerformanceModel
     FutureKind futureKind() const { return future; }
     bool trained() const { return isTrained; }
 
-    /** Signature encodings the memo holds right now. */
+    /** Signature encodings the signature memo holds right now. */
     std::size_t memoizedSignatures() const { return signatureMemo.size(); }
+
+    /** History encodings the history memo holds right now. */
+    std::size_t memoizedHistories() const { return historyMemo.size(); }
 
     /**
      * All trainable parameters (for persistence).  Writing weights
-     * through these pointers bypasses the signature memo; only
-     * train(), fineTune() and load() invalidate it.
+     * through these pointers bypasses the signature and history memos
+     * (and the system-state model's Ŝ memo, for a Predicted model's
+     * inputs); only train(), fineTune() and load() of the model that
+     * owns a memo invalidate it.
      */
     std::vector<ml::Param *> params();
 
@@ -190,26 +194,15 @@ class PerformanceModel
     ml::StandardScaler targetScaler;
     bool isTrained = false;
 
-    /** One memoized signature-branch output. */
-    struct SignatureCode
-    {
-        std::size_t steps = 0;   ///< signature length, part of the key
-        std::vector<double> raw; ///< the steps' doubles, the key
-        std::vector<double> code; ///< its k_last row (hidden wide)
-    };
-
-    /** Entries kept before the memo starts over. */
-    static constexpr std::size_t kSignatureMemoCap = 256;
-
     /**
-     * predictBatch()'s signature-branch outputs, keyed by a hash of
-     * the raw signature doubles; a hit is confirmed bitwise against
-     * the stored copy, so a replaced store entry can never match.
+     * predictBatch()'s branch outputs keyed by the raw sequence: the
+     * k_last row per signature and the h_last row per history window.
      * Cleared by fitLoop() and loadFromStream().
      */
-    mutable std::unordered_multimap<std::size_t, SignatureCode>
-        signatureMemo ADRIAS_NOT_CHECKPOINTED(
-            "derived state: a restored model re-encodes on first use");
+    mutable EncodingMemo signatureMemo ADRIAS_NOT_CHECKPOINTED(
+        "derived state: a restored model re-encodes on first use");
+    mutable EncodingMemo historyMemo ADRIAS_NOT_CHECKPOINTED(
+        "derived state: a restored model re-encodes on first use");
 
     std::size_t futureWidth() const;
 
@@ -239,15 +232,6 @@ class PerformanceModel
 
     void backwardBatch(const ml::Matrix &grad_output,
                        std::size_t batch_rows) const;
-
-    /**
-     * predictBatch()'s signature branch: one k_last row per distinct
-     * signature (input order), from the memo or, for the misses, from
-     * one encoder forward.
-     */
-    ml::Matrix encodeSignatures(
-        const std::vector<const std::vector<ml::Matrix> *> &signatures)
-        const;
 };
 
 } // namespace adrias::models

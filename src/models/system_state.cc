@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/io/durable_file.hh"
@@ -21,7 +20,8 @@ namespace adrias::models
 using testbed::kNumPerfEvents;
 
 SystemStateModel::SystemStateModel(ModelConfig config_)
-    : config(config_), rng(config_.seed)
+    : config(config_), rng(config_.seed),
+      stateMemo("predictor.state_memo", kNumPerfEvents)
 {
     lstm1 = std::make_unique<ml::Lstm>(kNumPerfEvents, config.hidden, rng);
     lstm2 = std::make_unique<ml::Lstm>(config.hidden, config.hidden, rng);
@@ -68,6 +68,8 @@ SystemStateModel::train(
 {
     if (samples.size() < 4)
         fatal("SystemStateModel::train: too few samples");
+    // The scalers and weights change below.
+    stateMemo.clear();
 
     // Fit scalers on the training inputs/targets only.
     std::vector<std::vector<ml::Matrix>> sequences;
@@ -104,16 +106,12 @@ SystemStateModel::train(
 
             std::vector<const std::vector<ml::Matrix> *> batch_seqs;
             std::vector<const ml::Matrix *> batch_targets;
-            std::vector<std::vector<ml::Matrix>> scaled_seqs(end - begin);
-            for (std::size_t s = 0; s < end - begin; ++s)
-                scaled_seqs[s] = inputScaler.transformSequence(
-                    samples[order[begin + s]].history);
-            for (std::size_t i = begin; i < end; ++i)
+            for (std::size_t i = begin; i < end; ++i) {
+                batch_seqs.push_back(&samples[order[i]].history);
                 batch_targets.push_back(&samples[order[i]].target);
-            for (const auto &seq : scaled_seqs)
-                batch_seqs.push_back(&seq);
+            }
 
-            const auto batch = stackSequences(batch_seqs);
+            const auto batch = stackScaled(inputScaler, batch_seqs);
             const ml::Matrix target =
                 targetScaler.transform(stackRows(batch_targets));
 
@@ -142,14 +140,10 @@ SystemStateModel::train(
          begin += config.batchSize) {
         const std::size_t end =
             std::min(samples.size(), begin + config.batchSize);
-        std::vector<std::vector<ml::Matrix>> scaled(end - begin);
-        std::vector<const std::vector<ml::Matrix> *> ptrs;
-        for (std::size_t s = 0; s < end - begin; ++s)
-            scaled[s] = inputScaler.transformSequence(
-                samples[begin + s].history);
-        for (const auto &seq : scaled)
-            ptrs.push_back(&seq);
-        forwardBatch(stackSequences(ptrs));
+        std::vector<const std::vector<ml::Matrix> *> histories;
+        for (std::size_t i = begin; i < end; ++i)
+            histories.push_back(&samples[i].history);
+        forwardBatch(stackScaled(inputScaler, histories));
     }
     head->endStatsEstimation();
 
@@ -181,6 +175,7 @@ SystemStateModel::save(const std::string &path)
 void
 SystemStateModel::loadFromStream(std::istream &in)
 {
+    stateMemo.clear();
     ml::loadParams(in, params());
     ml::loadStateTensors(in, head->stateTensors());
     ml::loadScaler(in, inputScaler);
@@ -219,42 +214,28 @@ SystemStateModel::predictBatch(
     if (histories.empty())
         fatal("SystemStateModel::predictBatch on empty batch");
 
-    // Epoch-snapshot serving hands every row of a shard the SAME
-    // history window, so batches are full of repeated sequence
-    // pointers.  Scale and forward each distinct sequence once and let
-    // rows gather their result: every op in the forward is
-    // row-independent (DESIGN.md §9), so the gathered outputs are
-    // bitwise identical to a row-per-row stack — this is where the
-    // fused serving path beats width-1 calls, which can never share
-    // work across requests.
-    std::vector<const std::vector<ml::Matrix> *> distinct;
-    std::vector<std::size_t> slot(histories.size());
-    std::unordered_map<const void *, std::size_t> seen;
-    for (std::size_t b = 0; b < histories.size(); ++b) {
-        if (histories[b] == nullptr || histories[b]->empty())
+    for (const auto *history : histories)
+        if (history == nullptr || history->empty())
             fatal("SystemStateModel::predictBatch: empty history");
-        const auto [it, inserted] =
-            seen.emplace(histories[b], distinct.size());
-        if (inserted)
-            distinct.push_back(histories[b]);
-        slot[b] = it->second;
-    }
 
-    std::vector<std::vector<ml::Matrix>> scaled(distinct.size());
-    for (std::size_t d = 0; d < distinct.size(); ++d)
-        scaled[d] = inputScaler.transformSequence(*distinct[d]);
-    std::vector<const std::vector<ml::Matrix> *> ptrs;
-    ptrs.reserve(scaled.size());
-    for (const auto &seq : scaled)
-        ptrs.push_back(&seq);
-
-    const ml::Matrix out =
-        targetScaler.inverseTransform(forwardBatch(stackSequences(ptrs)));
+    // Epoch-snapshot serving hands every row of a shard the SAME
+    // history window, and the window only changes when the Watcher
+    // samples, so consecutive calls ask for the same forecasts.  Only
+    // the windows the memo has not seen are scaled and forwarded, once
+    // each; every op in the forward is row-independent (DESIGN.md
+    // §9), so the gathered rows are bitwise identical to a row-per-row
+    // stack.
+    const ml::Matrix out = stateMemo.rows(
+        histories,
+        [this](const std::vector<const std::vector<ml::Matrix> *> &misses) {
+            return targetScaler.inverseTransform(
+                forwardBatch(stackScaled(inputScaler, misses)));
+        });
     std::vector<ml::Matrix> rows(histories.size());
     for (std::size_t b = 0; b < rows.size(); ++b) {
         ml::Matrix row(1, out.cols());
         for (std::size_t e = 0; e < out.cols(); ++e)
-            row.at(0, e) = out.at(slot[b], e);
+            row.at(0, e) = out.at(b, e);
         rows[b] = std::move(row);
     }
     return rows;

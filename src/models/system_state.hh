@@ -13,11 +13,13 @@
 #include <memory>
 #include <vector>
 
+#include "common/io/checkpoint_annotations.hh"
 #include "common/rng.hh"
 #include "ml/lstm.hh"
 #include "ml/scaler.hh"
 #include "ml/sequential.hh"
 #include "models/config.hh"
+#include "models/encoding_memo.hh"
 #include "scenario/dataset.hh"
 
 namespace adrias::models
@@ -60,10 +62,15 @@ class SystemStateModel
     ml::Matrix predict(const std::vector<ml::Matrix> &history) const;
 
     /**
-     * Fused forward over B stacked histories; each distinct history
-     * pointer is scaled and forwarded once.  Rows are independent
-     * through the whole network, so row i of the result is bitwise
-     * identical to a one-row call on histories[i].
+     * Fused forward over B stacked histories; each distinct history is
+     * scaled and forwarded once, and one whose contents an earlier
+     * call forecast is not forwarded at all: its Ŝ row comes from the
+     * state memo (DESIGN.md §15.2).  Rows are independent through the
+     * whole network, so row i of the result is bitwise identical to a
+     * one-row call on histories[i] on a cold model.
+     *
+     * Not synchronized: like the LSTM workspaces (DESIGN.md §11.2),
+     * the memo assumes one caller at a time per model.
      *
      * @param histories one binned window per batch row (borrowed; all
      *        the same length).
@@ -83,7 +90,14 @@ class SystemStateModel
     /** @return true after train() has run. */
     bool trained() const { return isTrained; }
 
-    /** All trainable parameters (for persistence). */
+    /** Ŝ forecasts the state memo holds right now. */
+    std::size_t memoizedStates() const { return stateMemo.size(); }
+
+    /**
+     * All trainable parameters (for persistence).  Writing weights
+     * through these pointers bypasses the Ŝ memo; only train() and
+     * load() invalidate it.
+     */
     std::vector<ml::Param *> params();
 
     /**
@@ -115,6 +129,13 @@ class SystemStateModel
     ml::StandardScaler inputScaler;
     ml::StandardScaler targetScaler;
     bool isTrained = false;
+
+    /**
+     * predictBatch()'s inverse-scaled Ŝ row per history window, keyed
+     * by the raw window.  Cleared by train() and loadFromStream().
+     */
+    mutable EncodingMemo stateMemo ADRIAS_NOT_CHECKPOINTED(
+        "derived state: a restored model re-forecasts on first use");
 
     /**
      * Batched forward pass to the head output.

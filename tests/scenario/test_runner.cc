@@ -119,8 +119,9 @@ TEST(ScenarioRunner, RecordsCarryPerformanceNumbers)
             EXPECT_GE(record.p999Ms, record.p99Ms);
             EXPECT_LT(record.meanLatencyMs, record.p99Ms);
         }
-        if (record.mode == MemoryMode::Local)
+        if (record.mode == MemoryMode::Local) {
             EXPECT_DOUBLE_EQ(record.remoteTrafficGB, 0.0);
+        }
     }
 }
 

@@ -64,23 +64,5 @@ TEST(Pearson, InputValidation)
     EXPECT_THROW(pearson({1.0}, {1.0}), std::runtime_error);
 }
 
-TEST(FractionalRanks, NoTies)
-{
-    const auto r = fractionalRanks({30.0, 10.0, 20.0});
-    ASSERT_EQ(r.size(), 3u);
-    EXPECT_DOUBLE_EQ(r[0], 3.0);
-    EXPECT_DOUBLE_EQ(r[1], 1.0);
-    EXPECT_DOUBLE_EQ(r[2], 2.0);
-}
-
-TEST(FractionalRanks, TiesShareAverageRank)
-{
-    const auto r = fractionalRanks({1.0, 2.0, 2.0, 3.0});
-    EXPECT_DOUBLE_EQ(r[0], 1.0);
-    EXPECT_DOUBLE_EQ(r[1], 2.5);
-    EXPECT_DOUBLE_EQ(r[2], 2.5);
-    EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
 } // namespace
 } // namespace adrias::stats
