@@ -52,7 +52,16 @@ struct Error
     [[nodiscard]] std::string
     toString() const
     {
-        return "[" + errorCodeName(code) + "] " + message;
+        // Reserve-and-append, not chained +: GCC 12 cannot bound the
+        // temporaries of the chain and warns -Wrestrict in Release.
+        const std::string name = errorCodeName(code);
+        std::string text;
+        text.reserve(name.size() + message.size() + 3);
+        text += '[';
+        text += name;
+        text += "] ";
+        text += message;
+        return text;
     }
 };
 

@@ -23,7 +23,11 @@ ReLU::forward(const Matrix &input)
 {
     if (!isInference)
         lastInput = input;
-    return input.map([](double x) { return x > 0.0 ? x : 0.0; });
+    // A plain loop, not Matrix::map: no std::function call per element.
+    Matrix out = input;
+    for (double &x : out.raw())
+        x = x > 0.0 ? x : 0.0;
+    return out;
 }
 
 Matrix

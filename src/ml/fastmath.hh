@@ -93,30 +93,42 @@ expm1SmallNeg(double r)
     return p * r;
 }
 
-/** Logistic sigmoid, sign-split so the exponential always decays. */
+/**
+ * Logistic sigmoid, sign-split so the exponential always decays:
+ * 1/(1+e) for x >= 0, e/(1+e) below.  The numerator is selected
+ * first, so a vectorized gate loop divides once per element, not once
+ * per arm; the quotient's operands, and so its bits, are the same.
+ */
 inline double
 sigmoid(double x)
 {
     const double e = expNeg(-std::fabs(x));
-    return x >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+    return (x >= 0.0 ? 1.0 : e) / (1.0 + e);
 }
 
-/** tanh via exp(-2|x|); cancellation-free near zero via expm1. */
+/**
+ * tanh via exp(-2|x|); cancellation-free near zero via expm1.  Like
+ * sigmoid, each arm only selects its numerator and denominator, and
+ * the one division comes after.
+ */
 inline double
 tanh(double x)
 {
     const double a2 = 2.0 * std::fabs(x);
-    double t;
+    double num;
+    double den;
     if (a2 <= 0.25) {
         // (1-e)/(1+e) == -em1/(2+em1); avoids the 1-e cancellation
         // that would cost ~half the digits for small |x|.
         const double em1 = expm1SmallNeg(-a2);
-        t = -em1 / (2.0 + em1);
+        num = -em1;
+        den = 2.0 + em1;
     } else {
         const double e = expNeg(-a2);
-        t = (1.0 - e) / (1.0 + e);
+        num = 1.0 - e;
+        den = 1.0 + e;
     }
-    return std::copysign(t, x);
+    return std::copysign(num / den, x);
 }
 
 } // namespace adrias::ml::fastmath

@@ -112,6 +112,54 @@ gateRowsTraining(const double *__restrict za, const double *__restrict zb,
     }
 }
 
+/**
+ * BPTT element-wise pass of one step over `batch` rows: from the
+ * cached gates (the z layout), tanh(c_t) and c_{t-1} and from
+ * dh = grad_h + dh_next, writes the packed (batch x 4*hidden)
+ * pre-activation gradient dz and updates dc_next in place.  Per
+ * element the op order matches the reference hadamard/map chain
+ * exactly, and the lanes are independent hidden units, so both clones
+ * return the same bits.
+ */
+ADRIAS_SCALAR_CLONES void
+dzRows(const double *__restrict gates, const double *__restrict tanh_cell,
+       const double *__restrict c_prev, const double *__restrict grad_h,
+       const double *__restrict dh_next, double *__restrict dc_next,
+       double *__restrict dz, std::size_t batch, std::size_t hidden)
+{
+    const std::size_t gate_width = 4 * hidden;
+    for (std::size_t r = 0; r < batch; ++r) {
+        const double *grow = gates + r * gate_width;
+        const double *tcrow = tanh_cell + r * hidden;
+        const double *cprow = c_prev + r * hidden;
+        const double *ghrow = grad_h + r * hidden;
+        const double *dhrow = dh_next + r * hidden;
+        double *dcrow = dc_next + r * hidden;
+        double *dzrow = dz + r * gate_width;
+        for (std::size_t c = 0; c < hidden; ++c) {
+            const double gi = grow[c];
+            const double gf = grow[hidden + c];
+            const double gg = grow[2 * hidden + c];
+            const double go = grow[3 * hidden + c];
+            const double tc = tcrow[c];
+            const double dh = ghrow[c] + dhrow[c];
+            // h = o * tanh(c)
+            const double d_o = dh * tc;
+            const double dc = ((dh * go) * (1.0 - tc * tc)) + dcrow[c];
+            // c = f*c_prev + i*g
+            const double d_f = dc * cprow[c];
+            const double d_i = dc * gg;
+            const double d_g = dc * gi;
+            dcrow[c] = dc * gf;
+            // through the gate non-linearities
+            dzrow[c] = d_i * (gi * (1.0 - gi));
+            dzrow[hidden + c] = d_f * (gf * (1.0 - gf));
+            dzrow[2 * hidden + c] = d_g * (1.0 - gg * gg);
+            dzrow[3 * hidden + c] = d_o * (go * (1.0 - go));
+        }
+    }
+}
+
 } // namespace
 
 bool
@@ -154,7 +202,8 @@ Lstm::forwardSequence(const std::vector<Matrix> &sequence)
 }
 
 std::vector<Matrix>
-Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden)
+Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden,
+                       InputGrad input_grad)
 {
     const std::size_t steps =
         lastForwardFused ? caches.size() : refCaches.size();
@@ -163,8 +212,8 @@ Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden)
     if (steps == 0)
         panic("Lstm::backwardSequence before forwardSequence");
     if (lastForwardFused)
-        return backwardFused(grad_hidden);
-    return backwardReference(grad_hidden);
+        return backwardFused(grad_hidden, input_grad);
+    return backwardReference(grad_hidden, input_grad);
 }
 
 std::vector<Matrix>
@@ -265,17 +314,25 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
 }
 
 std::vector<Matrix>
-Lstm::backwardFused(const std::vector<Matrix> &grad_hidden)
+Lstm::backwardFused(const std::vector<Matrix> &grad_hidden,
+                    InputGrad input_grad)
 {
     const std::size_t hidden = hiddenSize();
     const std::size_t steps = caches.size();
     const std::size_t batch = caches.front().input.rows();
     const std::size_t gate_width = 4 * hidden;
+    const bool input_grads = input_grad == InputGrad::Compute;
 
-    std::vector<Matrix> grad_inputs(steps);
+    std::vector<Matrix> grad_inputs(input_grads ? steps : 0);
     wsDhNext.resize(batch, hidden);
     wsDcNext.resize(batch, hidden);
     wsDz.resizeForOverwrite(batch, gate_width);
+    // dz*W^T runs as dz*(W^T) on the GEMM row body, with no zero skip
+    // (DESIGN.md §11.1); the weights do not change during the pass.
+    if (input_grads)
+        wx.value.transposeInto(wsWxT);
+    if (steps > 1)
+        wh.value.transposeInto(wsWhT);
 
     for (std::size_t step = steps; step-- > 0;) {
         const StepCache &cache = caches[step];
@@ -286,51 +343,16 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden)
                   std::to_string(hidden));
         }
 
-        const double *ghbuf = gh.raw().data();
-        const double *gatebuf = cache.gates.raw().data();
-        const double *tcbuf = cache.tanhCell.raw().data();
-        const double *cprevbuf =
-            step > 0 ? caches[step - 1].cell.raw().data() : nullptr;
-        const double *dhbuf = wsDhNext.raw().data();
-        double *dcbuf = wsDcNext.raw().data();
-        double *dzbuf = wsDz.raw().data();
-
-        // Fused element-wise pass: writes the packed dz block directly
-        // (no hconcat) and the next-step dc in place.  Per element the
-        // op order matches the reference hadamard/map chain exactly.
-        for (std::size_t r = 0; r < batch; ++r) {
-            const double *__restrict grow = gatebuf + r * gate_width;
-            const double *__restrict tcrow = tcbuf + r * hidden;
-            const double *__restrict ghrow = ghbuf + r * hidden;
-            const double *__restrict dhrow = dhbuf + r * hidden;
-            const double *__restrict cprow =
-                cprevbuf ? cprevbuf + r * hidden : nullptr;
-            double *__restrict dcrow = dcbuf + r * hidden;
-            double *__restrict dzrow = dzbuf + r * gate_width;
-            for (std::size_t c = 0; c < hidden; ++c) {
-                const double gi = grow[c];
-                const double gf = grow[hidden + c];
-                const double gg = grow[2 * hidden + c];
-                const double go = grow[3 * hidden + c];
-                const double tc = tcrow[c];
-                const double dh = ghrow[c] + dhrow[c];
-                // h = o * tanh(c)
-                const double d_o = dh * tc;
-                const double dc =
-                    ((dh * go) * (1.0 - tc * tc)) + dcrow[c];
-                // c = f*c_prev + i*g
-                const double c_prev = cprow ? cprow[c] : 0.0;
-                const double d_f = dc * c_prev;
-                const double d_i = dc * gg;
-                const double d_g = dc * gi;
-                dcrow[c] = dc * gf;
-                // through the gate non-linearities
-                dzrow[c] = d_i * (gi * (1.0 - gi));
-                dzrow[hidden + c] = d_f * (gf * (1.0 - gf));
-                dzrow[2 * hidden + c] = d_g * (1.0 - gg * gg);
-                dzrow[3 * hidden + c] = d_o * (go * (1.0 - go));
-            }
-        }
+        // c_0 is all zeros, and so is step 0's cached h_0 (same shape),
+        // which stands in for it.
+        const Matrix &c_prev =
+            step > 0 ? caches[step - 1].cell : caches[0].hPrev;
+        // Writes the packed dz block directly (no hconcat) and the
+        // next-step dc in place.  All buffers are distinct allocations,
+        // so the kernel's __restrict parameters hold.
+        dzRows(cache.gates.raw().data(), cache.tanhCell.raw().data(),
+               c_prev.raw().data(), gh.raw().data(), wsDhNext.raw().data(),
+               wsDcNext.raw().data(), wsDz.raw().data(), batch, hidden);
 
         // Parameter gradients stay compute-then-accumulate: each
         // product lands in a zeroed staging buffer and is added in one
@@ -342,8 +364,11 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden)
         wh.grad += wsGradW;
         wsDz.sumRowsAddTo(b.grad);
 
-        wsDz.matmulTransposedInto(wx.value, grad_inputs[step]);
-        wsDz.matmulTransposedInto(wh.value, wsDhNext);
+        if (input_grads)
+            wsDz.matmulNoSkipInto(wsWxT, grad_inputs[step]);
+        // Step 0's dh_{-1} has no reader.
+        if (step > 0)
+            wsDz.matmulNoSkipInto(wsWhT, wsDhNext);
     }
     return grad_inputs;
 }
@@ -400,13 +425,15 @@ Lstm::forwardReference(const std::vector<Matrix> &sequence)
 }
 
 std::vector<Matrix>
-Lstm::backwardReference(const std::vector<Matrix> &grad_hidden)
+Lstm::backwardReference(const std::vector<Matrix> &grad_hidden,
+                        InputGrad input_grad)
 {
     const std::size_t hidden = hiddenSize();
     const std::size_t steps = refCaches.size();
     const std::size_t batch = refCaches.front().input.rows();
 
-    std::vector<Matrix> grad_inputs(steps);
+    const bool input_grads = input_grad == InputGrad::Compute;
+    std::vector<Matrix> grad_inputs(input_grads ? steps : 0);
     Matrix dh_next(batch, hidden);
     Matrix dc_next(batch, hidden);
 
@@ -443,7 +470,8 @@ Lstm::backwardReference(const std::vector<Matrix> &grad_hidden)
         wh.grad += cache.hPrev.transposedMatmul(dz);
         b.grad += dz.sumRows();
 
-        grad_inputs[step] = dz.matmulTransposed(wx.value);
+        if (input_grads)
+            grad_inputs[step] = dz.matmulTransposed(wx.value);
         dh_next = dz.matmulTransposed(wh.value);
     }
     return grad_inputs;

@@ -65,15 +65,26 @@ class Lstm
      */
     std::vector<Matrix> forwardSequence(const std::vector<Matrix> &sequence);
 
+    /** Whether backwardSequence() computes dLoss/dX. */
+    enum class InputGrad
+    {
+        Compute, ///< return dLoss/dX_t for every step
+        Skip,    ///< nobody reads it (a first layer): return nothing
+    };
+
     /**
      * BPTT through the most recent forwardSequence().
      *
      * @param grad_hidden dLoss/dH_t for every step (zero matrices are
      *        fine for steps whose output is unused).
-     * @return dLoss/dX_t for every step; parameter gradients accumulate.
+     * @param input_grad Skip leaves out the dz*Wx^T product of every
+     *        step; the parameter gradients are bitwise the same.
+     * @return dLoss/dX_t for every step, or an empty vector with
+     *         InputGrad::Skip; parameter gradients accumulate.
      */
     std::vector<Matrix>
-    backwardSequence(const std::vector<Matrix> &grad_hidden);
+    backwardSequence(const std::vector<Matrix> &grad_hidden,
+                     InputGrad input_grad = InputGrad::Compute);
 
     /** @return trainable parameters (Wx, Wh, bias). */
     std::vector<Param *> params();
@@ -148,7 +159,9 @@ class Lstm
      * floating-point addition order.  wsDz is the packed (batch x 4H)
      * pre-activation gradient; wsGradW stages each parameter-gradient
      * product so accumulation stays compute-then-add, exactly like the
-     * reference path.
+     * reference path.  wsWxT / wsWhT hold Wx^T and Wh^T for the
+     * dz*W^T products: the weights are fixed for one backward
+     * pass, so they are transposed once per sequence, not per step.
      */
     Matrix wsXall;
     Matrix wsZx;
@@ -158,14 +171,17 @@ class Lstm
     Matrix wsDhNext;
     Matrix wsDcNext;
     Matrix wsGradW;
+    Matrix wsWxT;
+    Matrix wsWhT;
 
     std::vector<Matrix> forwardFused(const std::vector<Matrix> &sequence);
     std::vector<Matrix>
     forwardReference(const std::vector<Matrix> &sequence);
+    std::vector<Matrix> backwardFused(const std::vector<Matrix> &grad_hidden,
+                                      InputGrad input_grad);
     std::vector<Matrix>
-    backwardFused(const std::vector<Matrix> &grad_hidden);
-    std::vector<Matrix>
-    backwardReference(const std::vector<Matrix> &grad_hidden);
+    backwardReference(const std::vector<Matrix> &grad_hidden,
+                      InputGrad input_grad);
 };
 
 } // namespace adrias::ml

@@ -15,17 +15,21 @@ namespace
 
 /**
  * out_row[j] += lhs[k * lhs_stride] * rhs[k * width + j] over k in
- * increasing order, skipping exact-zero lhs: the scalar row body of
- * matmulInto (lhs_stride 1, a row of the lhs) and transposedMatmulInto
- * (lhs_stride = its column count, a column of the lhs).
+ * increasing order: the one scalar row body of the GEMM family.
+ * matmulInto runs it over a row of the lhs (lhs_stride 1),
+ * transposedMatmulInto over a column (lhs_stride = its column count),
+ * both with SkipZeroLhs; matmulNoSkipInto, the kernel behind
+ * matmulTransposedInto, runs it over a row without.
  *
  * k is unrolled by four with the adds parenthesized in k order:
  * ((((out + l0*r0) + l1*r1) + l2*r2) + l3*r3) is the exact scalar op
  * sequence of four single-k iterations, so the result stays bitwise
  * identical while the destination row round-trips through registers a
- * quarter as often.  Any exact-zero lhs in the group falls back to the
- * single-k form so the sparsity skip stays element-exact.
+ * quarter as often.  With SkipZeroLhs, a group with any exact-zero lhs
+ * falls back to the single-k form so the sparsity skip stays
+ * element-exact; without it every k is added, specials included.
  */
+template <bool SkipZeroLhs>
 [[gnu::always_inline]] inline void
 accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
               const double *__restrict rhs, std::size_t inner,
@@ -43,8 +47,9 @@ accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
         const double *r3 = r2 + width;
         // Exact-zero sparsity skips; a tolerance would change results.
         const bool dense4 =
-            l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
-            l2 != 0.0 && l3 != 0.0;   // NOLINT(float-equal)
+            !SkipZeroLhs ||
+            (l0 != 0.0 && l1 != 0.0 && // NOLINT(float-equal)
+             l2 != 0.0 && l3 != 0.0);  // NOLINT(float-equal)
         if (dense4) {
             for (std::size_t j = 0; j < width; ++j)
                 out_row[j] = ((((out_row[j] + l0 * r0[j]) + l1 * r1[j]) +
@@ -65,7 +70,7 @@ accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
     for (; k < inner; ++k) {
         const double l = lhs[k * lhs_stride];
         // NOLINTNEXTLINE(float-equal)
-        if (l == 0.0)
+        if (SkipZeroLhs && l == 0.0)
             continue;
         const double *rhs_row = &rhs[k * width];
         for (std::size_t j = 0; j < width; ++j)
@@ -78,6 +83,7 @@ accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
  * lhs + i * lhs_row_stride and steps lhs_k_stride per k.  One call per
  * GEMM, so the clone dispatch is paid once, not per row.
  */
+template <bool SkipZeroLhs>
 ADRIAS_SCALAR_CLONES void
 accumulateRows(const double *__restrict lhs, std::size_t lhs_row_stride,
                std::size_t lhs_k_stride, const double *__restrict rhs,
@@ -85,58 +91,8 @@ accumulateRows(const double *__restrict lhs, std::size_t lhs_row_stride,
                double *__restrict out)
 {
     for (std::size_t i = 0; i < rows; ++i)
-        accumulateRow(lhs + i * lhs_row_stride, lhs_k_stride, rhs, inner,
-                      width, out + i * width);
-}
-
-/**
- * out = lhs * rhs^T for lhs (rows x inner) and rhs (width x inner):
- * every element is its own dot product, written once.
- */
-ADRIAS_SCALAR_CLONES void
-dotRows(const double *__restrict lhs, const double *__restrict rhs,
-        std::size_t rows, std::size_t inner, std::size_t width,
-        double *__restrict out)
-{
-    for (std::size_t i = 0; i < rows; ++i) {
-        const double *lhs_row = &lhs[i * inner];
-        double *out_row = &out[i * width];
-        // Four output columns per pass, one accumulator each.  Every
-        // element still starts at +0.0 and adds lhs*rhs over k in
-        // increasing order with no zero skip, so it is bitwise the
-        // single-column dot product; the four add chains are
-        // independent, so they overlap instead of each add waiting on
-        // the one before it.
-        std::size_t j = 0;
-        for (; j + 3 < width; j += 4) {
-            const double *r0 = &rhs[j * inner];
-            const double *r1 = r0 + inner;
-            const double *r2 = r1 + inner;
-            const double *r3 = r2 + inner;
-            double acc0 = 0.0;
-            double acc1 = 0.0;
-            double acc2 = 0.0;
-            double acc3 = 0.0;
-            for (std::size_t k = 0; k < inner; ++k) {
-                const double l = lhs_row[k];
-                acc0 += l * r0[k];
-                acc1 += l * r1[k];
-                acc2 += l * r2[k];
-                acc3 += l * r3[k];
-            }
-            out_row[j] = acc0;
-            out_row[j + 1] = acc1;
-            out_row[j + 2] = acc2;
-            out_row[j + 3] = acc3;
-        }
-        for (; j < width; ++j) {
-            const double *rhs_row = &rhs[j * inner];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < inner; ++k)
-                acc += lhs_row[k] * rhs_row[k];
-            out_row[j] = acc;
-        }
-    }
+        accumulateRow<SkipZeroLhs>(lhs + i * lhs_row_stride, lhs_k_stride,
+                                   rhs, inner, width, out + i * width);
 }
 
 } // namespace
@@ -236,8 +192,8 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     // checkNoAlias guarantees the operands are distinct objects, so
     // the __restrict in accumulateRows is sound and lets the j loop
     // vectorize without runtime alias checks.
-    accumulateRows(data.data(), inner, 1, other.data.data(), nRows, inner,
-                   width, out.data.data());
+    accumulateRows<true>(data.data(), inner, 1, other.data.data(), nRows,
+                         inner, width, out.data.data());
 }
 
 Matrix
@@ -266,8 +222,8 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     // order as a k-outer loop — so per-sample gradient contributions
     // (k indexes the sample in backward passes) are summed in fixed
     // index order.
-    accumulateRows(data.data(), 1, nCols, other.data.data(), nCols, inner,
-                   width, out.data.data());
+    accumulateRows<true>(data.data(), 1, nCols, other.data.data(), nCols,
+                         inner, width, out.data.data());
 }
 
 Matrix
@@ -288,21 +244,49 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     }
     checkNoAlias(out, "matmulTransposedInto");
     other.checkNoAlias(out, "matmulTransposedInto");
-    // Every element is a local dot product written exactly once, so
-    // stale destination contents can never leak into the result.
-    out.resizeForOverwrite(nRows, other.nRows);
-    dotRows(data.data(), other.data.data(), nRows, nCols, other.nRows,
-            out.data.data());
+    // Row k of other^T is the k-th term of every out(i, j), so the row
+    // body runs over contiguous rhs rows.
+    Matrix other_t;
+    other.transposeInto(other_t);
+    matmulNoSkipInto(other_t, out);
+}
+
+void
+Matrix::matmulNoSkipInto(const Matrix &other, Matrix &out) const
+{
+    if (nCols != other.nRows) {
+        panic("Matrix::matmulNoSkip inner dimension mismatch: " + shape() +
+              " * " + other.shape());
+    }
+    checkNoAlias(out, "matmulNoSkipInto");
+    other.checkNoAlias(out, "matmulNoSkipInto");
+    out.resize(nRows, other.nCols);
+    const std::size_t inner = nCols;
+    const std::size_t width = other.nCols;
+    // Every out(i, j) starts at +0.0 and adds lhs*rhs over k in
+    // increasing order with nothing skipped: bitwise the textbook dot
+    // product of row i and column j.
+    accumulateRows<false>(data.data(), inner, 1, other.data.data(), nRows,
+                          inner, width, out.data.data());
 }
 
 Matrix
 Matrix::transposed() const
 {
-    Matrix out(nCols, nRows);
+    Matrix out;
+    transposeInto(out);
+    return out;
+}
+
+void
+Matrix::transposeInto(Matrix &dst) const
+{
+    checkNoAlias(dst, "transposeInto");
+    // Every element is assigned, so overwrite-resize is safe.
+    dst.resizeForOverwrite(nCols, nRows);
     for (std::size_t c = 0; c < nCols; ++c)
         for (std::size_t r = 0; r < nRows; ++r)
-            out.data[c * nRows + r] = data[r * nCols + c];
-    return out;
+            dst.data[c * nRows + r] = data[r * nCols + c];
 }
 
 Matrix

@@ -119,15 +119,31 @@ class Matrix
      *  matmulInto(). */
     void transposedMatmulInto(const Matrix &other, Matrix &out) const;
 
-    /** this * other^T without materializing the transpose. */
+    /** this * other^T; no exact-zero lhs is skipped (DESIGN.md §11.1). */
     Matrix matmulTransposed(const Matrix &other) const;
 
-    /** Into-destination form of matmulTransposed(); same contract as
-     *  matmulInto(). */
+    /**
+     * Into-destination form of matmulTransposed(); same contract as
+     * matmulInto().  Transposes `other` into a temporary and runs
+     * matmulNoSkipInto(); a caller multiplying by one `other` many
+     * times keeps the transpose in a workspace and calls that instead.
+     */
     void matmulTransposedInto(const Matrix &other, Matrix &out) const;
+
+    /**
+     * Matrix product like matmulInto(), but every k term is added: an
+     * exact-zero lhs is not skipped, so ±inf/NaN in the rhs propagate.
+     * a.matmulNoSkipInto(b.transposed(), out) is bitwise
+     * a.matmulTransposedInto(b, out).
+     */
+    void matmulNoSkipInto(const Matrix &other, Matrix &out) const;
 
     /** @return transposed copy. */
     Matrix transposed() const;
+
+    /** Transpose into a caller-owned destination (resized here); `dst`
+     *  must not alias this. */
+    void transposeInto(Matrix &dst) const;
 
     /** Element-wise sum; shapes must match. */
     Matrix operator+(const Matrix &other) const;

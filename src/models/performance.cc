@@ -149,17 +149,19 @@ PerformanceModel::backwardBatch(const ml::Matrix &grad_output,
     const std::size_t H = config.hidden;
 
     // Gradients w.r.t. mode and future inputs are discarded — they are
-    // inputs, not parameters.  The two LSTM-branch slices land directly
+    // inputs, not parameters — and so are the first LSTM layers', which
+    // are not computed at all.  The two LSTM-branch slices land directly
     // in their sequence slots (no intermediate copies).
     const std::size_t bins = scenario::ScenarioRunner::kWindowBins;
     std::vector<ml::Matrix> grad_h2(bins, ml::Matrix(batch_rows, H));
     grad_hidden.colRangeInto(0, H, grad_h2.back());
-    historyLstm1->backwardSequence(historyLstm2->backwardSequence(grad_h2));
+    historyLstm1->backwardSequence(historyLstm2->backwardSequence(grad_h2),
+                                   ml::Lstm::InputGrad::Skip);
 
     std::vector<ml::Matrix> grad_k2(bins, ml::Matrix(batch_rows, H));
     grad_hidden.colRangeInto(H, 2 * H, grad_k2.back());
     signatureLstm1->backwardSequence(
-        signatureLstm2->backwardSequence(grad_k2));
+        signatureLstm2->backwardSequence(grad_k2), ml::Lstm::InputGrad::Skip);
 }
 
 double

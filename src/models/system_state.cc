@@ -59,7 +59,8 @@ SystemStateModel::backwardBatch(const ml::Matrix &grad_output,
         ml::Matrix(batch_rows, config.hidden));
     grad_hidden2.back() = std::move(grad_last);
     const auto grad_hidden1 = lstm2->backwardSequence(grad_hidden2);
-    lstm1->backwardSequence(grad_hidden1);
+    // dLoss/dX of the first layer is the input's: nobody reads it.
+    lstm1->backwardSequence(grad_hidden1, ml::Lstm::InputGrad::Skip);
 }
 
 double

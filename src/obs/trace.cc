@@ -79,7 +79,11 @@ arg(const std::string &key, std::int64_t value)
 TraceArg
 arg(const std::string &key, const std::string &value)
 {
-    return {key, "\"" + jsonEscape(value) + "\""};
+    // Appended, not "\"" + ...: GCC 12 warns -Wrestrict on that form.
+    std::string quoted = "\"";
+    quoted += jsonEscape(value);
+    quoted += '"';
+    return {key, std::move(quoted)};
 }
 
 TraceArg

@@ -11,6 +11,21 @@
 namespace adrias::testbed
 {
 
+namespace
+{
+
+/** prefix then index ("n3").  Appended, not `"n" + std::to_string(i)`:
+ *  GCC 12 cannot bound that form's insert and warns -Wrestrict. */
+std::string
+indexedName(const char *prefix, std::size_t index)
+{
+    std::string name = prefix;
+    name += std::to_string(index);
+    return name;
+}
+
+} // namespace
+
 Topology::Topology(std::string name) : topologyName(std::move(name)) {}
 
 Topology &
@@ -203,12 +218,15 @@ Topology::symmetric(std::size_t nodeCount, std::size_t serverCount,
                     const LinkProfile &profile, double server_capacity_gb,
                     TestbedParams node_params)
 {
-    Topology topo("rack-" + std::to_string(nodeCount) + "x" +
-                  std::to_string(serverCount) + "-" + profile.name);
+    std::string name = indexedName("rack-", nodeCount);
+    name += indexedName("x", serverCount);
+    name += '-';
+    name += profile.name;
+    Topology topo(std::move(name));
     for (std::size_t n = 0; n < nodeCount; ++n)
-        topo.addNode({"n" + std::to_string(n), node_params});
+        topo.addNode({indexedName("n", n), node_params});
     for (std::size_t s = 0; s < serverCount; ++s)
-        topo.addServer({"s" + std::to_string(s), server_capacity_gb,
+        topo.addServer({indexedName("s", s), server_capacity_gb,
                         node_params.localBwGBps, {}});
     for (std::size_t n = 0; n < nodeCount; ++n)
         for (std::size_t s = 0; s < serverCount; ++s)
@@ -220,11 +238,10 @@ Topology::symmetric(std::size_t nodeCount, std::size_t serverCount,
 Topology
 Topology::independentPairs(std::size_t pairs, TestbedParams params)
 {
-    Topology topo("pairs-" + std::to_string(pairs));
+    Topology topo(indexedName("pairs-", pairs));
     for (std::size_t i = 0; i < pairs; ++i) {
-        topo.addNode({"n" + std::to_string(i), params});
-        topo.addServer(
-            {"s" + std::to_string(i), 256.0, params.localBwGBps, {}});
+        topo.addNode({indexedName("n", i), params});
+        topo.addServer({indexedName("s", i), 256.0, params.localBwGBps, {}});
         topo.addLink(i, i, kThymesisFlowProfile);
     }
     topo.validate();
@@ -237,7 +254,7 @@ Topology::asymmetric4x4()
     Topology topo("rack-4x4-mixed");
     TestbedParams params;
     for (std::size_t n = 0; n < 4; ++n)
-        topo.addNode({"n" + std::to_string(n), params});
+        topo.addNode({indexedName("n", n), params});
     topo.addServer({"s0", 512.0, 18.0, {}});
     topo.addServer({"s1", 256.0, 15.0, {}});
     topo.addServer({"s2", 64.0, 12.0, {}});

@@ -6,12 +6,16 @@
  * exact values at the specials.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "ml/fastmath.hh"
 
 namespace adrias::ml
@@ -81,6 +85,70 @@ TEST(FastmathEdges, ScalarTanhSpecials)
     EXPECT_TRUE(sameBits(fastmath::tanh(-kDenormMin), -kDenormMin));
     // Odd symmetry on a representative interior point.
     EXPECT_EQ(fastmath::tanh(0.7), -fastmath::tanh(-0.7));
+}
+
+/** The two-quotient sigmoid fastmath::sigmoid replaced. */
+double
+sigmoidTwoDivisions(double x)
+{
+    const double e = fastmath::expNeg(-std::fabs(x));
+    return x >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+}
+
+/** The two-quotient tanh fastmath::tanh replaced. */
+double
+tanhTwoDivisions(double x)
+{
+    const double a2 = 2.0 * std::fabs(x);
+    double t;
+    if (a2 <= 0.25) {
+        const double em1 = fastmath::expm1SmallNeg(-a2);
+        t = -em1 / (2.0 + em1);
+    } else {
+        const double e = fastmath::expNeg(-a2);
+        t = (1.0 - e) / (1.0 + e);
+    }
+    return std::copysign(t, x);
+}
+
+// sigmoid and tanh select their numerator and denominator, then divide
+// once; the quotient's operands are the two-division forms', so every
+// result, NaN payloads and signed zeros included, is the same bits.
+TEST(FastmathEdges, OneDivisionFormsMatchTwoDivisionFormsBitwise)
+{
+    std::vector<double> inputs = {0.0,        -0.0,        kInf,
+                                  -kInf,      kNan,        -kNan,
+                                  kDenormMin, -kDenormMin, 1e-310,
+                                  -1e-310,    708.0,       -708.0,
+                                  709.0,      -709.0,      0.125,
+                                  -0.125,     1e308,       -1e308};
+    // Two doubles on each side of tanh's branch edge, |x| = 0.125.
+    double edge = std::nextafter(std::nextafter(0.125, 0.0), 0.0);
+    for (int i = 0; i < 5; ++i) {
+        inputs.push_back(edge);
+        inputs.push_back(-edge);
+        edge = std::nextafter(edge, kInf);
+    }
+    // A 1e-5 sweep of [-1, 1], across the |x| = 0.125 branch edge.
+    for (int i = -100000; i <= 100000; ++i)
+        inputs.push_back(i * 1e-5);
+    Rng rng(23);
+    for (int i = 0; i < 100000; ++i) {
+        inputs.push_back(rng.gaussian(0.0, 3.0));
+        inputs.push_back(std::bit_cast<double>(rng.nextU64()));
+    }
+
+    std::size_t mismatches = 0;
+    for (double x : inputs) {
+        if (!sameBits(fastmath::sigmoid(x), sigmoidTwoDivisions(x)) ||
+            !sameBits(fastmath::tanh(x), tanhTwoDivisions(x))) {
+            if (++mismatches <= 5)
+                ADD_FAILURE() << "bits differ at x = " << x << " (0x"
+                              << std::hex << std::bit_cast<std::uint64_t>(x)
+                              << std::dec << ")";
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
 }
 
 } // namespace

@@ -73,6 +73,18 @@ bits(double v)
                          : std::bit_cast<std::uint64_t>(v);
 }
 
+/** "h<hidden> b<batch>", appended: GCC 12 warns -Wrestrict on the
+ *  `"h" + std::to_string(hidden)` form. */
+std::string
+caseLabel(std::size_t hidden, std::size_t batch)
+{
+    std::string label = "h";
+    label += std::to_string(hidden);
+    label += " b";
+    label += std::to_string(batch);
+    return label;
+}
+
 void
 expectSameBits(const Matrix &got, const Matrix &want, const std::string &what)
 {
@@ -197,8 +209,7 @@ TEST(GateLoopSpecials, ForwardMatchesElementOracleBitwise)
                 for (std::size_t t = 0; t < got.size(); ++t) {
                     expectSameBits(
                         got[t], want[t],
-                        "h" + std::to_string(hidden) + " b" +
-                            std::to_string(batch) +
+                        caseLabel(hidden, batch) +
                             (inference ? " inference" : " training") +
                             " step " + std::to_string(t));
                 }
@@ -235,8 +246,7 @@ TEST(GateLoopSpecials, TrainingCachesMatchReferenceGradientsBitwise)
             ASSERT_EQ(grads[0].size(), grads[1].size());
             for (std::size_t i = 0; i < grads[0].size(); ++i) {
                 expectSameBits(grads[0][i], grads[1][i],
-                               "h" + std::to_string(hidden) + " b" +
-                                   std::to_string(batch) + " gradient " +
+                               caseLabel(hidden, batch) + " gradient " +
                                    std::to_string(i));
             }
         }

@@ -527,5 +527,48 @@ TEST(Matrix, GemmFamilySpecialValuesMatchNaiveLoopsBitwise)
     }
 }
 
+TEST(Matrix, MatmulTransposedSpecialsAtLstmAndHeadWidths)
+{
+    // dz*W^T at the output widths its callers run: 1 and 3 in the
+    // heads' Dense layers, 7 (the counter count) and 24 (the hidden
+    // width) in the LSTM input gradients, with inner 96 = 4*24 among
+    // the inner sizes.  Both spellings, matmulTransposed and the
+    // LSTM's matmulNoSkipInto over a kept transpose, must match the
+    // textbook no-skip dot product bit for bit with ±0.0, ±inf and NaN
+    // at every k.  The transpose and the product reuse their
+    // destinations, as the LSTM's workspaces do.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double specials[] = {0.0, -0.0, inf, -inf, nan};
+    Rng rng(0x7A1D24);
+    constexpr std::size_t kRows = 2;
+    Matrix bt_t;
+    Matrix out;
+    for (std::size_t inner : {3, 4, 7, 96}) {
+        for (std::size_t width : {1, 3, 7, 24}) {
+            for (std::size_t pos = 0; pos < inner; ++pos) {
+                for (double lhs_special : specials) {
+                    for (double rhs_special : specials) {
+                        Matrix a = randomMatrix(rng, kRows, inner);
+                        Matrix bt = randomMatrix(rng, width, inner);
+                        for (std::size_t r = 0; r < kRows; ++r)
+                            a.at(r, pos) = lhs_special;
+                        bt.at(pos % width, pos) = rhs_special;
+                        const Matrix expected = naiveMatmulTransposed(a, bt);
+                        expectIdentical(expected, a.matmulTransposed(bt),
+                                        "matmulTransposed widths");
+                        bt.transposeInto(bt_t);
+                        expectIdentical(bt.transposed(), bt_t,
+                                        "transposeInto");
+                        a.matmulNoSkipInto(bt_t, out);
+                        expectIdentical(expected, out,
+                                        "matmulNoSkipInto widths");
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace adrias::ml
