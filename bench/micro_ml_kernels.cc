@@ -2,9 +2,10 @@
  * @file
  * Micro-benchmarks for the deep-learning kernels: matmul, the two
  * backward GEMMs, LSTM forward in training / inference / reference
- * mode, LSTM train step fused vs reference, head forward.  Not a paper
- * figure — establishes the substrate's throughput envelope and feeds
- * the perf-regression gate (tools/bench_compare against the checked-in
+ * mode, LSTM train step fused vs reference, head forward at b32 and
+ * b64, one head LayerNorm.  Not a paper figure — establishes the
+ * substrate's throughput envelope and feeds the perf-regression gate
+ * (tools/bench_compare against the checked-in
  * bench/baselines/BENCH_ml.json).
  *
  * The summary block records before/after pairs measured in this run
@@ -17,6 +18,7 @@
 
 #include "bench/microbench.hh"
 #include "common/rng.hh"
+#include "ml/layernorm.hh"
 #include "ml/loss.hh"
 #include "ml/lstm.hh"
 #include "ml/sequential.hh"
@@ -151,17 +153,31 @@ benchLstmBackward()
                                  [&] { lstm.backwardSequence(grads); });
 }
 
+/** The performance model's head (56 -> 32 -> 32 -> 32 -> 1, layer
+ *  norm) in inference mode over one batch of `batch` rows. */
 Result
-benchHeadForward()
+benchHeadForward(const std::string &name, std::size_t batch)
 {
     Rng rng(4);
     auto head = ml::makeNonLinearHead(56, 32, 1, 0.0, rng,
                                       ml::HeadNorm::Layer);
     head->setTraining(false);
     head->setInference(true);
-    const ml::Matrix input = randomMatrix(32, 56, rng);
-    return bench::micro::measure("head_forward_b32",
-                                 [&] { head->forward(input); });
+    const ml::Matrix input = randomMatrix(batch, 56, rng);
+    return bench::micro::measure(name, [&] { head->forward(input); });
+}
+
+/** One of the head's LayerNorms in inference mode. */
+Result
+benchLayerNormForward()
+{
+    Rng rng(5);
+    ml::LayerNorm norm(32);
+    norm.setTraining(false);
+    norm.setInference(true);
+    const ml::Matrix input = randomMatrix(64, 32, rng);
+    return bench::micro::measure("layernorm_forward_b64_w32",
+                                 [&] { norm.forward(input); });
 }
 
 } // namespace
@@ -193,7 +209,9 @@ main()
     results.push_back(benchGemmDzWt());
     results.push_back(benchGemmXtDz());
 
-    results.push_back(benchHeadForward());
+    results.push_back(benchHeadForward("head_forward_b32", 32));
+    results.push_back(benchHeadForward("head_forward_b64", 64));
+    results.push_back(benchLayerNormForward());
 
     auto median = [&](const std::string &name) {
         for (const Result &r : results)

@@ -30,6 +30,13 @@ ReLU::forward(const Matrix &input)
     return out;
 }
 
+void
+ReLU::inferInPlace(Matrix &activation)
+{
+    for (double &x : activation.raw())
+        x = x > 0.0 ? x : 0.0;
+}
+
 Matrix
 ReLU::backward(const Matrix &grad_output)
 {

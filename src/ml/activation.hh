@@ -17,6 +17,7 @@ class ReLU : public Layer
   public:
     Matrix forward(const Matrix &input) override;
     Matrix backward(const Matrix &grad_output) override;
+    void inferInPlace(Matrix &activation) override;
 
   private:
     Matrix lastInput;

@@ -1,6 +1,7 @@
 #include "ml/dense.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -28,6 +29,16 @@ Dense::forward(const Matrix &input)
     input.matmulInto(weight.value, out);
     out.addRowBroadcastInPlace(bias.value);
     return out;
+}
+
+void
+Dense::inferInPlace(Matrix &activation)
+{
+    // forward()'s ops into a kept buffer; the swap hands the input's
+    // storage back as the next call's output buffer.
+    activation.matmulInto(weight.value, inferOut);
+    inferOut.addRowBroadcastInPlace(bias.value);
+    std::swap(activation, inferOut);
 }
 
 Matrix

@@ -26,6 +26,7 @@ class Dense : public Layer
     Matrix forward(const Matrix &input) override;
     Matrix backward(const Matrix &grad_output) override;
     std::vector<Param *> params() override;
+    void inferInPlace(Matrix &activation) override;
 
     std::size_t inFeatures() const { return weight.value.rows(); }
     std::size_t outFeatures() const { return weight.value.cols(); }
@@ -35,6 +36,7 @@ class Dense : public Layer
     Param bias;   ///< (1 x out)
     Matrix lastInput;
     Matrix gradScratch; ///< staging buffer for weight-gradient products
+    Matrix inferOut;    ///< inferInPlace output, swapped with its input
 };
 
 } // namespace adrias::ml

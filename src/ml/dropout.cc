@@ -35,6 +35,15 @@ Dropout::forward(const Matrix &input)
     return out;
 }
 
+void
+Dropout::inferInPlace(Matrix &activation)
+{
+    // The identity wherever forward() is one; no copy.
+    if (isInference || !isTraining || p <= 0.0)
+        return;
+    activation = forward(activation);
+}
+
 Matrix
 Dropout::backward(const Matrix &grad_output)
 {

@@ -28,6 +28,7 @@ class Dropout : public Layer
 
     Matrix forward(const Matrix &input) override;
     Matrix backward(const Matrix &grad_output) override;
+    void inferInPlace(Matrix &activation) override;
 
     double probability() const { return p; }
 

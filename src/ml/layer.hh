@@ -103,6 +103,18 @@ class Layer
     /** @return true while the inference fast-path is active. */
     bool inference() const { return isInference; }
 
+    /**
+     * The inference forward (DESIGN.md §11.3): replaces `activation`
+     * with forward(activation), bit for bit, reusing its storage and
+     * the layer's workspaces instead of allocating.  It caches nothing
+     * for backward(), so it belongs to inference mode.  The default
+     * runs forward() and moves the result in.
+     */
+    virtual void inferInPlace(Matrix &activation)
+    {
+        activation = forward(activation);
+    }
+
   protected:
     bool isTraining = true;
     bool isInference = false;

@@ -16,16 +16,18 @@ LayerNorm::LayerNorm(std::size_t features, double epsilon_)
 Matrix
 LayerNorm::forward(const Matrix &input)
 {
+    if (isInference) {
+        Matrix out = input;
+        inferInPlace(out);
+        return out;
+    }
     const std::size_t batch = input.rows();
     const std::size_t features = input.cols();
     if (features != gamma.value.cols())
         panic("LayerNorm feature width mismatch");
 
-    const bool keep_caches = !isInference;
-    if (keep_caches) {
-        lastNormalized = Matrix(batch, features);
-        lastInvStd = Matrix(batch, 1);
-    }
+    lastNormalized = Matrix(batch, features);
+    lastInvStd = Matrix(batch, 1);
     Matrix out(batch, features);
     const auto n = static_cast<double>(features);
 
@@ -41,17 +43,72 @@ LayerNorm::forward(const Matrix &input)
         }
         var /= n;
         const double inv_std = 1.0 / std::sqrt(var + epsilon);
-        if (keep_caches)
-            lastInvStd.at(r, 0) = inv_std;
+        lastInvStd.at(r, 0) = inv_std;
         for (std::size_t c = 0; c < features; ++c) {
             const double x_hat = (input.at(r, c) - mean) * inv_std;
-            if (keep_caches)
-                lastNormalized.at(r, c) = x_hat;
+            lastNormalized.at(r, c) = x_hat;
             out.at(r, c) =
                 gamma.value.at(0, c) * x_hat + beta.value.at(0, c);
         }
     }
     return out;
+}
+
+namespace
+{
+
+/**
+ * forward()'s per-row math over Rows rows at once, in place.  Each
+ * row's sum and sum of squares still run over its columns in order
+ * from 0.0; interleaving Rows independent rows only lets their add
+ * chains overlap, the serial part of a row.
+ */
+template <std::size_t Rows>
+void
+normalizeRows(double *x, std::size_t features, const double *gamma,
+              const double *beta, double epsilon)
+{
+    const auto n = static_cast<double>(features);
+    double mean[Rows] = {};
+    for (std::size_t c = 0; c < features; ++c)
+        for (std::size_t i = 0; i < Rows; ++i)
+            mean[i] += x[i * features + c];
+    for (std::size_t i = 0; i < Rows; ++i)
+        mean[i] /= n;
+    double var[Rows] = {};
+    for (std::size_t c = 0; c < features; ++c)
+        for (std::size_t i = 0; i < Rows; ++i) {
+            const double d = x[i * features + c] - mean[i];
+            var[i] += d * d;
+        }
+    double inv_std[Rows];
+    for (std::size_t i = 0; i < Rows; ++i)
+        inv_std[i] = 1.0 / std::sqrt(var[i] / n + epsilon);
+    for (std::size_t i = 0; i < Rows; ++i)
+        for (std::size_t c = 0; c < features; ++c) {
+            double &v = x[i * features + c];
+            v = gamma[c] * ((v - mean[i]) * inv_std[i]) + beta[c];
+        }
+}
+
+} // namespace
+
+void
+LayerNorm::inferInPlace(Matrix &activation)
+{
+    const std::size_t batch = activation.rows();
+    const std::size_t features = activation.cols();
+    if (features != gamma.value.cols())
+        panic("LayerNorm feature width mismatch");
+    constexpr std::size_t kBlock = 4;
+    double *x = activation.raw().data();
+    const double *g = gamma.value.raw().data();
+    const double *b = beta.value.raw().data();
+    std::size_t r = 0;
+    for (; r + kBlock <= batch; r += kBlock)
+        normalizeRows<kBlock>(x + r * features, features, g, b, epsilon);
+    for (; r < batch; ++r)
+        normalizeRows<1>(x + r * features, features, g, b, epsilon);
 }
 
 Matrix

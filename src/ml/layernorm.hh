@@ -31,6 +31,7 @@ class LayerNorm : public Layer
     Matrix forward(const Matrix &input) override;
     Matrix backward(const Matrix &grad_output) override;
     std::vector<Param *> params() override;
+    void inferInPlace(Matrix &activation) override;
 
   private:
     Param gamma;

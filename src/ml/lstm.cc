@@ -216,6 +216,19 @@ Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden,
     return backwardReference(grad_hidden, input_grad);
 }
 
+void
+Lstm::setInference(bool on)
+{
+    isInference = on;
+    // No backward can follow, so free the caches now rather than at
+    // the next forward: a model that stops training keeps no BPTT
+    // state alive for the rest of the process.
+    if (on) {
+        caches.clear();
+        refCaches.clear();
+    }
+}
+
 std::vector<Matrix>
 Lstm::forwardFused(const std::vector<Matrix> &sequence)
 {

@@ -95,8 +95,9 @@ class Lstm
      * a subsequent backwardSequence() panics.  Orthogonal to any
      * train/eval statistics mode — eval-mode *backward* is a supported
      * use elsewhere, so inference must be requested explicitly.
+     * Turning it on releases the last training forward's caches.
      */
-    void setInference(bool on) { isInference = on; }
+    void setInference(bool on);
 
     /** @return whether the inference fast-path is active. */
     bool inference() const { return isInference; }

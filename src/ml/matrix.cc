@@ -78,10 +78,72 @@ accumulateRow(const double *__restrict lhs, std::size_t lhs_stride,
     }
 }
 
+/** Output columns per register tile: 8 AVX2 registers of 4 lanes. */
+constexpr std::size_t kTileCols = 32;
+
 /**
- * accumulateRow over `rows` output rows: lhs row i starts at
- * lhs + i * lhs_row_stride and steps lhs_k_stride per k.  One call per
- * GEMM, so the clone dispatch is paid once, not per row.
+ * The tile body: kTileCols output columns of one row, each element's
+ * accumulator held in a register across all of k.  It starts from the
+ * element's value in `out_tile`, adds l_k * r_kj in ascending k,
+ * leaves it untouched at an exact-zero l_k when SkipZeroLhs is on, and
+ * is stored once at the end: element for element the op sequence of
+ * accumulateRow, so both bodies return the same bits.
+ *
+ * The first and the last added term are peeled, so `acc` is loaded
+ * and stored by sums rather than by plain copy loops, which GCC would
+ * turn into memcpy calls whose 16-byte stores the 32-byte reloads of
+ * the accumulators cannot forward from.
+ */
+template <bool SkipZeroLhs>
+[[gnu::always_inline]] inline void
+accumulateTile(const double *__restrict lhs, std::size_t lhs_stride,
+               const double *__restrict rhs, std::size_t inner,
+               std::size_t width, double *__restrict out_tile)
+{
+    const auto skipped = [&](std::size_t k) {
+        // NOLINTNEXTLINE(float-equal)
+        return SkipZeroLhs && lhs[k * lhs_stride] == 0.0;
+    };
+    std::size_t first = 0;
+    while (first < inner && skipped(first))
+        ++first;
+    if (first == inner)
+        return; // every term skipped: the tile keeps its values
+    std::size_t last = inner - 1;
+    while (skipped(last))
+        --last;
+
+    const double l_first = lhs[first * lhs_stride];
+    const double *r_first = &rhs[first * width];
+    if (first == last) {
+        for (std::size_t j = 0; j < kTileCols; ++j)
+            out_tile[j] += l_first * r_first[j];
+        return;
+    }
+    double acc[kTileCols];
+    for (std::size_t j = 0; j < kTileCols; ++j)
+        acc[j] = out_tile[j] + l_first * r_first[j];
+    for (std::size_t k = first + 1; k < last; ++k) {
+        if (skipped(k))
+            continue;
+        const double l = lhs[k * lhs_stride];
+        const double *rhs_row = &rhs[k * width];
+        for (std::size_t j = 0; j < kTileCols; ++j)
+            acc[j] += l * rhs_row[j];
+    }
+    const double l_last = lhs[last * lhs_stride];
+    const double *r_last = &rhs[last * width];
+    for (std::size_t j = 0; j < kTileCols; ++j)
+        out_tile[j] = acc[j] + l_last * r_last[j];
+}
+
+/**
+ * The GEMM body over `rows` output rows: lhs row i starts at
+ * lhs + i * lhs_row_stride and steps lhs_k_stride per k.  A width that
+ * is a multiple of kTileCols (the heads' 32, the LSTM's 4H = 96 gate
+ * columns) runs as register tiles; any other width (1, 7, 24) keeps
+ * the row body, where a tile would hold too few add chains to pay.
+ * One call per GEMM, so the clone dispatch is paid once, not per row.
  */
 template <bool SkipZeroLhs>
 ADRIAS_SCALAR_CLONES void
@@ -90,6 +152,14 @@ accumulateRows(const double *__restrict lhs, std::size_t lhs_row_stride,
                std::size_t rows, std::size_t inner, std::size_t width,
                double *__restrict out)
 {
+    if (width % kTileCols == 0) {
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j0 = 0; j0 < width; j0 += kTileCols)
+                accumulateTile<SkipZeroLhs>(lhs + i * lhs_row_stride,
+                                            lhs_k_stride, rhs + j0, inner,
+                                            width, out + i * width + j0);
+        return;
+    }
     for (std::size_t i = 0; i < rows; ++i)
         accumulateRow<SkipZeroLhs>(lhs + i * lhs_row_stride, lhs_k_stride,
                                    rhs, inner, width, out + i * width);

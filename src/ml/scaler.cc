@@ -73,6 +73,17 @@ StandardScaler::transform(const Matrix &samples) const
     return out;
 }
 
+void
+StandardScaler::transformRow(const Matrix &samples, std::size_t r,
+                             double *out) const
+{
+    checkFitted(samples.cols());
+    if (r >= samples.rows())
+        panic("StandardScaler::transformRow row out of range");
+    for (std::size_t c = 0; c < samples.cols(); ++c)
+        out[c] = (samples.at(r, c) - means[c]) / stds[c];
+}
+
 std::vector<Matrix>
 StandardScaler::transformSequence(const std::vector<Matrix> &sequence) const
 {

@@ -32,6 +32,13 @@ class StandardScaler
     /** @return standardized copy: (x - mean) / std. @pre fitted. */
     Matrix transform(const Matrix &samples) const;
 
+    /**
+     * Standardize row `r` of `samples` into out[0 .. cols): the ops of
+     * transform() without building a Matrix.  @pre fitted.
+     */
+    void transformRow(const Matrix &samples, std::size_t r,
+                      double *out) const;
+
     /** Standardize every step of a time-major sequence. @pre fitted. */
     std::vector<Matrix>
     transformSequence(const std::vector<Matrix> &sequence) const;

@@ -23,9 +23,22 @@ Matrix
 Sequential::forward(const Matrix &input)
 {
     Matrix activation = input;
+    if (isInference) {
+        inferInPlace(activation);
+        return activation;
+    }
     for (auto &layer : layers)
         activation = layer->forward(activation);
     return activation;
+}
+
+void
+Sequential::inferInPlace(Matrix &activation)
+{
+    if (!isInference)
+        panic("Sequential::inferInPlace outside inference mode");
+    for (auto &layer : layers)
+        layer->inferInPlace(activation);
 }
 
 Matrix

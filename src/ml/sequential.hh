@@ -25,8 +25,10 @@ class Sequential : public Layer
     /** Append a layer; returns a reference for chaining. */
     Sequential &add(std::unique_ptr<Layer> layer);
 
+    /** In inference mode, runs inferInPlace over a copy of `input`. */
     Matrix forward(const Matrix &input) override;
     Matrix backward(const Matrix &grad_output) override;
+    void inferInPlace(Matrix &activation) override;
     std::vector<Param *> params() override;
     void setTraining(bool training) override;
     void setInference(bool on) override;

@@ -251,12 +251,9 @@ PerformanceModel::fitLoop(
                 signatures.push_back(&sample.signature);
                 mode_col.at(row, 0) =
                     sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
-                if (futureWidth() > 0) {
-                    const ml::Matrix scaled_future =
-                        counterScaler.transform(futures[order[i]]);
-                    for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-                        future_rows.at(row, e) = scaled_future.at(0, e);
-                }
+                if (futureWidth() > 0)
+                    counterScaler.transformRow(futures[order[i]], 0,
+                                               &future_rows.at(row, 0));
                 target.at(row, 0) = targetScaler.transformScalar(
                     encodeTarget(sample.target), 0);
             }
@@ -283,35 +280,37 @@ PerformanceModel::fitLoop(
         lstm->setInference(true);
 
     // Replace BatchNorm running statistics with exact population
-    // statistics (clean pass over the training set, no updates).
-    head->beginStatsEstimation();
-    for (std::size_t begin = 0; begin < samples.size();
-         begin += config.batchSize) {
-        const std::size_t end =
-            std::min(samples.size(), begin + config.batchSize);
-        const std::size_t rows = end - begin;
-        std::vector<const std::vector<ml::Matrix> *> histories, signatures;
-        ml::Matrix mode_col(rows, 1);
-        ml::Matrix future_rows(rows, futureWidth());
-        for (std::size_t i = begin; i < end; ++i) {
-            const auto &sample = samples[i];
-            const std::size_t row = i - begin;
-            histories.push_back(&sample.history);
-            signatures.push_back(&sample.signature);
-            mode_col.at(row, 0) =
-                sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
-            if (futureWidth() > 0) {
-                const ml::Matrix scaled_future =
-                    counterScaler.transform(futures[i]);
-                for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-                    future_rows.at(row, e) = scaled_future.at(0, e);
+    // statistics (clean pass over the training set, no updates).  A
+    // head without such statistics (HeadNorm::Layer) skips the pass:
+    // it would update nothing and only draw Dropout masks.
+    if (!head->stateTensors().empty()) {
+        head->beginStatsEstimation();
+        for (std::size_t begin = 0; begin < samples.size();
+             begin += config.batchSize) {
+            const std::size_t end =
+                std::min(samples.size(), begin + config.batchSize);
+            const std::size_t rows = end - begin;
+            std::vector<const std::vector<ml::Matrix> *> histories,
+                signatures;
+            ml::Matrix mode_col(rows, 1);
+            ml::Matrix future_rows(rows, futureWidth());
+            for (std::size_t i = begin; i < end; ++i) {
+                const auto &sample = samples[i];
+                const std::size_t row = i - begin;
+                histories.push_back(&sample.history);
+                signatures.push_back(&sample.signature);
+                mode_col.at(row, 0) =
+                    sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
+                if (futureWidth() > 0)
+                    counterScaler.transformRow(futures[i], 0,
+                                               &future_rows.at(row, 0));
             }
+            forwardBatch(stackScaled(counterScaler, histories),
+                         stackScaled(counterScaler, signatures), mode_col,
+                         future_rows);
         }
-        forwardBatch(stackScaled(counterScaler, histories),
-                     stackScaled(counterScaler, signatures), mode_col,
-                     future_rows);
+        head->endStatsEstimation();
     }
-    head->endStatsEstimation();
 
     head->setTraining(false);
     head->setInference(true);
@@ -434,29 +433,28 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
     const ml::Matrix k_last = signatureMemo.rows(
         signatures, encoder(*signatureLstm1, *signatureLstm2));
 
+    // The head input is assembled in a kept buffer, each future row
+    // scaled straight into place, and the head runs on it in place.
     const std::size_t H = config.hidden;
-    ml::Matrix hidden(rows, 2 * H + 1 + futureWidth());
+    headInput.resizeForOverwrite(rows, 2 * H + 1 + futureWidth());
     for (std::size_t b = 0; b < rows; ++b) {
         const Query &query = queries[b];
         for (std::size_t j = 0; j < H; ++j) {
-            hidden.at(b, j) = h_last.at(b, j);
-            hidden.at(b, H + j) = k_last.at(b, j);
+            headInput.at(b, j) = h_last.at(b, j);
+            headInput.at(b, H + j) = k_last.at(b, j);
         }
-        hidden.at(b, 2 * H) =
+        headInput.at(b, 2 * H) =
             query.mode == MemoryMode::Remote ? 1.0 : 0.0;
-        if (futureWidth() > 0) {
-            const ml::Matrix scaled =
-                counterScaler.transform(*query.future);
-            for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-                hidden.at(b, 2 * H + 1 + e) = scaled.at(0, e);
-        }
+        if (futureWidth() > 0)
+            counterScaler.transformRow(*query.future, 0,
+                                       &headInput.at(b, 2 * H + 1));
     }
 
-    const ml::Matrix out = head->forward(hidden);
+    head->inferInPlace(headInput);
     std::vector<double> predictions(rows);
     for (std::size_t b = 0; b < rows; ++b)
         predictions[b] = decodeTarget(
-            targetScaler.inverseTransformScalar(out.at(b, 0), 0));
+            targetScaler.inverseTransformScalar(headInput.at(b, 0), 0));
     return predictions;
 }
 

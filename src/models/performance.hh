@@ -204,6 +204,10 @@ class PerformanceModel
     mutable EncodingMemo historyMemo ADRIAS_NOT_CHECKPOINTED(
         "derived state: a restored model re-encodes on first use");
 
+    /** predictBatch()'s head input, then output: kept storage. */
+    mutable ml::Matrix headInput ADRIAS_NOT_CHECKPOINTED(
+        "scratch: predictBatch() rebuilds it every call");
+
     std::size_t futureWidth() const;
 
     /**

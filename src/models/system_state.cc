@@ -135,18 +135,22 @@ SystemStateModel::train(
 
     // One clean pass to replace BatchNorm running statistics with exact
     // population statistics — eliminates the train/eval normalization
-    // mismatch that spiky channel counters otherwise cause.
-    head->beginStatsEstimation();
-    for (std::size_t begin = 0; begin < samples.size();
-         begin += config.batchSize) {
-        const std::size_t end =
-            std::min(samples.size(), begin + config.batchSize);
-        std::vector<const std::vector<ml::Matrix> *> histories;
-        for (std::size_t i = begin; i < end; ++i)
-            histories.push_back(&samples[i].history);
-        forwardBatch(stackScaled(inputScaler, histories));
+    // mismatch that spiky channel counters otherwise cause.  A head
+    // without such statistics (HeadNorm::Layer) skips it: the pass
+    // would update nothing and only draw Dropout masks.
+    if (!head->stateTensors().empty()) {
+        head->beginStatsEstimation();
+        for (std::size_t begin = 0; begin < samples.size();
+             begin += config.batchSize) {
+            const std::size_t end =
+                std::min(samples.size(), begin + config.batchSize);
+            std::vector<const std::vector<ml::Matrix> *> histories;
+            for (std::size_t i = begin; i < end; ++i)
+                histories.push_back(&samples[i].history);
+            forwardBatch(stackScaled(inputScaler, histories));
+        }
+        head->endStatsEstimation();
     }
-    head->endStatsEstimation();
 
     head->setTraining(false);
     head->setInference(true);

@@ -570,5 +570,61 @@ TEST(Matrix, MatmulTransposedSpecialsAtLstmAndHeadWidths)
     }
 }
 
+TEST(Matrix, ColumnTilesMatchTextbookLoopsBitwise)
+{
+    // Widths that are multiples of the 32-column register tile (32, 64,
+    // 96) and widths that keep the row body on either side of them,
+    // over inner sizes from 1 to the LSTM's 4H = 96.  Each trial scatters
+    // ±0.0, ±inf and NaN through both operands at one density (0 leaves
+    // rows with no exact zero, which the tile adds without a skip), and
+    // every entry point must match its textbook loop bit for bit:
+    // matmul and transposedMatmul skip an exact-zero lhs, matmulNoSkip
+    // and matmulTransposed add every term.
+    //
+    // Several NaNs can meet in one element here, and IEEE 754 leaves
+    // which payload survives to the operand order of the add, which
+    // the compiler may commute.  So the NaN placed is the one the
+    // hardware makes of inf - inf (and 0 * inf): then every NaN in the
+    // product has the same bits, and bitwise equality stays exact.
+    const double inf = std::numeric_limits<double>::infinity();
+    volatile double runtime_inf = inf;
+    const double nan = runtime_inf - runtime_inf;
+    const double specials[] = {0.0, -0.0, inf, -inf, nan};
+    Rng rng(0x711E5);
+    const auto fill = [&](std::size_t rows, std::size_t cols,
+                          double density) {
+        Matrix m(rows, cols);
+        for (double &value : m.raw())
+            value = rng.bernoulli(density)
+                        ? specials[static_cast<std::size_t>(
+                              rng.uniformInt(0, 4))]
+                        : rng.uniform(-3.0, 3.0);
+        return m;
+    };
+    constexpr std::size_t kRows = 3;
+    Matrix out;
+    for (std::size_t width :
+         {1, 3, 4, 7, 8, 24, 31, 32, 33, 56, 64, 96, 97}) {
+        for (std::size_t inner : {1, 3, 7, 24, 56, 96}) {
+            for (double density : {0.0, 0.02, 0.2}) {
+                const Matrix a = fill(kRows, inner, density);
+                const Matrix b = fill(inner, width, density);
+                const Matrix at = fill(inner, kRows, density);
+                const Matrix bt = fill(width, inner, density);
+                expectIdentical(naiveMatmul(a, b), a.matmul(b),
+                                "matmul tiles");
+                expectIdentical(naiveMatmul(at.transposed(), b),
+                                at.transposedMatmul(b),
+                                "transposedMatmul tiles");
+                const Matrix no_skip = naiveMatmulTransposed(a, bt);
+                expectIdentical(no_skip, a.matmulTransposed(bt),
+                                "matmulTransposed tiles");
+                a.matmulNoSkipInto(bt.transposed(), out);
+                expectIdentical(no_skip, out, "matmulNoSkipInto tiles");
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace adrias::ml
