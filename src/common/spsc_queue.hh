@@ -1,7 +1,7 @@
 /**
  * @file
  * Bounded lock-free single-producer/single-consumer queue (Lamport
- * ring) — the ingest path between one sharded Watcher feed and the
+ * ring) — the ingest path between one shard's producer and the
  * DecisionService drain loop.
  *
  * Concurrency contract:

@@ -1,8 +1,8 @@
 #include "core/orchestrator.hh"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -24,183 +24,74 @@ namespace
  */
 void
 recordPlacement(const workloads::WorkloadSpec &spec, SimTime now,
-                const scenario::ClusterPlacement &placement,
-                const char *path, double t_local, double beta,
-                double t_remote, double p99_remote, double qos)
+                const Decision &decision, double beta)
 {
-    const MemoryMode mode = placement.mode;
     if (!obs::enabled())
         return;
+    const std::string path = toString(decision.path);
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     reg.counter("orchestrator.decisions").add();
-    reg.counter(mode == MemoryMode::Remote
+    reg.counter(decision.mode == MemoryMode::Remote
                     ? "orchestrator.remote_placements"
                     : "orchestrator.local_placements")
         .add();
-    reg.counter(std::string("orchestrator.path.") + path).add();
+    reg.counter("orchestrator.path." + path).add();
     if (!obs::Tracer::global().enabled())
         return;
     obs::Tracer::global().simInstant(
         "place", "orchestrator", now,
         {obs::arg("app", spec.name), obs::arg("class", toString(spec.cls)),
-         obs::arg("node", static_cast<std::int64_t>(placement.node)),
-         obs::arg("decision", toString(mode)), obs::arg("path", path),
-         obs::arg("t_local", t_local), obs::arg("beta", beta),
-         obs::arg("t_remote", t_remote),
-         obs::arg("p99_remote", p99_remote), obs::arg("qos", qos)});
+         obs::arg("node", static_cast<std::int64_t>(decision.node)),
+         obs::arg("decision", toString(decision.mode)),
+         obs::arg("path", path), obs::arg("t_local", decision.tLocal),
+         obs::arg("beta", beta), obs::arg("t_remote", decision.tRemote),
+         obs::arg("p99_remote", decision.p99Remote),
+         obs::arg("qos", decision.qos)});
 }
 
 } // namespace
 #endif // ADRIAS_OBS_ENABLED
 
-AdriasOrchestrator::AdriasOrchestrator(const models::PredictorBase &predictor_,
+AdriasOrchestrator::AdriasOrchestrator(const models::PredictorBase &predictor,
                                        scenario::SignatureStore &signatures_,
-                                       AdriasConfig config_)
-    : predictor(&predictor_), signatures(&signatures_), policy(config_)
+                                       AdriasConfig config)
+    : rules(predictor, signatures_, std::move(config)),
+      signatures(&signatures_)
 {
-    if (policy.beta <= 0.0 || policy.beta > 1.5)
-        fatal("AdriasOrchestrator: beta out of sensible range");
-    if (!predictor->trained())
-        fatal("AdriasOrchestrator requires a trained Predictor");
 }
 
-AdriasOrchestrator::AdriasOrchestrator(models::GuardedPredictor &guard_,
+AdriasOrchestrator::AdriasOrchestrator(models::GuardedPredictor &guard,
                                        scenario::SignatureStore &signatures_,
-                                       AdriasConfig config_)
-    : AdriasOrchestrator(static_cast<const models::PredictorBase &>(guard_),
-                         signatures_, config_)
+                                       AdriasConfig config)
+    : rules(guard, signatures_, std::move(config)), signatures(&signatures_)
 {
-    guard = &guard_;
 }
 
 std::string
 AdriasOrchestrator::name() const
 {
     std::ostringstream out;
-    out << "adrias-b" << formatDouble(policy.beta, 1);
+    out << "adrias-b" << formatDouble(rules.config().beta, 1);
     return out.str();
-}
-
-double
-AdriasOrchestrator::qosFor(const std::string &app_name) const
-{
-    auto it = policy.qosP99Ms.find(app_name);
-    return it == policy.qosP99Ms.end() ? policy.defaultQosP99Ms
-                                       : it->second;
-}
-
-MemoryMode
-AdriasOrchestrator::fallbackPlacement(const workloads::WorkloadSpec &spec)
-{
-    ++decisionStats.fallbackPlacements;
-    return spec.cls == WorkloadClass::LatencyCritical
-               ? policy.degradedLcMode
-               : policy.degradedBeMode;
 }
 
 bool
 AdriasOrchestrator::degraded() const
 {
-    return guard != nullptr && guard->degraded();
+    return rules.guard() != nullptr && rules.guard()->degraded();
 }
 
 OrchestratorStats
 AdriasOrchestrator::stats() const
 {
     OrchestratorStats merged = decisionStats;
-    if (guard != nullptr) {
+    if (const models::GuardedPredictor *guard = rules.guard()) {
         merged.breakerTrips = guard->breaker().stats().trips;
         merged.breakerRecoveries = guard->breaker().stats().recoveries;
     }
     merged.samplesRepaired = lastWatcherHealth.samplesRepaired;
     merged.samplesDropped = lastWatcherHealth.samplesDropped;
     return merged;
-}
-
-std::vector<AdriasOrchestrator::Candidate>
-AdriasOrchestrator::predictAll(
-    const workloads::WorkloadSpec &spec,
-    const std::vector<scenario::NodeView> &nodes) const
-{
-    const auto &signature = signatures->get(spec.name);
-    // Every window is stored before any query takes its address, so
-    // the borrowed PerfQuery pointers stay valid for the batch call.
-    std::vector<std::vector<ml::Matrix>> histories(nodes.size());
-    std::vector<Candidate> candidates;
-    std::vector<models::PredictorBase::PerfQuery> queries;
-    candidates.reserve(nodes.size() * 2);
-    queries.reserve(nodes.size() * 2);
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        if (nodes[n].watcher->sampleCount() == 0)
-            continue;
-        histories[n] = nodes[n].watcher->binnedWindow(
-            scenario::ScenarioRunner::kWindowSec,
-            scenario::ScenarioRunner::kWindowBins);
-        for (MemoryMode mode : {MemoryMode::Local, MemoryMode::Remote}) {
-            candidates.push_back({n, mode, 0.0, nodes[n].running});
-            queries.push_back({&histories[n], &signature, mode});
-        }
-    }
-
-    // One fused query per decision: the shared signature is encoded
-    // once and each node's window once, whatever the node count.
-    const std::vector<double> predicted =
-        predictor->predictPerformanceBatch(spec.cls, queries);
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        candidates[i].predicted = predicted[i];
-    return candidates;
-}
-
-std::size_t
-AdriasOrchestrator::choose(const workloads::WorkloadSpec &spec,
-                           const std::vector<Candidate> &candidates) const
-{
-    // Is `c` a clear win over `best`, or an iso-QoS tie on a less
-    // loaded node (cluster-level efficiency, §VII)?
-    auto beats = [](const Candidate &c, const Candidate &best) {
-        return c.predicted < best.predicted * (1.0 - kIsoMargin) ||
-               (c.predicted <= best.predicted * (1.0 + kIsoMargin) &&
-                c.running < best.running);
-    };
-    constexpr std::size_t kNone = SIZE_MAX;
-
-    if (spec.cls == WorkloadClass::BestEffort) {
-        // Per node, apply the β rule; across nodes, prefer the best
-        // predicted time.
-        std::size_t best = kNone;
-        for (std::size_t i = 0; i < candidates.size(); i += 2) {
-            const std::size_t chosen =
-                decideBestEffort(candidates[i].predicted,
-                                 candidates[i + 1].predicted,
-                                 policy.beta) == MemoryMode::Local
-                    ? i
-                    : i + 1;
-            if (best == kNone || beats(candidates[chosen], candidates[best]))
-                best = chosen;
-        }
-        return best;
-    }
-
-    // Latency-critical: prefer a remote placement that meets QoS (most
-    // headroom, least-loaded on iso-QoS); otherwise the safest local.
-    const double qos = qosFor(spec.name);
-    std::size_t best_remote = kNone;
-    std::size_t best_local = kNone;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const Candidate &candidate = candidates[i];
-        if (candidate.mode == MemoryMode::Remote) {
-            if (decideLatencyCritical(candidate.predicted, qos) !=
-                MemoryMode::Remote)
-                continue;
-            if (best_remote == kNone ||
-                beats(candidate, candidates[best_remote]))
-                best_remote = i;
-        } else if (best_local == kNone ||
-                   candidate.predicted < candidates[best_local].predicted) {
-            best_local = i;
-        }
-    }
-    return best_remote != kNone ? best_remote : best_local;
 }
 
 scenario::ClusterPlacement
@@ -212,20 +103,15 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
         fatal("AdriasOrchestrator: empty cluster");
 #if ADRIAS_OBS_ENABLED
     obs::WallSpan place_span("place", "orchestrator");
-    // Comparison operands for the decision instant, those of the chosen
-    // node; NaN marks an operand this decision path never computed.
-    constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
-    double obs_t_local = kUnset;
-    double obs_t_remote = kUnset;
-    double obs_p99_remote = kUnset;
-    double obs_qos = kUnset;
-    const char *obs_path = "model";
 #endif
-    if (guard != nullptr)
-        guard->beginDecision(now);
     lastWatcherHealth = {};
-    for (const scenario::NodeView &node : nodes) {
-        const telemetry::WatcherHealth health = node.watcher->health();
+    // Every window is stored before any state takes its address, so
+    // the borrowed pointers stay valid for the decision.
+    std::vector<std::vector<ml::Matrix>> windows(nodes.size());
+    std::vector<NodeState> states(nodes.size());
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+        const telemetry::Watcher &watcher = *nodes[n].watcher;
+        const telemetry::WatcherHealth health = watcher.health();
         lastWatcherHealth.samplesAccepted += health.samplesAccepted;
         lastWatcherHealth.samplesRepaired += health.samplesRepaired;
         lastWatcherHealth.eventsRepaired += health.eventsRepaired;
@@ -234,83 +120,29 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
             std::max(lastWatcherHealth.stalenessSec, health.stalenessSec);
         lastWatcherHealth.maxStalenessSec = std::max(
             lastWatcherHealth.maxStalenessSec, health.maxStalenessSec);
+        if (watcher.sampleCount() > 0)
+            windows[n] = watcher.binnedWindow(
+                scenario::ScenarioRunner::kWindowSec,
+                scenario::ScenarioRunner::kWindowBins);
+        states[n] = {&windows[n], nodes[n].running};
     }
-    const std::size_t least_loaded = scenario::leastLoadedNode(nodes);
 
-    // Unknown application: bootstrap on remote memory and capture its
-    // signature from this run (paper §V-C).
-    if (!signatures->has(spec.name)) {
+    const DecisionRequest request{spec.name, spec.cls, states};
+    const Decision decision = rules.decide({&request, 1}, now).front();
+    if (decision.path == DecisionPath::Bootstrap)
         ++decisionStats.bootstrapPlacements;
-        ++decisionStats.remotePlacements;
-        const scenario::ClusterPlacement placement{least_loaded,
-                                                   MemoryMode::Remote};
-#if ADRIAS_OBS_ENABLED
-        recordPlacement(spec, now, placement, "bootstrap", kUnset,
-                        policy.beta, kUnset, kUnset, kUnset);
-#endif
-        return placement;
-    }
-
-    // Cold telemetry everywhere (scenario warm-up): fall back to the
-    // conventional placement until a history window exists.
-    const bool all_cold =
-        std::none_of(nodes.begin(), nodes.end(),
-                     [](const scenario::NodeView &node) {
-                         return node.watcher->sampleCount() > 0;
-                     });
-    if (all_cold) {
-        ++decisionStats.localPlacements;
-        const scenario::ClusterPlacement placement{least_loaded,
-                                                   MemoryMode::Local};
-#if ADRIAS_OBS_ENABLED
-        recordPlacement(spec, now, placement, "cold", kUnset,
-                        policy.beta, kUnset, kUnset, kUnset);
-#endif
-        return placement;
-    }
-
-    if (spec.cls == WorkloadClass::Interference)
-        panic("AdriasOrchestrator asked to place a trasher");
-
-    scenario::ClusterPlacement placement;
-    try {
-        const std::vector<Candidate> candidates = predictAll(spec, nodes);
-        const std::size_t chosen = choose(spec, candidates);
-        placement = {candidates[chosen].node, candidates[chosen].mode};
-#if ADRIAS_OBS_ENABLED
-        // Rows come in (Local, Remote) pairs per warm node.
-        const double t_local = candidates[chosen & ~std::size_t{1}].predicted;
-        const double t_remote = candidates[chosen | 1].predicted;
-        if (spec.cls == WorkloadClass::BestEffort) {
-            obs_t_local = t_local;
-            obs_t_remote = t_remote;
-        } else {
-            obs_p99_remote = t_remote;
-            obs_qos = qosFor(spec.name);
-        }
-#endif
-    } catch (const models::PredictionUnavailable &err) {
-        // Degraded mode: the prediction path is sick (breaker open,
-        // deadline blown, crash window, invalid inputs).  Keep placing
-        // with the heuristic instead of taking the placement loop down.
+    if (decision.path == DecisionPath::Fallback) {
         ++decisionStats.predictionFailures;
-        logWarn(std::string("AdriasOrchestrator degraded: ") +
-                err.what());
-        placement = {least_loaded, fallbackPlacement(spec)};
-#if ADRIAS_OBS_ENABLED
-        obs_path = "fallback";
-#endif
+        ++decisionStats.fallbackPlacements;
     }
-
-    if (placement.mode == MemoryMode::Remote)
+    if (decision.mode == MemoryMode::Remote)
         ++decisionStats.remotePlacements;
     else
         ++decisionStats.localPlacements;
 #if ADRIAS_OBS_ENABLED
-    recordPlacement(spec, now, placement, obs_path, obs_t_local,
-                    policy.beta, obs_t_remote, obs_p99_remote, obs_qos);
+    recordPlacement(spec, now, decision, rules.config().beta);
 #endif
-    return placement;
+    return {decision.node, decision.mode};
 }
 
 MemoryMode
@@ -360,12 +192,7 @@ AdriasOrchestrator::placeRack(const workloads::WorkloadSpec &spec,
 void
 AdriasOrchestrator::onCompletion(const scenario::DeploymentRecord &record)
 {
-    if (record.cls == WorkloadClass::Interference)
-        return;
-    // First encounter finished its bootstrap run on remote memory:
-    // store the captured execution-window metrics as its signature.
-    if (!signatures->has(record.name) && !record.executionWindow.empty())
-        signatures->put(record.name, record.executionWindow);
+    captureSignature(*signatures, record);
 }
 
 void

@@ -1,66 +1,32 @@
 /**
  * @file
  * The Adrias Orchestrator (paper §V-C, centralised per §VII): the
- * interference-aware placement policy that queries the Predictor and
- * applies the paper's decision rules —
+ * interference-aware placement policy of the scenario engine.  The
+ * paper's rules live in the DecisionCore (decision_core.hh), which
+ * this class and the DecisionService share; a placement here is the
+ * core's batch of one, over every node of the rack.
  *
- *   BE:  local  iff  t̂_local < β · t̂_remote
- *   LC:  remote iff  p̂99_remote ≤ QoS
- *
- * One class places on every topology.  Each node keeps its own
- * Watcher; a decision asks the Predictor one question, a
- * predictPerformanceBatch() over every warm node × {Local, Remote}
- * sharing one signature (so Ŝ and k are encoded once, and each node's
- * window once).  Per node the β / QoS rule picks the mode; across
- * nodes the best prediction wins and near-ties (kIsoMargin) go to the
- * least-loaded node.  On the paper's one-node rack this is exactly the
- * two-node prototype's rule.
- *
- * Applications without a stored signature are bootstrapped on remote
- * memory (least-loaded node) and their signature is captured from
- * their execution window; with no warm node the decision is local.
+ * What the orchestrator adds around the core: each node's Watcher is
+ * turned into a binned window (a node without samples is cold) and its
+ * health is summed into the decision stats, the decision is reported
+ * to the observability layer, placeRack() routes it onto the rack,
+ * completions capture bootstrap signatures, and the tallies and the
+ * signature store checkpoint.  On the paper's one-node rack this is
+ * exactly the two-node prototype's rule.
  */
 
 #ifndef ADRIAS_CORE_ORCHESTRATOR_HH
 #define ADRIAS_CORE_ORCHESTRATOR_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/io/checkpoint_annotations.hh"
-#include "models/guard.hh"
-#include "models/predictor.hh"
-#include "scenario/placement.hh"
-#include "scenario/signature.hh"
+#include "core/decision_core.hh"
 #include "telemetry/watcher.hh"
 
 namespace adrias::core
 {
-
-/** Policy knobs of the orchestrator. */
-struct AdriasConfig
-{
-    /**
-     * Slack β for best-effort apps: the performance-loss margin we
-     * accept to leverage remote memory (paper sweeps 1.0 … 0.6).
-     */
-    double beta = 0.8;
-
-    /** QoS constraint on predicted p99, ms, per LC application name. */
-    std::map<std::string, double> qosP99Ms;
-
-    /** Fallback QoS when an LC app has no explicit entry. */
-    double defaultQosP99Ms = 1.0;
-
-    /**
-     * Degraded-mode placement when the prediction path is
-     * unavailable.  BE apps take the paper's bootstrap default
-     * (remote); LC apps take the QoS-conservative choice (local).
-     */
-    MemoryMode degradedBeMode = MemoryMode::Remote;
-    MemoryMode degradedLcMode = MemoryMode::Local;
-};
 
 /** Per-run decision statistics. */
 struct OrchestratorStats
@@ -142,41 +108,23 @@ class AdriasOrchestrator : public scenario::PlacementPolicy
      *  merged in when a guard is attached. */
     OrchestratorStats stats() const;
 
-    const AdriasConfig &config() const { return policy; }
+    const AdriasConfig &config() const { return rules.config(); }
 
     /** @return true while the prediction path is degraded (guarded
      *  variant only; false without a guard). */
     bool degraded() const;
 
     /** QoS threshold applied to one LC application. */
-    double qosFor(const std::string &name) const;
-
-    /**
-     * Relative prediction margin below which two candidates are
-     * considered iso-QoS and the tie is broken by node load.
-     */
-    static constexpr double kIsoMargin = 0.05;
-
-    /**
-     * The paper's BE decision rule (§V-C): local iff
-     * t̂_local < β · t̂_remote.  Shared by place() and the
-     * DecisionService so batched and inline decisions can never
-     * diverge on the rule itself.
-     */
-    static MemoryMode
-    decideBestEffort(double t_local, double t_remote, double beta)
+    double
+    qosFor(const std::string &app) const
     {
-        return t_local < beta * t_remote ? MemoryMode::Local
-                                         : MemoryMode::Remote;
+        return rules.qosFor(app);
     }
 
-    /** The paper's LC decision rule: remote iff p̂99_remote ≤ QoS. */
-    static MemoryMode
-    decideLatencyCritical(double p99_remote, double qos)
-    {
-        return p99_remote <= qos ? MemoryMode::Remote
-                                 : MemoryMode::Local;
-    }
+    /** The core's BE and LC rules, under the names callers spell. */
+    static constexpr auto decideBestEffort = DecisionCore::decideBestEffort;
+    static constexpr auto decideLatencyCritical =
+        DecisionCore::decideLatencyCritical;
 
     /**
      * Serialize the decision tallies, last-seen watcher health and the
@@ -189,43 +137,14 @@ class AdriasOrchestrator : public scenario::PlacementPolicy
     [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
 
   private:
-    const models::PredictorBase *predictor ADRIAS_NOT_CHECKPOINTED(
-        "borrowed model wiring, re-attached at construction");
-    models::GuardedPredictor *guard ADRIAS_NOT_CHECKPOINTED(
-        "the guard checkpoints separately under its own tag") = nullptr;
+    DecisionCore rules ADRIAS_NOT_CHECKPOINTED(
+        "model wiring and configuration, re-supplied at construction");
     scenario::SignatureStore *signatures;
-    AdriasConfig policy ADRIAS_NOT_CHECKPOINTED(
-        "construction-time configuration, re-supplied on restore");
     OrchestratorStats decisionStats;
 
     /** Health of the Watchers seen at the last decision: counts summed
      *  over nodes, staleness the worst node's. */
     telemetry::WatcherHealth lastWatcherHealth;
-
-    /** Predicted performance of one app on one (node, mode). */
-    struct Candidate
-    {
-        std::size_t node = 0;
-        MemoryMode mode = MemoryMode::Local;
-        double predicted = 0.0;
-        std::size_t running = 0;
-    };
-
-    /**
-     * One predictPerformanceBatch() over every (warm node × mode) row,
-     * node order, Local before Remote; cold nodes contribute no rows.
-     */
-    std::vector<Candidate>
-    predictAll(const workloads::WorkloadSpec &spec,
-               const std::vector<scenario::NodeView> &nodes) const;
-
-    /** Apply the β / QoS rules across the (non-empty) candidates.
-     *  @return the index of the chosen candidate. */
-    std::size_t choose(const workloads::WorkloadSpec &spec,
-                       const std::vector<Candidate> &candidates) const;
-
-    /** Heuristic placement used when predictions are unavailable. */
-    MemoryMode fallbackPlacement(const workloads::WorkloadSpec &spec);
 };
 
 } // namespace adrias::core

@@ -5,34 +5,34 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "scenario/runner.hh"
 #include "stats/percentile.hh"
 
 namespace adrias::serving
 {
 
-std::string
-toString(DecisionPath path)
+DecisionService::DecisionService(const models::PredictorBase &predictor,
+                                 const scenario::SignatureStore &signatures,
+                                 core::AdriasConfig policy,
+                                 DecisionServiceConfig config_)
+    : DecisionService(core::DecisionCore(predictor, signatures,
+                                         std::move(policy)),
+                      config_)
 {
-    switch (path) {
-      case DecisionPath::Model:
-        return "model";
-      case DecisionPath::Bootstrap:
-        return "bootstrap";
-      case DecisionPath::Cold:
-        return "cold";
-      case DecisionPath::Fallback:
-        return "fallback";
-    }
-    panic("unknown DecisionPath");
 }
 
-DecisionService::DecisionService(const models::PredictorBase &predictor_,
-                                 const scenario::SignatureStore &signatures_,
-                                 core::AdriasConfig policy_,
+DecisionService::DecisionService(models::GuardedPredictor &guard,
+                                 const scenario::SignatureStore &signatures,
+                                 core::AdriasConfig policy,
                                  DecisionServiceConfig config_)
-    : predictor(&predictor_), signatures(&signatures_), policy(policy_),
-      knobs(config_),
+    : DecisionService(core::DecisionCore(guard, signatures,
+                                         std::move(policy)),
+                      config_)
+{
+}
+
+DecisionService::DecisionService(core::DecisionCore rules_,
+                                 DecisionServiceConfig config_)
+    : rules(std::move(rules_)), knobs(config_),
       assembler(models::BatchAssemblerConfig{config_.batchSize})
 {
     if (knobs.shards == 0)
@@ -41,25 +41,11 @@ DecisionService::DecisionService(const models::PredictorBase &predictor_,
         fatal("DecisionService: queue capacity must be positive");
     if (knobs.batchSize == 0)
         fatal("DecisionService: batch size must be positive");
-    if (!predictor->trained())
-        fatal("DecisionService requires a trained Predictor");
-    if (policy.beta <= 0.0 || policy.beta > 1.5)
-        fatal("DecisionService: beta out of sensible range");
     queues.reserve(knobs.shards);
     for (std::size_t s = 0; s < knobs.shards; ++s)
         queues.push_back(std::make_unique<SpscQueue<PlacementRequest>>(
             knobs.queueCapacity));
     snapshot.shardWindows.resize(knobs.shards);
-}
-
-DecisionService::DecisionService(models::GuardedPredictor &guard,
-                                 const scenario::SignatureStore &signatures_,
-                                 core::AdriasConfig policy_,
-                                 DecisionServiceConfig config_)
-    : DecisionService(static_cast<const models::PredictorBase &>(guard),
-                      signatures_, policy_, config_)
-{
-    guardGate = &guard;
 }
 
 bool
@@ -73,20 +59,6 @@ DecisionService::submit(const PlacementRequest &request)
     }
     submitCount.fetch_add(1, std::memory_order_relaxed);
     return true;
-}
-
-void
-DecisionService::beginEpoch(const telemetry::ShardedWatcherSet &feeds,
-                            SimTime now)
-{
-    if (feeds.shardCount() != knobs.shards)
-        fatal("DecisionService::beginEpoch: shard count mismatch");
-    EpochSnapshot next;
-    next.takenAt = now;
-    next.shardWindows =
-        feeds.binnedWindows(scenario::ScenarioRunner::kWindowSec,
-                            scenario::ScenarioRunner::kWindowBins);
-    beginEpoch(std::move(next));
 }
 
 void
@@ -162,21 +134,6 @@ DecisionService::p99LatencyTicks() const
     return stats::quantileOfCounts(latencyCounts, 0.99);
 }
 
-double
-DecisionService::qosFor(const std::string &app) const
-{
-    const auto it = policy.qosP99Ms.find(app);
-    return it == policy.qosP99Ms.end() ? policy.defaultQosP99Ms
-                                       : it->second;
-}
-
-MemoryMode
-DecisionService::fallbackMode(WorkloadClass cls) const
-{
-    return cls == WorkloadClass::LatencyCritical ? policy.degradedLcMode
-                                                 : policy.degradedBeMode;
-}
-
 void
 DecisionService::recordDecision(const PlacementRequest &request,
                                 MemoryMode mode, DecisionPath path,
@@ -247,94 +204,22 @@ DecisionService::decideBatch(SimTime now,
     else
         ++tallies.deadlineFlushes;
 
-    // Partition the batch: requests the paper's rules can decide
-    // without a model (bootstrap, cold shard) versus model rows.  BE
-    // requests contribute two rows (local and remote hypotheticals),
-    // LC requests one (remote), all in arrival order.
-    enum class Kind : std::uint8_t { Bootstrap, Cold, Model };
-    std::vector<Kind> kinds(requests.size(), Kind::Model);
-    std::vector<models::PredictorBase::PerfQuery> be_rows, lc_rows;
-    std::vector<std::size_t> be_owners, lc_owners;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const PlacementRequest &request = requests[i];
-        if (request.shard >= knobs.shards)
-            fatal("DecisionService: request shard out of range");
-        if (!signatures->has(request.app)) {
-            kinds[i] = Kind::Bootstrap;
-            continue;
-        }
-        if (snapshot.shardWindows[request.shard].empty()) {
-            kinds[i] = Kind::Cold;
-            continue;
-        }
-        const std::vector<ml::Matrix> &window =
-            snapshot.shardWindows[request.shard];
-        const std::vector<ml::Matrix> &signature =
-            signatures->get(request.app);
-        if (request.cls == WorkloadClass::BestEffort) {
-            be_rows.push_back({&window, &signature, MemoryMode::Local});
-            be_rows.push_back({&window, &signature, MemoryMode::Remote});
-            be_owners.push_back(i);
-        } else if (request.cls == WorkloadClass::LatencyCritical) {
-            lc_rows.push_back({&window, &signature, MemoryMode::Remote});
-            lc_owners.push_back(i);
-        } else {
-            panic("DecisionService asked to place a trasher");
-        }
-    }
+    // Each request is decided against a one-node set: its shard's
+    // epoch window (empty while the shard is cold).
+    std::vector<core::NodeState> shard_nodes;
+    shard_nodes.reserve(snapshot.shardWindows.size());
+    for (const std::vector<ml::Matrix> &window : snapshot.shardWindows)
+        shard_nodes.push_back({&window, 0});
+    std::vector<core::DecisionRequest> asks;
+    asks.reserve(requests.size());
+    for (const PlacementRequest &request : requests)
+        asks.push_back({request.app, request.cls,
+                        {&shard_nodes[request.shard], 1}});
 
-    // One fused inference call per class.  One guard admission per
-    // call; any failure degrades the WHOLE batch to the heuristic —
-    // the partially predicted values are discarded so batch members
-    // are never decided from mixed healthy/sick inference.
-    if (guardGate != nullptr)
-        guardGate->beginDecision(now);
-    bool degraded = false;
-    std::vector<double> be_pred, lc_pred;
-    try {
-        if (!be_rows.empty())
-            be_pred = predictor->predictPerformanceBatch(
-                WorkloadClass::BestEffort, be_rows);
-        if (!lc_rows.empty())
-            lc_pred = predictor->predictPerformanceBatch(
-                WorkloadClass::LatencyCritical, lc_rows);
-    } catch (const models::PredictionUnavailable &err) {
-        logWarn(std::string("DecisionService degraded: ") + err.what());
-        degraded = true;
-    }
-
-    std::vector<MemoryMode> modes(requests.size(), MemoryMode::Local);
-    std::vector<DecisionPath> paths(requests.size(), DecisionPath::Model);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        switch (kinds[i]) {
-          case Kind::Bootstrap:
-            modes[i] = MemoryMode::Remote;
-            paths[i] = DecisionPath::Bootstrap;
-            break;
-          case Kind::Cold:
-            modes[i] = MemoryMode::Local;
-            paths[i] = DecisionPath::Cold;
-            break;
-          case Kind::Model:
-            if (degraded) {
-                modes[i] = fallbackMode(requests[i].cls);
-                paths[i] = DecisionPath::Fallback;
-            }
-            break;
-        }
-    }
-    if (!degraded) {
-        for (std::size_t j = 0; j < be_owners.size(); ++j)
-            modes[be_owners[j]] = core::AdriasOrchestrator::decideBestEffort(
-                be_pred[2 * j], be_pred[2 * j + 1], policy.beta);
-        for (std::size_t j = 0; j < lc_owners.size(); ++j)
-            modes[lc_owners[j]] =
-                core::AdriasOrchestrator::decideLatencyCritical(
-                    lc_pred[j], qosFor(requests[lc_owners[j]].app));
-    }
-
+    const std::vector<core::Decision> decisions = rules.decide(asks, now);
     for (std::size_t i = 0; i < requests.size(); ++i)
-        recordDecision(requests[i], modes[i], paths[i], now, out);
+        recordDecision(requests[i], decisions[i].mode, decisions[i].path,
+                       now, out);
 }
 
 std::string
@@ -456,15 +341,26 @@ DecisionService::restoreState(io::BinaryReader &in)
     for (std::uint64_t &count : latencyCounts)
         count = in.readU64();
 
-    const auto readRequest = [&in]() {
-        PlacementRequest request;
+    // A restored request must name one of this service's shards and a
+    // class the rules place; anything else marks a corrupt payload.
+    const auto readRequest = [this, &in](PlacementRequest &request)
+        -> Result<void> {
         request.id = in.readU64();
         request.app = in.readString();
         request.cls = static_cast<WorkloadClass>(in.readU8());
         request.shard = static_cast<std::size_t>(in.readU64());
         request.submitted = in.readI64();
         request.deadline = in.readI64();
-        return request;
+        if (!in.ok())
+            return makeError(ErrorCode::Truncated,
+                             "DecisionService: truncated request");
+        if (request.shard >= knobs.shards ||
+            (request.cls != WorkloadClass::BestEffort &&
+             request.cls != WorkloadClass::LatencyCritical))
+            return makeError(ErrorCode::BadNumber,
+                             "DecisionService: restored request has a "
+                             "shard or class out of range");
+        return {};
     };
 
     snapshot.epoch = in.readU64();
@@ -474,15 +370,18 @@ DecisionService::restoreState(io::BinaryReader &in)
         return makeError(ErrorCode::BadNumber,
                          "DecisionService: snapshot shard mismatch");
     snapshot.shardWindows.assign(knobs.shards, {});
+    // Every step takes at least its 8-byte column count and every
+    // column 8 bytes, so no count larger than the bytes left can be
+    // genuine: it is rejected before anything is allocated for it.
     for (auto &window : snapshot.shardWindows) {
         const std::uint64_t steps = in.readU64();
-        if (!in.ok())
+        if (!in.ok() || steps > in.remaining() / 8)
             return makeError(ErrorCode::Truncated,
                              "DecisionService: truncated snapshot");
-        window.resize(steps);
+        window.resize(static_cast<std::size_t>(steps));
         for (ml::Matrix &step : window) {
             const std::uint64_t cols = in.readU64();
-            if (!in.ok())
+            if (!in.ok() || cols > in.remaining() / 8)
                 return makeError(ErrorCode::Truncated,
                                  "DecisionService: truncated snapshot");
             step = ml::Matrix(1, static_cast<std::size_t>(cols));
@@ -501,7 +400,9 @@ DecisionService::restoreState(io::BinaryReader &in)
         return makeError(ErrorCode::Truncated,
                          "DecisionService: truncated in-flight section");
     for (std::uint64_t i = 0; i < inflight_count; ++i) {
-        PlacementRequest request = readRequest();
+        PlacementRequest request;
+        if (Result<void> read = readRequest(request); !read.ok())
+            return read;
         assembler.push(static_cast<std::size_t>(headSeq + i),
                        request.deadline);
         inflight.push_back(std::move(request));
@@ -520,7 +421,10 @@ DecisionService::restoreState(io::BinaryReader &in)
             return makeError(ErrorCode::BadNumber,
                              "DecisionService: queue payload overflow");
         for (std::uint64_t i = 0; i < queued; ++i) {
-            if (!queue->tryPush(readRequest()))
+            PlacementRequest request;
+            if (Result<void> read = readRequest(request); !read.ok())
+                return read;
+            if (!queue->tryPush(std::move(request)))
                 return makeError(ErrorCode::BadNumber,
                                  "DecisionService: queue refill failed");
         }

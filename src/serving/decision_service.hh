@@ -1,12 +1,16 @@
 /**
  * @file
  * The DecisionService: the long-running serving half of the Adrias
- * orchestrator (DESIGN.md §15).  Sharded Watcher feeds submit
- * placement requests through bounded lock-free SPSC queues; the
+ * orchestrator (DESIGN.md §15).  One producer per shard submits
+ * placement requests through a bounded lock-free SPSC queue; the
  * service drains them in deterministic shard order, groups them with a
- * size-or-deadline BatchAssembler, and answers whole batches with one
- * fused inference call per workload class — every decision in a batch
- * reads one consistent epoch snapshot of system state.
+ * size-or-deadline BatchAssembler, and hands each batch to the
+ * DecisionCore — the paper's rules the inline AdriasOrchestrator runs
+ * too.  Each request is decided against a one-node set, its shard's
+ * window in the epoch snapshot, so every decision in a batch reads one
+ * consistent view of system state.  The service's own parts are
+ * ingest, epochs, batch assembly, deadlines, tallies and the
+ * checkpoint.
  *
  * Threading model: each shard has exactly ONE producer (its feed
  * thread) calling submit(); ONE consumer thread (or the caller, in
@@ -33,11 +37,10 @@
 #include "common/io/checkpoint_annotations.hh"
 #include "common/io/checkpointable.hh"
 #include "common/spsc_queue.hh"
-#include "core/orchestrator.hh"
+#include "core/decision_core.hh"
 #include "models/batching.hh"
 #include "models/guard.hh"
 #include "serving/request.hh"
-#include "telemetry/sharded.hh"
 
 namespace adrias::serving
 {
@@ -122,13 +125,9 @@ class DecisionService : public io::Checkpointable
     // -- consumer side (single thread) --------------------------------
 
     /**
-     * Open a new serving epoch: capture every shard's binned window as
-     * the consistent view all subsequent decisions read.
+     * Open a new serving epoch: every decision until the next one
+     * reads this snapshot's shard windows.
      */
-    void beginEpoch(const telemetry::ShardedWatcherSet &feeds,
-                    SimTime now);
-
-    /** Epoch from a pre-built snapshot (tests, replay). */
     void beginEpoch(EpochSnapshot snapshot);
 
     /**
@@ -161,7 +160,7 @@ class DecisionService : public io::Checkpointable
     double p99LatencyTicks() const;
 
     const DecisionServiceConfig &config() const { return knobs; }
-    const core::AdriasConfig &policyConfig() const { return policy; }
+    const core::AdriasConfig &policyConfig() const { return rules.config(); }
 
     /** Deterministic request routing (id % shards). */
     std::size_t
@@ -181,14 +180,10 @@ class DecisionService : public io::Checkpointable
     [[nodiscard]] Result<void> restoreState(io::BinaryReader &in) override;
 
   private:
-    const models::PredictorBase *predictor ADRIAS_NOT_CHECKPOINTED(
-        "borrowed model wiring, re-attached at construction");
-    models::GuardedPredictor *guardGate ADRIAS_NOT_CHECKPOINTED(
-        "the guard checkpoints separately under its own tag") = nullptr;
-    const scenario::SignatureStore *signatures ADRIAS_NOT_CHECKPOINTED(
-        "borrowed registry; checkpointed by the owning orchestrator");
-    core::AdriasConfig policy ADRIAS_NOT_CHECKPOINTED(
-        "construction-time configuration, re-supplied on restore");
+    DecisionService(core::DecisionCore rules, DecisionServiceConfig config);
+
+    core::DecisionCore rules ADRIAS_NOT_CHECKPOINTED(
+        "model wiring and configuration, re-supplied at construction");
     DecisionServiceConfig knobs ADRIAS_NOT_CHECKPOINTED(
         "construction-time configuration, re-supplied on restore");
 
@@ -229,12 +224,6 @@ class DecisionService : public io::Checkpointable
 
     /** Dispatch one due batch; appends its decisions to `out`. */
     void decideBatch(SimTime now, std::vector<PlacementDecision> &out);
-
-    /** QoS threshold for one LC app (policy map lookup). */
-    double qosFor(const std::string &app) const;
-
-    /** Degraded-mode placement when predictions are unavailable. */
-    MemoryMode fallbackMode(WorkloadClass cls) const;
 
     void recordDecision(const PlacementRequest &request, MemoryMode mode,
                         DecisionPath path, SimTime now,

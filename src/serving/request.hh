@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire types of the decision-serving path (DESIGN.md §15): the
- * placement request a sharded Watcher feed submits, the decision the
+ * placement request a shard's producer submits, the decision the
  * service returns, and the per-epoch system-state snapshot every
  * decision in a batch reads from.
  */
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "core/decision_core.hh"
 #include "ml/matrix.hh"
 
 namespace adrias::serving
@@ -44,17 +45,8 @@ struct PlacementRequest
     SimTime deadline = 0;
 };
 
-/** Which rule produced a decision. */
-enum class DecisionPath : std::uint8_t
-{
-    Model,     ///< predicted, paper decision rules
-    Bootstrap, ///< unknown app: remote, capture signature
-    Cold,      ///< shard has no telemetry yet: conventional local
-    Fallback,  ///< prediction path sick: degraded-mode heuristic
-};
-
-/** @return human-readable name of a decision path. */
-std::string toString(DecisionPath path);
+/** Which rule produced a decision: the decision core's paths. */
+using core::DecisionPath;
 
 /** The service's answer to one PlacementRequest. */
 struct PlacementDecision

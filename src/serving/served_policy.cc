@@ -75,12 +75,7 @@ void
 ServedPlacementPolicy::onCompletion(
     std::size_t, const scenario::DeploymentRecord &record)
 {
-    if (record.cls == WorkloadClass::Interference)
-        return;
-    // Same bootstrap rule as the inline orchestrator: first completion
-    // of an unknown app stores its execution window as the signature.
-    if (!signatures->has(record.name) && !record.executionWindow.empty())
-        signatures->put(record.name, record.executionWindow);
+    core::captureSignature(*signatures, record);
 }
 
 } // namespace adrias::serving

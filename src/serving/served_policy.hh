@@ -2,9 +2,15 @@
  * @file
  * Scenario adapter for the DecisionService: a placement policy whose
  * answers come from the batched serving path instead of the inline
- * AdriasOrchestrator.  Lets every existing scenario/testbed harness
- * exercise the daemon end-to-end, and lets the golden tests compare
- * served decisions against the inline rules tick-for-tick.
+ * AdriasOrchestrator.  Both run the same DecisionCore, so this adapter
+ * lets every existing scenario/testbed harness exercise the daemon
+ * end-to-end, and lets the golden tests compare served decisions
+ * against inline ones tick-for-tick.  Completions capture bootstrap
+ * signatures with the core's one capture rule.
+ *
+ * The daemon decides each request against its own shard's window, so
+ * the adapter places on a one-node rack only: deciding across a rack's
+ * nodes would need the request to name them.
  */
 
 #ifndef ADRIAS_SERVING_SERVED_POLICY_HH

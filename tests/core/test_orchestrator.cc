@@ -183,10 +183,11 @@ TEST(OrchestratorCallShape, BestEffortDecisionIsOneFusedPairQuery)
 }
 
 TEST(OrchestratorCallShape,
-     LatencyCriticalDecisionIsOneBatchTwoRowsPerWarmNode)
+     LatencyCriticalDecisionOnOneWarmNodeIsOneRemoteRow)
 {
-    // An LC decision asks the same one batch as a BE decision: two
-    // rows per warm node, sharing its history and the signature.
+    // The LC rule reads the remote row; a local row would only be
+    // compared against another warm node's.  One warm node: one batch
+    // of one Remote row, with its history and the signature.
     CountingPredictor predictor;
     telemetry::Watcher watcher(200);
     warmUp(watcher);
@@ -202,9 +203,10 @@ TEST(OrchestratorCallShape,
     ASSERT_EQ(predictor.batches.size(), 1u);
     const CountingPredictor::BatchCall &call = predictor.batches[0];
     EXPECT_EQ(call.cls, WorkloadClass::LatencyCritical);
-    EXPECT_EQ(call.modes, (std::vector<MemoryMode>{MemoryMode::Local,
-                                                   MemoryMode::Remote}));
-    EXPECT_EQ(call.historySlot, (std::vector<std::size_t>{0, 0}));
+    EXPECT_EQ(call.modes, (std::vector<MemoryMode>{MemoryMode::Remote}));
+    EXPECT_EQ(call.historySlot, (std::vector<std::size_t>{0}));
+    ASSERT_EQ(call.histories.size(), 1u);
+    EXPECT_TRUE(sameWindow(call.histories[0], decisionWindow(watcher)));
     ASSERT_EQ(call.signatures.size(), 1u);
     EXPECT_EQ(call.signatures[0], &store.get(spec.name));
 }

@@ -2,11 +2,13 @@
  * @file
  * DecisionService behavioral tests against a stub predictor: the four
  * decision paths (model / bootstrap / cold / fallback) pinned to the
- * paper's rules, back-pressure accounting, size-vs-deadline flushes
- * with the exclusive boundary, one model call per class per batch,
+ * paper's rules and to the inline orchestrator's answers,
+ * back-pressure accounting, size-vs-deadline flushes with the
+ * exclusive boundary, one model call per class per batch,
  * drain-on-shutdown, a checkpoint/restore round trip that resumes to
- * identical decisions, and the per-tick latency counts behind
- * p99LatencyTicks(), which must match stats::quantile bit for bit.
+ * identical decisions, restores that refuse corrupt payloads, and the
+ * per-tick latency counts behind p99LatencyTicks(), which must match
+ * stats::quantile bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +24,12 @@
 
 #include "common/io/binary.hh"
 #include "common/rng.hh"
+#include "core/orchestrator.hh"
+#include "scenario/runner.hh"
 #include "serving/decision_service.hh"
 #include "stats/percentile.hh"
+#include "testbed/counters.hh"
+#include "workloads/spec.hh"
 
 namespace adrias::serving
 {
@@ -225,6 +231,116 @@ TEST_F(DecisionServiceTest, LatencyCriticalFollowsQosRule)
         const auto decisions = service.drain(0);
         ASSERT_EQ(decisions.size(), 1u);
         EXPECT_EQ(decisions[0].mode, MemoryMode::Local);
+    }
+}
+
+/**
+ * (mode, path) of one inline decision.  The orchestrator reports no
+ * path, so it is read off what the decision did: the bootstrap and
+ * fallback tallies, else whether the predictor was asked (model) or
+ * not (cold).
+ */
+std::pair<MemoryMode, DecisionPath>
+placeInline(core::AdriasOrchestrator &orchestrator,
+            const StubPredictor &stub, const workloads::WorkloadSpec &spec,
+            const telemetry::Watcher &watcher)
+{
+    const core::OrchestratorStats before = orchestrator.stats();
+    const std::size_t calls = stub.batchCalls.size();
+    const MemoryMode mode = orchestrator.place(spec, watcher, 0);
+    const core::OrchestratorStats after = orchestrator.stats();
+    if (after.bootstrapPlacements > before.bootstrapPlacements)
+        return {mode, DecisionPath::Bootstrap};
+    if (after.fallbackPlacements > before.fallbackPlacements)
+        return {mode, DecisionPath::Fallback};
+    return {mode, stub.batchCalls.size() > calls ? DecisionPath::Model
+                                                 : DecisionPath::Cold};
+}
+
+TEST_F(DecisionServiceTest, ServedMatchesInlineOnEveryPath)
+{
+    // Served and inline placement run one decision core.  Requests
+    // with even ids land on warm shard 0, odd ids on cold shard 1; at
+    // b1 and at b32 each must get the (mode, path) the orchestrator
+    // gives on the matching one-node set.
+    telemetry::Watcher warm(512), cold(512);
+    for (int i = 0; i < 150; ++i)
+        warm.record(testbed::CounterSample{});
+    workloads::WorkloadSpec be = workloads::sparkBenchmark("sort");
+    be.name = "known-be";
+    workloads::WorkloadSpec lc = workloads::redisSpec();
+    lc.name = "known-lc";
+    workloads::WorkloadSpec novel_be = be;
+    novel_be.name = "never-seen";
+    workloads::WorkloadSpec novel_lc = lc;
+    novel_lc.name = "never-seen-lc";
+    const workloads::WorkloadSpec *specs[] = {&be, &lc, &novel_be,
+                                              &novel_lc};
+
+    using Answer = std::pair<MemoryMode, DecisionPath>;
+    struct Setting
+    {
+        double localTime, remoteTime, lcP99;
+        bool down;
+        Answer warmBe, warmLc;
+    };
+    core::AdriasConfig policy; // beta 0.8, QoS 1 ms
+    const Answer model_local{MemoryMode::Local, DecisionPath::Model};
+    const Answer model_remote{MemoryMode::Remote, DecisionPath::Model};
+    const Setting settings[] = {
+        // BE local (7 < 0.8 * 10), LC within QoS.
+        {7.0, 10.0, 1.0, false, model_local, model_remote},
+        // BE remote (9 >= 0.8 * 10), LC over QoS.
+        {9.0, 10.0, 1.5, false, model_remote, model_local},
+        // A degraded batch: the model rows fall back.
+        {7.0, 10.0, 1.0, true,
+         {policy.degradedBeMode, DecisionPath::Fallback},
+         {policy.degradedLcMode, DecisionPath::Fallback}},
+    };
+    const Answer bootstrap{MemoryMode::Remote, DecisionPath::Bootstrap};
+    const Answer cold_local{MemoryMode::Local, DecisionPath::Cold};
+
+    EpochSnapshot snapshot;
+    snapshot.shardWindows = {
+        warm.binnedWindow(scenario::ScenarioRunner::kWindowSec,
+                          scenario::ScenarioRunner::kWindowBins),
+        {}};
+    for (const Setting &setting : settings) {
+        stub.localTime = setting.localTime;
+        stub.remoteTime = setting.remoteTime;
+        stub.lcP99 = setting.lcP99;
+        stub.throwOnPredict = setting.down;
+
+        core::AdriasOrchestrator orchestrator(stub, signatures, policy);
+        std::vector<Answer> inline_answers;
+        for (DeploymentId id = 0; id < 8; ++id)
+            inline_answers.push_back(placeInline(
+                orchestrator, stub, *specs[id / 2], id % 2 ? cold : warm));
+        const Answer expected[] = {setting.warmBe, cold_local,
+                                   setting.warmLc, cold_local,
+                                   bootstrap,      bootstrap,
+                                   bootstrap,      bootstrap};
+        for (DeploymentId id = 0; id < 8; ++id)
+            EXPECT_EQ(inline_answers[id], expected[id]) << "id " << id;
+
+        for (std::size_t batch_size : {1u, 32u}) {
+            DecisionServiceConfig config;
+            config.shards = 2;
+            config.batchSize = batch_size;
+            DecisionService service = makeService(policy, config);
+            service.beginEpoch(snapshot);
+            for (DeploymentId id = 0; id < 8; ++id) {
+                const workloads::WorkloadSpec &spec = *specs[id / 2];
+                ASSERT_TRUE(service.submit(makeRequest(
+                    id, spec.name, spec.cls, 2, 0, 100)));
+            }
+            const auto decisions = service.drain(0);
+            ASSERT_EQ(decisions.size(), 8u);
+            for (const PlacementDecision &decision : decisions)
+                EXPECT_EQ(Answer(decision.mode, decision.path),
+                          inline_answers[decision.id])
+                    << "id " << decision.id << ", b" << batch_size;
+        }
     }
 }
 
@@ -525,6 +641,85 @@ TEST_F(DecisionServiceTest, RestoreRejectsShardMismatch)
     DecisionService mismatched(stub, signatures, {}, other);
     io::BinaryReader reader(writer.data());
     EXPECT_FALSE(mismatched.restoreState(reader).ok());
+}
+
+/** A decision-service-v2 payload up to its first shard window: zero
+ *  cursors, counters and tallies, no latency counts, and the head of a
+ *  `shards`-shard epoch snapshot. */
+io::BinaryWriter
+payloadHead(std::size_t shards)
+{
+    io::BinaryWriter out;
+    out.writeString("decision-service-v2");
+    for (int i = 0; i < 5 + 13; ++i)
+        out.writeU64(0); // cursors, producer counters, tallies
+    out.writeU64(0);      // latency counts
+    out.writeU64(1);      // snapshot epoch
+    out.writeI64(0);      // takenAt
+    out.writeU64(shards); // shard windows
+    return out;
+}
+
+void
+writeRequest(io::BinaryWriter &out, std::uint8_t cls, std::uint64_t shard)
+{
+    out.writeU64(0); // id
+    out.writeString("known-be");
+    out.writeU8(cls);
+    out.writeU64(shard);
+    out.writeI64(0);  // submitted
+    out.writeI64(10); // deadline
+}
+
+TEST_F(DecisionServiceTest,
+       RestoreRejectsOversizedCountsAndOutOfRangeRequests)
+{
+    DecisionServiceConfig config;
+    config.shards = 2;
+    const auto restore = [&](const io::BinaryWriter &payload) {
+        DecisionService service = makeService({}, config);
+        io::BinaryReader reader(payload.data());
+        return service.restoreState(reader);
+    };
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+
+    // A window step claiming 2^62 columns, and a window claiming 2^62
+    // steps: lengths the payload cannot hold.
+    io::BinaryWriter wide = payloadHead(2);
+    wide.writeU64(1);     // steps
+    wide.writeU64(kHuge); // columns
+    io::BinaryWriter deep = payloadHead(2);
+    deep.writeU64(kHuge); // steps
+    for (const io::BinaryWriter *payload : {&wide, &deep}) {
+        const Result<void> restored = restore(*payload);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error().code, ErrorCode::Truncated);
+    }
+
+    // An in-flight request on shard 5 of 2, and a queued trasher.
+    io::BinaryWriter far_shard = payloadHead(2);
+    far_shard.writeU64(0); // empty windows
+    far_shard.writeU64(0);
+    far_shard.writeU64(1); // in flight
+    writeRequest(far_shard,
+                 static_cast<std::uint8_t>(WorkloadClass::BestEffort), 5);
+    far_shard.writeU64(2); // queues
+    far_shard.writeU64(0);
+    far_shard.writeU64(0);
+    io::BinaryWriter trasher = payloadHead(2);
+    trasher.writeU64(0);
+    trasher.writeU64(0);
+    trasher.writeU64(0); // in flight
+    trasher.writeU64(2); // queues
+    trasher.writeU64(1);
+    writeRequest(trasher,
+                 static_cast<std::uint8_t>(WorkloadClass::Interference), 0);
+    trasher.writeU64(0);
+    for (const io::BinaryWriter *payload : {&far_shard, &trasher}) {
+        const Result<void> restored = restore(*payload);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error().code, ErrorCode::BadNumber);
+    }
 }
 
 /** Equal bits, or both NaN (an empty sample has no p99). */
