@@ -2,21 +2,21 @@
  * @file
  * Model-training walk-through: the offline/online split of the paper
  * made explicit.  Collects traces, builds the three datasets, trains
- * the system-state and performance models, persists the weights to
- * disk, reloads them into a fresh model and verifies identical
- * predictions — the workflow of a production deployment where training
- * and serving are separate processes.
+ * the system-state and performance models, saves each model's binary
+ * state (raw 64-bit weights, normalization state, scalers, RNG
+ * position) to disk, reloads it into a fresh model and verifies
+ * bit-identical predictions — the workflow of a production deployment
+ * where training and serving are separate processes.  ctest runs it as
+ * `example_train_and_predict`, writing into the build tree.
  *
  * Usage:  ./build/examples/train_and_predict [model-dir]
  */
 
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "core/adrias.hh"
-#include "ml/serialize.hh"
 #include "models/performance.hh"
 #include "models/system_state.hh"
 
@@ -83,10 +83,10 @@ main(int argc, char **argv)
     std::cout << "\n== Online phase (separate process in production) "
                  "==\n6. Reloading into fresh models...\n";
     models::SystemStateModel serving_state(config);
-    serving_state.load(state_path);
+    serving_state.load(state_path).expect();
     models::PerformanceModel serving_perf(models::FutureKind::Predicted,
                                           config);
-    serving_perf.load(perf_path);
+    serving_perf.load(perf_path).expect();
 
     const auto &probe = be_test.front();
     const double trained_prediction = perf_model.predict(
@@ -101,7 +101,8 @@ main(int argc, char **argv)
               << formatDouble(serving_prediction, 2)
               << " s\n   actual execution time:    "
               << formatDouble(probe.target, 2) << " s\n";
-    if (std::abs(trained_prediction - serving_prediction) > 1e-6)
+    // The binary round trip is bitwise: any difference is a bug.
+    if (trained_prediction != serving_prediction)
         fatal("round-trip mismatch — serialization bug");
 
     std::remove(state_path.c_str());

@@ -174,6 +174,24 @@ class BinaryReader
         return out;
     }
 
+    /**
+     * Read a format tag written with writeString(): Truncated when the
+     * payload ends inside it, BadHeader when it is not `tag`.
+     */
+    [[nodiscard]] Result<void>
+    expectTag(std::string_view tag)
+    {
+        const std::string found = readString();
+        if (!ok())
+            return makeError(ErrorCode::Truncated,
+                             "payload ends inside its " + std::string(tag) +
+                                 " tag");
+        if (found != tag)
+            return makeError(ErrorCode::BadHeader,
+                             "payload is not " + std::string(tag));
+        return {};
+    }
+
     std::vector<double>
     readF64Vector()
     {

@@ -85,9 +85,6 @@ class CrashInjector
     /** @return true once the planned crash was thrown. */
     bool fired() const { return hasFired; }
 
-    /** The armed plan (meaningful only while pending() or fired()). */
-    const CrashPlan &plannedCrash() const { return plan; }
-
     /**
      * Fire the planned crash when `site` matches and `now` has reached
      * the planned tick.

@@ -28,9 +28,6 @@ class Dense : public Layer
     std::vector<Param *> params() override;
     void inferInPlace(Matrix &activation) override;
 
-    std::size_t inFeatures() const { return weight.value.rows(); }
-    std::size_t outFeatures() const { return weight.value.cols(); }
-
   private:
     Param weight; ///< (in x out)
     Param bias;   ///< (1 x out)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "ml/simd.hh"
@@ -176,7 +175,7 @@ Matrix::Matrix(std::size_t rows_, std::size_t cols_,
                std::vector<double> values)
     : nRows(rows_), nCols(cols_), data(std::move(values))
 {
-    if (data.size() != nRows * nCols)
+    if (!shapeHolds(nRows, nCols, data.size()))
         panic("Matrix: initializer size does not match shape");
 }
 
@@ -573,9 +572,10 @@ Matrix::maxAbs() const
 std::string
 Matrix::shape() const
 {
-    std::ostringstream out;
-    out << nRows << "x" << nCols;
-    return out.str();
+    std::string text = std::to_string(nRows);
+    text += 'x';
+    text += std::to_string(nCols);
+    return text;
 }
 
 } // namespace adrias::ml

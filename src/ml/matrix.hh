@@ -38,8 +38,16 @@ class Matrix
     /** @param rows_ row count; @param cols_ column count (zero-filled). */
     Matrix(std::size_t rows_, std::size_t cols_);
 
-    /** Construct with explicit contents (row-major, size rows*cols). */
+    /** Construct with explicit contents; panics unless shapeHolds(). */
     Matrix(std::size_t rows_, std::size_t cols_, std::vector<double> values);
+
+    /** Do `count` values fill rows x cols?  Divides: rows * cols wraps. */
+    static bool
+    shapeHolds(std::size_t rows, std::size_t cols, std::size_t count)
+    {
+        return cols == 0 ? count == 0
+                         : count % cols == 0 && count / cols == rows;
+    }
 
     /** @return matrix filled with a constant. */
     static Matrix constant(std::size_t rows, std::size_t cols, double value);

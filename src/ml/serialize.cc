@@ -1,14 +1,9 @@
 #include "ml/serialize.hh"
 
-#include <fstream>
-#include <iomanip>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <string>
+#include <string_view>
 
-#include "common/io/durable_file.hh"
 #include "common/logging.hh"
-#include "ml/scaler.hh"
 
 namespace adrias::ml
 {
@@ -16,212 +11,158 @@ namespace adrias::ml
 namespace
 {
 
-/** Sanity cap on the column count declared by an untrusted scaler
- *  header: real scalers are kNumPerfEvents wide; anything beyond this
- *  is corruption, and trusting it would allocate the declared size. */
-constexpr std::size_t kMaxScalerWidth = 1 << 16;
+constexpr std::string_view kParamsTag = "params-v1";
+constexpr std::string_view kStateTensorsTag = "state-tensors-v1";
+constexpr std::string_view kScalerTag = "scaler-v1";
 
-/** Read one whitespace-delimited double, with a typed diagnosis:
- *  eof ⇒ Truncated, non-numeric token ⇒ BadNumber. */
-[[nodiscard]] Result<void>
-readValue(std::istream &in, double &value, const std::string &context)
+/** The smallest encoded Matrix: rows, cols and an empty value count. */
+constexpr std::size_t kMinMatrixBytes = 3 * 8;
+
+void
+saveTagged(io::BinaryWriter &out, std::string_view tag,
+           const std::vector<const Matrix *> &tensors)
 {
-    if (in >> value)
-        return {};
-    if (in.eof())
-        return makeError(ErrorCode::Truncated,
-                         context + ": truncated data");
-    return makeError(ErrorCode::BadNumber,
-                     context + ": malformed numeric value");
+    out.writeString(tag);
+    out.writeU64(tensors.size());
+    for (const Matrix *tensor : tensors)
+        saveMatrix(out, *tensor);
+}
+
+/** Decode a saveTagged() list whose count and shapes match `like`. */
+[[nodiscard]] Result<std::vector<Matrix>>
+loadTagged(io::BinaryReader &in, std::string_view tag,
+           const std::vector<const Matrix *> &like)
+{
+    if (Result<void> header = in.expectTag(tag); !header)
+        return header.error();
+    Result<std::vector<Matrix>> tensors = loadMatrixSequence(in);
+    if (!tensors)
+        return tensors;
+    if (tensors.value().size() != like.size())
+        return makeError(ErrorCode::Geometry,
+                         std::string(tag) + ": tensor count mismatch");
+    for (std::size_t i = 0; i < like.size(); ++i)
+        if (tensors.value()[i].rows() != like[i]->rows() ||
+            tensors.value()[i].cols() != like[i]->cols())
+            return makeError(ErrorCode::Geometry,
+                             std::string(tag) + ": shape mismatch at " +
+                                 std::to_string(i));
+    return tensors;
+}
+
+std::vector<const Matrix *>
+valuesOf(const std::vector<Param *> &params)
+{
+    std::vector<const Matrix *> values;
+    values.reserve(params.size());
+    for (const Param *p : params)
+        values.push_back(&p->value);
+    return values;
 }
 
 } // namespace
 
 void
-saveParams(std::ostream &out, const std::vector<Param *> &params)
+saveMatrix(io::BinaryWriter &out, const Matrix &matrix)
 {
-    out << "adrias-params v1\n" << params.size() << "\n";
-    out << std::setprecision(17);
-    for (const Param *p : params) {
-        out << p->name << " " << p->value.rows() << " " << p->value.cols()
-            << "\n";
-        for (double v : p->value.raw())
-            out << v << " ";
-        out << "\n";
-    }
+    out.writeU64(matrix.rows());
+    out.writeU64(matrix.cols());
+    out.writeF64Vector(matrix.raw());
 }
 
-Result<void>
-tryLoadParams(std::istream &in, const std::vector<Param *> &params)
+Result<Matrix>
+loadMatrix(io::BinaryReader &in)
 {
-    std::string magic, version;
-    in >> magic >> version;
-    if (magic != "adrias-params" || version != "v1")
-        return makeError(ErrorCode::BadHeader,
-                         "loadParams: unrecognized parameter file "
-                         "header");
-    std::size_t count = 0;
-    if (!(in >> count))
-        return makeError(ErrorCode::Truncated,
-                         "loadParams: truncated file");
-    if (count != params.size())
+    const std::uint64_t rows = in.readU64();
+    const std::uint64_t cols = in.readU64();
+    std::vector<double> values = in.readF64Vector();
+    if (!in.ok())
+        return makeError(ErrorCode::Truncated, "truncated matrix");
+    if (!Matrix::shapeHolds(rows, cols, values.size()))
         return makeError(ErrorCode::Geometry,
-                         "loadParams: parameter count mismatch (file " +
-                             std::to_string(count) + ", model " +
-                             std::to_string(params.size()) + ")");
-    for (Param *p : params) {
-        std::string name;
-        std::size_t rows = 0, cols = 0;
-        in >> name >> rows >> cols;
-        if (!in)
-            return makeError(ErrorCode::Truncated,
-                             "loadParams: truncated file");
-        if (rows != p->value.rows() || cols != p->value.cols())
-            return makeError(ErrorCode::Geometry,
-                             "loadParams: shape mismatch for '" + name +
-                                 "'");
-        for (double &v : p->value.raw()) {
-            if (Result<void> read = readValue(
-                    in, v, "loadParams: tensor '" + name + "'");
-                !read.ok())
-                return read;
-        }
-    }
-    return {};
+                         "matrix data size does not match its declared "
+                         "shape");
+    return Matrix(rows, cols, std::move(values));
 }
 
 void
-loadParams(std::istream &in, const std::vector<Param *> &params)
+saveMatrixSequence(io::BinaryWriter &out,
+                   const std::vector<Matrix> &sequence)
 {
-    tryLoadParams(in, params).expect();
+    out.writeU64(sequence.size());
+    for (const Matrix &step : sequence)
+        saveMatrix(out, step);
+}
+
+Result<std::vector<Matrix>>
+loadMatrixSequence(io::BinaryReader &in)
+{
+    const std::uint64_t steps = in.readU64();
+    if (!in.ok() || steps > in.remaining() / kMinMatrixBytes)
+        return makeError(ErrorCode::Truncated,
+                         "truncated matrix sequence");
+    std::vector<Matrix> sequence;
+    sequence.reserve(steps);
+    for (std::uint64_t s = 0; s < steps; ++s) {
+        Result<Matrix> step = loadMatrix(in);
+        if (!step)
+            return step.error();
+        sequence.push_back(std::move(step.value()));
+    }
+    return sequence;
 }
 
 void
-saveScaler(std::ostream &out, const StandardScaler &scaler)
+saveParams(io::BinaryWriter &out, const std::vector<Param *> &params)
+{
+    saveTagged(out, kParamsTag, valuesOf(params));
+}
+
+Result<std::vector<Matrix>>
+loadParams(io::BinaryReader &in, const std::vector<Param *> &params)
+{
+    return loadTagged(in, kParamsTag, valuesOf(params));
+}
+
+void
+saveStateTensors(io::BinaryWriter &out,
+                 const std::vector<Matrix *> &tensors)
+{
+    saveTagged(out, kStateTensorsTag, {tensors.begin(), tensors.end()});
+}
+
+Result<std::vector<Matrix>>
+loadStateTensors(io::BinaryReader &in,
+                 const std::vector<Matrix *> &tensors)
+{
+    return loadTagged(in, kStateTensorsTag,
+                      {tensors.begin(), tensors.end()});
+}
+
+void
+saveScaler(io::BinaryWriter &out, const StandardScaler &scaler)
 {
     if (!scaler.fitted())
-        fatal("saveScaler: scaler is not fitted");
-    out << "adrias-scaler v1\n" << scaler.mean().size() << "\n";
-    out << std::setprecision(17);
-    for (double m : scaler.mean())
-        out << m << " ";
-    out << "\n";
-    for (double s : scaler.stddev())
-        out << s << " ";
-    out << "\n";
+        panic("saveScaler: scaler is not fitted");
+    out.writeString(kScalerTag);
+    out.writeF64Vector(scaler.mean());
+    out.writeF64Vector(scaler.stddev());
 }
 
-Result<void>
-tryLoadScaler(std::istream &in, StandardScaler &scaler)
+Result<StandardScaler>
+loadScaler(io::BinaryReader &in, std::size_t width)
 {
-    std::string magic, version;
-    in >> magic >> version;
-    if (magic != "adrias-scaler" || version != "v1")
-        return makeError(ErrorCode::BadHeader,
-                         "loadScaler: unrecognized scaler header");
-    std::size_t width = 0;
-    if (!(in >> width))
-        return makeError(ErrorCode::Truncated,
-                         "loadScaler: truncated scaler header");
-    if (width == 0 || width > kMaxScalerWidth)
-        return makeError(ErrorCode::Geometry,
-                         "loadScaler: implausible width " +
-                             std::to_string(width));
-    std::vector<double> means(width), stds(width);
-    for (double &m : means) {
-        if (Result<void> read = readValue(in, m, "loadScaler: means");
-            !read.ok())
-            return read;
-    }
-    for (double &s : stds) {
-        if (Result<void> read = readValue(in, s, "loadScaler: stddevs");
-            !read.ok())
-            return read;
-    }
+    if (Result<void> header = in.expectTag(kScalerTag); !header)
+        return header.error();
+    std::vector<double> means = in.readF64Vector();
+    std::vector<double> stds = in.readF64Vector();
+    if (!in.ok())
+        return makeError(ErrorCode::Truncated, "truncated scaler");
+    if (means.size() != width || stds.size() != width)
+        return makeError(ErrorCode::Geometry, "scaler width mismatch");
+    StandardScaler scaler;
     scaler.restore(std::move(means), std::move(stds));
-    return {};
-}
-
-void
-loadScaler(std::istream &in, StandardScaler &scaler)
-{
-    tryLoadScaler(in, scaler).expect();
-}
-
-void
-saveStateTensors(std::ostream &out, const std::vector<Matrix *> &tensors)
-{
-    out << "adrias-state v1\n" << tensors.size() << "\n";
-    out << std::setprecision(17);
-    for (const Matrix *m : tensors) {
-        out << m->rows() << " " << m->cols() << "\n";
-        for (double v : m->raw())
-            out << v << " ";
-        out << "\n";
-    }
-}
-
-Result<void>
-tryLoadStateTensors(std::istream &in,
-                    const std::vector<Matrix *> &tensors)
-{
-    std::string magic, version;
-    in >> magic >> version;
-    if (magic != "adrias-state" || version != "v1")
-        return makeError(ErrorCode::BadHeader,
-                         "loadStateTensors: unrecognized state header");
-    std::size_t count = 0;
-    if (!(in >> count))
-        return makeError(ErrorCode::Truncated,
-                         "loadStateTensors: truncated file");
-    if (count != tensors.size())
-        return makeError(ErrorCode::Geometry,
-                         "loadStateTensors: state tensor count "
-                         "mismatch");
-    for (Matrix *m : tensors) {
-        std::size_t rows = 0, cols = 0;
-        if (!(in >> rows >> cols))
-            return makeError(ErrorCode::Truncated,
-                             "loadStateTensors: truncated file");
-        if (rows != m->rows() || cols != m->cols())
-            return makeError(ErrorCode::Geometry,
-                             "loadStateTensors: state tensor shape "
-                             "mismatch");
-        for (double &v : m->raw()) {
-            if (Result<void> read =
-                    readValue(in, v, "loadStateTensors: tensor");
-                !read.ok())
-                return read;
-        }
-    }
-    return {};
-}
-
-void
-loadStateTensors(std::istream &in, const std::vector<Matrix *> &tensors)
-{
-    tryLoadStateTensors(in, tensors).expect();
-}
-
-void
-saveParamsToFile(const std::string &path,
-                 const std::vector<Param *> &params)
-{
-    // Atomic replace: a crash mid-save must never leave a torn
-    // parameter file behind a valid-looking path.
-    std::ostringstream out;
-    saveParams(out, params);
-    io::atomicWriteFile(path, out.str()).expect();
-}
-
-void
-loadParamsFromFile(const std::string &path,
-                   const std::vector<Param *> &params)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("loadParamsFromFile: cannot open '" + path + "'");
-    loadParams(in, params);
+    return scaler;
 }
 
 } // namespace adrias::ml

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
-
-#include "ml/serialize.hh"
 
 #include "common/io/durable_file.hh"
 #include "common/logging.hh"
 #include "ml/loss.hh"
 #include "ml/optimizer.hh"
+#include "ml/serialize.hh"
 #include "models/batching.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
@@ -78,7 +76,7 @@ PerformanceModel::decodeTarget(double encoded) const
 }
 
 std::vector<ml::Param *>
-PerformanceModel::params()
+PerformanceModel::params() const
 {
     std::vector<ml::Param *> all;
     for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
@@ -318,64 +316,91 @@ PerformanceModel::fitLoop(
     return epoch_loss;
 }
 
+std::string
+PerformanceModel::payloadTag() const
+{
+    return "performance-model-v1 future=" + toString(future) +
+           (config.logTarget ? " log" : "");
+}
+
 void
-PerformanceModel::saveToStream(std::ostream &out)
+PerformanceModel::saveState(io::BinaryWriter &out) const
 {
     if (!isTrained)
         fatal("PerformanceModel::save before train()");
-    out << "adrias-perf " << toString(future) << " "
-        << (config.logTarget ? 1 : 0) << "\n";
+    out.writeString(payloadTag());
     ml::saveParams(out, params());
     ml::saveStateTensors(out, head->stateTensors());
     ml::saveScaler(out, counterScaler);
     ml::saveScaler(out, targetScaler);
+    rng.saveState(out);
 }
 
-void
-PerformanceModel::save(const std::string &path)
+Result<void>
+PerformanceModel::restoreState(io::BinaryReader &in)
 {
-    std::ostringstream out;
-    saveToStream(out);
-    io::atomicWriteFile(path, out.str()).expect();
-}
+    if (Result<void> header = in.expectTag(payloadTag()); !header)
+        return header;
+    const std::vector<ml::Param *> parameters = params();
+    const std::vector<ml::Matrix *> state = head->stateTensors();
+    Result<std::vector<ml::Matrix>> values = ml::loadParams(in, parameters);
+    if (!values)
+        return values.error();
+    Result<std::vector<ml::Matrix>> norms =
+        ml::loadStateTensors(in, state);
+    if (!norms)
+        return norms.error();
+    Result<ml::StandardScaler> counters =
+        ml::loadScaler(in, kNumPerfEvents);
+    if (!counters)
+        return counters.error();
+    Result<ml::StandardScaler> target = ml::loadScaler(in, 1);
+    if (!target)
+        return target.error();
+    Rng stream;
+    stream.restoreState(in);
+    if (!in.ok())
+        return makeError(ErrorCode::Truncated,
+                         "PerformanceModel: truncated payload");
 
-void
-PerformanceModel::loadFromStream(std::istream &in)
-{
-    std::string magic, kind;
-    int log_flag = 0;
-    in >> magic >> kind >> log_flag;
-    if (magic != "adrias-perf")
-        fatal("PerformanceModel::load: unrecognized header");
-    if (kind != toString(future))
-        fatal("PerformanceModel::load: FutureKind mismatch (file has '" +
-              kind + "')");
-    if ((log_flag != 0) != config.logTarget)
-        fatal("PerformanceModel::load: logTarget mismatch");
+    for (std::size_t i = 0; i < parameters.size(); ++i)
+        parameters[i]->value = std::move(values.value()[i]);
+    for (std::size_t i = 0; i < state.size(); ++i)
+        *state[i] = std::move(norms.value()[i]);
+    counterScaler = std::move(counters.value());
+    targetScaler = std::move(target.value());
+    rng = stream;
     signatureMemo.clear();
     historyMemo.clear();
-    ml::loadParams(in, params());
-    ml::loadStateTensors(in, head->stateTensors());
-    ml::loadScaler(in, counterScaler);
-    ml::loadScaler(in, targetScaler);
     head->setTraining(false);
-    // A loaded model only predicts until fineTune(), which re-enables
-    // training mode itself.
+    // A restored model only predicts until fineTune(), which
+    // re-enables training mode itself.
     head->setInference(true);
     for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
                            signatureLstm1.get(), signatureLstm2.get()})
         lstm->setInference(true);
     isTrained = true;
+    return {};
 }
 
 void
+PerformanceModel::save(const std::string &path) const
+{
+    io::BinaryWriter out;
+    saveState(out);
+    io::atomicWriteFile(path, out.data()).expect();
+}
+
+Result<void>
 PerformanceModel::load(const std::string &path)
 {
     const Result<std::string> content = io::readFile(path);
     if (!content)
-        fatal("PerformanceModel::load: " + content.error().toString());
-    std::istringstream in(content.value());
-    loadFromStream(in);
+        return content.error();
+    io::BinaryReader in(content.value());
+    if (Result<void> restored = restoreState(in); !restored)
+        return restored;
+    return in.status();
 }
 
 double

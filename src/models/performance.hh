@@ -11,12 +11,13 @@
 #ifndef ADRIAS_MODELS_PERFORMANCE_HH
 #define ADRIAS_MODELS_PERFORMANCE_HH
 
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/error.hh"
+#include "common/io/binary.hh"
 #include "common/io/checkpoint_annotations.hh"
 #include "common/rng.hh"
 #include "ml/lstm.hh"
@@ -145,7 +146,6 @@ class PerformanceModel
     evaluate(const std::vector<scenario::PerformanceSample> &samples,
              const SystemStateModel *system = nullptr) const;
 
-    FutureKind futureKind() const { return future; }
     bool trained() const { return isTrained; }
 
     /** Signature encodings the signature memo holds right now. */
@@ -155,35 +155,53 @@ class PerformanceModel
     std::size_t memoizedHistories() const { return historyMemo.size(); }
 
     /**
-     * All trainable parameters (for persistence).  Writing weights
-     * through these pointers bypasses the signature and history memos
-     * (and the system-state model's Ŝ memo, for a Predicted model's
-     * inputs); only train(), fineTune() and load() of the model that
-     * owns a memo invalidate it.
+     * All trainable parameters (const like predict(): the layers sit
+     * behind pointers).  Writing weights through these pointers
+     * bypasses the signature and history memos (and the system-state
+     * model's Ŝ memo, for a Predicted model's inputs); only train(),
+     * fineTune() and restoreState() of the model that owns a memo
+     * invalidate it.
      */
-    std::vector<ml::Param *> params();
+    std::vector<ml::Param *> params() const;
 
     /**
-     * Persist the full model (weights, norm state, scalers).  The file
-     * is replaced atomically (temp-write + rename).
+     * Persist the saveState() payload.  The file is replaced
+     * atomically (temp-write + rename).
      */
-    void save(const std::string &path);
+    void save(const std::string &path) const;
 
     /**
-     * Restore a model saved with save(); FutureKind and ModelConfig
-     * must match the constructor arguments.  Marks the model trained.
+     * restoreState() over a file written by save().  Io when the file
+     * cannot be read; TrailingData when bytes follow the payload (the
+     * model is then already restored).
      */
-    void load(const std::string &path);
+    [[nodiscard]] Result<void> load(const std::string &path);
 
-    /** Stream-based core of save() (checkpoint sections reuse it). */
-    void saveToStream(std::ostream &out);
+    /**
+     * Serialize the trained model: a tag naming the FutureKind and the
+     * target encoding, then weights, normalization state, both scalers
+     * and the training RNG's stream position (so fineTune() on a
+     * restored model draws what the original would have drawn).
+     *
+     * @pre trained().
+     */
+    void saveState(io::BinaryWriter &out) const;
 
-    /** Stream-based core of load(). */
-    void loadFromStream(std::istream &in);
+    /**
+     * Restore a saveState() payload.  FutureKind and ModelConfig must
+     * match the constructor arguments: a tag mismatch is BadHeader, a
+     * topology mismatch Geometry.  Everything is decoded before
+     * anything is committed, so on error the model is unchanged; on
+     * success it is trained and its memos are cold.
+     */
+    [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
 
   private:
-    FutureKind future;
-    ModelConfig config;
+    FutureKind future ADRIAS_NOT_CHECKPOINTED(
+        "constructor input, checked against the payload tag");
+    ModelConfig config ADRIAS_NOT_CHECKPOINTED(
+        "constructor input: logTarget is checked against the payload "
+        "tag, the topology by restoreState()'s shape checks");
     mutable Rng rng;
     std::unique_ptr<ml::Lstm> historyLstm1;
     std::unique_ptr<ml::Lstm> historyLstm2;
@@ -197,7 +215,7 @@ class PerformanceModel
     /**
      * predictBatch()'s branch outputs keyed by the raw sequence: the
      * k_last row per signature and the h_last row per history window.
-     * Cleared by fitLoop() and loadFromStream().
+     * Cleared by fitLoop() and restoreState().
      */
     mutable EncodingMemo signatureMemo ADRIAS_NOT_CHECKPOINTED(
         "derived state: a restored model re-encodes on first use");
@@ -209,6 +227,9 @@ class PerformanceModel
         "scratch: predictBatch() rebuilds it every call");
 
     std::size_t futureWidth() const;
+
+    /** Leads every saveState() payload; names future and logTarget. */
+    std::string payloadTag() const;
 
     /**
      * Resolve the Ŝ input of every sample given this model's kind

@@ -1,7 +1,5 @@
 #include "models/predictor.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "scenario/runner.hh"
@@ -137,15 +135,10 @@ Predictor::saveState(io::BinaryWriter &out) const
     out.writeBool(lcTrained);
     if (!isTrained)
         return;
-    const auto streamModel = [&out](auto &model) {
-        std::ostringstream text;
-        model.saveToStream(text);
-        out.writeString(text.str());
-    };
-    streamModel(*system);
-    streamModel(*bestEffort);
+    system->saveState(out);
+    bestEffort->saveState(out);
     if (lcTrained)
-        streamModel(*lc);
+        lc->saveState(out);
 }
 
 Result<void>
@@ -164,20 +157,13 @@ Predictor::restoreState(io::BinaryReader &in)
         lcTrained = false;
         return {};
     }
-    const auto restoreModel = [&in](auto &model) {
-        const std::string text = in.readString();
-        if (!in.ok())
-            return false;
-        std::istringstream stream(text);
-        model.loadFromStream(stream);
-        return true;
-    };
-    if (!restoreModel(*system) || !restoreModel(*bestEffort))
-        return makeError(ErrorCode::Truncated,
-                         "Predictor: truncated model checkpoint");
-    if (lcFlag && !restoreModel(*lc))
-        return makeError(ErrorCode::Truncated,
-                         "Predictor: truncated LC model checkpoint");
+    if (Result<void> restored = system->restoreState(in); !restored)
+        return restored;
+    if (Result<void> restored = bestEffort->restoreState(in); !restored)
+        return restored;
+    if (lcFlag)
+        if (Result<void> restored = lc->restoreState(in); !restored)
+            return restored;
     isTrained = true;
     lcTrained = lcFlag;
     return {};

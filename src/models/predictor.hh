@@ -139,13 +139,17 @@ class Predictor : public PredictorBase
     bool trained() const override { return isTrained; }
 
     /**
-     * Serialize the trained-model stack: flags plus each model's full
-     * text checkpoint (17-significant-digit weights round-trip doubles
-     * exactly, so a restored stack predicts bit-identically).
+     * Serialize the trained-model stack: flags, then each trained
+     * model's saveState() payload (doubles as raw bit patterns, so a
+     * restored stack predicts bit-identically).
      */
     void saveState(io::BinaryWriter &out) const;
 
-    /** Restore a payload written by saveState(). */
+    /**
+     * Restore a payload written by saveState().  Each model restores
+     * all-or-nothing, in stack order; on error the models before the
+     * failing one keep what they restored and the flags are unchanged.
+     */
     [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
 
   private:

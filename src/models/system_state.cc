@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/io/durable_file.hh"
@@ -19,6 +19,9 @@ namespace adrias::models
 
 using testbed::kNumPerfEvents;
 
+/** Leads every saveState() payload. */
+constexpr std::string_view kPayloadFormat = "system-state-model-v1";
+
 SystemStateModel::SystemStateModel(ModelConfig config_)
     : config(config_), rng(config_.seed),
       stateMemo("predictor.state_memo", kNumPerfEvents)
@@ -31,7 +34,7 @@ SystemStateModel::SystemStateModel(ModelConfig config_)
 }
 
 std::vector<ml::Param *>
-SystemStateModel::params()
+SystemStateModel::params() const
 {
     std::vector<ml::Param *> all = lstm1->params();
     for (ml::Param *p : lstm2->params())
@@ -159,49 +162,80 @@ SystemStateModel::train(
 }
 
 void
-SystemStateModel::saveToStream(std::ostream &out)
+SystemStateModel::saveState(io::BinaryWriter &out) const
 {
     if (!isTrained)
         fatal("SystemStateModel::save before train()");
+    out.writeString(kPayloadFormat);
     ml::saveParams(out, params());
     ml::saveStateTensors(out, head->stateTensors());
     ml::saveScaler(out, inputScaler);
     ml::saveScaler(out, targetScaler);
+    rng.saveState(out);
 }
 
-void
-SystemStateModel::save(const std::string &path)
+Result<void>
+SystemStateModel::restoreState(io::BinaryReader &in)
 {
-    std::ostringstream out;
-    saveToStream(out);
-    io::atomicWriteFile(path, out.str()).expect();
-}
+    if (Result<void> header = in.expectTag(kPayloadFormat); !header)
+        return header;
+    const std::vector<ml::Param *> parameters = params();
+    const std::vector<ml::Matrix *> state = head->stateTensors();
+    Result<std::vector<ml::Matrix>> values = ml::loadParams(in, parameters);
+    if (!values)
+        return values.error();
+    Result<std::vector<ml::Matrix>> norms =
+        ml::loadStateTensors(in, state);
+    if (!norms)
+        return norms.error();
+    Result<ml::StandardScaler> input = ml::loadScaler(in, kNumPerfEvents);
+    if (!input)
+        return input.error();
+    Result<ml::StandardScaler> target = ml::loadScaler(in, kNumPerfEvents);
+    if (!target)
+        return target.error();
+    Rng stream;
+    stream.restoreState(in);
+    if (!in.ok())
+        return makeError(ErrorCode::Truncated,
+                         "SystemStateModel: truncated payload");
 
-void
-SystemStateModel::loadFromStream(std::istream &in)
-{
+    for (std::size_t i = 0; i < parameters.size(); ++i)
+        parameters[i]->value = std::move(values.value()[i]);
+    for (std::size_t i = 0; i < state.size(); ++i)
+        *state[i] = std::move(norms.value()[i]);
+    inputScaler = std::move(input.value());
+    targetScaler = std::move(target.value());
+    rng = stream;
     stateMemo.clear();
-    ml::loadParams(in, params());
-    ml::loadStateTensors(in, head->stateTensors());
-    ml::loadScaler(in, inputScaler);
-    ml::loadScaler(in, targetScaler);
     head->setTraining(false);
-    // A loaded model only ever predicts (re-training reconstructs it),
-    // so the whole pipeline runs the inference fast-path.
+    // A restored model only ever predicts (re-training reconstructs
+    // it), so the whole pipeline runs the inference fast-path.
     head->setInference(true);
     lstm1->setInference(true);
     lstm2->setInference(true);
     isTrained = true;
+    return {};
 }
 
 void
+SystemStateModel::save(const std::string &path) const
+{
+    io::BinaryWriter out;
+    saveState(out);
+    io::atomicWriteFile(path, out.data()).expect();
+}
+
+Result<void>
 SystemStateModel::load(const std::string &path)
 {
     const Result<std::string> content = io::readFile(path);
     if (!content)
-        fatal("SystemStateModel::load: " + content.error().toString());
-    std::istringstream in(content.value());
-    loadFromStream(in);
+        return content.error();
+    io::BinaryReader in(content.value());
+    if (Result<void> restored = restoreState(in); !restored)
+        return restored;
+    return in.status();
 }
 
 ml::Matrix

@@ -9,10 +9,12 @@
 #ifndef ADRIAS_MODELS_SYSTEM_STATE_HH
 #define ADRIAS_MODELS_SYSTEM_STATE_HH
 
-#include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/error.hh"
+#include "common/io/binary.hh"
 #include "common/io/checkpoint_annotations.hh"
 #include "common/rng.hh"
 #include "ml/lstm.hh"
@@ -94,34 +96,49 @@ class SystemStateModel
     std::size_t memoizedStates() const { return stateMemo.size(); }
 
     /**
-     * All trainable parameters (for persistence).  Writing weights
-     * through these pointers bypasses the Ŝ memo; only train() and
-     * load() invalidate it.
+     * All trainable parameters (const like predict(): the layers sit
+     * behind pointers).  Writing weights through these pointers
+     * bypasses the Ŝ memo; only train() and restoreState() invalidate
+     * it.
      */
-    std::vector<ml::Param *> params();
+    std::vector<ml::Param *> params() const;
 
     /**
-     * Persist the full model (weights, normalization state, scalers)
-     * so a serving process can reload it without retraining.  The file
-     * is replaced atomically (temp-write + rename): a crash mid-save
-     * leaves either the old file or the new one, never a torn mix.
+     * Persist the saveState() payload so a serving process can reload
+     * the model without retraining.  The file is replaced atomically
+     * (temp-write + rename): a crash mid-save leaves either the old
+     * file or the new one, never a torn mix.
      */
-    void save(const std::string &path);
+    void save(const std::string &path) const;
 
     /**
-     * Restore a model saved with save(); topology (ModelConfig) must
-     * match the constructor arguments.  Marks the model trained.
+     * restoreState() over a file written by save().  Io when the file
+     * cannot be read; TrailingData when bytes follow the payload (the
+     * model is then already restored).
      */
-    void load(const std::string &path);
+    [[nodiscard]] Result<void> load(const std::string &path);
 
-    /** Stream-based core of save() (checkpoint sections reuse it). */
-    void saveToStream(std::ostream &out);
+    /**
+     * Serialize the trained model: weights, normalization state, both
+     * scalers and the training RNG's stream position.
+     *
+     * @pre trained().
+     */
+    void saveState(io::BinaryWriter &out) const;
 
-    /** Stream-based core of load(). */
-    void loadFromStream(std::istream &in);
+    /**
+     * Restore a saveState() payload.  The topology (ModelConfig) must
+     * match the constructor arguments: a mismatch is Geometry.
+     * Everything is decoded before anything is committed, so on error
+     * the model is unchanged; on success it is trained and its Ŝ memo
+     * is cold.
+     */
+    [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
 
   private:
-    ModelConfig config;
+    ModelConfig config ADRIAS_NOT_CHECKPOINTED(
+        "constructor input: a topology mismatch fails restoreState()'s "
+        "shape checks");
     mutable Rng rng;
     std::unique_ptr<ml::Lstm> lstm1;
     std::unique_ptr<ml::Lstm> lstm2;
@@ -132,7 +149,7 @@ class SystemStateModel
 
     /**
      * predictBatch()'s inverse-scaled Ŝ row per history window, keyed
-     * by the raw window.  Cleared by train() and loadFromStream().
+     * by the raw window.  Cleared by train() and restoreState().
      */
     mutable EncodingMemo stateMemo ADRIAS_NOT_CHECKPOINTED(
         "derived state: a restored model re-forecasts on first use");

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "ml/serialize.hh"
 #include "obs/obs.hh"
 #include "scenario/signature.hh"
 #include "testbed/testbed.hh"
@@ -34,8 +35,8 @@ saveRecord(io::BinaryWriter &out, const DeploymentRecord &record)
     out.writeF64(record.meanSlowdown);
     out.writeF64(record.remoteTrafficGB);
     out.writeU64(record.migrations);
-    saveMatrixSequence(out, record.historyWindow);
-    saveMatrixSequence(out, record.executionWindow);
+    ml::saveMatrixSequence(out, record.historyWindow);
+    ml::saveMatrixSequence(out, record.executionWindow);
 }
 
 [[nodiscard]] Result<DeploymentRecord>
@@ -66,11 +67,12 @@ loadRecord(io::BinaryReader &in)
                          "deployment record has invalid memory mode");
     record.cls = static_cast<WorkloadClass>(rawCls);
     record.mode = static_cast<MemoryMode>(rawMode);
-    Result<std::vector<ml::Matrix>> history = loadMatrixSequence(in);
+    Result<std::vector<ml::Matrix>> history = ml::loadMatrixSequence(in);
     if (!history)
         return history.error();
     record.historyWindow = std::move(history.value());
-    Result<std::vector<ml::Matrix>> execution = loadMatrixSequence(in);
+    Result<std::vector<ml::Matrix>> execution =
+        ml::loadMatrixSequence(in);
     if (!execution)
         return execution.error();
     record.executionWindow = std::move(execution.value());

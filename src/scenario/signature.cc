@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "common/threadpool.hh"
+#include "ml/serialize.hh"
 #include "scenario/runner.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/testbed.hh"
@@ -51,47 +52,12 @@ SignatureStore::names() const
 }
 
 void
-saveMatrixSequence(io::BinaryWriter &out,
-                   const std::vector<ml::Matrix> &sequence)
-{
-    out.writeU64(sequence.size());
-    for (const ml::Matrix &step : sequence) {
-        out.writeU64(step.rows());
-        out.writeU64(step.cols());
-        out.writeF64Vector(step.raw());
-    }
-}
-
-Result<std::vector<ml::Matrix>>
-loadMatrixSequence(io::BinaryReader &in)
-{
-    std::vector<ml::Matrix> sequence;
-    const std::uint64_t steps = in.readU64();
-    for (std::uint64_t s = 0; s < steps && in.ok(); ++s) {
-        const std::uint64_t rows = in.readU64();
-        const std::uint64_t cols = in.readU64();
-        std::vector<double> values = in.readF64Vector();
-        if (!in.ok())
-            break;
-        if (values.size() != rows * cols)
-            return makeError(ErrorCode::Geometry,
-                             "matrix data size does not match its "
-                             "declared shape");
-        sequence.emplace_back(rows, cols, std::move(values));
-    }
-    if (!in.ok())
-        return makeError(ErrorCode::Truncated,
-                         "truncated matrix sequence");
-    return sequence;
-}
-
-void
 SignatureStore::saveState(io::BinaryWriter &out) const
 {
     out.writeU64(signatures.size());
     for (const auto &[name, signature] : signatures) {
         out.writeString(name);
-        saveMatrixSequence(out, signature);
+        ml::saveMatrixSequence(out, signature);
     }
 }
 
@@ -102,7 +68,8 @@ SignatureStore::restoreState(io::BinaryReader &in)
     const std::uint64_t count = in.readU64();
     for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
         const std::string name = in.readString();
-        Result<std::vector<ml::Matrix>> signature = loadMatrixSequence(in);
+        Result<std::vector<ml::Matrix>> signature =
+            ml::loadMatrixSequence(in);
         if (!signature)
             return signature.error();
         restored.emplace(name, std::move(signature.value()));

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "ml/serialize.hh"
 #include "stats/percentile.hh"
 
 namespace adrias::serving
@@ -231,10 +232,10 @@ DecisionService::checkpointTag() const
 namespace
 {
 
-/** Leads every payload.  The layout before it kept every latency
- *  sample as a double; such a payload fails this check instead of
- *  being misread. */
-constexpr std::string_view kPayloadFormat = "decision-service-v2";
+/** Leads every payload.  v1 kept every latency sample as a double
+ *  and v2 wrote each window step as bare columns; such a payload fails
+ *  this check instead of being misread. */
+constexpr std::string_view kPayloadFormat = "decision-service-v3";
 
 } // namespace
 
@@ -277,18 +278,12 @@ DecisionService::saveState(io::BinaryWriter &out) const
         out.writeI64(request.deadline);
     };
 
-    // Epoch snapshot: every shard's window, matrices as raw rows.
+    // Epoch snapshot: every shard's window as a matrix sequence.
     out.writeU64(snapshot.epoch);
     out.writeI64(snapshot.takenAt);
     out.writeU64(snapshot.shardWindows.size());
-    for (const auto &window : snapshot.shardWindows) {
-        out.writeU64(window.size());
-        for (const ml::Matrix &step : window) {
-            out.writeU64(step.cols());
-            for (std::size_t c = 0; c < step.cols(); ++c)
-                out.writeF64(step.at(0, c));
-        }
-    }
+    for (const auto &window : snapshot.shardWindows)
+        ml::saveMatrixSequence(out, window);
 
     // In-flight stage: batched-but-undecided requests (the assembler
     // is rebuilt from these on restore), then each queue's content.
@@ -308,11 +303,8 @@ DecisionService::saveState(io::BinaryWriter &out) const
 Result<void>
 DecisionService::restoreState(io::BinaryReader &in)
 {
-    if (in.readString() != kPayloadFormat)
-        return makeError(ErrorCode::BadHeader,
-                         "DecisionService: payload is not " +
-                             std::string(kPayloadFormat) +
-                             " (written by an older build?)");
+    if (Result<void> header = in.expectTag(kPayloadFormat); !header)
+        return header;
     nextSeq = in.readU64();
     headSeq = in.readU64();
     batchCounter = in.readU64();
@@ -370,24 +362,17 @@ DecisionService::restoreState(io::BinaryReader &in)
         return makeError(ErrorCode::BadNumber,
                          "DecisionService: snapshot shard mismatch");
     snapshot.shardWindows.assign(knobs.shards, {});
-    // Every step takes at least its 8-byte column count and every
-    // column 8 bytes, so no count larger than the bytes left can be
-    // genuine: it is rejected before anything is allocated for it.
     for (auto &window : snapshot.shardWindows) {
-        const std::uint64_t steps = in.readU64();
-        if (!in.ok() || steps > in.remaining() / 8)
-            return makeError(ErrorCode::Truncated,
-                             "DecisionService: truncated snapshot");
-        window.resize(static_cast<std::size_t>(steps));
-        for (ml::Matrix &step : window) {
-            const std::uint64_t cols = in.readU64();
-            if (!in.ok() || cols > in.remaining() / 8)
-                return makeError(ErrorCode::Truncated,
-                                 "DecisionService: truncated snapshot");
-            step = ml::Matrix(1, static_cast<std::size_t>(cols));
-            for (std::size_t c = 0; c < cols; ++c)
-                step.at(0, c) = in.readF64();
-        }
+        Result<std::vector<ml::Matrix>> steps = ml::loadMatrixSequence(in);
+        if (!steps)
+            return steps.error();
+        // A window step is one Watcher sample: a single row.
+        for (const ml::Matrix &step : steps.value())
+            if (step.rows() != 1)
+                return makeError(ErrorCode::Geometry,
+                                 "DecisionService: window step is not "
+                                 "one row");
+        window = std::move(steps.value());
     }
 
     // Rebuild the in-flight stage: the assembler is re-fed in arrival

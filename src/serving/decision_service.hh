@@ -160,7 +160,6 @@ class DecisionService : public io::Checkpointable
     double p99LatencyTicks() const;
 
     const DecisionServiceConfig &config() const { return knobs; }
-    const core::AdriasConfig &policyConfig() const { return rules.config(); }
 
     /** Deterministic request routing (id % shards). */
     std::size_t

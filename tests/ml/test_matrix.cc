@@ -111,6 +111,11 @@ TEST(Matrix, ConstructionZeroFills)
 TEST(Matrix, InitializerShapeMismatchPanics)
 {
     EXPECT_THROW(Matrix(2, 2, {1.0, 2.0, 3.0}), std::logic_error);
+    // 2^32 * 2^32 wraps to 0 in 64 bits: the shape must not pass for
+    // an empty value vector.
+    constexpr std::size_t kSide = std::size_t{1} << 32;
+    EXPECT_THROW(Matrix(kSide, kSide, {}), std::logic_error);
+    EXPECT_NO_THROW(Matrix(kSide, 0, {}));
 }
 
 TEST(Matrix, AtBoundsCheckedUnderInvariants)

@@ -1,9 +1,13 @@
-/** @file Negative-path tests for checkpoint (de)serialization. */
+/** @file Negative-path tests for the binary model-state codec. */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <string_view>
 
+#include "common/io/binary.hh"
 #include "ml/scaler.hh"
 #include "ml/serialize.hh"
 
@@ -34,130 +38,148 @@ pointersTo(std::vector<Param> &params)
 }
 
 std::string
-savedParamsText()
+savedParamsBytes()
 {
     std::vector<Param> params = makeParams();
-    std::ostringstream out;
+    io::BinaryWriter out;
     saveParams(out, pointersTo(params));
-    return out.str();
+    return out.take();
+}
+
+/** Decode `bytes` as a Param list shaped like `params`. */
+Result<std::vector<Matrix>>
+decodeParams(const std::string &bytes, std::vector<Param> &params)
+{
+    io::BinaryReader in(bytes);
+    return loadParams(in, pointersTo(params));
 }
 
 TEST(TryLoadParams, RoundTripsHappyPath)
 {
-    std::istringstream in(savedParamsText());
     std::vector<Param> fresh = makeParams();
     for (Param &p : fresh)
         p.value.setZero();
-    const auto ptrs = pointersTo(fresh);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
+    const Result<std::vector<Matrix>> loaded =
+        decodeParams(savedParamsBytes(), fresh);
     ASSERT_TRUE(loaded.ok());
-    EXPECT_DOUBLE_EQ(fresh[0].value.at(1, 2), 2.5);
+    // Decoding leaves the destination alone; the values come back.
+    EXPECT_EQ(fresh[0].value.at(1, 2), 0.0);
+    ASSERT_EQ(loaded.value().size(), 2u);
+    const std::vector<Param> saved = makeParams();
+    EXPECT_EQ(loaded.value()[0].raw(), saved[0].value.raw());
 }
 
 TEST(TryLoadParams, BadMagicIsBadHeader)
 {
-    std::istringstream in("not-a-checkpoint v1\n");
+    io::BinaryWriter out;
+    out.writeString("not-a-checkpoint");
     std::vector<Param> params = makeParams();
-    const auto ptrs = pointersTo(params);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
+    const Result<std::vector<Matrix>> loaded =
+        decodeParams(out.data(), params);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::BadHeader);
 }
 
 TEST(TryLoadParams, CountMismatchIsGeometry)
 {
-    std::istringstream in(savedParamsText());
     std::vector<Param> params = makeParams();
     params.pop_back();
-    const auto ptrs = pointersTo(params);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
+    const Result<std::vector<Matrix>> loaded =
+        decodeParams(savedParamsBytes(), params);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
 }
 
 TEST(TryLoadParams, ShapeMismatchIsGeometry)
 {
-    std::istringstream in(savedParamsText());
     std::vector<Param> params;
     params.emplace_back("w", Matrix(3, 3)); // saved as 2x3
     params.emplace_back("b", Matrix(1, 3));
-    const auto ptrs = pointersTo(params);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
+    const Result<std::vector<Matrix>> loaded =
+        decodeParams(savedParamsBytes(), params);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
 }
 
 TEST(TryLoadParams, TruncatedPayloadIsTruncated)
 {
-    const std::string text = savedParamsText();
-    std::istringstream in(text.substr(0, text.size() * 2 / 3));
+    const std::string bytes = savedParamsBytes();
     std::vector<Param> params = makeParams();
-    const auto ptrs = pointersTo(params);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
+    const Result<std::vector<Matrix>> loaded =
+        decodeParams(bytes.substr(0, bytes.size() * 2 / 3), params);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::Truncated);
 }
 
-TEST(TryLoadParams, GarbageTensorValueIsBadNumber)
+Result<StandardScaler>
+decodeScaler(const io::BinaryWriter &out, std::size_t width)
 {
-    std::string text = savedParamsText();
-    text.replace(text.find("0.5"), 3, "x.y");
-    std::istringstream in(text);
-    std::vector<Param> params = makeParams();
-    const auto ptrs = pointersTo(params);
-    const Result<void> loaded = tryLoadParams(in, ptrs);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, ErrorCode::BadNumber);
-}
-
-TEST(LegacyLoadParams, StillThrowsOnMalformedInput)
-{
-    std::istringstream in("junk\n");
-    std::vector<Param> params = makeParams();
-    const auto ptrs = pointersTo(params);
-    EXPECT_THROW(loadParams(in, ptrs), std::runtime_error);
+    io::BinaryReader in(out.data());
+    return loadScaler(in, width);
 }
 
 TEST(TryLoadScaler, RoundTripsHappyPath)
 {
     StandardScaler scaler;
     scaler.restore({1.0, 2.0}, {0.5, 0.25});
-    std::ostringstream out;
+    io::BinaryWriter out;
     saveScaler(out, scaler);
 
-    StandardScaler restored;
-    std::istringstream in(out.str());
-    ASSERT_TRUE(tryLoadScaler(in, restored).ok());
-    EXPECT_EQ(restored.mean(), scaler.mean());
-    EXPECT_EQ(restored.stddev(), scaler.stddev());
+    const Result<StandardScaler> restored = decodeScaler(out, 2);
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(restored.value().mean(), scaler.mean());
+    EXPECT_EQ(restored.value().stddev(), scaler.stddev());
 }
 
-TEST(TryLoadScaler, ImplausibleWidthIsGeometryNotBadAlloc)
+TEST(TryLoadScaler, ImplausibleWidthIsTruncatedNotBadAlloc)
 {
-    // A corrupt header must not be trusted as an allocation size.
-    std::istringstream in("adrias-scaler v1\n18446744073709551615\n");
-    StandardScaler scaler;
-    const Result<void> loaded = tryLoadScaler(in, scaler);
+    // A corrupt width must not be trusted as an allocation size: it
+    // is bounded by the bytes left before anything is allocated.
+    io::BinaryWriter out;
+    StandardScaler fitted;
+    fitted.restore({1.0}, {1.0});
+    saveScaler(out, fitted);
+    std::string bytes = out.take();
+    const std::size_t width_at = bytes.size() - 2 * 16;
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[width_at + i] = static_cast<char>(0xff);
+    io::BinaryReader in(bytes);
+    const Result<StandardScaler> loaded = loadScaler(in, 1);
     ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
-    EXPECT_FALSE(scaler.fitted());
+    EXPECT_EQ(loaded.error().code, ErrorCode::Truncated);
 }
 
 TEST(TryLoadScaler, TruncatedStatsIsTruncated)
 {
-    std::istringstream in("adrias-scaler v1\n4\n1.0 2.0\n");
     StandardScaler scaler;
-    const Result<void> loaded = tryLoadScaler(in, scaler);
+    scaler.restore({1.0, 2.0, 3.0, 4.0}, {1.0, 1.0, 1.0, 1.0});
+    io::BinaryWriter out;
+    saveScaler(out, scaler);
+    const std::string bytes = out.take();
+    io::BinaryReader in(
+        std::string_view(bytes).substr(0, bytes.size() - 8));
+    const Result<StandardScaler> loaded = loadScaler(in, 4);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::Truncated);
-    EXPECT_FALSE(scaler.fitted());
+}
+
+TEST(TryLoadScaler, WidthMismatchIsGeometry)
+{
+    StandardScaler scaler;
+    scaler.restore({1.0, 2.0}, {0.5, 0.25});
+    io::BinaryWriter out;
+    saveScaler(out, scaler);
+    const Result<StandardScaler> loaded = decodeScaler(out, 3);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
 }
 
 TEST(TryLoadScaler, BadMagicIsBadHeader)
 {
-    std::istringstream in("adrias-params v1\n2\n");
-    StandardScaler scaler;
-    const Result<void> loaded = tryLoadScaler(in, scaler);
+    std::vector<Param> params = makeParams();
+    io::BinaryWriter out;
+    saveParams(out, pointersTo(params));
+    const Result<StandardScaler> loaded = decodeScaler(out, 2);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, ErrorCode::BadHeader);
 }
@@ -166,37 +188,81 @@ TEST(TryLoadStateTensors, DiagnosesHeaderShapeAndTruncation)
 {
     Matrix m(2, 2);
     m.raw() = {1.0, 2.0, 3.0, 4.0};
-    std::ostringstream out;
+    io::BinaryWriter out;
     saveStateTensors(out, {&m});
-    const std::string text = out.str();
+    const std::string bytes = out.take();
+    const auto decode = [](std::string_view payload, Matrix &like) {
+        io::BinaryReader in(payload);
+        return loadStateTensors(in, {&like});
+    };
 
     {
         Matrix fresh(2, 2);
-        std::istringstream in(text);
-        ASSERT_TRUE(tryLoadStateTensors(in, {&fresh}).ok());
-        EXPECT_DOUBLE_EQ(fresh.at(1, 1), 4.0);
+        const Result<std::vector<Matrix>> loaded = decode(bytes, fresh);
+        ASSERT_TRUE(loaded.ok());
+        EXPECT_EQ(loaded.value().front().at(1, 1), 4.0);
     }
     {
         Matrix wrong(3, 2);
-        std::istringstream in(text);
-        const Result<void> loaded = tryLoadStateTensors(in, {&wrong});
+        const Result<std::vector<Matrix>> loaded = decode(bytes, wrong);
         ASSERT_FALSE(loaded.ok());
         EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
     }
     {
         Matrix fresh(2, 2);
-        std::istringstream in(text.substr(0, text.size() - 6));
-        const Result<void> loaded = tryLoadStateTensors(in, {&fresh});
+        const Result<std::vector<Matrix>> loaded =
+            decode(std::string_view(bytes).substr(0, bytes.size() - 6),
+                   fresh);
         ASSERT_FALSE(loaded.ok());
         EXPECT_EQ(loaded.error().code, ErrorCode::Truncated);
     }
     {
         Matrix fresh(2, 2);
-        std::istringstream in("wrong v1\n1\n");
-        const Result<void> loaded = tryLoadStateTensors(in, {&fresh});
+        io::BinaryWriter params;
+        std::vector<Param> list = makeParams();
+        saveParams(params, pointersTo(list));
+        const Result<std::vector<Matrix>> loaded =
+            decode(params.data(), fresh);
         ASSERT_FALSE(loaded.ok());
         EXPECT_EQ(loaded.error().code, ErrorCode::BadHeader);
     }
+}
+
+TEST(MatrixSequenceCodec, RoundTripIsBitwise)
+{
+    const std::vector<Matrix> sequence = {
+        Matrix(1, 3, {-0.0, 1e-300, 0.1}), Matrix(2, 1, {3.0, -7.5}),
+        Matrix(0, 4, {})};
+    io::BinaryWriter out;
+    saveMatrixSequence(out, sequence);
+    io::BinaryReader in(out.data());
+    const Result<std::vector<Matrix>> loaded = loadMatrixSequence(in);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(in.status().ok());
+    ASSERT_EQ(loaded.value().size(), sequence.size());
+    for (std::size_t s = 0; s < sequence.size(); ++s) {
+        const Matrix &step = loaded.value()[s];
+        EXPECT_EQ(step.rows(), sequence[s].rows());
+        EXPECT_EQ(step.cols(), sequence[s].cols());
+        for (std::size_t i = 0; i < sequence[s].size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(step.raw()[i]),
+                      std::bit_cast<std::uint64_t>(sequence[s].raw()[i]));
+    }
+}
+
+TEST(MatrixSequenceCodec, OverflowingShapeIsGeometry)
+{
+    // rows * cols = 2^64 wraps to 0, the stored value count: the shape
+    // is tested by division, so it cannot pass.
+    io::BinaryWriter out;
+    out.writeU64(1);                      // steps
+    out.writeU64(std::uint64_t{1} << 32); // rows
+    out.writeU64(std::uint64_t{1} << 32); // cols
+    out.writeF64Vector({});
+    io::BinaryReader in(out.data());
+    const Result<std::vector<Matrix>> loaded = loadMatrixSequence(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::Geometry);
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <string_view>
 
 #include "models/performance.hh"
 #include "models/system_state.hh"
@@ -41,17 +44,20 @@ class PersistenceTest : public ::testing::Test
         config->hidden = 12;
         config->headWidth = 16;
 
-        auto state = scenario::DatasetBuilder::systemState(results, 10);
+        stateSamples = new std::vector<scenario::SystemStateSample>(
+            scenario::DatasetBuilder::systemState(results, 10));
         stateModel = new SystemStateModel(*config);
-        stateModel->train(state);
-        stateProbe = new std::vector<ml::Matrix>(state.front().history);
+        stateModel->train(*stateSamples);
+        stateProbe =
+            new std::vector<ml::Matrix>(stateSamples->front().history);
 
-        auto be = scenario::DatasetBuilder::performance(
-            results, *signatures, WorkloadClass::BestEffort);
+        beSamples = new std::vector<scenario::PerformanceSample>(
+            scenario::DatasetBuilder::performance(
+                results, *signatures, WorkloadClass::BestEffort));
         perfModel =
             new PerformanceModel(FutureKind::ActualWindow, *config);
-        perfModel->train(be);
-        perfProbe = new scenario::PerformanceSample(be.front());
+        perfModel->train(*beSamples);
+        perfProbe = new scenario::PerformanceSample(beSamples->front());
     }
 
     static void
@@ -59,6 +65,8 @@ class PersistenceTest : public ::testing::Test
     {
         delete signatures;
         delete config;
+        delete stateSamples;
+        delete beSamples;
         delete stateModel;
         delete stateProbe;
         delete perfModel;
@@ -67,14 +75,58 @@ class PersistenceTest : public ::testing::Test
 
     static scenario::SignatureStore *signatures;
     static ModelConfig *config;
+    static std::vector<scenario::SystemStateSample> *stateSamples;
+    static std::vector<scenario::PerformanceSample> *beSamples;
     static SystemStateModel *stateModel;
     static std::vector<ml::Matrix> *stateProbe;
     static PerformanceModel *perfModel;
     static scenario::PerformanceSample *perfProbe;
+
+    /** A model small enough to truncate at every 8-byte boundary. */
+    static ModelConfig
+    tinyConfig(std::uint64_t seed)
+    {
+        ModelConfig tiny;
+        tiny.epochs = 2;
+        tiny.hidden = 4;
+        tiny.headWidth = 4;
+        tiny.seed = seed;
+        return tiny;
+    }
+
+    /** Every prediction the probes give, as raw bit patterns. */
+    static std::vector<std::uint64_t>
+    predictionBits(const SystemStateModel &state,
+                   const PerformanceModel &perf)
+    {
+        std::vector<std::uint64_t> bits;
+        const ml::Matrix forecast = state.predict(*stateProbe);
+        for (double v : forecast.raw())
+            bits.push_back(std::bit_cast<std::uint64_t>(v));
+        bits.push_back(std::bit_cast<std::uint64_t>(
+            perf.predict(perfProbe->history, perfProbe->signature,
+                         perfProbe->mode, perfProbe->futureWindow)));
+        return bits;
+    }
+
+    /** Every parameter value of `model`, as raw bit patterns. */
+    static std::vector<std::uint64_t>
+    weightBits(const PerformanceModel &model)
+    {
+        std::vector<std::uint64_t> bits;
+        for (const ml::Param *p : model.params())
+            for (double v : p->value.raw())
+                bits.push_back(std::bit_cast<std::uint64_t>(v));
+        return bits;
+    }
 };
 
 scenario::SignatureStore *PersistenceTest::signatures = nullptr;
 ModelConfig *PersistenceTest::config = nullptr;
+std::vector<scenario::SystemStateSample> *PersistenceTest::stateSamples =
+    nullptr;
+std::vector<scenario::PerformanceSample> *PersistenceTest::beSamples =
+    nullptr;
 SystemStateModel *PersistenceTest::stateModel = nullptr;
 std::vector<ml::Matrix> *PersistenceTest::stateProbe = nullptr;
 PerformanceModel *PersistenceTest::perfModel = nullptr;
@@ -83,28 +135,31 @@ scenario::PerformanceSample *PersistenceTest::perfProbe = nullptr;
 TEST_F(PersistenceTest, SystemStateRoundTrip)
 {
     const std::string path =
-        ::testing::TempDir() + "adrias_state_model.txt";
+        ::testing::TempDir() + "adrias_state_model.bin";
     stateModel->save(path);
 
     SystemStateModel reloaded(*config);
     EXPECT_FALSE(reloaded.trained());
-    reloaded.load(path);
+    ASSERT_TRUE(reloaded.load(path).ok());
     EXPECT_TRUE(reloaded.trained());
 
     const ml::Matrix a = stateModel->predict(*stateProbe);
     const ml::Matrix b = reloaded.predict(*stateProbe);
-    EXPECT_LT((a - b).maxAbs(), 1e-9);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.raw()[i]),
+                  std::bit_cast<std::uint64_t>(b.raw()[i]));
     std::remove(path.c_str());
 }
 
 TEST_F(PersistenceTest, PerformanceRoundTrip)
 {
     const std::string path =
-        ::testing::TempDir() + "adrias_perf_model.txt";
+        ::testing::TempDir() + "adrias_perf_model.bin";
     perfModel->save(path);
 
     PerformanceModel reloaded(FutureKind::ActualWindow, *config);
-    reloaded.load(path);
+    ASSERT_TRUE(reloaded.load(path).ok());
     EXPECT_TRUE(reloaded.trained());
 
     const double a =
@@ -113,30 +168,35 @@ TEST_F(PersistenceTest, PerformanceRoundTrip)
     const double b =
         reloaded.predict(perfProbe->history, perfProbe->signature,
                          perfProbe->mode, perfProbe->futureWindow);
-    EXPECT_NEAR(a, b, 1e-9);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+              std::bit_cast<std::uint64_t>(b));
     std::remove(path.c_str());
 }
 
 TEST_F(PersistenceTest, FutureKindMismatchRejected)
 {
-    const std::string path =
-        ::testing::TempDir() + "adrias_perf_model_kind.txt";
-    perfModel->save(path);
+    io::BinaryWriter out;
+    perfModel->saveState(out);
     PerformanceModel wrong_kind(FutureKind::None, *config);
-    EXPECT_THROW(wrong_kind.load(path), std::runtime_error);
-    std::remove(path.c_str());
+    io::BinaryReader in(out.data());
+    const Result<void> restored = wrong_kind.restoreState(in);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code, ErrorCode::BadHeader);
+    EXPECT_FALSE(wrong_kind.trained());
 }
 
 TEST_F(PersistenceTest, TopologyMismatchRejected)
 {
-    const std::string path =
-        ::testing::TempDir() + "adrias_state_model_topo.txt";
-    stateModel->save(path);
+    io::BinaryWriter out;
+    stateModel->saveState(out);
     ModelConfig bigger = *config;
     bigger.hidden = 20;
     SystemStateModel wrong_topology(bigger);
-    EXPECT_THROW(wrong_topology.load(path), std::runtime_error);
-    std::remove(path.c_str());
+    io::BinaryReader in(out.data());
+    const Result<void> restored = wrong_topology.restoreState(in);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code, ErrorCode::Geometry);
+    EXPECT_FALSE(wrong_topology.trained());
 }
 
 TEST_F(PersistenceTest, SaveBeforeTrainRejected)
@@ -152,8 +212,71 @@ TEST_F(PersistenceTest, SaveBeforeTrainRejected)
 TEST_F(PersistenceTest, MissingFileRejected)
 {
     SystemStateModel model(*config);
-    EXPECT_THROW(model.load("/no/such/model/file.txt"),
-                 std::runtime_error);
+    const Result<void> loaded = model.load("/no/such/model/file.txt");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::Io);
+    EXPECT_FALSE(model.trained());
+}
+
+TEST_F(PersistenceTest, TruncatedPayloadLeavesTrainedModelUnchanged)
+{
+    // The payloads come from differently seeded models, so a restore
+    // that committed any part of one would move the predictions.
+    SystemStateModel state(tinyConfig(1));
+    state.train(*stateSamples);
+    PerformanceModel perf(FutureKind::ActualWindow, tinyConfig(2));
+    perf.train(*beSamples);
+    SystemStateModel other_state(tinyConfig(3));
+    other_state.train(*stateSamples);
+    PerformanceModel other_perf(FutureKind::ActualWindow, tinyConfig(4));
+    other_perf.train(*beSamples);
+    io::BinaryWriter state_out, perf_out;
+    other_state.saveState(state_out);
+    other_perf.saveState(perf_out);
+    const std::vector<std::uint64_t> before = predictionBits(state, perf);
+
+    const auto truncations = [](const std::string &payload,
+                                const auto &restore) {
+        for (std::size_t size = 0; size < payload.size(); size += 8) {
+            io::BinaryReader in(std::string_view(payload).substr(0, size));
+            Result<void> restored;
+            EXPECT_NO_THROW(restored = restore(in)) << "at " << size;
+            EXPECT_FALSE(restored.ok()) << "at " << size;
+        }
+    };
+    truncations(state_out.data(), [&state](io::BinaryReader &in) {
+        return state.restoreState(in);
+    });
+    truncations(perf_out.data(), [&perf](io::BinaryReader &in) {
+        return perf.restoreState(in);
+    });
+    EXPECT_EQ(predictionBits(state, perf), before);
+
+    // The whole payloads do restore, and do move the predictions.
+    io::BinaryReader state_in(state_out.data());
+    io::BinaryReader perf_in(perf_out.data());
+    ASSERT_TRUE(state.restoreState(state_in).ok());
+    ASSERT_TRUE(perf.restoreState(perf_in).ok());
+    EXPECT_NE(predictionBits(state, perf), before);
+}
+
+TEST_F(PersistenceTest, RestoredModelFineTunesLikeTheOriginal)
+{
+    PerformanceModel original(FutureKind::ActualWindow, tinyConfig(5));
+    original.train(*beSamples);
+    io::BinaryWriter out;
+    original.saveState(out);
+    PerformanceModel restored(FutureKind::ActualWindow, tinyConfig(6));
+    io::BinaryReader in(out.data());
+    ASSERT_TRUE(restored.restoreState(in).ok());
+    ASSERT_TRUE(in.status().ok());
+    ASSERT_EQ(weightBits(restored), weightBits(original));
+
+    // fineTune shuffles and draws dropout masks from the model's RNG:
+    // the restored stream must continue where the original's is.
+    original.fineTune(*beSamples, nullptr, 2);
+    restored.fineTune(*beSamples, nullptr, 2);
+    EXPECT_EQ(weightBits(restored), weightBits(original));
 }
 
 } // namespace

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,10 +86,11 @@ class SignatureMemoTest : public ::testing::Test
     static PerformanceModel
     coldCopy(PerformanceModel &model)
     {
-        std::stringstream text;
-        model.saveToStream(text);
+        io::BinaryWriter out;
+        model.saveState(out);
         PerformanceModel copy(FutureKind::ActualWindow, *config);
-        copy.loadFromStream(text);
+        io::BinaryReader in(out.data());
+        EXPECT_TRUE(copy.restoreState(in).ok());
         return copy;
     }
 
@@ -257,7 +257,7 @@ TEST_F(SignatureMemoTest, TrainFineTuneAndLoadStartTheMemoOver)
          "adrias_signature_memo_test.model")
             .string();
     other.save(path);
-    model.load(path);
+    ASSERT_TRUE(model.load(path).ok());
     std::filesystem::remove(path);
     EXPECT_EQ(model.memoizedSignatures(), 0u);
     EXPECT_EQ(model.memoizedHistories(), 0u);
@@ -400,10 +400,11 @@ TEST_F(EncodingMemoTest, SystemStateTrainAndLoadStartTheMemoOver)
         return out;
     };
     const auto coldState = [](SystemStateModel &model) {
-        std::stringstream text;
-        model.saveToStream(text);
+        io::BinaryWriter out;
+        model.saveState(out);
         SystemStateModel copy(*config);
-        copy.loadFromStream(text);
+        io::BinaryReader in(out.data());
+        EXPECT_TRUE(copy.restoreState(in).ok());
         return copy;
     };
 
@@ -419,10 +420,11 @@ TEST_F(EncodingMemoTest, SystemStateTrainAndLoadStartTheMemoOver)
     expectBitwiseEqual(predictAll(model), predictAll(retrained));
 
     ASSERT_GT(model.memoizedStates(), 0u);
-    std::stringstream text;
+    io::BinaryWriter out;
     Predictor source = coldPredictor();
-    source.systemModel().saveToStream(text);
-    model.loadFromStream(text);
+    source.systemModel().saveState(out);
+    io::BinaryReader in(out.data());
+    ASSERT_TRUE(model.restoreState(in).ok());
     EXPECT_EQ(model.memoizedStates(), 0u);
     SystemStateModel loaded = coldState(model);
     expectBitwiseEqual(predictAll(model), predictAll(loaded));

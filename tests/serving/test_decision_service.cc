@@ -643,14 +643,14 @@ TEST_F(DecisionServiceTest, RestoreRejectsShardMismatch)
     EXPECT_FALSE(mismatched.restoreState(reader).ok());
 }
 
-/** A decision-service-v2 payload up to its first shard window: zero
+/** A decision-service-v3 payload up to its first shard window: zero
  *  cursors, counters and tallies, no latency counts, and the head of a
  *  `shards`-shard epoch snapshot. */
 io::BinaryWriter
 payloadHead(std::size_t shards)
 {
     io::BinaryWriter out;
-    out.writeString("decision-service-v2");
+    out.writeString("decision-service-v3");
     for (int i = 0; i < 5 + 13; ++i)
         out.writeU64(0); // cursors, producer counters, tallies
     out.writeU64(0);      // latency counts
@@ -683,11 +683,13 @@ TEST_F(DecisionServiceTest,
     };
     constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
 
-    // A window step claiming 2^62 columns, and a window claiming 2^62
+    // A window step claiming 2^62 values, and a window claiming 2^62
     // steps: lengths the payload cannot hold.
     io::BinaryWriter wide = payloadHead(2);
     wide.writeU64(1);     // steps
+    wide.writeU64(1);     // rows
     wide.writeU64(kHuge); // columns
+    wide.writeU64(kHuge); // values
     io::BinaryWriter deep = payloadHead(2);
     deep.writeU64(kHuge); // steps
     for (const io::BinaryWriter *payload : {&wide, &deep}) {
@@ -830,7 +832,7 @@ TEST_F(DecisionServiceTest, CheckpointRoundTripKeepsLatencyP99)
 
 TEST_F(DecisionServiceTest, RestoreRejectsOldFormatPayload)
 {
-    // The layout before the format marker: cursors, tallies, every
+    // v1, the layout before the format marker: cursors, tallies, every
     // latency sample as doubles, then an empty two-shard snapshot and
     // empty in-flight and queue stages.
     io::BinaryWriter old;
@@ -849,16 +851,37 @@ TEST_F(DecisionServiceTest, RestoreRejectsOldFormatPayload)
     old.writeU64(0);
     old.writeU64(0);
 
+    // v2: marked, one window step of bare columns per shard.
+    io::BinaryWriter v2;
+    v2.writeString("decision-service-v2");
+    for (int i = 0; i < 5 + 13; ++i)
+        v2.writeU64(0); // cursors, producer counters, tallies
+    v2.writeU64(0);     // latency counts
+    v2.writeU64(1);     // snapshot epoch
+    v2.writeI64(0);     // takenAt
+    v2.writeU64(2);     // shard windows
+    for (int shard = 0; shard < 2; ++shard) {
+        v2.writeU64(1); // steps
+        v2.writeU64(1); // columns
+        v2.writeF64(0.5);
+    }
+    v2.writeU64(0); // in-flight
+    v2.writeU64(2); // queues
+    v2.writeU64(0);
+    v2.writeU64(0);
+
     DecisionServiceConfig config;
     config.shards = 2;
-    DecisionService service = makeService({}, config);
-    io::BinaryReader reader(old.data());
-    const Result<void> restored = service.restoreState(reader);
-    ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.error().code, ErrorCode::BadHeader);
-    EXPECT_NE(restored.error().message.find("decision-service-v2"),
-              std::string::npos)
-        << restored.error().message;
+    for (const io::BinaryWriter *payload : {&old, &v2}) {
+        DecisionService service = makeService({}, config);
+        io::BinaryReader reader(payload->data());
+        const Result<void> restored = service.restoreState(reader);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error().code, ErrorCode::BadHeader);
+        EXPECT_NE(restored.error().message.find("decision-service-v3"),
+                  std::string::npos)
+            << restored.error().message;
+    }
 }
 
 } // namespace
