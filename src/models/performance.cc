@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
-#include "common/io/durable_file.hh"
 #include "common/logging.hh"
-#include "ml/loss.hh"
-#include "ml/optimizer.hh"
-#include "ml/serialize.hh"
 #include "models/batching.hh"
 #include "stats/regression_metrics.hh"
 #include "testbed/counters.hh"
@@ -34,23 +29,11 @@ toString(FutureKind kind)
     panic("unknown FutureKind");
 }
 
-PerformanceModel::PerformanceModel(FutureKind future_, ModelConfig config_)
-    : future(future_), config(config_), rng(config_.seed),
-      signatureMemo("predictor.signature_memo", config_.hidden),
-      historyMemo("predictor.history_memo", config_.hidden)
+PerformanceModel::PerformanceModel(FutureKind future_, ModelConfig config)
+    : future(future_), net(config, 2, 1 + futureWidth(), 1),
+      signatureMemo("predictor.signature_memo", config.hidden),
+      historyMemo("predictor.history_memo", config.hidden)
 {
-    historyLstm1 =
-        std::make_unique<ml::Lstm>(kNumPerfEvents, config.hidden, rng);
-    historyLstm2 =
-        std::make_unique<ml::Lstm>(config.hidden, config.hidden, rng);
-    signatureLstm1 =
-        std::make_unique<ml::Lstm>(kNumPerfEvents, config.hidden, rng);
-    signatureLstm2 =
-        std::make_unique<ml::Lstm>(config.hidden, config.hidden, rng);
-    const std::size_t head_input =
-        2 * config.hidden + 1 + futureWidth();
-    head = ml::makeNonLinearHead(head_input, config.headWidth, 1,
-                                 config.dropout, rng, config.headNorm);
 }
 
 std::size_t
@@ -62,7 +45,7 @@ PerformanceModel::futureWidth() const
 double
 PerformanceModel::encodeTarget(double target) const
 {
-    if (!config.logTarget)
+    if (!net.config().logTarget)
         return target;
     if (target <= 0.0)
         fatal("PerformanceModel: non-positive target with logTarget");
@@ -72,20 +55,7 @@ PerformanceModel::encodeTarget(double target) const
 double
 PerformanceModel::decodeTarget(double encoded) const
 {
-    return config.logTarget ? std::exp(encoded) : encoded;
-}
-
-std::vector<ml::Param *>
-PerformanceModel::params() const
-{
-    std::vector<ml::Param *> all;
-    for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
-                           signatureLstm1.get(), signatureLstm2.get()})
-        for (ml::Param *p : lstm->params())
-            all.push_back(p);
-    for (ml::Param *p : head->params())
-        all.push_back(p);
-    return all;
+    return net.config().logTarget ? std::exp(encoded) : encoded;
 }
 
 std::vector<ml::Matrix>
@@ -108,7 +78,7 @@ PerformanceModel::resolveFutures(
       case FutureKind::Predicted:
         if (!system || !system->trained())
             fatal("FutureKind::Predicted needs a trained system model");
-        forEachChunk(samples.size(), config.batchSize,
+        forEachChunk(samples.size(), net.config().batchSize,
                      [&](std::size_t begin, std::size_t end) {
             std::vector<const std::vector<ml::Matrix> *> histories;
             histories.reserve(end - begin);
@@ -120,46 +90,6 @@ PerformanceModel::resolveFutures(
         break;
     }
     return futures;
-}
-
-ml::Matrix
-PerformanceModel::forwardBatch(const std::vector<ml::Matrix> &history,
-                               const std::vector<ml::Matrix> &signature,
-                               const ml::Matrix &mode_col,
-                               const ml::Matrix &future_rows) const
-{
-    const auto h1 = historyLstm1->forwardSequence(history);
-    const auto h2 = historyLstm2->forwardSequence(h1);
-    const auto k1 = signatureLstm1->forwardSequence(signature);
-    const auto k2 = signatureLstm2->forwardSequence(k1);
-
-    ml::Matrix hidden = h2.back().hconcat(k2.back()).hconcat(mode_col);
-    if (futureWidth() > 0)
-        hidden = hidden.hconcat(future_rows);
-    return head->forward(hidden);
-}
-
-void
-PerformanceModel::backwardBatch(const ml::Matrix &grad_output,
-                                std::size_t batch_rows) const
-{
-    const ml::Matrix grad_hidden = head->backward(grad_output);
-    const std::size_t H = config.hidden;
-
-    // Gradients w.r.t. mode and future inputs are discarded — they are
-    // inputs, not parameters — and so are the first LSTM layers', which
-    // are not computed at all.  The two LSTM-branch slices land directly
-    // in their sequence slots (no intermediate copies).
-    const std::size_t bins = scenario::ScenarioRunner::kWindowBins;
-    std::vector<ml::Matrix> grad_h2(bins, ml::Matrix(batch_rows, H));
-    grad_hidden.colRangeInto(0, H, grad_h2.back());
-    historyLstm1->backwardSequence(historyLstm2->backwardSequence(grad_h2),
-                                   ml::Lstm::InputGrad::Skip);
-
-    std::vector<ml::Matrix> grad_k2(bins, ml::Matrix(batch_rows, H));
-    grad_hidden.colRangeInto(H, 2 * H, grad_k2.back());
-    signatureLstm1->backwardSequence(
-        signatureLstm2->backwardSequence(grad_k2), ml::Lstm::InputGrad::Skip);
 }
 
 double
@@ -176,14 +106,13 @@ PerformanceModel::train(
         sequences.push_back(sample.history);
         sequences.push_back(sample.signature);
     }
-    counterScaler.fitSequences(sequences);
-
     ml::Matrix targets(samples.size(), 1);
     for (std::size_t i = 0; i < samples.size(); ++i)
         targets.at(i, 0) = encodeTarget(samples[i].target);
-    targetScaler.fit(targets);
+    net.fitScalers(sequences, targets);
 
-    return fitLoop(samples, system, config.epochs, config.learningRate);
+    return fit(samples, system, net.config().epochs,
+               net.config().learningRate);
 }
 
 double
@@ -191,21 +120,20 @@ PerformanceModel::fineTune(
     const std::vector<scenario::PerformanceSample> &samples,
     const SystemStateModel *system, std::size_t epochs)
 {
-    if (!isTrained)
+    if (!net.trained())
         fatal("PerformanceModel::fineTune before train()");
     if (samples.empty())
         fatal("PerformanceModel::fineTune: no samples");
     // Scalers are deliberately kept from the original fit so the new
     // samples live in the same feature space; a reduced learning rate
     // avoids catastrophic drift away from the base model.
-    return fitLoop(samples, system, epochs, config.learningRate * 0.3);
+    return fit(samples, system, epochs, net.config().learningRate * 0.3);
 }
 
 double
-PerformanceModel::fitLoop(
-    const std::vector<scenario::PerformanceSample> &samples,
-    const SystemStateModel *system, std::size_t epochs,
-    double learning_rate)
+PerformanceModel::fit(const std::vector<scenario::PerformanceSample> &samples,
+                      const SystemStateModel *system, std::size_t epochs,
+                      double learning_rate)
 {
     // The weights (and, from train(), the scalers) change below.
     signatureMemo.clear();
@@ -215,192 +143,37 @@ PerformanceModel::fitLoop(
     // batched system-model forwards over the whole set).
     const std::vector<ml::Matrix> futures = resolveFutures(samples, system);
 
-    auto parameters = params();
-    ml::Adam optimizer(parameters, learning_rate);
-    head->setTraining(true);
-    head->setInference(false);
-    for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
-                           signatureLstm1.get(), signatureLstm2.get()})
-        lstm->setInference(false);
-
-    std::vector<std::size_t> order(samples.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-
-    double epoch_loss = 0.0;
-    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        rng.shuffle(order);
-        epoch_loss = 0.0;
-        std::size_t batches = 0;
-        for (std::size_t begin = 0; begin < order.size();
-             begin += config.batchSize) {
-            const std::size_t end =
-                std::min(order.size(), begin + config.batchSize);
-            const std::size_t rows = end - begin;
-
-            std::vector<const std::vector<ml::Matrix> *> histories,
-                signatures;
-            ml::Matrix mode_col(rows, 1);
-            ml::Matrix future_rows(rows, futureWidth());
-            ml::Matrix target(rows, 1);
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto &sample = samples[order[i]];
-                const std::size_t row = i - begin;
-                histories.push_back(&sample.history);
-                signatures.push_back(&sample.signature);
-                mode_col.at(row, 0) =
-                    sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
-                if (futureWidth() > 0)
-                    counterScaler.transformRow(futures[order[i]], 0,
-                                               &future_rows.at(row, 0));
-                target.at(row, 0) = targetScaler.transformScalar(
-                    encodeTarget(sample.target), 0);
-            }
-
-            optimizer.zeroGrad();
-            const ml::Matrix prediction =
-                forwardBatch(stackScaled(counterScaler, histories),
-                             stackScaled(counterScaler, signatures),
-                             mode_col, future_rows);
-            ml::Matrix grad;
-            epoch_loss += ml::mseLoss(prediction, target, &grad);
-            ++batches;
-            backwardBatch(grad, rows);
-            optimizer.clipGradNorm(config.gradClip);
-            optimizer.step();
+    return net.fit(samples.size(), epochs, learning_rate,
+                   [&](std::span<const std::size_t> indices) {
+        const ml::StandardScaler &counters = net.counterScaler();
+        const std::size_t rows = indices.size();
+        std::vector<const std::vector<ml::Matrix> *> histories, signatures;
+        RecurrentRegressor::Batch batch;
+        batch.columns = ml::Matrix(rows, 1 + futureWidth());
+        batch.target = ml::Matrix(rows, 1);
+        for (std::size_t row = 0; row < rows; ++row) {
+            const auto &sample = samples[indices[row]];
+            histories.push_back(&sample.history);
+            signatures.push_back(&sample.signature);
+            batch.columns.at(row, 0) =
+                sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
+            if (futureWidth() > 0)
+                counters.transformRow(futures[indices[row]], 0,
+                                      &batch.columns.at(row, 1));
+            batch.target.at(row, 0) = net.targetScaler().transformScalar(
+                encodeTarget(sample.target), 0);
         }
-        epoch_loss /= static_cast<double>(std::max<std::size_t>(1, batches));
-    }
-
-    // Training is done with the LSTMs: the stats pass and everything
-    // after only runs forward, so skip their BPTT caches.
-    for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
-                           signatureLstm1.get(), signatureLstm2.get()})
-        lstm->setInference(true);
-
-    // Replace BatchNorm running statistics with exact population
-    // statistics (clean pass over the training set, no updates).  A
-    // head without such statistics (HeadNorm::Layer) skips the pass:
-    // it would update nothing and only draw Dropout masks.
-    if (!head->stateTensors().empty()) {
-        head->beginStatsEstimation();
-        for (std::size_t begin = 0; begin < samples.size();
-             begin += config.batchSize) {
-            const std::size_t end =
-                std::min(samples.size(), begin + config.batchSize);
-            const std::size_t rows = end - begin;
-            std::vector<const std::vector<ml::Matrix> *> histories,
-                signatures;
-            ml::Matrix mode_col(rows, 1);
-            ml::Matrix future_rows(rows, futureWidth());
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto &sample = samples[i];
-                const std::size_t row = i - begin;
-                histories.push_back(&sample.history);
-                signatures.push_back(&sample.signature);
-                mode_col.at(row, 0) =
-                    sample.mode == MemoryMode::Remote ? 1.0 : 0.0;
-                if (futureWidth() > 0)
-                    counterScaler.transformRow(futures[i], 0,
-                                               &future_rows.at(row, 0));
-            }
-            forwardBatch(stackScaled(counterScaler, histories),
-                         stackScaled(counterScaler, signatures), mode_col,
-                         future_rows);
-        }
-        head->endStatsEstimation();
-    }
-
-    head->setTraining(false);
-    head->setInference(true);
-    isTrained = true;
-    return epoch_loss;
+        batch.sequences.push_back(stackScaled(counters, histories));
+        batch.sequences.push_back(stackScaled(counters, signatures));
+        return batch;
+    });
 }
 
 std::string
 PerformanceModel::payloadTag() const
 {
     return "performance-model-v1 future=" + toString(future) +
-           (config.logTarget ? " log" : "");
-}
-
-void
-PerformanceModel::saveState(io::BinaryWriter &out) const
-{
-    if (!isTrained)
-        fatal("PerformanceModel::save before train()");
-    out.writeString(payloadTag());
-    ml::saveParams(out, params());
-    ml::saveStateTensors(out, head->stateTensors());
-    ml::saveScaler(out, counterScaler);
-    ml::saveScaler(out, targetScaler);
-    rng.saveState(out);
-}
-
-Result<void>
-PerformanceModel::restoreState(io::BinaryReader &in)
-{
-    if (Result<void> header = in.expectTag(payloadTag()); !header)
-        return header;
-    const std::vector<ml::Param *> parameters = params();
-    const std::vector<ml::Matrix *> state = head->stateTensors();
-    Result<std::vector<ml::Matrix>> values = ml::loadParams(in, parameters);
-    if (!values)
-        return values.error();
-    Result<std::vector<ml::Matrix>> norms =
-        ml::loadStateTensors(in, state);
-    if (!norms)
-        return norms.error();
-    Result<ml::StandardScaler> counters =
-        ml::loadScaler(in, kNumPerfEvents);
-    if (!counters)
-        return counters.error();
-    Result<ml::StandardScaler> target = ml::loadScaler(in, 1);
-    if (!target)
-        return target.error();
-    Rng stream;
-    stream.restoreState(in);
-    if (!in.ok())
-        return makeError(ErrorCode::Truncated,
-                         "PerformanceModel: truncated payload");
-
-    for (std::size_t i = 0; i < parameters.size(); ++i)
-        parameters[i]->value = std::move(values.value()[i]);
-    for (std::size_t i = 0; i < state.size(); ++i)
-        *state[i] = std::move(norms.value()[i]);
-    counterScaler = std::move(counters.value());
-    targetScaler = std::move(target.value());
-    rng = stream;
-    signatureMemo.clear();
-    historyMemo.clear();
-    head->setTraining(false);
-    // A restored model only predicts until fineTune(), which
-    // re-enables training mode itself.
-    head->setInference(true);
-    for (ml::Lstm *lstm : {historyLstm1.get(), historyLstm2.get(),
-                           signatureLstm1.get(), signatureLstm2.get()})
-        lstm->setInference(true);
-    isTrained = true;
-    return {};
-}
-
-void
-PerformanceModel::save(const std::string &path) const
-{
-    io::BinaryWriter out;
-    saveState(out);
-    io::atomicWriteFile(path, out.data()).expect();
-}
-
-Result<void>
-PerformanceModel::load(const std::string &path)
-{
-    const Result<std::string> content = io::readFile(path);
-    if (!content)
-        return content.error();
-    io::BinaryReader in(content.value());
-    if (Result<void> restored = restoreState(in); !restored)
-        return restored;
-    return in.status();
+           (net.config().logTarget ? " log" : "");
 }
 
 double
@@ -415,7 +188,7 @@ PerformanceModel::predict(const std::vector<ml::Matrix> &history,
 std::vector<double>
 PerformanceModel::predictBatch(const std::vector<Query> &queries) const
 {
-    if (!isTrained)
+    if (!net.trained())
         fatal("PerformanceModel::predictBatch before train()");
     if (queries.empty())
         fatal("PerformanceModel::predictBatch on empty batch");
@@ -444,23 +217,17 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
     // forwarded together; every branch op is row-independent
     // (DESIGN.md §9), so the gathered rows are bitwise identical to
     // stacking one row per query.
-    const auto encoder = [this](ml::Lstm &layer1, ml::Lstm &layer2) {
-        return [this, &layer1, &layer2](
-                   const std::vector<const std::vector<ml::Matrix> *>
-                       &misses) {
-            auto last = layer2.forwardSequence(layer1.forwardSequence(
-                stackScaled(counterScaler, misses)));
-            return std::move(last.back());
+    const auto encoder = [this](std::size_t index) {
+        return [this, index](const auto &misses) {
+            return net.encode(index, misses);
         };
     };
-    const ml::Matrix h_last = historyMemo.rows(
-        histories, encoder(*historyLstm1, *historyLstm2));
-    const ml::Matrix k_last = signatureMemo.rows(
-        signatures, encoder(*signatureLstm1, *signatureLstm2));
+    const ml::Matrix h_last = historyMemo.rows(histories, encoder(0));
+    const ml::Matrix k_last = signatureMemo.rows(signatures, encoder(1));
 
     // The head input is assembled in a kept buffer, each future row
     // scaled straight into place, and the head runs on it in place.
-    const std::size_t H = config.hidden;
+    const std::size_t H = net.config().hidden;
     headInput.resizeForOverwrite(rows, 2 * H + 1 + futureWidth());
     for (std::size_t b = 0; b < rows; ++b) {
         const Query &query = queries[b];
@@ -471,15 +238,16 @@ PerformanceModel::predictBatch(const std::vector<Query> &queries) const
         headInput.at(b, 2 * H) =
             query.mode == MemoryMode::Remote ? 1.0 : 0.0;
         if (futureWidth() > 0)
-            counterScaler.transformRow(*query.future, 0,
-                                       &headInput.at(b, 2 * H + 1));
+            net.counterScaler().transformRow(*query.future, 0,
+                                             &headInput.at(b, 2 * H + 1));
     }
 
-    head->inferInPlace(headInput);
+    net.inferHead(headInput);
     std::vector<double> predictions(rows);
     for (std::size_t b = 0; b < rows; ++b)
         predictions[b] = decodeTarget(
-            targetScaler.inverseTransformScalar(headInput.at(b, 0), 0));
+            net.targetScaler().inverseTransformScalar(headInput.at(b, 0),
+                                                      0));
     return predictions;
 }
 
@@ -499,7 +267,7 @@ PerformanceModel::evaluate(
     const std::vector<ml::Matrix> futures = resolveFutures(samples, system);
     std::vector<double> predictions;
     predictions.reserve(samples.size());
-    forEachChunk(samples.size(), config.batchSize,
+    forEachChunk(samples.size(), net.config().batchSize,
                  [&](std::size_t begin, std::size_t end) {
         std::vector<Query> rows;
         rows.reserve(end - begin);

@@ -12,19 +12,16 @@
 #define ADRIAS_MODELS_PERFORMANCE_HH
 
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/io/binary.hh"
 #include "common/io/checkpoint_annotations.hh"
-#include "common/rng.hh"
-#include "ml/lstm.hh"
-#include "ml/scaler.hh"
-#include "ml/sequential.hh"
 #include "models/config.hh"
 #include "models/encoding_memo.hh"
+#include "models/recurrent_regressor.hh"
 #include "models/system_state.hh"
 #include "scenario/dataset.hh"
 
@@ -146,7 +143,7 @@ class PerformanceModel
     evaluate(const std::vector<scenario::PerformanceSample> &samples,
              const SystemStateModel *system = nullptr) const;
 
-    bool trained() const { return isTrained; }
+    bool trained() const { return net.trained(); }
 
     /** Signature encodings the signature memo holds right now. */
     std::size_t memoizedSignatures() const { return signatureMemo.size(); }
@@ -155,67 +152,78 @@ class PerformanceModel
     std::size_t memoizedHistories() const { return historyMemo.size(); }
 
     /**
-     * All trainable parameters (const like predict(): the layers sit
-     * behind pointers).  Writing weights through these pointers
+     * All trainable parameters.  Writing weights through these pointers
      * bypasses the signature and history memos (and the system-state
      * model's Ŝ memo, for a Predicted model's inputs); only train(),
      * fineTune() and restoreState() of the model that owns a memo
      * invalidate it.
      */
-    std::vector<ml::Param *> params() const;
+    std::vector<ml::Param *> params() const { return net.params(); }
 
     /**
-     * Persist the saveState() payload.  The file is replaced
-     * atomically (temp-write + rename).
-     */
-    void save(const std::string &path) const;
-
-    /**
-     * restoreState() over a file written by save().  Io when the file
-     * cannot be read; TrailingData when bytes follow the payload (the
-     * model is then already restored).
-     */
-    [[nodiscard]] Result<void> load(const std::string &path);
-
-    /**
-     * Serialize the trained model: a tag naming the FutureKind and the
-     * target encoding, then weights, normalization state, both scalers
-     * and the training RNG's stream position (so fineTune() on a
-     * restored model draws what the original would have drawn).
+     * Persistence through RecurrentRegressor.  The payload opens with a
+     * tag naming the FutureKind and the target encoding, then holds the
+     * weights, normalization state, both scalers and the training RNG's
+     * stream position (so fineTune() on a restored model draws what the
+     * original would have drawn).  Every restore decodes it whole before
+     * it commits anything, so on error the model is unchanged.
      *
-     * @pre trained().
+     * save() replaces `path` atomically.  @pre trained().
      */
-    void saveState(io::BinaryWriter &out) const;
+    void save(const std::string &path) const { net.save(path, payloadTag()); }
+
+    /** Io, TrailingData or a decode error. */
+    [[nodiscard]] Result<void>
+    load(const std::string &path)
+    {
+        return restoreState(net.decodeFile(path, payloadTag()));
+    }
+
+    /** @pre trained(). */
+    void
+    saveState(io::BinaryWriter &out) const
+    {
+        net.saveState(out, payloadTag());
+    }
+
+    [[nodiscard]] Result<void>
+    restoreState(io::BinaryReader &in)
+    {
+        return restoreState(decodeState(in));
+    }
 
     /**
-     * Restore a saveState() payload.  FutureKind and ModelConfig must
-     * match the constructor arguments: a tag mismatch is BadHeader, a
-     * topology mismatch Geometry.  Everything is decoded before
-     * anything is committed, so on error the model is unchanged; on
-     * success it is trained and its memos are cold.
+     * Another FutureKind or logTarget than the constructor's is
+     * BadHeader, another topology Geometry.
      */
-    [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
+    [[nodiscard]] Result<RecurrentRegressor::Payload>
+    decodeState(io::BinaryReader &in) const
+    {
+        return net.decodeState(in, payloadTag());
+    }
+
+    /** Commit a decodeState() result (or return its error). */
+    [[nodiscard]] Result<void>
+    restoreState(Result<RecurrentRegressor::Payload> payload)
+    {
+        if (!payload)
+            return payload.error();
+        net.restoreState(std::move(payload.value()));
+        signatureMemo.clear();
+        historyMemo.clear();
+        return {};
+    }
 
   private:
     FutureKind future ADRIAS_NOT_CHECKPOINTED(
         "constructor input, checked against the payload tag");
-    ModelConfig config ADRIAS_NOT_CHECKPOINTED(
-        "constructor input: logTarget is checked against the payload "
-        "tag, the topology by restoreState()'s shape checks");
-    mutable Rng rng;
-    std::unique_ptr<ml::Lstm> historyLstm1;
-    std::unique_ptr<ml::Lstm> historyLstm2;
-    std::unique_ptr<ml::Lstm> signatureLstm1;
-    std::unique_ptr<ml::Lstm> signatureLstm2;
-    std::unique_ptr<ml::Sequential> head;
-    ml::StandardScaler counterScaler; ///< shared by S, k and Ŝ
-    ml::StandardScaler targetScaler;
-    bool isTrained = false;
+
+    RecurrentRegressor net; ///< encoders S then k; mode, Ŝ; one output
 
     /**
-     * predictBatch()'s branch outputs keyed by the raw sequence: the
+     * predictBatch()'s encoder outputs keyed by the raw sequence: the
      * k_last row per signature and the h_last row per history window.
-     * Cleared by fitLoop() and restoreState().
+     * Cleared by fit() and restoreState().
      */
     mutable EncodingMemo signatureMemo ADRIAS_NOT_CHECKPOINTED(
         "derived state: a restored model re-encodes on first use");
@@ -244,19 +252,10 @@ class PerformanceModel
     double encodeTarget(double target) const;
     double decodeTarget(double encoded) const;
 
-    /** Shared epoch loop of train() and fineTune(). */
-    double fitLoop(const std::vector<scenario::PerformanceSample> &samples,
-                   const SystemStateModel *system, std::size_t epochs,
-                   double learning_rate);
-
-    /** Batched forward; returns (B x 1) scaled prediction. */
-    ml::Matrix forwardBatch(const std::vector<ml::Matrix> &history,
-                            const std::vector<ml::Matrix> &signature,
-                            const ml::Matrix &mode_col,
-                            const ml::Matrix &future_rows) const;
-
-    void backwardBatch(const ml::Matrix &grad_output,
-                       std::size_t batch_rows) const;
+    /** What train() and fineTune() share: memos, Ŝ, then net.fit(). */
+    double fit(const std::vector<scenario::PerformanceSample> &samples,
+               const SystemStateModel *system, std::size_t epochs,
+               double learning_rate);
 };
 
 } // namespace adrias::models

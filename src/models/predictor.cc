@@ -1,5 +1,7 @@
 #include "models/predictor.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "scenario/runner.hh"
@@ -157,13 +159,22 @@ Predictor::restoreState(io::BinaryReader &in)
         lcTrained = false;
         return {};
     }
-    if (Result<void> restored = system->restoreState(in); !restored)
-        return restored;
-    if (Result<void> restored = bestEffort->restoreState(in); !restored)
-        return restored;
+    // Every model decodes before any commits, so a payload that fails
+    // inside the BE or LC section leaves the whole stack unchanged.
+    auto state = system->decodeState(in);
+    if (!state)
+        return state.error();
+    auto be = bestEffort->decodeState(in);
+    if (!be)
+        return be.error();
+    auto latency =
+        lcFlag ? lc->decodeState(in) : RecurrentRegressor::Payload();
+    if (!latency)
+        return latency.error();
+    system->restoreState(std::move(state)).expect();
+    bestEffort->restoreState(std::move(be)).expect();
     if (lcFlag)
-        if (Result<void> restored = lc->restoreState(in); !restored)
-            return restored;
+        lc->restoreState(std::move(latency)).expect();
     isTrained = true;
     lcTrained = lcFlag;
     return {};

@@ -146,9 +146,10 @@ class Predictor : public PredictorBase
     void saveState(io::BinaryWriter &out) const;
 
     /**
-     * Restore a payload written by saveState().  Each model restores
-     * all-or-nothing, in stack order; on error the models before the
-     * failing one keep what they restored and the flags are unchanged.
+     * Restore a payload written by saveState(), all-or-nothing: every
+     * model's payload is decoded before any model commits, so on error
+     * the models and the flags are unchanged.  The models keep their
+     * addresses (systemModel() and friends stay valid).
      */
     [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
 

@@ -9,19 +9,17 @@
 #ifndef ADRIAS_MODELS_SYSTEM_STATE_HH
 #define ADRIAS_MODELS_SYSTEM_STATE_HH
 
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/io/binary.hh"
 #include "common/io/checkpoint_annotations.hh"
-#include "common/rng.hh"
-#include "ml/lstm.hh"
-#include "ml/scaler.hh"
-#include "ml/sequential.hh"
 #include "models/config.hh"
 #include "models/encoding_memo.hh"
+#include "models/recurrent_regressor.hh"
 #include "scenario/dataset.hh"
 
 namespace adrias::models
@@ -90,62 +88,69 @@ class SystemStateModel
     evaluate(const std::vector<scenario::SystemStateSample> &samples) const;
 
     /** @return true after train() has run. */
-    bool trained() const { return isTrained; }
+    bool trained() const { return net.trained(); }
 
     /** Ŝ forecasts the state memo holds right now. */
     std::size_t memoizedStates() const { return stateMemo.size(); }
 
     /**
-     * All trainable parameters (const like predict(): the layers sit
-     * behind pointers).  Writing weights through these pointers
-     * bypasses the Ŝ memo; only train() and restoreState() invalidate
-     * it.
-     */
-    std::vector<ml::Param *> params() const;
-
-    /**
-     * Persist the saveState() payload so a serving process can reload
-     * the model without retraining.  The file is replaced atomically
-     * (temp-write + rename): a crash mid-save leaves either the old
-     * file or the new one, never a torn mix.
-     */
-    void save(const std::string &path) const;
-
-    /**
-     * restoreState() over a file written by save().  Io when the file
-     * cannot be read; TrailingData when bytes follow the payload (the
-     * model is then already restored).
-     */
-    [[nodiscard]] Result<void> load(const std::string &path);
-
-    /**
-     * Serialize the trained model: weights, normalization state, both
-     * scalers and the training RNG's stream position.
+     * Persistence through RecurrentRegressor.  The payload holds the
+     * weights, normalization state, both scalers and the training
+     * RNG's stream position; every restore decodes it whole before it
+     * commits anything, so on error the model is unchanged.
      *
-     * @pre trained().
+     * save() replaces `path` atomically, so a serving process can
+     * reload the model without retraining.  @pre trained().
      */
-    void saveState(io::BinaryWriter &out) const;
+    void save(const std::string &path) const
+    {
+        net.save(path, kPayloadFormat);
+    }
 
-    /**
-     * Restore a saveState() payload.  The topology (ModelConfig) must
-     * match the constructor arguments: a mismatch is Geometry.
-     * Everything is decoded before anything is committed, so on error
-     * the model is unchanged; on success it is trained and its Ŝ memo
-     * is cold.
-     */
-    [[nodiscard]] Result<void> restoreState(io::BinaryReader &in);
+    /** Io, TrailingData or a decode error. */
+    [[nodiscard]] Result<void>
+    load(const std::string &path)
+    {
+        return restoreState(net.decodeFile(path, kPayloadFormat));
+    }
+
+    /** @pre trained(). */
+    void
+    saveState(io::BinaryWriter &out) const
+    {
+        net.saveState(out, kPayloadFormat);
+    }
+
+    [[nodiscard]] Result<void>
+    restoreState(io::BinaryReader &in)
+    {
+        return restoreState(decodeState(in));
+    }
+
+    /** A topology other than the constructor's is Geometry. */
+    [[nodiscard]] Result<RecurrentRegressor::Payload>
+    decodeState(io::BinaryReader &in) const
+    {
+        return net.decodeState(in, kPayloadFormat);
+    }
+
+    /** Commit a decodeState() result (or return its error). */
+    [[nodiscard]] Result<void>
+    restoreState(Result<RecurrentRegressor::Payload> payload)
+    {
+        if (!payload)
+            return payload.error();
+        net.restoreState(std::move(payload.value()));
+        stateMemo.clear();
+        return {};
+    }
 
   private:
-    ModelConfig config ADRIAS_NOT_CHECKPOINTED(
-        "constructor input: a topology mismatch fails restoreState()'s "
-        "shape checks");
-    mutable Rng rng;
-    std::unique_ptr<ml::Lstm> lstm1;
-    std::unique_ptr<ml::Lstm> lstm2;
-    std::unique_ptr<ml::Sequential> head;
-    ml::StandardScaler inputScaler;
-    ml::StandardScaler targetScaler;
-    bool isTrained = false;
+    /** Leads every saveState() payload. */
+    static constexpr std::string_view kPayloadFormat =
+        "system-state-model-v1";
+
+    RecurrentRegressor net; ///< one encoder (S), kNumPerfEvents outputs
 
     /**
      * predictBatch()'s inverse-scaled Ŝ row per history window, keyed
@@ -153,18 +158,6 @@ class SystemStateModel
      */
     mutable EncodingMemo stateMemo ADRIAS_NOT_CHECKPOINTED(
         "derived state: a restored model re-forecasts on first use");
-
-    /**
-     * Batched forward pass to the head output.
-     *
-     * @param batch time-major scaled sequence of (B x events).
-     * @return (B x events) scaled prediction.
-     */
-    ml::Matrix forwardBatch(const std::vector<ml::Matrix> &batch) const;
-
-    /** Backward from head-output gradient through both LSTMs. */
-    void backwardBatch(const ml::Matrix &grad_output,
-                       std::size_t batch_rows) const;
 };
 
 } // namespace adrias::models

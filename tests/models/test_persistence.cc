@@ -5,9 +5,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <string_view>
 
 #include "models/performance.hh"
+#include "models/predictor.hh"
 #include "models/system_state.hh"
 #include "scenario/dataset.hh"
 
@@ -58,6 +61,9 @@ class PersistenceTest : public ::testing::Test
             new PerformanceModel(FutureKind::ActualWindow, *config);
         perfModel->train(*beSamples);
         perfProbe = new scenario::PerformanceSample(beSamples->front());
+        lcSamples = new std::vector<scenario::PerformanceSample>(
+            scenario::DatasetBuilder::performance(
+                results, *signatures, WorkloadClass::LatencyCritical));
     }
 
     static void
@@ -71,6 +77,7 @@ class PersistenceTest : public ::testing::Test
         delete stateProbe;
         delete perfModel;
         delete perfProbe;
+        delete lcSamples;
     }
 
     static scenario::SignatureStore *signatures;
@@ -81,6 +88,7 @@ class PersistenceTest : public ::testing::Test
     static std::vector<ml::Matrix> *stateProbe;
     static PerformanceModel *perfModel;
     static scenario::PerformanceSample *perfProbe;
+    static std::vector<scenario::PerformanceSample> *lcSamples;
 
     /** A model small enough to truncate at every 8-byte boundary. */
     static ModelConfig
@@ -109,6 +117,27 @@ class PersistenceTest : public ::testing::Test
         return bits;
     }
 
+    /** Every prediction a trained stack gives the probes, as bits. */
+    static std::vector<std::uint64_t>
+    stackBits(const Predictor &predictor)
+    {
+        std::vector<std::uint64_t> bits;
+        const ml::Matrix forecast =
+            predictor.systemModel().predict(*stateProbe);
+        for (double v : forecast.raw())
+            bits.push_back(std::bit_cast<std::uint64_t>(v));
+        const auto perf = [&predictor](WorkloadClass cls,
+                                       const scenario::PerformanceSample
+                                           &probe) {
+            return std::bit_cast<std::uint64_t>(predictor.predictPerformance(
+                cls, probe.history, probe.signature, probe.mode));
+        };
+        bits.push_back(perf(WorkloadClass::BestEffort, *perfProbe));
+        bits.push_back(
+            perf(WorkloadClass::LatencyCritical, lcSamples->front()));
+        return bits;
+    }
+
     /** Every parameter value of `model`, as raw bit patterns. */
     static std::vector<std::uint64_t>
     weightBits(const PerformanceModel &model)
@@ -131,6 +160,8 @@ SystemStateModel *PersistenceTest::stateModel = nullptr;
 std::vector<ml::Matrix> *PersistenceTest::stateProbe = nullptr;
 PerformanceModel *PersistenceTest::perfModel = nullptr;
 scenario::PerformanceSample *PersistenceTest::perfProbe = nullptr;
+std::vector<scenario::PerformanceSample> *PersistenceTest::lcSamples =
+    nullptr;
 
 TEST_F(PersistenceTest, SystemStateRoundTrip)
 {
@@ -277,6 +308,76 @@ TEST_F(PersistenceTest, RestoredModelFineTunesLikeTheOriginal)
     original.fineTune(*beSamples, nullptr, 2);
     restored.fineTune(*beSamples, nullptr, 2);
     EXPECT_EQ(weightBits(restored), weightBits(original));
+}
+
+TEST_F(PersistenceTest, TruncatedStackLeavesEveryModelUnchanged)
+{
+    ASSERT_GE(lcSamples->size(), 4u);
+    const auto trainedStack = [this](std::uint64_t seed) {
+        auto predictor = std::make_unique<Predictor>(tinyConfig(seed));
+        predictor->train(*stateSamples, *beSamples, *lcSamples);
+        return predictor;
+    };
+    const std::unique_ptr<Predictor> stack = trainedStack(1);
+    const std::unique_ptr<Predictor> other = trainedStack(99);
+    io::BinaryWriter out;
+    other->saveState(out);
+    const std::string &payload = out.data();
+
+    // The stack payload is the flags, then the system, BE and LC
+    // payloads; cut halfway into the BE and into the LC section.
+    io::BinaryWriter be_out, lc_out;
+    other->bestEffortModel().saveState(be_out);
+    other->latencyCriticalModel().saveState(lc_out);
+    const std::size_t lc_begin = payload.size() - lc_out.data().size();
+    const std::size_t be_begin = lc_begin - be_out.data().size();
+    const std::vector<std::uint64_t> before = stackBits(*stack);
+    for (const std::size_t cut : {be_begin + be_out.data().size() / 2,
+                                  lc_begin + lc_out.data().size() / 2}) {
+        io::BinaryReader in(std::string_view(payload).substr(0, cut));
+        const Result<void> restored = stack->restoreState(in);
+        ASSERT_FALSE(restored.ok()) << "at " << cut;
+        EXPECT_EQ(restored.error().code, ErrorCode::Truncated);
+        EXPECT_TRUE(stack->trained());
+        EXPECT_EQ(stackBits(*stack), before) << "at " << cut;
+    }
+
+    // The whole payload does restore, and does move the predictions.
+    io::BinaryReader in(payload);
+    ASSERT_TRUE(stack->restoreState(in).ok());
+    EXPECT_EQ(stackBits(*stack), stackBits(*other));
+    EXPECT_NE(stackBits(*stack), before);
+}
+
+TEST_F(PersistenceTest, TrailingBytesLeaveLoadedModelUnchanged)
+{
+    const std::string state_path =
+        ::testing::TempDir() + "adrias_trailing_state.bin";
+    const std::string perf_path =
+        ::testing::TempDir() + "adrias_trailing_perf.bin";
+    SystemStateModel other_state(tinyConfig(99));
+    other_state.train(*stateSamples);
+    other_state.save(state_path);
+    PerformanceModel other_perf(FutureKind::ActualWindow, tinyConfig(98));
+    other_perf.train(*beSamples);
+    other_perf.save(perf_path);
+    for (const std::string &path : {state_path, perf_path})
+        std::ofstream(path, std::ios::binary | std::ios::app) << "tail";
+
+    SystemStateModel state(tinyConfig(1));
+    state.train(*stateSamples);
+    PerformanceModel perf(FutureKind::ActualWindow, tinyConfig(2));
+    perf.train(*beSamples);
+    const std::vector<std::uint64_t> before = predictionBits(state, perf);
+    const Result<void> state_loaded = state.load(state_path);
+    const Result<void> perf_loaded = perf.load(perf_path);
+    ASSERT_FALSE(state_loaded.ok());
+    ASSERT_FALSE(perf_loaded.ok());
+    EXPECT_EQ(state_loaded.error().code, ErrorCode::TrailingData);
+    EXPECT_EQ(perf_loaded.error().code, ErrorCode::TrailingData);
+    EXPECT_EQ(predictionBits(state, perf), before);
+    std::remove(state_path.c_str());
+    std::remove(perf_path.c_str());
 }
 
 } // namespace
