@@ -1,17 +1,12 @@
 /**
  * @file
  * Micro-benchmarks for the deep-learning kernels: matmul, the two
- * backward GEMMs, LSTM forward in training / inference / reference
- * mode, LSTM train step fused vs reference, head forward at b32 and
- * b64, one head LayerNorm.  Not a paper figure — establishes the
- * substrate's throughput envelope and feeds the perf-regression gate
+ * backward GEMMs, LSTM forward in training and inference mode, the
+ * LSTM train step and backward pass, head forward at b32 and b64, one
+ * head LayerNorm.  Not a paper figure — establishes the substrate's
+ * throughput envelope and feeds the perf-regression gate
  * (tools/bench_compare against the checked-in
  * bench/baselines/BENCH_ml.json).
- *
- * The summary block records before/after pairs measured in this run
- * only: fused-vs-reference speedups (the reference path keeps the
- * original matrix-algebra formulation but shares the GEMM and
- * transcendental substrate).
  */
 
 #include <vector>
@@ -28,7 +23,6 @@ namespace
 
 using namespace adrias;
 using bench::micro::Result;
-using bench::micro::Speedup;
 
 ml::Matrix
 randomMatrix(std::size_t rows, std::size_t cols, Rng &rng)
@@ -89,10 +83,9 @@ benchGemmXtDz()
                                  [&] { x.transposedMatmulInto(dz, out); });
 }
 
-/** LSTM forward at the Predictor's shape; mode selects the path. */
+/** LSTM forward at the Predictor's shape, training or inference. */
 Result
-benchLstmForward(const std::string &name, std::size_t batch, bool fused,
-                 bool inference)
+benchLstmForward(const std::string &name, std::size_t batch, bool inference)
 {
     Rng rng(2);
     constexpr std::size_t kHidden = 24;
@@ -101,18 +94,14 @@ benchLstmForward(const std::string &name, std::size_t batch, bool fused,
     ml::Lstm lstm(kInput, kHidden, rng);
     const auto seq = randomSequence(kSteps, batch, kInput, rng);
 
-    const bool saved_fused = ml::lstmFusedKernels();
-    ml::setLstmFusedKernels(fused);
     lstm.setInference(inference);
-    auto result = bench::micro::measure(
-        name, [&] { lstm.forwardSequence(seq); });
-    ml::setLstmFusedKernels(saved_fused);
-    return result;
+    return bench::micro::measure(name,
+                                 [&] { lstm.forwardSequence(seq); });
 }
 
-/** Full forward + backward train step, fused or reference kernels. */
+/** Full forward + backward train step. */
 Result
-benchLstmTrainStep(const std::string &name, bool fused)
+benchLstmTrainStep()
 {
     Rng rng(3);
     constexpr std::size_t kHidden = 24;
@@ -121,9 +110,7 @@ benchLstmTrainStep(const std::string &name, bool fused)
     const auto seq = randomSequence(12, kBatch, 7, rng);
     const ml::Matrix target = randomMatrix(kBatch, kHidden, rng);
 
-    const bool saved_fused = ml::lstmFusedKernels();
-    ml::setLstmFusedKernels(fused);
-    auto result = bench::micro::measure(name, [&] {
+    return bench::micro::measure("lstm_train_step_h24_b32", [&] {
         const auto out = lstm.forwardSequence(seq);
         std::vector<ml::Matrix> grads(seq.size(),
                                       ml::Matrix(kBatch, kHidden));
@@ -132,11 +119,9 @@ benchLstmTrainStep(const std::string &name, bool fused)
         for (ml::Param *p : lstm.params())
             p->grad = ml::Matrix(p->grad.rows(), p->grad.cols());
     });
-    ml::setLstmFusedKernels(saved_fused);
-    return result;
 }
 
-/** Backward pass alone over one cached b32 forward (fused kernels). */
+/** Backward pass alone over one cached b32 forward. */
 Result
 benchLstmBackward()
 {
@@ -190,21 +175,14 @@ main()
     results.push_back(benchMatmul(128));
     results.push_back(benchMatmul(384));
 
-    results.push_back(benchLstmForward("lstm_forward_train_h24_b32", 32,
-                                       true, false));
-    results.push_back(benchLstmForward("lstm_forward_infer_h24_b32", 32,
-                                       true, true));
-    results.push_back(benchLstmForward("lstm_forward_reference_h24_b32",
-                                       32, false, false));
     results.push_back(
-        benchLstmForward("lstm_forward_infer_h24_b1", 1, true, true));
-    results.push_back(benchLstmForward("lstm_forward_reference_h24_b1",
-                                       1, false, false));
+        benchLstmForward("lstm_forward_train_h24_b32", 32, false));
+    results.push_back(
+        benchLstmForward("lstm_forward_infer_h24_b32", 32, true));
+    results.push_back(
+        benchLstmForward("lstm_forward_infer_h24_b1", 1, true));
 
-    results.push_back(
-        benchLstmTrainStep("lstm_train_step_h24_b32", true));
-    results.push_back(
-        benchLstmTrainStep("lstm_train_step_reference_h24_b32", false));
+    results.push_back(benchLstmTrainStep());
     results.push_back(benchLstmBackward());
     results.push_back(benchGemmDzWt());
     results.push_back(benchGemmXtDz());
@@ -213,32 +191,9 @@ main()
     results.push_back(benchHeadForward("head_forward_b64", 64));
     results.push_back(benchLayerNormForward());
 
-    auto median = [&](const std::string &name) {
-        for (const Result &r : results)
-            if (r.name == name)
-                return r.medianNs;
-        return 0.0;
-    };
-
-    // Live A/B: reference keeps the original matrix-algebra
-    // formulation, fused is the workspace kernel path; both share the
-    // upgraded GEMM and fastmath substrate, so these pairs isolate the
-    // fusion/fast-path gain alone.
-    std::vector<Speedup> summary{
-        {"lstm_forward_inference_b32",
-         median("lstm_forward_reference_h24_b32"),
-         median("lstm_forward_infer_h24_b32")},
-        {"lstm_forward_inference_b1",
-         median("lstm_forward_reference_h24_b1"),
-         median("lstm_forward_infer_h24_b1")},
-        {"lstm_train_step_b32",
-         median("lstm_train_step_reference_h24_b32"),
-         median("lstm_train_step_h24_b32")},
-    };
-
-    bench::micro::printResults("ml_kernels", results, summary);
+    bench::micro::printResults("ml_kernels", results);
     const std::string path = bench::micro::jsonPath("BENCH_ml.json");
-    bench::micro::writeJson(path, "ml_kernels", results, summary);
+    bench::micro::writeJson(path, "ml_kernels", results);
     std::cout << "JSON written to " << path << "\n";
     return 0;
 }

@@ -1,29 +1,15 @@
 #include "ml/activation.hh"
 
 #include "common/logging.hh"
-#include "ml/fastmath.hh"
 
 namespace adrias::ml
 {
-
-double
-sigmoidScalar(double x)
-{
-    return fastmath::sigmoid(x);
-}
-
-double
-tanhScalar(double x)
-{
-    return fastmath::tanh(x);
-}
 
 Matrix
 ReLU::forward(const Matrix &input)
 {
     if (!isInference)
         lastInput = input;
-    // A plain loop, not Matrix::map: no std::function call per element.
     Matrix out = input;
     for (double &x : out.raw())
         x = x > 0.0 ? x : 0.0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * The ReLU activation layer and the scalar sigmoid/tanh helpers.
+ * The ReLU activation layer.  The LSTM's sigmoid and tanh are the
+ * inline ml/fastmath.hh functions.
  */
 
 #ifndef ADRIAS_ML_ACTIVATION_HH
@@ -22,15 +23,6 @@ class ReLU : public Layer
   private:
     Matrix lastInput;
 };
-
-/**
- * Scalar sigmoid/tanh helpers used by the reference LSTM cell.  Both
- * delegate to ml/fastmath.hh — every nonlinearity in the model must
- * evaluate through the same scalar functions so the fused and
- * reference kernel paths stay bitwise interchangeable.
- */
-double sigmoidScalar(double x);
-double tanhScalar(double x);
 
 } // namespace adrias::ml
 

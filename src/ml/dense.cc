@@ -46,8 +46,8 @@ Dense::backward(const Matrix &grad_output)
 {
     if (isInference)
         panic("Dense::backward in inference mode");
-    // Compute-then-accumulate via the staging buffer keeps the same
-    // addition order as `grad += a.transposedMatmul(b)`.
+    // Compute-then-accumulate: the product is finished in the staging
+    // buffer before it is added to the gradient.
     lastInput.transposedMatmulInto(grad_output, gradScratch);
     weight.grad += gradScratch;
     grad_output.sumRowsAddTo(bias.grad);

@@ -11,9 +11,9 @@
  * inlines into one straight-line loop.
  *
  * They are NOT bitwise-identical to libm (last-ulp differences), so
- * every consumer of a nonlinearity must go through these helpers —
- * the fused and reference LSTM paths, and the activation layers —
- * which keeps fused == reference exactly (same scalar function, same
+ * every consumer of a nonlinearity goes through these helpers — the
+ * LSTM gate loops, and the loop oracle the tests check them against —
+ * which keeps the two equal bit for bit (same scalar function, same
  * evaluation order).
  *
  * Domain notes: expNeg requires x <= 0 (the sign-split callers only

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "ml/activation.hh"
 #include "ml/fastmath.hh"
 #include "ml/simd.hh"
 
@@ -15,8 +14,6 @@ namespace adrias::ml
 namespace
 {
 
-bool g_fusedKernels = true;
-
 /** One element of the fused gate pass: the gates, c_t and tanh(c_t). */
 struct GateCell
 {
@@ -24,11 +21,11 @@ struct GateCell
 };
 
 /**
- * Gates and cell update of hidden unit c of one row.  Per element the
- * scalar op sequence is exactly the reference formulation:
- * z = (zx + zh) + bias; gates through sigmoid/tanh;
- * c = (f*c_prev) + (i*g).  The two gate loops below share this one
- * copy of the math.
+ * Gates and cell update of hidden unit c of one row, in the per-element
+ * op order of DESIGN.md §11.1 (and of the loop oracle in
+ * tests/ml/lstm_oracle.hh): z = (zx + zh) + bias; gates through
+ * fastmath sigmoid/tanh; c = (f*c_prev) + (i*g).  The two gate loops
+ * below share this one copy of the math.
  */
 [[gnu::always_inline]] inline GateCell
 gateCell(const double *__restrict za, const double *__restrict zb,
@@ -116,10 +113,10 @@ gateRowsTraining(const double *__restrict za, const double *__restrict zb,
  * BPTT element-wise pass of one step over `batch` rows: from the
  * cached gates (the z layout), tanh(c_t) and c_{t-1} and from
  * dh = grad_h + dh_next, writes the packed (batch x 4*hidden)
- * pre-activation gradient dz and updates dc_next in place.  Per
- * element the op order matches the reference hadamard/map chain
- * exactly, and the lanes are independent hidden units, so both clones
- * return the same bits.
+ * pre-activation gradient dz and updates dc_next in place.  The op
+ * order per element is fixed (the oracle's BPTT restates it), and the
+ * lanes are independent hidden units, so both clones return the same
+ * bits.
  */
 ADRIAS_SCALAR_CLONES void
 dzRows(const double *__restrict gates, const double *__restrict tanh_cell,
@@ -162,18 +159,6 @@ dzRows(const double *__restrict gates, const double *__restrict tanh_cell,
 
 } // namespace
 
-bool
-lstmFusedKernels()
-{
-    return g_fusedKernels;
-}
-
-void
-setLstmFusedKernels(bool on)
-{
-    g_fusedKernels = on;
-}
-
 Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng)
     : wx("lstm.wx", Matrix(input_size, 4 * hidden_size)),
       wh("lstm.wh", Matrix(hidden_size, 4 * hidden_size)),
@@ -190,32 +175,6 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng)
         b.value.at(0, c) = 1.0;
 }
 
-std::vector<Matrix>
-Lstm::forwardSequence(const std::vector<Matrix> &sequence)
-{
-    if (sequence.empty())
-        fatal("Lstm::forwardSequence on empty sequence");
-    lastForwardFused = g_fusedKernels;
-    if (lastForwardFused)
-        return forwardFused(sequence);
-    return forwardReference(sequence);
-}
-
-std::vector<Matrix>
-Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden,
-                       InputGrad input_grad)
-{
-    const std::size_t steps =
-        lastForwardFused ? caches.size() : refCaches.size();
-    if (grad_hidden.size() != steps)
-        panic("Lstm::backwardSequence length mismatch with forward pass");
-    if (steps == 0)
-        panic("Lstm::backwardSequence before forwardSequence");
-    if (lastForwardFused)
-        return backwardFused(grad_hidden, input_grad);
-    return backwardReference(grad_hidden, input_grad);
-}
-
 void
 Lstm::setInference(bool on)
 {
@@ -223,21 +182,20 @@ Lstm::setInference(bool on)
     // No backward can follow, so free the caches now rather than at
     // the next forward: a model that stops training keeps no BPTT
     // state alive for the rest of the process.
-    if (on) {
+    if (on)
         caches.clear();
-        refCaches.clear();
-    }
 }
 
 std::vector<Matrix>
-Lstm::forwardFused(const std::vector<Matrix> &sequence)
+Lstm::forwardSequence(const std::vector<Matrix> &sequence)
 {
+    if (sequence.empty())
+        fatal("Lstm::forwardSequence on empty sequence");
     const std::size_t hidden = hiddenSize();
     const std::size_t batch = sequence.front().rows();
     const std::size_t steps = sequence.size();
     const std::size_t gate_width = 4 * hidden;
 
-    refCaches.clear();
     const bool keep_caches = !isInference;
     if (!keep_caches)
         caches.clear();
@@ -274,10 +232,9 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
     for (std::size_t t = 0; t < steps; ++t) {
         const Matrix &x = sequence[t];
 
-        // The two GEMM products stay in separate buffers: the
-        // reference path sums full matrices ((x*Wx) + (h*Wh)), so the
-        // fused epilogue must add finished products, not interleave
-        // their k-loop accumulations (DESIGN.md §11).
+        // The two GEMM products stay in separate buffers: z sums
+        // finished products ((x*Wx) + (h*Wh)), so the epilogue must not
+        // interleave their k-loop accumulations (DESIGN.md §11.1).
         if (t == 0) {
             // h_0 is all zeros and the GEMM's exact-zero skip leaves
             // its product identically +0.0, so a zeroed buffer is
@@ -310,10 +267,10 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
         double *cbuf = wsC.raw().data();
         double *hbuf = h_out.raw().data();
 
-        // One fused pass replaces colRange+map per gate, two hadamard
-        // chains, and the cell/tanh temporaries (gateCell).  All
-        // buffers are distinct allocations (workspaces, caches,
-        // output), so the kernels' __restrict parameters hold.
+        // One fused pass computes the gates, the cell update and h
+        // (gateCell).  All buffers are distinct allocations
+        // (workspaces, caches, output), so the kernels' __restrict
+        // parameters hold.
         if (cache) {
             gateRowsTraining(za, zb, bias, cbuf, hbuf,
                              cache->gates.raw().data(),
@@ -327,11 +284,15 @@ Lstm::forwardFused(const std::vector<Matrix> &sequence)
 }
 
 std::vector<Matrix>
-Lstm::backwardFused(const std::vector<Matrix> &grad_hidden,
-                    InputGrad input_grad)
+Lstm::backwardSequence(const std::vector<Matrix> &grad_hidden,
+                       InputGrad input_grad)
 {
-    const std::size_t hidden = hiddenSize();
     const std::size_t steps = caches.size();
+    if (grad_hidden.size() != steps)
+        panic("Lstm::backwardSequence length mismatch with forward pass");
+    if (steps == 0)
+        panic("Lstm::backwardSequence before forwardSequence");
+    const std::size_t hidden = hiddenSize();
     const std::size_t batch = caches.front().input.rows();
     const std::size_t gate_width = 4 * hidden;
     const bool input_grads = input_grad == InputGrad::Compute;
@@ -360,17 +321,17 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden,
         // which stands in for it.
         const Matrix &c_prev =
             step > 0 ? caches[step - 1].cell : caches[0].hPrev;
-        // Writes the packed dz block directly (no hconcat) and the
-        // next-step dc in place.  All buffers are distinct allocations,
-        // so the kernel's __restrict parameters hold.
+        // Writes the packed dz block and the next-step dc in place.
+        // All buffers are distinct allocations, so the kernel's
+        // __restrict parameters hold.
         dzRows(cache.gates.raw().data(), cache.tanhCell.raw().data(),
                c_prev.raw().data(), gh.raw().data(), wsDhNext.raw().data(),
                wsDcNext.raw().data(), wsDz.raw().data(), batch, hidden);
 
         // Parameter gradients stay compute-then-accumulate: each
         // product lands in a zeroed staging buffer and is added in one
-        // += pass, the same addition order as the reference's
-        // `grad += a.transposedMatmul(dz)`.
+        // += pass, so a product is finished before it meets the
+        // gradient accumulated so far.
         cache.input.transposedMatmulInto(wsDz, wsGradW);
         wx.grad += wsGradW;
         cache.hPrev.transposedMatmulInto(wsDz, wsGradW);
@@ -382,110 +343,6 @@ Lstm::backwardFused(const std::vector<Matrix> &grad_hidden,
         // Step 0's dh_{-1} has no reader.
         if (step > 0)
             wsDz.matmulNoSkipInto(wsWhT, wsDhNext);
-    }
-    return grad_inputs;
-}
-
-std::vector<Matrix>
-Lstm::forwardReference(const std::vector<Matrix> &sequence)
-{
-    const std::size_t hidden = hiddenSize();
-    const std::size_t batch = sequence.front().rows();
-
-    caches.clear();
-    refCaches.clear();
-    const bool keep_caches = !isInference;
-    if (keep_caches)
-        refCaches.reserve(sequence.size());
-
-    Matrix h_prev(batch, hidden);
-    Matrix c_prev(batch, hidden);
-    std::vector<Matrix> outputs;
-    outputs.reserve(sequence.size());
-
-    for (const Matrix &x : sequence) {
-        if (x.rows() != batch || x.cols() != inputSize())
-            panic("Lstm: inconsistent sequence element shape");
-
-        Matrix z = x.matmul(wx.value) + h_prev.matmul(wh.value);
-        z = z.addRowBroadcast(b.value);
-
-        RefStepCache cache;
-        cache.input = x;
-        cache.hPrev = h_prev;
-        cache.cPrev = c_prev;
-        cache.gateI =
-            z.colRange(0, hidden).map(sigmoidScalar);
-        cache.gateF =
-            z.colRange(hidden, 2 * hidden).map(sigmoidScalar);
-        cache.gateG = z.colRange(2 * hidden, 3 * hidden).map(tanhScalar);
-        cache.gateO =
-            z.colRange(3 * hidden, 4 * hidden).map(sigmoidScalar);
-
-        cache.cell = cache.gateF.hadamard(c_prev) +
-                     cache.gateI.hadamard(cache.gateG);
-        cache.tanhCell = cache.cell.map(tanhScalar);
-
-        Matrix h = cache.gateO.hadamard(cache.tanhCell);
-        outputs.push_back(h);
-
-        h_prev = std::move(h);
-        c_prev = cache.cell;
-        if (keep_caches)
-            refCaches.push_back(std::move(cache));
-    }
-    return outputs;
-}
-
-std::vector<Matrix>
-Lstm::backwardReference(const std::vector<Matrix> &grad_hidden,
-                        InputGrad input_grad)
-{
-    const std::size_t hidden = hiddenSize();
-    const std::size_t steps = refCaches.size();
-    const std::size_t batch = refCaches.front().input.rows();
-
-    const bool input_grads = input_grad == InputGrad::Compute;
-    std::vector<Matrix> grad_inputs(input_grads ? steps : 0);
-    Matrix dh_next(batch, hidden);
-    Matrix dc_next(batch, hidden);
-
-    auto one_minus_sq = [](double v) { return 1.0 - v * v; };
-    auto sig_deriv = [](double v) { return v * (1.0 - v); };
-
-    for (std::size_t step = steps; step-- > 0;) {
-        const RefStepCache &cache = refCaches[step];
-
-        Matrix dh = grad_hidden[step] + dh_next;
-
-        // h = o * tanh(c)
-        Matrix d_o = dh.hadamard(cache.tanhCell);
-        Matrix dc =
-            dh.hadamard(cache.gateO).hadamard(cache.tanhCell.map(
-                one_minus_sq)) +
-            dc_next;
-
-        // c = f*c_prev + i*g
-        Matrix d_f = dc.hadamard(cache.cPrev);
-        Matrix d_i = dc.hadamard(cache.gateG);
-        Matrix d_g = dc.hadamard(cache.gateI);
-        dc_next = dc.hadamard(cache.gateF);
-
-        // through the gate non-linearities to pre-activations
-        Matrix dz_i = d_i.hadamard(cache.gateI.map(sig_deriv));
-        Matrix dz_f = d_f.hadamard(cache.gateF.map(sig_deriv));
-        Matrix dz_g = d_g.hadamard(cache.gateG.map(one_minus_sq));
-        Matrix dz_o = d_o.hadamard(cache.gateO.map(sig_deriv));
-
-        Matrix dz = dz_i.hconcat(dz_f).hconcat(dz_g).hconcat(dz_o);
-
-        wx.grad += cache.input.transposedMatmul(dz);
-        wh.grad += cache.hPrev.transposedMatmul(dz);
-        b.grad += dz.sumRows();
-
-        if (input_grads)
-            grad_inputs[step] = dz.matmulTransposed(wx.value);
-        dh_next = dz.matmulTransposed(wh.value);
     }
     return grad_inputs;
 }

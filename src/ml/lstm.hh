@@ -6,15 +6,12 @@
  * monitored-metric time series; this class implements one such layer
  * over a time-major sequence of (batch x features) matrices.
  *
- * Two kernel implementations coexist (DESIGN.md §11): the default
- * *fused* path runs each timestep as two GEMMs plus one fused
- * element-wise pass over persistent workspaces (no per-step
- * temporaries), while the *reference* path keeps the original
- * matrix-algebra formulation.  Both produce bitwise-identical outputs,
- * gradients, and trained weights — the equivalence suite in
- * tests/ml/test_fused_equivalence.cc enforces this — so the reference
- * path doubles as executable documentation and as the oracle for the
- * fused kernels.
+ * Each timestep runs as two GEMMs plus one fused element-wise pass
+ * over persistent workspaces, with no per-step temporaries
+ * (DESIGN.md §11.1).  The op order per element is fixed, and
+ * tests/ml/lstm_oracle.hh restates it one element at a time: the
+ * suites in tests/ml compare outputs, input gradients and parameter
+ * gradients with that loop oracle bit for bit.
  */
 
 #ifndef ADRIAS_ML_LSTM_HH
@@ -27,17 +24,6 @@
 
 namespace adrias::ml
 {
-
-/** @return whether Lstm uses the fused kernels (default true). */
-bool lstmFusedKernels();
-
-/**
- * Toggle the fused LSTM kernels globally.  The reference path exists
- * for equivalence testing and A/B benchmarking; results are bitwise
- * identical either way.  Not synchronized: call from single-threaded
- * setup code only.
- */
-void setLstmFusedKernels(bool on);
 
 /**
  * Single LSTM layer.
@@ -112,11 +98,8 @@ class Lstm
 
     bool isInference = false;
 
-    /** Which kernel family produced the caches backward will consume. */
-    bool lastForwardFused = true;
-
     /**
-     * Per-timestep state kept by the fused forward pass for BPTT:
+     * Per-timestep state kept by the training forward pass for BPTT:
      * post-activation gates packed (batch x 4H) in [i|f|g|o] layout,
      * plus the two state tensors.  c_prev for step t is read from
      * step t-1's `cell` (zeros at t = 0), so it is not stored.
@@ -130,38 +113,23 @@ class Lstm
         Matrix tanhCell;
     };
 
-    /** Everything the reference backward needs about one timestep. */
-    struct RefStepCache
-    {
-        Matrix input;
-        Matrix hPrev;
-        Matrix cPrev;
-        Matrix gateI;
-        Matrix gateF;
-        Matrix gateG;
-        Matrix gateO;
-        Matrix cell;
-        Matrix tanhCell;
-    };
-
     /**
      * Caches persist across calls so steady-state training reuses
      * their storage instead of reallocating every sequence.
      */
     std::vector<StepCache> caches;
-    std::vector<RefStepCache> refCaches;
 
     /**
-     * Persistent workspaces for the fused kernels (DESIGN.md §11).
-     * wsXall stacks the whole input sequence (steps*batch x input) so
-     * all x*Wx products run as one GEMM into wsZx.  wsZx / wsZh hold
-     * the two GEMM products separately — fusing them into one
-     * accumulator would interleave their k-loops and change the
-     * floating-point addition order.  wsDz is the packed (batch x 4H)
-     * pre-activation gradient; wsGradW stages each parameter-gradient
-     * product so accumulation stays compute-then-add, exactly like the
-     * reference path.  wsWxT / wsWhT hold Wx^T and Wh^T for the
-     * dz*W^T products: the weights are fixed for one backward
+     * Persistent workspaces (DESIGN.md §11.2).  wsXall stacks the
+     * whole input sequence (steps*batch x input) so all x*Wx products
+     * run as one GEMM into wsZx.  wsZx / wsZh hold the two GEMM
+     * products separately — fusing them into one accumulator would
+     * interleave their k-loops and change the floating-point addition
+     * order.  wsDz is the packed (batch x 4H) pre-activation gradient;
+     * wsGradW stages each parameter-gradient product so accumulation
+     * stays compute-then-add: each product is finished before it is
+     * added to the gradient.  wsWxT / wsWhT hold Wx^T and Wh^T for
+     * the dz*W^T products: the weights are fixed for one backward
      * pass, so they are transposed once per sequence, not per step.
      */
     Matrix wsXall;
@@ -174,15 +142,6 @@ class Lstm
     Matrix wsGradW;
     Matrix wsWxT;
     Matrix wsWhT;
-
-    std::vector<Matrix> forwardFused(const std::vector<Matrix> &sequence);
-    std::vector<Matrix>
-    forwardReference(const std::vector<Matrix> &sequence);
-    std::vector<Matrix> backwardFused(const std::vector<Matrix> &grad_hidden,
-                                      InputGrad input_grad);
-    std::vector<Matrix>
-    backwardReference(const std::vector<Matrix> &grad_hidden,
-                      InputGrad input_grad);
 };
 
 } // namespace adrias::ml

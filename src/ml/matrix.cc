@@ -236,19 +236,11 @@ Matrix::checkNoAlias(const Matrix &out, const char *op) const
         panic(std::string("Matrix::") + op + ": destination aliases source");
 }
 
-Matrix
-Matrix::matmul(const Matrix &other) const
-{
-    Matrix out;
-    matmulInto(other, out);
-    return out;
-}
-
 void
 Matrix::matmulInto(const Matrix &other, Matrix &out) const
 {
     if (nCols != other.nRows) {
-        panic("Matrix::matmul inner dimension mismatch: " + shape() +
+        panic("Matrix::matmulInto inner dimension mismatch: " + shape() +
               " * " + other.shape());
     }
     checkNoAlias(out, "matmulInto");
@@ -265,20 +257,12 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
                          inner, width, out.data.data());
 }
 
-Matrix
-Matrix::transposedMatmul(const Matrix &other) const
-{
-    Matrix out;
-    transposedMatmulInto(other, out);
-    return out;
-}
-
 void
 Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
 {
     // (this^T * other): this is (k x m), other (k x n) -> (m x n)
     if (nRows != other.nRows) {
-        panic("Matrix::transposedMatmul dimension mismatch: " + shape() +
+        panic("Matrix::transposedMatmulInto dimension mismatch: " + shape() +
               "^T * " + other.shape());
     }
     checkNoAlias(out, "transposedMatmulInto");
@@ -422,23 +406,11 @@ Matrix::operator*=(double scalar)
     return *this;
 }
 
-Matrix
-Matrix::addRowBroadcast(const Matrix &rowVec) const
-{
-    if (rowVec.nRows != 1 || rowVec.nCols != nCols)
-        panic("Matrix::addRowBroadcast shape mismatch");
-    Matrix out = *this;
-    for (std::size_t r = 0; r < nRows; ++r)
-        for (std::size_t c = 0; c < nCols; ++c)
-            out.data[r * nCols + c] += rowVec.data[c];
-    return out;
-}
-
 void
 Matrix::addRowBroadcastInPlace(const Matrix &rowVec)
 {
     if (rowVec.nRows != 1 || rowVec.nCols != nCols)
-        panic("Matrix::addRowBroadcast shape mismatch");
+        panic("Matrix::addRowBroadcastInPlace shape mismatch");
     if (this == &rowVec) {
         // Self-broadcast onto a 1-row matrix is a plain self-add.
         for (double &x : data)
@@ -452,21 +424,6 @@ Matrix::addRowBroadcastInPlace(const Matrix &rowVec)
             dst[r * nCols + c] += row[c];
 }
 
-Matrix
-Matrix::sumRows() const
-{
-    Matrix out(1, nCols);
-    // Each column accumulates its rows in increasing row order.  Kept
-    // separate from sumRowsAddTo: accumulating straight into the
-    // zeroed output skips the local-acc epilogue addition, and adding
-    // that extra 0.0 + acc step would flip the sign of negative-zero
-    // columns relative to this kernel's historical results.
-    for (std::size_t c = 0; c < nCols; ++c)
-        for (std::size_t r = 0; r < nRows; ++r)
-            out.data[c] += data[r * nCols + c];
-    return out;
-}
-
 void
 Matrix::sumRowsAddTo(Matrix &dst) const
 {
@@ -476,24 +433,14 @@ Matrix::sumRowsAddTo(Matrix &dst) const
     }
     checkNoAlias(dst, "sumRowsAddTo");
     // Per column: fold the rows into a fresh 0.0 accumulator in row
-    // order, then add once into dst.  That is the exact scalar op
-    // sequence of `dst += this->sumRows()`, so both spellings are
-    // bitwise interchangeable.
+    // order, then add once into dst (the LSTM's bias gradient relies
+    // on this order, DESIGN.md §11.1).
     for (std::size_t c = 0; c < nCols; ++c) {
         double acc = 0.0;
         for (std::size_t r = 0; r < nRows; ++r)
             acc += data[r * nCols + c];
         dst.data[c] += acc;
     }
-}
-
-Matrix
-Matrix::map(const std::function<double(double)> &fn) const
-{
-    Matrix out = *this;
-    for (double &x : out.data)
-        x = fn(x);
-    return out;
 }
 
 Matrix
@@ -512,19 +459,11 @@ Matrix::hconcat(const Matrix &other) const
     return out;
 }
 
-Matrix
-Matrix::colRange(std::size_t begin, std::size_t end) const
-{
-    Matrix out;
-    colRangeInto(begin, end, out);
-    return out;
-}
-
 void
 Matrix::colRangeInto(std::size_t begin, std::size_t end, Matrix &dst) const
 {
     if (begin > end || end > nCols)
-        panic("Matrix::colRange out of bounds");
+        panic("Matrix::colRangeInto out of bounds");
     checkNoAlias(dst, "colRangeInto");
     // Every element is assigned, so overwrite-resize is safe.
     dst.resizeForOverwrite(nRows, end - begin);

@@ -7,19 +7,16 @@
  * is expressible with 2-D matrices; sequences are carried as
  * time-major vectors of (batch x features) matrices.
  *
- * Two API families exist for the hot kernels (DESIGN.md §11): the
- * classic allocating form (`c = a.matmul(b)`) and an into-destination
- * form (`a.matmulInto(b, c)`) that reuses the destination's storage.
- * Both run the exact same kernel body, so their results are bitwise
- * identical; the into-forms exist so the LSTM/GEMM hot path can run
- * allocation-free over persistent workspaces.
+ * The hot kernels write into a caller-owned destination
+ * (`a.matmulInto(b, c)`) and reuse its storage, so the LSTM/GEMM hot
+ * path runs allocation-free over persistent workspaces (DESIGN.md
+ * §11).
  */
 
 #ifndef ADRIAS_ML_MATRIX_HH
 #define ADRIAS_ML_MATRIX_HH
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -110,21 +107,15 @@ class Matrix
      */
     void resizeForOverwrite(std::size_t rows_, std::size_t cols_);
 
-    /** Matrix product: (m x k) * (k x n) -> (m x n). */
-    Matrix matmul(const Matrix &other) const;
-
     /**
-     * Matrix product into a caller-owned destination (resized and
-     * zeroed here).  Bitwise identical to matmul(); `out` must not
-     * alias either operand.
+     * Matrix product (m x k) * (k x n) -> (m x n) into a caller-owned
+     * destination (resized and zeroed here); an exact-zero lhs is
+     * skipped (DESIGN.md §11.1).  `out` must not alias either operand.
      */
     void matmulInto(const Matrix &other, Matrix &out) const;
 
-    /** this^T * other without materializing the transpose. */
-    Matrix transposedMatmul(const Matrix &other) const;
-
-    /** Into-destination form of transposedMatmul(); same contract as
-     *  matmulInto(). */
+    /** this^T * other without materializing the transpose; same
+     *  contract as matmulInto(). */
     void transposedMatmulInto(const Matrix &other, Matrix &out) const;
 
     /** this * other^T; no exact-zero lhs is skipped (DESIGN.md §11.1). */
@@ -172,35 +163,20 @@ class Matrix
     Matrix &operator*=(double scalar);
 
     /** Add a 1 x cols row vector to every row (bias broadcast). */
-    Matrix addRowBroadcast(const Matrix &row) const;
-
-    /** In-place form of addRowBroadcast(); bitwise identical result. */
     void addRowBroadcastInPlace(const Matrix &row);
-
-    /** Column-wise sum producing a 1 x cols row vector. */
-    Matrix sumRows() const;
 
     /**
      * Accumulate the column-wise sums into an existing 1 x cols row
-     * vector: dst += this->sumRows(), bitwise identical to that
-     * two-step form but with no temporary.
+     * vector: per column, the rows fold into a fresh 0.0 accumulator
+     * in row order, which is then added to dst once.
      */
     void sumRowsAddTo(Matrix &dst) const;
-
-    /**
-     * Apply a scalar function to every element (returns a copy), in
-     * storage order, so a stateful `fn` (e.g. one drawing from an Rng)
-     * sees the elements in a fixed sequence.
-     */
-    Matrix map(const std::function<double(double)> &fn) const;
 
     /** Concatenate horizontally: [this | other]; row counts must match. */
     Matrix hconcat(const Matrix &other) const;
 
-    /** Slice of columns [begin, end). */
-    Matrix colRange(std::size_t begin, std::size_t end) const;
-
-    /** Into-destination form of colRange(); `dst` must not alias this. */
+    /** Copy columns [begin, end) into `dst`, which must not alias
+     *  this. */
     void colRangeInto(std::size_t begin, std::size_t end,
                       Matrix &dst) const;
 

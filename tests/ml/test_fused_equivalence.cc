@@ -1,20 +1,22 @@
 /**
  * @file
- * Equivalence suite for the fused LSTM/GEMM kernels (DESIGN.md §11):
- * the fused hot path must produce results bitwise identical to the
- * retained reference formulation — forward outputs, backward
- * gradients, and weights after whole training loops — over ragged
- * shapes, and the inference fast-path must match training-mode
- * outputs exactly while skipping the caches.
+ * Equivalence suite for the fused LSTM kernels (DESIGN.md §11.1): the
+ * layer must match the loop oracle in lstm_oracle.hh bit for bit —
+ * forward outputs, input and parameter gradients, and weights after a
+ * whole training loop — over ragged shapes, the inference fast-path
+ * must match training-mode outputs exactly while skipping the caches,
+ * and one layer reused across batch widths must stay exact.
  */
 
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "lstm_oracle.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
 
@@ -23,29 +25,9 @@ namespace
 
 using adrias::Rng;
 using adrias::ml::Lstm;
-using adrias::ml::lstmFusedKernels;
 using adrias::ml::Matrix;
 using adrias::ml::Param;
-using adrias::ml::setLstmFusedKernels;
-
-/** Saves and restores the global fused-kernel knob. */
-class FusedEquivalenceTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        savedFused = lstmFusedKernels();
-    }
-
-    void
-    TearDown() override
-    {
-        setLstmFusedKernels(savedFused);
-    }
-
-    bool savedFused = true;
-};
+namespace oracle = adrias::ml::oracle;
 
 Matrix
 randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
@@ -90,15 +72,19 @@ expectIdentical(const std::vector<Matrix> &expected,
         expectIdentical(expected[i], actual[i], what);
 }
 
-/** Ragged sweep: degenerate, small, and training-realistic shapes. */
+/** Ragged sweep: degenerate and small shapes, and both encoder
+ *  layers' shapes (input 7, then 24, at hidden 24 over 12 steps) at
+ *  b32, b1 and a ragged last batch of 17. */
 struct LstmShape
 {
     std::size_t steps, batch, input, hidden;
 };
 
 constexpr LstmShape kShapes[] = {
-    {1, 1, 1, 1},   {3, 2, 5, 4},   {5, 7, 3, 13},
-    {2, 1, 9, 6},   {12, 32, 7, 24}, {4, 3, 16, 5},
+    {1, 1, 1, 1},     {3, 2, 5, 4},      {5, 7, 3, 13},
+    {2, 1, 9, 6},     {4, 3, 16, 5},     {12, 32, 7, 24},
+    {12, 1, 7, 24},   {12, 17, 7, 24},   {12, 32, 24, 24},
+    {12, 1, 24, 24},
 };
 
 /** Fresh layer with weights deterministic in the seed. */
@@ -109,25 +95,31 @@ makeLstm(const LstmShape &shape, unsigned seed)
     return Lstm(shape.input, shape.hidden, rng);
 }
 
-TEST_F(FusedEquivalenceTest, ForwardOutputsBitwiseEqual)
+/** Every parameter gradient of `lstm` against the oracle's. */
+void
+expectParamGrads(Lstm &lstm, const oracle::LstmGrads &want,
+                 const char *what)
+{
+    const auto params = lstm.params();
+    expectIdentical(want.wx, params[0]->grad, what);
+    expectIdentical(want.wh, params[1]->grad, what);
+    expectIdentical(want.b, params[2]->grad, what);
+}
+
+TEST(FusedEquivalenceTest, ForwardOutputsBitwiseEqual)
 {
     Rng rng(0xFA57ED);
     for (const auto &shape : kShapes) {
         const auto sequence =
             randomSequence(rng, shape.steps, shape.batch, shape.input);
-
-        // The global switch is read at forward time.
-        setLstmFusedKernels(false);
-        Lstm reference = makeLstm(shape, 7001);
-        const auto expected = reference.forwardSequence(sequence);
-        setLstmFusedKernels(true);
-        Lstm fused = makeLstm(shape, 7001);
-        expectIdentical(expected, fused.forwardSequence(sequence),
-                        "fused forward");
+        Lstm lstm = makeLstm(shape, 7001);
+        expectIdentical(
+            oracle::forward(oracle::weightsOf(lstm), sequence),
+            lstm.forwardSequence(sequence), "forward");
     }
 }
 
-TEST_F(FusedEquivalenceTest, BackwardGradientsBitwiseEqual)
+TEST(FusedEquivalenceTest, BackwardGradientsBitwiseEqual)
 {
     Rng rng(0xBACC1);
     for (const auto &shape : kShapes) {
@@ -136,85 +128,75 @@ TEST_F(FusedEquivalenceTest, BackwardGradientsBitwiseEqual)
         const auto grad_hidden =
             randomSequence(rng, shape.steps, shape.batch, shape.hidden);
 
-        setLstmFusedKernels(false);
-        Lstm reference = makeLstm(shape, 7002);
-        reference.forwardSequence(sequence);
-        const auto ref_inputs = reference.backwardSequence(grad_hidden);
-
-        setLstmFusedKernels(true);
-        Lstm fused = makeLstm(shape, 7002);
-        fused.forwardSequence(sequence);
-        expectIdentical(ref_inputs, fused.backwardSequence(grad_hidden),
+        Lstm lstm = makeLstm(shape, 7002);
+        const oracle::LstmGrads want = oracle::backward(
+            oracle::weightsOf(lstm), sequence, grad_hidden);
+        lstm.forwardSequence(sequence);
+        expectIdentical(want.inputs, lstm.backwardSequence(grad_hidden),
                         "grad inputs");
-        const auto ref_params = reference.params();
-        const auto params = fused.params();
-        ASSERT_EQ(params.size(), ref_params.size());
-        for (std::size_t i = 0; i < params.size(); ++i)
-            expectIdentical(ref_params[i]->grad, params[i]->grad,
-                            "param grad");
+        expectParamGrads(lstm, want, "param grad");
     }
 }
 
-TEST_F(FusedEquivalenceTest, TrainedWeightsBitwiseEqual)
+TEST(FusedEquivalenceTest, TrainedWeightsBitwiseEqual)
 {
     // A whole training loop — repeated forward/backward/SGD — must
-    // leave identical weights: any divergence anywhere would compound.
+    // leave the oracle's weights: any divergence anywhere would
+    // compound.
     const LstmShape shape{6, 5, 4, 9};
     constexpr int kSteps = 8;
     constexpr double kLr = 0.05;
 
-    auto train = [&](bool fused) {
-        setLstmFusedKernels(fused);
-        Rng data_rng(0x7EA1);
-        Lstm lstm = makeLstm(shape, 7003);
-        const auto sequence = randomSequence(data_rng, shape.steps,
-                                             shape.batch, shape.input);
-        const auto target = randomSequence(data_rng, shape.steps,
-                                           shape.batch, shape.hidden);
-        for (int iter = 0; iter < kSteps; ++iter) {
-            const auto outputs = lstm.forwardSequence(sequence);
-            std::vector<Matrix> grad;
-            grad.reserve(outputs.size());
-            for (std::size_t t = 0; t < outputs.size(); ++t)
-                grad.push_back(outputs[t] - target[t]);
-            lstm.backwardSequence(grad);
-            for (Param *param : lstm.params()) {
-                param->value += param->grad * -kLr;
-                param->zeroGrad();
-            }
-        }
-        std::vector<Matrix> weights;
-        for (Param *param : lstm.params())
-            weights.push_back(param->value);
-        return weights;
+    Rng data_rng(0x7EA1);
+    const auto sequence =
+        randomSequence(data_rng, shape.steps, shape.batch, shape.input);
+    const auto target =
+        randomSequence(data_rng, shape.steps, shape.batch, shape.hidden);
+    const auto loss_grad = [&](const std::vector<Matrix> &outputs) {
+        std::vector<Matrix> grad;
+        for (std::size_t t = 0; t < outputs.size(); ++t)
+            grad.push_back(outputs[t] - target[t]);
+        return grad;
     };
 
-    const auto reference = train(false);
-    const auto weights = train(true);
-    ASSERT_EQ(reference.size(), weights.size());
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        expectIdentical(reference[i], weights[i], "trained weight");
+    Lstm lstm = makeLstm(shape, 7003);
+    oracle::LstmWeights w = oracle::weightsOf(lstm);
+    for (int iter = 0; iter < kSteps; ++iter) {
+        lstm.backwardSequence(loss_grad(lstm.forwardSequence(sequence)));
+        for (Param *param : lstm.params()) {
+            param->value += param->grad * -kLr;
+            param->zeroGrad();
+        }
+
+        const oracle::LstmGrads g = oracle::backward(
+            w, sequence, loss_grad(oracle::forward(w, sequence)));
+        w.wx += g.wx * -kLr;
+        w.wh += g.wh * -kLr;
+        w.b += g.b * -kLr;
+    }
+    const auto params = lstm.params();
+    expectIdentical(w.wx, params[0]->value, "trained wx");
+    expectIdentical(w.wh, params[1]->value, "trained wh");
+    expectIdentical(w.b, params[2]->value, "trained b");
 }
 
-TEST_F(FusedEquivalenceTest, InferenceFastPathMatchesTrainingOutputs)
+TEST(FusedEquivalenceTest, InferenceFastPathMatchesTrainingOutputs)
 {
     Rng rng(0x1FE5);
     for (const auto &shape : kShapes) {
         const auto sequence =
             randomSequence(rng, shape.steps, shape.batch, shape.input);
-        for (bool fused : {true, false}) {
-            setLstmFusedKernels(fused);
-            Lstm lstm = makeLstm(shape, 7004);
-            const auto trained = lstm.forwardSequence(sequence);
-            lstm.setInference(true);
-            expectIdentical(trained, lstm.forwardSequence(sequence),
-                            "inference forward");
-            lstm.setInference(false);
-        }
+        Lstm lstm = makeLstm(shape, 7004);
+        const auto want = oracle::forward(oracle::weightsOf(lstm), sequence);
+        expectIdentical(want, lstm.forwardSequence(sequence),
+                        "training forward");
+        lstm.setInference(true);
+        expectIdentical(want, lstm.forwardSequence(sequence),
+                        "inference forward");
     }
 }
 
-TEST_F(FusedEquivalenceTest, BackwardAfterInferenceForwardPanics)
+TEST(FusedEquivalenceTest, BackwardAfterInferenceForwardPanics)
 {
     const LstmShape shape{3, 2, 4, 5};
     Rng rng(0xDEAD5);
@@ -222,13 +204,59 @@ TEST_F(FusedEquivalenceTest, BackwardAfterInferenceForwardPanics)
         randomSequence(rng, shape.steps, shape.batch, shape.input);
     const auto grad =
         randomSequence(rng, shape.steps, shape.batch, shape.hidden);
-    for (bool fused : {true, false}) {
-        setLstmFusedKernels(fused);
-        Lstm lstm = makeLstm(shape, 7005);
-        lstm.setInference(true);
-        lstm.forwardSequence(sequence);
-        // No caches were built, so BPTT has nothing to consume.
-        EXPECT_THROW(lstm.backwardSequence(grad), std::logic_error);
+    Lstm lstm = makeLstm(shape, 7005);
+    lstm.setInference(true);
+    lstm.forwardSequence(sequence);
+    // No caches were built, so BPTT has nothing to consume.
+    EXPECT_THROW(lstm.backwardSequence(grad), std::logic_error);
+}
+
+TEST(FusedEquivalenceTest, OneLayerAcrossBatchWidthsMatchesOracle)
+{
+    // A model trains one layer at b32 with a ragged last batch, then
+    // serves b1 and b32 inference on the same instance, so the
+    // workspaces and step caches are resized between calls.  Every
+    // call must still match the oracle, for both encoder layers' input
+    // widths at hidden 24 over 12 steps.
+    enum class Phase
+    {
+        Train,
+        TrainSkipInput,
+        Infer,
+    };
+    const std::pair<std::size_t, Phase> phases[] = {
+        {32, Phase::Train}, {17, Phase::TrainSkipInput},
+        {1, Phase::Infer},  {32, Phase::Infer},
+        {1, Phase::Train},
+    };
+    for (std::size_t input : {7, 24}) {
+        Rng rng(0x5EED + input);
+        Lstm lstm(input, 24, rng);
+        const oracle::LstmWeights w = oracle::weightsOf(lstm);
+        for (const auto &[batch, phase] : phases) {
+            const auto sequence = randomSequence(rng, 12, batch, input);
+            lstm.setInference(phase == Phase::Infer);
+            expectIdentical(oracle::forward(w, sequence),
+                            lstm.forwardSequence(sequence), "forward");
+            if (phase == Phase::Infer)
+                continue;
+
+            const auto grad_hidden = randomSequence(rng, 12, batch, 24);
+            const oracle::LstmGrads want =
+                oracle::backward(w, sequence, grad_hidden);
+            for (Param *param : lstm.params())
+                param->zeroGrad();
+            if (phase == Phase::TrainSkipInput) {
+                EXPECT_TRUE(lstm.backwardSequence(grad_hidden,
+                                                  Lstm::InputGrad::Skip)
+                                .empty());
+            } else {
+                expectIdentical(want.inputs,
+                                lstm.backwardSequence(grad_hidden),
+                                "grad inputs");
+            }
+            expectParamGrads(lstm, want, "param grad");
+        }
     }
 }
 

@@ -9,7 +9,7 @@
  * every branch edge — ±0, ±inf, NaN, the ±708/±709 exp cutoff and
  * |x| around 0.125 where tanh switches formula — on every lane
  * position (hidden 1..9 and 24, batch 1/2/32), and compare bit
- * patterns against a one-element-at-a-time fastmath oracle.  A host
+ * patterns against the loop oracle in lstm_oracle.hh.  A host
  * picks one clone, so the baseline clone is covered by the
  * -DADRIAS_SIMD=OFF build running this suite.
  */
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "ml/fastmath.hh"
+#include "lstm_oracle.hh"
 #include "ml/lstm.hh"
 
 namespace adrias::ml
@@ -131,71 +131,11 @@ makeCase(std::size_t hidden, std::size_t batch)
     return c;
 }
 
-/**
- * The forward pass one element at a time: textbook GEMMs with the
- * exact-zero lhs skip (DESIGN.md §11.1), then the gate math in the
- * reference's op order through the scalar fastmath functions.
- */
-std::vector<Matrix>
-oracleForward(Lstm &lstm, const std::vector<Matrix> &sequence)
-{
-    const std::vector<Param *> params = lstm.params();
-    const Matrix &wx = params[0]->value;
-    const Matrix &wh = params[1]->value;
-    const Matrix &bias = params[2]->value;
-    const std::size_t hidden = lstm.hiddenSize();
-    const std::size_t batch = sequence.front().rows();
-    const std::size_t width = 4 * hidden;
-
-    auto product = [width](const Matrix &lhs, const Matrix &rhs,
-                           std::size_t r) {
-        std::vector<double> out(width, 0.0);
-        for (std::size_t k = 0; k < lhs.cols(); ++k) {
-            const double l = lhs.at(r, k);
-            if (l == 0.0)
-                continue;
-            for (std::size_t j = 0; j < width; ++j)
-                out[j] += l * rhs.at(k, j);
-        }
-        return out;
-    };
-
-    Matrix cell(batch, hidden);
-    Matrix h(batch, hidden);
-    std::vector<Matrix> outputs;
-    for (const Matrix &x : sequence) {
-        Matrix next(batch, hidden);
-        for (std::size_t r = 0; r < batch; ++r) {
-            const std::vector<double> zx = product(x, wx, r);
-            const std::vector<double> zh = product(h, wh, r);
-            auto z = [&](std::size_t gate, std::size_t c) {
-                const std::size_t j = gate * hidden + c;
-                return (zx[j] + zh[j]) + bias.at(0, j);
-            };
-            for (std::size_t c = 0; c < hidden; ++c) {
-                const double gi = fastmath::sigmoid(z(0, c));
-                const double gf = fastmath::sigmoid(z(1, c));
-                const double gg = fastmath::tanh(z(2, c));
-                const double go = fastmath::sigmoid(z(3, c));
-                const double updated =
-                    (gf * cell.at(r, c)) + (gi * gg);
-                cell.at(r, c) = updated;
-                next.at(r, c) = go * fastmath::tanh(updated);
-            }
-        }
-        h = next;
-        outputs.push_back(std::move(next));
-    }
-    return outputs;
-}
-
 const std::size_t kHidden[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 24};
 const std::size_t kBatch[] = {1, 2, 32};
 
 TEST(GateLoopSpecials, ForwardMatchesElementOracleBitwise)
 {
-    const bool was_fused = lstmFusedKernels();
-    setLstmFusedKernels(true);
     for (std::size_t hidden : kHidden) {
         for (std::size_t batch : kBatch) {
             for (bool inference : {true, false}) {
@@ -203,8 +143,8 @@ TEST(GateLoopSpecials, ForwardMatchesElementOracleBitwise)
                 c.lstm.setInference(inference);
                 const std::vector<Matrix> got =
                     c.lstm.forwardSequence(c.sequence);
-                const std::vector<Matrix> want =
-                    oracleForward(c.lstm, c.sequence);
+                const std::vector<Matrix> want = oracle::forward(
+                    oracle::weightsOf(c.lstm), c.sequence);
                 ASSERT_EQ(got.size(), want.size());
                 for (std::size_t t = 0; t < got.size(); ++t) {
                     expectSameBits(
@@ -216,42 +156,38 @@ TEST(GateLoopSpecials, ForwardMatchesElementOracleBitwise)
             }
         }
     }
-    setLstmFusedKernels(was_fused);
 }
 
 TEST(GateLoopSpecials, TrainingCachesMatchReferenceGradientsBitwise)
 {
     // Backward reads only what the training gate loop cached (gates,
-    // c_t, tanh c_t), so gradients equal to the reference path's prove
+    // c_t, tanh c_t), so gradients equal to the oracle's BPTT prove
     // the cache stores bit for bit.
-    const bool was_fused = lstmFusedKernels();
     for (std::size_t hidden : kHidden) {
         for (std::size_t batch : kBatch) {
-            std::vector<std::vector<Matrix>> grads;
-            for (bool fused : {true, false}) {
-                setLstmFusedKernels(fused);
-                Case c = makeCase(hidden, batch);
-                const std::vector<Matrix> out =
-                    c.lstm.forwardSequence(c.sequence);
-                std::vector<Matrix> grad_hidden;
-                for (const Matrix &h : out)
-                    grad_hidden.push_back(Matrix::constant(
-                        h.rows(), h.cols(), 0.5));
-                std::vector<Matrix> result =
-                    c.lstm.backwardSequence(grad_hidden);
-                for (Param *p : c.lstm.params())
-                    result.push_back(p->grad);
-                grads.push_back(std::move(result));
-            }
-            ASSERT_EQ(grads[0].size(), grads[1].size());
-            for (std::size_t i = 0; i < grads[0].size(); ++i) {
-                expectSameBits(grads[0][i], grads[1][i],
+            Case c = makeCase(hidden, batch);
+            const std::vector<Matrix> out =
+                c.lstm.forwardSequence(c.sequence);
+            std::vector<Matrix> grad_hidden;
+            for (const Matrix &h : out)
+                grad_hidden.push_back(
+                    Matrix::constant(h.rows(), h.cols(), 0.5));
+            const oracle::LstmGrads g = oracle::backward(
+                oracle::weightsOf(c.lstm), c.sequence, grad_hidden);
+            std::vector<Matrix> want = g.inputs;
+            want.insert(want.end(), {g.wx, g.wh, g.b});
+
+            std::vector<Matrix> got = c.lstm.backwardSequence(grad_hidden);
+            for (Param *p : c.lstm.params())
+                got.push_back(p->grad);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                expectSameBits(got[i], want[i],
                                caseLabel(hidden, batch) + " gradient " +
                                    std::to_string(i));
             }
         }
     }
-    setLstmFusedKernels(was_fused);
 }
 
 } // namespace

@@ -99,13 +99,6 @@ TEST(ReLU, BackwardMasksNegatives)
     EXPECT_DOUBLE_EQ(gin.at(0, 2), 0.0);
 }
 
-TEST(SigmoidScalar, StableAtExtremes)
-{
-    EXPECT_NEAR(sigmoidScalar(0.0), 0.5, 1e-12);
-    EXPECT_NEAR(sigmoidScalar(700.0), 1.0, 1e-12);
-    EXPECT_NEAR(sigmoidScalar(-700.0), 0.0, 1e-12);
-}
-
 TEST(BatchNorm, TrainOutputIsStandardized)
 {
     Rng rng(7);

@@ -201,37 +201,31 @@ sameBits(const std::vector<double> &a, const std::vector<double> &b)
 
 // A first layer's dLoss/dX has no reader, so its models skip it; the
 // wx, wh and b gradients must not move by a bit.  b32, hidden 24 and
-// input 7 are the first encoder layer's training shapes, on the fused
-// path and on the reference oracle.
+// input 7 are the first encoder layer's training shapes.
 TEST(Lstm, SkippingInputGradientLeavesParameterGradientsBitwise)
 {
-    for (const bool fused : {true, false}) {
-        setLstmFusedKernels(fused);
-        Rng rng(12);
-        Lstm lstm(7, 24, rng);
-        const auto seq = randomSequence(6, 32, 7, rng);
-        const auto grad_hidden = randomSequence(6, 32, 24, rng);
-        lstm.forwardSequence(seq);
+    Rng rng(12);
+    Lstm lstm(7, 24, rng);
+    const auto seq = randomSequence(6, 32, 7, rng);
+    const auto grad_hidden = randomSequence(6, 32, 24, rng);
+    lstm.forwardSequence(seq);
 
-        for (Param *p : lstm.params())
-            p->zeroGrad();
-        const auto grad_inputs = lstm.backwardSequence(grad_hidden);
-        ASSERT_EQ(grad_inputs.size(), seq.size());
-        const auto with_input_grad = gradSnapshot(lstm);
+    for (Param *p : lstm.params())
+        p->zeroGrad();
+    const auto grad_inputs = lstm.backwardSequence(grad_hidden);
+    ASSERT_EQ(grad_inputs.size(), seq.size());
+    const auto with_input_grad = gradSnapshot(lstm);
 
-        for (Param *p : lstm.params())
-            p->zeroGrad();
-        EXPECT_TRUE(
-            lstm.backwardSequence(grad_hidden, Lstm::InputGrad::Skip)
-                .empty());
-        const auto without_input_grad = gradSnapshot(lstm);
+    for (Param *p : lstm.params())
+        p->zeroGrad();
+    EXPECT_TRUE(
+        lstm.backwardSequence(grad_hidden, Lstm::InputGrad::Skip).empty());
+    const auto without_input_grad = gradSnapshot(lstm);
 
-        const auto params = lstm.params();
-        for (std::size_t i = 0; i < params.size(); ++i)
-            EXPECT_TRUE(sameBits(with_input_grad[i], without_input_grad[i]))
-                << params[i]->name << (fused ? " fused" : " reference");
-    }
-    setLstmFusedKernels(true);
+    const auto params = lstm.params();
+    for (std::size_t i = 0; i < params.size(); ++i)
+        EXPECT_TRUE(sameBits(with_input_grad[i], without_input_grad[i]))
+            << params[i]->name;
 }
 
 TEST(Lstm, ForgetBiasInitializedToOne)

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -137,7 +138,8 @@ TEST(Matrix, MatmulKnownProduct)
 {
     Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
     Matrix b(3, 2, {7, 8, 9, 10, 11, 12});
-    Matrix c = a.matmul(b);
+    Matrix c;
+    a.matmulInto(b, c);
     ASSERT_EQ(c.rows(), 2u);
     ASSERT_EQ(c.cols(), 2u);
     EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
@@ -150,15 +152,18 @@ TEST(Matrix, MatmulDimensionMismatchPanics)
 {
     Matrix a(2, 3);
     Matrix b(2, 3);
-    EXPECT_THROW(a.matmul(b), std::logic_error);
+    Matrix out;
+    EXPECT_THROW(a.matmulInto(b, out), std::logic_error);
 }
 
 TEST(Matrix, IdentityIsNeutral)
 {
     Matrix a(3, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9});
     Matrix i = Matrix::identity(3);
-    const Matrix left = i.matmul(a);
-    const Matrix right = a.matmul(i);
+    Matrix left;
+    Matrix right;
+    i.matmulInto(a, left);
+    a.matmulInto(i, right);
     for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < 3; ++c) {
             EXPECT_DOUBLE_EQ(left.at(r, c), a.at(r, c));
@@ -170,8 +175,10 @@ TEST(Matrix, TransposedMatmulMatchesExplicit)
 {
     Matrix a(3, 2, {1, 2, 3, 4, 5, 6});
     Matrix b(3, 4, {1, 0, 2, 1, 0, 1, 1, 2, 3, 1, 0, 1});
-    const Matrix fused = a.transposedMatmul(b);
-    const Matrix explicit_ = a.transposed().matmul(b);
+    Matrix fused;
+    Matrix explicit_;
+    a.transposedMatmulInto(b, fused);
+    a.transposed().matmulInto(b, explicit_);
     ASSERT_EQ(fused.rows(), explicit_.rows());
     ASSERT_EQ(fused.cols(), explicit_.cols());
     for (std::size_t r = 0; r < fused.rows(); ++r)
@@ -184,7 +191,8 @@ TEST(Matrix, MatmulTransposedMatchesExplicit)
     Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
     Matrix b(4, 3, {1, 0, 2, 1, 0, 1, 1, 2, 3, 1, 0, 1});
     const Matrix fused = a.matmulTransposed(b);
-    const Matrix explicit_ = a.matmul(b.transposed());
+    Matrix explicit_;
+    a.matmulInto(b.transposed(), explicit_);
     for (std::size_t r = 0; r < fused.rows(); ++r)
         for (std::size_t c = 0; c < fused.cols(); ++c)
             EXPECT_DOUBLE_EQ(fused.at(r, c), explicit_.at(r, c));
@@ -227,18 +235,18 @@ TEST(Matrix, AddRowBroadcast)
 {
     Matrix a(2, 2, {1, 2, 3, 4});
     Matrix bias(1, 2, {10, 20});
-    const Matrix out = a.addRowBroadcast(bias);
-    EXPECT_DOUBLE_EQ(out.at(0, 0), 11.0);
-    EXPECT_DOUBLE_EQ(out.at(1, 1), 24.0);
+    a.addRowBroadcastInPlace(bias);
+    EXPECT_DOUBLE_EQ(a.at(0, 0), 11.0);
+    EXPECT_DOUBLE_EQ(a.at(1, 1), 24.0);
     Matrix bad(1, 3);
-    EXPECT_THROW(a.addRowBroadcast(bad), std::logic_error);
+    EXPECT_THROW(a.addRowBroadcastInPlace(bad), std::logic_error);
 }
 
 TEST(Matrix, SumRows)
 {
     Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
-    const Matrix s = a.sumRows();
-    ASSERT_EQ(s.rows(), 1u);
+    Matrix s(1, 3);
+    a.sumRowsAddTo(s);
     EXPECT_DOUBLE_EQ(s.at(0, 0), 5.0);
     EXPECT_DOUBLE_EQ(s.at(0, 1), 7.0);
     EXPECT_DOUBLE_EQ(s.at(0, 2), 9.0);
@@ -253,13 +261,14 @@ TEST(Matrix, HconcatAndColRange)
     EXPECT_DOUBLE_EQ(cat.at(0, 2), 9.0);
     EXPECT_DOUBLE_EQ(cat.at(1, 2), 8.0);
 
-    const Matrix mid = cat.colRange(1, 3);
+    Matrix mid;
+    cat.colRangeInto(1, 3, mid);
     ASSERT_EQ(mid.cols(), 2u);
     EXPECT_DOUBLE_EQ(mid.at(0, 0), 2.0);
     EXPECT_DOUBLE_EQ(mid.at(1, 1), 8.0);
 
-    EXPECT_THROW(cat.colRange(2, 1), std::logic_error);
-    EXPECT_THROW(cat.colRange(0, 4), std::logic_error);
+    EXPECT_THROW(cat.colRangeInto(2, 1, mid), std::logic_error);
+    EXPECT_THROW(cat.colRangeInto(0, 4, mid), std::logic_error);
 }
 
 TEST(Matrix, RowExtraction)
@@ -269,14 +278,6 @@ TEST(Matrix, RowExtraction)
     ASSERT_EQ(r.rows(), 1u);
     EXPECT_DOUBLE_EQ(r.at(0, 0), 4.0);
     EXPECT_THROW(a.row(2), std::logic_error);
-}
-
-TEST(Matrix, MapAppliesFunction)
-{
-    Matrix a(1, 3, {-1, 0, 2});
-    const Matrix out = a.map([](double x) { return x * x; });
-    EXPECT_DOUBLE_EQ(out.at(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(out.at(0, 2), 4.0);
 }
 
 TEST(Matrix, NormAndMaxAbs)
@@ -308,15 +309,19 @@ TEST(Matrix, IntoOverloadsMatchAllocatingBitwise)
     Matrix at(3, 2, {1, 4, -2, 5, 3, 0});
     Matrix bt(4, 3, {1, 0, 2, 1, 0, 1, 1, 2, 3, 1, 0, 1});
 
+    // One destination reused across products, as the workspaces are.
     Matrix out;
     a.matmulInto(b, out);
-    EXPECT_EQ(out.raw(), a.matmul(b).raw());
+    EXPECT_EQ(out.raw(), naiveMatmul(a, b).raw());
 
     at.transposedMatmulInto(b, out);
-    EXPECT_EQ(out.raw(), at.transposedMatmul(b).raw());
+    EXPECT_EQ(out.raw(), naiveMatmul(at.transposed(), b).raw());
 
     a.matmulTransposedInto(bt, out);
     EXPECT_EQ(out.raw(), a.matmulTransposed(bt).raw());
+
+    bt.transposeInto(out);
+    EXPECT_EQ(out.raw(), bt.transposed().raw());
 }
 
 TEST(Matrix, IntoOverloadsReshapeTheDestination)
@@ -347,7 +352,7 @@ TEST(Matrix, SumRowsAddToAccumulates)
 {
     Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
     Matrix dst(1, 3, {10, 20, 30});
-    const Matrix expected = dst + a.sumRows();
+    const Matrix expected = dst + naiveSumRows(a);
     a.sumRowsAddTo(dst);
     EXPECT_EQ(dst.raw(), expected.raw());
 
@@ -360,7 +365,8 @@ TEST(Matrix, ColRangeIntoMatchesColRange)
     Matrix a(2, 4, {1, 2, 3, 4, 5, 6, 7, 8});
     Matrix dst(5, 5, std::vector<double>(25, 9.0));
     a.colRangeInto(1, 3, dst);
-    EXPECT_EQ(dst.raw(), a.colRange(1, 3).raw());
+    EXPECT_EQ(dst.rows(), 2u);
+    EXPECT_EQ(dst.raw(), (std::vector<double>{2, 3, 6, 7}));
     EXPECT_THROW(a.colRangeInto(3, 1, dst), std::logic_error);
     EXPECT_THROW(a.colRangeInto(0, 5, dst), std::logic_error);
 }
@@ -369,7 +375,7 @@ TEST(Matrix, AddRowBroadcastInPlaceMatches)
 {
     Matrix a(2, 2, {1, 2, 3, 4});
     Matrix bias(1, 2, {10, 20});
-    const Matrix expected = a.addRowBroadcast(bias);
+    const Matrix expected(2, 2, {11, 22, 13, 24});
     a.addRowBroadcastInPlace(bias);
     EXPECT_EQ(a.raw(), expected.raw());
     Matrix bad(1, 3);
@@ -405,6 +411,7 @@ TEST(Matrix, GemmFamilyMatchesNaiveLoopsBitwise)
         {0, 5, 7},  {5, 0, 7},   {5, 7, 0},
     };
     Rng rng(0xAD51A5);
+    Matrix out;
     for (const Shape &shape : shapes) {
         const Matrix a = randomMatrix(rng, shape.m, shape.k);
         const Matrix b = randomMatrix(rng, shape.k, shape.n);
@@ -417,9 +424,11 @@ TEST(Matrix, GemmFamilyMatchesNaiveLoopsBitwise)
             for (std::size_t c = 0; c < shape.k; ++c)
                 ASSERT_EQ(a_t.at(c, r), a.at(r, c));
 
-        expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul");
-        expectIdentical(naiveMatmul(at.transposed(), b),
-                        at.transposedMatmul(b), "transposedMatmul");
+        a.matmulInto(b, out);
+        expectIdentical(naiveMatmul(a, b), out, "matmulInto");
+        at.transposedMatmulInto(b, out);
+        expectIdentical(naiveMatmul(at.transposed(), b), out,
+                        "transposedMatmulInto");
         expectIdentical(naiveMatmulTransposed(a, bt),
                         a.matmulTransposed(bt), "matmulTransposed");
     }
@@ -455,10 +464,13 @@ TEST(Matrix, ElementwiseKernelsMatchNaiveLoopsBitwise)
         Matrix scaled = a;
         scaled *= 1.7;
         expectIdentical(scale, scaled, "operator*=");
-        if (rows > 0)
-            expectIdentical(broadcast, a.addRowBroadcast(bias),
-                            "addRowBroadcast");
-        expectIdentical(naiveSumRows(a), a.sumRows(), "sumRows");
+        Matrix broadcast_in_place = a;
+        broadcast_in_place.addRowBroadcastInPlace(bias);
+        expectIdentical(broadcast, broadcast_in_place,
+                        "addRowBroadcastInPlace");
+        Matrix sums(1, cols);
+        a.sumRowsAddTo(sums);
+        expectIdentical(naiveSumRows(a), sums, "sumRowsAddTo");
     }
 }
 
@@ -467,6 +479,7 @@ TEST(Matrix, RandomizedShapesSweep)
     // Broad fuzz across shapes; every repetition compares the scalar
     // kernels against the textbook loops.
     Rng rng(0xF00D42);
+    Matrix out;
     for (int repetition = 0; repetition < 25; ++repetition) {
         const auto m = static_cast<std::size_t>(rng.uniformInt(1, 40));
         const auto k = static_cast<std::size_t>(rng.uniformInt(1, 40));
@@ -475,13 +488,16 @@ TEST(Matrix, RandomizedShapesSweep)
         const Matrix b = randomMatrix(rng, k, n);
         const Matrix at = randomMatrix(rng, k, m);
         const Matrix bt = randomMatrix(rng, n, k);
-        expectIdentical(naiveMatmul(a, b), a.matmul(b), "matmul fuzz");
-        expectIdentical(naiveMatmul(at.transposed(), b),
-                        at.transposedMatmul(b), "transposedMatmul fuzz");
+        a.matmulInto(b, out);
+        expectIdentical(naiveMatmul(a, b), out, "matmulInto fuzz");
+        at.transposedMatmulInto(b, out);
+        expectIdentical(naiveMatmul(at.transposed(), b), out,
+                        "transposedMatmulInto fuzz");
         expectIdentical(naiveMatmulTransposed(a, bt),
                         a.matmulTransposed(bt), "matmulTransposed fuzz");
-        expectIdentical(naiveSumRows(a + a), (a + a).sumRows(),
-                        "sumRows fuzz");
+        Matrix sums(1, n);
+        b.sumRowsAddTo(sums);
+        expectIdentical(naiveSumRows(b), sums, "sumRowsAddTo fuzz");
     }
 }
 
@@ -490,15 +506,16 @@ TEST(Matrix, GemmFamilySpecialValuesMatchNaiveLoopsBitwise)
     // ±0.0, ±inf and NaN at every k of a group of four and of the
     // scalar k remainder, meeting every special on the other operand,
     // with inner sizes and widths ≡ 0, 1, 2, 3 (mod 4).  A zero lhs
-    // facing an inf or NaN rhs is where the exact-zero skip (matmul,
-    // transposedMatmul) and the no-skip dot product (matmulTransposed)
-    // differ, so each kernel must match its own textbook loop bit for
-    // bit.
+    // facing an inf or NaN rhs is where the exact-zero skip
+    // (matmulInto, transposedMatmulInto) and the no-skip dot product
+    // (matmulTransposed) differ, so each kernel must match its own
+    // textbook loop bit for bit.
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double specials[] = {0.0, -0.0, inf, -inf, nan};
     Rng rng(0x5BEC1A);
     constexpr std::size_t kRows = 3;
+    Matrix out;
     for (std::size_t inner : {4, 5, 6, 7, 9}) {
         for (std::size_t width : {4, 5, 6, 7}) {
             for (std::size_t pos = 0; pos < inner; ++pos) {
@@ -517,11 +534,13 @@ TEST(Matrix, GemmFamilySpecialValuesMatchNaiveLoopsBitwise)
                         }
                         b.at(pos, pos % width) = rhs_special;
                         bt.at(pos % width, pos) = rhs_special;
-                        expectIdentical(naiveMatmul(a, b), a.matmul(b),
-                                        "matmul specials");
+                        a.matmulInto(b, out);
+                        expectIdentical(naiveMatmul(a, b), out,
+                                        "matmulInto specials");
+                        at.transposedMatmulInto(b, out);
                         expectIdentical(naiveMatmul(at.transposed(), b),
-                                        at.transposedMatmul(b),
-                                        "transposedMatmul specials");
+                                        out,
+                                        "transposedMatmulInto specials");
                         expectIdentical(naiveMatmulTransposed(a, bt),
                                         a.matmulTransposed(bt),
                                         "matmulTransposed specials");
@@ -583,8 +602,8 @@ TEST(Matrix, ColumnTilesMatchTextbookLoopsBitwise)
     // ±0.0, ±inf and NaN through both operands at one density (0 leaves
     // rows with no exact zero, which the tile adds without a skip), and
     // every entry point must match its textbook loop bit for bit:
-    // matmul and transposedMatmul skip an exact-zero lhs, matmulNoSkip
-    // and matmulTransposed add every term.
+    // matmulInto and transposedMatmulInto skip an exact-zero lhs,
+    // matmulNoSkipInto and matmulTransposed add every term.
     //
     // Several NaNs can meet in one element here, and IEEE 754 leaves
     // which payload survives to the operand order of the add, which
@@ -616,11 +635,11 @@ TEST(Matrix, ColumnTilesMatchTextbookLoopsBitwise)
                 const Matrix b = fill(inner, width, density);
                 const Matrix at = fill(inner, kRows, density);
                 const Matrix bt = fill(width, inner, density);
-                expectIdentical(naiveMatmul(a, b), a.matmul(b),
-                                "matmul tiles");
-                expectIdentical(naiveMatmul(at.transposed(), b),
-                                at.transposedMatmul(b),
-                                "transposedMatmul tiles");
+                a.matmulInto(b, out);
+                expectIdentical(naiveMatmul(a, b), out, "matmulInto tiles");
+                at.transposedMatmulInto(b, out);
+                expectIdentical(naiveMatmul(at.transposed(), b), out,
+                                "transposedMatmulInto tiles");
                 const Matrix no_skip = naiveMatmulTransposed(a, bt);
                 expectIdentical(no_skip, a.matmulTransposed(bt),
                                 "matmulTransposed tiles");

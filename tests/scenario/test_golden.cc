@@ -28,10 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ml/lstm.hh"
-#include "models/system_state.hh"
 #include "scenario/cluster.hh"
-#include "scenario/dataset.hh"
 #include "scenario/runner.hh"
 #include "testbed/topology.hh"
 
@@ -221,67 +218,6 @@ TEST(GoldenTest, TinyScenarioMatchesCheckedInGolden)
 TEST(GoldenTest, TinyClusterMatchesCheckedInGolden)
 {
     expectMatchesGolden("tiny_cluster.golden", renderCluster());
-}
-
-/**
- * Same golden, with the fused LSTM/GEMM kernels forced off.  The fused
- * hot path is contractually bitwise-identical to the reference path, so
- * the end-to-end pipeline must render the exact same canonical text —
- * and a tiny model trained under both paths must predict identically.
- */
-TEST(GoldenTest, TinyScenarioMatchesGoldenWithFusedKernelsDisabled)
-{
-    if (const char *update = std::getenv("ADRIAS_UPDATE_GOLDEN");
-        update && std::string(update) == "1")
-        GTEST_SKIP() << "golden regeneration uses the default path";
-
-    const bool saved_fused = ml::lstmFusedKernels();
-    ml::setLstmFusedKernels(false);
-
-    const std::string path =
-        std::string(ADRIAS_GOLDEN_DIR) + "/tiny_scenario.golden";
-    const std::string actual = renderScenario();
-
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << path
-        << " — run with ADRIAS_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(actual, buffer.str())
-        << "reference (unfused) kernels diverged from the golden";
-
-    // The scenario itself never runs the LSTM, so also pin a real
-    // train + predict round trip: reference path now, fused path next.
-    scenario::ScenarioConfig config;
-    config.durationSec = 400;
-    config.spawnMinSec = 5;
-    config.spawnMaxSec = 20;
-    config.seed = 20230228;
-    scenario::ScenarioRunner runner(config);
-    scenario::RandomPlacement policy(31);
-    const std::vector<scenario::ScenarioResult> results{
-        runner.run(policy)};
-    auto samples = scenario::DatasetBuilder::systemState(results);
-    ASSERT_GE(samples.size(), 4u);
-    samples.resize(std::min<std::size_t>(samples.size(), 16));
-
-    models::ModelConfig model_config;
-    model_config.epochs = 2;
-
-    auto train_and_predict = [&] {
-        models::SystemStateModel model(model_config);
-        model.train(samples);
-        return model.predict(samples.front().history);
-    };
-    const ml::Matrix reference_pred = train_and_predict();
-    ml::setLstmFusedKernels(true);
-    const ml::Matrix fused_pred = train_and_predict();
-    ml::setLstmFusedKernels(saved_fused);
-
-    ASSERT_EQ(reference_pred.rows(), fused_pred.rows());
-    ASSERT_EQ(reference_pred.cols(), fused_pred.cols());
-    EXPECT_EQ(reference_pred.raw(), fused_pred.raw());
 }
 
 } // namespace
