@@ -84,51 +84,4 @@ CsvWriter::close()
               "': " + published.error().toString());
 }
 
-Result<std::vector<std::string>>
-parseCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    bool in_quotes = false;
-    bool cell_was_quoted = false;
-
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char ch = line[i];
-        if (in_quotes) {
-            if (ch == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"'; // escaped quote
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cell += ch;
-            }
-        } else if (ch == '"') {
-            if (!cell.empty() || cell_was_quoted)
-                return makeError(ErrorCode::BadSyntax,
-                                 "parseCsvLine: quote inside unquoted "
-                                 "cell");
-            in_quotes = true;
-            cell_was_quoted = true;
-        } else if (ch == ',') {
-            cells.push_back(std::move(cell));
-            cell.clear();
-            cell_was_quoted = false;
-        } else {
-            if (cell_was_quoted)
-                return makeError(ErrorCode::BadSyntax,
-                                 "parseCsvLine: payload after closing "
-                                 "quote");
-            cell += ch;
-        }
-    }
-    if (in_quotes)
-        return makeError(ErrorCode::BadSyntax,
-                         "parseCsvLine: unterminated quoted cell");
-    cells.push_back(std::move(cell));
-    return cells;
-}
-
 } // namespace adrias

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hh"
-
 namespace adrias
 {
 
@@ -56,9 +54,6 @@ class CsvWriter
      */
     void close();
 
-    /** @return number of rows written so far. */
-    std::size_t rowCount() const { return rowsWritten; }
-
     /** Quote a cell if needed (exposed for testing). */
     static std::string escape(const std::string &cell);
 
@@ -68,18 +63,6 @@ class CsvWriter
     bool openForWriting = true;
     std::size_t rowsWritten = 0;
 };
-
-/**
- * Parse one CSV line into cells per RFC 4180 (the inverse of
- * CsvWriter::escape): quoted cells may contain commas, doubled quotes
- * decode to one quote.
- *
- * Malformed structure is reported as a typed error rather than
- * guessed around: ErrorCode::BadSyntax for an unterminated quoted
- * cell or for payload after a closing quote (`"ab"c`).
- */
-[[nodiscard]] Result<std::vector<std::string>>
-parseCsvLine(const std::string &line);
 
 } // namespace adrias
 

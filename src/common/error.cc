@@ -23,29 +23,8 @@ errorCodeName(ErrorCode code)
         return "bad-token";
       case ErrorCode::TrailingData:
         return "trailing-data";
-      case ErrorCode::BadSyntax:
-        return "bad-syntax";
     }
     panic("unknown ErrorCode");
-}
-
-Result<double>
-parseDouble(std::string_view text)
-{
-    if (text.empty())
-        return makeError(ErrorCode::BadNumber, "empty numeric field");
-    double value = 0.0;
-    const char *begin = text.data();
-    const char *end = begin + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec == std::errc::result_out_of_range)
-        return makeError(ErrorCode::BadNumber,
-                         "number out of range: '" + std::string(text) +
-                             "'");
-    if (ec != std::errc{} || ptr != end)
-        return makeError(ErrorCode::BadNumber,
-                         "malformed number: '" + std::string(text) + "'");
-    return value;
 }
 
 Result<std::size_t>

@@ -36,7 +36,6 @@ enum class ErrorCode
     BadNumber,     ///< numeric field failed strict parsing
     BadToken,      ///< unknown enumeration token
     TrailingData,  ///< extra cells/bytes after the payload
-    BadSyntax,     ///< structural error (e.g. unterminated CSV quote)
 };
 
 /** Stable lower-case name of an ErrorCode ("bad-number", ...). */
@@ -170,13 +169,6 @@ class [[nodiscard]] Result<void>
   private:
     std::optional<Error> failure;
 };
-
-/**
- * Strict double parser: the whole string must be one finite-syntax
- * floating-point literal (leading/trailing junk and empty input are
- * errors — unlike std::stod, which accepts "12abc").
- */
-[[nodiscard]] Result<double> parseDouble(std::string_view text);
 
 /** Strict non-negative integer parser with overflow detection. */
 [[nodiscard]] Result<std::size_t> parseSize(std::string_view text);

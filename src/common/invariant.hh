@@ -64,6 +64,7 @@ using Handler = void (*)(const Violation &);
  *        (panic, i.e. throw std::logic_error).
  * @return the previously installed handler (for restoration).
  */
+// NOLINTNEXTLINE(unused-api): test seam; tests record violations.
 Handler setHandler(Handler handler);
 
 /** Route a failed check to the current handler (macro plumbing). */

@@ -125,7 +125,6 @@ RecordFileWriter::open(const std::string &path, bool append)
     if (out.is_open())
         panic("RecordFileWriter::open: already open");
     filePath = path;
-    appended = 0;
     const auto mode = std::ios::binary |
                       (append ? std::ios::app : std::ios::trunc);
     // NOLINTNEXTLINE(raw-ofstream): this IS the DurableFile layer.
@@ -184,7 +183,6 @@ RecordFileWriter::append(std::string_view payload)
                              filePath + "'");
     if (chaos)
         chaos("record-done", frame.size() + payload.size());
-    ++appended;
     return {};
 }
 

@@ -112,9 +112,6 @@ class RecordFileWriter
     /** @return true while the file is open and healthy. */
     bool isOpen() const { return out.is_open(); }
 
-    /** Records appended through this writer (not pre-existing ones). */
-    std::size_t appendCount() const { return appended; }
-
     /** Install a kill-point hook (nullptr to clear). */
     void setChaosHook(WriteChaosHook hook) { chaos = std::move(hook); }
 
@@ -122,7 +119,6 @@ class RecordFileWriter
     // NOLINTNEXTLINE(raw-ofstream): this IS the DurableFile layer.
     std::ofstream out;
     std::string filePath;
-    std::size_t appended = 0;
     WriteChaosHook chaos;
 };
 

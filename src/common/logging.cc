@@ -3,83 +3,48 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "common/mutex.hh"
+
 namespace adrias
 {
 
 namespace
 {
 
-const char *
-levelName(LogLevel level)
+Mutex logMutex;
+
+void
+emit(const char *tag, const std::string &message)
 {
-    switch (level) {
-      case LogLevel::Debug:
-        return "DEBUG";
-      case LogLevel::Info:
-        return "INFO";
-      case LogLevel::Warn:
-        return "WARN";
-      case LogLevel::Error:
-        return "ERROR";
-      case LogLevel::Off:
-        return "OFF";
-    }
-    return "?";
+    MutexLock lock(logMutex);
+    std::cerr << "[adrias:" << tag << "] " << message << "\n";
 }
 
 } // namespace
 
-Logger &
-Logger::instance()
-{
-    static Logger logger;
-    return logger;
-}
-
-void
-Logger::log(LogLevel level, const std::string &message)
-{
-    MutexLock lock(mu);
-    if (static_cast<int>(level) < static_cast<int>(minLevel))
-        return;
-    std::cerr << "[adrias:" << levelName(level) << "] " << message << "\n";
-}
-
-void
-logDebug(const std::string &message)
-{
-    Logger::instance().log(LogLevel::Debug, message);
-}
-
-void
-logInfo(const std::string &message)
-{
-    Logger::instance().log(LogLevel::Info, message);
-}
-
 void
 logWarn(const std::string &message)
 {
-    Logger::instance().log(LogLevel::Warn, message);
+    emit("WARN", message);
 }
 
 void
 logError(const std::string &message)
 {
-    Logger::instance().log(LogLevel::Error, message);
+    emit("ERROR", message);
 }
 
 void
 fatal(const std::string &message)
 {
-    Logger::instance().log(LogLevel::Error, "fatal: " + message);
+    emit("ERROR", "fatal: " + message);
     throw std::runtime_error("fatal: " + message);
 }
 
 void
 panic(const std::string &message)
 {
-    Logger::instance().log(LogLevel::Error, "panic: " + message);
+    emit("ERROR", "panic: " + message);
     throw std::logic_error("panic: " + message);
 }
 

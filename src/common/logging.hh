@@ -1,79 +1,22 @@
 /**
  * @file
- * Minimal severity-levelled logging used across the library.
+ * Minimal logging used across the library.
  *
  * Follows the gem5 convention of separating user errors (fatal) from
  * internal invariant violations (panic).  All output goes to stderr so
- * bench binaries can print clean tables on stdout.
+ * bench binaries can print clean tables on stdout, one whole line per
+ * message: a process-wide mutex serializes writers, so concurrent
+ * threads interleave lines, never characters.
  */
 
 #ifndef ADRIAS_COMMON_LOGGING_HH
 #define ADRIAS_COMMON_LOGGING_HH
 
-#include <sstream>
 #include <string>
-
-#include "common/mutex.hh"
-#include "common/thread_annotations.hh"
 
 namespace adrias
 {
 
-/** Log severity levels, ordered by verbosity. */
-enum class LogLevel : int
-{
-    Debug = 0,
-    Info = 1,
-    Warn = 2,
-    Error = 3,
-    Off = 4,
-};
-
-/**
- * Process-wide log sink with a level filter.
- *
- * Thread-safe: the level filter and the output stream are guarded by
- * one mutex, so concurrent logging from multiple threads interleaves
- * whole lines only and level changes are never torn.
- */
-class Logger
-{
-  public:
-    /** @return the process-wide logger instance. */
-    static Logger &instance();
-
-    /** Set the minimum severity that is emitted. */
-    void
-    setLevel(LogLevel level)
-    {
-        MutexLock lock(mu);
-        minLevel = level;
-    }
-
-    /** @return the current minimum severity. */
-    LogLevel
-    level() const
-    {
-        MutexLock lock(mu);
-        return minLevel;
-    }
-
-    /** Emit one line at the given severity (no trailing newline needed). */
-    void log(LogLevel level, const std::string &message);
-
-  private:
-    Logger() = default;
-
-    /** Guards the level filter and serializes stderr lines. */
-    mutable Mutex mu;
-
-    LogLevel minLevel ADRIAS_GUARDED_BY(mu) = LogLevel::Warn;
-};
-
-/** Emit a debug-level message. */
-void logDebug(const std::string &message);
-/** Emit an info-level message. */
-void logInfo(const std::string &message);
 /** Emit a warning about questionable but survivable conditions. */
 void logWarn(const std::string &message);
 /** Emit an error message (does not terminate). */

@@ -34,6 +34,7 @@ class ADRIAS_CAPABILITY("mutex") Mutex
     void unlock() ADRIAS_RELEASE() { impl.unlock(); }
 
     /** @return true (with the mutex held) if it was free. */
+    // NOLINTNEXTLINE(unused-api): std::Lockable requires try_lock.
     bool try_lock() ADRIAS_TRY_ACQUIRE(true) { return impl.try_lock(); }
 
   private:

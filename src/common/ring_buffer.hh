@@ -54,9 +54,6 @@ class RingBuffer
     /** @return true when no elements are held. */
     bool empty() const { return count == 0; }
 
-    /** @return true when size() == capacity(). */
-    bool full() const { return count == storage.size(); }
-
     /** Drop all elements (capacity is unchanged). */
     void
     clear()
@@ -91,17 +88,6 @@ class RingBuffer
     oldest() const
     {
         return at(0);
-    }
-
-    /** Copy the contents out in chronological order. */
-    std::vector<T>
-    toVector() const
-    {
-        std::vector<T> result;
-        result.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            result.push_back(at(i));
-        return result;
     }
 
   private:

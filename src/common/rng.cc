@@ -109,18 +109,6 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
-double
-Rng::exponential(double mean)
-{
-    if (mean <= 0.0)
-        panic("exponential: mean must be positive");
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return -mean * std::log(u);
-}
-
 bool
 Rng::bernoulli(double probability)
 {
@@ -129,32 +117,6 @@ Rng::bernoulli(double probability)
     if (probability >= 1.0)
         return true;
     return uniform() < probability;
-}
-
-std::size_t
-Rng::weightedIndex(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        if (w < 0.0)
-            panic("weightedIndex: negative weight");
-        total += w;
-    }
-    if (total <= 0.0)
-        panic("weightedIndex: all weights zero");
-    double target = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(nextU64());
 }
 
 void

@@ -55,25 +55,8 @@ class Rng
     /** @return a sample from N(mean, stddev^2). */
     double gaussian(double mean, double stddev);
 
-    /**
-     * @return a sample from the exponential distribution with given mean.
-     * @pre mean > 0
-     */
-    double exponential(double mean);
-
     /** @return true with the given probability (clamped to [0, 1]). */
     bool bernoulli(double probability);
-
-    /**
-     * Pick an index according to a vector of non-negative weights.
-     *
-     * @param weights per-index weights; at least one must be positive.
-     * @return index in [0, weights.size()).
-     */
-    std::size_t weightedIndex(const std::vector<double> &weights);
-
-    /** Derive an independent child generator (for parallel streams). */
-    Rng split();
 
     /**
      * Serialize the exact stream position: the four xoshiro256** state

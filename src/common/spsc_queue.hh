@@ -105,14 +105,6 @@ class SpscQueue
                tail.load(std::memory_order_acquire);
     }
 
-    /** Producer-side fullness check (true iff tryPush would refuse). */
-    bool
-    full() const
-    {
-        return next(tail.load(std::memory_order_acquire)) ==
-               head.load(std::memory_order_acquire);
-    }
-
     /**
      * Copy the queued elements oldest-first WITHOUT consuming them.
      * Quiescent-only (checkpointing): no concurrent push/pop may be in

@@ -83,14 +83,4 @@ formatDouble(double value, int precision)
     return out.str();
 }
 
-std::string
-asciiBar(double value, double maxValue, int width)
-{
-    if (maxValue <= 0.0 || value <= 0.0 || width <= 0)
-        return "";
-    const double frac = std::min(1.0, value / maxValue);
-    const int n = static_cast<int>(std::lround(frac * width));
-    return std::string(static_cast<std::size_t>(n), '#');
-}
-
 } // namespace adrias

@@ -41,9 +41,6 @@ class TextTable
     /** @return the formatted table, newline-terminated. */
     std::string toString() const;
 
-    /** @return number of data rows added so far. */
-    std::size_t rowCount() const { return rows.size(); }
-
   private:
     std::vector<std::string> header;
     std::vector<std::vector<std::string>> rows;
@@ -51,9 +48,6 @@ class TextTable
 
 /** Format a double with fixed precision (bench-table convention). */
 std::string formatDouble(double value, int precision = 3);
-
-/** Render a horizontal ASCII bar of proportional length. */
-std::string asciiBar(double value, double maxValue, int width = 40);
 
 } // namespace adrias
 

@@ -1,7 +1,5 @@
 #include "common/types.hh"
 
-#include <stdexcept>
-
 namespace adrias
 {
 
@@ -29,16 +27,6 @@ toString(WorkloadClass cls)
         return "interference";
     }
     return "unknown";
-}
-
-MemoryMode
-memoryModeFromString(const std::string &text)
-{
-    if (text == "local")
-        return MemoryMode::Local;
-    if (text == "remote")
-        return MemoryMode::Remote;
-    throw std::invalid_argument("unknown memory mode: '" + text + "'");
 }
 
 } // namespace adrias

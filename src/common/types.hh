@@ -43,14 +43,6 @@ std::string toString(MemoryMode mode);
 /** @return human-readable name of a workload class. */
 std::string toString(WorkloadClass cls);
 
-/**
- * Parse a memory mode from its string form.
- *
- * @param text "local" or "remote" (case-sensitive).
- * @throws std::invalid_argument for any other input.
- */
-MemoryMode memoryModeFromString(const std::string &text);
-
 } // namespace adrias
 
 #endif // ADRIAS_COMMON_TYPES_HH

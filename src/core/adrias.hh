@@ -3,8 +3,10 @@
  * Umbrella header: the public API of the Adrias library.
  *
  * Downstream users include this single header to get the full stack —
- * testbed simulation, workloads, telemetry, scenario generation, the
- * prediction models and the orchestrator.  See examples/quickstart.cc.
+ * testbed simulation, workloads, telemetry, scenario generation with
+ * in-memory datasets, the prediction models, the orchestrator, and the
+ * distribution summaries and regression metrics the benches print.
+ * See examples/quickstart.cc.
  */
 
 #ifndef ADRIAS_CORE_ADRIAS_HH
@@ -25,11 +27,10 @@
 #include "scenario/dataset.hh"
 #include "scenario/runner.hh"
 #include "scenario/signature.hh"
-#include "stats/histogram.hh"
+#include "stats/distribution.hh"
 #include "stats/regression_metrics.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/testbed.hh"
-#include "workloads/memtier.hh"
 #include "workloads/workload.hh"
 
 namespace adrias::core

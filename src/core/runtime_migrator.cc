@@ -54,7 +54,6 @@ ThresholdMigrator::onTick(
                      config.copyBandwidthGBps);
         if (app->requestMigration(MemoryMode::Local, pause)) {
             ++app_state.migrations;
-            ++triggered;
             app_state.ewma.reset(1.0); // fresh start on the new pool
         }
     }

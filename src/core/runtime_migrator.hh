@@ -51,12 +51,8 @@ class ThresholdMigrator : public scenario::RuntimePolicy
     onTick(const std::vector<workloads::WorkloadInstance *> &running,
            const testbed::TickResult &tick, SimTime now) override;
 
-    /** Migrations triggered so far. */
-    std::size_t migrationsTriggered() const { return triggered; }
-
   private:
     MigratorConfig config;
-    std::size_t triggered = 0;
 
     struct AppState
     {

@@ -83,6 +83,7 @@ class CrashInjector
     bool pending() const { return armed && !hasFired; }
 
     /** @return true once the planned crash was thrown. */
+    // NOLINTNEXTLINE(unused-api): test seam; the kill matrix reads it.
     bool fired() const { return hasFired; }
 
     /**

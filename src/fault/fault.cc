@@ -8,28 +8,6 @@
 namespace adrias::fault
 {
 
-std::string
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::LinkDegrade:
-        return "link-degrade";
-      case FaultKind::LinkFlap:
-        return "link-flap";
-      case FaultKind::CounterDrop:
-        return "counter-drop";
-      case FaultKind::CounterCorrupt:
-        return "counter-corrupt";
-      case FaultKind::CounterStale:
-        return "counter-stale";
-      case FaultKind::PredictorLatency:
-        return "predictor-latency";
-      case FaultKind::PredictorCrash:
-        return "predictor-crash";
-    }
-    panic("unknown FaultKind");
-}
-
 namespace
 {
 
@@ -91,16 +69,6 @@ double
 FaultInjector::roll(FaultKind kind, SimTime now, std::uint64_t salt) const
 {
     return hashUniform(plan.seed, kind, now, salt);
-}
-
-bool
-FaultInjector::armedAt(FaultKind kind, SimTime now) const
-{
-    for (const FaultWindow &window : plan.windows)
-        if (window.kind == kind && now >= window.startSec &&
-            now < window.endSec)
-            return true;
-    return false;
 }
 
 bool

@@ -58,9 +58,6 @@ enum class FaultKind : std::uint8_t
 /** Number of fault kinds (for iteration). */
 inline constexpr std::size_t kNumFaultKinds = 7;
 
-/** @return short name of a fault kind (e.g. "link-flap"). */
-std::string faultKindName(FaultKind kind);
-
 /** One armed window of a fault class. */
 struct FaultWindow
 {
@@ -168,9 +165,6 @@ class FaultInjector
 
     /** @return the schedule being executed. */
     const FaultSchedule &schedule() const { return plan; }
-
-    /** @return true when a window of `kind` covers `now`. */
-    bool armedAt(FaultKind kind, SimTime now) const;
 
     /**
      * @return true when `kind` actually fires at `now` — armed and the

@@ -173,13 +173,4 @@ BatchNorm1d::stateTensors()
     return {&runMean, &runVar};
 }
 
-void
-BatchNorm1d::setRunningStats(Matrix mean, Matrix var)
-{
-    if (mean.cols() != runMean.cols() || var.cols() != runVar.cols())
-        panic("BatchNorm1d::setRunningStats width mismatch");
-    runMean = std::move(mean);
-    runVar = std::move(var);
-}
-
 } // namespace adrias::ml

@@ -34,13 +34,6 @@ class BatchNorm1d : public Layer
     void endStatsEstimation() override;
     std::vector<Matrix *> stateTensors() override;
 
-    /** Running mean (exposed for testing/serialization). */
-    const Matrix &runningMean() const { return runMean; }
-    /** Running variance (exposed for testing/serialization). */
-    const Matrix &runningVar() const { return runVar; }
-    /** Overwrite running statistics (used on model load). */
-    void setRunningStats(Matrix mean, Matrix var);
-
   private:
     Param gamma; ///< (1 x features) learned scale
     Param beta;  ///< (1 x features) learned shift

@@ -1,6 +1,5 @@
 #include "ml/loss.hh"
 
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -24,36 +23,6 @@ mseLoss(const Matrix &prediction, const Matrix &target, Matrix *grad)
         total += diff * diff;
         if (grad)
             grad->raw()[i] = 2.0 * diff / n;
-    }
-    return total / n;
-}
-
-double
-huberLoss(const Matrix &prediction, const Matrix &target, double delta,
-          Matrix *grad)
-{
-    if (prediction.rows() != target.rows() ||
-        prediction.cols() != target.cols()) {
-        panic("huberLoss shape mismatch");
-    }
-    if (delta <= 0.0)
-        fatal("huberLoss delta must be positive");
-    const auto n = static_cast<double>(prediction.size());
-    double total = 0.0;
-    if (grad)
-        *grad = Matrix(prediction.rows(), prediction.cols());
-    for (std::size_t i = 0; i < prediction.size(); ++i) {
-        const double diff = prediction.raw()[i] - target.raw()[i];
-        const double abs_diff = std::fabs(diff);
-        if (abs_diff <= delta) {
-            total += 0.5 * diff * diff;
-            if (grad)
-                grad->raw()[i] = diff / n;
-        } else {
-            total += delta * (abs_diff - 0.5 * delta);
-            if (grad)
-                grad->raw()[i] = delta * (diff > 0.0 ? 1.0 : -1.0) / n;
-        }
     }
     return total / n;
 }

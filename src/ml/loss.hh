@@ -22,15 +22,6 @@ namespace adrias::ml
 double mseLoss(const Matrix &prediction, const Matrix &target,
                Matrix *grad = nullptr);
 
-/**
- * Huber (smooth-L1) loss over all elements; less sensitive to the
- * heavy-tailed execution-time outliers that congested scenarios create.
- *
- * @param delta transition point between quadratic and linear regimes.
- */
-double huberLoss(const Matrix &prediction, const Matrix &target,
-                 double delta = 1.0, Matrix *grad = nullptr);
-
 } // namespace adrias::ml
 
 #endif // ADRIAS_ML_LOSS_HH

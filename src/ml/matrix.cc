@@ -188,21 +188,6 @@ Matrix::constant(std::size_t rows, std::size_t cols, double value)
     return m;
 }
 
-Matrix
-Matrix::identity(std::size_t order)
-{
-    Matrix m(order, order);
-    for (std::size_t i = 0; i < order; ++i)
-        m.data[i * order + i] = 1.0;
-    return m;
-}
-
-Matrix
-Matrix::rowVector(const std::vector<double> &values)
-{
-    return Matrix(1, values.size(), values);
-}
-
 void
 Matrix::resize(std::size_t rows_, std::size_t cols_)
 {
@@ -497,15 +482,6 @@ Matrix::norm() const
     for (double x : data)
         total += x * x;
     return std::sqrt(total);
-}
-
-double
-Matrix::maxAbs() const
-{
-    double peak = 0.0;
-    for (double x : data)
-        peak = std::max(peak, std::fabs(x));
-    return peak;
 }
 
 std::string

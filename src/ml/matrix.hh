@@ -49,12 +49,6 @@ class Matrix
     /** @return matrix filled with a constant. */
     static Matrix constant(std::size_t rows, std::size_t cols, double value);
 
-    /** @return identity matrix of the given order. */
-    static Matrix identity(std::size_t order);
-
-    /** @return a 1 x n row vector wrapping the given values. */
-    static Matrix rowVector(const std::vector<double> &values);
-
     std::size_t rows() const { return nRows; }
     std::size_t cols() const { return nCols; }
     std::size_t size() const { return data.size(); }
@@ -188,9 +182,6 @@ class Matrix
 
     /** Frobenius norm. */
     double norm() const;
-
-    /** Largest absolute element. */
-    double maxAbs() const;
 
     /** Shape string "RxC" for diagnostics. */
     std::string shape() const;

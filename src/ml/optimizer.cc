@@ -40,31 +40,6 @@ Optimizer::clipGradNorm(double max_norm)
     return norm;
 }
 
-Sgd::Sgd(std::vector<Param *> parameters, double learning_rate,
-         double momentum_)
-    : Optimizer(std::move(parameters)), lr(learning_rate),
-      momentum(momentum_)
-{
-    if (lr <= 0.0)
-        fatal("Sgd learning rate must be positive");
-    velocity.reserve(params.size());
-    for (const Param *p : params)
-        velocity.emplace_back(p->value.rows(), p->value.cols());
-}
-
-void
-Sgd::step()
-{
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        Param &p = *params[i];
-        Matrix &vel = velocity[i];
-        for (std::size_t j = 0; j < p.value.size(); ++j) {
-            vel.raw()[j] = momentum * vel.raw()[j] - lr * p.grad.raw()[j];
-            p.value.raw()[j] += vel.raw()[j];
-        }
-    }
-}
-
 Adam::Adam(std::vector<Param *> parameters, double learning_rate,
            double beta1_, double beta2_, double epsilon_)
     : Optimizer(std::move(parameters)), lr(learning_rate), beta1(beta1_),

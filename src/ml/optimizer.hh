@@ -1,6 +1,6 @@
 /**
  * @file
- * Gradient-descent optimizers (SGD with momentum, Adam).
+ * Gradient-descent optimizer (Adam) over a shared Optimizer base.
  */
 
 #ifndef ADRIAS_ML_OPTIMIZER_HH
@@ -37,21 +37,6 @@ class Optimizer
     std::vector<Param *> params;
 };
 
-/** Stochastic gradient descent with classical momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<Param *> parameters, double learning_rate,
-        double momentum = 0.0);
-
-    void step() override;
-
-  private:
-    double lr;
-    double momentum;
-    std::vector<Matrix> velocity;
-};
-
 /** Adam optimizer with bias correction (Kingma & Ba, 2015). */
 class Adam : public Optimizer
 {
@@ -60,10 +45,6 @@ class Adam : public Optimizer
          double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
 
     void step() override;
-
-    /** Current learning rate (mutable for simple decay schedules). */
-    double learningRate() const { return lr; }
-    void setLearningRate(double learning_rate) { lr = learning_rate; }
 
   private:
     double lr;

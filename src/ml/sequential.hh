@@ -36,8 +36,6 @@ class Sequential : public Layer
     void endStatsEstimation() override;
     std::vector<Matrix *> stateTensors() override;
 
-    std::size_t layerCount() const { return layers.size(); }
-
   private:
     std::vector<std::unique_ptr<Layer>> layers;
 };

@@ -109,14 +109,6 @@ BatchAssembler::take()
     return batch;
 }
 
-SimTime
-BatchAssembler::earliestDeadline() const
-{
-    if (queue.empty())
-        panic("BatchAssembler::earliestDeadline on empty queue");
-    return earliest;
-}
-
 void
 BatchAssembler::recomputeEarliest()
 {

@@ -106,9 +106,6 @@ class BatchAssembler
     /** Items currently queued. */
     std::size_t pending() const { return queue.size(); }
 
-    /** Earliest deadline among pending items. @pre pending() > 0. */
-    SimTime earliestDeadline() const;
-
     const BatchAssemblerConfig &config() const { return knobs; }
 
   private:

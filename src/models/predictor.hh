@@ -134,6 +134,7 @@ class Predictor : public PredictorBase
     const SystemStateModel &systemModel() const { return *system; }
     SystemStateModel &systemModel() { return *system; }
     const PerformanceModel &bestEffortModel() const { return *bestEffort; }
+    // NOLINTNEXTLINE(unused-api): test seam for the LC model's memos.
     const PerformanceModel &latencyCriticalModel() const { return *lc; }
 
     bool trained() const override { return isTrained; }

@@ -91,6 +91,7 @@ class SystemStateModel
     bool trained() const { return net.trained(); }
 
     /** Ŝ forecasts the state memo holds right now. */
+    // NOLINTNEXTLINE(unused-api): test seam; memo hits are bitwise silent.
     std::size_t memoizedStates() const { return stateMemo.size(); }
 
     /**

@@ -53,44 +53,6 @@ Histogram::observe(double value, SimTime now)
 #endif
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-#if ADRIAS_OBS_ENABLED
-    // Copy the source under its own lock, then fold under ours: no
-    // two locks held at once, so concurrent a.merge(b) / b.merge(a)
-    // cannot deadlock.
-    stats::OnlineStats other_summary;
-    std::vector<double> other_values;
-    SimTime other_first = kNoSimTime;
-    SimTime other_last = kNoSimTime;
-    {
-        MutexLock lock(other.mu);
-        other_summary = other.summary;
-        other_values = other.reservoir.values();
-        other_first = other.firstSim;
-        other_last = other.lastSim;
-    }
-
-    MutexLock lock(mu);
-    summary.merge(other_summary);
-    // Re-offering the source's *retained* values approximates merging
-    // the underlying streams — exact for the moments (OnlineStats
-    // merge), approximate for the quantiles, which is the reservoir's
-    // contract anyway.
-    for (double v : other_values)
-        reservoir.add(v);
-    if (other_first != kNoSimTime &&
-        (firstSim == kNoSimTime || other_first < firstSim))
-        firstSim = other_first;
-    if (other_last != kNoSimTime &&
-        (lastSim == kNoSimTime || other_last > lastSim))
-        lastSim = other_last;
-#else
-    (void)other;
-#endif
-}
-
 HistogramSnapshot
 Histogram::snapshot() const
 {

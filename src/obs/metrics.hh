@@ -140,9 +140,6 @@ class Histogram
     void observe(double value, SimTime now = kNoSimTime)
         ADRIAS_EXCLUDES(mu);
 
-    /** Fold another histogram in (per-lane partials, tests). */
-    void merge(const Histogram &other) ADRIAS_EXCLUDES(mu);
-
     /** @return a consistent snapshot of moments, quantiles and span. */
     HistogramSnapshot snapshot() const ADRIAS_EXCLUDES(mu);
 

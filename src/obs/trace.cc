@@ -93,12 +93,6 @@ arg(const std::string &key, const char *value)
 }
 
 int
-currentLane()
-{
-    return t_lane;
-}
-
-int
 detail::exchangeLane(int lane)
 {
     const int previous = t_lane;

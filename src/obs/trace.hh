@@ -163,9 +163,6 @@ class Tracer
         "exists") = 0.0;
 };
 
-/** @return the calling thread's trace lane (0 = main). */
-int currentLane();
-
 namespace detail
 {
 /** Swap the calling thread's lane; @return the previous lane. */

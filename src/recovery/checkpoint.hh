@@ -86,9 +86,6 @@ class CheckpointManager
         return now - lastTick >= config.intervalSec;
     }
 
-    /** Tick of the most recent successful snapshot (or restore). */
-    SimTime lastCheckpointTick() const { return lastTick; }
-
     /** Oldest snapshot tick still on disk (0 when none). */
     SimTime oldestKeptTick() const;
 

@@ -52,9 +52,6 @@ class DecisionJournal : public scenario::DecisionSink
     /** @return true while an epoch file is open. */
     bool isOpen() const { return writer.isOpen(); }
 
-    /** Decisions appended through this journal since open(). */
-    std::size_t appendCount() const { return writer.appendCount(); }
-
     /** Install a kill-point hook on the underlying writer. */
     void
     setChaosHook(io::WriteChaosHook hook)

@@ -69,6 +69,7 @@ struct RecoveryReport
 };
 
 /** A checkpointed, journaled, crash-recoverable scenario run. */
+// NOLINTNEXTLINE(unused-api): recovery code, run by the kill matrix.
 class RecoverableScenario
 {
   public:
@@ -80,9 +81,11 @@ class RecoverableScenario
      * Must be called before start(); attach order must match the
      * process being recovered.
      */
+    // NOLINTNEXTLINE(unused-api): recovery code, as RecoverableScenario.
     void attachSection(io::Checkpointable &section);
 
     /** Arm kill points for the chaos tests (nullptr to disarm). */
+    // NOLINTNEXTLINE(unused-api): test seam for the kill matrix.
     void setCrashInjector(fault::CrashInjector *injector);
 
     /**

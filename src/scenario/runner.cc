@@ -15,16 +15,6 @@ using workloads::IBenchKind;
 using workloads::WorkloadInstance;
 using workloads::WorkloadSpec;
 
-std::vector<const DeploymentRecord *>
-ScenarioResult::recordsOfClass(WorkloadClass cls) const
-{
-    std::vector<const DeploymentRecord *> selected;
-    for (const DeploymentRecord &record : records)
-        if (record.cls == cls)
-            selected.push_back(&record);
-    return selected;
-}
-
 std::vector<ml::Matrix>
 historyWindowAt(const std::vector<testbed::CounterSample> &trace,
                 SimTime arrival)

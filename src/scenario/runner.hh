@@ -95,10 +95,6 @@ struct ScenarioResult
 
     /** Watcher self-repair tallies at scenario end. */
     telemetry::WatcherHealth watcherHealth{};
-
-    /** Records of one class, excluding trashers unless asked. */
-    std::vector<const DeploymentRecord *>
-    recordsOfClass(WorkloadClass cls) const;
 };
 
 /**

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "ml/serialize.hh"
-#include "stats/percentile.hh"
 
 namespace adrias::serving
 {
@@ -129,12 +128,6 @@ DecisionService::stats() const
     return merged;
 }
 
-double
-DecisionService::p99LatencyTicks() const
-{
-    return stats::quantileOfCounts(latencyCounts, 0.99);
-}
-
 void
 DecisionService::recordDecision(const PlacementRequest &request,
                                 MemoryMode mode, DecisionPath path,
@@ -174,10 +167,6 @@ DecisionService::recordDecision(const PlacementRequest &request,
         ++tallies.missedDeadlines;
     if (decision.latencyTicks < 0)
         fatal("DecisionService: request decided before its submission");
-    const auto ticks = static_cast<std::size_t>(decision.latencyTicks);
-    if (ticks >= latencyCounts.size())
-        latencyCounts.resize(ticks + 1, 0);
-    ++latencyCounts[ticks];
     out.push_back(std::move(decision));
 }
 
@@ -232,10 +221,11 @@ DecisionService::checkpointTag() const
 namespace
 {
 
-/** Leads every payload.  v1 kept every latency sample as a double
- *  and v2 wrote each window step as bare columns; such a payload fails
- *  this check instead of being misread. */
-constexpr std::string_view kPayloadFormat = "decision-service-v3";
+/** Leads every payload.  v1 kept every latency sample as a double,
+ *  v2 wrote each window step as bare columns and v3 carried per-tick
+ *  latency counts; such a payload fails this check instead of being
+ *  misread. */
+constexpr std::string_view kPayloadFormat = "decision-service-v4";
 
 } // namespace
 
@@ -264,10 +254,6 @@ DecisionService::saveState(io::BinaryWriter &out) const
     out.writeU64(tallies.remoteDecisions);
     out.writeU64(tallies.missedDeadlines);
     out.writeU64(tallies.epochs);
-
-    out.writeU64(latencyCounts.size());
-    for (std::uint64_t count : latencyCounts)
-        out.writeU64(count);
 
     const auto writeRequest = [&out](const PlacementRequest &request) {
         out.writeU64(request.id);
@@ -324,14 +310,6 @@ DecisionService::restoreState(io::BinaryReader &in)
     tallies.remoteDecisions = in.readU64();
     tallies.missedDeadlines = in.readU64();
     tallies.epochs = in.readU64();
-
-    const std::uint64_t latency_values = in.readU64();
-    if (!in.ok() || latency_values > in.remaining() / 8)
-        return makeError(ErrorCode::Truncated,
-                         "DecisionService: truncated latency counts");
-    latencyCounts.assign(static_cast<std::size_t>(latency_values), 0);
-    for (std::uint64_t &count : latencyCounts)
-        count = in.readU64();
 
     // A restored request must name one of this service's shards and a
     // class the rules place; anything else marks a corrupt payload.

@@ -148,16 +148,11 @@ class DecisionService : public io::Checkpointable
     std::vector<PlacementDecision> drain(SimTime now);
 
     /** Requests queued or batched but not yet decided. */
+    // NOLINTNEXTLINE(unused-api): test seam; ServingGoldenTest reads it.
     std::size_t inflightCount() const;
 
     /** Tallies; includes the producer-side submit/reject counters. */
     DecisionServiceStats stats() const;
-
-    /**
-     * p99 of decision latency in ticks (NaN before any decision):
-     * bitwise stats::quantile() over every decision's latencyTicks.
-     */
-    double p99LatencyTicks() const;
 
     const DecisionServiceConfig &config() const { return knobs; }
 
@@ -207,10 +202,6 @@ class DecisionService : public io::Checkpointable
     std::uint64_t batchCounter = 0;
     EpochSnapshot snapshot;
     DecisionServiceStats tallies;
-
-    /** Decisions per latency (index = latencyTicks): memory grows with
-     *  the longest latency, not with the number of decisions. */
-    std::vector<std::uint64_t> latencyCounts;
 
     /** Producer-side counters (atomic: one writer per shard races
      *  only against the stats() reader, never another writer of the

@@ -43,6 +43,7 @@ struct ServedPolicyConfig
  * stats included.  The daemon decides the memory mode on a one-node
  * rack; place() is fatal on a wider one.
  */
+// NOLINTNEXTLINE(unused-api): ServingGoldenTest pins it bitwise.
 class ServedPlacementPolicy : public scenario::ClusterPolicy
 {
   public:

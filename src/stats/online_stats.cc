@@ -18,26 +18,6 @@ OnlineStats::add(double value)
 }
 
 void
-OnlineStats::merge(const OnlineStats &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double total = static_cast<double>(n + other.n);
-    const double delta = other.mu - mu;
-    m2 += other.m2 +
-          delta * delta * static_cast<double>(n) *
-              static_cast<double>(other.n) / total;
-    mu += delta * static_cast<double>(other.n) / total;
-    n += other.n;
-    minValue = std::min(minValue, other.minValue);
-    maxValue = std::max(maxValue, other.maxValue);
-}
-
-void
 OnlineStats::reset()
 {
     n = 0;
@@ -51,12 +31,6 @@ double
 OnlineStats::variance() const
 {
     return n < 2 ? 0.0 : m2 / static_cast<double>(n);
-}
-
-double
-OnlineStats::sampleVariance() const
-{
-    return n < 2 ? 0.0 : m2 / static_cast<double>(n - 1);
 }
 
 double

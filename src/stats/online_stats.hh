@@ -26,9 +26,6 @@ class OnlineStats
     /** Fold one observation into the summary. */
     void add(double value);
 
-    /** Merge another accumulator (parallel reduction). */
-    void merge(const OnlineStats &other);
-
     /** Drop all state. */
     void reset();
 
@@ -40,9 +37,6 @@ class OnlineStats
 
     /** @return population variance (0 for n < 2). */
     double variance() const;
-
-    /** @return sample variance with Bessel's correction (0 for n < 2). */
-    double sampleVariance() const;
 
     /** @return population standard deviation. */
     double stddev() const;

@@ -70,33 +70,6 @@ quantile(std::vector<double> values, double q)
 }
 
 double
-quantileOfCounts(const std::vector<std::uint64_t> &counts, double q)
-{
-    if (!(q >= 0.0 && q <= 1.0))
-        fatal("quantile: q must lie in [0, 1]");
-    std::uint64_t total = 0;
-    for (std::uint64_t count : counts)
-        total += count;
-    if (total == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    // The value at 0-based rank `rank` of the sorted sample.
-    const auto valueAt = [&counts](std::uint64_t rank) {
-        std::uint64_t below = 0;
-        std::size_t value = 0;
-        while (rank >= below + counts[value])
-            below += counts[value++];
-        return static_cast<double>(value);
-    };
-    const double pos = q * static_cast<double>(total - 1);
-    const auto lo = static_cast<std::uint64_t>(std::floor(pos));
-    const auto hi = static_cast<std::uint64_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    const double at_lo = valueAt(lo);
-    const double at_hi = hi == lo ? at_lo : valueAt(hi);
-    return at_lo + frac * (at_hi - at_lo);
-}
-
-double
 PercentileTracker::quantile(double q) const
 {
     return stats::quantile(samples, q);

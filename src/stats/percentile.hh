@@ -51,20 +51,6 @@ double quantile(std::vector<double> values, double q);
 std::vector<double> quantiles(std::vector<double> values,
                               std::initializer_list<double> qs);
 
-/**
- * quantile() of a sample of non-negative integers held as counts per
- * value (counts[v] observations of v): O(largest value) memory rather
- * than O(observations).  The interpolation is quantile()'s, step for
- * step, so the result is bitwise the one quantile() gives over the
- * expanded sample (as doubles, while values and the count stay below
- * 2^53).
- *
- * @param q quantile in [0, 1]; anything else is fatal.
- * @return interpolated quantile; NaN when every count is zero.
- */
-double quantileOfCounts(const std::vector<std::uint64_t> &counts,
-                        double q);
-
 /** Exact percentile tracker that retains all observations. */
 class PercentileTracker
 {
@@ -128,9 +114,6 @@ class ReservoirSampler
 
     /** @return total observations offered (not retained). */
     std::size_t count() const { return seen; }
-
-    /** @return number of retained samples. */
-    std::size_t retained() const { return reservoir.size(); }
 
     /** @return the retained samples (reservoir slot order). */
     const std::vector<double> &values() const { return reservoir; }

@@ -56,36 +56,4 @@ meanAbsoluteError(const std::vector<double> &actual,
     return total / static_cast<double>(actual.size());
 }
 
-double
-rootMeanSquaredError(const std::vector<double> &actual,
-                     const std::vector<double> &predicted)
-{
-    checkSizes(actual, predicted);
-    double total = 0.0;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        const double d = actual[i] - predicted[i];
-        total += d * d;
-    }
-    return std::sqrt(total / static_cast<double>(actual.size()));
-}
-
-double
-meanAbsolutePercentageError(const std::vector<double> &actual,
-                            const std::vector<double> &predicted,
-                            double epsilon)
-{
-    checkSizes(actual, predicted);
-    double total = 0.0;
-    std::size_t used = 0;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        if (std::fabs(actual[i]) < epsilon)
-            continue;
-        total += std::fabs((actual[i] - predicted[i]) / actual[i]);
-        ++used;
-    }
-    if (used == 0)
-        return 0.0;
-    return 100.0 * total / static_cast<double>(used);
-}
-
 } // namespace adrias::stats

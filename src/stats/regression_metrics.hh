@@ -28,18 +28,6 @@ double r2Score(const std::vector<double> &actual,
 double meanAbsoluteError(const std::vector<double> &actual,
                          const std::vector<double> &predicted);
 
-/** Root mean squared error. @pre sizes match and are non-zero. */
-double rootMeanSquaredError(const std::vector<double> &actual,
-                            const std::vector<double> &predicted);
-
-/**
- * Mean absolute percentage error, in percent.  Pairs with
- * |actual| < epsilon are skipped to avoid division blow-ups.
- */
-double meanAbsolutePercentageError(const std::vector<double> &actual,
-                                   const std::vector<double> &predicted,
-                                   double epsilon = 1e-12);
-
 } // namespace adrias::stats
 
 #endif // ADRIAS_STATS_REGRESSION_METRICS_HH

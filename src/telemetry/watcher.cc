@@ -160,13 +160,6 @@ Watcher::sampleCount() const
     return history.size();
 }
 
-bool
-Watcher::hasWindow(std::size_t window_seconds) const
-{
-    MutexLock lock(mu);
-    return history.size() >= window_seconds;
-}
-
 void
 Watcher::clear()
 {
@@ -263,24 +256,6 @@ Watcher::binnedWindow(std::size_t window_seconds, std::size_t bins) const
         window[pad + i] = history.at(history.size() - have + i);
 
     return binSpan(window, 0, window.size(), bins);
-}
-
-CounterSample
-Watcher::meanOverTrailing(std::size_t window_seconds) const
-{
-    MutexLock lock(mu);
-    if (history.empty())
-        fatal("Watcher::meanOverTrailing with no samples");
-    const std::size_t have = std::min(history.size(), window_seconds);
-    CounterSample mean{};
-    for (std::size_t i = history.size() - have; i < history.size(); ++i) {
-        const CounterSample &s = history.at(i);
-        for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-            mean[e] += s[e];
-    }
-    for (double &v : mean)
-        v /= static_cast<double>(have);
-    return mean;
 }
 
 CounterSample

@@ -106,9 +106,6 @@ class Watcher
     /** @return number of samples currently retained. */
     std::size_t sampleCount() const ADRIAS_EXCLUDES(mu);
 
-    /** @return true once at least `window` seconds are retained. */
-    bool hasWindow(std::size_t window_seconds) const ADRIAS_EXCLUDES(mu);
-
     /**
      * Binned history sequence over the trailing window — the model
      * input S of Fig. 11.
@@ -123,10 +120,6 @@ class Watcher
     std::vector<ml::Matrix> binnedWindow(std::size_t window_seconds,
                                          std::size_t bins) const
         ADRIAS_EXCLUDES(mu);
-
-    /** Mean of each event over the trailing `window_seconds`. */
-    testbed::CounterSample
-    meanOverTrailing(std::size_t window_seconds) const ADRIAS_EXCLUDES(mu);
 
     /** Most recent sample (snapshot). @pre sampleCount() > 0. */
     testbed::CounterSample latest() const ADRIAS_EXCLUDES(mu);

@@ -20,21 +20,4 @@ linkLatencyCycles(const LinkProfile &profile, double pressure)
            frac * (profile.latencySatCycles - profile.latencyBaseCycles);
 }
 
-const std::vector<LinkProfile> &
-allLinkProfiles()
-{
-    static const std::vector<LinkProfile> profiles{
-        kThymesisFlowProfile, kCxlProfile, kRdmaProfile};
-    return profiles;
-}
-
-const LinkProfile &
-linkProfileByName(const std::string &name)
-{
-    for (const LinkProfile &profile : allLinkProfiles())
-        if (name == profile.name)
-            return profile;
-    fatal("linkProfileByName: unknown link profile '" + name + "'");
-}
-
 } // namespace adrias::testbed

@@ -13,8 +13,6 @@
 #ifndef ADRIAS_TESTBED_LINK_PROFILES_HH
 #define ADRIAS_TESTBED_LINK_PROFILES_HH
 
-#include <string>
-#include <vector>
 
 namespace adrias::testbed
 {
@@ -83,16 +81,6 @@ inline constexpr LinkProfile kRdmaProfile{
  * @param pressure offered demand divided by effective capacity.
  */
 double linkLatencyCycles(const LinkProfile &profile, double pressure);
-
-/** @return every named profile, in a stable order. */
-const std::vector<LinkProfile> &allLinkProfiles();
-
-/**
- * Look up a profile by its canonical name.
- *
- * @throws std::runtime_error on an unknown name.
- */
-const LinkProfile &linkProfileByName(const std::string &name);
 
 } // namespace adrias::testbed
 

@@ -187,22 +187,6 @@ RackTestbed::setLinkFault(std::size_t link, double bw_scale,
     linkLatencyScale[link] = latency_scale;
 }
 
-void
-RackTestbed::clearLinkFaults()
-{
-    linkBwScale.assign(topo.linkCount(), 1.0);
-    linkLatencyScale.assign(topo.linkCount(), 1.0);
-}
-
-bool
-RackTestbed::anyLinkFaulted() const
-{
-    for (std::size_t l = 0; l < topo.linkCount(); ++l)
-        if (linkBwScale[l] < 1.0 || linkLatencyScale[l] > 1.0)
-            return true;
-    return false;
-}
-
 Result<void>
 RackTestbed::allocate(std::size_t server, double gb)
 {

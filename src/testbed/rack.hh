@@ -228,12 +228,6 @@ class RackTestbed
     void setLinkFault(std::size_t link, double bw_scale,
                       double latency_scale);
 
-    /** Restore every link to health. */
-    void clearLinkFaults();
-
-    /** @return true while any link fault is applied. */
-    bool anyLinkFaulted() const;
-
     /** Bandwidth scale setLinkFault last applied to a link. */
     double linkBwFault(std::size_t link) const { return linkBwScale.at(link); }
 

@@ -103,23 +103,6 @@ class Testbed
      */
     void setNoise(double relative_sigma) { rack.setNoise(relative_sigma); }
 
-    /**
-     * Degrade the remote channel (fault injection): scale its
-     * effective bandwidth by `bw_scale` in (0, 1] and its back-pressure
-     * latency by `latency_scale` >= 1.  Persists until changed.
-     */
-    void
-    setChannelFault(double bw_scale, double latency_scale)
-    {
-        rack.setLinkFault(0, bw_scale, latency_scale);
-    }
-
-    /** Restore the healthy channel. */
-    void clearChannelFault() { rack.clearLinkFaults(); }
-
-    /** @return true while a channel fault is applied. */
-    bool channelFaulted() const { return rack.anyLinkFaulted(); }
-
     /** Serialize the evolving state (RackTestbed::saveState). */
     void saveState(io::BinaryWriter &out) const { rack.saveState(out); }
 

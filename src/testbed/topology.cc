@@ -123,11 +123,8 @@ Topology::validate()
     }
 
     nodeLinks.assign(nodes.size(), {});
-    serverLinks.assign(servers.size(), {});
-    for (std::size_t i = 0; i < links.size(); ++i) {
+    for (std::size_t i = 0; i < links.size(); ++i)
         nodeLinks[links[i].node].push_back(i);
-        serverLinks[links[i].server].push_back(i);
-    }
 
     validated = true;
     return *this;
@@ -155,51 +152,6 @@ Topology::linksFrom(std::size_t node) const
     if (node >= nodeLinks.size())
         fatal("Topology '" + topologyName + "': linksFrom out of range");
     return nodeLinks[node];
-}
-
-const std::vector<std::size_t> &
-Topology::linksInto(std::size_t server) const
-{
-    requireValidated("linksInto");
-    if (server >= serverLinks.size())
-        fatal("Topology '" + topologyName + "': linksInto out of range");
-    return serverLinks[server];
-}
-
-std::int64_t
-Topology::linkBetween(std::size_t node, std::size_t server) const
-{
-    for (std::size_t i = 0; i < links.size(); ++i)
-        if (links[i].node == node && links[i].server == server)
-            return static_cast<std::int64_t>(i);
-    return -1;
-}
-
-std::int64_t
-Topology::linkIndexByName(const std::string &name) const
-{
-    for (std::size_t i = 0; i < links.size(); ++i)
-        if (links[i].name == name)
-            return static_cast<std::int64_t>(i);
-    return -1;
-}
-
-std::int64_t
-Topology::serverOwning(std::uint64_t addressGb) const
-{
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        if (servers[i].range.contains(addressGb))
-            return static_cast<std::int64_t>(i);
-    return -1;
-}
-
-double
-Topology::totalCapacityGb() const
-{
-    double total = 0.0;
-    for (const MemoryServerDesc &server : servers)
-        total += server.capacityGb;
-    return total;
 }
 
 Topology

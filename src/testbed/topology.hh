@@ -39,13 +39,6 @@ struct AddressRange
     /** One past the last owned GiB. */
     std::uint64_t endGb() const { return baseGb + sizeGb; }
 
-    /** @return true when `gb` falls inside the range. */
-    bool
-    contains(std::uint64_t gb) const
-    {
-        return gb >= baseGb && gb < endGb();
-    }
-
     /** @return true when the two ranges share at least one GiB. */
     bool
     overlaps(const AddressRange &other) const
@@ -170,21 +163,6 @@ class Topology
     /** Indices of the links leaving one compute node, ascending. */
     const std::vector<std::size_t> &linksFrom(std::size_t node) const;
 
-    /** Indices of the links entering one memory server, ascending. */
-    const std::vector<std::size_t> &linksInto(std::size_t server) const;
-
-    /** Link index connecting (node, server), or -1 when absent. */
-    std::int64_t linkBetween(std::size_t node, std::size_t server) const;
-
-    /** Link index by its unique name, or -1 when unknown. */
-    std::int64_t linkIndexByName(const std::string &name) const;
-
-    /** Server owning a global remote address (GiB), or -1. */
-    std::int64_t serverOwning(std::uint64_t addressGb) const;
-
-    /** Total allocatable remote capacity across servers, GB. */
-    double totalCapacityGb() const;
-
     // --- named factories ----------------------------------------------
 
     /** The paper's testbed: 1 node, 1 server, 1 ThymesisFlow link. */
@@ -220,9 +198,8 @@ class Topology
     std::vector<MemoryServerDesc> servers;
     std::vector<LinkDesc> links;
 
-    /** Per-node / per-server link indices, rebuilt by validate(). */
+    /** Per-node link indices, rebuilt by validate(). */
     std::vector<std::vector<std::size_t>> nodeLinks;
-    std::vector<std::vector<std::size_t>> serverLinks;
 
     /** Next auto-assigned address-range base, GiB. */
     std::uint64_t nextRangeBaseGb = 0;

@@ -304,22 +304,4 @@ WorkloadInstance::requestMigration(MemoryMode target, double pause_sec)
     return true;
 }
 
-double
-WorkloadInstance::progressFraction() const
-{
-    MutexLock lock(mu);
-    switch (specification->cls) {
-      case WorkloadClass::BestEffort:
-        return std::min(1.0, progressSec / specification->baseDurationSec);
-      case WorkloadClass::LatencyCritical:
-        return specification->totalRequests <= 0.0
-                   ? 1.0
-                   : std::min(1.0, requestsServed /
-                                       specification->totalRequests);
-      case WorkloadClass::Interference:
-        return std::min(1.0, elapsedSec / specification->baseDurationSec);
-    }
-    return 0.0;
-}
-
 } // namespace adrias::workloads

@@ -124,9 +124,6 @@ class WorkloadInstance
         return remoteGb;
     }
 
-    /** Progress in [0, 1] for BE jobs; request fraction for LC. */
-    double progressFraction() const ADRIAS_EXCLUDES(mu);
-
     /**
      * Request an L2 migration to the other memory pool (paper §II's
      * runtime-management layer, complementary to Adrias).

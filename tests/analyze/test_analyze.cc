@@ -3,10 +3,10 @@
  * Self-tests for the cross-file semantic analyzer (tools/analyze):
  * every pass is proven against a deliberately violating fixture and a
  * clean counterpart, the waiver macros and NOLINT escapes are shown
- * to suppress, cross-file declaration/body merging is exercised, a
- * seeded fault (deleting one saveState line from the real
- * ScenarioEngine) is demonstrably caught, and the real tree must
- * analyze clean.
+ * to suppress, cross-file declaration/body merging is exercised, two
+ * seeded faults (deleting one saveState line from the real
+ * ScenarioEngine; removing the one bench call of obs::compiledIn) are
+ * demonstrably caught, and the real tree must analyze clean.
  *
  * Violating code lives under tools/analyze/fixtures/ or in string
  * literals — never compiled, only parsed.
@@ -26,8 +26,10 @@ namespace
 {
 
 using adrias::analyze::analyzeFiles;
+using adrias::analyze::analyzeProgram;
 using adrias::analyze::analyzeTree;
 using adrias::analyze::Finding;
+using adrias::analyze::readTree;
 using adrias::analyze::SourceFile;
 
 std::string
@@ -72,14 +74,14 @@ anyMentions(const std::vector<std::string> &details,
 TEST(AnalyzePasses, EveryPassHasMetadata)
 {
     const auto &passes = adrias::analyze::passes();
-    ASSERT_EQ(passes.size(), 3u);
+    ASSERT_EQ(passes.size(), 4u);
     std::vector<std::string> ids;
     for (const auto &pass : passes) {
         EXPECT_FALSE(pass.description.empty()) << pass.id;
         ids.push_back(pass.id);
     }
-    for (const char *expected :
-         {"checkpoint-coverage", "lock-discipline", "determinism-hazard"}) {
+    for (const char *expected : {"checkpoint-coverage", "lock-discipline",
+                                 "determinism-hazard", "unused-api"}) {
         EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
             << expected;
     }
@@ -155,6 +157,48 @@ TEST(DeterminismHazard, GoodFixtureIsClean)
     const auto findings = analyzeFiles({fixture("good_determinism.cc")});
     EXPECT_TRUE(findings.empty())
         << adrias::analyze::formatFinding(findings.front());
+}
+
+/** Every finding, one per line, for assertion messages. */
+std::string
+report(const std::vector<Finding> &findings)
+{
+    std::string text;
+    for (const auto &finding : findings)
+        text += adrias::analyze::formatFinding(finding) + "\n";
+    return text;
+}
+
+TEST(UnusedApi, BadFixtureFlagsTheDeadEntities)
+{
+    const auto findings = analyzeProgram({fixture("bad_unused_api.hh")},
+                                         {fixture("unused_api_user.cc")});
+    const auto details = detailsOf(findings, "unused-api");
+    ASSERT_EQ(details.size(), 5u) << report(findings);
+    EXPECT_TRUE(anyMentions(details, "'fixture::Meter::reset'"));
+    EXPECT_TRUE(anyMentions(details, "class 'Gauge'"));
+    EXPECT_TRUE(anyMentions(details, "'clamp01'"));
+    EXPECT_TRUE(anyMentions(details, "'countdown'")); // self-calls only
+    EXPECT_TRUE(anyMentions(details, "'fixture::Meter::try_lock' gives "
+                                     "no reason"));
+
+    // What the user file calls stays silent, defined or not.
+    EXPECT_FALSE(anyMentions(details, "::record'"));
+    EXPECT_FALSE(anyMentions(details, "::mean'"));
+    EXPECT_FALSE(anyMentions(details, "'scale'"));
+}
+
+TEST(UnusedApi, GoodFixtureIsClean)
+{
+    const auto findings = analyzeProgram({fixture("good_unused_api.hh")},
+                                         {fixture("unused_api_user.cc")});
+    EXPECT_TRUE(findings.empty()) << report(findings);
+}
+
+TEST(UnusedApi, FileSubsetsDoNotRunIt)
+{
+    // A file subset cannot know what the rest of the program uses.
+    EXPECT_TRUE(analyzeFiles({fixture("bad_unused_api.hh")}).empty());
 }
 
 TEST(Suppressions, NolintWithThePassIdSuppresses)
@@ -248,13 +292,39 @@ TEST(SeededFault, DeletingOneSaveStateLineIsCaught)
     EXPECT_TRUE(anyMentions(details, "saveState"));
 }
 
+TEST(SeededFault, RemovingTheOnlyBenchCallOfCompiledInIsCaught)
+{
+    auto tree = readTree(ADRIAS_ANALYZE_REPO_ROOT);
+    ASSERT_TRUE(tree.unreadable.empty()) << report(tree.unreadable);
+
+    // Intact, the micro_obs_overhead bench keeps obs::compiledIn used.
+    const auto intact = analyzeProgram(tree.src, tree.users);
+    EXPECT_FALSE(anyMentions(detailsOf(intact, "unused-api"),
+                             "'compiledIn'"));
+
+    // Replace that one call in an in-memory copy of the bench: no other
+    // user remains, and tests do not count.
+    const auto bench = std::find_if(
+        tree.users.begin(), tree.users.end(), [](const SourceFile &file) {
+            return file.label == "bench/micro_obs_overhead.cc";
+        });
+    ASSERT_NE(bench, tree.users.end());
+    const std::string call = "obs::compiledIn()";
+    const std::size_t at = bench->content.find(call);
+    ASSERT_NE(at, std::string::npos)
+        << "seeded-fault anchor call moved; update this test";
+    bench->content.replace(at, call.size(), "false");
+
+    const auto findings = analyzeProgram(tree.src, tree.users);
+    EXPECT_TRUE(
+        anyMentions(detailsOf(findings, "unused-api"), "'compiledIn'"))
+        << report(findings);
+}
+
 TEST(AnalyzeTree, RealTreeIsClean)
 {
     const auto findings = analyzeTree(ADRIAS_ANALYZE_REPO_ROOT);
-    std::string report;
-    for (const auto &finding : findings)
-        report += adrias::analyze::formatFinding(finding) + "\n";
-    EXPECT_TRUE(findings.empty()) << report;
+    EXPECT_TRUE(findings.empty()) << report(findings);
 }
 
 } // namespace

@@ -14,7 +14,6 @@ TEST(ErrorCodeNames, AreStable)
     EXPECT_EQ(errorCodeName(ErrorCode::Io), "io");
     EXPECT_EQ(errorCodeName(ErrorCode::BadNumber), "bad-number");
     EXPECT_EQ(errorCodeName(ErrorCode::Truncated), "truncated");
-    EXPECT_EQ(errorCodeName(ErrorCode::BadSyntax), "bad-syntax");
 }
 
 TEST(ErrorToString, CarriesCodeAndMessage)
@@ -52,25 +51,6 @@ TEST(ResultOfVoid, SuccessAndFailure)
     EXPECT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, ErrorCode::Io);
     EXPECT_THROW((void)bad.expect(), std::runtime_error);
-}
-
-TEST(ParseDouble, AcceptsExactNumbers)
-{
-    EXPECT_DOUBLE_EQ(parseDouble("1.5").value(), 1.5);
-    EXPECT_DOUBLE_EQ(parseDouble("-2e3").value(), -2000.0);
-    EXPECT_DOUBLE_EQ(parseDouble("0").value(), 0.0);
-}
-
-TEST(ParseDouble, RejectsJunk)
-{
-    for (const char *text : {"", "12abc", "abc", "1.2.3", " 1", "1 ",
-                             "0x10", "--3", "1e999"}) {
-        const Result<double> parsed = parseDouble(text);
-        EXPECT_FALSE(parsed.ok()) << "'" << text << "'";
-        if (!parsed.ok()) {
-            EXPECT_EQ(parsed.error().code, ErrorCode::BadNumber);
-        }
-    }
 }
 
 TEST(ParseSize, AcceptsExactIntegers)

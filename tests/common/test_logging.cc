@@ -21,20 +21,6 @@ TEST(Logging, PanicThrowsLogicError)
     EXPECT_THROW(panic("invariant broken"), std::logic_error);
 }
 
-TEST(Logging, LevelFilterIsAdjustable)
-{
-    Logger &logger = Logger::instance();
-    const LogLevel original = logger.level();
-    logger.setLevel(LogLevel::Off);
-    EXPECT_EQ(logger.level(), LogLevel::Off);
-    // Must not crash even when filtered.
-    logDebug("filtered");
-    logInfo("filtered");
-    logWarn("filtered");
-    logError("filtered");
-    logger.setLevel(original);
-}
-
 TEST(Logging, FatalMessageIsPreserved)
 {
     try {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/ring_buffer.hh"
 
@@ -11,11 +12,22 @@ namespace adrias
 namespace
 {
 
+/** The buffer's elements in chronological order, read through at(). */
+template <typename T>
+std::vector<T>
+contents(const RingBuffer<T> &buf)
+{
+    std::vector<T> out;
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        out.push_back(buf.at(i));
+    return out;
+}
+
 TEST(RingBuffer, StartsEmpty)
 {
     RingBuffer<int> buf(4);
     EXPECT_TRUE(buf.empty());
-    EXPECT_FALSE(buf.full());
+    EXPECT_LT(buf.size(), buf.capacity());
     EXPECT_EQ(buf.size(), 0u);
     EXPECT_EQ(buf.capacity(), 4u);
 }
@@ -31,9 +43,9 @@ TEST(RingBuffer, PushUntilFull)
     buf.push(1);
     buf.push(2);
     EXPECT_EQ(buf.size(), 2u);
-    EXPECT_FALSE(buf.full());
+    EXPECT_LT(buf.size(), buf.capacity());
     buf.push(3);
-    EXPECT_TRUE(buf.full());
+    EXPECT_EQ(buf.size(), buf.capacity());
     EXPECT_EQ(buf.oldest(), 1);
     EXPECT_EQ(buf.newest(), 3);
 }
@@ -85,7 +97,7 @@ TEST(RingBuffer, ToVectorMatchesChronology)
     buf.push("b");
     buf.push("c");
     buf.push("d");
-    const auto v = buf.toVector();
+    const auto v = contents(buf);
     ASSERT_EQ(v.size(), 3u);
     EXPECT_EQ(v[0], "b");
     EXPECT_EQ(v[1], "c");
@@ -98,7 +110,7 @@ TEST(RingBuffer, AccessorsOnEmptyPanic)
     EXPECT_THROW(buf.newest(), std::logic_error);
     EXPECT_THROW(buf.oldest(), std::logic_error);
     EXPECT_THROW(buf.at(0), std::logic_error);
-    EXPECT_TRUE(buf.toVector().empty());
+    EXPECT_TRUE(contents(buf).empty());
 }
 
 TEST(RingBuffer, SingleElement)
@@ -108,7 +120,7 @@ TEST(RingBuffer, SingleElement)
     EXPECT_EQ(buf.size(), 1u);
     EXPECT_EQ(buf.newest(), 42);
     EXPECT_EQ(buf.oldest(), 42);
-    EXPECT_EQ(buf.toVector(), std::vector<int>{42});
+    EXPECT_EQ(contents(buf), std::vector<int>{42});
 }
 
 TEST(RingBuffer, WrapBoundaryExactlyAtCapacity)
@@ -118,35 +130,35 @@ TEST(RingBuffer, WrapBoundaryExactlyAtCapacity)
     RingBuffer<int> buf(4);
     for (int v = 1; v <= 4; ++v)
         buf.push(v);
-    EXPECT_TRUE(buf.full());
+    EXPECT_EQ(buf.size(), buf.capacity());
     EXPECT_EQ(buf.oldest(), 1);
 
     buf.push(5); // first wrap
     EXPECT_EQ(buf.size(), 4u);
     EXPECT_EQ(buf.oldest(), 2);
     EXPECT_EQ(buf.newest(), 5);
-    EXPECT_EQ(buf.toVector(), (std::vector<int>{2, 3, 4, 5}));
+    EXPECT_EQ(contents(buf), (std::vector<int>{2, 3, 4, 5}));
 }
 
 TEST(RingBuffer, ToVectorAndAtAgreeAtExactlyCapacityPushes)
 {
     // At exactly `capacity` pushes the head has wrapped back to slot 0
     // but nothing was evicted yet: every chronological index must map
-    // straight through, by at() and by toVector() alike.
+    // straight through, by at() and by contents() alike.
     RingBuffer<int> buf(5);
     for (int v = 10; v < 15; ++v)
         buf.push(v);
-    ASSERT_TRUE(buf.full());
+    ASSERT_EQ(buf.size(), buf.capacity());
     ASSERT_EQ(buf.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(buf.at(i), 10 + static_cast<int>(i)) << "index " << i;
-    EXPECT_EQ(buf.toVector(), (std::vector<int>{10, 11, 12, 13, 14}));
+    EXPECT_EQ(contents(buf), (std::vector<int>{10, 11, 12, 13, 14}));
 }
 
 TEST(RingBuffer, ToVectorAndAtAgreeAtCapacityPlusOnePushes)
 {
     // capacity + 1 pushes: the first eviction.  Chronological index 0
-    // must now live at physical slot 1, and toVector() must replay
+    // must now live at physical slot 1, and contents() must replay
     // at() exactly.
     RingBuffer<int> buf(5);
     for (int v = 10; v < 16; ++v)
@@ -154,7 +166,7 @@ TEST(RingBuffer, ToVectorAndAtAgreeAtCapacityPlusOnePushes)
     ASSERT_EQ(buf.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(buf.at(i), 11 + static_cast<int>(i)) << "index " << i;
-    const auto v = buf.toVector();
+    const auto v = contents(buf);
     ASSERT_EQ(v.size(), buf.size());
     for (std::size_t i = 0; i < v.size(); ++i)
         EXPECT_EQ(v[i], buf.at(i)) << "index " << i;
@@ -166,7 +178,7 @@ TEST(RingBuffer, AllEqualElementsSurviveWrap)
     RingBuffer<int> buf(3);
     for (int i = 0; i < 10; ++i)
         buf.push(7);
-    EXPECT_TRUE(buf.full());
+    EXPECT_EQ(buf.size(), buf.capacity());
     for (std::size_t i = 0; i < buf.size(); ++i)
         EXPECT_EQ(buf.at(i), 7);
 }
@@ -180,7 +192,7 @@ TEST(RingBuffer, ClearAfterWrapThenRefill)
     EXPECT_TRUE(buf.empty());
     buf.push(100);
     buf.push(101);
-    EXPECT_EQ(buf.toVector(), (std::vector<int>{100, 101}));
+    EXPECT_EQ(contents(buf), (std::vector<int>{100, 101}));
 }
 
 TEST(RingBuffer, CapacityOneAlwaysKeepsNewest)

@@ -95,26 +95,6 @@ TEST(Rng, GaussianScaledMoments)
     EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(Rng, ExponentialMeanMatches)
-{
-    Rng rng(19);
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        const double e = rng.exponential(4.0);
-        EXPECT_GE(e, 0.0);
-        sum += e;
-    }
-    EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveMean)
-{
-    Rng rng(19);
-    EXPECT_THROW(rng.exponential(0.0), std::logic_error);
-    EXPECT_THROW(rng.exponential(-1.0), std::logic_error);
-}
-
 TEST(Rng, BernoulliExtremes)
 {
     Rng rng(23);
@@ -132,38 +112,6 @@ TEST(Rng, BernoulliRateApproximatesProbability)
     for (int i = 0; i < n; ++i)
         hits += rng.bernoulli(0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, WeightedIndexHonoursWeights)
-{
-    Rng rng(31);
-    std::vector<double> weights{1.0, 0.0, 3.0};
-    std::vector<int> counts(3, 0);
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        ++counts[rng.weightedIndex(weights)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(Rng, WeightedIndexRejectsDegenerateInput)
-{
-    Rng rng(31);
-    std::vector<double> zeros{0.0, 0.0};
-    EXPECT_THROW(rng.weightedIndex(zeros), std::logic_error);
-    std::vector<double> negative{1.0, -0.5};
-    EXPECT_THROW(rng.weightedIndex(negative), std::logic_error);
-}
-
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng parent(37);
-    Rng child = parent.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += (parent.nextU64() == child.nextU64());
-    EXPECT_LT(same, 2);
 }
 
 TEST(Rng, SaveRestoreResumesIdenticalStream)

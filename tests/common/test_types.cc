@@ -22,20 +22,5 @@ TEST(Types, WorkloadClassToString)
     EXPECT_EQ(toString(WorkloadClass::Interference), "interference");
 }
 
-TEST(Types, MemoryModeRoundTrip)
-{
-    EXPECT_EQ(memoryModeFromString(toString(MemoryMode::Local)),
-              MemoryMode::Local);
-    EXPECT_EQ(memoryModeFromString(toString(MemoryMode::Remote)),
-              MemoryMode::Remote);
-}
-
-TEST(Types, MemoryModeFromStringRejectsJunk)
-{
-    EXPECT_THROW(memoryModeFromString("LOCAL"), std::invalid_argument);
-    EXPECT_THROW(memoryModeFromString(""), std::invalid_argument);
-    EXPECT_THROW(memoryModeFromString("near"), std::invalid_argument);
-}
-
 } // namespace
 } // namespace adrias

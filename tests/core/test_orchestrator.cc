@@ -12,6 +12,7 @@
 #include "core/adrias.hh"
 #include "counting_predictor.hh"
 #include "testbed/topology.hh"
+#include "../testbed/topology/link_between.hh"
 
 namespace adrias::core
 {
@@ -654,8 +655,7 @@ TEST_F(ClusterOrchestratorTest, PlaceRackPrefersRoomiestServer)
     EXPECT_EQ(placement.node, 0u); // least loaded
     EXPECT_EQ(placement.mode, MemoryMode::Remote);
     EXPECT_EQ(placement.server, 1u);
-    EXPECT_EQ(placement.link,
-              static_cast<std::size_t>(topo.linkBetween(0, 1)));
+    EXPECT_EQ(placement.link, testbed::testutil::linkBetween(topo, 0, 1));
 }
 
 TEST_F(ClusterOrchestratorTest, PlaceRackRetriesSurvivingNodesInLoadOrder)

@@ -34,14 +34,23 @@ TEST(MigrationMechanics, PauseThenModeSwitch)
     EXPECT_TRUE(app.migrating());
 
     SimTime now = 0;
-    const double progress_before = app.progressFraction();
     for (int t = 0; t < 3; ++t)
         app.advance(outcomeFor(1, 1.0), ++now);
-    // No progress during the pause, mode switched after it.
-    EXPECT_DOUBLE_EQ(app.progressFraction(), progress_before);
+    // Mode switched after the pause...
     EXPECT_FALSE(app.migrating());
     EXPECT_EQ(app.mode(), MemoryMode::Local);
     EXPECT_EQ(app.migrationCount(), 1u);
+
+    // ...which made no progress: the run ends exactly the pause later
+    // than an unpaused twin's.
+    WorkloadInstance twin(2, workloads::sparkBenchmark("sort"),
+                          MemoryMode::Remote, 0, 3);
+    SimTime twin_now = 0;
+    while (!twin.finished())
+        twin.advance(outcomeFor(2, 1.0), ++twin_now);
+    while (!app.finished())
+        app.advance(outcomeFor(1, 1.0), ++now);
+    EXPECT_DOUBLE_EQ(app.executionTimeSec(), twin.executionTimeSec() + 3.0);
 }
 
 TEST(MigrationMechanics, CopyTrafficAccountedOnChannel)
@@ -101,7 +110,6 @@ TEST(ThresholdMigrator, DemotesSufferingRemoteApp)
         app.advance(tick.outcomes[0], ++now);
         migrator.onTick({&app}, tick, now);
     }
-    EXPECT_EQ(migrator.migrationsTriggered(), 1u);
     EXPECT_TRUE(app.migrating());
 }
 
@@ -126,7 +134,10 @@ TEST(ThresholdMigrator, LeavesHealthyAndLocalAppsAlone)
         local.advance(tick.outcomes[1], now);
         migrator.onTick({&healthy, &local}, tick, now);
     }
-    EXPECT_EQ(migrator.migrationsTriggered(), 0u);
+    for (const WorkloadInstance *app : {&healthy, &local}) {
+        EXPECT_FALSE(app->migrating());
+        EXPECT_EQ(app->migrationCount(), 0u);
+    }
     EXPECT_EQ(healthy.mode(), MemoryMode::Remote);
     EXPECT_EQ(local.mode(), MemoryMode::Local);
 }
@@ -149,7 +160,8 @@ TEST(ThresholdMigrator, RespectsPerAppMigrationCap)
         app.advance(tick.outcomes[0], ++now);
         migrator.onTick({&app}, tick, now);
     }
-    EXPECT_EQ(migrator.migrationsTriggered(), 1u);
+    // Migrations requested: the completed ones plus one in flight.
+    EXPECT_EQ(app.migrationCount() + (app.migrating() ? 1u : 0u), 1u);
 }
 
 TEST(ThresholdMigrator, EndToEndRescuesRecklessPlacement)
@@ -162,14 +174,17 @@ TEST(ThresholdMigrator, EndToEndRescuesRecklessPlacement)
     config.spawnMaxSec = 15;
     config.seed = 515;
 
+    std::size_t migrated = 0;
     auto be_p75 = [&](scenario::RuntimePolicy *runtime) {
         ScenarioRunner runner(config);
         RandomPlacement policy(5);
         const auto result = runner.run(policy, runtime);
         std::vector<double> times;
-        for (const auto &record : result.records)
+        for (const auto &record : result.records) {
             if (record.cls == WorkloadClass::BestEffort)
                 times.push_back(record.execTimeSec);
+            migrated += record.migrations;
+        }
         return stats::quantile(times, 0.75);
     };
 
@@ -177,8 +192,8 @@ TEST(ThresholdMigrator, EndToEndRescuesRecklessPlacement)
     migrator_config.slowdownThreshold = 2.0;
     ThresholdMigrator migrator(migrator_config);
     const double with = be_p75(&migrator);
+    EXPECT_GT(migrated, 0u);
     const double without = be_p75(nullptr);
-    EXPECT_GT(migrator.migrationsTriggered(), 0u);
     EXPECT_LT(with, without);
 }
 
@@ -199,8 +214,7 @@ TEST(ThresholdMigrator, RecordsCarryMigrationCounts)
     std::size_t migrated_records = 0;
     for (const auto &record : result.records)
         migrated_records += record.migrations > 0;
-    EXPECT_EQ(migrated_records > 0,
-              migrator.migrationsTriggered() > 0);
+    EXPECT_GT(migrated_records, 0u);
 }
 
 TEST(ThresholdMigrator, HookIsRefusedOnMultiNodeRack)

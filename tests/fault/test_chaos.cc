@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/orchestrator.hh"
@@ -22,6 +23,7 @@
 #include "scenario/signature.hh"
 #include "stats/percentile.hh"
 #include "testbed/topology.hh"
+#include "../testbed/topology/link_between.hh"
 
 namespace adrias::core
 {
@@ -46,12 +48,11 @@ class StubPredictor : public models::PredictorBase
     ml::Matrix
     predictSystemState(const telemetry::Watcher &watcher) const override
     {
-        const auto mean = watcher.meanOverTrailing(
-            ScenarioRunner::kWindowSec);
-        ml::Matrix forecast(1, kNumPerfEvents);
-        for (std::size_t e = 0; e < kNumPerfEvents; ++e)
-            forecast.at(0, e) = mean[e];
-        return forecast;
+        // One bin over at most the retained samples: their plain mean,
+        // without cold-start padding.
+        const std::size_t window = std::min<std::size_t>(
+            watcher.sampleCount(), ScenarioRunner::kWindowSec);
+        return watcher.binnedWindow(window, 1).front();
     }
 
     double
@@ -538,10 +539,8 @@ runRackChaos(const std::string &link, double magnitude)
 TEST_F(ChaosTest, DeadNamedLinkShiftsTrafficToSurvivingServer)
 {
     const testbed::Topology topo = testbed::topologyByName("rack-2x2-cxl");
-    const auto l00 =
-        static_cast<std::size_t>(topo.linkIndexByName("n0-s0"));
-    const auto l01 =
-        static_cast<std::size_t>(topo.linkIndexByName("n0-s1"));
+    const auto l00 = testbed::testutil::linkBetween(topo, 0, 0);
+    const auto l01 = testbed::testutil::linkBetween(topo, 0, 1);
 
     const scenario::ClusterResult clean = runRackChaos("", 1.0);
     // bwScale 0.02 is below LinkView::healthy(): the link is dead for
@@ -571,8 +570,7 @@ TEST_F(ChaosTest, DeadNamedLinkShiftsTrafficToSurvivingServer)
 TEST_F(ChaosTest, DegradedNamedLinkStillRoutesButQueues)
 {
     const testbed::Topology topo = testbed::topologyByName("rack-2x2-cxl");
-    const auto l00 =
-        static_cast<std::size_t>(topo.linkIndexByName("n0-s0"));
+    const auto l00 = testbed::testutil::linkBetween(topo, 0, 0);
 
     const scenario::ClusterResult clean = runRackChaos("", 1.0);
     // bwScale 0.1 stays above the routing health floor: the link keeps

@@ -27,6 +27,7 @@
 #include "telemetry/watcher.hh"
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
+#include "../testbed/topology/link_between.hh"
 
 namespace
 {
@@ -303,7 +304,7 @@ class RackInvariantTest : public ::testing::Test
         remote.mode = MemoryMode::Remote;
         remote.node = 0;
         remote.server = 0;
-        remote.link = static_cast<std::size_t>(topo.linkBetween(0, 0));
+        remote.link = adrias::testbed::testutil::linkBetween(topo, 0, 0);
         remote.memDemandGBps = 1.0;
         remote.cacheFootprintMb = 3.0;
         loads.push_back(remote);
@@ -312,7 +313,7 @@ class RackInvariantTest : public ::testing::Test
         far.id = 3;
         far.node = 1;
         far.server = 1;
-        far.link = static_cast<std::size_t>(topo.linkBetween(1, 1));
+        far.link = adrias::testbed::testutil::linkBetween(topo, 1, 1);
         far.memDemandGBps = 0.8;
         loads.push_back(far);
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Central-difference gradient checking shared by the ML layer tests.
+ * Helpers shared by the ML tests: central-difference gradient
+ * checking and the largest absolute element of a tensor.
  */
 
 #ifndef ADRIAS_TESTS_ML_GRADIENT_CHECK_HH
 #define ADRIAS_TESTS_ML_GRADIENT_CHECK_HH
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -45,6 +47,16 @@ maxGradientError(Matrix &value, const Matrix &analytic,
         worst = std::max(worst, std::fabs(numeric - a) / scale);
     }
     return worst;
+}
+
+/** @return the largest absolute element of `m` (0 when empty). */
+inline double
+maxAbs(const Matrix &m)
+{
+    double peak = 0.0;
+    for (const double x : m.raw())
+        peak = std::max(peak, std::fabs(x));
+    return peak;
 }
 
 } // namespace adrias::ml::testutil

@@ -53,7 +53,7 @@ TEST(LayerNorm, IdenticalInTrainAndEval)
     const Matrix train_out = ln.forward(input);
     ln.setTraining(false);
     const Matrix eval_out = ln.forward(input);
-    EXPECT_LT((train_out - eval_out).maxAbs(), 1e-12);
+    EXPECT_LT(testutil::maxAbs(train_out - eval_out), 1e-12);
 }
 
 TEST(LayerNorm, SingleSampleWorks)
@@ -63,7 +63,7 @@ TEST(LayerNorm, SingleSampleWorks)
     LayerNorm ln(6);
     const Matrix out = ln.forward(randomMatrix(1, 6, rng));
     EXPECT_EQ(out.rows(), 1u);
-    EXPECT_LT(out.maxAbs(), 10.0);
+    EXPECT_LT(testutil::maxAbs(out), 10.0);
 }
 
 TEST(LayerNorm, InputGradientMatchesNumerical)
@@ -116,8 +116,8 @@ TEST(HeadNorm, FactorySelectsNormalization)
         makeNonLinearHead(4, 8, 1, 0.0, rng, HeadNorm::Batch);
     auto layer_head =
         makeNonLinearHead(4, 8, 1, 0.0, rng, HeadNorm::Layer);
-    // Same layer count either way (norm layer swapped in place).
-    EXPECT_EQ(batch_head->layerCount(), layer_head->layerCount());
+    // Same parameter tensors either way (norm layer swapped in place).
+    EXPECT_EQ(batch_head->params().size(), layer_head->params().size());
 
     // LayerNorm head: train and eval forward agree exactly.
     layer_head->setTraining(true);
@@ -125,7 +125,7 @@ TEST(HeadNorm, FactorySelectsNormalization)
     const Matrix a = layer_head->forward(input);
     layer_head->setTraining(false);
     const Matrix b = layer_head->forward(input);
-    EXPECT_LT((a - b).maxAbs(), 1e-12);
+    EXPECT_LT(testutil::maxAbs(a - b), 1e-12);
 }
 
 TEST(BatchNormEstimation, ReplacesRunningStatsWithPopulation)
@@ -147,7 +147,7 @@ TEST(BatchNormEstimation, ReplacesRunningStatsWithPopulation)
         for (std::size_t r = 0; r < data.rows(); ++r)
             mean += data.at(r, c);
         mean /= static_cast<double>(data.rows());
-        EXPECT_NEAR(bn.runningMean().at(0, c), mean, 1e-9);
+        EXPECT_NEAR(bn.stateTensors()[0]->at(0, c), mean, 1e-9);
     }
 }
 
@@ -160,11 +160,13 @@ TEST(BatchNormEstimation, EndWithoutBeginPanics)
 TEST(BatchNormEstimation, EmptyEstimationKeepsOldStats)
 {
     BatchNorm1d bn(1);
-    bn.setRunningStats(Matrix(1, 1, {5.0}), Matrix(1, 1, {2.0}));
+    // stateTensors() is {running mean, running variance}.
+    *bn.stateTensors()[0] = Matrix(1, 1, {5.0});
+    *bn.stateTensors()[1] = Matrix(1, 1, {2.0});
     bn.beginStatsEstimation();
     bn.endStatsEstimation(); // no forward in between
-    EXPECT_DOUBLE_EQ(bn.runningMean().at(0, 0), 5.0);
-    EXPECT_DOUBLE_EQ(bn.runningVar().at(0, 0), 2.0);
+    EXPECT_DOUBLE_EQ(bn.stateTensors()[0]->at(0, 0), 5.0);
+    EXPECT_DOUBLE_EQ(bn.stateTensors()[1]->at(0, 0), 2.0);
 }
 
 } // namespace

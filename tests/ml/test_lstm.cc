@@ -62,7 +62,7 @@ TEST(Lstm, HiddenStateIsBounded)
     Lstm lstm(3, 6, rng);
     const auto out = lstm.forwardSequence(randomSequence(50, 2, 3, rng));
     for (const auto &h : out)
-        EXPECT_LT(h.maxAbs(), 1.0);
+        EXPECT_LT(testutil::maxAbs(h), 1.0);
 }
 
 TEST(Lstm, DeterministicGivenWeights)
@@ -74,7 +74,7 @@ TEST(Lstm, DeterministicGivenWeights)
     const auto out_a = a.forwardSequence(seq);
     const auto out_b = b.forwardSequence(seq);
     for (std::size_t t = 0; t < out_a.size(); ++t)
-        EXPECT_DOUBLE_EQ((out_a[t] - out_b[t]).maxAbs(), 0.0);
+        EXPECT_DOUBLE_EQ(testutil::maxAbs(out_a[t] - out_b[t]), 0.0);
 }
 
 TEST(Lstm, BackwardLengthMismatchPanics)

@@ -81,7 +81,9 @@ TEST(CheckpointManager, RoundTripsMultipleSections)
     writerSide.attach(a);
     writerSide.attach(b);
     ASSERT_TRUE(writerSide.checkpointNow(120).ok());
-    EXPECT_EQ(writerSide.lastCheckpointTick(), 120);
+    // The 60 s cadence restarts at the snapshot's tick.
+    EXPECT_FALSE(writerSide.due(179));
+    EXPECT_TRUE(writerSide.due(180));
 
     CounterSection a2("alpha"), b2("beta");
     CheckpointManager readerSide(configFor(dir));
@@ -94,7 +96,8 @@ TEST(CheckpointManager, RoundTripsMultipleSections)
     EXPECT_EQ(outcome.value().rejectedSnapshots, 0u);
     EXPECT_EQ(a2.value, 7);
     EXPECT_EQ(b2.value, -3);
-    EXPECT_EQ(readerSide.lastCheckpointTick(), 120);
+    EXPECT_FALSE(readerSide.due(179));
+    EXPECT_TRUE(readerSide.due(180));
 }
 
 TEST(CheckpointManager, EmptyDirectoryIsFreshStartNotError)
@@ -359,7 +362,6 @@ TEST(DecisionJournal, AppendThenLoadRoundTrips)
                                      : MemoryMode::Local;
         journal.onDecision(decision);
     }
-    EXPECT_EQ(journal.appendCount(), 5u);
     journal.close();
 
     Result<DecisionJournal::LoadResult> loaded =

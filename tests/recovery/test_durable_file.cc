@@ -113,7 +113,6 @@ TEST(RecordFile, WriteReadRoundTrip)
     ASSERT_TRUE(writer.append("alpha").ok());
     ASSERT_TRUE(writer.append("").ok()); // empty records are legal
     ASSERT_TRUE(writer.append(std::string(1000, 'z')).ok());
-    EXPECT_EQ(writer.appendCount(), 3u);
     writer.close();
 
     Result<RecordReadResult> read = readRecordFile(path);

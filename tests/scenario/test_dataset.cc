@@ -40,7 +40,9 @@ TEST(CollectSignature, ShapeAndDeterminism)
     ASSERT_EQ(sig_a.size(), ScenarioRunner::kWindowBins);
     for (std::size_t t = 0; t < sig_a.size(); ++t) {
         EXPECT_EQ(sig_a[t].cols(), testbed::kNumPerfEvents);
-        EXPECT_LT((sig_a[t] - sig_b[t]).maxAbs(), 1e-12);
+        ASSERT_EQ(sig_a[t].size(), sig_b[t].size());
+        for (std::size_t i = 0; i < sig_a[t].size(); ++i)
+            EXPECT_NEAR(sig_a[t].raw()[i], sig_b[t].raw()[i], 1e-12);
     }
 }
 

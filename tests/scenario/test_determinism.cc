@@ -7,10 +7,11 @@
  * unordered-container iteration, uninitialized state) would silently
  * fork the datasets.  Two runs with the same ScenarioConfig must agree
  * bit-for-bit: every counter of every tick, every completion record,
- * and the serialized CSV artifacts byte-for-byte.
+ * and every double of the system-state, BE and LC training datasets.
  */
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,8 +23,8 @@
 #include "ml/matrix.hh"
 #include "models/system_state.hh"
 #include "scenario/dataset.hh"
-#include "scenario/dataset_io.hh"
 #include "scenario/runner.hh"
+#include "scenario/signature.hh"
 
 namespace
 {
@@ -88,22 +89,91 @@ TEST(DeterminismTest, SameSeedReproducesTraceBitForBit)
     }
 }
 
-TEST(DeterminismTest, SameSeedReproducesDatasetCsvByteForByte)
+// Dataset comparisons are bitwise: `==` on doubles would accept -0.0
+// for 0.0 and reject a NaN that was reproduced exactly.
+
+void
+expectSameBits(const ml::Matrix &a, const ml::Matrix &b,
+               const std::string &where)
 {
-    const std::vector<scenario::ScenarioResult> first{runOnce()};
-    const std::vector<scenario::ScenarioResult> second{runOnce()};
+    ASSERT_EQ(a.rows(), b.rows()) << where;
+    ASSERT_EQ(a.cols(), b.cols()) << where;
+    EXPECT_EQ(std::memcmp(a.raw().data(), b.raw().data(),
+                          a.raw().size() * sizeof(double)),
+              0)
+        << where;
+}
 
+void
+expectSameBits(const std::vector<ml::Matrix> &a,
+               const std::vector<ml::Matrix> &b, const std::string &where)
+{
+    ASSERT_EQ(a.size(), b.size()) << where;
+    for (std::size_t t = 0; t < a.size(); ++t)
+        expectSameBits(a[t], b[t], where + " step " + std::to_string(t));
+}
+
+void
+expectSameSamples(const std::vector<scenario::SystemStateSample> &a,
+                  const std::vector<scenario::SystemStateSample> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string where = "state sample " + std::to_string(i);
+        expectSameBits(a[i].history, b[i].history, where + " history");
+        expectSameBits(a[i].target, b[i].target, where + " target");
+    }
+}
+
+void
+expectSameSamples(const std::vector<scenario::PerformanceSample> &a,
+                  const std::vector<scenario::PerformanceSample> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string where = "performance sample " + std::to_string(i);
+        EXPECT_EQ(a[i].name, b[i].name) << where;
+        EXPECT_EQ(a[i].cls, b[i].cls) << where;
+        EXPECT_EQ(a[i].mode, b[i].mode) << where;
+        expectSameBits(a[i].history, b[i].history, where + " history");
+        expectSameBits(a[i].signature, b[i].signature, where + " signature");
+        expectSameBits(a[i].futureWindow, b[i].futureWindow,
+                       where + " futureWindow");
+        expectSameBits(a[i].futureExec, b[i].futureExec,
+                       where + " futureExec");
+        EXPECT_EQ(std::memcmp(&a[i].target, &b[i].target, sizeof(double)),
+                  0)
+            << where << " target";
+    }
+}
+
+/** The three training datasets of a set of scenarios, compared bitwise. */
+void
+expectSameDatasets(const std::vector<scenario::ScenarioResult> &first,
+                   const std::vector<scenario::ScenarioResult> &second)
+{
     const auto state_a = scenario::DatasetBuilder::systemState(first);
-    const auto state_b = scenario::DatasetBuilder::systemState(second);
     ASSERT_FALSE(state_a.empty());
-    ASSERT_EQ(state_a.size(), state_b.size());
+    expectSameSamples(state_a, scenario::DatasetBuilder::systemState(second));
 
-    const std::string dir = ::testing::TempDir();
-    const std::string path_a = dir + "adrias_det_state_a.csv";
-    const std::string path_b = dir + "adrias_det_state_b.csv";
-    scenario::saveSystemStateCsv(path_a, state_a);
-    scenario::saveSystemStateCsv(path_b, state_b);
-    EXPECT_EQ(slurp(path_a), slurp(path_b));
+    static const scenario::SignatureStore signatures = [] {
+        scenario::SignatureStore store;
+        scenario::collectAllSignatures(store);
+        return store;
+    }();
+    for (const WorkloadClass cls :
+         {WorkloadClass::BestEffort, WorkloadClass::LatencyCritical}) {
+        const auto perf_a =
+            scenario::DatasetBuilder::performance(first, signatures, cls);
+        ASSERT_FALSE(perf_a.empty()) << toString(cls);
+        expectSameSamples(perf_a, scenario::DatasetBuilder::performance(
+                                      second, signatures, cls));
+    }
+}
+
+TEST(DeterminismTest, SameSeedReproducesDatasetsBitForBit)
+{
+    expectSameDatasets({runOnce()}, {runOnce()});
 }
 
 // ---------------------------------------------------------------------
@@ -167,17 +237,7 @@ TEST(DeterminismTest, SweepIsThreadCountInvariant)
         parallel = runSweep();
     }
     expectSameResults(serial, parallel);
-
-    // CSV artifacts built from the two sweeps must agree byte-for-byte.
-    const auto state_a = scenario::DatasetBuilder::systemState(serial);
-    const auto state_b = scenario::DatasetBuilder::systemState(parallel);
-    ASSERT_FALSE(state_a.empty());
-    const std::string dir = ::testing::TempDir();
-    const std::string path_a = dir + "adrias_threads1_state.csv";
-    const std::string path_b = dir + "adrias_threads4_state.csv";
-    scenario::saveSystemStateCsv(path_a, state_a);
-    scenario::saveSystemStateCsv(path_b, state_b);
-    EXPECT_EQ(slurp(path_a), slurp(path_b));
+    expectSameDatasets(serial, parallel);
 }
 
 TEST(DeterminismTest, TrainingIsThreadCountInvariant)

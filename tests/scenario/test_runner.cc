@@ -149,19 +149,6 @@ TEST(ScenarioRunner, HistoryWindowsAttachedAfterWarmup)
     EXPECT_GT(with_window, result.records.size() / 2);
 }
 
-TEST(ScenarioRunner, RecordsOfClassFilters)
-{
-    ScenarioRunner runner(shortConfig(23, 1200));
-    RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
-    const auto be = result.recordsOfClass(WorkloadClass::BestEffort);
-    for (const auto *record : be)
-        EXPECT_EQ(record->cls, WorkloadClass::BestEffort);
-    const auto lc = result.recordsOfClass(WorkloadClass::LatencyCritical);
-    const auto ib = result.recordsOfClass(WorkloadClass::Interference);
-    EXPECT_EQ(be.size() + lc.size() + ib.size(), result.records.size());
-}
-
 TEST(ScenarioEngineSnapshot, RejectsConcurrencyLongerThanTrace)
 {
     // A well-formed 30-tick snapshot, except that node 0's concurrency

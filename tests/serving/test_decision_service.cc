@@ -6,15 +6,11 @@
  * back-pressure accounting, size-vs-deadline flushes with the
  * exclusive boundary, one model call per class per batch,
  * drain-on-shutdown, a checkpoint/restore round trip that resumes to
- * identical decisions, restores that refuse corrupt payloads, and the
- * per-tick latency counts behind p99LatencyTicks(), which must match
- * stats::quantile bit for bit.
+ * identical decisions, and restores that refuse corrupt payloads.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -23,11 +19,9 @@
 #include <vector>
 
 #include "common/io/binary.hh"
-#include "common/rng.hh"
 #include "core/orchestrator.hh"
 #include "scenario/runner.hh"
 #include "serving/decision_service.hh"
-#include "stats/percentile.hh"
 #include "testbed/counters.hh"
 #include "workloads/spec.hh"
 
@@ -562,8 +556,6 @@ TEST_F(DecisionServiceTest, CheckpointRestoreResumesIdenticalDecisions)
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.batches, b.batches);
     EXPECT_EQ(a.missedDeadlines, b.missedDeadlines);
-    EXPECT_DOUBLE_EQ(original.p99LatencyTicks(),
-                     restored.p99LatencyTicks());
 }
 
 TEST_F(DecisionServiceTest, GoldenDecisionSequence)
@@ -643,17 +635,16 @@ TEST_F(DecisionServiceTest, RestoreRejectsShardMismatch)
     EXPECT_FALSE(mismatched.restoreState(reader).ok());
 }
 
-/** A decision-service-v3 payload up to its first shard window: zero
- *  cursors, counters and tallies, no latency counts, and the head of a
- *  `shards`-shard epoch snapshot. */
+/** A decision-service-v4 payload up to its first shard window: zero
+ *  cursors, counters and tallies, and the head of a `shards`-shard
+ *  epoch snapshot. */
 io::BinaryWriter
 payloadHead(std::size_t shards)
 {
     io::BinaryWriter out;
-    out.writeString("decision-service-v3");
+    out.writeString("decision-service-v4");
     for (int i = 0; i < 5 + 13; ++i)
         out.writeU64(0); // cursors, producer counters, tallies
-    out.writeU64(0);      // latency counts
     out.writeU64(1);      // snapshot epoch
     out.writeI64(0);      // takenAt
     out.writeU64(shards); // shard windows
@@ -724,112 +715,6 @@ TEST_F(DecisionServiceTest,
     }
 }
 
-/** Equal bits, or both NaN (an empty sample has no p99). */
-void
-expectSameQuantile(double got, double want)
-{
-    if (std::isnan(want))
-        EXPECT_TRUE(std::isnan(got));
-    else
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                  std::bit_cast<std::uint64_t>(want))
-            << got << " vs " << want;
-}
-
-TEST(QuantileOfCounts, MatchesQuantileOfTheExpandedSampleBitwise)
-{
-    Rng rng(4242);
-    const std::vector<double> qs = {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0};
-    const auto check = [&qs](const std::vector<std::uint64_t> &ticks) {
-        std::vector<std::uint64_t> counts;
-        std::vector<double> values;
-        for (std::uint64_t tick : ticks) {
-            if (tick >= counts.size())
-                counts.resize(tick + 1, 0);
-            ++counts[tick];
-            values.push_back(static_cast<double>(tick));
-        }
-        for (double q : qs)
-            expectSameQuantile(stats::quantileOfCounts(counts, q),
-                               stats::quantile(values, q));
-    };
-    check({});
-    check({7});
-    check({0});
-    check({3, 9});
-    check({9, 3});
-    check({4, 4});
-    for (int trial = 0; trial < 200; ++trial) {
-        const auto size = static_cast<std::size_t>(rng.uniformInt(0, 600));
-        const std::int64_t max_tick = rng.uniformInt(0, trial % 2 ? 5 : 400);
-        std::vector<std::uint64_t> ticks(size);
-        for (std::uint64_t &tick : ticks)
-            tick = static_cast<std::uint64_t>(rng.uniformInt(0, max_tick));
-        check(ticks);
-    }
-    // All-zero counts are an empty sample, at any length.
-    EXPECT_TRUE(std::isnan(stats::quantileOfCounts({0, 0, 0}, 0.99)));
-    EXPECT_THROW(stats::quantileOfCounts({1}, 1.5), std::runtime_error);
-}
-
-TEST_F(DecisionServiceTest, P99LatencyIsQuantileOfDecisionLatencies)
-{
-    Rng rng(77);
-    DecisionServiceConfig config;
-    config.shards = 2;
-    for (std::size_t requests : {0, 1, 2, 3, 40, 300}) {
-        DecisionService service = makeService({}, config);
-        service.beginEpoch(warmSnapshot(config.shards));
-        constexpr SimTime kNow = 500;
-        for (std::size_t id = 0; id < requests; ++id) {
-            const SimTime submitted = rng.uniformInt(0, kNow);
-            ASSERT_TRUE(service.submit(makeRequest(
-                static_cast<DeploymentId>(id), "known-be",
-                WorkloadClass::BestEffort, config.shards, submitted,
-                kNow + 10)));
-        }
-        std::vector<double> latencies;
-        for (const PlacementDecision &decision : service.drain(kNow))
-            latencies.push_back(static_cast<double>(decision.latencyTicks));
-        ASSERT_EQ(latencies.size(), requests);
-        expectSameQuantile(service.p99LatencyTicks(),
-                           stats::quantile(latencies, 0.99));
-    }
-}
-
-TEST_F(DecisionServiceTest, CheckpointRoundTripKeepsLatencyP99)
-{
-    Rng rng(78);
-    DecisionServiceConfig config;
-    config.shards = 2;
-    DecisionService original = makeService({}, config);
-    original.beginEpoch(warmSnapshot(config.shards));
-    for (DeploymentId id = 0; id < 150; ++id)
-        ASSERT_TRUE(original.submit(makeRequest(
-            id, "known-be", WorkloadClass::BestEffort, config.shards,
-            rng.uniformInt(0, 90), 200)));
-    (void)original.drain(100);
-    io::BinaryWriter writer;
-    original.saveState(writer);
-
-    DecisionService restored = makeService({}, config);
-    io::BinaryReader reader(writer.data());
-    ASSERT_TRUE(restored.restoreState(reader).ok());
-    ASSERT_TRUE(reader.status().ok());
-    expectSameQuantile(restored.p99LatencyTicks(),
-                       original.p99LatencyTicks());
-
-    // Both keep counting from the same histogram.
-    for (DecisionService *service : {&original, &restored}) {
-        ASSERT_TRUE(service->submit(makeRequest(
-            500, "known-be", WorkloadClass::BestEffort, config.shards, 100,
-            400)));
-        (void)service->drain(350);
-    }
-    expectSameQuantile(restored.p99LatencyTicks(),
-                       original.p99LatencyTicks());
-}
-
 TEST_F(DecisionServiceTest, RestoreRejectsOldFormatPayload)
 {
     // v1, the layout before the format marker: cursors, tallies, every
@@ -870,15 +755,32 @@ TEST_F(DecisionServiceTest, RestoreRejectsOldFormatPayload)
     v2.writeU64(0);
     v2.writeU64(0);
 
+    // v3: v2 with matrix-sequence windows; still carries the per-tick
+    // latency counts.
+    io::BinaryWriter v3;
+    v3.writeString("decision-service-v3");
+    for (int i = 0; i < 5 + 13; ++i)
+        v3.writeU64(0); // cursors, producer counters, tallies
+    v3.writeU64(0);     // latency counts
+    v3.writeU64(1);     // snapshot epoch
+    v3.writeI64(0);     // takenAt
+    v3.writeU64(2);     // shard windows
+    v3.writeU64(0);     // empty sequences
+    v3.writeU64(0);
+    v3.writeU64(0); // in-flight
+    v3.writeU64(2); // queues
+    v3.writeU64(0);
+    v3.writeU64(0);
+
     DecisionServiceConfig config;
     config.shards = 2;
-    for (const io::BinaryWriter *payload : {&old, &v2}) {
+    for (const io::BinaryWriter *payload : {&old, &v2, &v3}) {
         DecisionService service = makeService({}, config);
         io::BinaryReader reader(payload->data());
         const Result<void> restored = service.restoreState(reader);
         ASSERT_FALSE(restored.ok());
         EXPECT_EQ(restored.error().code, ErrorCode::BadHeader);
-        EXPECT_NE(restored.error().message.find("decision-service-v3"),
+        EXPECT_NE(restored.error().message.find("decision-service-v4"),
                   std::string::npos)
             << restored.error().message;
     }

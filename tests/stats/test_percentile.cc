@@ -109,7 +109,7 @@ TEST(ReservoirSampler, AllEqualEvenPastCapacity)
     ReservoirSampler r(16);
     for (int i = 0; i < 1000; ++i)
         r.add(2.5);
-    EXPECT_EQ(r.retained(), 16u);
+    EXPECT_EQ(r.values().size(), 16u);
     EXPECT_DOUBLE_EQ(r.quantile(0.5), 2.5);
     EXPECT_DOUBLE_EQ(r.quantile(0.99), 2.5);
 }
@@ -252,7 +252,7 @@ TEST(ReservoirSampler, RetainsAllBelowCapacity)
     for (int i = 0; i < 50; ++i)
         r.add(i);
     EXPECT_EQ(r.count(), 50u);
-    EXPECT_EQ(r.retained(), 50u);
+    EXPECT_EQ(r.values().size(), 50u);
 }
 
 TEST(ReservoirSampler, BoundsMemoryAboveCapacity)
@@ -261,7 +261,7 @@ TEST(ReservoirSampler, BoundsMemoryAboveCapacity)
     for (int i = 0; i < 10000; ++i)
         r.add(i);
     EXPECT_EQ(r.count(), 10000u);
-    EXPECT_EQ(r.retained(), 64u);
+    EXPECT_EQ(r.values().size(), 64u);
 }
 
 TEST(ReservoirSampler, QuantileApproximatesTrueQuantile)

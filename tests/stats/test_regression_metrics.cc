@@ -52,41 +52,5 @@ TEST(Mae, KnownValue)
                      1.0);
 }
 
-TEST(Rmse, KnownValue)
-{
-    EXPECT_DOUBLE_EQ(rootMeanSquaredError({0.0, 0.0}, {3.0, 4.0}),
-                     std::sqrt(12.5));
-}
-
-TEST(Rmse, AtLeastMae)
-{
-    Rng rng(77);
-    std::vector<double> a, p;
-    for (int i = 0; i < 200; ++i) {
-        a.push_back(rng.uniform(0.0, 10.0));
-        p.push_back(rng.uniform(0.0, 10.0));
-    }
-    EXPECT_GE(rootMeanSquaredError(a, p), meanAbsoluteError(a, p));
-}
-
-TEST(Mape, KnownValue)
-{
-    // Errors: 10% and 20% -> mean 15%.
-    EXPECT_NEAR(
-        meanAbsolutePercentageError({10.0, 10.0}, {9.0, 12.0}), 15.0, 1e-9);
-}
-
-TEST(Mape, SkipsNearZeroActuals)
-{
-    EXPECT_NEAR(
-        meanAbsolutePercentageError({0.0, 10.0}, {5.0, 11.0}), 10.0, 1e-9);
-}
-
-TEST(Mape, AllZeroActualsYieldZero)
-{
-    EXPECT_DOUBLE_EQ(meanAbsolutePercentageError({0.0, 0.0}, {1.0, 2.0}),
-                     0.0);
-}
-
 } // namespace
 } // namespace adrias::stats

@@ -28,9 +28,7 @@ TEST(Watcher, StartsEmpty)
 {
     Watcher watcher(10);
     EXPECT_EQ(watcher.sampleCount(), 0u);
-    EXPECT_FALSE(watcher.hasWindow(1));
     EXPECT_THROW(watcher.latest(), std::logic_error);
-    EXPECT_THROW(watcher.meanOverTrailing(5), std::runtime_error);
     EXPECT_THROW(watcher.binnedWindow(5, 2), std::runtime_error);
 }
 
@@ -45,14 +43,13 @@ TEST(Watcher, RecordsAndReportsLatest)
 
 TEST(Watcher, MeanOverTrailingWindow)
 {
+    // One bin over a window the history covers is the plain mean of
+    // the trailing samples.
     Watcher watcher(10);
     for (double v : {1.0, 2.0, 3.0, 4.0})
         watcher.record(constantSample(v));
-    const CounterSample mean = watcher.meanOverTrailing(2);
-    EXPECT_DOUBLE_EQ(mean[0], 3.5);
-    // Window larger than history falls back to all samples.
-    const CounterSample all = watcher.meanOverTrailing(100);
-    EXPECT_DOUBLE_EQ(all[0], 2.5);
+    EXPECT_DOUBLE_EQ(watcher.binnedWindow(2, 1)[0].at(0, 0), 3.5);
+    EXPECT_DOUBLE_EQ(watcher.binnedWindow(4, 1)[0].at(0, 0), 2.5);
 }
 
 TEST(Watcher, BinnedWindowShape)
@@ -90,7 +87,7 @@ TEST(Watcher, EvictsBeyondCapacity)
     for (double v = 0.0; v < 10.0; ++v)
         watcher.record(constantSample(v));
     EXPECT_EQ(watcher.sampleCount(), 4u);
-    EXPECT_DOUBLE_EQ(watcher.meanOverTrailing(4)[0], 7.5);
+    EXPECT_DOUBLE_EQ(watcher.binnedWindow(4, 1)[0].at(0, 0), 7.5);
 }
 
 TEST(Watcher, ClearEmptiesHistory)

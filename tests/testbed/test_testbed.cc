@@ -156,43 +156,6 @@ TEST(Testbed, RemoteTrafficBoundedByChannelCap)
               0.9 * testbed.link().bandwidthGBps);
 }
 
-TEST(Testbed, ChannelFaultDeratesBandwidthAndLatency)
-{
-    Testbed testbed = quietTestbed();
-    std::vector<LoadDescriptor> loads;
-    for (int i = 0; i < 32; ++i)
-        loads.push_back(ibenchSpec(IBenchKind::MemBw)
-                            .toLoad(i, MemoryMode::Remote));
-
-    const TickResult healthy = testbed.tick(loads);
-    EXPECT_FALSE(testbed.channelFaulted());
-
-    testbed.setChannelFault(0.25, 2.0);
-    EXPECT_TRUE(testbed.channelFaulted());
-    const TickResult degraded = testbed.tick(loads);
-    // Achieved traffic tracks the derated cap...
-    EXPECT_LE(degraded.remoteTrafficGBps,
-              0.25 * testbed.link().bandwidthGBps + 1e-9);
-    // ...and latency reflects both the scale and the extra pressure.
-    EXPECT_GT(degraded.channelLatencyCycles,
-              healthy.channelLatencyCycles);
-    EXPECT_GT(degraded.channelPressure, healthy.channelPressure);
-
-    testbed.clearChannelFault();
-    EXPECT_FALSE(testbed.channelFaulted());
-    const TickResult recovered = testbed.tick(loads);
-    EXPECT_NEAR(recovered.remoteTrafficGBps, healthy.remoteTrafficGBps,
-                1e-9);
-}
-
-TEST(Testbed, ChannelFaultValidatesArguments)
-{
-    Testbed testbed = quietTestbed();
-    EXPECT_THROW(testbed.setChannelFault(0.0, 1.0), std::runtime_error);
-    EXPECT_THROW(testbed.setChannelFault(1.5, 1.0), std::runtime_error);
-    EXPECT_THROW(testbed.setChannelFault(0.5, 0.5), std::runtime_error);
-}
-
 TEST(Testbed, Fig2LatencyStepUnderSaturation)
 {
     // Observation R2: ~350 cycles for 1-4 memBw trashers, ~900 for 8+.

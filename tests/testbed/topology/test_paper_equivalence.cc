@@ -17,6 +17,7 @@
 #include "testbed/rack.hh"
 #include "testbed/testbed.hh"
 #include "testbed/topology.hh"
+#include "link_between.hh"
 
 namespace adrias::testbed
 {
@@ -134,7 +135,7 @@ TEST(PaperEquivalenceCluster, IndependentPairsMatchLegacyClusterShape)
     heavy.mode = MemoryMode::Remote;
     heavy.node = 0;
     heavy.server = 0;
-    heavy.link = static_cast<std::size_t>(topo.linkBetween(0, 0));
+    heavy.link = testutil::linkBetween(topo, 0, 0);
     heavy.memDemandGBps = 2.0;
     heavy.latencyBoundFraction = 0.0;
     loads.push_back(heavy);
@@ -142,7 +143,7 @@ TEST(PaperEquivalenceCluster, IndependentPairsMatchLegacyClusterShape)
     quiet.id = 2;
     quiet.node = 1;
     quiet.server = 1;
-    quiet.link = static_cast<std::size_t>(topo.linkBetween(1, 1));
+    quiet.link = testutil::linkBetween(topo, 1, 1);
     quiet.memDemandGBps = 0.05;
     loads.push_back(quiet);
 

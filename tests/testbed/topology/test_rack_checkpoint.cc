@@ -18,6 +18,7 @@
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
 #include "topology_under_test.hh"
+#include "link_between.hh"
 
 namespace adrias::testbed
 {
@@ -43,12 +44,9 @@ std::vector<LoadDescriptor>
 mixed4x4Loads(const Topology &topo)
 {
     std::vector<LoadDescriptor> loads;
-    loads.push_back(rackLoad(
-        0, 0, static_cast<std::size_t>(topo.linkBetween(0, 0)), 3.0, 1));
-    loads.push_back(rackLoad(
-        1, 1, static_cast<std::size_t>(topo.linkBetween(1, 1)), 5.0, 2));
-    loads.push_back(rackLoad(
-        3, 2, static_cast<std::size_t>(topo.linkBetween(3, 2)), 2.0, 3));
+    loads.push_back(rackLoad(0, 0, testutil::linkBetween(topo, 0, 0), 3.0, 1));
+    loads.push_back(rackLoad(1, 1, testutil::linkBetween(topo, 1, 1), 5.0, 2));
+    loads.push_back(rackLoad(3, 2, testutil::linkBetween(topo, 3, 2), 2.0, 3));
     LoadDescriptor local;
     local.id = 4;
     local.mode = MemoryMode::Local;
@@ -85,8 +83,7 @@ TEST(RackCheckpoint, RoundTripOnAsymmetricRackReproducesTicks)
     // evolving RackTestbed state is exercised.
     RackTestbed original(topo, 42);
     original.setNoise(0.02);
-    original.setLinkFault(
-        static_cast<std::size_t>(topo.linkBetween(1, 1)), 0.6, 1.5);
+    original.setLinkFault(testutil::linkBetween(topo, 1, 1), 0.6, 1.5);
     ASSERT_TRUE(original.allocate(0, 100.0).ok());
     ASSERT_TRUE(original.allocate(2, 16.0).ok());
     for (int t = 0; t < 3; ++t)
@@ -103,8 +100,9 @@ TEST(RackCheckpoint, RoundTripOnAsymmetricRackReproducesTicks)
 
     EXPECT_EQ(restored.allocatedGb(0), 100.0);
     EXPECT_EQ(restored.allocatedGb(2), 16.0);
-    EXPECT_TRUE(restored.anyLinkFaulted());
     for (std::size_t l = 0; l < topo.linkCount(); ++l) {
+        EXPECT_EQ(restored.linkBwFault(l), original.linkBwFault(l));
+        EXPECT_EQ(restored.linkLatencyFault(l), original.linkLatencyFault(l));
         EXPECT_EQ(restored.linkTotals(l).offeredGb,
                   original.linkTotals(l).offeredGb);
         EXPECT_EQ(restored.linkTotals(l).deliveredGb,

@@ -14,6 +14,7 @@
 #include "common/invariant.hh"
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
+#include "link_between.hh"
 
 namespace adrias::testbed
 {
@@ -147,10 +148,8 @@ TEST(RackConservation, IndependentLinksDoNotInterfere)
     const Topology topo = Topology::symmetric(2, 2, kCxlProfile);
     RackTestbed rack(topo, 7);
     rack.setNoise(0.0);
-    const std::size_t heavy =
-        static_cast<std::size_t>(topo.linkBetween(0, 0));
-    const std::size_t quiet =
-        static_cast<std::size_t>(topo.linkBetween(1, 1));
+    const std::size_t heavy = testutil::linkBetween(topo, 0, 0);
+    const std::size_t quiet = testutil::linkBetween(topo, 1, 1);
     const auto result = rack.tick({remoteLoad(0, 0, heavy, 12.0, 1),
                                    remoteLoad(1, 1, quiet, 0.5, 2)});
     // The quiet pair is unaffected by the saturated one.
@@ -184,7 +183,8 @@ TEST(RackConservation, LinkFaultDeratesCapacityAndLatency)
     RackTestbed rack(cxlPair(), 7);
     rack.setNoise(0.0);
     rack.setLinkFault(0, 0.5, 2.0);
-    EXPECT_TRUE(rack.anyLinkFaulted());
+    EXPECT_DOUBLE_EQ(rack.linkBwFault(0), 0.5);
+    EXPECT_DOUBLE_EQ(rack.linkLatencyFault(0), 2.0);
     const auto result = rack.tick({remoteLoad(0, 0, 0, 3.0)});
     // Effective cap 2 GB/s; pressure 1.5 is mid-ramp for CXL.
     EXPECT_NEAR(result.outcomes[0].achievedGBps, 2.0, 1e-9);
@@ -193,8 +193,7 @@ TEST(RackConservation, LinkFaultDeratesCapacityAndLatency)
         kCxlProfile.latencyBaseCycles +
         0.5 * (kCxlProfile.latencySatCycles - kCxlProfile.latencyBaseCycles);
     EXPECT_NEAR(result.links[0].latencyCycles, mid_ramp * 2.0, 1e-9);
-    rack.clearLinkFaults();
-    EXPECT_FALSE(rack.anyLinkFaulted());
+    rack.setLinkFault(0, 1.0, 1.0); // healthy again
     const auto healthy = rack.tick({remoteLoad(0, 0, 0, 3.0)});
     EXPECT_NEAR(healthy.outcomes[0].achievedGBps, 3.0, 1e-9);
 }
@@ -272,8 +271,7 @@ TEST(RackConservation, InvalidPlacementTriplesPanic)
     // Out-of-range link index.
     EXPECT_THROW(rack.tick({remoteLoad(0, 0, 9, 1.0)}), std::logic_error);
     // A real link that does not connect the placement's endpoints.
-    const std::size_t wrong =
-        static_cast<std::size_t>(topo.linkBetween(1, 0));
+    const std::size_t wrong = testutil::linkBetween(topo, 1, 0);
     EXPECT_THROW(rack.tick({remoteLoad(0, 0, wrong, 1.0)}),
                  std::logic_error);
     // Local deployments only need a valid node.
@@ -285,7 +283,8 @@ TEST(RackConservation, InvalidPlacementTriplesPanic)
 
 TEST(RackConservation, PerProfileLatencyRamps)
 {
-    for (const LinkProfile &profile : allLinkProfiles()) {
+    for (const LinkProfile &profile :
+         {kThymesisFlowProfile, kCxlProfile, kRdmaProfile}) {
         EXPECT_DOUBLE_EQ(linkLatencyCycles(profile, 0.0),
                          profile.latencyBaseCycles);
         EXPECT_DOUBLE_EQ(linkLatencyCycles(profile, profile.rampStart),

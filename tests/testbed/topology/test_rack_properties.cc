@@ -47,7 +47,8 @@ randomTopology(Rng &rng)
         topo.addServer({std::move(name), rng.uniform(0.0, 128.0),
                         rng.uniform(2.0, 20.0), {}});
     }
-    const auto &profiles = allLinkProfiles();
+    const std::vector<LinkProfile> profiles{kThymesisFlowProfile,
+                                            kCxlProfile, kRdmaProfile};
     bool any = false;
     for (std::size_t n = 0; n < n_nodes; ++n)
         for (std::size_t s = 0; s < n_servers; ++s)

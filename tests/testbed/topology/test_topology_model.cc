@@ -47,8 +47,7 @@ TEST(TopologyModel, SymmetricFactoryShape)
     for (std::size_t n = 0; n < 3; ++n)
         EXPECT_EQ(topo.linksFrom(n).size(), 2u);
     for (std::size_t s = 0; s < 2; ++s)
-        EXPECT_EQ(topo.linksInto(s).size(), 3u);
-    EXPECT_DOUBLE_EQ(topo.totalCapacityGb(), 256.0);
+        EXPECT_DOUBLE_EQ(topo.server(s).capacityGb, 128.0);
 }
 
 TEST(TopologyModel, IndependentPairsShape)
@@ -76,21 +75,6 @@ TEST(TopologyModel, AutoAssignedRangesAreDisjointAndOrdered)
             }
         }
     }
-}
-
-TEST(TopologyModel, ServerOwningResolvesAddresses)
-{
-    const Topology topo = Topology::asymmetric4x4();
-    // s0 owns [0, 512), s1 [512, 768), s2 [768, 832).
-    EXPECT_EQ(topo.serverOwning(0), 0);
-    EXPECT_EQ(topo.serverOwning(511), 0);
-    EXPECT_EQ(topo.serverOwning(512), 1);
-    EXPECT_EQ(topo.serverOwning(768), 2);
-    EXPECT_EQ(topo.serverOwning(831), 2);
-    // The drained server owns no addresses; past-the-end resolves to
-    // nothing.
-    EXPECT_EQ(topo.serverOwning(832), -1);
-    EXPECT_EQ(topo.serverOwning(100000), -1);
 }
 
 TEST(TopologyModel, ExplicitRangeOverlapIsFatal)
@@ -173,18 +157,6 @@ TEST(TopologyModel, DefaultLinkNamesComposeEndpointNames)
     const Topology topo = Topology::symmetric(2, 2, kCxlProfile);
     EXPECT_EQ(topo.link(0).name, "n0-s0");
     EXPECT_EQ(topo.link(3).name, "n1-s1");
-    EXPECT_EQ(topo.linkIndexByName("n1-s0"),
-              topo.linkBetween(1, 0));
-}
-
-TEST(TopologyModel, LinkBetweenAndByName)
-{
-    const Topology topo = Topology::asymmetric4x4();
-    EXPECT_EQ(topo.linkBetween(0, 0), 0);
-    EXPECT_EQ(topo.linkBetween(3, 2), 8);
-    EXPECT_EQ(topo.linkBetween(3, 0), -1); // n3 only reaches s2
-    EXPECT_EQ(topo.linkIndexByName("n3-s2"), 8);
-    EXPECT_EQ(topo.linkIndexByName("no-such-link"), -1);
 }
 
 TEST(TopologyModel, LinkAdjacencyBeforeValidateIsFatal)
@@ -194,7 +166,6 @@ TEST(TopologyModel, LinkAdjacencyBeforeValidateIsFatal)
     topo.addServer({"s0", 64.0, 15.0, {}});
     topo.addLink(0, 0, kCxlProfile);
     EXPECT_THROW(topo.linksFrom(0), std::runtime_error);
-    EXPECT_THROW(topo.linksInto(0), std::runtime_error);
 }
 
 TEST(TopologyModel, Asymmetric4x4Shape)
@@ -206,7 +177,10 @@ TEST(TopologyModel, Asymmetric4x4Shape)
     // The drained server stays reachable but lends nothing.
     EXPECT_DOUBLE_EQ(topo.server(3).capacityGb, 0.0);
     EXPECT_EQ(topo.server(3).range.sizeGb, 0u);
-    EXPECT_FALSE(topo.linksInto(3).empty());
+    bool reachable = false;
+    for (std::size_t l = 0; l < topo.linkCount(); ++l)
+        reachable = reachable || topo.link(l).server == 3;
+    EXPECT_TRUE(reachable);
     // n0 sees every server; n3 has exactly one RDMA path.
     EXPECT_EQ(topo.linksFrom(0).size(), 4u);
     ASSERT_EQ(topo.linksFrom(3).size(), 1u);
@@ -237,9 +211,6 @@ TEST(TopologyModel, AddressRangePrimitives)
 {
     const AddressRange a{0, 64};
     const AddressRange b{64, 64};
-    EXPECT_TRUE(a.contains(0));
-    EXPECT_TRUE(a.contains(63));
-    EXPECT_FALSE(a.contains(64));
     EXPECT_FALSE(a.overlaps(b));
     EXPECT_TRUE(a.overlaps(AddressRange{63, 2}));
     EXPECT_EQ(b.endGb(), 128u);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "testbed/testbed.hh"
-#include "workloads/memtier.hh"
 #include "workloads/workload.hh"
 
 namespace adrias::workloads
@@ -30,7 +29,6 @@ TEST(WorkloadInstance, BeFinishesAtBaseDurationWhenUnimpeded)
     while (!app.finished())
         app.advance(outcomeWithSlowdown(1, 1.0), ++now);
     EXPECT_EQ(app.executionTimeSec(), 45.0);
-    EXPECT_DOUBLE_EQ(app.progressFraction(), 1.0);
 }
 
 TEST(WorkloadInstance, BeSlowdownStretchesExecution)
@@ -146,22 +144,6 @@ TEST(WorkloadInstance, BeLoadIgnoresLoadFactor)
                          1, 2.0);
     EXPECT_DOUBLE_EQ(app.load().memDemandGBps,
                      sparkBenchmark("sort").memDemandGBps);
-}
-
-TEST(Memtier, DefaultsMatchPaperSetup)
-{
-    MemtierConfig config;
-    EXPECT_EQ(config.totalClients(), 800u);
-    EXPECT_EQ(config.totalRequests(), 8000000u);
-    EXPECT_NEAR(config.loadFactor(), 1.0, 1e-9);
-    EXPECT_NEAR(config.setFraction, 1.0 / 11.0, 1e-12);
-}
-
-TEST(Memtier, LoadFactorScalesWithClients)
-{
-    MemtierConfig config;
-    config.clientsPerThread = 100;
-    EXPECT_NEAR(config.loadFactor(), 0.5, 1e-9);
 }
 
 TEST(EndToEnd, IsolatedRemoteVsLocalExecutionTimes)

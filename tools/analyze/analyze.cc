@@ -28,15 +28,32 @@ passes()
          "no unordered-container iteration into checkpoint/dataset "
          "sinks; no cross-chunk float accumulation inside "
          "parallelFor regions"},
+        {"unused-api",
+         "every class and function declared in src/ is referenced by "
+         "src/, bench/, examples/, tools/ or perfbench/, or carries "
+         "NOLINT(unused-api): <reason>"},
     };
     return kPasses;
 }
 
-std::vector<Finding>
-analyzeFiles(const std::vector<SourceFile> &files)
+namespace
 {
-    const Index index = buildIndex(files);
 
+void
+sortFindings(std::vector<Finding> &findings)
+{
+    std::stable_sort(findings.begin(), findings.end(),
+                     [](const Finding &a, const Finding &b) {
+                         if (a.file != b.file)
+                             return a.file < b.file;
+                         return a.line < b.line;
+                     });
+}
+
+/** The per-file-set passes over a built index, NOLINT-filtered. */
+std::vector<Finding>
+runFilePasses(const Index &index, const std::vector<SourceFile> &files)
+{
     std::vector<Finding> raw;
     runCheckpointCoverage(index, raw);
     runLockDiscipline(index, raw);
@@ -58,53 +75,87 @@ analyzeFiles(const std::vector<SourceFile> &files)
             continue;
         findings.push_back(std::move(finding));
     }
-
-    std::stable_sort(findings.begin(), findings.end(),
-                     [](const Finding &a, const Finding &b) {
-                         if (a.file != b.file)
-                             return a.file < b.file;
-                         return a.line < b.line;
-                     });
     return findings;
 }
 
-std::vector<Finding>
-analyzeTree(const std::string &repo_root)
+/**
+ * Read the .cc/.hh files under repo_root's `dirs`, recursively and
+ * sorted, skipping any path containing a `fixtures` directory; a file
+ * that cannot be opened becomes an io finding.
+ */
+void
+readSources(const std::string &repo_root,
+            const std::vector<std::string> &dirs,
+            std::vector<SourceFile> &files, std::vector<Finding> &unreadable)
 {
     namespace fs = std::filesystem;
 
     std::vector<std::pair<std::string, std::string>> paths; // label, path
-    const fs::path base = fs::path(repo_root) / "src";
-    if (fs::exists(base)) {
+    for (const std::string &dir : dirs) {
+        const fs::path base = fs::path(repo_root) / dir;
+        if (!fs::exists(base))
+            continue;
         for (const auto &entry : fs::recursive_directory_iterator(base)) {
-            if (!entry.is_regular_file())
-                continue;
             const std::string ext = entry.path().extension().string();
-            if (ext != ".cc" && ext != ".hh")
+            if (!entry.is_regular_file() || (ext != ".cc" && ext != ".hh"))
                 continue;
             std::string label =
                 fs::relative(entry.path(), repo_root).generic_string();
-            if (label.find("fixtures/") != std::string::npos)
-                continue;
-            paths.emplace_back(std::move(label), entry.path().string());
+            if (label.find("fixtures/") == std::string::npos)
+                paths.emplace_back(std::move(label), entry.path().string());
         }
     }
     std::sort(paths.begin(), paths.end());
-
-    std::vector<SourceFile> files;
-    std::vector<Finding> findings;
     for (const auto &[label, path] : paths) {
         std::ifstream in(path, std::ios::binary);
         if (!in) {
-            findings.push_back({label, 0, "io", "cannot open " + path});
+            unreadable.push_back({label, 0, "io", "cannot open " + path});
             continue;
         }
         std::ostringstream buffer;
         buffer << in.rdbuf();
         files.push_back({label, buffer.str()});
     }
+}
 
-    std::vector<Finding> analyzed = analyzeFiles(files);
+} // namespace
+
+std::vector<Finding>
+analyzeFiles(const std::vector<SourceFile> &files)
+{
+    std::vector<Finding> findings =
+        runFilePasses(buildIndex(files), files);
+    sortFindings(findings);
+    return findings;
+}
+
+std::vector<Finding>
+analyzeProgram(const std::vector<SourceFile> &declaring,
+               const std::vector<SourceFile> &users)
+{
+    const Index index = buildIndex(declaring);
+    std::vector<Finding> findings = runFilePasses(index, declaring);
+    runUnusedApi(index, declaring, users, findings);
+    sortFindings(findings);
+    return findings;
+}
+
+Tree
+readTree(const std::string &repo_root)
+{
+    Tree tree;
+    readSources(repo_root, {"src"}, tree.src, tree.unreadable);
+    readSources(repo_root, {"bench", "examples", "tools", "perfbench"},
+                tree.users, tree.unreadable);
+    return tree;
+}
+
+std::vector<Finding>
+analyzeTree(const std::string &repo_root)
+{
+    Tree tree = readTree(repo_root);
+    std::vector<Finding> findings = std::move(tree.unreadable);
+    std::vector<Finding> analyzed = analyzeProgram(tree.src, tree.users);
     findings.insert(findings.end(),
                     std::make_move_iterator(analyzed.begin()),
                     std::make_move_iterator(analyzed.end()));

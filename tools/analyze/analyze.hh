@@ -1,7 +1,7 @@
 /**
  * @file
  * Cross-file semantic static analysis for the Adrias tree
- * (DESIGN.md §13).  Three whole-tree passes over the declaration
+ * (DESIGN.md §13).  Four whole-tree passes over the declaration
  * index built by tools/analyze/index.hh:
  *
  *   checkpoint-coverage  every non-static data member of a class
@@ -31,11 +31,20 @@
  *                        pattern is per-chunk partial slots combined
  *                        in chunk index order (DESIGN.md §9).
  *
+ *   unused-api           every class, member function and free
+ *                        function declared in src/ is referenced by
+ *                        name somewhere in src/, bench/, examples/,
+ *                        tools/ or perfbench/ outside its own
+ *                        declarations and definitions.  Tests are not
+ *                        users.  Needs the whole program, so only
+ *                        analyzeProgram/analyzeTree run it.
+ *
  * Pass ids double as suppression rule names: the shared NOLINT
  * machinery (tools/lint/source.hh) applies, e.g.
  * `// NOLINT(determinism-hazard)` on the offending line.  Prefer the
  * reasoned waiver macros (ADRIAS_NOT_CHECKPOINTED / ADRIAS_LOCK_FREE)
- * for the member-level passes — they carry the why.
+ * for the member-level passes — they carry the why.  unused-api takes
+ * only `// NOLINT(unused-api): <reason>` on a declaration line.
  */
 
 #ifndef ADRIAS_TOOLS_ANALYZE_ANALYZE_HH
@@ -77,19 +86,40 @@ struct PassInfo
 const std::vector<PassInfo> &passes();
 
 /**
- * Analyze a set of files as one program: build the merged declaration
- * index, run every pass, drop findings suppressed by NOLINT escapes
+ * Analyze a set of files with the per-file-set passes: build the
+ * merged declaration index, run checkpoint-coverage, lock-discipline
+ * and determinism-hazard, drop findings suppressed by NOLINT escapes
  * (pass ids are the rule names), and return the rest sorted by
- * (file, line).
+ * (file, line).  unused-api is not run: a file subset cannot tell
+ * what the rest of the program uses.
  */
 std::vector<Finding> analyzeFiles(const std::vector<SourceFile> &files);
 
 /**
- * Recursively analyze src/ under a repo root: *.cc and *.hh, skipping
- * any path containing a `fixtures` directory.  tests/ and bench/ are
- * out of scope — the invariants the passes check (checkpoint
- * round-trips, lock discipline, dataset determinism) live in src/.
+ * Analyze a whole program: analyzeFiles over `declaring` plus the
+ * unused-api pass, which takes `declaring` and `users` together as
+ * the references.  `users` are only scanned for identifiers.
  */
+std::vector<Finding> analyzeProgram(const std::vector<SourceFile> &declaring,
+                                    const std::vector<SourceFile> &users);
+
+/** The files analyzeTree reads, as repo-relative labels and text. */
+struct Tree
+{
+    std::vector<SourceFile> src;   ///< src/: analyzed, declares the API
+    std::vector<SourceFile> users; ///< bench/ examples/ tools/ perfbench/
+    std::vector<Finding> unreadable; ///< "io" findings
+};
+
+/**
+ * Read *.cc and *.hh under src/ and the user directories, recursively
+ * and sorted, skipping any path containing a `fixtures` directory.
+ * tests/ is not read: tests are not users of the API, and the
+ * invariants the passes check live in src/.
+ */
+Tree readTree(const std::string &repo_root);
+
+/** analyzeProgram over readTree(repo_root), plus its io findings. */
 std::vector<Finding> analyzeTree(const std::string &repo_root);
 
 /** "src/foo.hh:12: [checkpoint-coverage] ..." */

@@ -218,30 +218,39 @@ hasToken(const std::string &text, const std::string &token)
     return false;
 }
 
-/** Parse a class head: "template<...>? (class|struct) Name : bases". */
+/**
+ * `h` without a leading `template <...>` parameter list; "" when the
+ * list never closes.
+ */
+std::string
+withoutTemplateHeader(const std::string &h)
+{
+    if (!startsWith(h, "template"))
+        return h;
+    int depth = 0;
+    for (std::size_t i = h.find('<'); i < h.size(); ++i) {
+        if (h[i] == '<')
+            ++depth;
+        else if (h[i] == '>' && --depth == 0)
+            return trimmed(h.substr(i + 1));
+    }
+    return "";
+}
+
+/**
+ * Parse a class head: "template<...>? (class|struct) Name : bases".
+ * `specialization` reports an explicit specialization ("struct
+ * hash<Key>"), which code reaches through its primary template.
+ */
 bool
 parseClassHead(const std::string &head, std::string &name,
-               std::vector<std::string> &bases)
+               std::vector<std::string> &bases, bool &specialization)
 {
     Annotations ignored;
-    std::string h = removeAnnotationMacros(head, ignored);
-    h = trimmed(h);
-    if (startsWith(h, "template")) {
-        // Skip the parameter list: templates of classes are indexed
-        // like plain classes (parameters don't matter to the passes).
-        const std::size_t open = h.find('<');
-        if (open == std::string::npos)
-            return false;
-        int depth = 0;
-        std::size_t i = open;
-        for (; i < h.size(); ++i) {
-            if (h[i] == '<')
-                ++depth;
-            else if (h[i] == '>' && --depth == 0)
-                break;
-        }
-        h = trimmed(h.substr(i + 1));
-    }
+    // Templates of classes are indexed like plain classes (parameters
+    // don't matter to the passes).
+    std::string h =
+        withoutTemplateHeader(trimmed(removeAnnotationMacros(head, ignored)));
     const bool isClass = startsWith(h, "class ") || h == "class";
     const bool isStruct = startsWith(h, "struct ") || h == "struct";
     if (!isClass && !isStruct)
@@ -252,6 +261,9 @@ parseClassHead(const std::string &head, std::string &name,
     if (ids.empty())
         return false;
     name = ids.front().first;
+    const std::size_t after =
+        h.find_first_not_of(' ', ids.front().second + name.size());
+    specialization = after != std::string::npos && h[after] == '<';
 
     // Base clause: the ':' that is not part of a '::'.
     std::size_t colon = std::string::npos;
@@ -382,6 +394,8 @@ class FileParser
         Kind kind = Kind::Opaque;
         std::size_t classIndex = 0; ///< into `classes` when Class
         std::string nsName;         ///< "adrias::obs" when Namespace
+        static constexpr std::size_t kNoExtent = static_cast<std::size_t>(-1);
+        std::size_t extentIndex = kNoExtent; ///< into `extents`, if any
     };
 
     std::string label;
@@ -406,6 +420,41 @@ class FileParser
     {
         return !scopes.empty() &&
                scopes.back().kind == Scope::Kind::Class;
+    }
+
+    /** Qualified name of the innermost enclosing class, or "". */
+    std::string
+    enclosingClass() const
+    {
+        return inClass() ? out.classes[scopes.back().classIndex].name
+                         : std::string();
+    }
+
+    void
+    addExtent(const std::string &name, const std::string &owner,
+              bool isClass, std::size_t line, std::size_t endLine)
+    {
+        out.extents.push_back({name, owner, isClass, label, line + 1,
+                               endLine + 1});
+    }
+
+    /**
+     * `class Name;` / `template <...> struct Name;`: a forward
+     * declaration is the class's own text, not a use of it.
+     * @return true when `head` was one.
+     */
+    bool
+    recordForwardDeclaration(const std::string &head, std::size_t line,
+                             std::size_t endLine)
+    {
+        const std::string h = withoutTemplateHeader(head);
+        const auto ids = identifiersIn(h);
+        if (ids.size() != 2 ||
+            (ids[0].first != "class" && ids[0].first != "struct") ||
+            h.find_first_of(":(=") != std::string::npos)
+            return false;
+        addExtent(ids[1].first, enclosingClass(), true, line, endLine);
+        return true;
     }
 
     /** Qualified name prefix of the current scope stack. */
@@ -458,15 +507,21 @@ class FileParser
             return;
         }
         if (c == '}') {
-            if (!scopes.empty())
+            if (!scopes.empty()) {
+                if (scopes.back().extentIndex != Scope::kNoExtent)
+                    out.extents[scopes.back().extentIndex].endLine =
+                        scanner.lineOf(pos) + 1;
                 scopes.pop_back();
+            }
             ++pos;
             statementBegin(pos);
             return;
         }
         if (c == ';') {
             if (inClass())
-                parseClassStatement(stmt, stmtLine);
+                parseClassStatement(stmt, stmtLine, scanner.lineOf(pos));
+            else
+                parseNamespaceStatement(stmt, stmtLine, scanner.lineOf(pos));
             ++pos;
             statementBegin(pos);
             return;
@@ -496,17 +551,25 @@ class FileParser
         const std::string head = trimmed(stripAccessLabels(stmt));
         std::string name;
         std::vector<std::string> bases;
+        bool specialization = false;
 
-        if (parseClassHead(head, name, bases)) {
+        if (parseClassHead(head, name, bases, specialization)) {
             const std::string prefix = qualifiedPrefix();
             Class cls;
             cls.name = prefix.empty() ? name : prefix + "::" + name;
             cls.file = label;
             cls.line = stmtLine + 1;
             cls.bases = bases;
+            // endLine is set when the class scope closes.  A
+            // specialization is no entity of its own name.
+            std::size_t extent = Scope::kNoExtent;
+            if (!specialization) {
+                addExtent(name, enclosingClass(), true, stmtLine, stmtLine);
+                extent = out.extents.size() - 1;
+            }
             out.classes.push_back(std::move(cls));
-            scopes.push_back(
-                {Scope::Kind::Class, out.classes.size() - 1, ""});
+            scopes.push_back({Scope::Kind::Class, out.classes.size() - 1,
+                              "", extent});
             ++pos;
             statementBegin(pos);
             return;
@@ -554,8 +617,12 @@ class FileParser
         const std::size_t bodyLine = scanner.lineOf(pos);
         const std::string fnName = identifierBefore(cleaned, paren);
         std::string body = slurpBraces(pos);
+        const std::size_t endLine =
+            bodyLine + static_cast<std::size_t>(
+                           std::count(body.begin(), body.end(), '\n'));
 
         if (inClass()) {
+            addExtent(fnName, enclosingClass(), false, stmtLine, endLine);
             Method method;
             method.name = fnName;
             method.head = cleaned;
@@ -599,6 +666,7 @@ class FileParser
                 if (!prefix.empty())
                     className = prefix + "::" + className;
             }
+            addExtent(fnName, className, false, stmtLine, endLine);
             Function fn;
             fn.className = className;
             fn.name = fnName;
@@ -612,11 +680,41 @@ class FileParser
         statementBegin(pos);
     }
 
+    /**
+     * A namespace-scope statement: only bodiless function declarations
+     * and forward class declarations are recorded, as extents.
+     */
     void
-    parseClassStatement(const std::string &raw_stmt, std::size_t line)
+    parseNamespaceStatement(const std::string &raw_stmt, std::size_t line,
+                            std::size_t endLine)
+    {
+        const std::string head = trimmed(raw_stmt);
+        if (head.empty() || recordForwardDeclaration(head, line, endLine))
+            return;
+        const std::string first = firstIdentifier(head);
+        if (first != "template" && kSkipStatementKeywords.count(first))
+            return;
+        Annotations ignored;
+        const std::string cleaned =
+            trimmed(removeAnnotationMacros(head, ignored));
+        const std::size_t paren = topLevelParen(cleaned);
+        // A '(' after a top-level '=' is an initializer, not a
+        // parameter list.
+        if (paren == std::string::npos ||
+            removeInitializer(cleaned).size() <= paren)
+            return;
+        const std::string name = identifierBefore(cleaned, paren);
+        if (!name.empty())
+            addExtent(name, "", false, line, endLine);
+    }
+
+    void
+    parseClassStatement(const std::string &raw_stmt, std::size_t line,
+                        std::size_t endLine)
     {
         const std::string labeled = trimmed(stripAccessLabels(raw_stmt));
-        if (labeled.empty())
+        if (labeled.empty() ||
+            recordForwardDeclaration(labeled, line, endLine))
             return;
         const std::string first = firstIdentifier(labeled);
         if (kSkipStatementKeywords.count(first))
@@ -639,8 +737,10 @@ class FileParser
             method.line = line + 1;
             method.isStatic =
                 hasToken(cleaned.substr(0, paren), "static");
-            if (!method.name.empty())
+            if (!method.name.empty()) {
+                addExtent(method.name, cls.name, false, line, endLine);
                 cls.methods.push_back(std::move(method));
+            }
             return;
         }
 

@@ -8,8 +8,9 @@
  * (tools/lint/source.hh).  It recovers the declarations the passes
  * need — classes and structs, their non-static data members (with
  * types and the project annotation macros), member function
- * declarations with inline bodies, and out-of-line member function
- * bodies from any file — and merges them across the whole tree, so a
+ * declarations with inline bodies, out-of-line member function
+ * bodies from any file, and the line extent of every declaration and
+ * definition — and merges them across the whole tree, so a
  * pass can ask "is member `nextId` of class `ScenarioEngine`
  * referenced inside `ScenarioEngine::saveState`?" even though the
  * class lives in engine.hh and the body in engine.cc.
@@ -101,11 +102,29 @@ struct Function
     std::size_t bodyLine = 0;
 };
 
+/**
+ * The lines one declaration or definition of a named entity occupies:
+ * a class from its head to its closing brace, a function or method
+ * from its head to the end of its body (or to the ';' of a bodiless
+ * declaration), a forward declaration's one statement.  Not merged:
+ * every occurrence in every file is its own extent.
+ */
+struct Extent
+{
+    std::string name;  ///< unqualified: "Histogram", "add"
+    std::string owner; ///< qualified enclosing class; "" at namespace scope
+    bool isClass = false;
+    std::string file;
+    std::size_t line = 0;    ///< first line, 1-based
+    std::size_t endLine = 0; ///< last line, inclusive
+};
+
 /** The merged declaration index of a file set. */
 struct Index
 {
     std::vector<Class> classes;      ///< declaration order, merged
     std::vector<Function> functions; ///< every out-of-line/free body
+    std::vector<Extent> extents;     ///< file order, one per occurrence
 
     /** @return the class named `name`, or nullptr. */
     const Class *findClass(const std::string &name) const;

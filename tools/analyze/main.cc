@@ -2,8 +2,11 @@
  * @file
  * adrias_analyze entry point.
  *
- *   adrias_analyze <repo-root>              analyze src/; exit 1 on
- *                                           findings, 0 when clean.
+ *   adrias_analyze <repo-root>              analyze src/, with bench/,
+ *                                           examples/, tools/ and
+ *                                           perfbench/ as API users;
+ *                                           exit 1 on findings, 0
+ *                                           when clean.
  *   adrias_analyze <repo-root> -o <file>    additionally write the
  *                                           findings to <file> (for
  *                                           the CI artifact upload).
@@ -69,7 +72,8 @@ main(int argc, char **argv)
                   << (findings.size() == 1 ? "" : "s")
                   << " (waive with ADRIAS_NOT_CHECKPOINTED(reason) / "
                      "ADRIAS_LOCK_FREE(reason) on the member, or "
-                     "NOLINT(<pass>) on the line)\n";
+                     "NOLINT(<pass>) on the line; unused-api wants "
+                     "NOLINT(unused-api): <reason>)\n";
         return 1;
     }
     return 0;

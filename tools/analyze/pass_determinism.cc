@@ -6,8 +6,8 @@
  *  (a) Range-for iteration over an unordered container (or a
  *      pointer-keyed std::map — address order varies run to run)
  *      inside a function that feeds a reproducible sink: a
- *      checkpoint (saveState / BinaryWriter), a CSV dataset
- *      (CsvWriter / writeRow / save*Csv), or dataset structures.
+ *      checkpoint (saveState / BinaryWriter), a CSV dump
+ *      (CsvWriter / writeRow), or dataset structures.
  *      Iteration order would leak into persisted bytes.
  *
  *  (b) `x += ...` accumulation into a float/double declared *outside*
@@ -43,9 +43,8 @@ using lint::splitLines;
 
 /** Identifiers that mark a body as feeding a reproducible sink. */
 const std::set<std::string> kSinkMarkers = {
-    "saveState",          "exportState", "BinaryWriter",
-    "CsvWriter",          "writeRow",    "saveSystemStateCsv",
-    "savePerformanceCsv", "writeCsv",    "Dataset",
+    "saveState", "exportState", "BinaryWriter", "CsvWriter",
+    "writeRow",  "writeCsv",    "Dataset",
 };
 
 /** One function body with its location and class context. */

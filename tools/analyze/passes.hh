@@ -30,6 +30,14 @@ void runLockDiscipline(const Index &index,
 void runDeterminismHazard(const Index &index,
                           std::vector<Finding> &findings);
 
+/** unused-api: src/ entities no src/ or user file references.
+ *  Whole-program: `declaring` is src/, `users` the reference-only
+ *  directories; waivers are checked here, not by the NOLINT filter. */
+void runUnusedApi(const Index &index,
+                  const std::vector<SourceFile> &declaring,
+                  const std::vector<SourceFile> &users,
+                  std::vector<Finding> &findings);
+
 } // namespace adrias::analyze
 
 #endif // ADRIAS_TOOLS_ANALYZE_PASSES_HH
