@@ -90,17 +90,34 @@ Rng::gaussian()
         hasCachedGaussian = false;
         return cachedGaussian;
     }
-    // Box-Muller transform.
+    const auto [u1, u2] = boxMullerUniforms();
+    const auto [first, second] = boxMullerPair(boxMullerRadius(u1), u2);
+    cachedGaussian = second;
+    hasCachedGaussian = true;
+    return first;
+}
+
+std::pair<double, double>
+Rng::boxMullerUniforms()
+{
     double u1;
     do {
         u1 = uniform();
     } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double radius = std::sqrt(-2.0 * std::log(u1));
+    return {u1, uniform()};
+}
+
+double
+boxMullerRadius(double u1)
+{
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+std::pair<double, double>
+boxMullerPair(double radius, double u2)
+{
     const double angle = 2.0 * M_PI * u2;
-    cachedGaussian = radius * std::sin(angle);
-    hasCachedGaussian = true;
-    return radius * std::cos(angle);
+    return {radius * std::cos(angle), radius * std::sin(angle)};
 }
 
 double

@@ -12,6 +12,7 @@
 #define ADRIAS_COMMON_RNG_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace adrias
@@ -49,8 +50,17 @@ class Rng
      */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** @return a sample from the standard normal distribution N(0, 1). */
+    /**
+     * @return a sample from the standard normal distribution N(0, 1):
+     *         the first variate of a Box-Muller pair, then the second.
+     */
     double gaussian();
+
+    /**
+     * Draw the uniforms of one Box-Muller pair, as gaussian() does:
+     * u1 in (0, 1) (zero draws rejected), then u2 in [0, 1).
+     */
+    std::pair<double, double> boxMullerUniforms();
 
     /** @return a sample from N(mean, stddev^2). */
     double gaussian(double mean, double stddev);
@@ -90,6 +100,19 @@ class Rng
     double cachedGaussian;
     bool hasCachedGaussian = false;
 };
+
+/**
+ * @return the Box-Muller radius sqrt(-2 ln u1).  Both variates of the
+ *         pair have magnitude at most this, in floating point too:
+ *         |cos| and |sin| never exceed 1, and rounding is monotone.
+ */
+double boxMullerRadius(double u1);
+
+/**
+ * @return the Box-Muller pair {radius cos(2 pi u2), radius sin(2 pi u2)}
+ *         in the order gaussian() returns them.
+ */
+std::pair<double, double> boxMullerPair(double radius, double u2);
 
 } // namespace adrias
 

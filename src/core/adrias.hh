@@ -28,6 +28,7 @@
 #include "scenario/runner.hh"
 #include "scenario/signature.hh"
 #include "stats/distribution.hh"
+#include "stats/percentile.hh"
 #include "stats/regression_metrics.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/testbed.hh"

@@ -7,23 +7,33 @@
 namespace adrias::ml
 {
 
-Optimizer::Optimizer(std::vector<Param *> parameters)
-    : params(std::move(parameters))
+Adam::Adam(std::vector<Param *> parameters, double learning_rate,
+           double beta1_, double beta2_, double epsilon_)
+    : params(std::move(parameters)), lr(learning_rate), beta1(beta1_),
+      beta2(beta2_), epsilon(epsilon_)
 {
     for (const Param *p : params)
         if (!p)
-            panic("Optimizer given a null parameter");
+            panic("Adam given a null parameter");
+    if (lr <= 0.0)
+        fatal("Adam learning rate must be positive");
+    m.reserve(params.size());
+    v.reserve(params.size());
+    for (const Param *p : params) {
+        m.emplace_back(p->value.rows(), p->value.cols());
+        v.emplace_back(p->value.rows(), p->value.cols());
+    }
 }
 
 void
-Optimizer::zeroGrad()
+Adam::zeroGrad()
 {
     for (Param *p : params)
         p->zeroGrad();
 }
 
 double
-Optimizer::clipGradNorm(double max_norm)
+Adam::clipGradNorm(double max_norm)
 {
     if (max_norm <= 0.0)
         fatal("clipGradNorm: max_norm must be positive");
@@ -38,21 +48,6 @@ Optimizer::clipGradNorm(double max_norm)
             p->grad *= scale;
     }
     return norm;
-}
-
-Adam::Adam(std::vector<Param *> parameters, double learning_rate,
-           double beta1_, double beta2_, double epsilon_)
-    : Optimizer(std::move(parameters)), lr(learning_rate), beta1(beta1_),
-      beta2(beta2_), epsilon(epsilon_)
-{
-    if (lr <= 0.0)
-        fatal("Adam learning rate must be positive");
-    m.reserve(params.size());
-    v.reserve(params.size());
-    for (const Param *p : params) {
-        m.emplace_back(p->value.rows(), p->value.cols());
-        v.emplace_back(p->value.rows(), p->value.cols());
-    }
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Gradient-descent optimizer (Adam) over a shared Optimizer base.
+ * Gradient-descent optimizer (Adam).
  */
 
 #ifndef ADRIAS_ML_OPTIMIZER_HH
@@ -13,16 +13,16 @@
 namespace adrias::ml
 {
 
-/** Abstract parameter updater. */
-class Optimizer
+/** Adam optimizer with bias correction (Kingma & Ba, 2015). */
+class Adam
 {
   public:
     /** @param parameters the set of tensors this optimizer steps. */
-    explicit Optimizer(std::vector<Param *> parameters);
-    virtual ~Optimizer() = default;
+    Adam(std::vector<Param *> parameters, double learning_rate = 1e-3,
+         double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
 
     /** Apply one update from accumulated gradients. */
-    virtual void step() = 0;
+    void step();
 
     /** Zero every parameter's gradient accumulator. */
     void zeroGrad();
@@ -33,20 +33,8 @@ class Optimizer
      */
     double clipGradNorm(double max_norm);
 
-  protected:
-    std::vector<Param *> params;
-};
-
-/** Adam optimizer with bias correction (Kingma & Ba, 2015). */
-class Adam : public Optimizer
-{
-  public:
-    Adam(std::vector<Param *> parameters, double learning_rate = 1e-3,
-         double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
-
-    void step() override;
-
   private:
+    std::vector<Param *> params;
     double lr;
     double beta1;
     double beta2;

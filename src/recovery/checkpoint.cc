@@ -16,7 +16,7 @@ namespace
 {
 
 /** Manifest version string opening every snapshot. */
-constexpr const char *kSnapshotVersion = "adrias-checkpoint-v3";
+constexpr const char *kSnapshotVersion = "adrias-checkpoint-v4";
 
 constexpr const char *kSnapshotPrefix = "snap-";
 constexpr const char *kSnapshotSuffix = ".adck";

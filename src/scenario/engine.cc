@@ -31,7 +31,6 @@ saveRecord(io::BinaryWriter &out, const DeploymentRecord &record)
     out.writeF64(record.execTimeSec);
     out.writeF64(record.p99Ms);
     out.writeF64(record.p999Ms);
-    out.writeF64(record.meanLatencyMs);
     out.writeF64(record.meanSlowdown);
     out.writeF64(record.remoteTrafficGB);
     out.writeU64(record.migrations);
@@ -52,7 +51,6 @@ loadRecord(io::BinaryReader &in)
     record.execTimeSec = in.readF64();
     record.p99Ms = in.readF64();
     record.p999Ms = in.readF64();
-    record.meanLatencyMs = in.readF64();
     record.meanSlowdown = in.readF64();
     record.remoteTrafficGB = in.readF64();
     record.migrations = in.readU64();

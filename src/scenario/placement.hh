@@ -38,7 +38,6 @@ struct DeploymentRecord
     /** LC: tail latencies over the whole run, ms. */
     double p99Ms = 0.0;
     double p999Ms = 0.0;
-    double meanLatencyMs = 0.0;
 
     double meanSlowdown = 1.0;
 

@@ -65,10 +65,21 @@ completionRecord(const WorkloadInstance &done, SimTime now,
     record.completion = now + 1;
     record.execTimeSec = done.executionTimeSec();
     if (record.cls == WorkloadClass::LatencyCritical) {
-        const std::vector<double> tail = done.tailLatenciesMs({0.99, 0.999});
-        record.p99Ms = tail[0];
-        record.p999Ms = tail[1];
-        record.meanLatencyMs = done.meanLatencyMs();
+        const workloads::LatencyTail tail =
+            done.tailLatenciesMs({0.99, 0.999});
+        record.p99Ms = tail.ms[0];
+        record.p999Ms = tail.ms[1];
+#if ADRIAS_OBS_ENABLED
+        if (obs::enabled()) {
+            obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+            static obs::Counter &pairs_c =
+                reg.counter("workloads.lc_tail_pairs");
+            static obs::Counter &exact_c =
+                reg.counter("workloads.lc_tail_exact_pairs");
+            pairs_c.add(tail.pairs);
+            exact_c.add(tail.exactPairs);
+        }
+#endif
     }
     record.meanSlowdown = done.meanSlowdown();
     record.remoteTrafficGB = done.remoteTrafficGB();

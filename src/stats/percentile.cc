@@ -9,14 +9,21 @@
 namespace adrias::stats
 {
 
-std::vector<double>
-quantiles(std::vector<double> values, std::initializer_list<double> qs)
+QuantileRank
+quantileRank(double q, std::size_t n)
 {
-    // Validate q before the empty-sample early-out so a caller bug is
-    // reported even when there happens to be no data yet.  The NaN
-    // check must be explicit: NaN compares false against both bounds,
-    // and would otherwise flow into the floor/size_t cast below —
-    // undefined behaviour, not merely a wrong answer.
+    const double pos = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(pos));
+    const auto hi = static_cast<std::size_t>(std::ceil(pos));
+    return {lo, hi, pos - static_cast<double>(lo)};
+}
+
+void
+checkQuantiles(std::initializer_list<double> qs)
+{
+    // The NaN check must be explicit: NaN compares false against both
+    // bounds, and would otherwise flow into quantileRank's floor/size_t
+    // cast — undefined behaviour, not merely a wrong answer.
     double prev = 0.0;
     for (double q : qs) {
         if (!(q >= 0.0 && q <= 1.0))
@@ -25,6 +32,14 @@ quantiles(std::vector<double> values, std::initializer_list<double> qs)
             fatal("quantiles: q values must be ascending");
         prev = q;
     }
+}
+
+std::vector<double>
+quantiles(std::vector<double> values, std::initializer_list<double> qs)
+{
+    // Validate q before the empty-sample early-out so a caller bug is
+    // reported even when there happens to be no data yet.
+    checkQuantiles(qs);
     std::vector<double> out;
     out.reserve(qs.size());
     if (values.empty()) {
@@ -42,10 +57,7 @@ quantiles(std::vector<double> values, std::initializer_list<double> qs)
     const auto first = values.begin();
     std::size_t from = 0;
     for (double q : qs) {
-        const double pos = q * static_cast<double>(values.size() - 1);
-        const auto lo = static_cast<std::size_t>(std::floor(pos));
-        const auto hi = static_cast<std::size_t>(std::ceil(pos));
-        const double frac = pos - static_cast<double>(lo);
+        const auto [lo, hi, frac] = quantileRank(q, values.size());
         if (lo >= from) {
             std::nth_element(first + static_cast<std::ptrdiff_t>(from),
                              first + static_cast<std::ptrdiff_t>(lo),
@@ -67,32 +79,6 @@ double
 quantile(std::vector<double> values, double q)
 {
     return quantiles(std::move(values), {q}).front();
-}
-
-double
-PercentileTracker::quantile(double q) const
-{
-    return stats::quantile(samples, q);
-}
-
-std::vector<double>
-PercentileTracker::quantiles(std::initializer_list<double> qs) const
-{
-    return stats::quantiles(samples, qs);
-}
-
-double
-PercentileTracker::mean() const
-{
-    // NaN, not 0.0: an empty tracker must read as "no data", exactly
-    // like quantile().  A zero here once let an idle LC app report a
-    // perfect mean latency.
-    if (samples.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    double total = 0.0;
-    for (double v : samples)
-        total += v;
-    return total / static_cast<double>(samples.size());
 }
 
 ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)

@@ -2,10 +2,9 @@
  * @file
  * Percentile estimation for latency distributions.
  *
- * The LC workload path needs p99/p99.9 over many sampled request
- * latencies.  Two estimators are provided: an exact sampler that keeps
- * all values (fine for simulation volumes) and a reservoir sampler with
- * bounded memory for very long runs.
+ * Exact type-7 quantiles by selection, the rank arithmetic they share
+ * with the LC tail (workloads/lc_latency.hh), and a reservoir sampler
+ * with bounded memory for very long runs.
  */
 
 #ifndef ADRIAS_STATS_PERCENTILE_HH
@@ -20,6 +19,27 @@
 
 namespace adrias::stats
 {
+
+/**
+ * Where the type-7 q-quantile of n sorted values is read: order
+ * statistics `lo` and `hi` (0-based, hi = lo or lo + 1), combined as
+ * `x[lo] + frac * (x[hi] - x[lo])`.
+ */
+struct QuantileRank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+/** @return the QuantileRank of q over n > 0 values; q must be valid. */
+QuantileRank quantileRank(double q, std::size_t n);
+
+/**
+ * Fatal unless every q lies in the closed interval [0, 1] (NaN
+ * included) and the qs ascend.
+ */
+void checkQuantiles(std::initializer_list<double> qs);
 
 /**
  * Compute the q-quantile of a sample by linear interpolation
@@ -50,35 +70,6 @@ double quantile(std::vector<double> values, double q);
  */
 std::vector<double> quantiles(std::vector<double> values,
                               std::initializer_list<double> qs);
-
-/** Exact percentile tracker that retains all observations. */
-class PercentileTracker
-{
-  public:
-    /** Record one observation. */
-    void add(double value) { samples.push_back(value); }
-
-    /** @return the q-quantile of everything recorded so far. */
-    double quantile(double q) const;
-
-    /** @return stats::quantiles() of everything recorded so far. */
-    std::vector<double> quantiles(std::initializer_list<double> qs) const;
-
-    /** @return number of recorded observations. */
-    std::size_t count() const { return samples.size(); }
-
-    /** @return mean of the recorded observations (NaN when empty). */
-    double mean() const;
-
-    /** Drop all observations. */
-    void clear() { samples.clear(); }
-
-    /** @return the raw samples (chronological). */
-    const std::vector<double> &values() const { return samples; }
-
-  private:
-    std::vector<double> samples;
-};
 
 /**
  * Bounded-memory quantile estimator using reservoir sampling
@@ -114,9 +105,6 @@ class ReservoirSampler
 
     /** @return total observations offered (not retained). */
     std::size_t count() const { return seen; }
-
-    /** @return the retained samples (reservoir slot order). */
-    const std::vector<double> &values() const { return reservoir; }
 
   private:
     std::size_t cap;

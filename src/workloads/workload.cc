@@ -14,7 +14,7 @@ WorkloadInstance::WorkloadInstance(DeploymentId id, const WorkloadSpec &spec,
                                    MemoryMode mode, SimTime arrival_,
                                    std::uint64_t seed, double load_factor)
     : deploymentId(id), specification(&spec), arrival(arrival_),
-      loadFactor(load_factor), memoryMode(mode), rng(seed)
+      loadFactor(load_factor), noiseSeed(seed), memoryMode(mode)
 {
     if (load_factor <= 0.0)
         fatal("WorkloadInstance: load factor must be positive");
@@ -23,11 +23,12 @@ WorkloadInstance::WorkloadInstance(DeploymentId id, const WorkloadSpec &spec,
 WorkloadInstance::WorkloadInstance(WorkloadInstance &&other) noexcept
     : deploymentId(other.deploymentId),
       specification(other.specification), arrival(other.arrival),
-      loadFactor(other.loadFactor), memoryMode(other.memoryMode),
-      rng(other.rng), done(other.done), completion(other.completion),
+      loadFactor(other.loadFactor), noiseSeed(other.noiseSeed),
+      memoryMode(other.memoryMode), done(other.done),
+      completion(other.completion),
       progressSec(other.progressSec), elapsedSec(other.elapsedSec),
       requestsServed(other.requestsServed),
-      latencies(std::move(other.latencies)),
+      latencyScales(std::move(other.latencyScales)),
       slowdownSum(other.slowdownSum), ticks(other.ticks),
       remoteGb(other.remoteGb),
       migrationRemaining(other.migrationRemaining),
@@ -46,14 +47,14 @@ WorkloadInstance::operator=(WorkloadInstance &&other) noexcept
     specification = other.specification;
     arrival = other.arrival;
     loadFactor = other.loadFactor;
+    noiseSeed = other.noiseSeed;
     memoryMode = other.memoryMode;
-    rng = other.rng;
     done = other.done;
     completion = other.completion;
     progressSec = other.progressSec;
     elapsedSec = other.elapsedSec;
     requestsServed = other.requestsServed;
-    latencies = std::move(other.latencies);
+    latencyScales = std::move(other.latencyScales);
     slowdownSum = other.slowdownSum;
     ticks = other.ticks;
     remoteGb = other.remoteGb;
@@ -73,13 +74,13 @@ WorkloadInstance::saveState(io::BinaryWriter &out) const
     out.writeI64(arrival);
     out.writeF64(loadFactor);
     out.writeU8(static_cast<std::uint8_t>(memoryMode));
-    rng.saveState(out);
+    out.writeU64(noiseSeed);
     out.writeBool(done);
     out.writeI64(completion);
     out.writeF64(progressSec);
     out.writeF64(elapsedSec);
     out.writeF64(requestsServed);
-    out.writeF64Vector(latencies.values());
+    out.writeF64Vector(latencyScales);
     out.writeF64(slowdownSum);
     out.writeU64(ticks);
     out.writeF64(remoteGb);
@@ -97,6 +98,7 @@ WorkloadInstance::restoreFromState(io::BinaryReader &in)
     const SimTime arrival = in.readI64();
     const double loadFactor = in.readF64();
     const std::uint8_t rawMode = in.readU8();
+    const std::uint64_t noiseSeed = in.readU64();
     if (!in.ok())
         return makeError(ErrorCode::Truncated,
                          "WorkloadInstance: truncated identity fields");
@@ -114,17 +116,14 @@ WorkloadInstance::restoreFromState(io::BinaryReader &in)
 
     const MemoryMode memoryMode = static_cast<MemoryMode>(rawMode);
     auto instance = std::make_unique<WorkloadInstance>(
-        id, *spec, memoryMode, arrival,
-        /*seed=*/0, loadFactor);
+        id, *spec, memoryMode, arrival, noiseSeed, loadFactor);
     MutexLock lock(instance->mu);
-    instance->rng.restoreState(in);
     instance->done = in.readBool();
     instance->completion = in.readI64();
     instance->progressSec = in.readF64();
     instance->elapsedSec = in.readF64();
     instance->requestsServed = in.readF64();
-    for (double sample : in.readF64Vector())
-        instance->latencies.add(sample);
+    instance->latencyScales = in.readF64Vector();
     instance->slowdownSum = in.readF64();
     instance->ticks = in.readU64();
     instance->remoteGb = in.readF64();
@@ -138,6 +137,11 @@ WorkloadInstance::restoreFromState(io::BinaryReader &in)
     if (rawTarget > static_cast<std::uint8_t>(MemoryMode::Remote))
         return makeError(ErrorCode::BadNumber,
                          "WorkloadInstance: invalid migration target");
+    for (double scale : instance->latencyScales)
+        if (!(std::isfinite(scale) && scale >= 0.0))
+            return makeError(ErrorCode::BadNumber,
+                             "WorkloadInstance: latency scale is negative "
+                             "or not finite");
     instance->migrationTarget = static_cast<MemoryMode>(rawTarget);
     return instance;
 }
@@ -238,16 +242,13 @@ WorkloadInstance::advanceLatencyCritical(const testbed::LoadOutcome &outcome)
         specification->serviceRatePerSec * loadFactor / slowdown;
     ADRIAS_INVARIANT_GE(requestsServed, 0.0);
 
-    const double sigma = specification->latencySigma;
-    for (int i = 0; i < kSamplesPerTick; ++i) {
-        const double noise =
-            std::exp(sigma * rng.gaussian() - 0.5 * sigma * sigma);
-        const double latency_ms = specification->baseLatencyMs * slowdown *
-                                  queue_mult * noise;
-        ADRIAS_INVARIANT_FINITE(latency_ms);
-        ADRIAS_INVARIANT_GE(latency_ms, 0.0);
-        latencies.add(latency_ms);
-    }
+    // The tick's request latencies are this scale times lognormal
+    // noise drawn from the instance's seed (lc_latency.hh).
+    const double scale =
+        specification->baseLatencyMs * slowdown * queue_mult;
+    ADRIAS_INVARIANT_FINITE(scale);
+    ADRIAS_INVARIANT_GE(scale, 0.0);
+    latencyScales.push_back(scale);
 }
 
 double
@@ -262,22 +263,15 @@ WorkloadInstance::executionTimeSec() const
 double
 WorkloadInstance::tailLatencyMs(double q) const
 {
-    MutexLock lock(mu);
-    return latencies.quantile(q);
+    return tailLatenciesMs({q}).ms.front();
 }
 
-std::vector<double>
+LatencyTail
 WorkloadInstance::tailLatenciesMs(std::initializer_list<double> qs) const
 {
     MutexLock lock(mu);
-    return latencies.quantiles(qs);
-}
-
-double
-WorkloadInstance::meanLatencyMs() const
-{
-    MutexLock lock(mu);
-    return latencies.mean();
+    return lcLatencyTail(noiseSeed, latencyScales,
+                         specification->latencySigma, qs);
 }
 
 double

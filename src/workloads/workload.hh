@@ -4,25 +4,26 @@
  *
  * Instances advance tick by tick against the testbed's contention
  * outcomes: best-effort jobs accumulate progress until their work is
- * done, latency-critical servers sample per-request latencies through a
- * closed-loop (memtier-like) client model, and iBench trashers simply
- * occupy resources for a fixed wall-clock duration.
+ * done, latency-critical servers record each tick's request-latency
+ * scale under a closed-loop (memtier-like) client model, and iBench
+ * trashers simply occupy resources for a fixed wall-clock duration.
  */
 
 #ifndef ADRIAS_WORKLOADS_WORKLOAD_HH
 #define ADRIAS_WORKLOADS_WORKLOAD_HH
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/error.hh"
 #include "common/io/binary.hh"
 #include "common/mutex.hh"
-#include "common/rng.hh"
 #include "common/thread_annotations.hh"
 #include "common/types.hh"
-#include "stats/percentile.hh"
 #include "testbed/load.hh"
+#include "workloads/lc_latency.hh"
 #include "workloads/spec.hh"
 
 namespace adrias::workloads
@@ -31,7 +32,7 @@ namespace adrias::workloads
 /**
  * A deployed, running (or finished) workload.
  *
- * Thread-safe: the mutable client/progress state (request latencies,
+ * Thread-safe: the mutable client/progress state (latency scales,
  * progress, migration state) is guarded by an internal mutex so a
  * runtime-management thread can read metrics while the scenario loop
  * advances the instance.  Identity (id, spec, arrival) is immutable
@@ -45,7 +46,7 @@ class WorkloadInstance
      * @param spec behaviour model.
      * @param mode memory placement chosen by the orchestrator.
      * @param arrival simulation time of deployment.
-     * @param seed latency-noise RNG seed.
+     * @param seed latency-noise seed (lc_latency.hh).
      * @param load_factor client-load multiplier for LC apps (1 = the
      *        paper's nominal memtier load).
      */
@@ -102,16 +103,13 @@ class WorkloadInstance
     /** Wall-clock execution time; only meaningful once finished. */
     double executionTimeSec() const ADRIAS_EXCLUDES(mu);
 
-    /** LC: tail latency of all sampled requests so far, ms. */
+    /** LC: the q-quantile of all request latencies so far, ms. */
     double tailLatencyMs(double q) const ADRIAS_EXCLUDES(mu);
 
-    /** LC: tailLatencyMs at each of the ascending `qs`, from one copy
-     *  of the samples. */
-    std::vector<double> tailLatenciesMs(std::initializer_list<double> qs) const
+    /** LC: tailLatencyMs at each of the ascending `qs` in one pass,
+     *  with the work it took (lcLatencyTail). */
+    LatencyTail tailLatenciesMs(std::initializer_list<double> qs) const
         ADRIAS_EXCLUDES(mu);
-
-    /** LC: mean request latency, ms. */
-    double meanLatencyMs() const ADRIAS_EXCLUDES(mu);
 
     /** Mean slowdown observed across ticks so far. */
     double meanSlowdown() const ADRIAS_EXCLUDES(mu);
@@ -156,16 +154,17 @@ class WorkloadInstance
 
     /**
      * Serialize the complete run state.  The spec is recorded by name
-     * (specs are static registry entries, not runtime state) and the
-     * latency samples are dumped in full so restored tail percentiles
-     * are exact.
+     * (specs are static registry entries, not runtime state); the
+     * noise seed and the per-tick latency scales determine every
+     * latency sample, so restored tail percentiles are exact.
      */
     void saveState(io::BinaryWriter &out) const ADRIAS_EXCLUDES(mu);
 
     /**
      * Rebuild an instance from a saveState() payload.  Fails (typed)
-     * when the payload is truncated, carries an unknown spec name or an
-     * out-of-range enum value.
+     * when the payload is truncated, carries an unknown spec name, an
+     * out-of-range enum value or a latency scale that is negative or
+     * not finite.
      */
     [[nodiscard]] static Result<std::unique_ptr<WorkloadInstance>>
     restoreFromState(io::BinaryReader &in);
@@ -179,12 +178,13 @@ class WorkloadInstance
         "immutable identity, set at construction");
     double loadFactor ADRIAS_LOCK_FREE(
         "immutable identity, set at construction");
+    std::uint64_t noiseSeed ADRIAS_LOCK_FREE(
+        "immutable identity, set at construction");
 
     /** Guards every mutable member below. */
     mutable Mutex mu;
 
     MemoryMode memoryMode ADRIAS_GUARDED_BY(mu);
-    Rng rng ADRIAS_GUARDED_BY(mu);
 
     bool done ADRIAS_GUARDED_BY(mu) = false;
     SimTime completion ADRIAS_GUARDED_BY(mu) = -1;
@@ -197,7 +197,8 @@ class WorkloadInstance
 
     // LC request accounting (the memtier-style client state)
     double requestsServed ADRIAS_GUARDED_BY(mu) = 0.0;
-    stats::PercentileTracker latencies ADRIAS_GUARDED_BY(mu);
+    /** Noiseless request latency of each LC tick, ms (lc_latency.hh). */
+    std::vector<double> latencyScales ADRIAS_GUARDED_BY(mu);
 
     // aggregates
     double slowdownSum ADRIAS_GUARDED_BY(mu) = 0.0;
@@ -219,9 +220,6 @@ class WorkloadInstance
 
     /** Base server utilization at nominal load (queueing model). */
     static constexpr double kBaseUtilization = 0.6;
-
-    /** Request-latency samples drawn per tick for the tail estimate. */
-    static constexpr int kSamplesPerTick = 24;
 
     void advanceLatencyCritical(const testbed::LoadOutcome &outcome)
         ADRIAS_REQUIRES(mu);

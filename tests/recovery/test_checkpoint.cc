@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io/binary.hh"
 #include "recovery/checkpoint.hh"
 #include "recovery/journal.hh"
 
@@ -213,6 +214,42 @@ TEST(CheckpointManager, SectionCountMismatchRejectsSnapshot)
     EXPECT_FALSE(outcome.value().restored);
     EXPECT_EQ(outcome.value().rejectedSnapshots, 1u);
     EXPECT_EQ(only.value, -1);
+}
+
+TEST(CheckpointManager, RefusesVersionThreeSnapshotByName)
+{
+    // A v3 file is well framed, so only the manifest version refuses
+    // it, and the refusal names the version it found.
+    const std::string dir = freshDir("adrias_ckpt_v3");
+    CheckpointManager manager(configFor(dir));
+    CounterSection section("alpha", -1);
+    manager.attach(section);
+
+    std::string image = io::beginRecordFileImage();
+    io::BinaryWriter manifest;
+    manifest.writeString("adrias-checkpoint-v3");
+    manifest.writeI64(60);
+    manifest.writeU64(1);
+    io::appendFramedRecord(image, manifest.data());
+    io::BinaryWriter payload;
+    payload.writeI64(7);
+    io::BinaryWriter record;
+    record.writeString("alpha");
+    record.writeString(payload.data());
+    io::appendFramedRecord(image, record.data());
+    ASSERT_TRUE(io::atomicWriteFile(manager.snapshotPath(60), image).ok());
+
+    ::testing::internal::CaptureStderr();
+    Result<RestoreOutcome> outcome = manager.restoreLatest();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_FALSE(outcome.value().restored);
+    EXPECT_EQ(outcome.value().rejectedSnapshots, 1u);
+    EXPECT_EQ(section.value, -1);
+    EXPECT_NE(log.find("[bad-header]"), std::string::npos) << log;
+    EXPECT_NE(log.find("unknown version 'adrias-checkpoint-v3'"),
+              std::string::npos)
+        << log;
 }
 
 /** Section whose restoreState fails a configurable number of times —

@@ -86,7 +86,6 @@ digest(const scenario::ScenarioResult &result)
         out.writeF64(r.execTimeSec);
         out.writeF64(r.p99Ms);
         out.writeF64(r.p999Ms);
-        out.writeF64(r.meanLatencyMs);
         out.writeF64(r.meanSlowdown);
         out.writeF64(r.remoteTrafficGB);
         out.writeU64(r.migrations);

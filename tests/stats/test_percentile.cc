@@ -61,33 +61,25 @@ TEST(Quantile, AllEqualSampleIsFlatAcrossQ)
         EXPECT_DOUBLE_EQ(quantile(flat, q), 4.25) << "q=" << q;
 }
 
-TEST(PercentileTracker, EmptyTrackerQuantileAndMeanAreNaN)
+/**
+ * The reservoir's contents in ascending order, read back through
+ * quantile(): over n retained values, q = k / (n - 1) lands on order
+ * statistic k.  With integer-valued observations a read-back that is
+ * not an integer means the reservoir does not hold exactly n values.
+ */
+std::vector<double>
+retainedSorted(const ReservoirSampler &r, std::size_t n)
 {
-    // Regression: mean() once returned 0.0 on an empty tracker while
-    // quantile() returned NaN, so "no data" looked like a perfect
-    // latency.  Both must agree on NaN.
-    const PercentileTracker t;
-    EXPECT_TRUE(std::isnan(t.quantile(0.5)));
-    EXPECT_TRUE(std::isnan(t.mean()));
-}
-
-TEST(PercentileTracker, SingleObservation)
-{
-    PercentileTracker t;
-    t.add(12.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.0), 12.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.99), 12.0);
-    EXPECT_DOUBLE_EQ(t.mean(), 12.0);
-}
-
-TEST(PercentileTracker, AllEqualObservations)
-{
-    PercentileTracker t;
-    for (int i = 0; i < 50; ++i)
-        t.add(3.5);
-    EXPECT_DOUBLE_EQ(t.quantile(0.5), 3.5);
-    EXPECT_DOUBLE_EQ(t.quantile(0.999), 3.5);
-    EXPECT_DOUBLE_EQ(t.mean(), 3.5);
+    std::vector<double> out;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double q =
+            n == 1 ? 0.0
+                   : static_cast<double>(k) / static_cast<double>(n - 1);
+        const double v = r.quantile(q);
+        EXPECT_NEAR(v, std::round(v), 1e-9) << "k=" << k << " n=" << n;
+        out.push_back(std::round(v));
+    }
+    return out;
 }
 
 TEST(ReservoirSampler, EmptyReservoirQuantileIsNaN)
@@ -109,7 +101,7 @@ TEST(ReservoirSampler, AllEqualEvenPastCapacity)
     ReservoirSampler r(16);
     for (int i = 0; i < 1000; ++i)
         r.add(2.5);
-    EXPECT_EQ(r.values().size(), 16u);
+    EXPECT_EQ(r.count(), 1000u);
     EXPECT_DOUBLE_EQ(r.quantile(0.5), 2.5);
     EXPECT_DOUBLE_EQ(r.quantile(0.99), 2.5);
 }
@@ -222,37 +214,16 @@ TEST(Quantile, BatchedQuantilesValidateLikeQuantile)
     EXPECT_EQ(quantiles(sample, {0.5, 0.5}), (std::vector<double>{2.0, 2.0}));
 }
 
-TEST(PercentileTracker, QuantilesMatchQuantile)
-{
-    PercentileTracker t;
-    Rng rng(77);
-    for (int i = 0; i < 7000; ++i)
-        t.add(rng.uniform(0.5, 40.0));
-    const std::vector<double> tail = t.quantiles({0.99, 0.999});
-    EXPECT_EQ(bitsOf(tail[0]), bitsOf(t.quantile(0.99)));
-    EXPECT_EQ(bitsOf(tail[1]), bitsOf(t.quantile(0.999)));
-}
-
-TEST(PercentileTracker, TracksCountMeanQuantile)
-{
-    PercentileTracker t;
-    for (int i = 1; i <= 100; ++i)
-        t.add(static_cast<double>(i));
-    EXPECT_EQ(t.count(), 100u);
-    EXPECT_DOUBLE_EQ(t.mean(), 50.5);
-    EXPECT_NEAR(t.quantile(0.99), 99.01, 1e-9);
-    t.clear();
-    EXPECT_EQ(t.count(), 0u);
-    EXPECT_TRUE(std::isnan(t.mean()));
-}
-
 TEST(ReservoirSampler, RetainsAllBelowCapacity)
 {
     ReservoirSampler r(100);
     for (int i = 0; i < 50; ++i)
         r.add(i);
     EXPECT_EQ(r.count(), 50u);
-    EXPECT_EQ(r.values().size(), 50u);
+    std::vector<double> all(50);
+    for (int i = 0; i < 50; ++i)
+        all[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(retainedSorted(r, 50), all);
 }
 
 TEST(ReservoirSampler, BoundsMemoryAboveCapacity)
@@ -261,21 +232,23 @@ TEST(ReservoirSampler, BoundsMemoryAboveCapacity)
     for (int i = 0; i < 10000; ++i)
         r.add(i);
     EXPECT_EQ(r.count(), 10000u);
-    EXPECT_EQ(r.values().size(), 64u);
+    const std::vector<double> kept = retainedSorted(r, 64);
+    EXPECT_TRUE(std::adjacent_find(kept.begin(), kept.end()) == kept.end())
+        << "64 distinct observations expected";
 }
 
 TEST(ReservoirSampler, QuantileApproximatesTrueQuantile)
 {
     Rng rng(5);
     ReservoirSampler r(2000);
-    PercentileTracker exact;
+    std::vector<double> exact;
     for (int i = 0; i < 100000; ++i) {
         const double v = rng.uniform(0.0, 100.0);
         r.add(v);
-        exact.add(v);
+        exact.push_back(v);
     }
-    EXPECT_NEAR(r.quantile(0.5), exact.quantile(0.5), 3.0);
-    EXPECT_NEAR(r.quantile(0.9), exact.quantile(0.9), 3.0);
+    EXPECT_NEAR(r.quantile(0.5), quantile(exact, 0.5), 3.0);
+    EXPECT_NEAR(r.quantile(0.9), quantile(exact, 0.9), 3.0);
 }
 
 TEST(ReservoirSampler, ZeroCapacityIsFatal)
@@ -294,8 +267,7 @@ TEST(ReservoirSampler, SeedPinnedReservoirIsDeterministic)
         a.add(static_cast<double>(i));
         b.add(static_cast<double>(i));
     }
-    ASSERT_EQ(a.values().size(), 32u);
-    EXPECT_EQ(a.values(), b.values());
+    EXPECT_EQ(retainedSorted(a, 32), retainedSorted(b, 32));
     EXPECT_DOUBLE_EQ(a.quantile(0.5), b.quantile(0.5));
     EXPECT_DOUBLE_EQ(a.quantile(0.99), b.quantile(0.99));
 
@@ -304,7 +276,7 @@ TEST(ReservoirSampler, SeedPinnedReservoirIsDeterministic)
     ReservoirSampler c(32, 778);
     for (int i = 0; i < 5000; ++i)
         c.add(static_cast<double>(i));
-    EXPECT_NE(a.values(), c.values());
+    EXPECT_NE(retainedSorted(a, 32), retainedSorted(c, 32));
 }
 
 TEST(ReservoirSampler, ReplacementProbabilityIsCapOverN)
@@ -320,7 +292,7 @@ TEST(ReservoirSampler, ReplacementProbabilityIsCapOverN)
         ReservoirSampler r(1, static_cast<std::uint64_t>(t) + 1);
         r.add(0.0);
         r.add(1.0);
-        replaced += r.values().front() > 0.5 ? 1 : 0;
+        replaced += r.quantile(0.0) > 0.5 ? 1 : 0;
     }
     const double rate =
         static_cast<double>(replaced) / static_cast<double>(trials);
@@ -340,7 +312,7 @@ TEST(ReservoirSampler, EveryObservationRetainedUniformly)
         ReservoirSampler r(kCap, static_cast<std::uint64_t>(t) + 1);
         for (int i = 0; i < kN; ++i)
             r.add(static_cast<double>(i));
-        for (double v : r.values())
+        for (double v : retainedSorted(r, kCap))
             ++kept[static_cast<std::size_t>(v)];
     }
     const double expected = static_cast<double>(kCap) / kN; // 0.125
@@ -350,6 +322,34 @@ TEST(ReservoirSampler, EveryObservationRetainedUniformly)
             static_cast<double>(trials);
         EXPECT_NEAR(rate, expected, 0.035) << "index " << i;
     }
+}
+
+TEST(Quantile, QuantilesMatchQuantile)
+{
+    Rng rng(77);
+    std::vector<double> values;
+    for (int i = 0; i < 7000; ++i)
+        values.push_back(rng.uniform(0.5, 40.0));
+    const std::vector<double> tail = quantiles(values, {0.99, 0.999});
+    EXPECT_EQ(bitsOf(tail[0]), bitsOf(quantile(values, 0.99)));
+    EXPECT_EQ(bitsOf(tail[1]), bitsOf(quantile(values, 0.999)));
+}
+
+TEST(Quantile, RankFollowsTypeSeven)
+{
+    // 1..100 at q = 0.99: pos = 98.01, so 99 + 0.01 * (100 - 99).
+    const QuantileRank rank = quantileRank(0.99, 100);
+    EXPECT_EQ(rank.lo, 98u);
+    EXPECT_EQ(rank.hi, 99u);
+    EXPECT_NEAR(rank.frac, 0.01, 1e-12);
+    std::vector<double> values;
+    for (int i = 1; i <= 100; ++i)
+        values.push_back(static_cast<double>(i));
+    EXPECT_NEAR(quantile(values, 0.99), 99.01, 1e-9);
+    const QuantileRank exact = quantileRank(0.5, 3);
+    EXPECT_EQ(exact.lo, 1u);
+    EXPECT_EQ(exact.hi, 1u);
+    EXPECT_EQ(exact.frac, 0.0);
 }
 
 class QuantileMonotoneTest : public ::testing::TestWithParam<double>
